@@ -113,10 +113,22 @@ class ConflictIndex:
         return True
 
 
-class InstanceIndex:
-    """Dense integer indexing of a three-genome instance for the kernels."""
+GENOME_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-    def __init__(self, genomes: Sequence[Genome], sigma: SimilarityGraph):
+
+class InstanceIndex:
+    """Integer indexing of a three-genome instance with sparse similarity edges.
+
+    The genes of genome x are numbered 0.. in name order (`genes[x]`,
+    `index[x]`).  For each genome pair (a, b) in `GENOME_PAIRS`, positions
+    in the given genome order, `edges[(a, b)]` is an int64 array of shape
+    (2, m) with the (gene of a, gene of b) endpoints of every positive
+    similarity, sorted, and `values[(a, b)]` holds the m similarities.
+    Every telomere pair is an edge of value 1.0.  Without `sigma` the index
+    holds no edges; the adjacency scan needs only the gene numbering.
+    """
+
+    def __init__(self, genomes: Sequence[Genome], sigma: SimilarityGraph | None = None):
         if len(genomes) != 3:
             raise GenomeError("an instance needs exactly three genomes")
         labels = [g.label for g in genomes]
@@ -130,27 +142,43 @@ class InstanceIndex:
         self.index: list[dict[Gene, int]] = [
             {gene: k for k, gene in enumerate(genes)} for genes in self.genes
         ]
-        self.sigma = sigma
-        self.matrices = {
-            (a, b): self._matrix(a, b) for a, b in ((0, 1), (0, 2), (1, 2))
-        }
+        self.edges: dict[tuple[int, int], np.ndarray] = {}
+        self.values: dict[tuple[int, int], np.ndarray] = {}
+        if sigma is not None:
+            self._build_edges(sigma)
         self.adjacency_arrays = [self._adjacencies(x) for x in range(3)]
 
-    def _matrix(self, a: int, b: int) -> np.ndarray:
-        rows, cols = self.genes[a], self.genes[b]
-        mat = np.zeros((len(rows), len(cols)), dtype=np.float64)
-        for ri, gene_a in enumerate(rows):
-            if gene_a.is_telomere:
-                for ci, gene_b in enumerate(cols):
-                    if gene_b.is_telomere:
-                        mat[ri, ci] = 1.0
-            else:
-                for ci, gene_b in enumerate(cols):
-                    if not gene_b.is_telomere:
-                        value = self.sigma.get(gene_a, gene_b)
-                        if value > 0.0:
-                            mat[ri, ci] = value
-        return mat
+    def _build_edges(self, sigma: SimilarityGraph) -> None:
+        slot = {label: x for x, label in enumerate(self.labels)}
+        found = {pair: ([], [], []) for pair in GENOME_PAIRS}
+        for x, y, value in sigma.pairs():
+            a, b = slot.get(x.genome), slot.get(y.genome)
+            if a is None or b is None:
+                continue
+            ka, kb = self.index[a].get(x), self.index[b].get(y)
+            if ka is None or kb is None:
+                continue  # a gene absent from the genome, e.g. spliced out by preprocessing
+            if a > b:
+                a, b, ka, kb = b, a, kb, ka
+            rows, cols, vals = found[(a, b)]
+            rows.append(ka)
+            cols.append(kb)
+            vals.append(value)
+        telomeres = [
+            np.array([k for k, gene in enumerate(genes) if gene.is_telomere], dtype=np.int64)
+            for genes in self.genes
+        ]
+        for a, b in GENOME_PAIRS:
+            rows, cols, vals = found[(a, b)]
+            ta, tb = telomeres[a], telomeres[b]
+            row = np.concatenate([np.array(rows, dtype=np.int64), np.repeat(ta, tb.size)])
+            col = np.concatenate([np.array(cols, dtype=np.int64), np.tile(tb, ta.size)])
+            val = np.concatenate(
+                [np.array(vals, dtype=np.float64), np.ones(ta.size * tb.size)]
+            )
+            order = np.lexsort((col, row))
+            self.edges[(a, b)] = np.stack([row[order], col[order]])
+            self.values[(a, b)] = val[order]
 
     def _adjacencies(self, x: int):
         idx = self.index[x]
@@ -162,11 +190,6 @@ class InstanceIndex:
         arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
-    def sigma_value(self, a: int, ga: int, b: int, gb: int) -> float:
-        if a > b:
-            a, b, ga, gb = b, a, gb, ga
-        return float(self.matrices[(a, b)][ga, gb])
-
 
 def enumerate_candidates(
     G: Genome, H: Genome, I: Genome, sigma: SimilarityGraph
@@ -177,26 +200,18 @@ def enumerate_candidates(
 
 
 def _candidates_from_index(index: InstanceIndex) -> list[CandidateGene]:
-    gh = index.matrices[(0, 1)]
-    gi = index.matrices[(0, 2)]
-    hi = index.matrices[(1, 2)]
-    tg, th, ti = kernels.triangles(gh, gi, hi)
-    order = np.lexsort((ti, th, tg))
-    tg, th, ti = tg[order], th[order], ti[order]
-    triple = gh[tg, th] * gi[tg, ti] * hi[th, ti]
+    gh, gi, hi = (index.edges[pair] for pair in GENOME_PAIRS)
+    p, q, r = kernels.triangles(gh, gi, hi)
+    gh_val, gi_val, hi_val = (index.values[pair] for pair in GENOME_PAIRS)
+    triple = gh_val[p] * gi_val[q] * hi_val[r]
     gene_score = np.cbrt(triple)
     out = []
     genes_g, genes_h, genes_i = index.genes
-    for k in range(tg.size):
-        out.append(
-            CandidateGene(
-                genes_g[tg[k]],
-                genes_h[th[k]],
-                genes_i[ti[k]],
-                float(triple[k]),
-                float(gene_score[k]),
-            )
-        )
+    for g, h, i, t, s in zip(
+        gh[0, p].tolist(), gh[1, p].tolist(), gi[1, q].tolist(),
+        triple.tolist(), gene_score.tolist(),
+    ):
+        out.append(CandidateGene(genes_g[g], genes_h[h], genes_i[i], t, s))
     return out
 
 
@@ -290,8 +305,12 @@ def enumerate_conserved_adjacencies(
     I: Genome,
     sigma: SimilarityGraph | None = None,
 ) -> ConservedAdjacencyTable:
-    """All conserved candidate adjacencies induced by the extant genomes."""
-    index = InstanceIndex((G, H, I), sigma if sigma is not None else SimilarityGraph())
+    """All conserved candidate adjacencies induced by the extant genomes.
+
+    Only the gene positions and the genomes' adjacencies are read; `sigma`
+    is accepted for compatibility and not used.
+    """
+    index = InstanceIndex((G, H, I))
     labels = index.labels
     n_cands = len(candidates)
     slot_idx = np.zeros((3, n_cands), dtype=np.int64)

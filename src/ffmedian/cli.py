@@ -1,7 +1,11 @@
 """Command-line entry point: graph building, enumeration, solving, evaluation.
 
-Exit codes: 0 for success with a proven optimum, 2 when only a feasible
-solution was obtained within the limits, 1 for input errors.
+Exit codes:
+  0  success with a proven optimum
+  1  input error
+  2  only a feasible solution was obtained within the limits
+  3  solver error, such as an oracle run over its candidate cap or a solve
+     over its memory limit
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .segments import icf_seg
 from .solver import (
     STATUS_FEASIBLE,
     STATUS_OPTIMAL,
+    SolverError,
     brute_force_median,
     build_ilp,
     cars_from_rows,
@@ -56,6 +61,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FEASIBLE = 2
+EXIT_SOLVER = 3
 
 
 @dataclass
@@ -67,8 +73,6 @@ class RunConfig:
     time_limit: float | None = 10800.0
     threads: int = 1
     seed: int = 0
-    evalue_max: float = 1e-5
-    f: float = 0.5
     preprocess: bool = True
     use_icf_seg: bool = True
     export_lp_path: str | None = None
@@ -574,6 +578,9 @@ def main(argv=None) -> int:
     except (ParseError, GenomeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -1,123 +1,47 @@
-"""Hot enumeration kernels: numba-jitted inner loops with a pure-numpy fallback.
+"""Enumeration kernels in numpy: the triangle join and the adjacency pair scan.
 
 The two kernels dominating runtime on large instances are the tripartite
 triangle scan (candidate genes) and the per-extant-adjacency pair scan
-(conserved candidate adjacencies).  Both exist in a numba and a numpy
-variant producing identical arrays.
-
-Backend selection via the FFMEDIAN_NUMBA environment variable:
-  "0"   force the pure-numpy path
-  "1"   require numba (raise if unavailable)
-  unset use numba when importable
+(conserved candidate adjacencies).  Both work on integer index arrays; the
+triangle scan reads only the sparse similarity edges, so its cost follows
+the number of edges and wedges, not the product of the genome sizes.
 """
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
-
-log = logging.getLogger(__name__)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def use_numba() -> bool:
-    flag = os.environ.get("FFMEDIAN_NUMBA", "").strip()
-    if flag == "0":
-        return False
-    if flag == "1":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("FFMEDIAN_NUMBA=1 but numba is not importable")
-        return True
-    return _HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if use_numba() else "numpy"
 
 
 # -- tripartite triangle scan ------------------------------------------------
 
 
-@njit(cache=True)
-def _triangles_numba(gh, gi, hi):
-    ng, nh = gh.shape
-    ni = gi.shape[1]
-    count = 0
-    for g in range(ng):
-        for h in range(nh):
-            if gh[g, h] <= 0.0:
-                continue
-            for i in range(ni):
-                if gi[g, i] > 0.0 and hi[h, i] > 0.0:
-                    count += 1
-    out_g = np.empty(count, dtype=np.int64)
-    out_h = np.empty(count, dtype=np.int64)
-    out_i = np.empty(count, dtype=np.int64)
-    k = 0
-    for g in range(ng):
-        for h in range(nh):
-            if gh[g, h] <= 0.0:
-                continue
-            for i in range(ni):
-                if gi[g, i] > 0.0 and hi[h, i] > 0.0:
-                    out_g[k] = g
-                    out_h[k] = h
-                    out_i[k] = i
-                    k += 1
-    return out_g, out_h, out_i
-
-
-def _triangles_numpy(gh, gi, hi):
-    ng = gh.shape[0]
-    hi_pos = hi > 0.0
-    chunks_g, chunks_h, chunks_i = [], [], []
-    for g in range(ng):
-        hs = np.nonzero(gh[g] > 0.0)[0]
-        if hs.size == 0:
-            continue
-        is_ = np.nonzero(gi[g] > 0.0)[0]
-        if is_.size == 0:
-            continue
-        sub = hi_pos[np.ix_(hs, is_)]
-        hh, ii = np.nonzero(sub)
-        if hh.size:
-            chunks_g.append(np.full(hh.size, g, dtype=np.int64))
-            chunks_h.append(hs[hh].astype(np.int64))
-            chunks_i.append(is_[ii].astype(np.int64))
-    if not chunks_g:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return (
-        np.concatenate(chunks_g),
-        np.concatenate(chunks_h),
-        np.concatenate(chunks_i),
-    )
-
-
 def triangles(gh: np.ndarray, gi: np.ndarray, hi: np.ndarray):
-    """Index triples (g, h, i) with all three pairwise scores positive.
+    """Triangles of a tripartite graph given as three sorted edge lists.
 
-    Emitted in lexicographic (g, h, i) index order.
+    Each argument is an int64 array of shape (2, m) holding the (row, col)
+    endpoints of one genome pair's edges, sorted by (row, col): `gh` has
+    G rows and H cols, `gi` G rows and I cols, `hi` H rows and I cols.
+    Returns the positions (p, q, r) of the three edges of every triangle,
+    so that triangle k is (g, h, i) = (gh[0, p], gh[1, p], gi[1, q]) with
+    gi[0, q] = g, hi[:, r] = (h, i).  Triangles come in lexicographic
+    (g, h, i) order.
+
+    The gh edges are joined with the gi edges on g to form the wedges
+    (g, h, i); a wedge is a triangle when (h, i) is an hi edge, found by
+    binary search in the sorted hi keys.
     """
-    gh = np.ascontiguousarray(gh, dtype=np.float64)
-    gi = np.ascontiguousarray(gi, dtype=np.float64)
-    hi = np.ascontiguousarray(hi, dtype=np.float64)
-    if use_numba():
-        return _triangles_numba(gh, gi, hi)
-    return _triangles_numpy(gh, gi, hi)
+    gh, gi, hi = (np.asarray(e, dtype=np.int64).reshape(2, -1) for e in (gh, gi, hi))
+    start = np.searchsorted(gi[0], gh[0], side="left")
+    count = np.searchsorted(gi[0], gh[0], side="right") - start
+    total = int(count.sum())
+    p = np.repeat(np.arange(gh.shape[1], dtype=np.int64), count)
+    first = np.cumsum(count) - count
+    q = np.arange(total, dtype=np.int64) - np.repeat(first - start, count)
+    hi_keys = hi[0] << 32 | hi[1]
+    wedge_keys = gh[1, p] << 32 | gi[1, q]
+    r = np.searchsorted(hi_keys, wedge_keys)
+    hit = r < hi_keys.size
+    hit[hit] = hi_keys[r[hit]] == wedge_keys[hit]
+    return p[hit], q[hit], r[hit]
 
 
 # -- conserved candidate adjacency scan --------------------------------------
@@ -128,46 +52,12 @@ def triangles(gh: np.ndarray, gi: np.ndarray, hi: np.ndarray):
 # End codes: 0 = tail, 1 = head, 2 = telomeric.
 
 
-@njit(cache=True)
-def _pairs_numba(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
-    count = 0
-    for k in range(ax1.shape[0]):
-        s1, t1 = indptr[ax1[k]], indptr[ax1[k] + 1]
-        s2, t2 = indptr[ax2[k]], indptr[ax2[k] + 1]
-        for p in range(s1, t1):
-            m1 = cand_ids[p]
-            for q in range(s2, t2):
-                m2 = cand_ids[q]
-                if m1 == m2:
-                    continue
-                if cg[m1] == cg[m2] or ch[m1] == ch[m2] or ci[m1] == ci[m2]:
-                    continue
-                count += 1
-    out_m1 = np.empty(count, dtype=np.int64)
-    out_e1 = np.empty(count, dtype=np.int64)
-    out_m2 = np.empty(count, dtype=np.int64)
-    out_e2 = np.empty(count, dtype=np.int64)
-    w = 0
-    for k in range(ax1.shape[0]):
-        s1, t1 = indptr[ax1[k]], indptr[ax1[k] + 1]
-        s2, t2 = indptr[ax2[k]], indptr[ax2[k] + 1]
-        for p in range(s1, t1):
-            m1 = cand_ids[p]
-            for q in range(s2, t2):
-                m2 = cand_ids[q]
-                if m1 == m2:
-                    continue
-                if cg[m1] == cg[m2] or ch[m1] == ch[m2] or ci[m1] == ci[m2]:
-                    continue
-                out_m1[w] = m1
-                out_e1[w] = ae1[k]
-                out_m2[w] = m2
-                out_e2[w] = ae2[k]
-                w += 1
-    return out_m1, out_e1, out_m2, out_e2
-
-
-def _pairs_numpy(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
+def conserved_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
+    """Candidate extremity pairs projecting onto one genome's adjacencies."""
+    ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci = (
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci)
+    )
     chunks = []
     for k in range(ax1.shape[0]):
         left = cand_ids[indptr[ax1[k]] : indptr[ax1[k] + 1]]
@@ -192,15 +82,6 @@ def _pairs_numpy(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy(), empty.copy()
     return tuple(np.concatenate([c[j] for c in chunks]) for j in range(4))
-
-
-def conserved_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
-    """Candidate extremity pairs projecting onto one genome's adjacencies."""
-    args = [np.ascontiguousarray(a, dtype=np.int64) for a in
-            (ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci)]
-    if use_numba():
-        return _pairs_numba(*args)
-    return _pairs_numpy(*args)
 
 
 def merge_genome_pairs(per_genome):

@@ -1,0 +1,37 @@
+"""The `ffmedian` command line, run in-process through `cli.main`."""
+import json
+
+from ffmedian import cli
+from ffmedian.genomes import write_genome_file
+
+from conftest import identical_genomes
+
+
+def write_instance(tmp_path, names):
+    genomes, sigma = identical_genomes(names)
+    genome_file = tmp_path / "genomes.txt"
+    similarity_file = tmp_path / "similarity.tsv"
+    write_genome_file(genome_file, genomes)
+    sigma.write(similarity_file)
+    return ["-g", str(genome_file), "-s", str(similarity_file)]
+
+
+def test_oracle_over_its_cap_exits_with_solver_code(tmp_path, capsys):
+    # 6 gene triples and 8 telomere triples: over the oracle's cap of 12
+    instance = write_instance(tmp_path, [f"x{k}" for k in range(6)])
+    code = cli.main(["solve", "--engine", "oracle", *instance, "-o", str(tmp_path / "m.json")])
+    assert code == cli.EXIT_SOLVER == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "oracle cap" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_and_branch_and_bound_agree(tmp_path):
+    # 2 gene triples and 8 telomere triples: within the oracle's cap
+    instance = write_instance(tmp_path, ["a", "b"])
+    objectives = []
+    for engine in ("oracle", "bb"):
+        out = tmp_path / f"{engine}.json"
+        assert cli.main(["solve", "--engine", engine, *instance, "-o", str(out)]) == cli.EXIT_OK
+        objectives.append(json.loads(out.read_text())["objective"])
+    assert objectives[0] == objectives[1] > 0

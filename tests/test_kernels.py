@@ -1,34 +1,35 @@
-"""The loop and numpy kernel paths must agree exactly.
+"""The numpy enumeration kernels against brute force over dense rebuilds.
 
-The loop kernels (`_triangles_numba`, `_pairs_numba`) are checked as plain
-Python on every machine: their `py_func` when numba compiled them, the
-function itself when numba is absent and the `njit` shim returned it
-unchanged.  The checks of the compiled kernels need numba and are skipped
-where it is not installed.
+The triangle join runs on random sparse edge lists, some of them empty, and
+must return exactly the triangles, in the same lexicographic order, that a
+loop over dense adjacency matrices rebuilt from those lists finds.  The
+adjacency pair scan must emit exactly the pairs a plain loop emits.
 """
-import importlib.util
-
 import numpy as np
 import pytest
 
 from ffmedian import kernels
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not installed")
+# seed -> genome pairs (0 = gh, 1 = gi, 2 = hi) left without any edge
+EMPTY_PAIRS = {0: (0,), 1: (1,), 2: (2,), 3: (0, 1, 2)}
 
 
-def plain_python(kernel):
-    """The uncompiled body of a loop kernel."""
-    return getattr(kernel, "py_func", kernel)
-
-
-def random_matrices(seed, ng=8, nh=7, ni=9, density=0.4):
+def random_edges(seed, sizes=(8, 7, 9)):
+    """Sorted (2, m) edge lists for the gh, gi and hi genome pairs."""
     rng = np.random.default_rng(seed)
-    def mat(a, b):
-        m = rng.random((a, b))
-        m[m > density] = 0.0
-        return m
-    return mat(ng, nh), mat(ng, ni), mat(nh, ni)
+    ng, nh, ni = sizes
+    out = []
+    for k, (a, b) in enumerate(((ng, nh), (ng, ni), (nh, ni))):
+        m = 0 if k in EMPTY_PAIRS.get(seed, ()) else int(rng.integers(0, a * b + 1))
+        flat = np.sort(rng.choice(a * b, size=m, replace=False))
+        out.append(np.stack(np.divmod(flat, b)).astype(np.int64))
+    return out
+
+
+def dense(edges, shape):
+    mat = np.zeros(shape, dtype=bool)
+    mat[edges[0], edges[1]] = True
+    return mat
 
 
 def brute_triangles(gh, gi, hi):
@@ -36,29 +37,23 @@ def brute_triangles(gh, gi, hi):
     for g in range(gh.shape[0]):
         for h in range(gh.shape[1]):
             for i in range(gi.shape[1]):
-                if gh[g, h] > 0 and gi[g, i] > 0 and hi[h, i] > 0:
+                if gh[g, h] and gi[g, i] and hi[h, i]:
                     out.append((g, h, i))
     return out
 
 
-@pytest.mark.parametrize("backend", ["0", pytest.param("1", marks=needs_numba)])
-def test_triangles_match_bruteforce(backend, monkeypatch):
-    monkeypatch.setenv("FFMEDIAN_NUMBA", backend)
-    for seed in range(6):
-        gh, gi, hi = random_matrices(seed)
-        tg, th, ti = kernels.triangles(gh, gi, hi)
-        got = sorted(zip(tg.tolist(), th.tolist(), ti.tolist()))
-        assert got == brute_triangles(gh, gi, hi)
-
-
-def test_backends_agree_on_triangles(monkeypatch):
-    for seed in range(4):
-        gh, gi, hi = random_matrices(seed, 10, 11, 9)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "0")
-        a = kernels.triangles(gh, gi, hi)
-        b = plain_python(kernels._triangles_numba)(gh, gi, hi)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+@pytest.mark.parametrize("seed", range(10))
+def test_triangles_match_bruteforce(seed):
+    sizes = (8, 7, 9) if seed % 2 else (12, 10, 11)
+    gh, gi, hi = random_edges(seed, sizes)
+    ng, nh, ni = sizes
+    p, q, r = kernels.triangles(gh, gi, hi)
+    got = list(zip(gh[0, p].tolist(), gh[1, p].tolist(), gi[1, q].tolist()))
+    assert got == brute_triangles(
+        dense(gh, (ng, nh)), dense(gi, (ng, ni)), dense(hi, (nh, ni))
+    )
+    np.testing.assert_array_equal(gi[0, q], gh[0, p])
+    np.testing.assert_array_equal(hi[:, r], np.stack([gh[1, p], gi[1, q]]))
 
 
 def random_pair_inputs(seed):
@@ -78,15 +73,21 @@ def random_pair_inputs(seed):
     return ax1, ae1, ax2, ae2, indptr, order, cg, ch, ci
 
 
-def test_backends_agree_on_pairs(monkeypatch):
-    for seed in range(5):
-        args = random_pair_inputs(seed)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "0")
-        a = kernels.conserved_pairs(*args)
-        b = plain_python(kernels._pairs_numba)(*args)
-        key_a = sorted(zip(*(x.tolist() for x in a)))
-        key_b = sorted(zip(*(x.tolist() for x in b)))
-        assert key_a == key_b
+def brute_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
+    out = []
+    for k in range(len(ax1)):
+        for m1 in cand_ids[indptr[ax1[k]] : indptr[ax1[k] + 1]]:
+            for m2 in cand_ids[indptr[ax2[k]] : indptr[ax2[k] + 1]]:
+                if m1 != m2 and cg[m1] != cg[m2] and ch[m1] != ch[m2] and ci[m1] != ci[m2]:
+                    out.append((int(m1), int(ae1[k]), int(m2), int(ae2[k])))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pairs_match_bruteforce(seed):
+    args = random_pair_inputs(seed)
+    got = kernels.conserved_pairs(*args)
+    assert list(zip(*(x.tolist() for x in got))) == brute_pairs(*args)
 
 
 def test_merge_deduplicates_and_masks():
@@ -112,36 +113,3 @@ def test_merge_canonicalizes_endpoint_order():
     assert len(lo) == 1
     assert (lo[0], elo[0], hi[0], ehi[0]) == (2, 0, 5, 1)
     assert mask[0] == 0b011
-
-
-def test_env_flag_forces_backend(monkeypatch):
-    monkeypatch.setenv("FFMEDIAN_NUMBA", "0")
-    assert kernels.backend_name() == "numpy"
-    monkeypatch.delenv("FFMEDIAN_NUMBA")
-    assert kernels.backend_name() == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("FFMEDIAN_NUMBA", "1")
-    if HAVE_NUMBA:
-        assert kernels.backend_name() == "numba"
-    else:
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            kernels.backend_name()
-
-
-def test_compiled_kernels_match_numpy(monkeypatch):
-    pytest.importorskip("numba")
-    for seed in range(4):
-        gh, gi, hi = random_matrices(seed, 10, 11, 9)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "0")
-        a = kernels.triangles(gh, gi, hi)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "1")
-        b = kernels.triangles(gh, gi, hi)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-    for seed in range(5):
-        args = random_pair_inputs(seed)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "0")
-        a = kernels.conserved_pairs(*args)
-        monkeypatch.setenv("FFMEDIAN_NUMBA", "1")
-        b = kernels.conserved_pairs(*args)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
