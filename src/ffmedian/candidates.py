@@ -55,9 +55,6 @@ class CandidateGene:
         """Extremity end codes this candidate exposes."""
         return (2,) if self.is_telomere_triple else (0, 1)
 
-    def gene_in(self, slot: int) -> Gene:
-        return self.genes[slot]
-
     def __str__(self) -> str:
         return f"({self.g.name},{self.h.name},{self.i.name})"
 
@@ -363,10 +360,3 @@ def preprocess_discard_nonclique(
         report[genome.label] = sorted(g.name for g in doomed)
         reduced.append(splice_genes(genome, doomed) if doomed else genome)
     return reduced[0], reduced[1], reduced[2], report
-
-
-def objective_value(
-    adjacencies: Sequence[CandidateAdjacency],
-) -> float:
-    """Objective contribution of a set of conserved candidate adjacencies."""
-    return float(sum(adj.weight for adj in adjacencies))

@@ -4,8 +4,7 @@ Exit codes:
   0  success with a proven optimum
   1  input error
   2  only a feasible solution was obtained within the limits
-  3  solver error, such as an oracle run over its candidate cap or a solve
-     over its memory limit
+  3  solver error, such as an oracle run over its candidate cap
 """
 from __future__ import annotations
 
@@ -71,8 +70,6 @@ class RunConfig:
     output: str | None = None
     engine: str = "bb"
     time_limit: float | None = 10800.0
-    threads: int = 1
-    seed: int = 0
     preprocess: bool = True
     use_icf_seg: bool = True
     export_lp_path: str | None = None
@@ -84,8 +81,6 @@ class RunConfig:
             "similarity_file": self.similarity_file,
             "engine": self.engine,
             "time_limit": self.time_limit,
-            "threads": self.threads,
-            "seed": self.seed,
             "preprocess": self.preprocess,
             "use_icf_seg": self.use_icf_seg,
         }
@@ -110,16 +105,6 @@ class _StageClock:
                 return False
 
         return _Ctx()
-
-
-def _default_threads() -> int:
-    env = os.environ.get("FFMEDIAN_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring bad FFMEDIAN_THREADS=%r", env)
-    return 1
 
 
 def _load_genomes(paths) -> list[Genome]:
@@ -182,9 +167,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         if config.engine == "oracle":
             solution = brute_force_median(candidates, solve_table)
         else:
-            solution = solve_branch_and_bound(
-                model, time_limit=config.time_limit, threads=config.threads
-            )
+            solution = solve_branch_and_bound(model, time_limit=config.time_limit)
     combined_rows = sorted(
         set(accepted_rows) | {int(row_map[k]) for k in solution.row_indices}
     )
@@ -370,8 +353,6 @@ def _cmd_solve(args) -> int:
         output=args.output,
         engine=args.engine,
         time_limit=args.time_limit,
-        threads=args.threads,
-        seed=args.seed,
         preprocess=args.preprocess,
         use_icf_seg=args.icf_seg,
         export_lp_path=args.export_lp,
@@ -532,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-icf-seg", dest="icf_seg", action="store_false")
     p.add_argument("--export-lp", dest="export_lp")
     p.add_argument("--time-limit", type=float, default=10800.0)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--canonical", action="store_true",
                    help="timing-free byte-reproducible report")
     p.add_argument("-o", "--output", help="median.json (default stdout)")

@@ -131,7 +131,6 @@ class Segment:
 
     members: tuple[int, ...]
     internal_rows: tuple[int, ...]
-    kind: str = "run"
     circular: bool = False
 
     @property
@@ -435,7 +434,6 @@ class IcfSegResult:
     accepted: list[AcceptedSegment]
     cand_alive: np.ndarray
     row_alive: np.ndarray
-    forced: list[int]
 
     @property
     def accepted_weight(self) -> float:
@@ -476,7 +474,6 @@ def icf_seg(
     row_alive = np.ones(len(table), dtype=bool)
     conflict = ConflictIndex(candidates)
     accepted: list[AcceptedSegment] = []
-    forced: list[int] = []
     observed: set[frozenset[int]] = set()
     locked: set[int] = set()
 
@@ -533,7 +530,6 @@ def icf_seg(
                     or (m2, e2) in used_exts
                 ):
                     row_alive[k] = False
-            forced.extend(run.members)
             locked.update(run.members)
             progress = True
             break
@@ -544,5 +540,4 @@ def icf_seg(
         accepted=accepted,
         cand_alive=cand_alive,
         row_alive=row_alive,
-        forced=sorted(set(forced)),
     )

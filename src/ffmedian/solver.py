@@ -7,19 +7,20 @@ genes chosen, and each candidate extremity carries at most one adjacency).
 The objective maximizes the conservation-weighted adjacency scores.
 
 `solve_branch_and_bound` is a deterministic depth-first branch and bound on
-adjacency variables.  Node bounds come from an LP relaxation over the
-adjacency variables alone, strengthened by two families of valid rows: per
-candidate extremity (the matching structure) and per extant gene extremity
-(at most one chosen adjacency may project onto any extant extremity, a
-consequence of conflict-freeness).  `brute_force_median` is the independent
-oracle: it enumerates maximal conflict-free candidate subsets and solves
-each by exhaustive matching search.
+adjacency variables, started from a greedy incumbent.  Node bounds come
+from one LP relaxation over all adjacency variables.  Its valid rows allow
+at most one chosen adjacency per candidate extremity (the matching
+structure) and per extant gene extremity, and at most two per extant gene
+(one per telomere); the last two follow from conflict-freeness.  At the
+root, a few separation rounds add clique inequalities over the conflict
+graph of the LP-active adjacencies.  `brute_force_median` is the
+independent oracle: it enumerates maximal conflict-free candidate subsets
+and solves each by exhaustive matching search.
 """
 from __future__ import annotations
 
 import logging
 import re
-import resource
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -49,10 +50,6 @@ STATUS_EMPTY = "infeasible-empty"
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class MemoryLimitExceeded(SolverError):
     pass
 
 
@@ -385,7 +382,6 @@ class _BoundLP:
         self.n_b = len(table)
         self.w = np.asarray(table.weight, dtype=np.float64)
         self.matrix = None
-        self.working = np.zeros(self.n_b, dtype=bool)
         if self.n_b == 0:
             return
         gene_num: dict[Gene, int] = {}
@@ -441,7 +437,6 @@ class _BoundLP:
         if not blocks:
             return
         self.matrix = sp.vstack(blocks, format="csr")
-        self.matrix_t = self.matrix.T.tocsr()
         self.rhs = np.concatenate(rhs_parts)
 
     def add_cuts(self, rows: list[tuple[np.ndarray, np.ndarray, float]]) -> None:
@@ -454,75 +449,29 @@ class _BoundLP:
         np.cumsum([c.size for c, _, _ in rows], out=indptr[1:])
         block = sp.csr_matrix((data, cols, indptr), shape=(len(rows), self.n_b))
         self.matrix = sp.vstack([self.matrix, block], format="csr")
-        self.matrix_t = self.matrix.T.tocsr()
         self.rhs = np.concatenate([self.rhs, [r for _, _, r in rows]])
 
-    def _trivial(self, ub, want_rc):
-        x = ub.astype(np.float64)
-        value = float(self.w @ x)
-        return (value, x, np.zeros(self.n_b)) if want_rc else (value, x)
+    def solve(self, lb: np.ndarray, ub: np.ndarray) -> tuple[float, np.ndarray]:
+        """LP optimum over all columns under the node bounds: (value, point).
 
-    def solve_full(self, lb: np.ndarray, ub: np.ndarray):
-        """Exact LP over all columns; also primes the working set.
-
-        Returns (value, point, at-zero reduced costs for variable fixing).
-        """
-        if self.n_b == 0:
-            return 0.0, np.zeros(0), np.zeros(0)
-        if self.matrix is None:
-            return self._trivial(ub, want_rc=True)
-        res = linprog(
-            -self.w,
-            A_ub=self.matrix,
-            b_ub=self.rhs,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
-        if res.status != 0:
-            log.warning("bound LP fallback (status %s)", res.status)
-            return self._trivial(ub, want_rc=True)
-        x = np.asarray(res.x)
-        self.working |= x > 1e-9
-        return float(-res.fun), x, np.maximum(res.lower.marginals, 0.0)
-
-    def solve(self, lb: np.ndarray, ub: np.ndarray, rounds: int = 4):
-        """Valid upper bound via a restricted LP with dual pricing.
-
-        Solves over the working columns only, then prices the rest against
-        the restricted duals.  The returned bound y*rhs + sum over allowed
-        columns of positive reduced weight is valid for any dual-feasible
-        y, so early termination of the pricing loop stays safe.
+        Without rows, or when HiGHS reports no optimum, the bound falls back
+        to taking every allowed column, which is valid but weak.
         """
         if self.n_b == 0:
             return 0.0, np.zeros(0)
-        if self.matrix is None:
-            return self._trivial(ub, want_rc=False)
-        x_full = np.zeros(self.n_b)
-        for _ in range(rounds):
-            cols = np.nonzero((self.working | (lb > 0)) & (ub > 0))[0]
-            if cols.size == 0:
-                return float(self.w[ub > 0].sum()), ub.astype(np.float64)
+        if self.matrix is not None:
             res = linprog(
-                -self.w[cols],
-                A_ub=self.matrix[:, cols],
+                -self.w,
+                A_ub=self.matrix,
                 b_ub=self.rhs,
-                bounds=np.column_stack([lb[cols], ub[cols]]),
+                bounds=np.column_stack([lb, ub]),
                 method="highs",
             )
-            if res.status != 0:
-                log.warning("restricted bound LP fallback (status %s)", res.status)
-                return self._trivial(ub, want_rc=False)
-            y = -np.asarray(res.ineqlin.marginals)
-            reduced = self.w - self.matrix_t @ y
-            bound = float(y @ self.rhs + np.maximum(reduced, 0.0) @ ub)
-            entering = (reduced > 1e-9) & (ub > 0) & ~self.working
-            entering[cols] = False
-            x_full[:] = 0.0
-            x_full[cols] = res.x
-            if not entering.any():
-                return bound, x_full
-            self.working |= entering
-        return bound, x_full
+            if res.status == 0:
+                return float(-res.fun), np.asarray(res.x)
+            log.warning("bound LP fallback (status %s)", res.status)
+        x = ub.astype(np.float64)
+        return float(self.w @ x), x
 
 
 # -- branch and bound ------------------------------------------------------------
@@ -545,7 +494,6 @@ class _SearchState:
         n_b = len(table)
         self.lb = np.zeros(n_b, dtype=np.float64)
         self.ub = np.ones(n_b, dtype=np.float64)
-        self.root_fixed = np.zeros(n_b, dtype=bool)
         rows2 = np.tile(np.arange(n_b, dtype=np.int64), 2)
         cand_keys = np.concatenate([table.m1, table.m2]).astype(np.int64)
         self._cand_indptr, self._cand_rows = _csr_groups(cand_keys, rows2, model.n_a)
@@ -601,18 +549,15 @@ class _SearchState:
     def undo(self, journal) -> None:
         for kind, payload in reversed(journal):
             if kind == "ubs":
-                rows = payload[~self.root_fixed[payload]]
-                self.ub[rows] = 1.0
+                self.ub[payload] = 1.0
             else:
                 self.lb[payload] = 0.0
 
 
-def _greedy_incumbent(
-    model: IlpModel, order: np.ndarray | None = None
-) -> tuple[float, tuple[int, ...]]:
+def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
+    """Take adjacencies by decreasing weight while the selection stays valid."""
     table = model.table
-    if order is None:
-        order = np.lexsort((np.arange(len(table)), -table.weight))
+    order = np.lexsort((np.arange(len(table)), -table.weight))
     owner: dict[Gene, int] = {}
     used_ext: set[tuple[int, int]] = set()
     chosen: list[int] = []
@@ -642,68 +587,19 @@ def _greedy_incumbent(
     return value, tuple(sorted(chosen))
 
 
-def _memory_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _row_components(model: IlpModel) -> list[np.ndarray]:
-    """Partition adjacency variables into independent groups.
-
-    Two variables interact iff their endpoint candidates share an extant
-    gene (covers both the conflict constraints and the per-extremity
-    constraints).  Computed via connected components of the bipartite
-    row-gene incidence.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    table = model.table
-    n_b = len(table)
-    gene_num: dict[Gene, int] = {}
-    cand_gene = np.zeros((3, model.n_a), dtype=np.int64)
-    for idx, cand in enumerate(model.candidates):
-        for slot, gene in enumerate(cand.genes):
-            if gene not in gene_num:
-                gene_num[gene] = len(gene_num)
-            cand_gene[slot, idx] = gene_num[gene]
-    cols = []
-    for side in (table.m1, table.m2):
-        for slot in range(3):
-            cols.append(cand_gene[slot, side])
-    gene_cols = np.concatenate(cols)
-    row_ids = np.tile(np.arange(n_b, dtype=np.int64), 6)
-    incidence = sp.csr_matrix(
-        (np.ones(row_ids.size), (row_ids, gene_cols)),
-        shape=(n_b, len(gene_num)),
-    )
-    graph = sp.bmat([[None, incidence], [incidence.T, None]], format="csr")
-    _, labels = connected_components(graph, directed=False)
-    groups: dict[int, list[int]] = {}
-    for r in range(n_b):
-        groups.setdefault(int(labels[r]), []).append(r)
-    return [np.array(groups[key], dtype=np.int64) for key in sorted(groups, key=lambda c: groups[c][0])]
-
-
 def solve_branch_and_bound(
-    model: IlpModel,
-    time_limit: float | None = None,
-    threads: int | None = None,
-    memory_limit_mb: float | None = None,
+    model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact solve; deterministic for any thread setting.
+    """Exact, deterministic solve of the 0-1 program.
 
-    The instance is first split into independent variable groups; each is
-    solved by LP-bounded depth-first branch and bound with root
-    reduced-cost fixing.  Branching picks the highest-coefficient
-    adjacency variable that is fractional in the node LP (ties by variable
-    order) and explores the include branch first.  Pruning happens on the
-    1e-9 comparison grid.  When the time limit strikes, the incumbent is
-    returned together with a valid global upper bound.
+    The weight-order greedy selection is the first incumbent.  The root LP
+    is tightened by conflict-clique cuts, then a depth-first branch and
+    bound runs.  Branching picks the highest-weight adjacency variable that
+    is fractional in the node LP (ties by variable order) and explores the
+    include branch first.  Pruning happens on the 1e-9 comparison grid.
+    When the time limit strikes, at the root or in the node loop, the
+    incumbent is returned with status `feasible` and a valid upper bound.
     """
-    if threads is not None and threads > 1:
-        log.info(
-            "thread count %d requested; exploration is serialized for "
-            "deterministic results", threads,
-        )
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     table = model.table
@@ -717,51 +613,8 @@ def solve_branch_and_bound(
         bound = float(np.sum(table.weight))
         return _finish(model, STATUS_FEASIBLE, best_value, bound, best_rows, 0)
 
-    components = _row_components(model)
-    if len(components) > 1:
-        return _solve_components(model, components, deadline, memory_limit_mb)
-
-    status, value, bound, rows, nodes = _search_component(
-        model, best_value, best_rows, deadline, memory_limit_mb
-    )
+    status, value, bound, rows, nodes = _search(model, best_value, best_rows, deadline)
     return _finish(model, status, value, bound, rows, nodes)
-
-
-def _solve_components(
-    model: IlpModel,
-    components: list[np.ndarray],
-    deadline: float | None,
-    memory_limit_mb: float | None,
-) -> MedianSolution:
-    table = model.table
-    total_value = 0.0
-    total_bound = 0.0
-    all_rows: list[int] = []
-    all_optimal = True
-    nodes = 0
-    for comp in components:
-        sub_table = table.subset(comp)
-        sub_model = IlpModel(model.candidates, sub_table, model.conflict)
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            value, rows = _greedy_incumbent(sub_model)
-            total_value += value
-            total_bound += float(np.sum(sub_table.weight))
-            all_rows.extend(int(comp[k]) for k in rows)
-            all_optimal = False
-            continue
-        greedy_value, greedy_rows = _greedy_incumbent(sub_model)
-        status, value, bound, rows, used = _search_component(
-            sub_model, greedy_value, greedy_rows, deadline, memory_limit_mb
-        )
-        nodes += used
-        total_value += value
-        total_bound += bound
-        all_rows.extend(int(comp[k]) for k in rows)
-        if status != STATUS_OPTIMAL:
-            all_optimal = False
-    status = STATUS_OPTIMAL if all_optimal else STATUS_FEASIBLE
-    return _finish(model, status, total_value, total_bound, tuple(all_rows), nodes)
 
 
 def _conflict_clique_cuts(
@@ -828,66 +681,38 @@ def _conflict_clique_cuts(
     return cuts
 
 
-def _search_component(
+def _search(
     model: IlpModel,
     best_value: float,
     best_rows: tuple[int, ...],
     deadline: float | None,
-    memory_limit_mb: float | None,
 ) -> tuple[str, float, float, tuple[int, ...], int]:
-    """Core branch and bound on a single interaction component.
+    """LP-bounded depth-first branch and bound from the given incumbent.
 
-    Returns (status, value, bound, rows, nodes).  The root LP is tightened
-    by odd-cycle cuts before reduced-cost fixing; if fixing removes
-    variables the reduced model is solved recursively.
+    Returns (status, value, bound, rows, nodes).  Up to 8 rounds separate
+    conflict-clique cuts at the root; the cuts are globally valid, so they
+    stay in every node LP.  No round starts after the deadline.
     """
     table = model.table
     weights = np.asarray(table.weight, dtype=np.float64)
     lp = _BoundLP(model)
     state = _SearchState(model)
 
-    root_bound, root_x, root_rc = lp.solve_full(state.lb, state.ub)
-    order = np.lexsort((np.arange(len(table)), -weights, -root_x))
-    value, rows = _greedy_incumbent(model, order)
-    if value > best_value + GRID:
-        best_value, best_rows = value, rows
+    root_bound, root_x = lp.solve(state.lb, state.ub)
     for _ in range(8):
         if root_bound + LP_EPS <= best_value + GRID:
             break
+        if deadline is not None and time.monotonic() > deadline:
+            return STATUS_FEASIBLE, best_value, root_bound + LP_EPS, best_rows, 0
         cuts = _conflict_clique_cuts(model, root_x)
         if not cuts:
             break
         lp.add_cuts(cuts)
-        root_bound, root_x, root_rc = lp.solve_full(state.lb, state.ub)
-        order = np.lexsort((np.arange(len(table)), -weights, -root_x))
-        value, rows = _greedy_incumbent(model, order)
-        if value > best_value + GRID:
-            best_value, best_rows = value, rows
+        root_bound, root_x = lp.solve(state.lb, state.ub)
     if root_bound + LP_EPS <= best_value + GRID:
         return STATUS_OPTIMAL, best_value, best_value, best_rows, 1
 
-    fix = (root_x < 1e-7) & (root_bound + LP_EPS - root_rc <= best_value + GRID)
-    if fix.any():
-        alive = np.nonzero(~fix)[0]
-        log.debug("reduced-cost fixing: %d of %d variables alive",
-                  alive.size, len(table))
-        sub_table = table.subset(alive)
-        sub_model = IlpModel(model.candidates, sub_table, model.conflict)
-        sub_sol = solve_branch_and_bound(
-            sub_model,
-            time_limit=None if deadline is None else deadline - time.monotonic(),
-            memory_limit_mb=memory_limit_mb,
-        )
-        sub_rows = tuple(sorted(int(alive[k]) for k in sub_sol.row_indices))
-        if sub_sol.objective > best_value + GRID:
-            best_value, best_rows = sub_sol.objective, sub_rows
-        if sub_sol.status == STATUS_OPTIMAL:
-            return STATUS_OPTIMAL, best_value, best_value, best_rows, sub_sol.nodes_explored + 1
-        bound = max(best_value, sub_sol.bound)
-        return STATUS_FEASIBLE, best_value, bound, best_rows, sub_sol.nodes_explored + 1
-
     nodes = 0
-    timed_out = False
     # stack entries: ("node", decisions, parent_bound) or ("undo", journal)
     stack: list[tuple] = [("node", [], root_bound + LP_EPS)]
     while stack:
@@ -898,18 +723,14 @@ def _search_component(
         _, decisions, parent_bound = entry
         if parent_bound <= best_value + GRID:
             continue
+        if deadline is not None and time.monotonic() > deadline:
+            # this node and every open one stay unexplored
+            open_bounds = [e[2] for e in stack if e[0] == "node"]
+            bound = max([best_value, parent_bound] + open_bounds)
+            return STATUS_FEASIBLE, best_value, bound, best_rows, nodes
         journal = state.apply(decisions)
         stack.append(("undo", journal))
         nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
-            break
-        if (
-            memory_limit_mb is not None
-            and nodes % 64 == 0
-            and _memory_mb() > memory_limit_mb
-        ):
-            raise MemoryLimitExceeded(f"exceeded {memory_limit_mb} MB")
         if float(weights @ state.ub) + LP_EPS <= best_value + GRID:
             continue
         if nodes == 1:
@@ -948,11 +769,6 @@ def _search_component(
         )
         stack.append(("node", [(pick, 0)], bound))
         stack.append(("node", [(pick, 1)], bound))
-
-    if timed_out:
-        open_bounds = [e[2] for e in stack if e[0] == "node"]
-        bound = max([best_value] + open_bounds)
-        return STATUS_FEASIBLE, best_value, bound, best_rows, nodes
     return STATUS_OPTIMAL, best_value, best_value, best_rows, nodes
 
 

@@ -144,3 +144,56 @@ def build_tables(genomes, sigma):
     cands = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
     return cands, table
+
+
+def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I")):
+    """Three genomes evolved from one ancestor, with their similarities.
+
+    Each genome copies each ancestral gene as a paralog with probability
+    `family_rate`, undergoes n/10 inversions, loses 5% of its genes and
+    gains n/20 genes of its own, then is cut into `chromosomes` linear
+    chromosomes.  Orthologs and family members score U(0.4, 1); n/10
+    random pairs score U(0.2, 0.6); n/20 pairs name genes no genome has.
+    """
+    rng = random.Random(seed)
+    names = [f"a{k:03d}" for k in range(n)]
+    genomes, contents = [], {}
+    for label in labels:
+        order = [(name, 1) for name in names]
+        for name in names:
+            if rng.random() < family_rate:
+                order.insert(rng.randrange(len(order) + 1), (f"{name}p", rng.choice((1, -1))))
+        for _ in range(n // 10):
+            a, b = sorted(rng.sample(range(len(order) + 1), 2))
+            order[a:b] = [(name, -o) for name, o in reversed(order[a:b])]
+        order = [entry for entry in order if rng.random() >= 0.05]
+        for k in range(n // 20):
+            order.insert(rng.randrange(len(order) + 1), (f"z{label}{k}", 1))
+        cuts = sorted(rng.sample(range(1, len(order)), chromosomes - 1))
+        bounds = [0] + cuts + [len(order)]
+        genomes.append(
+            build_genome(
+                label,
+                [(f"c{k}", "linear", order[bounds[k] : bounds[k + 1]])
+                 for k in range(chromosomes)],
+            )
+        )
+        contents[label] = [name for name, _ in order]
+    sigma = SimilarityGraph()
+    for x, lx in enumerate(labels):
+        for ly in labels[x + 1 :]:
+            family_y: dict[str, list[str]] = {}
+            for name in contents[ly]:
+                family_y.setdefault(name.rstrip("p"), []).append(name)
+            for name in contents[lx]:
+                for other in family_y.get(name.rstrip("p"), []):
+                    sigma.set(Gene(lx, name), Gene(ly, other), round(rng.uniform(0.4, 1.0), 6))
+            for _ in range(n // 10):
+                sigma.set(
+                    Gene(lx, rng.choice(contents[lx])),
+                    Gene(ly, rng.choice(contents[ly])),
+                    round(rng.uniform(0.2, 0.6), 6),
+                )
+            for k in range(n // 20):
+                sigma.set(Gene(lx, f"gone{k}"), Gene(ly, rng.choice(contents[ly])), 0.5)
+    return genomes, sigma

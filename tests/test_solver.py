@@ -1,13 +1,20 @@
 """Model construction, LP export, the exact search, and CAR assembly."""
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ffmedian.candidates import enumerate_conserved_adjacencies
+from ffmedian import solver
+from ffmedian.candidates import (
+    enumerate_conserved_adjacencies,
+    preprocess_discard_nonclique,
+)
 from ffmedian.genomes import Gene, SimilarityGraph
-from ffmedian.segments import build_gamma, matching_weight, mwm
+from ffmedian.segments import build_gamma, icf_seg, matching_weight, mwm
 from ffmedian.solver import (
     GRID,
     STATUS_EMPTY,
@@ -30,6 +37,7 @@ from conftest import (
     build_tables,
     diagonal_sigma,
     disjoint_clique_instance,
+    evolved_instance,
     identical_genomes,
     linear,
     random_small_instance,
@@ -138,13 +146,109 @@ class TestSolve:
             relaxed = brute_force_relaxed(cands, table)
             assert relaxed >= strict - GRID
 
-    def test_deterministic_across_thread_setting(self):
+    def test_deterministic_across_repeated_solves(self):
         genomes, sigma, cands = random_small_instance(5)
         table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
-        a = solve_branch_and_bound(build_ilp(cands, table), threads=1)
-        b = solve_branch_and_bound(build_ilp(cands, table), threads=8)
+        a = solve_branch_and_bound(build_ilp(cands, table))
+        b = solve_branch_and_bound(build_ilp(cands, table))
         assert a.row_indices == b.row_indices
         assert a.objective == b.objective
+
+    @pytest.mark.parametrize(
+        "seed, n, family_rate",
+        [(22, 60, 0.1), (28, 90, 0.0)],
+        ids=["between-cut-rounds", "at-the-first-node"],
+    )
+    def test_deadline_holds_at_the_root(self, monkeypatch, seed, n, family_rate):
+        genomes, sigma = evolved_instance(seed, n, 2, family_rate)
+        cands, table = build_tables(genomes, sigma)
+        exact = solve_branch_and_bound(build_ilp(cands, table))
+        assert exact.status == STATUS_OPTIMAL
+        separate = solver._conflict_clique_cuts
+        calls = [0]
+        now = [0.0]
+
+        def counting(model, x, *args):
+            calls[0] += 1
+            now[0] += 1.0  # each separation round takes one clock second
+            return separate(model, x, *args)
+
+        monkeypatch.setattr(solver, "_conflict_clique_cuts", counting)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        limited = solve_branch_and_bound(build_ilp(cands, table), time_limit=0.5)
+        assert calls[0] == 1  # only the round started before the deadline
+        assert limited.status == STATUS_FEASIBLE
+        assert limited.bound >= limited.objective
+        assert limited.bound >= exact.objective - GRID
+
+
+def _milp_objective(cands, table) -> float:
+    """Optimum of the full 0-1 program by HiGHS's MILP solver.
+
+    The rows are those `export_lp` writes: one conflict row per extant gene,
+    one coupling row per adjacency, one saturation row per candidate
+    extremity.
+    """
+    n_a, n_b = len(cands), len(table)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def row(entries, limit):
+        for col, val in entries:
+            rows.append(len(rhs))
+            cols.append(col)
+            vals.append(val)
+        rhs.append(limit)
+
+    by_gene, by_ext = {}, {}
+    for i, cand in enumerate(cands):
+        for gene in cand.genes:
+            by_gene.setdefault(gene, []).append(i)
+    for members in by_gene.values():
+        row([(i, 1.0) for i in members], 1.0)
+    for k in range(n_b):
+        m1, e1, m2, e2 = table.key(k)
+        row([(n_a + k, 2.0), (m1, -1.0), (m2, -1.0)], 0.0)
+        by_ext.setdefault((m1, e1), []).append(k)
+        by_ext.setdefault((m2, e2), []).append(k)
+    for incident in by_ext.values():
+        row([(n_a + k, 1.0) for k in incident], 1.0)
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n_a + n_b))
+    res = milp(
+        np.concatenate([np.zeros(n_a), -np.asarray(table.weight)]),
+        constraints=LinearConstraint(matrix, -np.inf, rhs),
+        integrality=np.ones(n_a + n_b),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0
+    genes = np.nonzero(res.x[:n_a] > 0.5)[0]
+    chosen = np.nonzero(res.x[n_a:] > 0.5)[0]
+    verify_solution(cands, table, genes, chosen)
+    return float(np.sum(table.weight[chosen]))
+
+
+@pytest.mark.parametrize(
+    "seed, n, family_rate",
+    [(21, 40, 0.0), (22, 60, 0.1), (24, 100, 0.1), (26, 70, 0.2), (28, 90, 0.0)],
+)
+def test_optimum_matches_milp(seed, n, family_rate):
+    """Two linear chromosomes per genome give 64 telomere triples, beyond
+    the oracle's cap, so the reference optimum comes from a MILP solver."""
+    genomes, sigma = evolved_instance(seed, n, 2, family_rate)
+    g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
+    genomes = [g, h, i]
+    cands, table = build_tables(genomes, sigma)
+    assert sum(c.is_telomere_triple for c in cands) == 64
+    reference = _milp_objective(cands, table)
+
+    plain = solve_branch_and_bound(build_ilp(cands, table))
+    assert plain.status == STATUS_OPTIMAL
+    assert abs(plain.objective - reference) <= GRID
+
+    segs = icf_seg(*genomes, sigma, candidates=cands, table=table)
+    reduced = solve_branch_and_bound(build_ilp(cands, segs.reduced_table()))
+    assert reduced.status == STATUS_OPTIMAL
+    assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
 
 
 class TestBruteForce:
