@@ -5,13 +5,22 @@ Builds the matching graph over candidate extremities, detects runs
 to a full reversal), and accepts a run's internal adjacencies when a
 maximum-weight matching on its conflict-extended graph certifies that they
 belong to at least one optimal median.
+
+Runs are found by a left-to-right scan of each chromosome of G.  On a
+linear chromosome the scan is a chain of steps: the step after position
+`prev` skips to the next position with exactly one starter candidate, grows
+a run there, and reads only positions prev+1 .. end+1, where `end` is the
+run's right end.  Accepting a run changes the scan state only at the G
+positions of its members and of the candidates it kills, so ICF-SEG builds
+its lookups once and, after each acceptance, recomputes only the steps
+whose window holds a changed position.
 """
 from __future__ import annotations
 
+import bisect
 import logging
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -23,7 +32,7 @@ from .candidates import (
     enumerate_candidates,
     enumerate_conserved_adjacencies,
 )
-from .genomes import Genome, SimilarityGraph
+from .genomes import Gene, Genome, SimilarityGraph
 
 log = logging.getLogger(__name__)
 
@@ -87,22 +96,38 @@ def matching_weight(graph: MatchGraph, matching) -> float:
 
 
 class ExtremityIncidence:
-    """Table rows incident to each candidate extremity."""
+    """Table rows incident to each candidate extremity and to each candidate.
+
+    The row lists cover every row of the table and are built once; `row_alive`
+    is held by reference, so the queries always see the rows live right now.
+    """
 
     def __init__(self, table: ConservedAdjacencyTable, row_alive=None):
-        self.table = table
+        self.row_alive = row_alive
+        self.weight = table.weight.tolist()
         self.by_ext: dict[tuple[int, int], list[int]] = {}
-        rows = range(len(table)) if row_alive is None else np.nonzero(row_alive)[0]
-        for k in rows:
-            m1, e1, m2, e2 = table.key(int(k))
-            self.by_ext.setdefault((m1, e1), []).append(int(k))
-            self.by_ext.setdefault((m2, e2), []).append(int(k))
+        self.by_cand: dict[int, list[int]] = {}
+        ends = zip(table.m1.tolist(), table.e1.tolist(), table.m2.tolist(), table.e2.tolist())
+        for k, (m1, e1, m2, e2) in enumerate(ends):
+            self.by_ext.setdefault((m1, e1), []).append(k)
+            self.by_ext.setdefault((m2, e2), []).append(k)
+            self.by_cand.setdefault(m1, []).append(k)
+            self.by_cand.setdefault(m2, []).append(k)
+
+    def _live(self, rows: list[int]) -> list[int]:
+        alive = self.row_alive
+        return rows if alive is None else [k for k in rows if alive[k]]
+
+    def rows_at(self, ext: tuple[int, int]) -> list[int]:
+        """Live rows incident to one extremity."""
+        return self._live(self.by_ext.get(ext, []))
+
+    def rows_of(self, m: int) -> list[int]:
+        """Live rows incident to either extremity of candidate m."""
+        return self._live(self.by_cand.get(m, []))
 
     def best_weight(self, ext: tuple[int, int]) -> float:
-        rows = self.by_ext.get(ext)
-        if not rows:
-            return 0.0
-        return max(float(self.table.weight[k]) for k in rows)
+        return max((self.weight[k] for k in self.rows_at(ext)), default=0.0)
 
 
 def potential(
@@ -147,6 +172,211 @@ def _facing_end(cand: CandidateGene, orientation: int, forward: bool) -> int:
     return 0 if orientation > 0 else 1
 
 
+class _Step(NamedTuple):
+    """One step of the scan of a chromosome.
+
+    On a linear chromosome the step starts just after position `prev`,
+    skips the positions without exactly one starter, grows a run from the
+    first position that has one and ends at the run's right end `end`; it
+    reads only positions prev+1 .. end+1.  `run` is None when the step found
+    no starter or grew a single candidate.  Steps of a circular chromosome
+    carry prev = end = -1.
+    """
+
+    prev: int
+    end: int
+    run: Segment | None
+    key: frozenset[int] | None
+
+
+class _RunScanner:
+    """The lookups of run detection along G, built once per instance.
+
+    `by_g_gene` lists, per G gene, the live candidates not yet locked in a
+    run (telomere triples never join runs: capping is not part of a run's
+    internal adjacency set, and their crossed variants would only inflate
+    the conflict-edge potentials).  `link_rows` maps the key of every row
+    conserved in all three genomes to its row; `row_alive` is held by
+    reference and checked when a link is looked up.
+    """
+
+    def __init__(self, G, candidates, table, cand_alive=None, row_alive=None, locked=()):
+        self.G = G
+        self.candidates = candidates
+        self.row_alive = row_alive
+        self.link_rows: dict[tuple[int, int, int, int], int] = {
+            table.key(k): k for k in np.nonzero(table.mask == 0b111)[0].tolist()
+        }
+        self.by_g_gene: dict[Gene, list[int]] = {}
+        for idx, cand in enumerate(candidates):
+            if (cand_alive is None or cand_alive[idx]) and idx not in locked \
+                    and not cand.is_telomere_triple:
+                self.by_g_gene.setdefault(cand.g, []).append(idx)
+
+    def scan(self, ci: int) -> list[_Step]:
+        """All steps of chromosome ci, scanned left to right."""
+        chrom = self.G.chromosomes[ci]
+        if chrom.shape == "circular":
+            return self._scan_circular(chrom.order)
+        return self._chain(chrom.order, [], -1)
+
+    def rescan(self, ci: int, old: list[_Step], changed: list[int]) -> list[_Step]:
+        """The steps of chromosome ci after the state at `changed` positions moved.
+
+        A linear chromosome keeps the old steps before the first window that
+        holds a changed position, recomputes from there, and takes the old
+        tail back once the chain is past every changed position and meets
+        an old step start again.  A circular chromosome is rescanned whole.
+        """
+        chrom = self.G.chromosomes[ci]
+        if chrom.shape == "circular":
+            return self._scan_circular(chrom.order)
+        first = bisect.bisect_left(old, min(changed) - 1, key=lambda step: step.end)
+        return self._chain(chrom.order, old[:first], old[first].prev, old[first:], max(changed))
+
+    def remove(self, indices) -> dict[int, list[int]]:
+        """Take locked or killed candidates out of the starter lists.
+
+        Returns their G positions per chromosome: the positions whose scan
+        state changed.
+        """
+        changed: dict[int, list[int]] = {}
+        for idx in indices:
+            gene = self.candidates[idx].g
+            options = self.by_g_gene.get(gene)
+            if options and idx in options:
+                options.remove(idx)
+            ci, pos, _ = self.G.locate(gene)
+            changed.setdefault(ci, []).append(pos)
+        return changed
+
+    def _chain(self, entries, steps, prev, old=(), changed_until=-1) -> list[_Step]:
+        """Append the steps of a linear chromosome from position `prev` on."""
+        j = 0
+        while prev < len(entries) - 1:
+            if prev >= changed_until:
+                while j < len(old) and old[j].prev < prev:
+                    j += 1
+                if j < len(old) and old[j].prev == prev:
+                    steps.extend(old[j:])
+                    return steps
+            step = self._linear_step(entries, prev)
+            steps.append(step)
+            prev = step.end
+        return steps
+
+    def _starter(self, gene) -> bool:
+        return len(self.by_g_gene.get(gene, ())) == 1
+
+    def _linear_step(self, entries, prev: int) -> _Step:
+        start = prev + 1
+        while start < len(entries) and not self._starter(entries[start][0]):
+            start += 1
+        if start == len(entries):
+            return _Step(prev, start - 1, None, None)
+        positions, members, rows, _ = self._grow(entries, start, False, lambda p: p <= prev)
+        return _Step(prev, positions[-1], *self._segment(members, rows, False))
+
+    def _scan_circular(self, entries) -> list[_Step]:
+        used = [False] * len(entries)
+        steps = []
+        for start in range(len(entries)):
+            if used[start] or not self._starter(entries[start][0]):
+                continue
+            positions, members, rows, is_cycle = self._grow(
+                entries, start, True, used.__getitem__
+            )
+            for pos in positions:
+                used[pos] = True
+            run, key = self._segment(members, rows, is_cycle)
+            if run is not None:
+                steps.append(_Step(-1, -1, run, key))
+        return steps
+
+    @staticmethod
+    def _segment(members, rows, is_cycle):
+        if len(members) < 2:
+            return None, None
+        run = Segment(members=tuple(members), internal_rows=tuple(rows), circular=is_cycle)
+        return run, run.key
+
+    def _grow(self, entries, start, circular, taken):
+        """Grow a run from `start` to the right, then to the left.
+
+        Growth requires the next candidate to be the unique compatible
+        choice; `taken(pos)` marks positions already claimed by the scan.
+        Returns the positions, members and internal rows in G order and
+        whether the run closed a circular chromosome.
+        """
+        candidates, by_g_gene, row_alive = self.candidates, self.by_g_gene, self.row_alive
+        size = len(entries)
+        members = [by_g_gene[entries[start][0]][0]]
+        positions = [start]
+        # the members' G, H and I genes: a candidate sharing one conflicts
+        member_set = {members[0]}
+        member_genes = [{g} for g in candidates[members[0]].genes]
+
+        def extend(pos: int, member: int, forward: bool, rows_acc) -> tuple[int, int] | None:
+            """Try one growth step; returns (next position, candidate) or None."""
+            nxt = pos + 1 if forward else pos - 1
+            if circular:
+                nxt %= size
+            elif not 0 <= nxt < size:
+                return None
+            if taken(nxt):
+                return None
+            gene, orientation = entries[nxt]
+            e_from = _facing_end(candidates[member], entries[pos][1], forward)
+            options = []
+            for cand_idx in by_g_gene.get(gene, ()):
+                cand = candidates[cand_idx]
+                e_to = _facing_end(cand, orientation, not forward)
+                a, b = (member, e_from), (cand_idx, e_to)
+                if b < a:
+                    a, b = b, a
+                row = self.link_rows.get((a[0], a[1], b[0], b[1]))
+                if row is None or row_alive is not None and not row_alive[row]:
+                    continue
+                # a member (the wrap-around one) conflicts with no other member
+                if cand_idx not in member_set and any(
+                    g in seen for g, seen in zip(cand.genes, member_genes)
+                ):
+                    continue
+                options.append((cand_idx, row))
+            if len(options) != 1:
+                return None
+            cand_idx, row = options[0]
+            rows_acc.append(row)
+            member_set.add(cand_idx)
+            for g, seen in zip(candidates[cand_idx].genes, member_genes):
+                seen.add(g)
+            return nxt, cand_idx
+
+        rows: list[int] = []
+        while True:
+            step = extend(positions[-1], members[-1], True, rows)
+            if step is None:
+                break
+            pos, cand_idx = step
+            if pos == positions[0] and circular:
+                # closed the cycle: the wrap link is already recorded
+                break
+            positions.append(pos)
+            members.append(cand_idx)
+        is_cycle = circular and len(members) == size and len(rows) == size
+        if not is_cycle:
+            left_rows: list[int] = []
+            while True:
+                step = extend(positions[0], members[0], False, left_rows)
+                if step is None:
+                    break
+                pos, cand_idx = step
+                positions.insert(0, pos)
+                members.insert(0, cand_idx)
+            rows = left_rows[::-1] + rows
+        return positions, members, rows, is_cycle
+
+
 def detect_runs(
     G: Genome,
     H: Genome,
@@ -165,111 +395,13 @@ def detect_runs(
     reversal) everywhere.  Chain growth requires the next candidate to be
     the unique compatible choice; ambiguity ends the run.
     """
-    locked = locked or set()
-    n = len(candidates)
-    alive = np.ones(n, dtype=bool) if cand_alive is None else cand_alive
-    conflict = ConflictIndex(candidates)
-
-    # rows conserved in all three genomes, usable as run links
-    link_rows: dict[tuple[int, int, int, int], int] = {}
-    rows = range(len(table)) if row_alive is None else np.nonzero(row_alive)[0]
-    for k in rows:
-        k = int(k)
-        if int(table.mask[k]) == 0b111:
-            link_rows[table.key(k)] = k
-
-    # telomere triples never join runs: capping is not part of a run's
-    # internal adjacency set, and their crossed variants would only inflate
-    # the conflict-edge potentials
-    by_g_gene: dict = {}
-    for idx, cand in enumerate(candidates):
-        if alive[idx] and idx not in locked and not cand.is_telomere_triple:
-            by_g_gene.setdefault(cand.g, []).append(idx)
-
-    def link_row(m_from: int, e_from: int, m_to: int, e_to: int) -> int | None:
-        a, b = (m_from, e_from), (m_to, e_to)
-        if b < a:
-            a, b = b, a
-        return link_rows.get((a[0], a[1], b[0], b[1]))
-
-    runs: list[Segment] = []
-    for ci, chrom in enumerate(G.chromosomes):
-        entries = chrom.order
-        size = len(entries)
-        if size == 0:
-            continue
-        circular = chrom.shape == "circular"
-        used = [False] * size
-
-        def extend(pos: int, member: int, forward: bool, members, rows_acc) -> tuple[int, int] | None:
-            """Try one growth step; returns (next position, candidate) or None."""
-            nxt = pos + 1 if forward else pos - 1
-            if circular:
-                nxt %= size
-            elif not 0 <= nxt < size:
-                return None
-            if used[nxt]:
-                return None
-            gene, orientation = entries[nxt]
-            e_from = _facing_end(candidates[member], entries[pos][1], forward)
-            options = []
-            for cand_idx in by_g_gene.get(gene, ()):
-                e_to = _facing_end(candidates[cand_idx], orientation, not forward)
-                row = link_row(member, e_from, cand_idx, e_to)
-                if row is None or row_alive is not None and not row_alive[row]:
-                    continue
-                if any(conflict.conflicting(cand_idx, m) for m in members):
-                    continue
-                options.append((cand_idx, row))
-            if len(options) != 1:
-                return None
-            cand_idx, row = options[0]
-            rows_acc.append(row)
-            return nxt, cand_idx
-
-        for start in range(size):
-            if used[start]:
-                continue
-            gene, _ = entries[start]
-            starters = by_g_gene.get(gene, ())
-            if len(starters) != 1:
-                continue
-            members = [starters[0]]
-            positions = [start]
-            rows_acc: list[int] = []
-            # grow right, then left
-            while True:
-                step = extend(positions[-1], members[-1], True, members, rows_acc)
-                if step is None:
-                    break
-                pos, cand_idx = step
-                if pos == positions[0] and circular:
-                    # closed the cycle: the wrap link is already recorded
-                    break
-                positions.append(pos)
-                members.append(cand_idx)
-            is_cycle = circular and len(members) == size and len(rows_acc) == size
-            if not is_cycle:
-                left_rows: list[int] = []
-                while True:
-                    step = extend(positions[0], members[0], False, members, left_rows)
-                    if step is None:
-                        break
-                    pos, cand_idx = step
-                    positions.insert(0, pos)
-                    members.insert(0, cand_idx)
-                rows_acc = left_rows[::-1] + rows_acc
-            for pos in positions:
-                used[pos] = True
-            if len(members) >= 2:
-                runs.append(
-                    Segment(
-                        members=tuple(members),
-                        internal_rows=tuple(rows_acc),
-                        circular=is_cycle,
-                    )
-                )
-    return runs
+    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive, locked or ())
+    return [
+        step.run
+        for ci in range(len(G.chromosomes))
+        for step in scanner.scan(ci)
+        if step.run is not None
+    ]
 
 
 # -- segment classification (detect-only) -------------------------------------
@@ -373,27 +505,29 @@ def build_gamma_prime(
     cand_alive=None,
     row_alive=None,
     conflict_cap: int = 20,
+    incidence: ExtremityIncidence | None = None,
 ) -> MatchGraph:
     """Γ restricted to the segment plus one conflict edge per member.
 
     The conflict edge between a member's extremities carries the best total
     potential of a conflict-free subset of its external conflicts; zero
-    weight conflict edges are omitted.
+    weight conflict edges are omitted.  `incidence`, when given, must read
+    the same `row_alive`.
     """
     conflict = conflict_index or ConflictIndex(candidates)
     members = set(segment.members)
-    incidence = ExtremityIncidence(table, row_alive)
+    if incidence is None:
+        incidence = ExtremityIncidence(table, row_alive)
     nodes = []
     for m in segment.members:
         for e in candidates[m].ends:
             nodes.append((m, e))
     edges = []
-    rows = range(len(table)) if row_alive is None else np.nonzero(row_alive)[0]
-    for k in rows:
-        k = int(k)
+    # in row order, as a scan over the whole table would list them
+    for k in sorted({k for m in segment.members for k in incidence.rows_of(m)}):
         m1, e1, m2, e2 = table.key(k)
         if m1 in members and m2 in members:
-            edges.append(((m1, e1), (m2, e2), float(table.weight[k])))
+            edges.append(((m1, e1), (m2, e2), incidence.weight[k]))
     deltas: dict[int, float] = {}
     for m in segment.members:
         external = [
@@ -458,11 +592,24 @@ def icf_seg(
 ) -> IcfSegResult:
     """Iteratively accept runs whose matching certificate holds.
 
-    For every unobserved run the conflict-extended graph is built and an
-    exact maximum-weight matching computed; if the matching equals the
-    run's internal adjacency set, those adjacencies are recorded, masked
+    The runs are examined in the order `detect_runs` lists them, each run
+    (by member set) once.  For a run the conflict-extended graph is built
+    and an exact maximum-weight matching computed; if the matching equals
+    the run's internal adjacency set, those adjacencies are recorded, masked
     from the instance, and all externally conflicting candidates are
-    removed.  The reduced instance is returned for the exact solver.
+    removed.  After an acceptance the examination starts over on the runs
+    of the changed instance.  The reduced instance is returned for the
+    exact solver.
+
+    The runs are kept up to date incrementally, with the same result as a
+    fresh `detect_runs` after every acceptance.  An acceptance changes the
+    scan state only at the G positions of the run's members (now locked)
+    and of the killed candidates: every masked row touches one of them.  A
+    step of a linear chromosome's scan reads only the positions from just
+    after the previous run's right end to just after its own (see `_Step`),
+    so only steps whose window holds a changed position are recomputed, and
+    once the chain is past the last changed position at an old step start
+    the old tail is kept.  Circular chromosomes are rescanned whole.
     """
     if candidates is None or table is None:
         if sigma is None:
@@ -473,26 +620,25 @@ def icf_seg(
     cand_alive = np.ones(n, dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
     conflict = ConflictIndex(candidates)
+    incidence = ExtremityIncidence(table, row_alive)
+    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
     accepted: list[AcceptedSegment] = []
     observed: set[frozenset[int]] = set()
-    locked: set[int] = set()
 
     progress = True
     while progress:
         progress = False
-        runs = detect_runs(
-            G, H, I, candidates, table,
-            cand_alive=cand_alive, row_alive=row_alive, locked=locked,
-        )
-        for run in runs:
-            if run.key in observed:
+        for step in (step for chain in chains for step in chain):
+            run = step.run
+            if run is None or step.key in observed:
                 continue
-            observed.add(run.key)
+            observed.add(step.key)
             try:
                 gamma_prime = build_gamma_prime(
                     run, candidates, table, conflict,
                     cand_alive=cand_alive, row_alive=row_alive,
-                    conflict_cap=conflict_cap,
+                    conflict_cap=conflict_cap, incidence=incidence,
                 )
             except SegmentConflictCapError as exc:
                 log.info("skipping segment: %s", exc)
@@ -508,29 +654,23 @@ def icf_seg(
             # accept: mask adjacencies, drop external conflicts
             weight = float(sum(table.weight[r] for r in run.internal_rows))
             accepted.append(AcceptedSegment(run, tuple(run.internal_rows), weight))
-            used_exts = set()
+            masked = set()
             for r in run.internal_rows:
                 m1, e1, m2, e2 = table.key(r)
-                used_exts.add((m1, e1))
-                used_exts.add((m2, e2))
+                masked.update(incidence.rows_at((m1, e1)))
+                masked.update(incidence.rows_at((m2, e2)))
             doomed = set()
             for m in run.members:
                 for c in conflict.conflicts_of(m):
-                    if cand_alive[c] and c not in run.members:
+                    if cand_alive[c] and c not in step.key:
                         doomed.add(c)
             for c in doomed:
                 cand_alive[c] = False
-            for k in np.nonzero(row_alive)[0]:
-                k = int(k)
-                m1, e1, m2, e2 = table.key(k)
-                if (
-                    m1 in doomed
-                    or m2 in doomed
-                    or (m1, e1) in used_exts
-                    or (m2, e2) in used_exts
-                ):
-                    row_alive[k] = False
-            locked.update(run.members)
+                masked.update(incidence.rows_of(c))
+            row_alive[list(masked)] = False
+            # every masked row touches a member or a killed candidate
+            for ci, positions in scanner.remove(step.key | doomed).items():
+                chains[ci] = scanner.rescan(ci, chains[ci], positions)
             progress = True
             break
 

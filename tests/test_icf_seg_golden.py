@@ -1,0 +1,286 @@
+"""Golden values and a reference loop for ICF-SEG.
+
+`test_icf_seg_matches_golden` builds seeded instances, runs `icf_seg` and
+compares a SHA-256 digest of every accepted run (members, rows and the
+exact weight) and of the final `cand_alive` and `row_alive` masks with a
+recorded value.  A change to the accepted runs, to their order, or to the
+candidates and rows they remove changes the digest.
+
+`test_icf_seg_matches_restart_loop` runs a plain copy of the original
+algorithm, which rescans every chromosome with the public `detect_runs`
+after each accepted run, and asserts that `icf_seg` examines the same runs
+in the same order, accepts the same ones and leaves the same masks.
+`test_rescan_matches_fresh_scan` checks the partial rescan of the run scan
+directly against a scan from scratch after random removals.
+"""
+from __future__ import annotations
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from ffmedian.candidates import (
+    ConflictIndex,
+    enumerate_candidates,
+    enumerate_conserved_adjacencies,
+    preprocess_discard_nonclique,
+)
+from ffmedian.genomes import Gene, build_genome
+from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
+from ffmedian import segments
+from ffmedian.segments import (
+    SegmentConflictCapError,
+    _edge_key,
+    _RunScanner,
+    detect_runs,
+    icf_seg,
+    mwm,
+)
+
+from conftest import (
+    diagonal_sigma,
+    evolved_instance,
+    linear,
+    random_blockish_instance,
+    random_small_instance,
+)
+
+
+def digest(result) -> str:
+    h = hashlib.sha256()
+    for acc in result.accepted:
+        members = ",".join(map(str, acc.segment.members))
+        rows = ",".join(map(str, acc.rows))
+        h.update(f"{members}|{rows}|{acc.segment.circular}|{acc.weight.hex()}\n".encode())
+    h.update(np.packbits(result.cand_alive).tobytes())
+    h.update(b"|")
+    h.update(np.packbits(result.row_alive).tobytes())
+    return h.hexdigest()
+
+
+def tables(genomes, sigma, preprocess=True):
+    if preprocess:
+        g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
+        genomes = [g, h, i]
+    candidates = enumerate_candidates(*genomes, sigma)
+    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
+    return genomes, candidates, table
+
+
+def permuted_order_case():
+    genomes, sigma = evolved_instance(36, 120, 2, 0.1)
+    g, h, i = genomes
+    return tables([i, g, h], sigma)
+
+
+def circular_case():
+    genomes, sigma = evolved_instance(38, 120, 2, 0.1)
+    circular = [
+        build_genome(
+            genome.label,
+            [
+                (chrom.name, "circular",
+                 [(gene.name, o) for gene, o in chrom.order if not gene.is_telomere])
+                for chrom in genome.chromosomes
+            ],
+        )
+        for genome in genomes
+    ]
+    return tables(circular, sigma)
+
+
+def mis_case():
+    instance = reduce_mis(random_bounded_graph(7, 0.4, 2))
+    return tables(list(instance.genomes), instance.sigma, preprocess=False)
+
+
+CASES = {
+    "c2_f0_n300": lambda: tables(*evolved_instance(31, 300, 2, 0.0)),
+    "c3_f0_n200": lambda: tables(*evolved_instance(32, 200, 3, 0.0)),
+    "c2_f0.1_n200": lambda: tables(*evolved_instance(33, 200, 2, 0.1)),
+    "c3_f0.1_n150": lambda: tables(*evolved_instance(34, 150, 3, 0.1)),
+    "c2_f0.2_n150": lambda: tables(*evolved_instance(35, 150, 2, 0.2)),
+    "c3_f0.2_n100": lambda: tables(*evolved_instance(37, 100, 3, 0.2)),
+    "call_order_IGH": permuted_order_case,
+    "circular_c2_f0.1_n120": circular_case,
+    "mis_reduction": mis_case,
+}
+
+# (candidates, table rows, accepted runs, digest)
+GOLDEN = {
+    "c2_f0.1_n200": (286, 698, 26, "815ccb8d10955ffaea536523316e08bbf99f6d6987ae61ee9763e0c3237bc31d"),
+    "c2_f0.2_n150": (281, 975, 8, "dae3ee797bb6beb461b1dfa06ad74ca8847ae28018691a43c02917605074a1d2"),
+    "c2_f0_n300": (323, 592, 59, "acc2101fd4a15ce71a720dcadd78a19e1e62295fd3361a958546e4265388d177"),
+    "c3_f0.1_n150": (379, 1057, 22, "3a4f3d6e92eb86bcaf835963558d5a262fe454c6b2aa3f297ab9924a4a18128d"),
+    "c3_f0.2_n100": (362, 1357, 4, "9427a11f7d12c6f40c6e95b7600ce091a5347bc5afef7b6e5163d687fe65cdcf"),
+    "c3_f0_n200": (383, 881, 41, "8e82bfc0ba63bf4326c96dc5140f7760313f108ee5c92728275936e20bf4e1f7"),
+    "call_order_IGH": (208, 574, 12, "c957badbabe2395d189471f3af59379de53177de0461f3f0b797d2d3201a5906"),
+    "circular_c2_f0.1_n120": (124, 270, 16, "2ef51115bae7091e7dfbc60de6f708b39959208e45d613b1925a3070c2f69807"),
+    "mis_reduction": (224, 19024, 0, "a1b22b6087267473fa126f0f438c4abb7d62b48d4826998cdbb80206ce2ce84c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_icf_seg_matches_golden(case):
+    genomes, candidates, table = CASES[case]()
+    result = icf_seg(*genomes, candidates=candidates, table=table)
+    assert (len(candidates), len(table), len(result.accepted), digest(result)) == GOLDEN[case]
+
+
+# -- the original restart loop, kept as the reference -------------------------
+
+
+def restart_loop(G, H, I, candidates, table, conflict_cap=20):
+    """ICF-SEG as first written: a fresh `detect_runs` after every acceptance.
+
+    Calls `build_gamma_prime` through the module, as `icf_seg` does, so a
+    test can record the runs either one examines.
+    """
+    cand_alive = np.ones(len(candidates), dtype=bool)
+    row_alive = np.ones(len(table), dtype=bool)
+    conflict = ConflictIndex(candidates)
+    accepted = []
+    observed: set[frozenset[int]] = set()
+    locked: set[int] = set()
+    progress = True
+    while progress:
+        progress = False
+        runs = detect_runs(
+            G, H, I, candidates, table,
+            cand_alive=cand_alive, row_alive=row_alive, locked=locked,
+        )
+        for run in runs:
+            if run.key in observed:
+                continue
+            observed.add(run.key)
+            try:
+                gamma_prime = segments.build_gamma_prime(
+                    run, candidates, table, conflict,
+                    cand_alive=cand_alive, row_alive=row_alive,
+                    conflict_cap=conflict_cap,
+                )
+            except SegmentConflictCapError:
+                continue
+            internal = frozenset(
+                _edge_key((table.key(r)[0], table.key(r)[1]),
+                          (table.key(r)[2], table.key(r)[3]))
+                for r in run.internal_rows
+            )
+            if mwm(gamma_prime) != internal:
+                continue
+            weight = float(sum(table.weight[r] for r in run.internal_rows))
+            accepted.append((run.members, tuple(run.internal_rows), run.circular, weight))
+            used_exts = set()
+            for r in run.internal_rows:
+                m1, e1, m2, e2 = table.key(r)
+                used_exts.update(((m1, e1), (m2, e2)))
+            doomed = {
+                c
+                for m in run.members
+                for c in conflict.conflicts_of(m)
+                if cand_alive[c] and c not in run.members
+            }
+            for c in doomed:
+                cand_alive[c] = False
+            for k in np.nonzero(row_alive)[0]:
+                m1, e1, m2, e2 = table.key(int(k))
+                if m1 in doomed or m2 in doomed or (m1, e1) in used_exts or (m2, e2) in used_exts:
+                    row_alive[k] = False
+            locked.update(run.members)
+            progress = True
+            break
+    return accepted, cand_alive, row_alive
+
+
+def killed_member_case():
+    """Accepting the run a-b kills (c, H:b, I:x), a member of the later run
+    c-d, which sits past the chain's first resynchronization at e."""
+    G = linear("G", [(nm, 1) for nm in "abecd"])
+    H = linear("H", [(nm, 1) for nm in "abye"])
+    I = linear("I", [(nm, 1) for nm in "abxze"])
+    sigma = diagonal_sigma(["a", "b", "e"])
+    for g, h, i in (("c", "b", "x"), ("d", "y", "z")):
+        sigma.set(Gene("G", g), Gene("H", h), 0.5)
+        sigma.set(Gene("G", g), Gene("I", i), 0.5)
+        sigma.set(Gene("H", h), Gene("I", i), 0.5)
+    return tables([G, H, I], sigma, preprocess=False)
+
+
+def reference_cases():
+    yield "killed_member", *killed_member_case()
+    for seed in range(12):
+        genomes, sigma, candidates = random_blockish_instance(seed)
+        yield f"blockish{seed}", genomes, candidates, enumerate_conserved_adjacencies(
+            candidates, *genomes, sigma
+        )
+    for seed in range(6):
+        genomes, sigma, candidates = random_small_instance(seed)
+        yield f"small{seed}", genomes, candidates, enumerate_conserved_adjacencies(
+            candidates, *genomes, sigma
+        )
+    for seed, n, chromosomes, rate in (
+        (41, 60, 1, 0.0), (42, 80, 2, 0.0), (43, 60, 3, 0.1),
+        (44, 80, 2, 0.2), (45, 100, 1, 0.1), (46, 120, 2, 0.05),
+        (104, 80, 2, 0.1), (113, 80, 2, 0.2), (125, 80, 3, 0.2),
+    ):
+        genomes, candidates, table = tables(*evolved_instance(seed, n, chromosomes, rate))
+        yield f"evolved{seed}", genomes, candidates, table
+    yield "circular", *circular_case()
+
+
+def test_icf_seg_matches_restart_loop(monkeypatch):
+    examined = []
+    build = segments.build_gamma_prime
+
+    def recording_build(run, *args, **kwargs):
+        examined.append(run)
+        return build(run, *args, **kwargs)
+
+    monkeypatch.setattr(segments, "build_gamma_prime", recording_build)
+    cases = 0
+    for name, genomes, candidates, table in reference_cases():
+        examined.clear()
+        result = icf_seg(*genomes, candidates=candidates, table=table)
+        examined_incrementally = list(examined)
+        examined.clear()
+        accepted, cand_alive, row_alive = restart_loop(*genomes, candidates, table)
+        assert examined_incrementally == examined, name
+        got = [
+            (acc.segment.members, acc.rows, acc.segment.circular, acc.weight)
+            for acc in result.accepted
+        ]
+        assert got == accepted, name
+        assert np.array_equal(result.cand_alive, cand_alive), name
+        assert np.array_equal(result.row_alive, row_alive), name
+        cases += 1
+    assert cases >= 20
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rescan_matches_fresh_scan(seed):
+    """Kill random candidates and mask their rows, a few at a time; after
+    each round the rescanned steps equal those of a scan from scratch."""
+    rng = random.Random(seed)
+    genomes, candidates, table = tables(
+        *evolved_instance(70 + seed, 60, 1 + seed % 3, (0.1, 0.3)[seed % 2])
+    )
+    G = genomes[0]
+    cand_alive = np.ones(len(candidates), dtype=bool)
+    row_alive = np.ones(len(table), dtype=bool)
+    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
+    genic = [c for c in range(len(candidates)) if not candidates[c].is_telomere_triple]
+    rng.shuffle(genic)
+    rescans = 0
+    while genic:
+        killed = [genic.pop() for _ in range(min(len(genic), rng.randint(1, 3)))]
+        cand_alive[killed] = False
+        row_alive[np.isin(table.m1, killed) | np.isin(table.m2, killed)] = False
+        for ci, positions in scanner.remove(killed).items():
+            chains[ci] = scanner.rescan(ci, chains[ci], positions)
+            rescans += 1
+        fresh = _RunScanner(G, candidates, table, cand_alive, row_alive)
+        assert chains == [fresh.scan(ci) for ci in range(len(G.chromosomes))]
+    assert rescans > 20
