@@ -134,7 +134,12 @@ def _candidate_json(cand) -> dict:
 
 
 def run_pipeline(config: RunConfig) -> tuple[int, dict]:
-    """Run enumerate -> icf-seg -> solve and assemble the report."""
+    """Run enumerate -> icf-seg -> solve and assemble the report.
+
+    `config.time_limit` counts from this call: the solve gets what the
+    earlier stages left of it.
+    """
+    started = time.monotonic()
     clock = _StageClock()
     with clock.time("load"):
         genomes = _load_genomes(config.genome_files)
@@ -167,7 +172,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         if config.engine == "oracle":
             solution = brute_force_median(candidates, solve_table)
         else:
-            solution = solve_branch_and_bound(model, time_limit=config.time_limit)
+            remaining = None
+            if config.time_limit is not None:
+                remaining = config.time_limit - (time.monotonic() - started)
+            solution = solve_branch_and_bound(model, time_limit=remaining)
     combined_rows = sorted(
         set(accepted_rows) | {int(row_map[k]) for k in solution.row_indices}
     )

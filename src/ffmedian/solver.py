@@ -6,22 +6,22 @@ one binary per conserved candidate adjacency (an adjacency needs both its
 genes chosen, and each candidate extremity carries at most one adjacency).
 The objective maximizes the conservation-weighted adjacency scores.
 
-`solve_branch_and_bound` is a deterministic depth-first branch and bound on
-adjacency variables, started from a greedy incumbent.  Node bounds come
-from one LP relaxation over all adjacency variables.  Its valid rows allow
-at most one chosen adjacency per candidate extremity (the matching
-structure) and per extant gene extremity, and at most two per extant gene
-(one per telomere); the last two follow from conflict-freeness.  At the
-root, a few separation rounds add clique inequalities over the conflict
-graph of the LP-active adjacencies.  `brute_force_median` is the
-independent oracle: it enumerates maximal conflict-free candidate subsets
-and solves each by exhaustive matching search.
+`solve_branch_and_bound` hands the program to HiGHS's MIP solver in one
+call, in a two-block form: one row per extant gene over the selection
+binaries, and one row per candidate extremity that bounds the adjacencies
+there by the selection of its candidate.  That row replaces the paper's
+coupling and saturation rows, is tighter than both, and keeps the same
+integer points.  HiGHS presolve is off, because on this form it costs more
+than it saves.  On a timeout the weight-order greedy selection competes
+with HiGHS's incumbent.  `export_lp` writes the paper's own rows.
+`brute_force_median` is the independent oracle: it enumerates maximal
+conflict-free candidate subsets and solves each by exhaustive matching
+search.
 """
 from __future__ import annotations
 
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,7 +42,6 @@ from .genomes import Gene
 log = logging.getLogger(__name__)
 
 GRID = 1e-9  # objective comparison grid
-LP_EPS = 1e-6  # safety margin added to LP bounds
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
@@ -79,7 +78,6 @@ class IlpModel:
 
     candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
-    conflict: ConflictIndex
 
     def __post_init__(self):
         genes: set[Gene] = set()
@@ -109,7 +107,7 @@ class IlpModel:
 def build_ilp(
     candidates: Sequence[CandidateGene], table: ConservedAdjacencyTable
 ) -> IlpModel:
-    return IlpModel(list(candidates), table, ConflictIndex(candidates))
+    return IlpModel(list(candidates), table)
 
 
 # -- LP text export ------------------------------------------------------------
@@ -365,193 +363,36 @@ def assemble_cars(solution: MedianSolution) -> list[Car]:
     )
 
 
-# -- bound LP -------------------------------------------------------------------
+# -- exact solve ------------------------------------------------------------------
 
 
-class _BoundLP:
-    """LP relaxation over adjacency variables only.
+def _mip_rows(model: IlpModel) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The two row blocks over the columns [candidates, adjacencies].
 
-    Rows: at most one chosen adjacency per candidate extremity, and at most
-    one per extant gene extremity (valid because chosen candidates are
-    conflict-free and each extant gene backs at most one of them).  Rows
-    with fewer than two entries are vacuous and dropped.
+    One row per extant gene: its candidates take at most one selection.
+    One row per candidate extremity (m, e) carrying an adjacency: the
+    adjacencies there sum to at most a_m.
     """
-
-    def __init__(self, model: IlpModel):
-        table = model.table
-        self.n_b = len(table)
-        self.w = np.asarray(table.weight, dtype=np.float64)
-        self.matrix = None
-        if self.n_b == 0:
-            return
-        gene_num: dict[Gene, int] = {}
-        gene_rhs: list[float] = []
-        cand_gene = np.zeros((3, model.n_a), dtype=np.int64)
-        for idx, cand in enumerate(model.candidates):
-            for slot, gene in enumerate(cand.genes):
-                if gene not in gene_num:
-                    gene_num[gene] = len(gene_num)
-                    # an owning telomere triple carries one adjacency, a gene two
-                    gene_rhs.append(1.0 if gene.is_telomere else 2.0)
-                cand_gene[slot, idx] = gene_num[gene]
-        arange = np.arange(self.n_b, dtype=np.int64)
-        keys = []
-        for side_m, side_e in ((table.m1, table.e1), (table.m2, table.e2)):
-            for slot in range(3):
-                keys.append(cand_gene[slot, side_m] * 4 + side_e)
-        shift = 4 * len(gene_num)
-        keys.append(shift + table.m1 * 4 + table.e1)
-        keys.append(shift + table.m2 * 4 + table.e2)
-        all_keys = np.concatenate(keys)
-        all_cols = np.tile(arange, 8)
-        uniq, row_ids, counts = np.unique(
-            all_keys, return_inverse=True, return_counts=True
-        )
-        keep = counts[row_ids] >= 2
-        row_ids, all_cols = row_ids[keep], all_cols[keep]
-        blocks = []
-        rhs_parts = []
-        if row_ids.size:
-            _, row_ids = np.unique(row_ids, return_inverse=True)
-            n_rows = int(row_ids.max()) + 1
-            blocks.append(
-                sp.csr_matrix(
-                    (np.ones(row_ids.size), (row_ids, all_cols)),
-                    shape=(n_rows, self.n_b),
-                )
-            )
-            rhs_parts.append(np.ones(n_rows))
-        # per extant gene: an owner candidate carries at most rhs adjacencies
-        gene_rows = np.concatenate(
-            [cand_gene[slot, side] for side in (table.m1, table.m2) for slot in range(3)]
-        )
-        gene_matrix = sp.csr_matrix(
-            (np.ones(gene_rows.size), (gene_rows, np.tile(arange, 6))),
-            shape=(len(gene_num), self.n_b),
-        )
-        counts_per_row = np.diff(gene_matrix.indptr)
-        keep_rows = np.nonzero(counts_per_row >= 2)[0]
-        if keep_rows.size:
-            blocks.append(gene_matrix[keep_rows])
-            rhs_parts.append(np.asarray(gene_rhs)[keep_rows])
-        if not blocks:
-            return
-        self.matrix = sp.vstack(blocks, format="csr")
-        self.rhs = np.concatenate(rhs_parts)
-
-    def add_cuts(self, rows: list[tuple[np.ndarray, np.ndarray, float]]) -> None:
-        """Append valid inequality rows (cols, coefficients, rhs)."""
-        if not rows or self.matrix is None:
-            return
-        data = np.concatenate([coef for _, coef, _ in rows])
-        cols = np.concatenate([c for c, _, _ in rows])
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([c.size for c, _, _ in rows], out=indptr[1:])
-        block = sp.csr_matrix((data, cols, indptr), shape=(len(rows), self.n_b))
-        self.matrix = sp.vstack([self.matrix, block], format="csr")
-        self.rhs = np.concatenate([self.rhs, [r for _, _, r in rows]])
-
-    def solve(self, lb: np.ndarray, ub: np.ndarray) -> tuple[float, np.ndarray]:
-        """LP optimum over all columns under the node bounds: (value, point).
-
-        Without rows, or when HiGHS reports no optimum, the bound falls back
-        to taking every allowed column, which is valid but weak.
-        """
-        if self.n_b == 0:
-            return 0.0, np.zeros(0)
-        if self.matrix is not None:
-            res = linprog(
-                -self.w,
-                A_ub=self.matrix,
-                b_ub=self.rhs,
-                bounds=np.column_stack([lb, ub]),
-                method="highs",
-            )
-            if res.status == 0:
-                return float(-res.fun), np.asarray(res.x)
-            log.warning("bound LP fallback (status %s)", res.status)
-        x = ub.astype(np.float64)
-        return float(self.w @ x), x
-
-
-# -- branch and bound ------------------------------------------------------------
-
-
-def _csr_groups(keys: np.ndarray, values: np.ndarray, n_keys: int):
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n_keys)
-    indptr = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, values[order]
-
-
-class _SearchState:
-    """Variable bounds plus vectorized branching implications."""
-
-    def __init__(self, model: IlpModel):
-        table = model.table
-        self.model = model
-        n_b = len(table)
-        self.lb = np.zeros(n_b, dtype=np.float64)
-        self.ub = np.ones(n_b, dtype=np.float64)
-        rows2 = np.tile(np.arange(n_b, dtype=np.int64), 2)
-        cand_keys = np.concatenate([table.m1, table.m2]).astype(np.int64)
-        self._cand_indptr, self._cand_rows = _csr_groups(cand_keys, rows2, model.n_a)
-        ext_keys = np.concatenate(
-            [table.m1 * 3 + table.e1, table.m2 * 3 + table.e2]
-        ).astype(np.int64)
-        self._ext_indptr, self._ext_rows = _csr_groups(ext_keys, rows2, model.n_a * 3)
-        self._conflict_rows_cache: dict[int, np.ndarray] = {}
-
-    def rows_of_cand(self, m: int) -> np.ndarray:
-        return self._cand_rows[self._cand_indptr[m] : self._cand_indptr[m + 1]]
-
-    def rows_of_ext(self, m: int, e: int) -> np.ndarray:
-        key = m * 3 + e
-        return self._ext_rows[self._ext_indptr[key] : self._ext_indptr[key + 1]]
-
-    def conflict_rows(self, m: int) -> np.ndarray:
-        """All rows incident to candidates conflicting with m."""
-        cached = self._conflict_rows_cache.get(m)
-        if cached is None:
-            chunks = [self.rows_of_cand(c) for c in self.model.conflict.conflicts_of(m)]
-            cached = (
-                np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
-            )
-            self._conflict_rows_cache[m] = cached
-        return cached
-
-    def _disable(self, rows: np.ndarray, journal: list) -> None:
-        mask = (self.ub[rows] == 1.0) & (self.lb[rows] == 0.0)
-        changed = rows[mask]
-        if changed.size:
-            self.ub[changed] = 0.0
-            journal.append(("ubs", changed))
-
-    def apply(self, decisions: list[tuple[int, int]]) -> list[tuple[str, object]]:
-        journal: list[tuple[str, object]] = []
-        table = self.model.table
-        for row, value in decisions:
-            if value == 0:
-                self._disable(np.array([row], dtype=np.int64), journal)
-                continue
-            if self.ub[row] == 0.0:
-                raise SolverError("branching on an excluded row")
-            self.lb[row] = 1.0
-            journal.append(("lb", row))
-            m1, e1, m2, e2 = table.key(row)
-            skip = np.array([row], dtype=np.int64)
-            for m, e in ((m1, e1), (m2, e2)):
-                self._disable(np.setdiff1d(self.conflict_rows(m), skip), journal)
-                self._disable(np.setdiff1d(self.rows_of_ext(m, e), skip), journal)
-        return journal
-
-    def undo(self, journal) -> None:
-        for kind, payload in reversed(journal):
-            if kind == "ubs":
-                self.ub[payload] = 1.0
-            else:
-                self.lb[payload] = 0.0
+    table = model.table
+    n_a, n_b = model.n_a, model.n_b
+    gene_num: dict[Gene, int] = {}
+    cand_gene = np.array(
+        [gene_num.setdefault(g, len(gene_num)) for c in model.candidates for g in c.genes],
+        dtype=np.int64,
+    )
+    ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
+    ext, ext_row = np.unique(ext_keys.astype(np.int64), return_inverse=True)
+    n_genes = len(gene_num)
+    rows = np.concatenate([cand_gene, n_genes + ext_row, n_genes + np.arange(ext.size)])
+    cols = np.concatenate([
+        np.repeat(np.arange(n_a), 3),
+        n_a + np.tile(np.arange(n_b), 2),
+        ext // 3,
+    ])
+    vals = np.concatenate([np.ones(3 * n_a + 2 * n_b), -np.ones(ext.size)])
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_genes + ext.size, n_a + n_b))
+    rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size)])
+    return matrix, rhs
 
 
 def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
@@ -590,205 +431,63 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
 def solve_branch_and_bound(
     model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact, deterministic solve of the 0-1 program.
+    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP call.
 
-    The weight-order greedy selection is the first incumbent.  The root LP
-    is tightened by conflict-clique cuts, then a depth-first branch and
-    bound runs.  Branching picks the highest-weight adjacency variable that
-    is fractional in the node LP (ties by variable order) and explores the
-    include branch first.  Pruning happens on the 1e-9 comparison grid.
-    When the time limit strikes, at the root or in the node loop, the
-    incumbent is returned with status `feasible` and a valid upper bound.
+    The rows are the two blocks of `_mip_rows`.  Its extremity row
+    `sum b at (m, e) - a_m <= 0` merges the paper's coupling rows
+    (`2b - a1 - a2 <= 0`) and saturation rows (`sum b <= 1`) into one row
+    that is tighter than both and has the same integer points; the paper's
+    rows, as `export_lp` writes them, give one coupling row per adjacency
+    and a far larger, slower model.  HiGHS presolve is off: on this form it
+    costs more than it saves, up to seconds on the MIS-reduction instances.
+
+    HiGHS status 0 gives `optimal`.  When the time limit strikes (status 1)
+    the result is `feasible`: the incumbent is the better of HiGHS's point
+    and the weight-order greedy selection, which is far better than HiGHS's
+    first points on telomere-heavy instances, and the bound is HiGHS's dual
+    bound, or the total weight when HiGHS has none.  Any other status
+    raises `SolverError`.
     """
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
     table = model.table
     if model.n_a == 0:
         return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), model.candidates, table)
     if model.n_b == 0:
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, (), 0)
 
-    best_value, best_rows = _greedy_incumbent(model)
-    if time_limit is not None and time_limit <= 0:
-        bound = float(np.sum(table.weight))
-        return _finish(model, STATUS_FEASIBLE, best_value, bound, best_rows, 0)
-
-    status, value, bound, rows, nodes = _search(model, best_value, best_rows, deadline)
-    return _finish(model, status, value, bound, rows, nodes)
-
-
-def _conflict_clique_cuts(
-    model: IlpModel, x: np.ndarray, limit: int = 32
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Violated clique inequalities over mutually exclusive adjacencies.
-
-    Two adjacency variables exclude each other when their endpoint
-    candidates conflict (the coupling through the selection binaries that
-    the extremity rows cannot see).  Greedy cliques are grown from every
-    conflict edge among LP-active columns; a clique with mass above one
-    yields a cut.
-    """
-    active = np.nonzero(x > 0.2)[0]
-    if active.size < 2:
-        return []
-    conflict = model.conflict
-    table = model.table
-    n = int(active.size)
-    ends = [(int(table.m1[k]), int(table.m2[k])) for k in active]
-    exts = [
-        ((int(table.m1[k]), int(table.e1[k])), (int(table.m2[k]), int(table.e2[k])))
-        for k in active
-    ]
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        a1, a2 = ends[i]
-        for j in range(i + 1, n):
-            b1, b2 = ends[j]
-            exclusive = (
-                conflict.conflicting(a1, b1)
-                or conflict.conflicting(a1, b2)
-                or conflict.conflicting(a2, b1)
-                or conflict.conflicting(a2, b2)
-                or bool(set(exts[i]) & set(exts[j]))
-            )
-            if exclusive:
-                adj[i].add(j)
-                adj[j].add(i)
-    xs = x[active]
-    by_mass = sorted(range(n), key=lambda t: (-xs[t], t))
-    cuts: list[tuple[np.ndarray, np.ndarray, float]] = []
-    seen: set[frozenset[int]] = set()
-    for i in range(n):
-        for j in sorted(adj[i]):
-            if j <= i or len(cuts) >= limit:
-                continue
-            clique = [i, j]
-            members = {i, j}
-            for k in by_mass:
-                if k in members or xs[k] <= 1e-9:
-                    continue
-                if all(k in adj[c] for c in clique):
-                    clique.append(k)
-                    members.add(k)
-            if xs[list(members)].sum() <= 1.0 + 1e-6:
-                continue
-            key = frozenset(int(active[c]) for c in members)
-            if key in seen:
-                continue
-            seen.add(key)
-            cols = np.array(sorted(key), dtype=np.int64)
-            cuts.append((cols, np.ones(cols.size), 1.0))
-    return cuts
-
-
-def _search(
-    model: IlpModel,
-    best_value: float,
-    best_rows: tuple[int, ...],
-    deadline: float | None,
-) -> tuple[str, float, float, tuple[int, ...], int]:
-    """LP-bounded depth-first branch and bound from the given incumbent.
-
-    Returns (status, value, bound, rows, nodes).  Up to 8 rounds separate
-    conflict-clique cuts at the root; the cuts are globally valid, so they
-    stay in every node LP.  No round starts after the deadline.
-    """
-    table = model.table
-    weights = np.asarray(table.weight, dtype=np.float64)
-    lp = _BoundLP(model)
-    state = _SearchState(model)
-
-    root_bound, root_x = lp.solve(state.lb, state.ub)
-    for _ in range(8):
-        if root_bound + LP_EPS <= best_value + GRID:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            return STATUS_FEASIBLE, best_value, root_bound + LP_EPS, best_rows, 0
-        cuts = _conflict_clique_cuts(model, root_x)
-        if not cuts:
-            break
-        lp.add_cuts(cuts)
-        root_bound, root_x = lp.solve(state.lb, state.ub)
-    if root_bound + LP_EPS <= best_value + GRID:
-        return STATUS_OPTIMAL, best_value, best_value, best_rows, 1
-
-    nodes = 0
-    # stack entries: ("node", decisions, parent_bound) or ("undo", journal)
-    stack: list[tuple] = [("node", [], root_bound + LP_EPS)]
-    while stack:
-        entry = stack.pop()
-        if entry[0] == "undo":
-            state.undo(entry[1])
-            continue
-        _, decisions, parent_bound = entry
-        if parent_bound <= best_value + GRID:
-            continue
-        if deadline is not None and time.monotonic() > deadline:
-            # this node and every open one stay unexplored
-            open_bounds = [e[2] for e in stack if e[0] == "node"]
-            bound = max([best_value, parent_bound] + open_bounds)
-            return STATUS_FEASIBLE, best_value, bound, best_rows, nodes
-        journal = state.apply(decisions)
-        stack.append(("undo", journal))
-        nodes += 1
-        if float(weights @ state.ub) + LP_EPS <= best_value + GRID:
-            continue
-        if nodes == 1:
-            bound, x = root_bound, root_x
-        else:
-            bound, x = lp.solve(state.lb, state.ub)
-        bound += LP_EPS
-        if bound <= best_value + GRID:
-            continue
-        undecided = state.lb < state.ub
-        fractional = undecided & (x > 1e-7) & (x < 1.0 - 1e-7)
-        if fractional.any():
-            branch_rows = np.nonzero(fractional)[0]
-        else:
-            chosen = np.nonzero(x > 0.5)[0]
-            clash = _gene_clashes(model, table, chosen)
-            if clash is None:
-                value = float(np.sum(table.weight[chosen]))
-                rows = tuple(sorted(int(k) for k in chosen))
-                if value > best_value + GRID:
-                    best_value, best_rows = value, rows
-                elif abs(value - best_value) <= GRID and rows < best_rows:
-                    best_rows = rows
-                continue
-            branch_rows = [
-                int(k)
-                for k in chosen
-                if state.lb[k] == 0.0
-                and (int(table.m1[int(k)]) in clash or int(table.m2[int(k)]) in clash)
-            ]
-            if not branch_rows:
-                raise SolverError("integral LP point conflicts only via fixed rows")
-        pick = max(
-            (int(k) for k in branch_rows),
-            key=lambda k: (float(table.weight[k]), -k),
-        )
-        stack.append(("node", [(pick, 0)], bound))
-        stack.append(("node", [(pick, 1)], bound))
-    return STATUS_OPTIMAL, best_value, best_value, best_rows, nodes
-
-
-def _gene_clashes(model: IlpModel, table, chosen) -> set[int] | None:
-    """Candidates double-booking an extant gene in an integral LP point."""
-    active: set[int] = set()
-    for k in chosen:
-        active.add(int(table.m1[int(k)]))
-        active.add(int(table.m2[int(k)]))
-    use: dict[Gene, int] = {}
-    clash: set[int] = set()
-    for m in sorted(active):
-        for gene in model.candidates[m].genes:
-            prev = use.get(gene)
-            if prev is not None and prev != m:
-                clash.add(prev)
-                clash.add(m)
-            else:
-                use[gene] = m
-    return clash or None
+    matrix, rhs = _mip_rows(model)
+    options = {"mip_rel_gap": 0, "presolve": False}
+    if time_limit is not None:
+        # HiGHS ignores a negative limit, so a spent budget becomes 0
+        options["time_limit"] = max(0.0, float(time_limit))
+    res = linprog(
+        np.concatenate([np.zeros(model.n_a), -table.weight]),
+        A_ub=matrix,
+        b_ub=rhs,
+        bounds=(0, 1),
+        integrality=1,
+        method="highs",
+        options=options,
+    )
+    nodes = int(res.get("mip_node_count", 0))
+    dual_bound = -float(res.get("mip_dual_bound", -np.inf))
+    log.info(
+        "HiGHS MIP: status %d, %d nodes, gap %s, dual bound %s",
+        res.status, nodes, res.get("mip_gap"), dual_bound,
+    )
+    rows: tuple[int, ...] = ()
+    if res.x is not None:
+        rows = tuple(int(k) for k in np.nonzero(res.x[model.n_a :] > 0.5)[0])
+    value = float(np.sum(table.weight[list(rows)]))
+    if res.status == 0:
+        return _finish(model, STATUS_OPTIMAL, value, value, rows, nodes)
+    if res.status != 1:
+        raise SolverError(f"HiGHS MIP failed: {res.message}")
+    greedy_value, greedy_rows = _greedy_incumbent(model)
+    if greedy_value > value:
+        value, rows = greedy_value, greedy_rows
+    bound = dual_bound if np.isfinite(dual_bound) else float(np.sum(table.weight))
+    # HiGHS's dual bound holds only up to its tolerances
+    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, nodes)
 
 
 def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:

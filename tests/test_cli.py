@@ -7,6 +7,8 @@ from ffmedian.genomes import write_genome_file
 
 from conftest import evolved_instance, identical_genomes
 
+FIVE_EDGE_GRAPH = "a\tb\na\td\nb\tc\nb\td\nc\td\n"
+
 # SHA-256 of the segments TSV and of the reduced candidates.tsv written by
 # `icf-seg` on evolved_instance(51, 120, 2, 0.1)
 ICF_SEG_DIGESTS = [
@@ -15,13 +17,16 @@ ICF_SEG_DIGESTS = [
 ]
 
 
-def write_instance(tmp_path, names):
-    genomes, sigma = identical_genomes(names)
+def write_files(tmp_path, genomes, sigma):
     genome_file = tmp_path / "genomes.txt"
     similarity_file = tmp_path / "similarity.tsv"
     write_genome_file(genome_file, genomes)
     sigma.write(similarity_file)
     return ["-g", str(genome_file), "-s", str(similarity_file)]
+
+
+def write_instance(tmp_path, names):
+    return write_files(tmp_path, *identical_genomes(names))
 
 
 def test_oracle_over_its_cap_exits_with_solver_code(tmp_path, capsys):
@@ -62,3 +67,49 @@ def test_icf_seg_writes_recorded_segments_and_reduced_instance(tmp_path):
         for path in (tsv, reduced / "candidates.tsv")
     ]
     assert digests == ICF_SEG_DIGESTS
+
+
+def test_time_limit_zero_exits_feasible(tmp_path, capsys):
+    # the budget counts from the pipeline's start, so the solve gets none
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    code = cli.main(["solve", *instance, "--time-limit", "0", "-o", str(out)])
+    assert code == cli.EXIT_FEASIBLE == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "feasible"
+    assert report["bound"] >= report["objective"] > 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_gets_the_budget_left_by_earlier_stages(tmp_path, monkeypatch):
+    limits = []
+    solve = cli.solve_branch_and_bound
+
+    def recording(model, time_limit):
+        limits.append(time_limit)
+        return solve(model, time_limit)
+
+    monkeypatch.setattr(cli, "solve_branch_and_bound", recording)
+    instance = write_instance(tmp_path, ["a", "b", "c"])
+    out = str(tmp_path / "median.json")
+    assert cli.main(["solve", *instance, "--time-limit", "60", "-o", out]) == cli.EXIT_OK
+    assert len(limits) == 1 and 0 < limits[0] < 60
+
+
+def test_mis_reduction_round_trip(tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(FIVE_EDGE_GRAPH)
+    instance_dir = tmp_path / "instance"
+    code = cli.main(["reduce-mis", "--graph", str(edges), "-o", str(instance_dir)])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify-reduction", str(instance_dir)]) == cli.EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+
+
+def test_verify_reduction_of_missing_directory_exits_with_input_code(tmp_path, capsys):
+    code = cli.main(["verify-reduction", str(tmp_path / "absent")])
+    assert code == cli.EXIT_INPUT == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
