@@ -1,6 +1,7 @@
 """Model construction, LP export, the exact search, and CAR assembly."""
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -156,15 +157,24 @@ class TestSolve:
         assert a.row_indices == b.row_indices
         assert a.objective == b.objective
 
-    def test_time_limited_solve_is_feasible_with_valid_bound(self):
-        # 1833 candidates, 1728 of them telomere triples: a few seconds to
-        # optimal, and HiGHS holds no good point after 0.3 s
+    @pytest.mark.parametrize(
+        "time_limit",
+        [1.5, 0.3],
+        ids=["between-cut-rounds", "at-the-first-node"],
+    )
+    def test_deadline_holds_at_the_root(self, time_limit):
+        # 1833 candidates, 1728 of them telomere triples: HiGHS solves this
+        # at its root node in a few seconds.  After 0.3 s it holds no root LP
+        # bound and no good point; after 1.5 s it is separating cuts.
         genomes, sigma = evolved_instance(5, 120, 6, 0.0)
         cands, table = build_tables(genomes, sigma)
         model = build_ilp(cands, table)
         greedy_value, _ = solver._greedy_incumbent(model)
-        limited = solve_branch_and_bound(model, time_limit=0.3)
+        start = time.monotonic()
+        limited = solve_branch_and_bound(model, time_limit=time_limit)
+        assert time.monotonic() - start < time_limit + 1.0
         assert limited.status == STATUS_FEASIBLE
+        assert limited.nodes_explored == 0
         assert limited.objective >= greedy_value
         assert limited.objective <= limited.bound
         assert limited.bound >= OPTIMUM_5_120_6 - GRID
