@@ -2,7 +2,7 @@
 
 Exit codes:
   0  success with a proven optimum
-  1  input error
+  1  input error, such as a malformed, missing or unreadable file
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
 """
@@ -159,7 +159,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     row_map = np.arange(len(table))
     if config.use_icf_seg:
         with clock.time("icf-seg"):
-            result = icf_seg(*genomes, sigma, candidates=candidates, table=table)
+            deadline = None if config.time_limit is None else started + config.time_limit
+            result = icf_seg(
+                *genomes, sigma, candidates=candidates, table=table, deadline=deadline
+            )
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
@@ -562,7 +565,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ParseError, GenomeError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, GenomeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -14,15 +14,26 @@ run's right end.  Accepting a run changes the scan state only at the G
 positions of its members and of the candidates it kills, so ICF-SEG builds
 its lookups once and, after each acceptance, recomputes only the steps
 whose window holds a changed position.
+
+A run's conflict-extended graph Γ′ has maximum degree 2, so `mwm` solves
+it by a walk over its paths and cycles and needs no general matching:
+- Members of a run are pairwise conflict-free, so no two share a gene in
+  any genome.
+- An extant extremity has exactly one neighbour in each genome, and a
+  run's links are conserved in all three, so each member extremity has at
+  most one row to another member: its link, or at a run end the wrap to
+  the other end when the members fill a circular chromosome.
+- Each member adds at most one conflict edge, between its own two
+  extremities (or between its telomere end and `DUMMY_END`).
 """
 from __future__ import annotations
 
 import bisect
 import logging
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .candidates import (
@@ -52,7 +63,9 @@ class MatchGraph:
     nodes: tuple[tuple[int, int], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int], float], ...]
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         for u, v, w in self.edges:
@@ -83,11 +96,83 @@ def build_gamma(
     return MatchGraph(tuple(nodes), tuple(edges))
 
 
-def mwm(graph: MatchGraph) -> frozenset[tuple]:
-    """Exact maximum-weight matching; returns canonical edge keys."""
-    nxg = graph.to_networkx()
-    matching = nx.max_weight_matching(nxg, maxcardinality=False)
-    return frozenset(_edge_key(u, v) for u, v in matching)
+def mwm(graph: MatchGraph, counts: dict[str, int] | None = None) -> frozenset[tuple]:
+    """Exact maximum-weight matching; returns canonical edge keys.
+
+    A graph whose vertices all have degree <= 2 is a disjoint union of
+    paths and cycles, and each is solved by the linear dynamic program of
+    `_path_matching`.  A cycle takes the better of its path without the
+    first edge and its path without the last: a matching leaves out at
+    least one of two edges that share a vertex.  Every conflict-extended
+    graph of a run has degree <= 2 (see the module docstring); any other
+    graph goes to networkx's blossom algorithm.  `counts`, when given,
+    gains one under "walk" or "blossom".  Parallel edges keep the last
+    weight listed, as in `to_networkx`.
+    """
+    weight = graph.edge_weight()
+    neighbours: dict[tuple, list[tuple]] = {}
+    for u, v in weight:
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+    if any(len(nb) > 2 or v in nb for v, nb in neighbours.items()):
+        if counts is not None:
+            counts["blossom"] = counts.get("blossom", 0) + 1
+        import networkx as nx
+
+        matching = nx.max_weight_matching(graph.to_networkx(), maxcardinality=False)
+        return frozenset(_edge_key(u, v) for u, v in matching)
+    if counts is not None:
+        counts["walk"] = counts.get("walk", 0) + 1
+    seen: set[tuple] = set()
+
+    def walk(start: tuple) -> list[tuple]:
+        """The vertices of start's component in path order, from start."""
+        seen.add(start)
+        vertices = [start]
+        while True:
+            step = [v for v in neighbours[vertices[-1]] if v not in seen]
+            if not step:
+                return vertices
+            seen.add(step[0])
+            vertices.append(step[0])
+
+    matching: list[tuple] = []
+    # paths from an end first; the components left over are cycles
+    for v, nb in neighbours.items():
+        if len(nb) == 1 and v not in seen:
+            vertices = walk(v)
+            matching.extend(_path_matching(list(zip(vertices, vertices[1:])), weight)[1])
+    for v in neighbours:
+        if v not in seen:
+            vertices = walk(v)
+            edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+            no_first = _path_matching(edges[1:], weight)
+            no_last = _path_matching(edges[:-1], weight)
+            matching.extend(max(no_first, no_last, key=lambda option: option[0])[1])
+    return frozenset(matching)
+
+
+def _path_matching(edges: list[tuple], weight: dict[tuple, float]) -> tuple[float, list[tuple]]:
+    """Maximum-weight set of pairwise disjoint edges of a path, as its total
+    and canonical edge keys; `edges` are vertex pairs in path order.
+
+    best[i] = max(best[i-1], best[i-2] + w_i) over the first i edges.
+    """
+    best = [0.0, 0.0]
+    take = []
+    for u, v in edges:
+        with_edge = best[-2] + weight[_edge_key(u, v)]
+        take.append(with_edge > best[-1])
+        best.append(with_edge if take[-1] else best[-1])
+    chosen = []
+    i = len(edges) - 1
+    while i >= 0:
+        if take[i]:
+            chosen.append(_edge_key(*edges[i]))
+            i -= 2
+        else:
+            i -= 1
+    return best[-1], chosen
 
 
 def matching_weight(graph: MatchGraph, matching) -> float:
@@ -589,6 +674,7 @@ def icf_seg(
     candidates: list[CandidateGene] | None = None,
     table: ConservedAdjacencyTable | None = None,
     conflict_cap: int = 20,
+    deadline: float | None = None,
 ) -> IcfSegResult:
     """Iteratively accept runs whose matching certificate holds.
 
@@ -599,7 +685,12 @@ def icf_seg(
     from the instance, and all externally conflicting candidates are
     removed.  After an acceptance the examination starts over on the runs
     of the changed instance.  The reduced instance is returned for the
-    exact solver.
+    exact solver.  Once `time.monotonic()` passes `deadline`, no further
+    run is examined and the runs accepted so far are returned: each was
+    applied whole, so the reduced instance is consistent.  One INFO line
+    (shown by `ffmedian -v`) gives the runs examined, accepted and skipped
+    at the conflict cap, and how many conflict-extended graphs the
+    path/cycle walk and the blossom fallback of `mwm` solved.
 
     The runs are kept up to date incrementally, with the same result as a
     fresh `detect_runs` after every acceptance.  An acceptance changes the
@@ -625,6 +716,8 @@ def icf_seg(
     chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
     accepted: list[AcceptedSegment] = []
     observed: set[frozenset[int]] = set()
+    skipped = 0
+    solved_by: dict[str, int] = {}
 
     progress = True
     while progress:
@@ -633,6 +726,9 @@ def icf_seg(
             run = step.run
             if run is None or step.key in observed:
                 continue
+            if deadline is not None and time.monotonic() > deadline:
+                log.info("icf-seg stopped at the deadline")
+                break
             observed.add(step.key)
             try:
                 gamma_prime = build_gamma_prime(
@@ -642,8 +738,9 @@ def icf_seg(
                 )
             except SegmentConflictCapError as exc:
                 log.info("skipping segment: %s", exc)
+                skipped += 1
                 continue
-            matching = mwm(gamma_prime)
+            matching = mwm(gamma_prime, solved_by)
             internal = frozenset(
                 _edge_key((table.key(r)[0], table.key(r)[1]),
                           (table.key(r)[2], table.key(r)[3]))
@@ -674,6 +771,12 @@ def icf_seg(
             progress = True
             break
 
+    log.info(
+        "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap; "
+        "matchings: %d by path/cycle walk, %d by blossom",
+        len(observed), len(accepted), skipped,
+        solved_by.get("walk", 0), solved_by.get("blossom", 0),
+    )
     return IcfSegResult(
         candidates=candidates,
         table=table,

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -520,6 +519,8 @@ def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:
 def _maximal_conflict_free_sets(
     candidates: Sequence[CandidateGene],
 ) -> list[tuple[int, ...]]:
+    import networkx as nx
+
     n = len(candidates)
     conflict = ConflictIndex(candidates)
     graph = nx.Graph()

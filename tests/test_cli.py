@@ -1,8 +1,17 @@
 """The `ffmedian` command line, run in-process through `cli.main`."""
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from ffmedian import cli
+import pytest
+
+import ffmedian
+from ffmedian import cli, segments
 from ffmedian.genomes import write_genome_file
 
 from conftest import evolved_instance, identical_genomes
@@ -113,3 +122,72 @@ def test_verify_reduction_of_missing_directory_exits_with_input_code(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_directory_as_input_file_exits_with_input_code(tmp_path, capsys, command):
+    if command == "solve":
+        instance = write_instance(tmp_path, ["a", "b"])
+        argv = ["solve", "-g", str(tmp_path), *instance[2:], "-o", str(tmp_path / "m.json")]
+    else:
+        argv = ["eval", "--pred", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_does_not_load_networkx(tmp_path):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        "import ffmedian.cli\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded by the import'\n"
+        "code = ffmedian.cli.main(sys.argv[1:])\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded by the solve'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    argv = ["solve", *instance, "--canonical", "-o", str(tmp_path / "median.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads((tmp_path / "median.json").read_text())["counts"]["accepted_segments"] > 0
+
+
+def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    quiet, verbose = tmp_path / "quiet.json", tmp_path / "verbose.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(quiet)]) == cli.EXIT_OK
+    caplog.set_level(logging.INFO, logger="ffmedian.segments")
+    assert cli.main(["-v", "solve", *instance, "--canonical", "-o", str(verbose)]) == cli.EXIT_OK
+    assert verbose.read_bytes() == quiet.read_bytes()
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
+    accepted = json.loads(quiet.read_text())["counts"]["accepted_segments"]
+    assert len(lines) == 1
+    assert f"examined, {accepted} accepted, 0 skipped at the conflict cap" in lines[0]
+    assert "by path/cycle walk, 0 by blossom" in lines[0]
+
+
+def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):
+    """ICF-SEG's clock passes the deadline after three readings; the solve
+    then takes the rest and `run_pipeline` verifies the combined rows."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(full)]) == cli.EXIT_OK
+
+    class LateClock:
+        readings = 0
+
+        def monotonic(self):
+            self.readings += 1
+            return time.monotonic() + (1e9 if self.readings > 3 else 0.0)
+
+    monkeypatch.setattr(segments, "time", LateClock())
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(cut)]) == cli.EXIT_OK
+    full_report, cut_report = json.loads(full.read_text()), json.loads(cut.read_text())
+    assert 0 < cut_report["counts"]["accepted_segments"] < full_report["counts"]["accepted_segments"]
+    assert cut_report["status"] == "optimal"
+    assert cut_report["objective"] == pytest.approx(full_report["objective"], abs=1e-9)
+

@@ -1,5 +1,6 @@
 """Matching graph, potentials, run detection, and safe extraction."""
 import itertools
+import logging
 import math
 import random
 
@@ -24,9 +25,12 @@ from ffmedian.segments import (
 )
 from ffmedian.solver import brute_force_median, build_ilp, solve_branch_and_bound
 
+from ffmedian import segments
+
 from conftest import (
     build_tables,
     diagonal_sigma,
+    evolved_instance,
     identical_genomes,
     linear,
     random_blockish_instance,
@@ -375,3 +379,39 @@ class TestIcfSeg:
                 hits += 1
                 assert any(accepted <= set(opt) for opt in optima)
         assert hits > 5  # the check must not be vacuous
+
+    def test_deadline_keeps_a_prefix_of_the_accepted_runs(self, monkeypatch):
+        genomes, sigma = evolved_instance(31, 200, 2, 0.0)
+        full = icf_seg(*genomes, sigma)
+        runs = [(acc.segment.members, acc.rows) for acc in full.accepted]
+        assert len(runs) > 20
+        far = icf_seg(*genomes, sigma, deadline=math.inf)
+        assert [(acc.segment.members, acc.rows) for acc in far.accepted] == runs
+        assert np.array_equal(far.row_alive, full.row_alive)
+
+        class FakeClock:
+            """One second per reading, from 1 on."""
+            now = 0
+
+            def monotonic(self):
+                self.now += 1
+                return self.now
+
+        for deadline in (0, 5, 20):
+            monkeypatch.setattr(segments, "time", FakeClock())
+            cut = icf_seg(*genomes, sigma, deadline=deadline)
+            got = [(acc.segment.members, acc.rows) for acc in cut.accepted]
+            assert len(got) < len(runs) and got == runs[: len(got)]
+            assert int((~cut.row_alive).sum()) < int((~full.row_alive).sum())
+        assert cut.accepted
+
+    def test_info_line_counts_runs_skipped_at_the_conflict_cap(self, caplog):
+        genomes, sigma = evolved_instance(33, 200, 2, 0.1)
+        caplog.set_level(logging.INFO, logger="ffmedian.segments")
+        result = icf_seg(*genomes, sigma, conflict_cap=0)
+        messages = [record.getMessage() for record in caplog.records]
+        skips = sum(m.startswith("skipping segment") for m in messages)
+        summary = [m for m in messages if m.startswith("icf-seg:")]
+        assert skips > 0 and len(summary) == 1
+        assert f"{len(result.accepted)} accepted, {skips} skipped at the conflict cap" in summary[0]
+
