@@ -114,15 +114,15 @@ def mwm(graph: MatchGraph, counts: dict[str, int] | None = None) -> frozenset[tu
     for u, v in weight:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
-    if any(len(nb) > 2 or v in nb for v, nb in neighbours.items()):
-        if counts is not None:
-            counts["blossom"] = counts.get("blossom", 0) + 1
+    general = any(len(nb) > 2 or v in nb for v, nb in neighbours.items())
+    if counts is not None:
+        kind = "blossom" if general else "walk"
+        counts[kind] = counts.get(kind, 0) + 1
+    if general:
         import networkx as nx
 
         matching = nx.max_weight_matching(graph.to_networkx(), maxcardinality=False)
         return frozenset(_edge_key(u, v) for u, v in matching)
-    if counts is not None:
-        counts["walk"] = counts.get("walk", 0) + 1
     seen: set[tuple] = set()
 
     def walk(start: tuple) -> list[tuple]:

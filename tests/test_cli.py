@@ -190,4 +190,3 @@ def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):
     assert 0 < cut_report["counts"]["accepted_segments"] < full_report["counts"]["accepted_segments"]
     assert cut_report["status"] == "optimal"
     assert cut_report["objective"] == pytest.approx(full_report["objective"], abs=1e-9)
-

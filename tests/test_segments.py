@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from ffmedian import segments
 from ffmedian.candidates import ConflictIndex, enumerate_candidates
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
 from ffmedian.segments import (
@@ -24,8 +25,6 @@ from ffmedian.segments import (
     potential,
 )
 from ffmedian.solver import brute_force_median, build_ilp, solve_branch_and_bound
-
-from ffmedian import segments
 
 from conftest import (
     build_tables,
@@ -414,4 +413,3 @@ class TestIcfSeg:
         summary = [m for m in messages if m.startswith("icf-seg:")]
         assert skips > 0 and len(summary) == 1
         assert f"{len(result.accepted)} accepted, {skips} skipped at the conflict cap" in summary[0]
-
