@@ -25,6 +25,13 @@ ICF_SEG_DIGESTS = [
     "82c0742cbea9b599916af64edca82dea8c131b972cde0e69796eec031c5d32ae",
 ]
 
+# SHA-256 of the file each command writes on evolved_instance(51, 120, 2, 0.1)
+OUTPUT_DIGESTS = {
+    "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
+    "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
+    "solve": "710795c61686759f7c0de40a1f6089e3cbbffb5f7f9ea0d783ff49f50fd42a9d",
+}
+
 
 def write_files(tmp_path, genomes, sigma):
     genome_file = tmp_path / "genomes.txt"
@@ -76,6 +83,71 @@ def test_icf_seg_writes_recorded_segments_and_reduced_instance(tmp_path):
         for path in (tsv, reduced / "candidates.tsv")
     ]
     assert digests == ICF_SEG_DIGESTS
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_command_writes_recorded_bytes(tmp_path, monkeypatch, command):
+    # relative paths: the report quotes the input paths in its config
+    write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    monkeypatch.chdir(tmp_path)
+    instance = ["-g", "genomes.txt", "-s", "similarity.tsv"]
+    extra = ["--canonical"] if command == "solve" else []
+    assert cli.main([command, *instance, *extra, "-o", "out"]) == cli.EXIT_OK
+    assert hashlib.sha256(Path("out").read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_build_graph_rejects_a_short_hit_line(tmp_path, capsys):
+    hits = tmp_path / "hits.tsv"
+    hits.write_text("G:a\tH:a\t90.0\n")
+    argv = ["build-graph", "--hits", str(hits), "-o", str(tmp_path / "sim.tsv")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_enumerate_rejects_two_genomes(tmp_path, capsys):
+    genomes, sigma = identical_genomes(["a", "b"])
+    instance = write_files(tmp_path, genomes[:2], sigma)
+    assert cli.main(["enumerate", *instance, "-o", str(tmp_path / "c.tsv")]) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_export_lp_rejects_a_bad_similarity_score(tmp_path, capsys):
+    instance = write_instance(tmp_path, ["a", "b"])
+    Path(instance[3]).write_text("G:a\tH:a\tstrong\n")
+    assert cli.main(["export-lp", *instance, "-o", str(tmp_path / "m.lp")]) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"genes": [{"g": "a", "h": "H:a", "i": "I:a"}]},
+        {"genes": [{"h": "H:a", "i": "I:a"}]},
+        [{"g": "G:a", "h": "H:a", "i": "I:a"}],
+    ],
+    ids=["token-without-colon", "entry-without-g", "top-level-list"],
+)
+def test_eval_rejects_a_malformed_report(tmp_path, capsys, report):
+    pred = tmp_path / "median.json"
+    pred.write_text(json.dumps(report))
+    assert cli.main(["eval", "--pred", str(pred)]) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_verify_reduction_rejects_meta_without_labels(tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(FIVE_EDGE_GRAPH)
+    instance_dir = tmp_path / "instance"
+    assert cli.main(["reduce-mis", "--graph", str(edges), "-o", str(instance_dir)]) == cli.EXIT_OK
+    (instance_dir / "meta.json").write_text("{}\n")
+    assert cli.main(["verify-reduction", str(instance_dir)]) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
 
 
 def test_time_limit_zero_exits_feasible(tmp_path, capsys):
