@@ -300,12 +300,10 @@ def enumerate_conserved_adjacencies(
     G: Genome,
     H: Genome,
     I: Genome,
-    sigma: SimilarityGraph | None = None,
 ) -> ConservedAdjacencyTable:
     """All conserved candidate adjacencies induced by the extant genomes.
 
-    Only the gene positions and the genomes' adjacencies are read; `sigma`
-    is accepted for compatibility and not used.
+    Only the gene positions and the genomes' adjacencies are read.
     """
     index = InstanceIndex((G, H, I))
     labels = index.labels

@@ -2,7 +2,9 @@
 
 Exit codes:
   0  success with a proven optimum
-  1  input error, such as a malformed, missing or unreadable file
+  1  input error, such as a malformed, missing or unreadable file, a
+     malformed median report given to `eval`, or a malformed reduction
+     directory given to `verify-reduction`
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
 """
@@ -20,6 +22,8 @@ import numpy as np
 
 from . import __version__, evaluation, ingestion
 from .candidates import (
+    CandidateGene,
+    ConservedAdjacencyTable,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
@@ -30,6 +34,7 @@ from .genomes import (
     GenomeError,
     ParseError,
     SimilarityGraph,
+    _parse_qualified,
     parse_genome_file,
 )
 from .mis_reduction import (
@@ -119,15 +124,64 @@ def _load_genomes(paths) -> list[Genome]:
     return genomes
 
 
-def _gene_json(gene: Gene) -> str:
-    return str(gene)
+def _read_files(genome_files, similarity_file):
+    """Loader of the three genomes and their similarities, for `_front_end`."""
+    return lambda: (_load_genomes(genome_files), SimilarityGraph.read(similarity_file))
+
+
+@dataclass
+class Instance:
+    genomes: list[Genome]
+    sigma: SimilarityGraph
+    candidates: list[CandidateGene]
+    table: ConservedAdjacencyTable
+    removed: dict[str, list[str]]
+
+
+def _front_end(load, preprocess: bool, clock: _StageClock | None = None) -> Instance:
+    """Load, preprocess and enumerate: the instance every subcommand works on.
+
+    `load()` returns the three genomes and their similarities.  With
+    `preprocess`, genes outside every 3-clique are spliced out first.  The
+    stages are timed on `clock` as `load`, `preprocess` and `enumerate`.  The
+    layer functions are read as module globals at each call, so that a
+    tracer can patch them.
+    """
+    clock = clock or _StageClock()
+    with clock.time("load"):
+        genomes, sigma = load()
+    removed: dict[str, list[str]] = {}
+    if preprocess:
+        with clock.time("preprocess"):
+            *genomes, removed = preprocess_discard_nonclique(*genomes, sigma)
+    with clock.time("enumerate"):
+        candidates = enumerate_candidates(*genomes, sigma)
+        table = enumerate_conserved_adjacencies(candidates, *genomes)
+    return Instance(list(genomes), sigma, candidates, table, removed)
+
+
+def _write_tsv(path, candidates, table: ConservedAdjacencyTable) -> None:
+    """Candidate genes, then conserved adjacencies, one per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("#type\tfields\n")
+        for cand in candidates:
+            fh.write(
+                f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
+                f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
+            )
+        for adj in table:
+            fh.write(
+                f"adjacency\t{adj.m1.g}\t{adj.m1.h}\t{adj.m1.i}\t{adj.end1}"
+                f"\t{adj.m2.g}\t{adj.m2.h}\t{adj.m2.i}\t{adj.end2}"
+                f"\t{','.join(adj.conserved_in)}\t{adj.weight:.12g}\n"
+            )
 
 
 def _candidate_json(cand) -> dict:
     return {
-        "g": _gene_json(cand.g),
-        "h": _gene_json(cand.h),
-        "i": _gene_json(cand.i),
+        "g": str(cand.g),
+        "h": str(cand.h),
+        "i": str(cand.i),
         "triple_score": cand.triple_score,
         "gene_score": cand.gene_score,
     }
@@ -141,17 +195,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     """
     started = time.monotonic()
     clock = _StageClock()
-    with clock.time("load"):
-        genomes = _load_genomes(config.genome_files)
-        sigma = SimilarityGraph.read(config.similarity_file)
-    removed: dict[str, list[str]] = {}
-    if config.preprocess:
-        with clock.time("preprocess"):
-            g, h, i, removed = preprocess_discard_nonclique(*genomes, sigma)
-            genomes = [g, h, i]
-    with clock.time("enumerate"):
-        candidates = enumerate_candidates(*genomes, sigma)
-        table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
+    inst = _front_end(
+        _read_files(config.genome_files, config.similarity_file), config.preprocess, clock
+    )
+    candidates, table = inst.candidates, inst.table
     accepted_rows: list[int] = []
     accepted_weight = 0.0
     accepted_segments = 0
@@ -160,14 +207,12 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     if config.use_icf_seg:
         with clock.time("icf-seg"):
             deadline = None if config.time_limit is None else started + config.time_limit
-            result = icf_seg(
-                *genomes, sigma, candidates=candidates, table=table, deadline=deadline
-            )
+            result = icf_seg(inst.genomes[0], candidates, table, deadline=deadline)
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
             row_map = np.nonzero(result.row_alive)[0]
-            solve_table = table.subset(row_map)
+            solve_table = result.reduced_table()
     with clock.time("solve"):
         model = build_ilp(candidates, solve_table)
         if config.export_lp_path:
@@ -195,7 +240,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ffmedian", "version": __version__},
         "config": config.as_dict(),
-        "genomes": [g.label for g in genomes],
+        "genomes": [g.label for g in inst.genomes],
         "status": solution.status,
         "objective": objective,
         "bound": bound,
@@ -207,7 +252,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             "median_genes": len(genes),
             "median_adjacencies": len(combined_rows),
             "cars": len(cars),
-            "removed_genes": {k: len(v) for k, v in removed.items()},
+            "removed_genes": {k: len(v) for k, v in inst.removed.items()},
         },
         "genes": [_candidate_json(candidates[m]) for m in sorted(genes)],
         "adjacencies": [
@@ -274,44 +319,17 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    genomes = _load_genomes(args.genomes)
-    sigma = SimilarityGraph.read(args.similarity)
-    if args.preprocess:
-        g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
-        genomes = [g, h, i]
-    candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("#type\tfields\n")
-        for cand in candidates:
-            fh.write(
-                f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
-                f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
-            )
-        for adj in table:
-            fh.write(
-                f"adjacency\t{adj.m1.g}\t{adj.m1.h}\t{adj.m1.i}\t{adj.end1}"
-                f"\t{adj.m2.g}\t{adj.m2.h}\t{adj.m2.i}\t{adj.end2}"
-                f"\t{','.join(adj.conserved_in)}\t{adj.weight:.12g}\n"
-            )
-    log.info(
-        "wrote %d candidates and %d conserved adjacencies", len(candidates), len(table)
-    )
+    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    _write_tsv(args.output, inst.candidates, inst.table)
+    log.info("wrote %d candidates and %d conserved adjacencies",
+             len(inst.candidates), len(inst.table))
     return EXIT_OK
 
 
 def _cmd_icf_seg(args) -> int:
-    genomes = _load_genomes(args.genomes)
-    sigma = SimilarityGraph.read(args.similarity)
-    if args.preprocess:
-        g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
-        genomes = [g, h, i]
-    candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
-    result = icf_seg(
-        *genomes, sigma, candidates=candidates, table=table,
-        conflict_cap=args.conflict_cap,
-    )
+    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    candidates, table = inst.candidates, inst.table
+    result = icf_seg(inst.genomes[0], candidates, table, conflict_cap=args.conflict_cap)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
         for seg_id, acc in enumerate(result.accepted):
@@ -325,23 +343,11 @@ def _cmd_icf_seg(args) -> int:
     if args.emit_reduced:
         os.makedirs(args.emit_reduced, exist_ok=True)
         reduced = result.reduced_table()
-        with open(
-            os.path.join(args.emit_reduced, "candidates.tsv"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write("#type\tfields\n")
-            alive = set(int(k) for k in np.nonzero(result.cand_alive)[0])
-            for idx in sorted(alive):
-                cand = candidates[idx]
-                fh.write(
-                    f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
-                    f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
-                )
-            for adj in reduced:
-                fh.write(
-                    f"adjacency\t{adj.m1.g}\t{adj.m1.h}\t{adj.m1.i}\t{adj.end1}"
-                    f"\t{adj.m2.g}\t{adj.m2.h}\t{adj.m2.i}\t{adj.end2}"
-                    f"\t{','.join(adj.conserved_in)}\t{adj.weight:.12g}\n"
-                )
+        _write_tsv(
+            os.path.join(args.emit_reduced, "candidates.tsv"),
+            [candidates[k] for k in np.nonzero(result.cand_alive)[0]],
+            reduced,
+        )
         meta = {
             "accepted_segments": len(result.accepted),
             "accepted_weight": result.accepted_weight,
@@ -375,14 +381,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    genomes = _load_genomes(args.genomes)
-    sigma = SimilarityGraph.read(args.similarity)
-    if args.preprocess:
-        g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
-        genomes = [g, h, i]
-    candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
-    model = build_ilp(candidates, table)
+    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    model = build_ilp(inst.candidates, inst.table)
     export_lp(model, args.output)
     log.info("wrote model with %d variables and %d constraints",
              model.counted_variables, model.counted_constraints)
@@ -400,12 +400,9 @@ def _cmd_reduce_mis(args) -> int:
 
 def _cmd_verify_reduction(args) -> int:
     instance = read_instance(args.instance_dir)
-    candidates = enumerate_candidates(*instance.genomes, instance.sigma)
-    table = enumerate_conserved_adjacencies(
-        candidates, *instance.genomes, instance.sigma
-    )
+    inst = _front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
     solution = solve_branch_and_bound(
-        build_ilp(candidates, table), time_limit=args.time_limit
+        build_ilp(inst.candidates, inst.table), time_limit=args.time_limit
     )
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0
@@ -444,12 +441,18 @@ def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
     ortholog predictions and are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    entries = data.get("genes", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: not a median report")
     triples = []
-    for entry in data.get("genes", []):
-        triple = tuple(
-            Gene(*token.split(":", 1))
-            for token in (entry["g"], entry["h"], entry["i"])
-        )
+    for entry in entries:
+        tokens = [entry.get(key) if isinstance(entry, dict) else None for key in "ghi"]
+        if not all(isinstance(token, str) for token in tokens):
+            raise ParseError(f"{path}: gene entry {entry!r} lacks a g, h or i gene")
+        try:
+            triple = tuple(_parse_qualified(token) for token in tokens)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         if any(gene.is_telomere for gene in triple):
             continue
         triples.append(triple)
@@ -458,7 +461,6 @@ def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
 
 def _cmd_eval(args) -> int:
     preds = [_load_predictions(path) for path in args.pred]
-    report = evaluation.EvalReport()
     payload: dict = {}
     if args.truth:
         truth = evaluation.read_truth_pairs(args.truth)
@@ -466,7 +468,7 @@ def _cmd_eval(args) -> int:
         payload.update(report.as_dict())
     if args.groups:
         truth_map = evaluation.TruthMap.read(args.groups)
-        classes, counts = evaluation.classify_vs_reference(preds[0], truth_map)
+        _, counts = evaluation.classify_vs_reference(preds[0], truth_map)
         payload["class_counts"] = counts
     if len(preds) > 1:
         if not args.shared or len(args.shared) != 2:

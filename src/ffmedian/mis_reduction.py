@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .candidates import CandidateGene
-from .genomes import Gene, Genome, SimilarityGraph, build_genome
+from .genomes import Gene, Genome, ParseError, SimilarityGraph, build_genome
 from .solver import MedianSolution
 
 log = logging.getLogger(__name__)
@@ -339,11 +339,16 @@ def read_instance(in_dir) -> ReductionInstance:
     path = Path(in_dir)
     with open(path / "meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    labels = meta.get("labels") if isinstance(meta, dict) else None
+    if not isinstance(labels, list):
+        raise ParseError(f"{path / 'meta.json'} lists no genome labels")
     graph = BoundedGraph.from_edge_file(path / "edges.tsv")
     genomes = []
-    for label in meta["labels"]:
+    for label in labels:
         found = parse_genome_file(path / f"{label}.gen")
         genomes.extend(g for g in found if g.label == label)
+    if len(genomes) != 3:
+        raise ParseError(f"{path}: expected three genomes, found {len(genomes)}")
     sigma = SimilarityGraph.read(path / "graph.sim")
     xi: dict[Gene, tuple[str, ...]] = {}
     with open(path / "xi.tsv", "r", encoding="utf-8") as fh:
@@ -351,11 +356,10 @@ def read_instance(in_dir) -> ReductionInstance:
             token, _, vertices = raw.rstrip("\n").partition("\t")
             genome, _, name = token.partition(":")
             xi[Gene(genome, name)] = tuple(v for v in vertices.split(",") if v)
-    labels = {g.label: ("star.1", "star.2") for g in genomes}
     return ReductionInstance(
         graph=graph,
         genomes=tuple(genomes),  # type: ignore[arg-type]
         sigma=sigma,
         xi=xi,
-        star_genes=labels,
+        star_genes={g.label: ("star.1", "star.2") for g in genomes},
     )

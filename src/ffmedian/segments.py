@@ -36,14 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .candidates import (
-    CandidateGene,
-    ConflictIndex,
-    ConservedAdjacencyTable,
-    enumerate_candidates,
-    enumerate_conserved_adjacencies,
-)
-from .genomes import Gene, Genome, SimilarityGraph
+from .candidates import CandidateGene, ConflictIndex, ConservedAdjacencyTable
+from .genomes import Gene, Genome
 
 log = logging.getLogger(__name__)
 
@@ -464,8 +458,6 @@ class _RunScanner:
 
 def detect_runs(
     G: Genome,
-    H: Genome,
-    I: Genome,
     candidates: Sequence[CandidateGene],
     table: ConservedAdjacencyTable,
     cand_alive=None,
@@ -668,11 +660,8 @@ class IcfSegResult:
 
 def icf_seg(
     G: Genome,
-    H: Genome,
-    I: Genome,
-    sigma: SimilarityGraph | None = None,
-    candidates: list[CandidateGene] | None = None,
-    table: ConservedAdjacencyTable | None = None,
+    candidates: list[CandidateGene],
+    table: ConservedAdjacencyTable,
     conflict_cap: int = 20,
     deadline: float | None = None,
 ) -> IcfSegResult:
@@ -702,11 +691,6 @@ def icf_seg(
     once the chain is past the last changed position at an old step start
     the old tail is kept.  Circular chromosomes are rescanned whole.
     """
-    if candidates is None or table is None:
-        if sigma is None:
-            raise ValueError("need sigma when candidate sets are not supplied")
-        candidates = enumerate_candidates(G, H, I, sigma)
-        table = enumerate_conserved_adjacencies(candidates, G, H, I, sigma)
     n = len(candidates)
     cand_alive = np.ones(n, dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,7 +203,6 @@ class MedianSolution:
     row_indices: tuple[int, ...]
     candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
-    cars: list[Car] = field(default_factory=list)
     nodes_explored: int = 0
 
     @property
@@ -356,12 +355,6 @@ def cars_from_rows(
     return cars
 
 
-def assemble_cars(solution: MedianSolution) -> list[Car]:
-    return cars_from_rows(
-        solution.candidates, solution.table, solution.gene_indices, solution.row_indices
-    )
-
-
 # -- exact solve ------------------------------------------------------------------
 
 
@@ -509,7 +502,6 @@ def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:
         model.candidates, model.table, solution.gene_indices, solution.row_indices,
         solution.objective,
     )
-    solution.cars = assemble_cars(solution)
     return solution
 
 
@@ -618,21 +610,8 @@ def brute_force_median(
         elif abs(value - best_value) <= GRID:
             optima.update(sols)
             best_rows = min([best_rows] + sols)
-    genes = set()
-    for k in best_rows:
-        genes.add(int(table.m1[k]))
-        genes.add(int(table.m2[k]))
-    solution = MedianSolution(
-        status=STATUS_OPTIMAL,
-        objective=float(best_value),
-        bound=float(best_value),
-        gene_indices=tuple(sorted(genes)),
-        row_indices=tuple(sorted(best_rows)),
-        candidates=candidates,
-        table=table,
-    )
-    verify_solution(candidates, table, solution.gene_indices, solution.row_indices)
-    solution.cars = assemble_cars(solution)
+    model = build_ilp(candidates, table)
+    solution = _finish(model, STATUS_OPTIMAL, best_value, best_value, best_rows, 0)
     if collect_optima:
         return solution, sorted(optima)
     return solution

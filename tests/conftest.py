@@ -142,7 +142,7 @@ def disjoint_clique_instance(seed, n=6, n_chroms=1):
 
 def build_tables(genomes, sigma):
     cands = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+    table = enumerate_conserved_adjacencies(cands, *genomes)
     return cands, table
 
 

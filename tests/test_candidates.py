@@ -220,7 +220,7 @@ class TestConservedAdjacencies:
         I = linear("I", [("b", 1), ("y", 1), ("a", 1)])
         sigma = diagonal_sigma(["a", "b"])
         cands = enumerate_candidates(G, H, I, sigma)
-        table = enumerate_conserved_adjacencies(cands, G, H, I, sigma)
+        table = enumerate_conserved_adjacencies(cands, G, H, I)
         gene_rows = [
             k for k in range(len(table))
             if not table.candidates[table.key(k)[0]].is_telomere_triple
@@ -250,7 +250,7 @@ class TestConservedAdjacencies:
         # genomes of the square root of the two gene-score products
         for seed in range(5):
             genomes, sigma, cands = _random_dense_instance(seed)
-            table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+            table = enumerate_conserved_adjacencies(cands, *genomes)
             for k in range(len(table)):
                 rec = table[k]
                 total = 0.0
@@ -321,11 +321,11 @@ class TestPreprocess:
         I = linear("I", [("a", 1), ("b", 1)])
         sigma = diagonal_sigma(["a", "b"])
         cands_before = enumerate_candidates(G, H, I, sigma)
-        table_before = enumerate_conserved_adjacencies(cands_before, G, H, I, sigma)
+        table_before = enumerate_conserved_adjacencies(cands_before, G, H, I)
         g2, h2, i2, report = preprocess_discard_nonclique(G, H, I, sigma)
         assert report["G"] == ["ins"]
         cands_after = enumerate_candidates(g2, h2, i2, sigma)
-        table_after = enumerate_conserved_adjacencies(cands_after, g2, h2, i2, sigma)
+        table_after = enumerate_conserved_adjacencies(cands_after, g2, h2, i2)
 
         def all3_gene_rows(cands, table):
             return [

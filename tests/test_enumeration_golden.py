@@ -49,7 +49,7 @@ def enumerate_case(genomes, sigma, preprocess):
         genomes = [g, h, i]
         removed = sum(len(v) for v in report.values())
     candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
+    table = enumerate_conserved_adjacencies(candidates, *genomes)
     telomeric = sum(c.is_telomere_triple for c in candidates)
     return (removed, len(candidates), telomeric, len(table), digest(candidates, table))
 

@@ -65,7 +65,7 @@ def tables(genomes, sigma, preprocess=True):
         g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
         genomes = [g, h, i]
     candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes, sigma)
+    table = enumerate_conserved_adjacencies(candidates, *genomes)
     return genomes, candidates, table
 
 
@@ -125,14 +125,14 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_icf_seg_matches_golden(case):
     genomes, candidates, table = CASES[case]()
-    result = icf_seg(*genomes, candidates=candidates, table=table)
+    result = icf_seg(genomes[0], candidates, table)
     assert (len(candidates), len(table), len(result.accepted), digest(result)) == GOLDEN[case]
 
 
 # -- the original restart loop, kept as the reference -------------------------
 
 
-def restart_loop(G, H, I, candidates, table, conflict_cap=20):
+def restart_loop(G, candidates, table, conflict_cap=20):
     """ICF-SEG as first written: a fresh `detect_runs` after every acceptance.
 
     Calls `build_gamma_prime` through the module, as `icf_seg` does, so a
@@ -148,7 +148,7 @@ def restart_loop(G, H, I, candidates, table, conflict_cap=20):
     while progress:
         progress = False
         runs = detect_runs(
-            G, H, I, candidates, table,
+            G, candidates, table,
             cand_alive=cand_alive, row_alive=row_alive, locked=locked,
         )
         for run in runs:
@@ -213,12 +213,12 @@ def reference_cases():
     for seed in range(12):
         genomes, sigma, candidates = random_blockish_instance(seed)
         yield f"blockish{seed}", genomes, candidates, enumerate_conserved_adjacencies(
-            candidates, *genomes, sigma
+            candidates, *genomes
         )
     for seed in range(6):
         genomes, sigma, candidates = random_small_instance(seed)
         yield f"small{seed}", genomes, candidates, enumerate_conserved_adjacencies(
-            candidates, *genomes, sigma
+            candidates, *genomes
         )
     for seed, n, chromosomes, rate in (
         (41, 60, 1, 0.0), (42, 80, 2, 0.0), (43, 60, 3, 0.1),
@@ -242,10 +242,10 @@ def test_icf_seg_matches_restart_loop(monkeypatch):
     cases = 0
     for name, genomes, candidates, table in reference_cases():
         examined.clear()
-        result = icf_seg(*genomes, candidates=candidates, table=table)
+        result = icf_seg(genomes[0], candidates, table)
         examined_incrementally = list(examined)
         examined.clear()
-        accepted, cand_alive, row_alive = restart_loop(*genomes, candidates, table)
+        accepted, cand_alive, row_alive = restart_loop(genomes[0], candidates, table)
         assert examined_incrementally == examined, name
         got = [
             (acc.segment.members, acc.rows, acc.segment.circular, acc.weight)

@@ -195,7 +195,7 @@ class TestRuns:
     def test_identical_genomes_single_spanning_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(*genomes, cands, table)
+        runs = detect_runs(genomes[0], cands, table)
         assert len(runs) == 1
         run = runs[0]
         assert [cands[m].g.name for m in run.members] == ["a", "b", "c"]
@@ -207,7 +207,7 @@ class TestRuns:
         I = linear("I", [("d", 1), ("a", 1), ("b", 1), ("c", 1)])
         sigma = diagonal_sigma(["a", "b", "c", "d"])
         cands, table = build_tables([G, H, I], sigma)
-        runs = detect_runs(G, H, I, cands, table)
+        runs = detect_runs(G, cands, table)
         named = [[cands[m].g.name for m in run.members] for run in runs]
         assert ["a", "b"] in named
         assert all(len(r) == 2 for r in named)
@@ -215,7 +215,7 @@ class TestRuns:
     def test_conflicting_candidates_split_runs(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(*genomes, cands, table)
+        runs = detect_runs(genomes[0], cands, table)
         m3 = next(i for i, c in enumerate(cands) if c.g.name == "g3")
         m4 = next(i for i, c in enumerate(cands) if c.g.name == "g4")
         for run in runs:
@@ -227,13 +227,13 @@ class TestRuns:
         I = linear("I", [("a", 1), ("b", 1), ("c", 1)])
         sigma = diagonal_sigma(["a", "b", "c"])
         cands, table = build_tables([G, H, I], sigma)
-        runs = detect_runs(G, H, I, cands, table)
+        runs = detect_runs(G, cands, table)
         assert len(runs) == 1 and len(runs[0].members) == 3
 
     def test_circular_whole_chromosome_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(*genomes, cands, table)
+        runs = detect_runs(genomes[0], cands, table)
         assert len(runs) == 1
         assert runs[0].circular
         assert len(runs[0].internal_rows) == 3
@@ -266,7 +266,7 @@ class TestGammaPrime:
     def test_no_external_conflicts_no_conflict_edges(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(*genomes, cands, table)
+        runs = detect_runs(genomes[0], cands, table)
         gp = build_gamma_prime(runs[0], cands, table)
         ends = {frozenset((u, v)) for u, v, _ in gp.edges}
         for m in runs[0].members:
@@ -282,7 +282,7 @@ class TestGammaPrime:
         sigma.set(Gene("G", "a"), Gene("I", "a"), 1.0)
         cands, table = build_tables([G, H, I], sigma)
         conflict = ConflictIndex(cands)
-        runs = detect_runs(G, H, I, cands, table)
+        runs = detect_runs(G, cands, table)
         if runs:
             gp = build_gamma_prime(runs[0], cands, table, conflict)
             # every conflict edge weight equals the best conflict-free
@@ -299,7 +299,7 @@ class TestGammaPrime:
     def test_cap_exceeded_raises(self):
         genomes, sigma = identical_genomes(("a", "b"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(*genomes, cands, table)
+        runs = detect_runs(genomes[0], cands, table)
         with pytest.raises(SegmentConflictCapError):
             build_gamma_prime(runs[0], cands, table, conflict_cap=-1)
 
@@ -328,7 +328,7 @@ class TestGammaPrime:
 class TestIcfSeg:
     def test_identical_genomes_accept_gene_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
-        result = icf_seg(*genomes, sigma)
+        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
         assert len(result.accepted) == 1
         assert result.accepted_weight == pytest.approx(6.0)
         cands, table = result.candidates, result.table
@@ -355,7 +355,7 @@ class TestIcfSeg:
         sigma.set(Gene("H", "p"), Gene("I", "p"), 1.0)
         genomes = [G, H, I]
         cands = enumerate_candidates(*genomes, sigma)
-        result = icf_seg(*genomes, sigma)
+        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
         for acc in result.accepted:
             for m in acc.segment.members:
                 assert result.candidates[m].triple_score == 1.0
@@ -366,8 +366,8 @@ class TestIcfSeg:
             genomes, sigma, cands = random_blockish_instance(seed)
             from ffmedian.candidates import enumerate_conserved_adjacencies
 
-            table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
-            result = icf_seg(*genomes, sigma, candidates=cands, table=table)
+            table = enumerate_conserved_adjacencies(cands, *genomes)
+            result = icf_seg(genomes[0], cands, table)
             oracle, optima = brute_force_median(cands, table, collect_optima=True)
             reduced = brute_force_median(cands, result.reduced_table())
             assert result.accepted_weight + reduced.objective == pytest.approx(
@@ -381,10 +381,11 @@ class TestIcfSeg:
 
     def test_deadline_keeps_a_prefix_of_the_accepted_runs(self, monkeypatch):
         genomes, sigma = evolved_instance(31, 200, 2, 0.0)
-        full = icf_seg(*genomes, sigma)
+        cands, table = build_tables(genomes, sigma)
+        full = icf_seg(genomes[0], cands, table)
         runs = [(acc.segment.members, acc.rows) for acc in full.accepted]
         assert len(runs) > 20
-        far = icf_seg(*genomes, sigma, deadline=math.inf)
+        far = icf_seg(genomes[0], cands, table, deadline=math.inf)
         assert [(acc.segment.members, acc.rows) for acc in far.accepted] == runs
         assert np.array_equal(far.row_alive, full.row_alive)
 
@@ -398,7 +399,7 @@ class TestIcfSeg:
 
         for deadline in (0, 5, 20):
             monkeypatch.setattr(segments, "time", FakeClock())
-            cut = icf_seg(*genomes, sigma, deadline=deadline)
+            cut = icf_seg(genomes[0], cands, table, deadline=deadline)
             got = [(acc.segment.members, acc.rows) for acc in cut.accepted]
             assert len(got) < len(runs) and got == runs[: len(got)]
             assert int((~cut.row_alive).sum()) < int((~full.row_alive).sum())
@@ -407,7 +408,7 @@ class TestIcfSeg:
     def test_info_line_counts_runs_skipped_at_the_conflict_cap(self, caplog):
         genomes, sigma = evolved_instance(33, 200, 2, 0.1)
         caplog.set_level(logging.INFO, logger="ffmedian.segments")
-        result = icf_seg(*genomes, sigma, conflict_cap=0)
+        result = icf_seg(genomes[0], *build_tables(genomes, sigma), conflict_cap=0)
         messages = [record.getMessage() for record in caplog.records]
         skips = sum(m.startswith("skipping segment") for m in messages)
         summary = [m for m in messages if m.startswith("icf-seg:")]

@@ -113,7 +113,6 @@ class TestSolve:
         solution = solve_branch_and_bound(build_ilp([], table))
         assert solution.status == STATUS_EMPTY
         assert solution.objective == 0.0
-        assert solution.cars == []
 
     def test_matches_matching_on_conflict_free_instances(self):
         for seed in range(6):
@@ -127,7 +126,7 @@ class TestSolve:
     def test_oracle_equivalence_sample(self):
         for seed in range(40):
             genomes, sigma, cands = random_small_instance(seed, max_candidates=10)
-            table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+            table = enumerate_conserved_adjacencies(cands, *genomes)
             bb = solve_branch_and_bound(build_ilp(cands, table))
             oracle = brute_force_median(cands, table)
             assert round(bb.objective / GRID) == round(oracle.objective / GRID)
@@ -144,14 +143,14 @@ class TestSolve:
     def test_relaxing_extremity_rule_only_gains(self):
         for seed in range(12):
             genomes, sigma, cands = random_small_instance(seed, max_candidates=10)
-            table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+            table = enumerate_conserved_adjacencies(cands, *genomes)
             strict = brute_force_median(cands, table).objective
             relaxed = brute_force_relaxed(cands, table)
             assert relaxed >= strict - GRID
 
     def test_deterministic_across_repeated_solves(self):
         genomes, sigma, cands = random_small_instance(5)
-        table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+        table = enumerate_conserved_adjacencies(cands, *genomes)
         a = solve_branch_and_bound(build_ilp(cands, table))
         b = solve_branch_and_bound(build_ilp(cands, table))
         assert a.row_indices == b.row_indices
@@ -243,7 +242,7 @@ def test_optimum_matches_milp(seed, n, family_rate):
     assert plain.status == STATUS_OPTIMAL
     assert abs(plain.objective - reference) <= GRID
 
-    segs = icf_seg(*genomes, sigma, candidates=cands, table=table)
+    segs = icf_seg(genomes[0], cands, table)
     reduced = solve_branch_and_bound(build_ilp(cands, segs.reduced_table()))
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
@@ -284,7 +283,7 @@ class TestBruteForce:
 
     def test_collect_optima_contains_best(self):
         genomes, sigma, cands = random_small_instance(9)
-        table = enumerate_conserved_adjacencies(cands, *genomes, sigma)
+        table = enumerate_conserved_adjacencies(cands, *genomes)
         solution, optima = brute_force_median(cands, table, collect_optima=True)
         assert tuple(sorted(solution.row_indices)) in [tuple(o) for o in optima]
         for rows in optima:
