@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, evaluation, ingestion
 from .candidates import (
-    CandidateGene,
     ConservedAdjacencyTable,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
@@ -129,23 +128,15 @@ def _read_files(genome_files, similarity_file):
     return lambda: (_load_genomes(genome_files), SimilarityGraph.read(similarity_file))
 
 
-@dataclass
-class Instance:
-    genomes: list[Genome]
-    sigma: SimilarityGraph
-    candidates: list[CandidateGene]
-    table: ConservedAdjacencyTable
-    removed: dict[str, list[str]]
-
-
-def _front_end(load, preprocess: bool, clock: _StageClock | None = None) -> Instance:
+def _front_end(load, preprocess: bool, clock: _StageClock | None = None):
     """Load, preprocess and enumerate: the instance every subcommand works on.
 
     `load()` returns the three genomes and their similarities.  With
-    `preprocess`, genes outside every 3-clique are spliced out first.  The
-    stages are timed on `clock` as `load`, `preprocess` and `enumerate`.  The
-    layer functions are read as module globals at each call, so that a
-    tracer can patch them.
+    `preprocess`, genes outside every 3-clique are spliced out first.
+    Returns the genomes, the candidates, the conserved adjacency table and
+    the removed gene names per genome.  The stages are timed on `clock` as
+    `load`, `preprocess` and `enumerate`.  The layer functions are read as
+    module globals at each call, so that a tracer can patch them.
     """
     clock = clock or _StageClock()
     with clock.time("load"):
@@ -157,7 +148,7 @@ def _front_end(load, preprocess: bool, clock: _StageClock | None = None) -> Inst
     with clock.time("enumerate"):
         candidates = enumerate_candidates(*genomes, sigma)
         table = enumerate_conserved_adjacencies(candidates, *genomes)
-    return Instance(list(genomes), sigma, candidates, table, removed)
+    return genomes, candidates, table, removed
 
 
 def _write_tsv(path, candidates, table: ConservedAdjacencyTable) -> None:
@@ -195,10 +186,9 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     """
     started = time.monotonic()
     clock = _StageClock()
-    inst = _front_end(
+    genomes, candidates, table, removed = _front_end(
         _read_files(config.genome_files, config.similarity_file), config.preprocess, clock
     )
-    candidates, table = inst.candidates, inst.table
     accepted_rows: list[int] = []
     accepted_weight = 0.0
     accepted_segments = 0
@@ -207,7 +197,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     if config.use_icf_seg:
         with clock.time("icf-seg"):
             deadline = None if config.time_limit is None else started + config.time_limit
-            result = icf_seg(inst.genomes[0], candidates, table, deadline=deadline)
+            result = icf_seg(genomes[0], candidates, table, deadline=deadline)
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
@@ -240,7 +230,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ffmedian", "version": __version__},
         "config": config.as_dict(),
-        "genomes": [g.label for g in inst.genomes],
+        "genomes": [g.label for g in genomes],
         "status": solution.status,
         "objective": objective,
         "bound": bound,
@@ -252,7 +242,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             "median_genes": len(genes),
             "median_adjacencies": len(combined_rows),
             "cars": len(cars),
-            "removed_genes": {k: len(v) for k, v in inst.removed.items()},
+            "removed_genes": {k: len(v) for k, v in removed.items()},
         },
         "genes": [_candidate_json(candidates[m]) for m in sorted(genes)],
         "adjacencies": [
@@ -319,17 +309,21 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    _write_tsv(args.output, inst.candidates, inst.table)
-    log.info("wrote %d candidates and %d conserved adjacencies",
-             len(inst.candidates), len(inst.table))
+    _, candidates, table, _ = _front_end(
+        _read_files(args.genomes, args.similarity), args.preprocess
+    )
+    _write_tsv(args.output, candidates, table)
+    log.info(
+        "wrote %d candidates and %d conserved adjacencies", len(candidates), len(table)
+    )
     return EXIT_OK
 
 
 def _cmd_icf_seg(args) -> int:
-    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    candidates, table = inst.candidates, inst.table
-    result = icf_seg(inst.genomes[0], candidates, table, conflict_cap=args.conflict_cap)
+    genomes, candidates, table, _ = _front_end(
+        _read_files(args.genomes, args.similarity), args.preprocess
+    )
+    result = icf_seg(genomes[0], candidates, table, conflict_cap=args.conflict_cap)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
         for seg_id, acc in enumerate(result.accepted):
@@ -381,8 +375,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    inst = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    model = build_ilp(inst.candidates, inst.table)
+    _, candidates, table, _ = _front_end(
+        _read_files(args.genomes, args.similarity), args.preprocess
+    )
+    model = build_ilp(candidates, table)
     export_lp(model, args.output)
     log.info("wrote model with %d variables and %d constraints",
              model.counted_variables, model.counted_constraints)
@@ -400,9 +396,11 @@ def _cmd_reduce_mis(args) -> int:
 
 def _cmd_verify_reduction(args) -> int:
     instance = read_instance(args.instance_dir)
-    inst = _front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
+    _, candidates, table, _ = _front_end(
+        lambda: (instance.genomes, instance.sigma), preprocess=False
+    )
     solution = solve_branch_and_bound(
-        build_ilp(inst.candidates, inst.table), time_limit=args.time_limit
+        build_ilp(candidates, table), time_limit=args.time_limit
     )
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0
