@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .candidates import CandidateGene
-from .genomes import Gene, Genome, ParseError, SimilarityGraph, build_genome
+from .genomes import (
+    Gene,
+    Genome,
+    ParseError,
+    SimilarityGraph,
+    _parse_qualified,
+    build_genome,
+)
 from .solver import MedianSolution
 
 log = logging.getLogger(__name__)
@@ -352,10 +359,15 @@ def read_instance(in_dir) -> ReductionInstance:
     sigma = SimilarityGraph.read(path / "graph.sim")
     xi: dict[Gene, tuple[str, ...]] = {}
     with open(path / "xi.tsv", "r", encoding="utf-8") as fh:
-        for raw in fh:
-            token, _, vertices = raw.rstrip("\n").partition("\t")
-            genome, _, name = token.partition(":")
-            xi[Gene(genome, name)] = tuple(v for v in vertices.split(",") if v)
+        for lineno, raw in enumerate(fh, start=1):
+            token, tab, vertices = raw.rstrip("\n").partition("\t")
+            if not tab:
+                raise ParseError(f"{fh.name}: expected 'genome:gene<TAB>vertices'", lineno)
+            try:
+                gene = _parse_qualified(token)
+            except ValueError as exc:
+                raise ParseError(f"{fh.name}: {exc}", lineno) from exc
+            xi[gene] = tuple(v for v in vertices.split(",") if v)
     return ReductionInstance(
         graph=graph,
         genomes=tuple(genomes),  # type: ignore[arg-type]

@@ -13,7 +13,10 @@ there by the selection of its candidate.  That row replaces the paper's
 coupling and saturation rows, is tighter than both, and keeps the same
 integer points.  HiGHS presolve is off, because on this form it costs more
 than it saves.  On a timeout the weight-order greedy selection competes
-with HiGHS's incumbent.  `export_lp` writes the paper's own rows.
+with HiGHS's incumbent.  scipy, which bundles HiGHS, is imported by the
+first solve that reaches HiGHS, not with this module: the import takes
+longer than the rest of a short `ffmedian` run, and no other subcommand
+uses scipy.  `export_lp` writes the paper's own rows.
 `brute_force_median` is the independent oracle: it enumerates maximal
 conflict-free candidate subsets and solves each by exhaustive matching
 search.
@@ -22,12 +25,11 @@ from __future__ import annotations
 
 import logging
 import re
+import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .candidates import (
     CandidateAdjacency,
@@ -37,6 +39,9 @@ from .candidates import (
     END_NAMES,
 )
 from .genomes import Gene
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -358,6 +363,26 @@ def cars_from_rows(
 # -- exact solve ------------------------------------------------------------------
 
 
+def _import_scipy() -> None:
+    """Import the scipy modules the solve uses, about 0.6 s the first time.
+
+    `solve_branch_and_bound` calls it before `linprog`, so that the import
+    counts against its time limit and is not timed as part of the HiGHS call.
+    """
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`; `solve_branch_and_bound` imports scipy first.
+
+    A module-level name, so that the HiGHS call can be timed on its own.
+    """
+    import scipy.optimize
+
+    return scipy.optimize.linprog(*args, **kwargs)
+
+
 def _mip_rows(model: IlpModel) -> tuple[sp.csr_matrix, np.ndarray]:
     """The two row blocks over the columns [candidates, adjacencies].
 
@@ -365,6 +390,8 @@ def _mip_rows(model: IlpModel) -> tuple[sp.csr_matrix, np.ndarray]:
     One row per candidate extremity (m, e) carrying an adjacency: the
     adjacencies there sum to at most a_m.
     """
+    import scipy.sparse as sp
+
     table = model.table
     n_a, n_b = model.n_a, model.n_b
     gene_num: dict[Gene, int] = {}
@@ -439,18 +466,24 @@ def solve_branch_and_bound(
     first points on telomere-heavy instances, and the bound is HiGHS's dual
     bound, or the total weight when HiGHS has none.  Any other status
     raises `SolverError`.
+
+    `time_limit` counts from this call, so scipy's first import (about
+    0.6 s) and the row build come out of the budget HiGHS gets.
     """
+    started = time.monotonic()
     table = model.table
     if model.n_a == 0:
         return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), model.candidates, table)
     if model.n_b == 0:
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, (), 0)
 
+    _import_scipy()
     matrix, rhs = _mip_rows(model)
     options = {"mip_rel_gap": 0, "presolve": False}
     if time_limit is not None:
         # HiGHS ignores a negative limit, so a spent budget becomes 0
-        options["time_limit"] = max(0.0, float(time_limit))
+        spent = time.monotonic() - started
+        options["time_limit"] = max(0.0, float(time_limit) - spent)
     res = linprog(
         np.concatenate([np.zeros(model.n_a), -table.weight]),
         A_ub=matrix,

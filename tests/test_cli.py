@@ -150,6 +150,19 @@ def test_verify_reduction_rejects_meta_without_labels(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+def test_verify_reduction_rejects_a_malformed_vertex_map(tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(FIVE_EDGE_GRAPH)
+    instance_dir = tmp_path / "instance"
+    assert cli.main(["reduce-mis", "--graph", str(edges), "-o", str(instance_dir)]) == cli.EXIT_OK
+    xi = instance_dir / "xi.tsv"
+    lines = xi.read_text().splitlines(keepends=True)
+    for bad in ("garbage\n", "garbage\ta\n"):
+        xi.write_text("".join([bad] + lines[1:]))
+        assert cli.main(["verify-reduction", str(instance_dir)]) == cli.EXIT_INPUT
+        assert_one_error_line(capsys)
+
+
 def test_time_limit_zero_exits_feasible(tmp_path, capsys):
     # the budget counts from the pipeline's start, so the solve gets none
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
@@ -226,6 +239,46 @@ def test_solve_does_not_load_networkx(tmp_path):
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert json.loads((tmp_path / "median.json").read_text())["counts"]["accepted_segments"] > 0
+
+
+def run_child(code, *argv):
+    """Run `code` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_setup_probe_does_not_load_scipy(tmp_path):
+    # the code of the benchmark's set-up probe, then the check
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        "from ffmedian.cli import SimilarityGraph, parse_genome_file\n"
+        "parse_genome_file(sys.argv[1])\n"
+        "SimilarityGraph.read(sys.argv[2])\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
+    )
+    proc = run_child(code, instance[1], instance[3])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("enumerate", False), ("icf-seg", False), ("export-lp", False), ("solve", True)],
+)
+def test_only_solve_loads_scipy(tmp_path, command, loaded):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        "import ffmedian.cli\n"
+        "code = ffmedian.cli.main(sys.argv[1:])\n"
+        "print('scipy' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_child(code, command, *instance, "-o", str(tmp_path / "out"))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.split() == [str(loaded)] * 2
 
 
 def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):

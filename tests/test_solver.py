@@ -140,6 +140,26 @@ class TestSolve:
         assert solution.bound >= solution.objective - GRID
         assert solution.bound >= 12.0  # true optimum below the bound
 
+    def test_scipy_import_counts_against_the_time_limit(self, monkeypatch):
+        limits = []
+        import_scipy, lp = solver._import_scipy, solver.linprog
+
+        def slow_import():
+            time.sleep(0.3)
+            import_scipy()
+
+        def recording(*args, options, **kwargs):
+            limits.append(options["time_limit"])
+            return lp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(solver, "_import_scipy", slow_import)
+        monkeypatch.setattr(solver, "linprog", recording)
+        genomes, sigma = identical_genomes(("a", "b", "c"))
+        cands, table = build_tables(genomes, sigma)
+        solution = solve_branch_and_bound(build_ilp(cands, table), time_limit=60)
+        assert solution.status == STATUS_OPTIMAL
+        assert len(limits) == 1 and limits[0] <= 60 - 0.3
+
     def test_relaxing_extremity_rule_only_gains(self):
         for seed in range(12):
             genomes, sigma, cands = random_small_instance(seed, max_candidates=10)
