@@ -13,21 +13,26 @@ there by the selection of its candidate.  That row replaces the paper's
 coupling and saturation rows, is tighter than both, and keeps the same
 integer points.  HiGHS presolve is off, because on this form it costs more
 than it saves.  On a timeout the weight-order greedy selection competes
-with HiGHS's incumbent.  scipy, which bundles HiGHS, is imported by the
-first solve that reaches HiGHS, not with this module: the import takes
-longer than the rest of a short `ffmedian` run, and no other subcommand
-uses scipy.  `export_lp` writes the paper's own rows.
+with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
+`scipy.optimize._highspy._core`.  The first solve that reaches HiGHS
+loads that one file, in about 10 ms, without importing `scipy.optimize`
+or `scipy.sparse`, whose imports take longer than the rest of a short
+`ffmedian` run.  `export_lp` writes the paper's own rows.
 `brute_force_median` is the independent oracle: it enumerates maximal
 conflict-free candidate subsets and solves each by exhaustive matching
 search.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import re
+import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,9 +44,6 @@ from .candidates import (
     END_NAMES,
 )
 from .genomes import Gene
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -363,35 +365,128 @@ def cars_from_rows(
 # -- exact solve ------------------------------------------------------------------
 
 
-def _import_scipy() -> None:
-    """Import the scipy modules the solve uses, about 0.6 s the first time.
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+SCIPY_FLOOR = "1.15"  # the first scipy release that ships HIGHS_MODULE
 
-    `solve_branch_and_bound` calls it before `linprog`, so that the import
-    counts against its time limit and is not timed as part of the HiGHS call.
+
+def _highs_file() -> Path | None:
+    """The file of scipy's HiGHS extension, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    folder = Path(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            return path
+    return None
+
+
+def _import_scipy():
+    """The HiGHS extension module bundled with scipy, loaded on first use.
+
+    Only that one file is loaded, under its own name, in about 10 ms; the
+    packages around it, `scipy.optimize` among them, are not imported.  A
+    process that imported `scipy.optimize` first already holds the module,
+    and gets that same object back.  `solve_branch_and_bound` calls it
+    before `linprog`, so that the load counts against its time limit and is
+    not timed as part of the HiGHS call.
     """
-    import scipy.optimize  # noqa: F401
-    import scipy.sparse  # noqa: F401
+    module = sys.modules.get(HIGHS_MODULE)
+    if module is not None:
+        return module
+    path = _highs_file()
+    if path is None:
+        raise SolverError(
+            f"the solve needs scipy>={SCIPY_FLOOR}: its HiGHS extension "
+            f"{HIGHS_MODULE} was not found"
+        )
+    loader = importlib.machinery.ExtensionFileLoader(HIGHS_MODULE, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(HIGHS_MODULE, path, loader=loader)
+    )
+    loader.exec_module(module)
+    sys.modules[HIGHS_MODULE] = module
+    return module
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`; `solve_branch_and_bound` imports scipy first.
+@dataclass(frozen=True, slots=True)
+class MipResult:
+    """What one HiGHS MIP run returns; `x` is None without a point."""
 
-    A module-level name, so that the HiGHS call can be timed on its own.
+    status: object  # the extension's HighsModelStatus
+    message: str
+    x: np.ndarray | None
+    nodes: int
+    dual_bound: float
+    gap: float
+
+
+def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult:
+    """Minimize `cost @ x` over 0-1 `x` with `A @ x <= rhs` in one HiGHS run.
+
+    `highs` is the module `_import_scipy` returns and `A` is given in
+    compressed-column form (`start`, `index`, `value`).  The options are
+    those `scipy.optimize.linprog(method="highs")` sets when given
+    `presolve=False` and `mip_rel_gap=0`: presolve off, a zero relative gap,
+    no output, dual simplex, no debug checks.  A module-level name, so that
+    the HiGHS call can be timed on its own.
     """
-    import scipy.optimize
+    n_col, n_row = len(cost), len(rhs)
+    lp = highs.HighsLp()
+    lp.num_col_ = n_col
+    lp.num_row_ = n_row
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(n_col)
+    lp.col_upper_ = np.ones(n_col)
+    lp.row_lower_ = np.full(n_row, -highs.kHighsInf)
+    lp.row_upper_ = rhs
+    lp.integrality_ = [highs.HighsVarType.kInteger] * n_col
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_col
+    matrix.num_row_ = n_row
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
 
-    return scipy.optimize.linprog(*args, **kwargs)
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.mip_rel_gap = 0.0
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0  # none
+    if time_limit is not None:
+        options.time_limit = float(time_limit)
+    solver = highs._Highs()
+    error = highs.HighsStatus.kError
+    if solver.passOptions(options) == error or solver.passModel(lp) == error:
+        raise SolverError("HiGHS rejected the model or its options")
+    solver.run()
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    x = None
+    if status == highs.HighsModelStatus.kOptimal or (
+        status == highs.HighsModelStatus.kTimeLimit
+        and np.isfinite(info.objective_function_value)
+    ):
+        x = np.array(solver.getSolution().col_value)
+    return MipResult(
+        status, solver.modelStatusToString(status), x,
+        int(info.mip_node_count), float(info.mip_dual_bound), float(info.mip_gap),
+    )
 
 
-def _mip_rows(model: IlpModel) -> tuple[sp.csr_matrix, np.ndarray]:
+def _mip_rows(model: IlpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two row blocks over the columns [candidates, adjacencies].
 
     One row per extant gene: its candidates take at most one selection.
     One row per candidate extremity (m, e) carrying an adjacency: the
-    adjacencies there sum to at most a_m.
+    adjacencies there sum to at most a_m.  Returns the matrix in
+    compressed-column form, entries sorted by (column, row), and the
+    right-hand sides.
     """
-    import scipy.sparse as sp
-
     table = model.table
     n_a, n_b = model.n_a, model.n_b
     gene_num: dict[Gene, int] = {}
@@ -409,9 +504,10 @@ def _mip_rows(model: IlpModel) -> tuple[sp.csr_matrix, np.ndarray]:
         ext // 3,
     ])
     vals = np.concatenate([np.ones(3 * n_a + 2 * n_b), -np.ones(ext.size)])
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_genes + ext.size, n_a + n_b))
+    order = np.lexsort((rows, cols))
+    start = np.searchsorted(cols[order], np.arange(n_a + n_b + 1))
     rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size)])
-    return matrix, rhs
+    return start, rows[order], vals[order], rhs
 
 
 def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
@@ -450,7 +546,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
 def solve_branch_and_bound(
     model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP call.
+    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP run.
 
     The rows are the two blocks of `_mip_rows`.  Its extremity row
     `sum b at (m, e) - a_m <= 0` merges the paper's coupling rows
@@ -460,15 +556,15 @@ def solve_branch_and_bound(
     and a far larger, slower model.  HiGHS presolve is off: on this form it
     costs more than it saves, up to seconds on the MIS-reduction instances.
 
-    HiGHS status 0 gives `optimal`.  When the time limit strikes (status 1)
-    the result is `feasible`: the incumbent is the better of HiGHS's point
-    and the weight-order greedy selection, which is far better than HiGHS's
-    first points on telomere-heavy instances, and the bound is HiGHS's dual
-    bound, or the total weight when HiGHS has none.  Any other status
-    raises `SolverError`.
+    HiGHS's `kOptimal` gives `optimal`.  When the time limit strikes
+    (`kTimeLimit`) the result is `feasible`: the incumbent is the better of
+    HiGHS's point and the weight-order greedy selection, which is far better
+    than HiGHS's first points on telomere-heavy instances, and the bound is
+    HiGHS's dual bound, or the total weight when HiGHS has none.  Any other
+    status raises `SolverError` with HiGHS's status string.
 
-    `time_limit` counts from this call, so scipy's first import (about
-    0.6 s) and the row build come out of the budget HiGHS gets.
+    `time_limit` counts from this call, so the first load of HiGHS and the
+    row build come out of the budget HiGHS gets.
     """
     started = time.monotonic()
     table = model.table
@@ -477,42 +573,33 @@ def solve_branch_and_bound(
     if model.n_b == 0:
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, (), 0)
 
-    _import_scipy()
-    matrix, rhs = _mip_rows(model)
-    options = {"mip_rel_gap": 0, "presolve": False}
+    highs = _import_scipy()
+    start, index, coeffs, rhs = _mip_rows(model)
+    limit = None
     if time_limit is not None:
         # HiGHS ignores a negative limit, so a spent budget becomes 0
-        spent = time.monotonic() - started
-        options["time_limit"] = max(0.0, float(time_limit) - spent)
-    res = linprog(
-        np.concatenate([np.zeros(model.n_a), -table.weight]),
-        A_ub=matrix,
-        b_ub=rhs,
-        bounds=(0, 1),
-        integrality=1,
-        method="highs",
-        options=options,
-    )
-    nodes = int(res.get("mip_node_count", 0))
-    dual_bound = -float(res.get("mip_dual_bound", -np.inf))
+        limit = max(0.0, float(time_limit) - (time.monotonic() - started))
+    cost = np.concatenate([np.zeros(model.n_a), -table.weight])
+    res = linprog(highs, cost, start, index, coeffs, rhs, limit)
+    dual_bound = -res.dual_bound
     log.info(
-        "HiGHS MIP: status %d, %d nodes, gap %s, dual bound %s",
-        res.status, nodes, res.get("mip_gap"), dual_bound,
+        "HiGHS MIP: %s, %d nodes, gap %s, dual bound %s",
+        res.message, res.nodes, res.gap, dual_bound,
     )
     rows: tuple[int, ...] = ()
     if res.x is not None:
         rows = tuple(int(k) for k in np.nonzero(res.x[model.n_a :] > 0.5)[0])
     value = float(np.sum(table.weight[list(rows)]))
-    if res.status == 0:
-        return _finish(model, STATUS_OPTIMAL, value, value, rows, nodes)
-    if res.status != 1:
+    if res.status == highs.HighsModelStatus.kOptimal:
+        return _finish(model, STATUS_OPTIMAL, value, value, rows, res.nodes)
+    if res.status != highs.HighsModelStatus.kTimeLimit:
         raise SolverError(f"HiGHS MIP failed: {res.message}")
     greedy_value, greedy_rows = _greedy_incumbent(model)
     if greedy_value > value:
         value, rows = greedy_value, greedy_rows
     bound = dual_bound if np.isfinite(dual_bound) else float(np.sum(table.weight))
     # HiGHS's dual bound holds only up to its tolerances
-    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, nodes)
+    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res.nodes)
 
 
 def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:

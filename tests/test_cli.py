@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ffmedian
-from ffmedian import cli, segments
+from ffmedian import cli, segments, solver
 from ffmedian.genomes import write_genome_file
 
 from conftest import evolved_instance, identical_genomes
@@ -268,17 +268,74 @@ def test_setup_probe_does_not_load_scipy(tmp_path):
     [("enumerate", False), ("icf-seg", False), ("export-lp", False), ("solve", True)],
 )
 def test_only_solve_loads_scipy(tmp_path, command, loaded):
+    """A solve loads scipy's HiGHS extension and no other scipy module; the
+    other subcommands load no scipy module at all."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     code = (
         "import sys\n"
         "import ffmedian.cli\n"
         "code = ffmedian.cli.main(sys.argv[1:])\n"
-        "print('scipy' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.exit(code)\n"
     )
     proc = run_child(code, command, *instance, "-o", str(tmp_path / "out"))
     assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert proc.stdout.split() == [str(loaded)] * 2
+    modules = proc.stdout.split()
+    assert (solver.HIGHS_MODULE in modules) == loaded
+    assert "scipy.optimize" not in modules and "scipy.sparse" not in modules
+    assert all(m.startswith(solver.HIGHS_MODULE) for m in modules), modules
+
+
+def test_missing_highs_extension_exits_with_solver_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.delitem(sys.modules, solver.HIGHS_MODULE, raising=False)
+    monkeypatch.setattr(solver, "_highs_file", lambda: None)
+    instance = write_instance(tmp_path, ["a", "b", "c"])
+    code = cli.main(["solve", *instance, "-o", str(tmp_path / "median.json")])
+    assert code == cli.EXIT_SOLVER == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: the solve needs scipy>={solver.SCIPY_FLOOR}: its HiGHS "
+        f"extension {solver.HIGHS_MODULE} was not found"
+    ]
+    assert "Traceback" not in err
+
+
+# a 0-1 knapsack for scipy's own MILP front end, optimum -9 at x = (0, 1, 1)
+MILP_AFTER_SOLVE = (
+    "import scipy.optimize\n"
+    "res = scipy.optimize.milp([-4, -5, -4], integrality=1, bounds=(0, 1),\n"
+    "    constraints=scipy.optimize.LinearConstraint([[3, 2, 2]], ub=4))\n"
+    "assert res.status == 0 and round(res.fun) == -9, res\n"
+)
+SINGLE_CORE = (
+    "import scipy.optimize._highspy._core as core\n"
+    "from ffmedian import solver\n"
+    "assert solver._import_scipy() is core is sys.modules[solver.HIGHS_MODULE]\n"
+    "same = [m for m in list(sys.modules.values())\n"
+    "        if getattr(m, '__file__', None) == core.__file__\n"
+    "        and not m.__name__.startswith(solver.HIGHS_MODULE + '.')]\n"
+    "assert same == [core], same\n"
+)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [("", MILP_AFTER_SOLVE + SINGLE_CORE), ("import scipy.optimize\n", SINGLE_CORE)],
+    ids=["solve-then-milp", "scipy-optimize-then-solve"],
+)
+def test_highs_module_is_shared_with_scipy_optimize(tmp_path, before, after):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        + before
+        + "import ffmedian.cli\n"
+        "assert ffmedian.cli.main(sys.argv[1:]) == 0\n"
+        + after
+    )
+    out = tmp_path / "median.json"
+    proc = run_child(code, "solve", *instance, "--canonical", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["status"] == "optimal"
 
 
 def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):

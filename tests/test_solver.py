@@ -146,11 +146,11 @@ class TestSolve:
 
         def slow_import():
             time.sleep(0.3)
-            import_scipy()
+            return import_scipy()
 
-        def recording(*args, options, **kwargs):
-            limits.append(options["time_limit"])
-            return lp(*args, options=options, **kwargs)
+        def recording(*args):
+            limits.append(args[-1])  # the time_limit HiGHS receives
+            return lp(*args)
 
         monkeypatch.setattr(solver, "_import_scipy", slow_import)
         monkeypatch.setattr(solver, "linprog", recording)
@@ -197,6 +197,40 @@ class TestSolve:
         assert limited.objective >= greedy_value
         assert limited.objective <= limited.bound
         assert limited.bound >= OPTIMUM_5_120_6 - GRID
+
+
+def _scipy_mip_rows(model):
+    """Reference for `solver._mip_rows`: the same (row, column, value)
+    entries as a scipy.sparse CSR matrix, converted to CSC."""
+    table = model.table
+    n_a, n_b = model.n_a, model.n_b
+    gene_num = {}
+    cand_gene = [gene_num.setdefault(g, len(gene_num)) for c in model.candidates for g in c.genes]
+    ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
+    ext, ext_row = np.unique(ext_keys.astype(np.int64), return_inverse=True)
+    n_genes = len(gene_num)
+    rows = np.concatenate([cand_gene, n_genes + ext_row, n_genes + np.arange(ext.size)])
+    cols = np.concatenate(
+        [np.repeat(np.arange(n_a), 3), n_a + np.tile(np.arange(n_b), 2), ext // 3]
+    )
+    vals = np.concatenate([np.ones(3 * n_a + 2 * n_b), -np.ones(ext.size)])
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_genes + ext.size, n_a + n_b))
+    rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size)])
+    return sp.csc_array(matrix), rhs
+
+
+@pytest.mark.parametrize(
+    "seed, n, chromosomes, family_rate", [(21, 40, 2, 0.0), (26, 70, 1, 0.2), (51, 120, 2, 0.1)]
+)
+def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate):
+    cands, table = build_tables(*evolved_instance(seed, n, chromosomes, family_rate))
+    model = build_ilp(cands, table)
+    start, index, value, rhs = solver._mip_rows(model)
+    matrix, reference_rhs = _scipy_mip_rows(model)
+    np.testing.assert_array_equal(start, matrix.indptr)
+    np.testing.assert_array_equal(index, matrix.indices)
+    np.testing.assert_array_equal(value, matrix.data)
+    np.testing.assert_array_equal(rhs, reference_rhs)
 
 
 def _milp_objective(cands, table) -> float:
