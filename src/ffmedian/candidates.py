@@ -10,7 +10,6 @@ adjacency in at least one genome.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -18,7 +17,6 @@ import numpy as np
 
 from . import kernels
 from .genomes import (
-    Extremity,
     Gene,
     Genome,
     GenomeError,
@@ -99,16 +97,6 @@ class ConflictIndex:
         seen.discard(i)
         return sorted(seen)
 
-    def is_conflict_free(self, indices) -> bool:
-        chosen = list(indices)
-        counts: dict[Gene, int] = {}
-        for idx in set(chosen):
-            for gene in self.candidates[idx].genes:
-                counts[gene] = counts.get(gene, 0) + 1
-                if counts[gene] > 1:
-                    return False
-        return True
-
 
 GENOME_PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -143,7 +131,6 @@ class InstanceIndex:
         self.values: dict[tuple[int, int], np.ndarray] = {}
         if sigma is not None:
             self._build_edges(sigma)
-        self.adjacency_arrays = [self._adjacencies(x) for x in range(3)]
 
     def _build_edges(self, sigma: SimilarityGraph) -> None:
         slot = {label: x for x, label in enumerate(self.labels)}
@@ -177,10 +164,15 @@ class InstanceIndex:
             self.edges[(a, b)] = np.stack([row[order], col[order]])
             self.values[(a, b)] = val[order]
 
-    def _adjacencies(self, x: int):
+    def adjacency_arrays(self, x: int):
+        """Genome x's extant adjacencies as (gene, end, gene, end) int arrays.
+
+        They come in no particular order: `kernels.merge_genome_pairs` sorts
+        what the scan emits.
+        """
         idx = self.index[x]
         rows = []
-        for e1, e2 in sorted(self.genomes[x].adjacencies):
+        for e1, e2 in self.genomes[x].adjacencies:
             rows.append(
                 (idx[e1.gene], END_CODES[e1.end], idx[e2.gene], END_CODES[e2.end])
             )
@@ -210,22 +202,6 @@ def _candidates_from_index(index: InstanceIndex) -> list[CandidateGene]:
     ):
         out.append(CandidateGene(genes_g[g], genes_h[h], genes_i[i], t, s))
     return out
-
-
-def adjacency_score(
-    sigma: SimilarityGraph, e1: Extremity, e2: Extremity, e3: Extremity, e4: Extremity
-) -> float:
-    """Geometric mean of the two gene similarities behind an adjacency pair."""
-    return math.sqrt(sigma.get(e1.gene, e2.gene) * sigma.get(e3.gene, e4.gene))
-
-
-def median_adjacency_weight(m1: CandidateGene, m2: CandidateGene) -> float:
-    """Sixth root of the product of the two triple scores.
-
-    This is the per-genome adjacency score of a candidate adjacency and is
-    independent of the genome and of the extremities involved.
-    """
-    return (m1.triple_score * m2.triple_score) ** (1.0 / 6.0)
 
 
 class ConservedAdjacencyTable(Sequence):
@@ -315,7 +291,7 @@ def enumerate_conserved_adjacencies(
     per_genome = []
     for x in range(3):
         indptr, cand_ids = _gene_csr(slot_idx[x], len(index.genes[x]))
-        ax1, ae1, ax2, ae2 = index.adjacency_arrays[x]
+        ax1, ae1, ax2, ae2 = index.adjacency_arrays(x)
         per_genome.append(
             kernels.conserved_pairs(
                 ax1, ae1, ax2, ae2, indptr, cand_ids,

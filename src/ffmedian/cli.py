@@ -80,9 +80,11 @@ class RunConfig:
     canonical: bool = False
 
     def as_dict(self) -> dict:
+        """The run's settings for the report; input files by base name, so
+        that the bytes do not depend on how their paths were spelled."""
         return {
-            "genome_files": list(self.genome_files),
-            "similarity_file": self.similarity_file,
+            "genome_files": [os.path.basename(path) for path in self.genome_files],
+            "similarity_file": os.path.basename(self.similarity_file),
             "engine": self.engine,
             "time_limit": self.time_limit,
             "preprocess": self.preprocess,

@@ -234,11 +234,3 @@ def read_truth_pairs(path) -> set[Pair]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_truth_pairs(fh.read())
 
-
-def batch_statistics(values: Sequence[float]) -> dict[str, float]:
-    """Mean and population variance across batch runs."""
-    if not values:
-        return {"mean": 0.0, "variance": 0.0, "count": 0}
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return {"mean": mean, "variance": variance, "count": len(values)}

@@ -292,23 +292,6 @@ def mis_bruteforce(graph: BoundedGraph, cap: int = 24) -> int:
     return solve(frozenset(graph.vertices))
 
 
-def mis_witness(graph: BoundedGraph, cap: int = 24) -> set[str]:
-    """One maximum independent set (for tests that need a witness)."""
-    if len(graph.vertices) > cap:
-        raise ReductionError(f"{len(graph.vertices)} vertices exceed cap {cap}")
-    neighbors = {v: frozenset(graph.neighbors(v)) for v in graph.vertices}
-
-    def solve(active: frozenset[str]) -> set[str]:
-        if not active:
-            return set()
-        v = max(active, key=lambda u: (len(neighbors[u] & active), u))
-        without = solve(active - {v})
-        with_v = {v} | solve(active - {v} - neighbors[v])
-        return with_v if len(with_v) >= len(without) else without
-
-    return solve(frozenset(graph.vertices))
-
-
 # -- instance files --------------------------------------------------------------
 
 

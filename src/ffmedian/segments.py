@@ -16,7 +16,8 @@ its lookups once and, after each acceptance, recomputes only the steps
 whose window holds a changed position.
 
 A run's conflict-extended graph Γ′ has maximum degree 2, so `mwm` solves
-it by a walk over its paths and cycles and needs no general matching:
+it by a walk over its paths and cycles; there is no general matching, and a
+graph of higher degree is an error:
 - Members of a run are pairwise conflict-free, so no two share a gene in
   any genome.
 - An extant extremity has exactly one neighbour in each genome, and a
@@ -24,7 +25,7 @@ it by a walk over its paths and cycles and needs no general matching:
   most one row to another member: its link, or at a run end the wrap to
   the other end when the members fill a circular chromosome.
 - Each member adds at most one conflict edge, between its own two
-  extremities (or between its telomere end and `DUMMY_END`).
+  extremities; telomere triples never join a run.
 """
 from __future__ import annotations
 
@@ -38,12 +39,9 @@ import numpy as np
 
 from .candidates import CandidateGene, ConflictIndex, ConservedAdjacencyTable
 from .genomes import Gene, Genome
+from .solver import SolverError
 
 log = logging.getLogger(__name__)
-
-# Vertex keys are (candidate index, end code); end codes 0/1/2 as in
-# candidates.END_CODES, 4 marks the dummy partner of a telomere conflict edge.
-DUMMY_END = 4
 
 
 class SegmentConflictCapError(RuntimeError):
@@ -52,19 +50,14 @@ class SegmentConflictCapError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class MatchGraph:
-    """Weighted graph over candidate extremities."""
+    """Weighted graph over candidate extremities.
+
+    Vertex keys are (candidate index, end code), end codes as in
+    `candidates.END_CODES`.
+    """
 
     nodes: tuple[tuple[int, int], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int], float], ...]
-
-    def to_networkx(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        for u, v, w in self.edges:
-            graph.add_edge(u, v, weight=w)
-        return graph
 
     def edge_weight(self) -> dict[tuple, float]:
         return {_edge_key(u, v): w for u, v, w in self.edges}
@@ -90,33 +83,30 @@ def build_gamma(
     return MatchGraph(tuple(nodes), tuple(edges))
 
 
-def mwm(graph: MatchGraph, counts: dict[str, int] | None = None) -> frozenset[tuple]:
-    """Exact maximum-weight matching; returns canonical edge keys.
+def mwm(graph: MatchGraph) -> frozenset[tuple]:
+    """Exact maximum-weight matching of a graph of degree <= 2; returns
+    canonical edge keys.
 
-    A graph whose vertices all have degree <= 2 is a disjoint union of
-    paths and cycles, and each is solved by the linear dynamic program of
-    `_path_matching`.  A cycle takes the better of its path without the
-    first edge and its path without the last: a matching leaves out at
-    least one of two edges that share a vertex.  Every conflict-extended
-    graph of a run has degree <= 2 (see the module docstring); any other
-    graph goes to networkx's blossom algorithm.  `counts`, when given,
-    gains one under "walk" or "blossom".  Parallel edges keep the last
-    weight listed, as in `to_networkx`.
+    Such a graph is a disjoint union of paths and cycles, and each is solved
+    by the linear dynamic program of `_path_matching`.  A cycle takes the
+    better of its path without the first edge and its path without the
+    last: a matching leaves out at least one of two edges that share a
+    vertex.  Every conflict-extended graph of a run has degree <= 2 (see the
+    module docstring), so a vertex of higher degree or a self-loop breaks
+    that invariant and raises `SolverError`.  Parallel edges keep the last
+    weight listed.
     """
     weight = graph.edge_weight()
     neighbours: dict[tuple, list[tuple]] = {}
     for u, v in weight:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
-    general = any(len(nb) > 2 or v in nb for v, nb in neighbours.items())
-    if counts is not None:
-        kind = "blossom" if general else "walk"
-        counts[kind] = counts.get(kind, 0) + 1
-    if general:
-        import networkx as nx
-
-        matching = nx.max_weight_matching(graph.to_networkx(), maxcardinality=False)
-        return frozenset(_edge_key(u, v) for u, v in matching)
+    for v, nb in neighbours.items():
+        if len(nb) > 2 or v in nb:
+            raise SolverError(
+                f"matching graph is not a union of paths and cycles at vertex {v}: "
+                f"its neighbours are {nb}"
+            )
     seen: set[tuple] = set()
 
     def walk(start: tuple) -> list[tuple]:
@@ -242,10 +232,8 @@ class Segment:
         return frozenset(self.members)
 
 
-def _facing_end(cand: CandidateGene, orientation: int, forward: bool) -> int:
+def _facing_end(orientation: int, forward: bool) -> int:
     """End code of the extremity facing the next (forward) or previous position."""
-    if cand.is_telomere_triple:
-        return 2
     if forward:
         return 1 if orientation > 0 else 0
     return 0 if orientation > 0 else 1
@@ -405,11 +393,11 @@ class _RunScanner:
             if taken(nxt):
                 return None
             gene, orientation = entries[nxt]
-            e_from = _facing_end(candidates[member], entries[pos][1], forward)
+            e_from = _facing_end(entries[pos][1], forward)
+            e_to = _facing_end(orientation, not forward)
             options = []
             for cand_idx in by_g_gene.get(gene, ()):
                 cand = candidates[cand_idx]
-                e_to = _facing_end(cand, orientation, not forward)
                 a, b = (member, e_from), (cand_idx, e_to)
                 if b < a:
                     a, b = b, a
@@ -622,12 +610,7 @@ def build_gamma_prime(
                 deltas[c] = potential(c, table, incidence)
         w_prime = _max_conflict_free_potential(external, deltas, conflict)
         if w_prime > 0.0:
-            if candidates[m].is_telomere_triple:
-                u, v = (m, 2), (m, DUMMY_END)
-                nodes.append((m, DUMMY_END))
-            else:
-                u, v = (m, 0), (m, 1)
-            edges.append((u, v, w_prime))
+            edges.append(((m, 0), (m, 1), w_prime))
     return MatchGraph(tuple(nodes), tuple(edges))
 
 
@@ -678,8 +661,7 @@ def icf_seg(
     run is examined and the runs accepted so far are returned: each was
     applied whole, so the reduced instance is consistent.  One INFO line
     (shown by `ffmedian -v`) gives the runs examined, accepted and skipped
-    at the conflict cap, and how many conflict-extended graphs the
-    path/cycle walk and the blossom fallback of `mwm` solved.
+    at the conflict cap.
 
     The runs are kept up to date incrementally, with the same result as a
     fresh `detect_runs` after every acceptance.  An acceptance changes the
@@ -701,7 +683,6 @@ def icf_seg(
     accepted: list[AcceptedSegment] = []
     observed: set[frozenset[int]] = set()
     skipped = 0
-    solved_by: dict[str, int] = {}
 
     progress = True
     while progress:
@@ -724,7 +705,7 @@ def icf_seg(
                 log.info("skipping segment: %s", exc)
                 skipped += 1
                 continue
-            matching = mwm(gamma_prime, solved_by)
+            matching = mwm(gamma_prime)
             internal = frozenset(
                 _edge_key((table.key(r)[0], table.key(r)[1]),
                           (table.key(r)[2], table.key(r)[3]))
@@ -756,10 +737,8 @@ def icf_seg(
             break
 
     log.info(
-        "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap; "
-        "matchings: %d by path/cycle walk, %d by blossom",
+        "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap",
         len(observed), len(accepted), skipped,
-        solved_by.get("walk", 0), solved_by.get("blossom", 0),
     )
     return IcfSegResult(
         candidates=candidates,

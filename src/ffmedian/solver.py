@@ -18,9 +18,9 @@ with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
 loads that one file, in about 10 ms, without importing `scipy.optimize`
 or `scipy.sparse`, whose imports take longer than the rest of a short
 `ffmedian` run.  `export_lp` writes the paper's own rows.
-`brute_force_median` is the independent oracle: it enumerates maximal
-conflict-free candidate subsets and solves each by exhaustive matching
-search.
+`brute_force_median` is the independent oracle: an exhaustive
+depth-first search over the adjacency rows in plain Python, with no LP and
+no graph library.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ import numpy as np
 from .candidates import (
     CandidateAdjacency,
     CandidateGene,
-    ConflictIndex,
     ConservedAdjacencyTable,
     END_NAMES,
 )
@@ -628,79 +627,20 @@ def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:
 # -- brute-force oracle ----------------------------------------------------------
 
 
-def _maximal_conflict_free_sets(
-    candidates: Sequence[CandidateGene],
-) -> list[tuple[int, ...]]:
-    import networkx as nx
-
-    n = len(candidates)
-    conflict = ConflictIndex(candidates)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not conflict.conflicting(i, j):
-                graph.add_edge(i, j)
-    return sorted(tuple(sorted(c)) for c in nx.find_cliques(graph))
-
-
-def _max_matchings(
-    rows: list[int], table: ConservedAdjacencyTable, collect: bool
-) -> tuple[float, list[tuple[int, ...]]]:
-    """Exhaustive maximum-weight matching over the given adjacency rows."""
-    rows = sorted(rows, key=lambda k: (-float(table.weight[k]), k))
-    weights = [float(table.weight[k]) for k in rows]
-    suffix = np.zeros(len(rows) + 1)
-    if rows:
-        suffix[:-1] = np.cumsum(weights[::-1])[::-1]
-    exts = [((int(table.m1[k]), int(table.e1[k])),
-             (int(table.m2[k]), int(table.e2[k]))) for k in rows]
-    best = [0.0]
-    solutions: list[tuple[int, ...]] = [()]
-
-    def record(picked: list[int], value: float) -> None:
-        if value > best[0] + GRID:
-            best[0] = value
-            solutions.clear()
-            solutions.append(tuple(sorted(picked)))
-        elif collect and abs(value - best[0]) <= GRID:
-            entry = tuple(sorted(picked))
-            if entry not in solutions:
-                solutions.append(entry)
-
-    def dfs(pos: int, used: set, picked: list[int], value: float) -> None:
-        record(picked, value)
-        if pos == len(rows):
-            return
-        reachable = value + suffix[pos]
-        if collect:
-            if reachable < best[0] - GRID:
-                return
-        elif reachable <= best[0] + GRID:
-            return
-        u, v = exts[pos]
-        if u not in used and v not in used:
-            used.add(u)
-            used.add(v)
-            picked.append(rows[pos])
-            dfs(pos + 1, used, picked, value + weights[pos])
-            picked.pop()
-            used.discard(u)
-            used.discard(v)
-        dfs(pos + 1, used, picked, value)
-
-    dfs(0, set(), [], 0.0)
-    return best[0], solutions
-
-
 def brute_force_median(
     candidates: Sequence[CandidateGene],
     table: ConservedAdjacencyTable,
     cap: int = 12,
     collect_optima: bool = False,
 ):
-    """Oracle: enumerate maximal conflict-free subsets, exhaust matchings.
+    """Oracle: a depth-first search over the adjacency rows.
 
+    The rows are tried in decreasing weight order, ties by row index.  A row
+    is taken only when both of its extremities are unused and no extant gene
+    of its two candidates belongs to another chosen candidate (the two
+    candidates of a row never conflict with each other).  A branch is cut
+    when its weight plus that of every row left falls below the best found.
+    The solution holds the lexicographically smallest optimal row tuple.
     With `collect_optima` returns (solution, optima) where optima lists all
     optimal adjacency sets as sorted row-index tuples.
     """
@@ -712,48 +652,44 @@ def brute_force_median(
     if not candidates:
         empty = MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), candidates, table)
         return (empty, [()]) if collect_optima else empty
-    best_value = 0.0
-    best_rows: tuple[int, ...] = ()
-    optima: set[tuple[int, ...]] = {()}
-    for subset in _maximal_conflict_free_sets(candidates):
-        inside = set(subset)
-        rows = [
-            k
-            for k in range(len(table))
-            if int(table.m1[k]) in inside and int(table.m2[k]) in inside
-        ]
-        value, sols = _max_matchings(rows, table, collect_optima)
-        if value > best_value + GRID:
-            best_value = value
-            best_rows = min(sols)
-            optima = set(sols)
-        elif abs(value - best_value) <= GRID:
-            optima.update(sols)
-            best_rows = min([best_rows] + sols)
+    rows = sorted(range(len(table)), key=lambda k: (-float(table.weight[k]), k))
+    weights = [float(table.weight[k]) for k in rows]
+    left = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    ends = [((int(table.m1[k]), int(table.e1[k])), (int(table.m2[k]), int(table.e2[k])))
+            for k in rows]
+    best = 0.0
+    optima: set[tuple[int, ...]] = set()
+    used: set[tuple[int, int]] = set()
+    owner: dict[Gene, int] = {}
+    picked: list[int] = []
+
+    def dfs(pos: int, value: float) -> None:
+        nonlocal best
+        if value + left[pos] < best - GRID:
+            return
+        if pos == len(rows):
+            if value > best + GRID:
+                best = value
+                optima.clear()
+            optima.add(tuple(sorted(picked)))
+            return
+        u, v = ends[pos]
+        genes = [(g, m) for m in (u[0], v[0]) for g in candidates[m].genes]
+        if u not in used and v not in used and all(owner.get(g, m) == m for g, m in genes):
+            claimed = [g for g, _ in genes if g not in owner]
+            owner.update(genes)
+            used.update((u, v))
+            picked.append(rows[pos])
+            dfs(pos + 1, value + weights[pos])
+            picked.pop()
+            used.difference_update((u, v))
+            for g in claimed:
+                del owner[g]
+        dfs(pos + 1, value)
+
+    dfs(0, 0.0)
     model = build_ilp(candidates, table)
-    solution = _finish(model, STATUS_OPTIMAL, best_value, best_value, best_rows, 0)
+    solution = _finish(model, STATUS_OPTIMAL, best, best, min(optima), 0)
     if collect_optima:
         return solution, sorted(optima)
     return solution
-
-
-def brute_force_relaxed(
-    candidates: Sequence[CandidateGene],
-    table: ConservedAdjacencyTable,
-    cap: int = 12,
-) -> float:
-    """Optimum when the one-adjacency-per-extremity rule is dropped."""
-    if len(candidates) > cap:
-        raise OracleCapExceeded(f"{len(candidates)} candidates exceed cap {cap}")
-    best = 0.0
-    for subset in _maximal_conflict_free_sets(candidates):
-        inside = set(subset)
-        value = float(
-            sum(
-                table.weight[k]
-                for k in range(len(table))
-                if int(table.m1[k]) in inside and int(table.m2[k]) in inside
-            )
-        )
-        best = max(best, value)
-    return best

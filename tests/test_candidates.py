@@ -3,15 +3,15 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ffmedian.candidates import (
     CandidateGene,
     ConflictIndex,
-    adjacency_score,
+    ConservedAdjacencyTable,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
-    median_adjacency_weight,
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Extremity, Gene, SimilarityGraph, build_genome, indicator
@@ -100,43 +100,32 @@ class TestEnumeration:
 
 
 class TestScores:
-    def test_adjacency_score_examples(self):
-        sigma = SimilarityGraph()
-        pairs = [("a1", "b1", 1.0), ("a2", "b2", 1.0)]
-        for x, y, v in pairs:
-            sigma.set(Gene("G", x), Gene("H", y), v)
-        e = lambda lab, nm: Extremity(Gene(lab, nm), "h")
-        assert adjacency_score(
-            sigma, e("G", "a1"), e("H", "b1"), e("G", "a2"), e("H", "b2")
-        ) == pytest.approx(1.0)
-        sigma.set(Gene("G", "a1"), Gene("H", "b1"), 0.25)
-        sigma.set(Gene("G", "a2"), Gene("H", "b2"), 0.25)
-        assert adjacency_score(
-            sigma, e("G", "a1"), e("H", "b1"), e("G", "a2"), e("H", "b2")
-        ) == pytest.approx(0.25)
-        sigma.set(Gene("G", "a1"), Gene("H", "b1"), 0.8)
-        sigma.set(Gene("G", "a2"), Gene("H", "b2"), 0.2)
-        assert adjacency_score(
-            sigma, e("G", "a1"), e("H", "b1"), e("G", "a2"), e("H", "b2")
-        ) == pytest.approx(0.4)
-
-    def mk(self, triple_score):
-        return CandidateGene(
-            Gene("G", "a"), Gene("H", "a"), Gene("I", "a"),
-            triple_score, triple_score ** (1.0 / 3.0),
+    @staticmethod
+    def factors(triple_scores):
+        """`table.factor` of one adjacency row per consecutive pair of
+        candidates with the given triple scores."""
+        cands = [
+            CandidateGene(Gene("G", "a"), Gene("H", "a"), Gene("I", "a"), t, t ** (1.0 / 3.0))
+            for t in triple_scores
+        ]
+        first = np.arange(0, len(cands), 2)
+        zeros = np.zeros(first.size, dtype=np.int64)
+        table = ConservedAdjacencyTable(
+            cands, "GHI", first, zeros, first + 1, zeros + 1, zeros + 0b111
         )
+        return cands, table.factor
 
     def test_median_adjacency_weight_examples(self):
-        assert median_adjacency_weight(self.mk(1.0), self.mk(1.0)) == pytest.approx(1.0)
-        assert median_adjacency_weight(self.mk(1.0), self.mk(2.0 ** -6)) == pytest.approx(0.5)
+        _, factor = self.factors([1.0, 1.0, 1.0, 2.0 ** -6])
+        assert factor == pytest.approx([1.0, 0.5])
 
     def test_weight_equals_geometric_mean_of_gene_scores(self):
         rng = random.Random(3)
-        for _ in range(200):
-            m1 = self.mk(rng.uniform(1e-6, 1.0))
-            m2 = self.mk(rng.uniform(1e-6, 1.0))
+        cands, factor = self.factors([rng.uniform(1e-6, 1.0) for _ in range(400)])
+        for k in range(200):
+            m1, m2 = cands[2 * k], cands[2 * k + 1]
             expected = math.sqrt(m1.gene_score) * math.sqrt(m2.gene_score)
-            assert median_adjacency_weight(m1, m2) == pytest.approx(expected, rel=1e-12)
+            assert factor[k] == pytest.approx(expected, rel=1e-12)
 
 
 class TestConflicts:
@@ -179,12 +168,6 @@ class TestConflicts:
                 assert set(conflict.conflicts_of(i)) == {
                     j for j in range(len(cands)) if conflict.conflicting(i, j)
                 }
-            subset = rng.sample(range(len(cands)), 3)
-            pairwise_free = all(
-                not conflict.conflicting(a, b)
-                for a, b in itertools.combinations(subset, 2)
-            )
-            assert conflict.is_conflict_free(subset) == pairwise_free
 
 
 class TestConservedAdjacencies:

@@ -86,14 +86,21 @@ def test_icf_seg_writes_recorded_segments_and_reduced_instance(tmp_path):
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
-def test_command_writes_recorded_bytes(tmp_path, monkeypatch, command):
-    # relative paths: the report quotes the input paths in its config
-    write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    monkeypatch.chdir(tmp_path)
-    instance = ["-g", "genomes.txt", "-s", "similarity.tsv"]
+def test_command_writes_recorded_bytes(tmp_path, command):
+    """The same bytes by absolute paths and, in a child started in the
+    instance's directory, by bare file names."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     extra = ["--canonical"] if command == "solve" else []
-    assert cli.main([command, *instance, *extra, "-o", "out"]) == cli.EXIT_OK
-    assert hashlib.sha256(Path("out").read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
+    absolute = tmp_path / "absolute.out"
+    assert cli.main([command, *instance, *extra, "-o", str(absolute)]) == cli.EXIT_OK
+    bare = ["-g", "genomes.txt", "-s", "similarity.tsv", *extra, "-o", "bare.out"]
+    proc = run_child(
+        "import sys, ffmedian.cli; sys.exit(ffmedian.cli.main(sys.argv[1:]))",
+        command, *bare, cwd=tmp_path,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (tmp_path / "bare.out").read_bytes() == absolute.read_bytes()
+    assert hashlib.sha256(absolute.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
 
 
 def assert_one_error_line(capsys):
@@ -241,11 +248,12 @@ def test_solve_does_not_load_networkx(tmp_path):
     assert json.loads((tmp_path / "median.json").read_text())["counts"]["accepted_segments"] > 0
 
 
-def run_child(code, *argv):
+def run_child(code, *argv, cwd=None):
     """Run `code` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        cwd=cwd,
     )
 
 
@@ -349,7 +357,23 @@ def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):
     accepted = json.loads(quiet.read_text())["counts"]["accepted_segments"]
     assert len(lines) == 1
     assert f"examined, {accepted} accepted, 0 skipped at the conflict cap" in lines[0]
-    assert "by path/cycle walk, 0 by blossom" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["icf-seg", "solve"])
+def test_matching_graph_beyond_degree_two_exits_with_solver_code(
+    tmp_path, monkeypatch, capsys, command
+):
+    """A conflict-extended graph of degree 3 breaks ICF-SEG's invariant:
+    exit 3 with one `error:` line, not a fallback."""
+    star = segments.MatchGraph(
+        nodes=((0, 0), (1, 0), (2, 0), (3, 0)),
+        edges=(((0, 0), (1, 0), 1.0), ((0, 0), (2, 0), 1.0), ((0, 0), (3, 0), 1.0)),
+    )
+    monkeypatch.setattr(segments, "build_gamma_prime", lambda *args, **kwargs: star)
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = cli.main([command, *instance, "-o", str(tmp_path / "out")])
+    assert code == cli.EXIT_SOLVER
+    assert_one_error_line(capsys)
 
 
 def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):

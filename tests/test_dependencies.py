@@ -1,0 +1,90 @@
+"""Declared runtime dependencies match what the package imports.
+
+The package's imports are read from its source with `ast`, local imports
+and `importlib.util.find_spec` lookups included; the standard library and
+relative imports are left out.  Every subcommand must then run in a process
+where networkx cannot be imported.
+"""
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+import ffmedian
+from ffmedian.genomes import write_genome_file
+
+from conftest import identical_genomes
+
+PACKAGE = Path(ffmedian.__file__).parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def imported_packages() -> set[str]:
+    """Top-level names of the third-party packages the source imports."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "find_spec"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names.add(node.args[0].value)
+    top = {name.split(".")[0] for name in names}
+    return top - set(sys.stdlib_module_names) - {"ffmedian"}
+
+
+def declared_dependencies() -> set[str]:
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"]}
+
+
+def test_declared_dependencies_are_the_imported_packages():
+    assert imported_packages() == declared_dependencies() == {"numpy", "scipy"}
+
+
+def test_every_subcommand_runs_without_networkx(tmp_path):
+    # 2 gene triples and 8 telomere triples: within the oracle's cap
+    genomes, sigma = identical_genomes(["a", "b"])
+    write_genome_file(tmp_path / "genomes.txt", genomes)
+    sigma.write(tmp_path / "similarity.tsv")
+    hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t200\n"
+    (tmp_path / "hits.tsv").write_text(hit.format("G:a", "H:a"))
+    (tmp_path / "self.tsv").write_text(hit.format("G:a", "G:a") + hit.format("H:a", "H:a"))
+    (tmp_path / "graph.tsv").write_text("a\tb\nb\tc\n")
+    instance = ["-g", "genomes.txt", "-s", "similarity.tsv"]
+    runs = [
+        ["build-graph", "--hits", "hits.tsv", "--self", "self.tsv", "-o", "built.tsv"],
+        ["enumerate", *instance, "-o", "candidates.tsv"],
+        ["icf-seg", *instance, "-o", "segments.tsv"],
+        ["export-lp", *instance, "-o", "model.lp"],
+        ["solve", *instance, "-o", "median.json"],
+        ["solve", "--engine", "oracle", *instance, "-o", "oracle.json"],
+        ["eval", "--pred", "median.json"],
+        ["reduce-mis", "--graph", "graph.tsv", "-o", "mis"],
+        ["verify-reduction", "mis"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['networkx'] = None  # any import of networkx raises ImportError\n"
+        "from ffmedian import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr

@@ -2,7 +2,6 @@
 import pytest
 
 from ffmedian.evaluation import (
-    batch_statistics,
     induced_pairs,
     parse_truth_pairs,
     precision_recall,
@@ -105,12 +104,3 @@ class TestRobustness:
         with pytest.raises(ValueError, match="at least two"):
             robustness([self.RUN1], "G", "H")
 
-
-class TestBatchStatistics:
-    def test_mean_and_population_variance(self):
-        assert batch_statistics([1.0, 2.0, 3.0, 4.0]) == {
-            "mean": 2.5, "variance": 1.25, "count": 4,
-        }
-
-    def test_empty(self):
-        assert batch_statistics([]) == {"mean": 0.0, "variance": 0.0, "count": 0}

@@ -4,7 +4,8 @@ Random unions of paths and cycles, with distinct and with repeated
 weights, must get a matching of networkx's weight, and networkx's edges
 wherever exhaustive search finds the optimum unique.  Every
 conflict-extended graph that ICF-SEG builds on the golden instances must
-have maximum degree 2, so that none of them reaches the blossom fallback.
+have maximum degree 2, and a graph beyond that is an error, not a case
+for a general matching.
 """
 import random
 
@@ -13,12 +14,17 @@ import pytest
 
 from ffmedian import segments
 from ffmedian.segments import MatchGraph, _edge_key, icf_seg, matching_weight, mwm
+from ffmedian.solver import SolverError
 
 from test_icf_seg_golden import CASES
 
 
 def blossom(graph: MatchGraph) -> frozenset:
-    matching = nx.max_weight_matching(graph.to_networkx(), maxcardinality=False)
+    """networkx's maximum-weight matching; parallel edges keep the last weight."""
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes)
+    nx_graph.add_weighted_edges_from(graph.edges)
+    matching = nx.max_weight_matching(nx_graph, maxcardinality=False)
     return frozenset(_edge_key(u, v) for u, v in matching)
 
 
@@ -76,9 +82,7 @@ def test_walk_matches_blossom(shape, repeated):
     for seed in range(40):
         rng = random.Random(f"{shape}:{repeated}:{seed}")
         graph = paths_and_cycles(rng, SHAPES[shape](rng), repeated)
-        counts = {}
-        ours, theirs = mwm(graph, counts), blossom(graph)
-        assert counts == {"walk": 1}
+        ours, theirs = mwm(graph), blossom(graph)
         used = [v for edge in ours for v in edge]
         assert len(used) == len(set(used)) and ours <= set(graph.edge_weight())
         assert matching_weight(graph, ours) == pytest.approx(
@@ -92,15 +96,17 @@ def test_walk_matches_blossom(shape, repeated):
     assert unique >= 10  # the edge comparison must not be vacuous
 
 
-def test_degree_three_goes_to_blossom():
+def test_degree_three_raises_solver_error():
     star = MatchGraph(
         nodes=((0, 0), (1, 0), (2, 0), (3, 0)),
         edges=(((0, 0), (1, 0), 1.0), ((0, 0), (2, 0), 2.0), ((0, 0), (3, 0), 1.5),
                ((2, 0), (3, 0), 1.25)),
     )
-    counts = {}
-    assert mwm(star, counts) == blossom(star) == frozenset({((0, 0), (1, 0)), ((2, 0), (3, 0))})
-    assert counts == {"blossom": 1}
+    with pytest.raises(SolverError, match=r"vertex \(0, 0\)"):
+        mwm(star)
+    loop = MatchGraph(nodes=((0, 0), (1, 0)), edges=(((0, 0), (1, 0), 1.0), ((1, 0), (1, 0), 2.0)))
+    with pytest.raises(SolverError, match=r"vertex \(1, 0\)"):
+        mwm(loop)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -11,7 +11,6 @@ from ffmedian.mis_reduction import (
     _edge_coloring,
     backmap_solution,
     mis_bruteforce,
-    mis_witness,
     random_bounded_graph,
     read_instance,
     reduce_mis,
@@ -127,10 +126,6 @@ class TestMisBruteforce:
     def test_five_edge_graph(self):
         graph = BoundedGraph.from_edges(FIVE_EDGE_GRAPH)
         assert mis_bruteforce(graph) == 2
-        witness = mis_witness(graph)
-        assert len(witness) == 2
-        for u, v in itertools.combinations(sorted(witness), 2):
-            assert (u, v) not in graph.edges
 
     def test_matches_exhaustive_subsets(self):
         for seed in range(8):

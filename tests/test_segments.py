@@ -126,15 +126,20 @@ class TestMwm:
         assert matching == frozenset({((0, 0), (1, 0))})
 
     def test_matches_exhaustive_enumeration(self):
+        # random graphs of degree <= 2, the only graphs `mwm` accepts
         for seed in range(20):
             rng = random.Random(seed)
             n = rng.randint(4, 9)
             nodes = tuple((k, 0) for k in range(n))
+            pairs = list(itertools.combinations(range(n), 2))
+            rng.shuffle(pairs)
+            degree = [0] * n
             edges = []
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if rng.random() < 0.5:
-                        edges.append(((a, 0), (b, 0), round(rng.uniform(0.1, 3.0), 3)))
+            for a, b in pairs:
+                if rng.random() < 0.5 and degree[a] < 2 and degree[b] < 2:
+                    degree[a] += 1
+                    degree[b] += 1
+                    edges.append(((a, 0), (b, 0), round(rng.uniform(0.1, 3.0), 3)))
             graph = MatchGraph(nodes, tuple(edges))
             value = matching_weight(graph, mwm(graph))
             assert value == pytest.approx(brute_force_matching(graph), abs=1e-9)

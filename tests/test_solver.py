@@ -1,4 +1,5 @@
 """Model construction, LP export, the exact search, and CAR assembly."""
+import itertools
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from ffmedian.candidates import (
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Gene, SimilarityGraph
-from ffmedian.segments import build_gamma, icf_seg, matching_weight, mwm
+from ffmedian.segments import build_gamma, icf_seg, matching_weight
 from ffmedian.solver import (
     GRID,
     STATUS_EMPTY,
@@ -25,7 +26,6 @@ from ffmedian.solver import (
     OracleCapExceeded,
     SolverError,
     brute_force_median,
-    brute_force_relaxed,
     build_ilp,
     cars_from_rows,
     export_lp,
@@ -40,8 +40,10 @@ from conftest import (
     evolved_instance,
     identical_genomes,
     linear,
+    random_blockish_instance,
     random_small_instance,
 )
+from test_matching import blossom
 
 # optimum of evolved_instance(5, 120, 6, 0.0), proven by an untimed solve
 OPTIMUM_5_120_6 = 148.24905413225594
@@ -115,11 +117,12 @@ class TestSolve:
         assert solution.objective == 0.0
 
     def test_matches_matching_on_conflict_free_instances(self):
+        # the whole of Γ has degree 3 here, beyond what `mwm` accepts
         for seed in range(6):
             genomes, sigma = disjoint_clique_instance(seed, n=5 + seed % 3)
             cands, table = build_tables(genomes, sigma)
             gamma = build_gamma(cands, table)
-            matched = matching_weight(gamma, mwm(gamma))
+            matched = matching_weight(gamma, blossom(gamma))
             solved = solve_branch_and_bound(build_ilp(cands, table)).objective
             assert round(matched / GRID) == round(solved / GRID)
 
@@ -159,14 +162,6 @@ class TestSolve:
         solution = solve_branch_and_bound(build_ilp(cands, table), time_limit=60)
         assert solution.status == STATUS_OPTIMAL
         assert len(limits) == 1 and limits[0] <= 60 - 0.3
-
-    def test_relaxing_extremity_rule_only_gains(self):
-        for seed in range(12):
-            genomes, sigma, cands = random_small_instance(seed, max_candidates=10)
-            table = enumerate_conserved_adjacencies(cands, *genomes)
-            strict = brute_force_median(cands, table).objective
-            relaxed = brute_force_relaxed(cands, table)
-            assert relaxed >= strict - GRID
 
     def test_deterministic_across_repeated_solves(self):
         genomes, sigma, cands = random_small_instance(5)
@@ -343,6 +338,41 @@ class TestBruteForce:
         for rows in optima:
             total = sum(float(table.weight[k]) for k in rows)
             assert total == pytest.approx(solution.objective, abs=1e-9)
+
+    def test_matches_exhaustive_row_subsets(self):
+        """The optimum, every optimum and the smallest one equal those of an
+        enumeration of all row subsets in which each candidate extremity
+        carries at most one row and each extant gene at most one chosen
+        candidate."""
+        instances = [
+            gen(seed)
+            for gen in (random_small_instance, random_blockish_instance)
+            for seed in range(60)
+        ]
+        instances += [random_small_instance(seed, rng_genes=(3, 5)) for seed in range(60)]
+        checked = 0
+        for genomes, _, cands in instances:
+            table = enumerate_conserved_adjacencies(cands, *genomes)
+            if len(table) > 16:
+                continue
+            ends = [((table.key(k)[0], table.key(k)[1]), (table.key(k)[2], table.key(k)[3]))
+                    for k in range(len(table))]
+            valid = []
+            for size in range(len(table) + 1):
+                for rows in itertools.combinations(range(len(table)), size):
+                    exts = [e for k in rows for e in ends[k]]
+                    genes = [g for m in {m for m, _ in exts} for g in cands[m].genes]
+                    if len(set(exts)) == len(exts) and len(set(genes)) == len(genes):
+                        valid.append((sum(float(table.weight[k]) for k in rows), rows))
+            best = max(value for value, _ in valid)
+            expected = sorted(rows for value, rows in valid if value >= best - GRID)
+            solution, optima = brute_force_median(cands, table, collect_optima=True)
+            assert solution.objective == pytest.approx(best, abs=GRID)
+            assert optima == expected
+            assert solution.row_indices == brute_force_median(cands, table).row_indices
+            assert solution.row_indices == expected[0]
+            checked += 1
+        assert checked >= 150
 
 
 class TestVerify:
