@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, evaluation, ingestion
+from . import __version__
 from .candidates import (
     ConservedAdjacencyTable,
     enumerate_candidates,
@@ -35,14 +35,6 @@ from .genomes import (
     SimilarityGraph,
     _parse_qualified,
     parse_genome_file,
-)
-from .mis_reduction import (
-    BoundedGraph,
-    backmap_solution,
-    mis_bruteforce,
-    read_instance,
-    reduce_mis,
-    write_instance,
 )
 from .segments import icf_seg
 from .solver import (
@@ -249,14 +241,14 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         "genes": [_candidate_json(candidates[m]) for m in sorted(genes)],
         "adjacencies": [
             {
-                "m1": _candidate_json(table[k].m1),
-                "end1": table[k].end1,
-                "m2": _candidate_json(table[k].m2),
-                "end2": table[k].end2,
-                "conserved_in": list(table[k].conserved_in),
-                "weight": table[k].weight,
+                "m1": _candidate_json(adj.m1),
+                "end1": adj.end1,
+                "m2": _candidate_json(adj.m2),
+                "end2": adj.end2,
+                "conserved_in": list(adj.conserved_in),
+                "weight": adj.weight,
             }
-            for k in combined_rows
+            for adj in (table[k] for k in combined_rows)
         ],
         "cars": [
             {
@@ -299,6 +291,8 @@ def _write_report(report: dict, path: str | None, canonical: bool) -> None:
 
 
 def _cmd_build_graph(args) -> int:
+    from . import ingestion
+
     params = ingestion.FilterParams(evalue_max=args.evalue, f=args.f)
     genomes = _load_genomes(args.genomes) if args.genomes else None
     hits = ingestion.read_hit_files(
@@ -390,6 +384,8 @@ def _cmd_export_lp(args) -> int:
 
 
 def _cmd_reduce_mis(args) -> int:
+    from .mis_reduction import BoundedGraph, reduce_mis, write_instance
+
     graph = BoundedGraph.from_edge_file(args.graph)
     instance = reduce_mis(graph)
     write_instance(instance, args.output)
@@ -399,6 +395,8 @@ def _cmd_reduce_mis(args) -> int:
 
 
 def _cmd_verify_reduction(args) -> int:
+    from .mis_reduction import backmap_solution, mis_bruteforce, read_instance
+
     instance = read_instance(args.instance_dir)
     _, candidates, table, _ = _front_end(
         lambda: (instance.genomes, instance.sigma), preprocess=False
@@ -462,6 +460,8 @@ def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
 
 
 def _cmd_eval(args) -> int:
+    from . import evaluation
+
     preds = [_load_predictions(path) for path in args.pred]
     payload: dict = {}
     if args.truth:

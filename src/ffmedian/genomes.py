@@ -15,8 +15,8 @@ different genomes, 0 between a telomere and a regular gene.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -359,14 +359,15 @@ class SimilarityGraph:
         return self._scores.get(key, 0.0)
 
     def pairs(self) -> list[tuple[Gene, Gene, float]]:
-        """Stored pairs in deterministic (sorted) order."""
-        return [(x, y, self._scores[(x, y)]) for x, y in sorted(self._scores)]
+        """Stored pairs (x, y, value) with x <= y, in the order they were
+        stored, not sorted; `serialize` sorts them."""
+        return [(x, y, value) for (x, y), value in self._scores.items()]
 
     def __len__(self) -> int:
         return len(self._scores)
 
     def serialize(self) -> str:
-        lines = [f"{x}\t{y}\t{value:.12g}" for x, y, value in self.pairs()]
+        lines = [f"{x}\t{y}\t{value:.12g}" for x, y, value in sorted(self.pairs())]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

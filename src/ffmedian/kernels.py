@@ -53,35 +53,33 @@ def triangles(gh: np.ndarray, gi: np.ndarray, hi: np.ndarray):
 
 
 def conserved_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
-    """Candidate extremity pairs projecting onto one genome's adjacencies."""
+    """Candidate extremity pairs projecting onto one genome's adjacencies.
+
+    Adjacency k pairs each of the nl[k] candidates on gene ax1[k] with each
+    of the nr[k] candidates on gene ax2[k]: the nl*nr block of k is laid
+    out left-major, so pairs come in adjacency order, then left, then right
+    candidate, as a loop over the adjacencies would emit them.
+    """
     ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci = (
         np.ascontiguousarray(a, dtype=np.int64)
         for a in (ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci)
     )
-    chunks = []
-    for k in range(ax1.shape[0]):
-        left = cand_ids[indptr[ax1[k]] : indptr[ax1[k] + 1]]
-        right = cand_ids[indptr[ax2[k]] : indptr[ax2[k] + 1]]
-        if left.size == 0 or right.size == 0:
-            continue
-        m1 = np.repeat(left, right.size)
-        m2 = np.tile(right, left.size)
-        keep = (
-            (m1 != m2)
-            & (cg[m1] != cg[m2])
-            & (ch[m1] != ch[m2])
-            & (ci[m1] != ci[m2])
-        )
-        if not keep.any():
-            continue
-        m1, m2 = m1[keep], m2[keep]
-        e1 = np.full(m1.size, ae1[k], dtype=np.int64)
-        e2 = np.full(m2.size, ae2[k], dtype=np.int64)
-        chunks.append((m1, e1, m2, e2))
-    if not chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    return tuple(np.concatenate([c[j] for c in chunks]) for j in range(4))
+    l0, r0 = indptr[ax1], indptr[ax2]
+    nr = indptr[ax2 + 1] - r0
+    size = (indptr[ax1 + 1] - l0) * nr
+    adj = np.repeat(np.arange(ax1.size, dtype=np.int64), size)
+    j = np.arange(adj.size, dtype=np.int64) - np.repeat(np.cumsum(size) - size, size)
+    width = nr[adj]
+    m1 = cand_ids[l0[adj] + j // width]
+    m2 = cand_ids[r0[adj] + j % width]
+    keep = (
+        (m1 != m2)
+        & (cg[m1] != cg[m2])
+        & (ch[m1] != ch[m2])
+        & (ci[m1] != ci[m2])
+    )
+    adj = adj[keep]
+    return m1[keep], ae1[adj], m2[keep], ae2[adj]
 
 
 def merge_genome_pairs(per_genome):

@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .candidates import CandidateGene
 from .genomes import (
     Gene,
     Genome,

@@ -257,6 +257,23 @@ def run_child(code, *argv, cwd=None):
     )
 
 
+def test_solve_does_not_load_other_subcommands_modules(tmp_path):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        "import ffmedian.cli\n"
+        "others = ['ffmedian.mis_reduction', 'ffmedian.evaluation', 'ffmedian.ingestion']\n"
+        "assert not set(others) & set(sys.modules), 'loaded by the import'\n"
+        "code = ffmedian.cli.main(sys.argv[1:])\n"
+        "assert not set(others) & set(sys.modules), 'loaded by the solve'\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_child(
+        code, "solve", *instance, "--canonical", "-o", str(tmp_path / "median.json")
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
 def test_setup_probe_does_not_load_scipy(tmp_path):
     # the code of the benchmark's set-up probe, then the check
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))

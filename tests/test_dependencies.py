@@ -2,8 +2,9 @@
 
 The package's imports are read from its source with `ast`, local imports
 and `importlib.util.find_spec` lookups included; the standard library and
-relative imports are left out.  Every subcommand must then run in a process
-where networkx cannot be imported.
+relative imports are left out.  Every name a module-level import binds must
+be used in its module.  Every subcommand must then run in a process where
+networkx cannot be imported.
 """
 import ast
 import json
@@ -51,6 +52,24 @@ def declared_dependencies() -> set[str]:
 
 def test_declared_dependencies_are_the_imported_packages():
     assert imported_packages() == declared_dependencies() == {"numpy", "scipy"}
+
+
+def test_every_module_level_import_is_used():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if bound - used:
+            unused[path.name] = sorted(bound - used)
+    assert unused == {}
 
 
 def test_every_subcommand_runs_without_networkx(tmp_path):

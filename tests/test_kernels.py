@@ -3,7 +3,9 @@
 The triangle join runs on random sparse edge lists, some of them empty, and
 must return exactly the triangles, in the same lexicographic order, that a
 loop over dense adjacency matrices rebuilt from those lists finds.  The
-adjacency pair scan must emit exactly the pairs a plain loop emits.
+adjacency pair scan must emit exactly the pairs a plain loop emits, in the
+same order, also with no adjacency, genes without candidates, long candidate
+runs and adjacencies whose every pair is filtered out.
 """
 import numpy as np
 import pytest
@@ -56,11 +58,20 @@ def test_triangles_match_bruteforce(seed):
     np.testing.assert_array_equal(hi[:, r], np.stack([gh[1, p], gi[1, q]]))
 
 
+PAIR_SEEDS = range(32)
+
+
 def random_pair_inputs(seed):
+    """Scan inputs for genome slot 0; seed 0 has no adjacency, seed 1 no
+    candidate, and in seed 2 all candidates share their H gene, so that
+    every pair is filtered out."""
     rng = np.random.default_rng(seed)
-    n_genes, n_cands, n_adj = 10, 14, 8
-    cg = rng.integers(0, n_genes, n_cands)
-    ch = rng.integers(0, n_genes, n_cands)
+    n_genes = int(rng.integers(1, 12))
+    n_cands = 0 if seed == 1 else int(rng.integers(1, 40))
+    n_adj = 0 if seed == 0 else int(rng.integers(1, 16))
+    # candidates crowd onto the first genes: long CSR runs, and genes without any
+    cg = rng.integers(0, int(rng.integers(1, n_genes + 1)), n_cands)
+    ch = np.zeros(n_cands, dtype=np.int64) if seed == 2 else rng.integers(0, n_genes, n_cands)
     ci = rng.integers(0, n_genes, n_cands)
     # CSR over genome-slot 0 (which candidate sits on which gene)
     order = np.argsort(cg, kind="stable")
@@ -68,8 +79,8 @@ def random_pair_inputs(seed):
     np.cumsum(np.bincount(cg, minlength=n_genes), out=indptr[1:])
     ax1 = rng.integers(0, n_genes, n_adj)
     ax2 = rng.integers(0, n_genes, n_adj)
-    ae1 = rng.integers(0, 2, n_adj)
-    ae2 = rng.integers(0, 2, n_adj)
+    ae1 = rng.integers(0, 3, n_adj)
+    ae2 = rng.integers(0, 3, n_adj)
     return ax1, ae1, ax2, ae2, indptr, order, cg, ch, ci
 
 
@@ -83,11 +94,33 @@ def brute_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
     return out
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", PAIR_SEEDS)
 def test_pairs_match_bruteforce(seed):
     args = random_pair_inputs(seed)
     got = kernels.conserved_pairs(*args)
     assert list(zip(*(x.tolist() for x in got))) == brute_pairs(*args)
+
+
+def test_pair_inputs_cover_edge_cases():
+    seen = set()
+    for seed in PAIR_SEEDS:
+        ax1, ae1, ax2, ae2, indptr, order, cg, ch, ci = random_pair_inputs(seed)
+        runs = np.diff(indptr)
+        if ax1.size == 0:
+            seen.add("no adjacency")
+        for k in range(ax1.size):
+            one = (ax1[k : k + 1], ae1[k : k + 1], ax2[k : k + 1], ae2[k : k + 1],
+                   indptr, order, cg, ch, ci)
+            if max(runs[ax1[k]], runs[ax2[k]]) > 3:
+                seen.add("run longer than 3")
+            if runs[ax1[k]] == 0 or runs[ax2[k]] == 0:
+                seen.add("gene without candidates")
+            elif not brute_pairs(*one):
+                seen.add("every pair filtered out")
+    assert seen == {
+        "no adjacency", "gene without candidates", "run longer than 3",
+        "every pair filtered out",
+    }
 
 
 def test_merge_deduplicates_and_masks():
