@@ -1,14 +1,14 @@
 """Stage times and peak memory of `ffmedian solve` on larger seeded instances.
 
-    python3 benchmarks/scale.py [--src LABEL=DIR ...] [--repeat R] [-o OUT.json]
+    python3 benchmarks/scale.py [--src LABEL=DIR ...] [-o OUT.json]
 
 Run from the root of a checkout.  Each case is one instance written by
 `perfbench/gen.py` (seed 5), with 200 to 5000 genes per genome, 1 to 8
 linear chromosomes and up to 20% gene families: the sizes and chromosome
 counts that the pool-sized benchmark in `perfbench/` does not reach, where
 the front end, the telomere triples or the gene families set the cost of a
-solve.  Every case is solved with ICF-SEG on and off, R times each, by a
-fresh `ffmedian solve` child process per solve with a 120 s limit.
+solve.  Every case is solved with ICF-SEG on and off, REPEAT times each,
+by a fresh `ffmedian solve` child process per solve with a 120 s limit.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
@@ -35,6 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from gen import Params, write_instance  # noqa: E402
 
 SEED = 5
+REPEAT = 3
 TIME_LIMIT = 120.0
 
 # name -> instance parameters: genes per genome (n), linear chromosomes per
@@ -87,7 +88,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
                         help="source tree to run under a label (repeatable)")
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("-o", "--output", default=str(ROOT / "BENCH_scale.json"))
     args = parser.parse_args(argv)
     if any("=" not in spec for spec in args.src or []):
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             for icf_seg in (True, False):
                 reports = {label: [] for label in trees}
                 rss = {label: [] for label in trees}
-                for _ in range(args.repeat):
+                for _ in range(REPEAT):
                     for label, src in trees.items():
                         report, mb = solve(src, files, icf_seg, work / "median.json")
                         reports[label].append(report)
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     payload = {
         "sources": list(trees),
         "seed": SEED,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "time_limit_s": TIME_LIMIT,
         "cases": {name: vars(params) for name, params in CASES.items()},
         "results": results,

@@ -68,16 +68,16 @@ def conserved_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
     nr = indptr[ax2 + 1] - r0
     size = (indptr[ax1 + 1] - l0) * nr
     adj = np.repeat(np.arange(ax1.size, dtype=np.int64), size)
-    j = np.arange(adj.size, dtype=np.int64) - np.repeat(np.cumsum(size) - size, size)
-    width = nr[adj]
-    m1 = cand_ids[l0[adj] + j // width]
-    m2 = cand_ids[r0[adj] + j % width]
-    keep = (
-        (m1 != m2)
-        & (cg[m1] != cg[m2])
-        & (ch[m1] != ch[m2])
-        & (ci[m1] != ci[m2])
-    )
+    # arrays as long as all blocks together: filled in place, dropped once used
+    j = np.arange(adj.size, dtype=np.int64)
+    j -= np.repeat(np.cumsum(size) - size, size)
+    left, j = np.divmod(j, nr[adj])
+    left += l0[adj]
+    j += r0[adj]
+    m1, m2 = cand_ids[left], cand_ids[j]
+    del left, j
+    keep = (m1 != m2) & (cg[m1] != cg[m2])
+    keep &= (ch[m1] != ch[m2]) & (ci[m1] != ci[m2])
     adj = adj[keep]
     return m1[keep], ae1[adj], m2[keep], ae2[adj]
 
