@@ -7,17 +7,22 @@ Run from the root of a checkout.  Each case is one instance written by
 linear chromosomes and up to 20% gene families: the sizes and chromosome
 counts that the pool-sized benchmark in `perfbench/` does not reach, where
 the front end, the telomere triples or the gene families set the cost of a
-solve.  Every case is solved with ICF-SEG on and off, REPEAT times each,
-by a fresh `ffmedian solve` child process per solve with a 120 s limit.
+solve.  The CIRCULAR cases turn each genome's one chromosome circular, as
+in a bacterial genome, by rewriting the shape column of the generated
+genome file.  Every case is solved with ICF-SEG on and off, REPEAT times
+each, by a fresh `ffmedian solve` child process per solve with a 120 s
+limit.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
 solve, so that a drift in machine speed reaches all of them alike.
 
 For every case, setting and tree, the output records the median seconds of
-each stage in the report's `stages`, their sum, the median peak RSS of the
-child, and the status, objective and `counts` of the report (candidates,
-conserved adjacency rows and the rest), which are the same in every repeat.
+each stage in the report's `stages`, their sum, the median wall seconds of
+the whole child (start-up, verification, CAR assembly and the report write
+lie outside the stages), the median peak RSS of the child, and the status,
+objective and `counts` of the report (candidates, conserved adjacency rows
+and the rest), which are the same in every repeat.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,25 +55,36 @@ CASES = {
     "n300_c2_fam0.1": Params(n=300, chromosomes=2, family_rate=0.1),
     "n4000_c1_fam0.1": Params(n=4000, chromosomes=1, family_rate=0.1),
     "n4000_c2_fam0.2": Params(n=4000, chromosomes=2, family_rate=0.2),
+    "n4000_c1_circular": Params(n=4000, chromosomes=1),
+    "n4000_c1_circular_fam0.1": Params(n=4000, chromosomes=1, family_rate=0.1),
 }
+CIRCULAR = {"n4000_c1_circular", "n4000_c1_circular_fam0.1"}
 
 
-def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[dict, float]:
-    """One solve child; its report and its peak RSS in MB."""
+def circularize(path: str) -> None:
+    """Make every chromosome of a genome file circular."""
+    genomes = Path(path)
+    genomes.write_text(genomes.read_text().replace("\tlinear\t", "\tcircular\t"))
+
+
+def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[dict, float, float]:
+    """One solve child; its report, its wall seconds and its peak RSS in MB."""
     argv = [sys.executable, "-m", "ffmedian.cli", "solve", "-g", files["genomes"],
             "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out)]
     if not icf_seg:
         argv.append("--no-icf-seg")
     env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
     code = os.waitstatus_to_exitcode(status)
     if code not in (0, 2):
         raise RuntimeError(f"solve with {src} exited with {code}")
-    return json.loads(out.read_text()), usage.ru_maxrss * 1024 / 1e6
+    return json.loads(out.read_text()), wall, usage.ru_maxrss * 1024 / 1e6
 
 
-def summarize(reports: list[dict], rss: list[float]) -> dict:
+def summarize(reports: list[dict], wall: list[float], rss: list[float]) -> dict:
     stages: dict[str, list[float]] = {}
     for report in reports:
         for stage in report["stages"]:
@@ -77,6 +94,7 @@ def summarize(reports: list[dict], rss: list[float]) -> dict:
         "stages_s": {name: statistics.median(v) for name, v in stages.items()},
         "total_s": statistics.median(
             sum(s["seconds"] for s in report["stages"]) for report in reports),
+        "wall_s": statistics.median(wall),
         "peak_rss_mb": statistics.median(rss),
         "status": first["status"],
         "objective": first["objective"],
@@ -98,25 +116,32 @@ def main(argv=None) -> int:
         work = Path(work)
         for name in CASES:
             files = write_instance(CASES[name], SEED, str(work / name))
+            if name in CIRCULAR:
+                circularize(files["genomes"])
             for icf_seg in (True, False):
                 reports = {label: [] for label in trees}
+                wall = {label: [] for label in trees}
                 rss = {label: [] for label in trees}
                 for _ in range(REPEAT):
                     for label, src in trees.items():
-                        report, mb = solve(src, files, icf_seg, work / "median.json")
+                        report, seconds, mb = solve(src, files, icf_seg, work / "median.json")
                         reports[label].append(report)
+                        wall[label].append(seconds)
                         rss[label].append(mb)
-                runs = {label: summarize(reports[label], rss[label]) for label in trees}
+                runs = {label: summarize(reports[label], wall[label], rss[label])
+                        for label in trees}
                 results.append({"case": name, "icf_seg": icf_seg, "runs": runs})
                 print(name, "icf-seg" if icf_seg else "no icf-seg", " ".join(
-                    f"{label}: {run['total_s']:.3f} s {run['peak_rss_mb']:.0f} MB"
+                    f"{label}: {run['total_s']:.3f} s in stages, {run['wall_s']:.3f} s wall, "
+                    f"{run['peak_rss_mb']:.0f} MB"
                     for label, run in runs.items()), flush=True)
     payload = {
         "sources": list(trees),
         "seed": SEED,
         "repeat": REPEAT,
         "time_limit_s": TIME_LIMIT,
-        "cases": {name: vars(params) for name, params in CASES.items()},
+        "cases": {name: dict(vars(params), shape="circular" if name in CIRCULAR else "linear")
+                  for name, params in CASES.items()},
         "results": results,
     }
     with open(args.output, "w", encoding="utf-8") as fh:

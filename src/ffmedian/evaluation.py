@@ -9,7 +9,7 @@ gene from the other side's genome; compatible otherwise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .genomes import Gene, ParseError, _parse_qualified
@@ -47,8 +47,6 @@ class EvalReport:
     recall: float = 1.0
     precision_vacuous: bool = False
     recall_vacuous: bool = False
-    class_counts: dict[str, int] = field(default_factory=dict)
-    robustness: float | None = None
     ignored: int = 0
 
     def as_dict(self) -> dict:
@@ -61,10 +59,6 @@ class EvalReport:
             "precision_vacuous": self.precision_vacuous,
             "recall_vacuous": self.recall_vacuous,
         }
-        if self.class_counts:
-            out["class_counts"] = dict(self.class_counts)
-        if self.robustness is not None:
-            out["robustness"] = self.robustness
         if self.ignored:
             out["ignored_pairs"] = self.ignored
         return out
@@ -138,9 +132,6 @@ class TruthMap:
     def read(cls, path) -> "TruthMap":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read())
-
-    def genomes_in_group(self, label: str) -> set[str]:
-        return {gene.genome for gene in self.members.get(label, ())}
 
 
 def classify_triple(triple: Triple, truth: TruthMap) -> str:

@@ -175,16 +175,6 @@ class Genome:
     def __contains__(self, gene: Gene) -> bool:
         return gene in self._occurrence
 
-    def gene_by_name(self, name: str) -> Gene:
-        gene = Gene(self.label, name)
-        if gene not in self._occurrence:
-            raise GenomeError(f"unknown gene {self.label}:{name}")
-        return gene
-
-    @property
-    def telomeres(self) -> list[Gene]:
-        return sorted(g for g in self.genes if g.is_telomere)
-
     @property
     def proper_genes(self) -> list[Gene]:
         return sorted(g for g in self.genes if not g.is_telomere)

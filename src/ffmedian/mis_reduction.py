@@ -154,7 +154,6 @@ class ReductionInstance:
     genomes: tuple[Genome, Genome, Genome]
     sigma: SimilarityGraph
     xi: dict[Gene, tuple[str, ...]]  # vertex association per gene
-    star_genes: dict[str, tuple[str, str]]  # per genome label
 
     def associated(self, gene: Gene) -> tuple[str, ...]:
         return self.xi.get(gene, ())
@@ -248,7 +247,6 @@ def reduce_mis(
         genomes=(genome_g, genome_h, genome_i),
         sigma=sigma,
         xi=xi,
-        star_genes={label: ("star.1", "star.2") for label in labels},
     )
 
 
@@ -355,5 +353,4 @@ def read_instance(in_dir) -> ReductionInstance:
         genomes=tuple(genomes),  # type: ignore[arg-type]
         sigma=sigma,
         xi=xi,
-        star_genes={g.label: ("star.1", "star.2") for g in genomes},
     )

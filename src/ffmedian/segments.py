@@ -16,8 +16,9 @@ its lookups once and, after each acceptance, recomputes only the steps
 whose window holds a changed position.
 
 A run's conflict-extended graph Γ′ has maximum degree 2, so `mwm` solves
-it by a walk over its paths and cycles; there is no general matching, and a
-graph of higher degree is an error:
+it over its paths and cycles, as listed by `solver.paths_and_cycles`, the
+same walk that assembles the median's CARs; there is no general matching,
+and a graph of higher degree is an error:
 - Members of a run are pairwise conflict-free, so no two share a gene in
   any genome.
 - An extant extremity has exactly one neighbour in each genome, and a
@@ -39,7 +40,7 @@ import numpy as np
 
 from .candidates import CandidateGene, ConflictIndex, ConservedAdjacencyTable
 from .genomes import Gene, Genome
-from .solver import SolverError
+from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
 
@@ -87,52 +88,30 @@ def mwm(graph: MatchGraph) -> frozenset[tuple]:
     """Exact maximum-weight matching of a graph of degree <= 2; returns
     canonical edge keys.
 
-    Such a graph is a disjoint union of paths and cycles, and each is solved
-    by the linear dynamic program of `_path_matching`.  A cycle takes the
-    better of its path without the first edge and its path without the
-    last: a matching leaves out at least one of two edges that share a
-    vertex.  Every conflict-extended graph of a run has degree <= 2 (see the
-    module docstring), so a vertex of higher degree or a self-loop breaks
-    that invariant and raises `SolverError`.  Parallel edges keep the last
-    weight listed.
+    Such a graph is a disjoint union of paths and cycles.
+    `solver.paths_and_cycles`, the walk that also assembles the median's
+    CARs, lists them, and each is solved by the linear dynamic program of
+    `_path_matching`.  A cycle takes the better of its path without the
+    first edge and its path without the last: a matching leaves out at
+    least one of two edges that share a vertex.  Every conflict-extended
+    graph of a run has degree <= 2 (see the module docstring), so a vertex
+    of higher degree or a self-loop breaks that invariant and the walk
+    raises `SolverError`.  Parallel edges keep the last weight listed.
     """
     weight = graph.edge_weight()
     neighbours: dict[tuple, list[tuple]] = {}
     for u, v in weight:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
-    for v, nb in neighbours.items():
-        if len(nb) > 2 or v in nb:
-            raise SolverError(
-                f"matching graph is not a union of paths and cycles at vertex {v}: "
-                f"its neighbours are {nb}"
-            )
-    seen: set[tuple] = set()
-
-    def walk(start: tuple) -> list[tuple]:
-        """The vertices of start's component in path order, from start."""
-        seen.add(start)
-        vertices = [start]
-        while True:
-            step = [v for v in neighbours[vertices[-1]] if v not in seen]
-            if not step:
-                return vertices
-            seen.add(step[0])
-            vertices.append(step[0])
-
     matching: list[tuple] = []
-    # paths from an end first; the components left over are cycles
-    for v, nb in neighbours.items():
-        if len(nb) == 1 and v not in seen:
-            vertices = walk(v)
+    for vertices, closed in paths_and_cycles(neighbours):
+        if not closed:
             matching.extend(_path_matching(list(zip(vertices, vertices[1:])), weight)[1])
-    for v in neighbours:
-        if v not in seen:
-            vertices = walk(v)
-            edges = list(zip(vertices, vertices[1:] + vertices[:1]))
-            no_first = _path_matching(edges[1:], weight)
-            no_last = _path_matching(edges[:-1], weight)
-            matching.extend(max(no_first, no_last, key=lambda option: option[0])[1])
+            continue
+        edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+        no_first = _path_matching(edges[1:], weight)
+        no_last = _path_matching(edges[:-1], weight)
+        matching.extend(max(no_first, no_last, key=lambda option: option[0])[1])
     return frozenset(matching)
 
 

@@ -18,6 +18,15 @@ with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
 loads that one file, in about 10 ms, without importing `scipy.optimize`
 or `scipy.sparse`, whose imports take longer than the rest of a short
 `ffmedian` run.  `export_lp` writes the paper's own rows.
+
+`cars_from_rows` reads the CARs off a graph over the chosen extremities:
+one edge joins the two ends of each chosen gene and one edge stands for
+each chosen adjacency.  `paths_and_cycles`, the walk that ICF-SEG's
+matching also uses, lists its paths and cycles.  A member reads `-` when
+the walk enters it at its head; a telomere triple has one end and reads
+`+`.  A linear CAR is the lesser of its two readings, and a circular CAR
+starts at its smallest candidate, read `-`.
+
 `brute_force_median` is the independent oracle: an exhaustive
 depth-first search over the adjacency rows in plain Python, with no LP and
 no graph library.
@@ -253,39 +262,51 @@ def verify_solution(
 # -- CAR assembly ---------------------------------------------------------------
 
 
-def _orient_from_exit(cand: CandidateGene, end: int) -> int:
-    if cand.is_telomere_triple:
-        return 1
-    return 1 if end == 1 else -1  # exiting via the head = forward
+def paths_and_cycles(neighbours: dict) -> list[tuple[list, bool]]:
+    """The components of a graph of degree <= 2, as (vertices in walk order,
+    closed).
+
+    `neighbours` maps every vertex to its neighbours.  The paths come first,
+    each walked from its first vertex of degree <= 1 in `neighbours` order;
+    the components left over are cycles, each walked from its first vertex.
+    A vertex of higher degree or a self-loop raises `SolverError`.
+    """
+    for v, nb in neighbours.items():
+        if len(nb) > 2 or v in nb:
+            raise SolverError(
+                f"graph is not a union of paths and cycles at vertex {v}: "
+                f"its neighbours are {nb}"
+            )
+    seen: set = set()
+
+    def walk(start) -> list:
+        seen.add(start)
+        vertices = [start]
+        while True:
+            step = [v for v in neighbours[vertices[-1]] if v not in seen]
+            if not step:
+                return vertices
+            seen.add(step[0])
+            vertices.append(step[0])
+
+    components = []
+    # paths from an end first; the components left over are cycles
+    for v, nb in neighbours.items():
+        if len(nb) <= 1 and v not in seen:
+            components.append((walk(v), False))
+    for v in neighbours:
+        if v not in seen:
+            components.append((walk(v), True))
+    return components
 
 
-def _orient_from_entry(cand: CandidateGene, end: int) -> int:
-    if cand.is_telomere_triple:
-        return 1
-    return 1 if end == 0 else -1  # entering at the tail = forward
-
-
-def _other_end(cand: CandidateGene, end: int) -> int | None:
-    if cand.is_telomere_triple:
-        return None
-    return 1 - end
-
-
-def _canonical(seq, shape: str, candidates) -> tuple[tuple[int, int], ...]:
-    def flip(s):
-        return tuple(
-            (m, 1 if candidates[m].is_telomere_triple else -o) for m, o in reversed(s)
-        )
-
-    fwd = tuple(seq)
-    if shape == "linear":
-        return min(fwd, flip(fwd))
-    variants = []
-    for rotation in range(len(fwd)):
-        rot = fwd[rotation:] + fwd[:rotation]
-        variants.append(rot)
-        variants.append(flip(rot))
-    return min(variants)
+def _members(walk: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Each candidate of an extremity walk once, `-` if entered at its head."""
+    members = []
+    for i, (m, e) in enumerate(walk):
+        if i == 0 or walk[i - 1][0] != m:
+            members.append((m, -1 if e == 1 else 1))
+    return tuple(members)
 
 
 def cars_from_rows(
@@ -294,70 +315,38 @@ def cars_from_rows(
     gene_indices: Iterable[int],
     row_indices: Iterable[int],
 ) -> list[Car]:
-    """Connected components of the extremity-link graph, as ordered CARs.
+    """The paths and cycles of the chosen extremities, as canonical CARs
+    sorted by their smallest member.
 
     Only the chosen adjacencies are used; no completion adjacencies are
     invented.  Chosen genes without adjacencies become singleton CARs.
     """
-    link: dict[tuple[int, int], tuple[int, int]] = {}
+    neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m in sorted(set(gene_indices)):
+        ends = candidates[m].ends
+        for e in ends:
+            neighbours[(m, e)] = [(m, f) for f in ends if f != e]
     for k in row_indices:
         m1, e1, m2, e2 = table.key(k)
-        link[(m1, e1)] = (m2, e2)
-        link[(m2, e2)] = (m1, e1)
-
-    def walk(m: int, exit_end: int) -> list[tuple[int, int]]:
-        seq = [(m, _orient_from_exit(candidates[m], exit_end))]
-        ext = (m, exit_end)
-        while True:
-            nxt = link.get(ext)
-            if nxt is None:
-                break
-            n_m, n_in = nxt
-            if n_m == seq[0][0] and len(seq) > 1:
-                break  # cycle closed
-            seq.append((n_m, _orient_from_entry(candidates[n_m], n_in)))
-            out = _other_end(candidates[n_m], n_in)
-            if out is None:
-                break  # telomere member terminates the walk
-            ext = (n_m, out)
-        return seq
-
-    placed: set[int] = set()
-    cars: list[Car] = []
-    for start in sorted(set(gene_indices)):
-        if start in placed:
+        neighbours[(m1, e1)].append((m2, e2))
+        neighbours[(m2, e2)].append((m1, e1))
+    cars = []
+    for walk, closed in paths_and_cycles(neighbours):
+        if closed:
+            # enter the smallest candidate at its head: each candidate occurs
+            # once, so this is the least of all rotations and reversals
+            first = min(walk)[0]
+            i = walk.index((first, 1))
+            walk = walk[i:] + walk[:i]
+            if walk[1] != (first, 0):
+                walk = walk[:1] + walk[:0:-1]
+            cars.append(Car("circular", _members(walk)))
             continue
-        # collect the component
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            m = frontier.pop()
-            for e in candidates[m].ends:
-                nxt = link.get((m, e))
-                if nxt is not None and nxt[0] not in comp:
-                    comp.add(nxt[0])
-                    frontier.append(nxt[0])
-        terminals: list[tuple[int, int]] = []
-        for m in sorted(comp):
-            cand = candidates[m]
-            linked = [e for e in cand.ends if (m, e) in link]
-            if cand.is_telomere_triple and linked:
-                terminals.append((m, linked[0]))
-            elif len(linked) == 1:
-                terminals.append((m, linked[0]))
-        if not link or not any((m, e) in link for m in comp for e in candidates[m].ends):
-            placed.add(start)
-            cars.append(Car("linear", ((start, 1),)))
-            continue
-        if terminals:
-            seq = walk(*min(terminals))
-            shape = "linear"
-        else:
-            first = min(comp)
-            seq = walk(first, candidates[first].ends[-1])
-            shape = "circular"
-        placed.update(m for m, _ in seq)
-        cars.append(Car(shape, _canonical(seq, shape, candidates)))
+        members = min(_members(walk), _members(walk[::-1]))
+        if len(members) == 1:
+            members = ((members[0][0], 1),)
+        cars.append(Car("linear", members))
+    cars.sort(key=lambda car: min(car.members))
     return cars
 
 
