@@ -6,14 +6,17 @@ to a full reversal), and accepts a run's internal adjacencies when a
 maximum-weight matching on its conflict-extended graph certifies that they
 belong to at least one optimal median.
 
-Runs are found by a left-to-right scan of each chromosome of G.  On a
-linear chromosome the scan is a chain of steps: the step after position
-`prev` skips to the next position with exactly one starter candidate, grows
-a run there, and reads only positions prev+1 .. end+1, where `end` is the
-run's right end.  Accepting a run changes the scan state only at the G
-positions of its members and of the candidates it kills, so ICF-SEG builds
-its lookups once and, after each acceptance, recomputes only the steps
-whose window holds a changed position.
+Runs are found by a left-to-right scan of each chromosome of G, a chain
+of steps: the step after position `prev` skips to the next position with
+exactly one starter candidate, grows a run there, and reads only positions
+prev+1 .. end+1, where `end` is the run's right end.  A circular
+chromosome is read with unwrapped positions: its first step grows a run
+around the circle from the first starter, and the chain of ordinary steps
+after it ends just before that run's left end.  Accepting a run changes
+the scan state only at the G positions of its members and of the
+candidates it kills, so ICF-SEG builds its lookups once and, after each
+acceptance, grows again only the first step of a circular chromosome and
+the steps whose window holds a changed position.
 
 A run's conflict-extended graph Γ′ has maximum degree 2, so `mwm` solves
 it over its paths and cycles, as listed by `solver.paths_and_cycles`, the
@@ -221,12 +224,19 @@ def _facing_end(orientation: int, forward: bool) -> int:
 class _Step(NamedTuple):
     """One step of the scan of a chromosome.
 
-    On a linear chromosome the step starts just after position `prev`,
-    skips the positions without exactly one starter, grows a run from the
-    first position that has one and ends at the run's right end `end`; it
-    reads only positions prev+1 .. end+1.  `run` is None when the step found
-    no starter or grew a single candidate.  Steps of a circular chromosome
-    carry prev = end = -1.
+    Positions are unwrapped: position p reads entry p % size, so a run of a
+    circular chromosome that crosses the origin has consecutive positions.
+    A step starts just after position `prev`, skips the positions without
+    exactly one starter, grows a run from the first position that has one
+    and ends at the run's right end `end`, or at the chain's last position
+    when no starter is left.  Growth stays between prev+1 and the chain's
+    last position, so the step reads only positions prev+1 .. end+1.  `run`
+    is None when the step found no starter or grew a single candidate.
+
+    The first step of a circular chromosome grows from its first starter
+    around the circle and may close it; its `prev` is just before the run's
+    left end, and the chain's last position is prev + size, just before
+    that left end again.
     """
 
     prev: int
@@ -241,18 +251,22 @@ class _RunScanner:
     `by_g_gene` lists, per G gene, the live candidates not yet locked in a
     run (telomere triples never join runs: capping is not part of a run's
     internal adjacency set, and their crossed variants would only inflate
-    the conflict-edge potentials).  `link_rows` maps the key of every row
-    conserved in all three genomes to its row; `row_alive` is held by
-    reference and checked when a link is looked up.
+    the conflict-edge potentials).  `link` maps a candidate extremity to the
+    other candidate and the row of the one row conserved in all three
+    genomes that touches it: an extant extremity has one neighbour per
+    genome, so there is at most one.  `row_alive` is held by reference and
+    checked when a link is followed.
     """
 
     def __init__(self, G, candidates, table, cand_alive=None, row_alive=None, locked=()):
         self.G = G
         self.candidates = candidates
         self.row_alive = row_alive
-        self.link_rows: dict[tuple[int, int, int, int], int] = {
-            table.key(k): k for k in np.nonzero(table.mask == 0b111)[0].tolist()
-        }
+        self.link: dict[tuple[int, int], tuple[int, int]] = {}
+        for k in np.nonzero(table.mask == 0b111)[0].tolist():
+            m1, e1, m2, e2 = table.key(k)
+            self.link[m1, e1] = (m2, k)
+            self.link[m2, e2] = (m1, k)
         self.by_g_gene: dict[Gene, list[int]] = {}
         for idx, cand in enumerate(candidates):
             if (cand_alive is None or cand_alive[idx]) and idx not in locked \
@@ -261,24 +275,48 @@ class _RunScanner:
 
     def scan(self, ci: int) -> list[_Step]:
         """All steps of chromosome ci, scanned left to right."""
-        chrom = self.G.chromosomes[ci]
-        if chrom.shape == "circular":
-            return self._scan_circular(chrom.order)
-        return self._chain(chrom.order, [], -1)
+        return self.rescan(ci, [], [])
 
     def rescan(self, ci: int, old: list[_Step], changed: list[int]) -> list[_Step]:
         """The steps of chromosome ci after the state at `changed` positions moved.
 
-        A linear chromosome keeps the old steps before the first window that
-        holds a changed position, recomputes from there, and takes the old
-        tail back once the chain is past every changed position and meets
-        an old step start again.  A circular chromosome is rescanned whole.
+        Each old step that starts where the new chain needs a step and whose
+        window prev+1 .. end+1 holds no changed position is kept, with the
+        clean old steps after it; the others are grown again.  On a circular
+        chromosome the first step is always grown again, and the old and new
+        left ends of its run count as changed, since the chain ends just
+        before that left end; a changed position stands for both of its
+        unwrapped positions.
         """
         chrom = self.G.chromosomes[ci]
+        entries = chrom.order
+        size = len(entries)
         if chrom.shape == "circular":
-            return self._scan_circular(chrom.order)
-        first = bisect.bisect_left(old, min(changed) - 1, key=lambda step: step.end)
-        return self._chain(chrom.order, old[:first], old[first].prev, old[first:], max(changed))
+            first = self._step(entries, -1, size - 1, around=True)
+            steps, last = [first], first.prev + size
+            if old:
+                changed = [*changed, first.prev + 1, old[0].prev + 1]
+                old = old[1:]
+            changed = [p % size + k for p in changed for k in (0, size)]
+        else:
+            steps, last = [], size - 1
+        dirty = set()  # neighbouring windows share one position
+        for p in changed:
+            k = bisect.bisect_left(old, p - 1, key=lambda step: step.end)
+            while k < len(old) and old[k].prev < p:
+                dirty.add(k)
+                k += 1
+        dirty = sorted(dirty) + [len(old)]  # len(old) ends every run of clean steps
+        prev = steps[-1].end if steps else -1
+        while prev < last:
+            j = bisect.bisect_left(old, prev, key=lambda step: step.prev)
+            clean_until = dirty[bisect.bisect_left(dirty, j)]
+            if j < clean_until and old[j].prev == prev:
+                steps.extend(old[j:clean_until])
+            else:
+                steps.append(self._step(entries, prev, last))
+            prev = steps[-1].end
+        return steps
 
     def remove(self, indices) -> dict[int, list[int]]:
         """Take locked or killed candidates out of the starter lists.
@@ -296,131 +334,73 @@ class _RunScanner:
             changed.setdefault(ci, []).append(pos)
         return changed
 
-    def _chain(self, entries, steps, prev, old=(), changed_until=-1) -> list[_Step]:
-        """Append the steps of a linear chromosome from position `prev` on."""
-        j = 0
-        while prev < len(entries) - 1:
-            if prev >= changed_until:
-                while j < len(old) and old[j].prev < prev:
-                    j += 1
-                if j < len(old) and old[j].prev == prev:
-                    steps.extend(old[j:])
-                    return steps
-            step = self._linear_step(entries, prev)
-            steps.append(step)
-            prev = step.end
-        return steps
-
-    def _starter(self, gene) -> bool:
-        return len(self.by_g_gene.get(gene, ())) == 1
-
-    def _linear_step(self, entries, prev: int) -> _Step:
-        start = prev + 1
-        while start < len(entries) and not self._starter(entries[start][0]):
-            start += 1
-        if start == len(entries):
-            return _Step(prev, start - 1, None, None)
-        positions, members, rows, _ = self._grow(entries, start, False, lambda p: p <= prev)
-        return _Step(prev, positions[-1], *self._segment(members, rows, False))
-
-    def _scan_circular(self, entries) -> list[_Step]:
-        used = [False] * len(entries)
-        steps = []
-        for start in range(len(entries)):
-            if used[start] or not self._starter(entries[start][0]):
-                continue
-            positions, members, rows, is_cycle = self._grow(
-                entries, start, True, used.__getitem__
-            )
-            for pos in positions:
-                used[pos] = True
-            run, key = self._segment(members, rows, is_cycle)
-            if run is not None:
-                steps.append(_Step(-1, -1, run, key))
-        return steps
-
-    @staticmethod
-    def _segment(members, rows, is_cycle):
-        if len(members) < 2:
-            return None, None
-        run = Segment(members=tuple(members), internal_rows=tuple(rows), circular=is_cycle)
-        return run, run.key
-
-    def _grow(self, entries, start, circular, taken):
-        """Grow a run from `start` to the right, then to the left.
-
-        Growth requires the next candidate to be the unique compatible
-        choice; `taken(pos)` marks positions already claimed by the scan.
-        Returns the positions, members and internal rows in G order and
-        whether the run closed a circular chromosome.
-        """
-        candidates, by_g_gene, row_alive = self.candidates, self.by_g_gene, self.row_alive
+    def _step(self, entries, prev: int, last: int, around: bool = False) -> _Step:
+        """The step after position `prev` of a chain that ends at `last`;
+        `around` grows the first run of a circular chromosome."""
         size = len(entries)
-        members = [by_g_gene[entries[start][0]][0]]
-        positions = [start]
+        start = prev + 1
+        while start <= last and len(self.by_g_gene.get(entries[start % size][0], ())) != 1:
+            start += 1
+        if start > last:
+            return _Step(prev, last, None, None)
+        lo, hi = (start - size, start + size) if around else (prev + 1, last)
+        left, right, members, rows, closed = self._grow(entries, start, lo, hi)
+        run = Segment(tuple(members), tuple(rows), closed) if len(members) > 1 else None
+        return _Step(left - 1 if around else prev, right, run, run.key if run else None)
+
+    def _grow(self, entries, start, lo, hi):
+        """Grow a run from position `start` right up to `hi`, then left down to `lo`.
+
+        Each growth step follows the link of the end member's facing
+        extremity.  The linked candidate joins when the link's row is
+        alive, the candidate is still listed for the G gene at the next
+        position, and it shares no gene with the members.  Following the
+        links right back to the start member, at start + size, closes a
+        circular chromosome; growing left never reaches the run's right
+        end again.  Returns the run's left and right end, its members and
+        internal rows in G order, and whether it closed the circle.
+        """
+        candidates, by_g_gene, link, row_alive = (
+            self.candidates, self.by_g_gene, self.link, self.row_alive
+        )
+        size = len(entries)
+        first = by_g_gene[entries[start % size][0]][0]
         # the members' G, H and I genes: a candidate sharing one conflicts
-        member_set = {members[0]}
-        member_genes = [{g} for g in candidates[members[0]].genes]
+        member_genes = [{g} for g in candidates[first].genes]
 
-        def extend(pos: int, member: int, forward: bool, rows_acc) -> tuple[int, int] | None:
-            """Try one growth step; returns (next position, candidate) or None."""
+        def extend(pos: int, member: int, forward: bool) -> tuple[int, int] | None:
+            """The candidate that continues the run past `pos`, and its row."""
+            linked = link.get((member, _facing_end(entries[pos % size][1], forward)))
+            if linked is None:
+                return None
+            cand, row = linked
             nxt = pos + 1 if forward else pos - 1
-            if circular:
-                nxt %= size
-            elif not 0 <= nxt < size:
+            if row_alive is not None and not row_alive[row] \
+                    or cand not in by_g_gene.get(entries[nxt % size][0], ()):
                 return None
-            if taken(nxt):
+            genes = candidates[cand].genes
+            # the start member, met again when the circle closes, is no conflict
+            if cand != first and any(g in seen for g, seen in zip(genes, member_genes)):
                 return None
-            gene, orientation = entries[nxt]
-            e_from = _facing_end(entries[pos][1], forward)
-            e_to = _facing_end(orientation, not forward)
-            options = []
-            for cand_idx in by_g_gene.get(gene, ()):
-                cand = candidates[cand_idx]
-                a, b = (member, e_from), (cand_idx, e_to)
-                if b < a:
-                    a, b = b, a
-                row = self.link_rows.get((a[0], a[1], b[0], b[1]))
-                if row is None or row_alive is not None and not row_alive[row]:
-                    continue
-                # a member (the wrap-around one) conflicts with no other member
-                if cand_idx not in member_set and any(
-                    g in seen for g, seen in zip(cand.genes, member_genes)
-                ):
-                    continue
-                options.append((cand_idx, row))
-            if len(options) != 1:
-                return None
-            cand_idx, row = options[0]
-            rows_acc.append(row)
-            member_set.add(cand_idx)
-            for g, seen in zip(candidates[cand_idx].genes, member_genes):
+            for g, seen in zip(genes, member_genes):
                 seen.add(g)
-            return nxt, cand_idx
+            return linked
 
-        rows: list[int] = []
-        while True:
-            step = extend(positions[-1], members[-1], True, rows)
-            if step is None:
-                break
-            pos, cand_idx = step
-            if pos == positions[0] and circular:
-                # closed the cycle: the wrap link is already recorded
-                break
-            positions.append(pos)
-            members.append(cand_idx)
-        is_cycle = circular and len(members) == size and len(rows) == size
-        if not is_cycle:
-            left_rows: list[int] = []
-            while True:
-                step = extend(positions[0], members[0], False, left_rows)
-                if step is None:
-                    break
-                pos, cand_idx = step
-                positions.insert(0, pos)
-                members.insert(0, cand_idx)
-            rows = left_rows[::-1] + rows
-        return positions, members, rows, is_cycle
+        members, rows = [first], []
+        right = start
+        while right < hi and (linked := extend(right, members[-1], True)):
+            rows.append(linked[1])
+            if right + 1 == start + size:
+                return start, right, members, rows, True
+            right += 1
+            members.append(linked[0])
+        left_members, left_rows = [first], []
+        left, lo = start, max(lo, right - size + 1)
+        while left > lo and (linked := extend(left, left_members[-1], False)):
+            left -= 1
+            left_members.append(linked[0])
+            left_rows.append(linked[1])
+        return left, right, left_members[:0:-1] + members, left_rows[::-1] + rows, False
 
 
 def detect_runs(
@@ -646,11 +626,13 @@ def icf_seg(
     fresh `detect_runs` after every acceptance.  An acceptance changes the
     scan state only at the G positions of the run's members (now locked)
     and of the killed candidates: every masked row touches one of them.  A
-    step of a linear chromosome's scan reads only the positions from just
-    after the previous run's right end to just after its own (see `_Step`),
-    so only steps whose window holds a changed position are recomputed, and
-    once the chain is past the last changed position at an old step start
-    the old tail is kept.  Circular chromosomes are rescanned whole.
+    step of the scan reads only the positions from just after the previous
+    run's right end to just after its own (see `_Step`), so only steps whose
+    window holds a changed position are grown again, and every other step
+    that starts where the new chain needs one is kept.  On a circular
+    chromosome the first step, which reads the whole circle, is always
+    grown again, and the chain after it moves its end with that run's left
+    end.
     """
     n = len(candidates)
     cand_alive = np.ones(n, dtype=bool)

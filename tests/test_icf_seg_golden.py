@@ -11,7 +11,13 @@ algorithm, which rescans every chromosome with the public `detect_runs`
 after each accepted run, and asserts that `icf_seg` examines the same runs
 in the same order, accepts the same ones and leaves the same masks.
 `test_rescan_matches_fresh_scan` checks the partial rescan of the run scan
-directly against a scan from scratch after random removals.
+directly against a scan from scratch after random removals, on linear,
+circular and mixed chromosomes, and `test_circular_rescan_is_local` checks
+that a rescan of a circular chromosome grows only a few runs again.
+
+The digests of the circular cases were recorded with the scan that kept a
+separate whole-chromosome pass for circular chromosomes, so they pin the
+runs the shared step chain must reproduce.
 """
 from __future__ import annotations
 
@@ -40,8 +46,10 @@ from ffmedian.segments import (
 )
 
 from conftest import (
+    circular,
     diagonal_sigma,
     evolved_instance,
+    identical_genomes,
     linear,
     random_blockish_instance,
     random_small_instance,
@@ -75,20 +83,49 @@ def permuted_order_case():
     return tables([i, g, h], sigma)
 
 
-def circular_case():
-    genomes, sigma = evolved_instance(38, 120, 2, 0.1)
-    circular = [
+def reshaped(genomes, circular_chromosomes):
+    """The genomes with the named chromosomes made circular (their telomeres
+    dropped) and the others kept linear."""
+    return [
         build_genome(
             genome.label,
             [
-                (chrom.name, "circular",
+                (chrom.name,
+                 "circular" if chrom.name in circular_chromosomes else "linear",
                  [(gene.name, o) for gene, o in chrom.order if not gene.is_telomere])
                 for chrom in genome.chromosomes
             ],
         )
         for genome in genomes
     ]
-    return tables(circular, sigma)
+
+
+def circular_tables(seed, n, chromosomes, rate, circular_chromosomes=None):
+    """An evolved instance with the named chromosomes circular, by default all."""
+    genomes, sigma = evolved_instance(seed, n, chromosomes, rate)
+    if circular_chromosomes is None:
+        circular_chromosomes = {f"c{k}" for k in range(chromosomes)}
+    return tables(reshaped(genomes, circular_chromosomes), sigma)
+
+
+def circular_case():
+    return circular_tables(38, 120, 2, 0.1)
+
+
+def closed_circle_case():
+    """Three identical 50-gene circles: one run that closes the circle."""
+    return tables(*identical_genomes([f"a{k:02d}" for k in range(50)], "circular"))
+
+
+def circle_across_origin_case():
+    """H reverses a20..a29 and G starts at a40, so the first run that G's
+    scan meets, a30..a49 a00..a19, wraps across position 0."""
+    names = [f"a{k:02d}" for k in range(50)]
+    forward = [(nm, 1) for nm in names]
+    G = circular("G", forward[40:] + forward[:40])
+    H = circular("H", forward[:20] + [(nm, -1) for nm in reversed(names[20:30])] + forward[30:])
+    I = circular("I", forward)
+    return tables([G, H, I], diagonal_sigma(names))
 
 
 def mis_case():
@@ -105,6 +142,11 @@ CASES = {
     "c3_f0.2_n100": lambda: tables(*evolved_instance(37, 100, 3, 0.2)),
     "call_order_IGH": permuted_order_case,
     "circular_c2_f0.1_n120": circular_case,
+    "circular_c1_f0_n300": lambda: circular_tables(48, 300, 1, 0.0),
+    "circular_c2_f0.2_n150": lambda: circular_tables(49, 150, 2, 0.2),
+    "mixed_c2_f0.1_n150": lambda: circular_tables(50, 150, 2, 0.1, {"c0"}),
+    "closed_circle_n50": closed_circle_case,
+    "circle_across_origin": circle_across_origin_case,
     "mis_reduction": mis_case,
 }
 
@@ -117,7 +159,12 @@ GOLDEN = {
     "c3_f0.2_n100": (362, 1357, 4, "9427a11f7d12c6f40c6e95b7600ce091a5347bc5afef7b6e5163d687fe65cdcf"),
     "c3_f0_n200": (383, 881, 41, "8e82bfc0ba63bf4326c96dc5140f7760313f108ee5c92728275936e20bf4e1f7"),
     "call_order_IGH": (208, 574, 12, "c957badbabe2395d189471f3af59379de53177de0461f3f0b797d2d3201a5906"),
+    "circle_across_origin": (50, 52, 2, "7a7b49223c4d2c709e3f1f12562844f044bc46c69d3f200af5ee007c8c8d5a56"),
+    "circular_c1_f0_n300": (272, 426, 71, "fa033d28201de38ffc786704c8bd6029e83d594f32db88b400476ba193a1f133"),
     "circular_c2_f0.1_n120": (124, 270, 16, "2ef51115bae7091e7dfbc60de6f708b39959208e45d613b1925a3070c2f69807"),
+    "circular_c2_f0.2_n150": (216, 692, 12, "209abec6490cda00a6fde32dd15d6f740ef95e0d9991c9b623fe64f109d98c8e"),
+    "closed_circle_n50": (50, 50, 1, "d3d655bb6ea721f167861b81b2b262fa0925125665e9bcf41b18a5af2c73d4a0"),
+    "mixed_c2_f0.1_n150": (182, 443, 20, "d0ef1a1e4aa4581b977461863c2ba41d900f2d46dc2b2e93d5d3efdb6b160dd6"),
     "mis_reduction": (224, 19024, 0, "a1b22b6087267473fa126f0f438c4abb7d62b48d4826998cdbb80206ce2ce84c"),
 }
 
@@ -228,6 +275,13 @@ def reference_cases():
         genomes, candidates, table = tables(*evolved_instance(seed, n, chromosomes, rate))
         yield f"evolved{seed}", genomes, candidates, table
     yield "circular", *circular_case()
+    for seed, n, chromosomes, rate, circular_chromosomes in (
+        (51, 60, 1, 0.0, None), (52, 80, 1, 0.1, None), (53, 100, 1, 0.2, None),
+        (54, 80, 2, 0.0, None), (55, 60, 2, 0.1, None), (56, 80, 3, 0.2, None),
+        (57, 80, 2, 0.0, {"c0"}), (58, 80, 2, 0.1, {"c1"}), (59, 60, 3, 0.2, {"c1"}),
+        (60, 100, 2, 0.05, {"c0"}), (61, 80, 3, 0.1, {"c0", "c2"}),
+    ):
+        yield f"circular{seed}", *circular_tables(seed, n, chromosomes, rate, circular_chromosomes)
 
 
 def test_icf_seg_matches_restart_loop(monkeypatch):
@@ -258,14 +312,22 @@ def test_icf_seg_matches_restart_loop(monkeypatch):
     assert cases >= 20
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(24))
 def test_rescan_matches_fresh_scan(seed):
     """Kill random candidates and mask their rows, a few at a time; after
-    each round the rescanned steps equal those of a scan from scratch."""
+    each round the rescanned steps equal those of a scan from scratch.
+
+    Seeds 0-7 have linear chromosomes only, 8-15 circular ones only, and
+    16-23 one circular chromosome beside linear ones.
+    """
     rng = random.Random(seed)
-    genomes, candidates, table = tables(
-        *evolved_instance(70 + seed, 60, 1 + seed % 3, (0.1, 0.3)[seed % 2])
-    )
+    rate = (0.1, 0.3)[seed % 2]
+    if seed < 8:
+        genomes, candidates, table = tables(*evolved_instance(70 + seed, 60, 1 + seed % 3, rate))
+    elif seed < 16:
+        genomes, candidates, table = circular_tables(70 + seed, 60, 1 + seed % 3, rate)
+    else:
+        genomes, candidates, table = circular_tables(70 + seed, 60, 2 + seed % 2, rate, {"c0"})
     G = genomes[0]
     cand_alive = np.ones(len(candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
@@ -284,3 +346,32 @@ def test_rescan_matches_fresh_scan(seed):
         fresh = _RunScanner(G, candidates, table, cand_alive, row_alive)
         assert chains == [fresh.scan(ci) for ci in range(len(G.chromosomes))]
     assert rescans > 20
+
+
+def test_circular_rescan_is_local(monkeypatch):
+    """Removing one candidate from a 400-gene circle regrows the first run
+    and the steps whose window holds the change, not the whole circle."""
+    genomes, candidates, table = circular_tables(62, 400, 1, 0.0)
+    G = genomes[0]
+    cand_alive = np.ones(len(candidates), dtype=bool)
+    row_alive = np.ones(len(table), dtype=bool)
+    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    old = scanner.scan(0)
+    victim = scanner.by_g_gene[G.chromosomes[0].order[200][0]][0]
+    cand_alive[victim] = False
+    row_alive[(table.m1 == victim) | (table.m2 == victim)] = False
+    changed = scanner.remove([victim])
+    assert changed == {0: [200]}
+
+    grown = 0
+    grow = _RunScanner._grow
+
+    def counting_grow(self, *args):
+        nonlocal grown
+        grown += 1
+        return grow(self, *args)
+
+    monkeypatch.setattr(_RunScanner, "_grow", counting_grow)
+    new = scanner.rescan(0, old, changed[0])
+    assert grown <= 5
+    assert new == _RunScanner(G, candidates, table, cand_alive, row_alive).scan(0)
