@@ -17,17 +17,16 @@ import numpy as np
 
 from . import kernels
 from .genomes import (
+    ENDS,
     Gene,
     Genome,
     GenomeError,
     SimilarityGraph,
+    facing_end,
     splice_genes,
 )
 
 log = logging.getLogger(__name__)
-
-END_CODES = {"t": 0, "h": 1, "o": 2}
-END_NAMES = {v: k for k, v in END_CODES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +65,7 @@ class CandidateAdjacency:
     m2: CandidateGene
     end2: str
     conserved_in: tuple[str, ...]
-    score_factor: float  # the sixth-root factor, identical for every genome
-    weight: float  # score_factor times the conservation count
+    weight: float  # the sixth-root score factor times the conservation count
 
 
 class ConflictIndex:
@@ -167,15 +165,16 @@ class InstanceIndex:
     def adjacency_arrays(self, x: int):
         """Genome x's extant adjacencies as (gene, end, gene, end) int arrays.
 
-        They come in no particular order: `kernels.merge_genome_pairs` sorts
-        what the scan emits.
+        One row per pair of `Genome.neighbours`, in walk order; ends are
+        `facing_end` codes.  `kernels.merge_genome_pairs` sorts what the scan
+        emits, so neither the row order nor the order of a row's two
+        extremities matters.
         """
         idx = self.index[x]
-        rows = []
-        for e1, e2 in self.genomes[x].adjacencies:
-            rows.append(
-                (idx[e1.gene], END_CODES[e1.end], idx[e2.gene], END_CODES[e2.end])
-            )
+        rows = [
+            (idx[g1], facing_end(g1, o1, True), idx[g2], facing_end(g2, o2, False))
+            for (g1, o1), (g2, o2) in self.genomes[x].neighbours()
+        ]
         arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
@@ -221,14 +220,8 @@ class ConservedAdjacencyTable(Sequence):
         self.e2 = e2
         self.mask = mask
         triple = np.array([c.triple_score for c in candidates], dtype=np.float64)
-        if len(self):
-            self.factor = (triple[self.m1] * triple[self.m2]) ** (1.0 / 6.0)
-            self.counts = np.bitwise_count(mask.astype(np.uint8)).astype(np.int64)
-            self.weight = self.factor * self.counts
-        else:
-            self.factor = np.empty(0, dtype=np.float64)
-            self.counts = np.empty(0, dtype=np.int64)
-            self.weight = np.empty(0, dtype=np.float64)
+        self.factor = (triple[m1] * triple[m2]) ** (1.0 / 6.0)
+        self.weight = self.factor * np.bitwise_count(mask.astype(np.uint8))
 
     def __len__(self) -> int:
         return int(self.m1.size)
@@ -249,11 +242,10 @@ class ConservedAdjacencyTable(Sequence):
             raise IndexError(k)
         return CandidateAdjacency(
             m1=self.candidates[int(self.m1[k])],
-            end1=END_NAMES[int(self.e1[k])],
+            end1=ENDS[int(self.e1[k])],
             m2=self.candidates[int(self.m2[k])],
-            end2=END_NAMES[int(self.e2[k])],
+            end2=ENDS[int(self.e2[k])],
             conserved_in=self.conserved_labels(k),
-            score_factor=float(self.factor[k]),
             weight=float(self.weight[k]),
         )
 

@@ -2,11 +2,14 @@
 
 A genome is a set of chromosomes, each an ordered list of signed genes.
 Linear chromosomes are capped by two telomeres that are created
-automatically and never shared between chromosomes.  The adjacency set of
-a genome is derived from the chromosome orders: a gene read in forward
-orientation contributes its tail extremity first and its head extremity
-second, so two consecutive forward genes a, b yield the adjacency
-{a_head, b_tail}.
+automatically and never shared between chromosomes.  A genome's
+adjacencies come from one walk, `Genome.neighbours`, over consecutive
+entries of each chromosome (and the wrap of a circular one), and one rule,
+`facing_end`, names the extremity each entry turns to its neighbour: a
+gene read in forward orientation contributes its tail extremity first and
+its head extremity second, so two consecutive forward genes a, b yield the
+adjacency {a_head, b_tail}.  Every stage that reads adjacencies, as
+extremity pairs or as int codes, goes through these two.
 
 Gene similarities across genomes live in a `SimilarityGraph`.  Telomere
 similarities are fixed by convention: 1 between any two telomeres of
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 log = logging.getLogger(__name__)
@@ -23,6 +27,7 @@ log = logging.getLogger(__name__)
 TAIL = "t"
 HEAD = "h"
 TELOMERIC = "o"
+ENDS = (TAIL, HEAD, TELOMERIC)  # an end's int code is its index here
 
 # Telomere gene names carry this prefix; user gene names must not.
 TELOMERE_PREFIX = "~"
@@ -93,25 +98,21 @@ class Chromosome:
     shape: str
     order: tuple[tuple[Gene, int], ...]  # (gene, orientation in {+1,-1})
 
-    @property
-    def genes(self) -> tuple[Gene, ...]:
-        return tuple(g for g, _ in self.order if not g.is_telomere)
 
+def facing_end(gene: Gene, orientation: int, forward: bool) -> int:
+    """Code (index into `ENDS`) of the extremity of an oriented gene that
+    faces the next entry of its chromosome (`forward`) or the previous one.
 
-def _leading(gene: Gene, orientation: int) -> Extremity:
+    A gene read forward shows its tail first and its head last; a telomere
+    has its single telomeric end.
+    """
     if gene.is_telomere:
-        return Extremity(gene, TELOMERIC)
-    return Extremity(gene, TAIL if orientation > 0 else HEAD)
-
-
-def _trailing(gene: Gene, orientation: int) -> Extremity:
-    if gene.is_telomere:
-        return Extremity(gene, TELOMERIC)
-    return Extremity(gene, HEAD if orientation > 0 else TAIL)
+        return 2
+    return int((orientation > 0) == forward)
 
 
 class Genome:
-    """Immutable genome with materialized adjacency set.
+    """Immutable genome; its adjacency set is built on first read.
 
     Construct via `build_genome`; direct construction expects chromosomes
     that already satisfy the telomere invariants.
@@ -150,18 +151,28 @@ class Genome:
                     )
         self._occurrence = genes
         self.genes = frozenset(genes)
-        self.adjacencies = frozenset(self._build_adjacencies())
 
-    def _build_adjacencies(self) -> Iterator[Adjacency]:
+    def neighbours(self) -> Iterator[tuple[tuple[Gene, int], tuple[Gene, int]]]:
+        """Each adjacency as the two (gene, orientation) entries it joins, in
+        chromosome order: consecutive entries, then the last and first
+        entries of a circular chromosome.  The first entry's forward
+        `facing_end` meets the second's backward one."""
         for chrom in self.chromosomes:
             entries = chrom.order
-            if not entries:
-                continue
-            pairs = list(zip(entries, entries[1:]))
-            if chrom.shape == CIRCULAR:
-                pairs.append((entries[-1], entries[0]))
-            for (g1, o1), (g2, o2) in pairs:
-                yield adjacency(_trailing(g1, o1), _leading(g2, o2))
+            yield from zip(entries, entries[1:])
+            if chrom.shape == CIRCULAR and entries:
+                yield entries[-1], entries[0]
+
+    @cached_property
+    def adjacencies(self) -> frozenset[Adjacency]:
+        """The adjacencies as canonical extremity pairs."""
+        return frozenset(
+            adjacency(
+                Extremity(g1, ENDS[facing_end(g1, o1, True)]),
+                Extremity(g2, ENDS[facing_end(g2, o2, False)]),
+            )
+            for (g1, o1), (g2, o2) in self.neighbours()
+        )
 
     # -- queries ---------------------------------------------------------
 

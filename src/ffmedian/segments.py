@@ -16,7 +16,10 @@ after it ends just before that run's left end.  Accepting a run changes
 the scan state only at the G positions of its members and of the
 candidates it kills, so ICF-SEG builds its lookups once and, after each
 acceptance, grows again only the first step of a circular chromosome and
-the steps whose window holds a changed position.
+the steps whose window holds a changed position.  A run grows from its end
+member through the extremity that `genomes.facing_end` says the member's
+G entry turns to the next position: the rule that also gives every
+genome's adjacencies.
 
 A run's conflict-extended graph Γ′ has maximum degree 2, so `mwm` solves
 it over its paths and cycles, as listed by `solver.paths_and_cycles`, the
@@ -42,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .candidates import CandidateGene, ConflictIndex, ConservedAdjacencyTable
-from .genomes import Gene, Genome
+from .genomes import Gene, Genome, facing_end
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
@@ -57,7 +60,8 @@ class MatchGraph:
     """Weighted graph over candidate extremities.
 
     Vertex keys are (candidate index, end code), end codes as in
-    `candidates.END_CODES`.
+    `genomes.ENDS`: the codes `genomes.facing_end` gives the extremity an
+    oriented gene turns to its neighbour.
     """
 
     nodes: tuple[tuple[int, int], ...]
@@ -147,7 +151,7 @@ def matching_weight(graph: MatchGraph, matching) -> float:
 
 
 class ExtremityIncidence:
-    """Table rows incident to each candidate extremity and to each candidate.
+    """Table rows incident to each candidate extremity.
 
     The row lists cover every row of the table and are built once; `row_alive`
     is held by reference, so the queries always see the rows live right now.
@@ -155,15 +159,13 @@ class ExtremityIncidence:
 
     def __init__(self, table: ConservedAdjacencyTable, row_alive=None):
         self.row_alive = row_alive
+        self.candidates = table.candidates
         self.weight = table.weight.tolist()
         self.by_ext: dict[tuple[int, int], list[int]] = {}
-        self.by_cand: dict[int, list[int]] = {}
         ends = zip(table.m1.tolist(), table.e1.tolist(), table.m2.tolist(), table.e2.tolist())
         for k, (m1, e1, m2, e2) in enumerate(ends):
             self.by_ext.setdefault((m1, e1), []).append(k)
             self.by_ext.setdefault((m2, e2), []).append(k)
-            self.by_cand.setdefault(m1, []).append(k)
-            self.by_cand.setdefault(m2, []).append(k)
 
     def _live(self, rows: list[int]) -> list[int]:
         alive = self.row_alive
@@ -174,8 +176,9 @@ class ExtremityIncidence:
         return self._live(self.by_ext.get(ext, []))
 
     def rows_of(self, m: int) -> list[int]:
-        """Live rows incident to either extremity of candidate m."""
-        return self._live(self.by_cand.get(m, []))
+        """Live rows incident to either extremity of candidate m, in no
+        particular order (a row never joins a candidate to itself)."""
+        return [k for e in self.candidates[m].ends for k in self.rows_at((m, e))]
 
     def best_weight(self, ext: tuple[int, int]) -> float:
         return max((self.weight[k] for k in self.rows_at(ext)), default=0.0)
@@ -212,13 +215,6 @@ class Segment:
     @property
     def key(self) -> frozenset[int]:
         return frozenset(self.members)
-
-
-def _facing_end(orientation: int, forward: bool) -> int:
-    """End code of the extremity facing the next (forward) or previous position."""
-    if forward:
-        return 1 if orientation > 0 else 0
-    return 0 if orientation > 0 else 1
 
 
 class _Step(NamedTuple):
@@ -370,7 +366,7 @@ class _RunScanner:
 
         def extend(pos: int, member: int, forward: bool) -> tuple[int, int] | None:
             """The candidate that continues the run past `pos`, and its row."""
-            linked = link.get((member, _facing_end(entries[pos % size][1], forward)))
+            linked = link.get((member, facing_end(*entries[pos % size], forward)))
             if linked is None:
                 return None
             cand, row = linked

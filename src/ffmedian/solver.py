@@ -45,13 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .candidates import (
-    CandidateAdjacency,
-    CandidateGene,
-    ConservedAdjacencyTable,
-    END_NAMES,
-)
-from .genomes import Gene
+from .candidates import CandidateAdjacency, CandidateGene, ConservedAdjacencyTable
+from .genomes import ENDS, Gene
 
 log = logging.getLogger(__name__)
 
@@ -94,15 +89,18 @@ class IlpModel:
     table: ConservedAdjacencyTable
 
     def __post_init__(self):
-        genes: set[Gene] = set()
-        ext_count = 0
-        for cand in self.candidates:
-            genes.update(cand.genes)
-            ext_count += len(cand.ends)
         self.n_a = len(self.candidates)
         self.n_b = len(self.table)
-        self.counted_variables = self.n_a + self.n_b
-        self.counted_constraints = len(genes) + self.n_b + ext_count
+
+    @property
+    def counted_variables(self) -> int:
+        return self.n_a + self.n_b
+
+    @property
+    def counted_constraints(self) -> int:
+        genes = {gene for cand in self.candidates for gene in cand.genes}
+        extremities = sum(len(cand.ends) for cand in self.candidates)
+        return len(genes) + self.n_b + extremities
 
     def a_name(self, i: int) -> str:
         c = self.candidates[i]
@@ -111,7 +109,7 @@ class IlpModel:
     def b_name(self, k: int) -> str:
         m1, e1, m2, e2 = self.table.key(k)
         c1, c2 = self.candidates[m1], self.candidates[m2]
-        s1, s2 = END_NAMES[e1], END_NAMES[e2]
+        s1, s2 = ENDS[e1], ENDS[e2]
         parts = []
         for x1, x2 in zip(c1.genes, c2.genes):
             parts.append(f"{_token(x1.name)}{s1}_{_token(x2.name)}{s2}")

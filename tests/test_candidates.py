@@ -10,11 +10,21 @@ from ffmedian.candidates import (
     CandidateGene,
     ConflictIndex,
     ConservedAdjacencyTable,
+    InstanceIndex,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import Extremity, Gene, SimilarityGraph, build_genome, indicator
+from ffmedian.genomes import (
+    ENDS,
+    Extremity,
+    Gene,
+    SimilarityGraph,
+    adjacency,
+    build_genome,
+    indicator,
+    splice_genes,
+)
 
 from conftest import build_tables, diagonal_sigma, identical_genomes, linear
 
@@ -254,6 +264,59 @@ class TestConservedAdjacencies:
                         _project(rec.m2, rec.end2, g.label),
                     )
                 }
+
+
+def _random_genome(rng, label, shapes):
+    """A genome with one chromosome of 1..6 random genes per entry of `shapes`."""
+    chromosomes = []
+    for c, shape in enumerate(shapes):
+        names = [f"{label}{c}x{k}" for k in range(rng.randint(1, 6))]
+        rng.shuffle(names)
+        chromosomes.append((f"c{c}", shape, [(nm, rng.choice([1, -1])) for nm in names]))
+    return build_genome(label, chromosomes)
+
+
+def _array_adjacencies(index, x):
+    """Genome x's adjacency arrays read back as (gene, end) extremity pairs."""
+    genes = index.genes[x]
+    return sorted(
+        adjacency(Extremity(genes[g1], ENDS[c1]), Extremity(genes[g2], ENDS[c2]))
+        for g1, c1, g2, c2 in zip(*(a.tolist() for a in index.adjacency_arrays(x)))
+    )
+
+
+class TestAdjacencyArrays:
+    """`InstanceIndex.adjacency_arrays` against the genomes' adjacency sets."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_linear_circular_and_mixed_genomes(self, seed):
+        rng = random.Random(seed)
+        shapes = (["linear"], ["circular"], ["linear", "circular"])[seed % 3]
+        genomes = [
+            _random_genome(rng, label, [rng.choice(shapes) for _ in range(rng.randint(1, 3))])
+            for label in "GHI"
+        ]
+        index = InstanceIndex(genomes)
+        for x, genome in enumerate(genomes):
+            assert _array_adjacencies(index, x) == sorted(genome.adjacencies)
+
+    def test_single_gene_circle_and_emptied_chromosomes(self):
+        G = build_genome("G", [("c1", "circular", [("a", 1)])])
+        H = build_genome("H", [("c1", "circular", [("a", -1)]), ("c2", "linear", [("b", 1)])])
+        mixed = build_genome("I", [
+            ("c1", "linear", [("a", 1), ("b", -1)]),
+            ("c2", "circular", [("c", 1), ("d", -1)]),
+            ("c3", "linear", [("e", -1)]),
+        ])
+        I = splice_genes(mixed, {Gene("I", nm) for nm in "abcd"})
+        index = InstanceIndex([G, H, I])
+        for x, genome in enumerate((G, H, I)):
+            assert _array_adjacencies(index, x) == sorted(genome.adjacencies)
+        # the emptied linear chromosome leaves a telomere-telomere adjacency
+        assert adjacency(
+            Extremity(Gene("I", "~c1.L"), "o"), Extremity(Gene("I", "~c1.R"), "o")
+        ) in I.adjacencies
+        assert len(I.adjacencies) == 3
 
 
 def _random_dense_instance(seed):

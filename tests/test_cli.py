@@ -12,7 +12,7 @@ import pytest
 
 import ffmedian
 from ffmedian import cli, segments, solver
-from ffmedian.genomes import write_genome_file
+from ffmedian.genomes import Extremity, Gene, write_genome_file
 
 from conftest import evolved_instance, identical_genomes
 
@@ -43,6 +43,19 @@ def write_files(tmp_path, genomes, sigma):
 
 def write_instance(tmp_path, names):
     return write_files(tmp_path, *identical_genomes(names))
+
+
+def test_pipeline_builds_no_extremity_objects(tmp_path, monkeypatch):
+    """The solve path reads the genomes' adjacencies as int arrays."""
+    _, genome_file, _, similarity_file = write_files(tmp_path, *evolved_instance(51, 60, 2, 0.1))
+    built = []
+    monkeypatch.setattr(Extremity, "__post_init__", lambda self: built.append(self))
+    Extremity(Gene("G", "a"), "t")
+    assert len(built) == 1  # the patch sees every construction
+    config = cli.RunConfig([genome_file], similarity_file, canonical=True)
+    code, report = cli.run_pipeline(config)
+    assert code == cli.EXIT_OK and report["status"] == "optimal"
+    assert len(built) == 1
 
 
 def test_oracle_over_its_cap_exits_with_solver_code(tmp_path, capsys):
