@@ -20,9 +20,11 @@ solve, so that a drift in machine speed reaches all of them alike.
 For every case, setting and tree, the output records the median seconds of
 each stage in the report's `stages`, their sum, the median wall seconds of
 the whole child (start-up, verification, CAR assembly and the report write
-lie outside the stages), the median peak RSS of the child, and the status,
-objective and `counts` of the report (candidates, conserved adjacency rows
-and the rest), which are the same in every repeat.
+lie outside the stages), the median CPU seconds of the child (user plus
+system, over all its threads: a helper thread that spins shows as CPU above
+wall), the median peak RSS of the child, and the status, objective and
+`counts` of the report (candidates, conserved adjacency rows and the rest),
+which are the same in every repeat.
 """
 from __future__ import annotations
 
@@ -67,8 +69,8 @@ def circularize(path: str) -> None:
     genomes.write_text(genomes.read_text().replace("\tlinear\t", "\tcircular\t"))
 
 
-def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[dict, float, float]:
-    """One solve child; its report, its wall seconds and its peak RSS in MB."""
+def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[dict, dict]:
+    """One solve child: its report and its `wall_s`, `cpu_s` and `peak_rss_mb`."""
     argv = [sys.executable, "-m", "ffmedian.cli", "solve", "-g", files["genomes"],
             "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out)]
     if not icf_seg:
@@ -81,10 +83,14 @@ def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[di
     code = os.waitstatus_to_exitcode(status)
     if code not in (0, 2):
         raise RuntimeError(f"solve with {src} exited with {code}")
-    return json.loads(out.read_text()), wall, usage.ru_maxrss * 1024 / 1e6
+    return json.loads(out.read_text()), {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
+    }
 
 
-def summarize(reports: list[dict], wall: list[float], rss: list[float]) -> dict:
+def summarize(reports: list[dict], samples: dict[str, list[float]]) -> dict:
     stages: dict[str, list[float]] = {}
     for report in reports:
         for stage in report["stages"]:
@@ -94,8 +100,7 @@ def summarize(reports: list[dict], wall: list[float], rss: list[float]) -> dict:
         "stages_s": {name: statistics.median(v) for name, v in stages.items()},
         "total_s": statistics.median(
             sum(s["seconds"] for s in report["stages"]) for report in reports),
-        "wall_s": statistics.median(wall),
-        "peak_rss_mb": statistics.median(rss),
+        **{name: statistics.median(values) for name, values in samples.items()},
         "status": first["status"],
         "objective": first["objective"],
         "counts": first["counts"],
@@ -120,19 +125,18 @@ def main(argv=None) -> int:
                 circularize(files["genomes"])
             for icf_seg in (True, False):
                 reports = {label: [] for label in trees}
-                wall = {label: [] for label in trees}
-                rss = {label: [] for label in trees}
+                samples = {label: {} for label in trees}
                 for _ in range(REPEAT):
                     for label, src in trees.items():
-                        report, seconds, mb = solve(src, files, icf_seg, work / "median.json")
+                        report, usage = solve(src, files, icf_seg, work / "median.json")
                         reports[label].append(report)
-                        wall[label].append(seconds)
-                        rss[label].append(mb)
-                runs = {label: summarize(reports[label], wall[label], rss[label])
-                        for label in trees}
+                        for metric, value in usage.items():
+                            samples[label].setdefault(metric, []).append(value)
+                runs = {label: summarize(reports[label], samples[label]) for label in trees}
                 results.append({"case": name, "icf_seg": icf_seg, "runs": runs})
                 print(name, "icf-seg" if icf_seg else "no icf-seg", " ".join(
                     f"{label}: {run['total_s']:.3f} s in stages, {run['wall_s']:.3f} s wall, "
+                    f"{run['cpu_s']:.3f} s CPU, "
                     f"{run['peak_rss_mb']:.0f} MB"
                     for label, run in runs.items()), flush=True)
     payload = {

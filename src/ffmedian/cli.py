@@ -3,10 +3,18 @@
 Exit codes:
   0  success with a proven optimum
   1  input error, such as a malformed, missing or unreadable file, a
-     malformed median report given to `eval`, or a malformed reduction
-     directory given to `verify-reduction`
+     malformed median report given to `eval`, a malformed reduction
+     directory given to `verify-reduction`, or a NaN or negative
+     `--time-limit`
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
+
+Start-up: no module of the package calls a BLAS routine, and HiGHS does its
+own linear algebra, so the process asks OpenBLAS (bundled with numpy) for one
+thread before numpy loads.  Otherwise OpenBLAS starts a worker thread per
+extra core at `import numpy`, which spins and slows every subcommand's
+start-up while two cores are contended.  An `OPENBLAS_NUM_THREADS` already
+set in the environment is kept.
 """
 from __future__ import annotations
 
@@ -17,6 +25,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+
+# before numpy loads: the package needs no BLAS worker threads (see above)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -355,13 +366,20 @@ def _cmd_icf_seg(args) -> int:
     return EXIT_OK
 
 
+def _time_limit(seconds: float) -> float | None:
+    """`--time-limit` in seconds, None for `inf`; NaN or below 0 is an input error."""
+    if not seconds >= 0:
+        raise ValueError(f"--time-limit must be 0 or more seconds, not {seconds}")
+    return None if seconds == float("inf") else seconds
+
+
 def _cmd_solve(args) -> int:
     config = RunConfig(
         genome_files=args.genomes,
         similarity_file=args.similarity,
         output=args.output,
         engine=args.engine,
-        time_limit=args.time_limit,
+        time_limit=_time_limit(args.time_limit),
         preprocess=args.preprocess,
         use_icf_seg=args.icf_seg,
         export_lp_path=args.export_lp,
@@ -397,12 +415,13 @@ def _cmd_reduce_mis(args) -> int:
 def _cmd_verify_reduction(args) -> int:
     from .mis_reduction import backmap_solution, mis_bruteforce, read_instance
 
+    time_limit = _time_limit(args.time_limit)
     instance = read_instance(args.instance_dir)
     _, candidates, table, _ = _front_end(
         lambda: (instance.genomes, instance.sigma), preprocess=False
     )
     solution = solve_branch_and_bound(
-        build_ilp(candidates, table), time_limit=args.time_limit
+        build_ilp(candidates, table), time_limit=time_limit
     )
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0

@@ -195,6 +195,35 @@ def test_time_limit_zero_exits_feasible(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["solve", "verify-reduction"])
+def test_nan_or_negative_time_limit_exits_with_input_code(tmp_path, capsys, command, limit):
+    if command == "solve":
+        out = tmp_path / "median.json"
+        argv = ["solve", *write_instance(tmp_path, ["a", "b"]), "-o", str(out)]
+    else:
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(FIVE_EDGE_GRAPH)
+        out = tmp_path / "instance"
+        assert cli.main(["reduce-mis", "--graph", str(edges), "-o", str(out)]) == cli.EXIT_OK
+        argv = ["verify-reduction", str(out)]
+        capsys.readouterr()
+    assert cli.main([*argv, f"--time-limit={limit}"]) == cli.EXIT_INPUT == 1
+    assert_one_error_line(capsys)
+    if command == "solve":
+        assert not out.exists()
+
+
+def test_infinite_time_limit_means_none(tmp_path):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "--time-limit", "inf", "-o", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)  # strict JSON
+    assert report["config"]["time_limit"] is None
+    assert report["status"] == "optimal"
+    assert report["bound"] == report["objective"]
+
+
 def test_solve_gets_the_budget_left_by_earlier_stages(tmp_path, monkeypatch):
     limits = []
     solve = cli.solve_branch_and_bound
@@ -268,6 +297,35 @@ def run_child(code, *argv, cwd=None):
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
         cwd=cwd,
     )
+
+
+def blas_settings_after_import(**settings):
+    """`OPENBLAS_NUM_THREADS` and the thread count after a fresh `import
+    ffmedian.cli`, in an environment with no BLAS thread variable but
+    `settings`."""
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    env.update(settings, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    code = (
+        "import json, os\n"
+        "import ffmedian.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_import_starts_no_blas_worker_thread():
+    assert blas_settings_after_import() == ["1", 1]
+
+
+def test_cli_import_keeps_a_user_blas_thread_setting():
+    setting, _ = blas_settings_after_import(OPENBLAS_NUM_THREADS="2")
+    assert setting == "2"
 
 
 def test_solve_does_not_load_other_subcommands_modules(tmp_path):

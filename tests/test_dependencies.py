@@ -4,7 +4,8 @@ The package's imports are read from its source with `ast`, local imports
 and `importlib.util.find_spec` lookups included; the standard library and
 relative imports are left out.  Every name a module-level import binds must
 be used in its module.  Every subcommand must then run in a process where
-networkx cannot be imported.
+networkx cannot be imported.  No module calls a BLAS routine, which is why
+`ffmedian.cli` starts numpy with one OpenBLAS thread.
 """
 import ast
 import json
@@ -70,6 +71,36 @@ def test_every_module_level_import_is_used():
         if bound - used:
             unused[path.name] = sorted(bound - used)
     assert unused == {}
+
+
+BLAS_CALLS = {"dot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def dotted_name(node) -> str:
+    """`np.linalg.norm` for the expression `np.linalg.norm`; '' for others."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted_name(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_no_module_calls_blas():
+    # a BLAS call would want the worker threads that `ffmedian.cli` turns off
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.MatMult):
+                found.append(f"{path.name}: @")
+            elif isinstance(node, ast.Call):
+                name = dotted_name(node.func)
+                if name.split(".")[-1] in BLAS_CALLS or "linalg" in name.split("."):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules = [f"{node.module}.{name}" for name in modules]
+                found.extend(f"{path.name}:{node.lineno}: import {module}"
+                             for module in modules if "linalg" in module.split("."))
+    assert found == []
 
 
 def test_every_subcommand_runs_without_networkx(tmp_path):
