@@ -1,11 +1,12 @@
 """Command-line entry point: graph building, enumeration, solving, evaluation.
 
 Exit codes:
-  0  success with a proven optimum
-  1  input error, such as a malformed, missing or unreadable file, a
-     malformed median report given to `eval`, a malformed reduction
-     directory given to `verify-reduction`, or a NaN or negative
-     `--time-limit`
+  0  success with a proven optimum, or `-h` and `--version`
+  1  input error, such as a usage error on the command line (an unknown
+     subcommand or option, a missing or malformed argument), a malformed,
+     missing or unreadable file, a malformed median report given to
+     `eval`, a malformed reduction directory given to `verify-reduction`,
+     or a NaN or negative `--time-limit`
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
 
@@ -19,6 +20,7 @@ set in the environment is kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -95,25 +97,14 @@ class RunConfig:
         }
 
 
-class _StageClock:
-    def __init__(self):
-        self.stages: list[dict] = []
-
-    def time(self, name: str):
-        clock = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                clock.stages.append(
-                    {"name": name, "seconds": time.perf_counter() - self.t0}
-                )
-                return False
-
-        return _Ctx()
+@contextlib.contextmanager
+def _stage(stages: list[dict], name: str):
+    """Append the block's wall time to `stages` as {"name", "seconds"}."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
 
 def _load_genomes(paths) -> list[Genome]:
@@ -133,24 +124,24 @@ def _read_files(genome_files, similarity_file):
     return lambda: (_load_genomes(genome_files), SimilarityGraph.read(similarity_file))
 
 
-def _front_end(load, preprocess: bool, clock: _StageClock | None = None):
+def _front_end(load, preprocess: bool, stages: list[dict] | None = None):
     """Load, preprocess and enumerate: the instance every subcommand works on.
 
     `load()` returns the three genomes and their similarities.  With
     `preprocess`, genes outside every 3-clique are spliced out first.
     Returns the genomes, the candidates, the conserved adjacency table and
-    the removed gene names per genome.  The stages are timed on `clock` as
-    `load`, `preprocess` and `enumerate`.  The layer functions are read as
-    module globals at each call, so that a tracer can patch them.
+    the removed gene names per genome.  The stages are timed into `stages`
+    as `load`, `preprocess` and `enumerate`.  The layer functions are read
+    as module globals at each call, so that a tracer can patch them.
     """
-    clock = clock or _StageClock()
-    with clock.time("load"):
+    stages = [] if stages is None else stages
+    with _stage(stages, "load"):
         genomes, sigma = load()
     removed: dict[str, list[str]] = {}
     if preprocess:
-        with clock.time("preprocess"):
+        with _stage(stages, "preprocess"):
             *genomes, removed = preprocess_discard_nonclique(*genomes, sigma)
-    with clock.time("enumerate"):
+    with _stage(stages, "enumerate"):
         candidates = enumerate_candidates(*genomes, sigma)
         table = enumerate_conserved_adjacencies(candidates, *genomes)
     return genomes, candidates, table, removed
@@ -190,9 +181,9 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     earlier stages left of it.
     """
     started = time.monotonic()
-    clock = _StageClock()
+    stages: list[dict] = []
     genomes, candidates, table, removed = _front_end(
-        _read_files(config.genome_files, config.similarity_file), config.preprocess, clock
+        _read_files(config.genome_files, config.similarity_file), config.preprocess, stages
     )
     accepted_rows: list[int] = []
     accepted_weight = 0.0
@@ -200,7 +191,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     solve_table = table
     row_map = np.arange(len(table))
     if config.use_icf_seg:
-        with clock.time("icf-seg"):
+        with _stage(stages, "icf-seg"):
             deadline = None if config.time_limit is None else started + config.time_limit
             result = icf_seg(genomes[0], candidates, table, deadline=deadline)
             accepted_rows = result.accepted_rows
@@ -208,7 +199,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             accepted_segments = len(result.accepted)
             row_map = np.nonzero(result.row_alive)[0]
             solve_table = result.reduced_table()
-    with clock.time("solve"):
+    with _stage(stages, "solve"):
         model = build_ilp(candidates, solve_table)
         if config.export_lp_path:
             export_lp(model, config.export_lp_path)
@@ -274,7 +265,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             }
             for car in cars
         ],
-        "stages": clock.stages,
+        "stages": stages,
     }
     code = EXIT_OK if solution.status != STATUS_FEASIBLE else EXIT_FEASIBLE
     return code, report
@@ -332,12 +323,12 @@ def _cmd_icf_seg(args) -> int:
     genomes, candidates, table, _ = _front_end(
         _read_files(args.genomes, args.similarity), args.preprocess
     )
-    result = icf_seg(genomes[0], candidates, table, conflict_cap=args.conflict_cap)
+    result = icf_seg(genomes[0], candidates, table)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
-        for seg_id, acc in enumerate(result.accepted):
-            genes = ",".join(str(candidates[m]) for m in acc.segment.members)
-            for row in acc.rows:
+        for seg_id, run in enumerate(result.accepted):
+            genes = ",".join(str(candidates[m]) for m in run.members)
+            for row in run.internal_rows:
                 adj = table[row]
                 fh.write(
                     f"{seg_id}\t{genes}\t{adj.m1}{adj.end1}--{adj.m2}{adj.end2}"
@@ -499,8 +490,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the input-error code;
+    `add_subparsers` builds the subcommand parsers with this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffmedian",
         description="Family-free median of three genomes",
     )
@@ -538,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_args(p)
     p.add_argument("-o", "--output", required=True, help="accepted segments TSV")
     p.add_argument("--emit-reduced", help="directory for the reduced instance")
-    p.add_argument("--conflict-cap", type=int, default=20)
     p.set_defaults(func=_cmd_icf_seg)
 
     p = sub.add_parser("solve", help="exact median computation")

@@ -33,6 +33,12 @@ and a graph of higher degree is an error:
   the other end when the members fill a circular chromosome.
 - Each member adds at most one conflict edge, between its own two
   extremities; telomere triples never join a run.
+
+A member's conflict edge weighs an exact maximum-weight conflict-free set
+of its live external conflicts, a search exponential in their number, so a
+run with a member of more than `CONFLICT_CAP` (20) such conflicts is
+skipped.  The cap is a guard, not an option: it is a module constant, and
+the INFO line of `icf_seg` counts the runs it skipped.
 """
 from __future__ import annotations
 
@@ -44,11 +50,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .candidates import CandidateGene, ConflictIndex, ConservedAdjacencyTable
+from .candidates import (
+    CandidateGene,
+    ConflictIndex,
+    ConservedAdjacencyTable,
+    ExtremityIncidence,
+)
 from .genomes import Gene, Genome, facing_end
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
+
+
+# most live external conflicts a run member may have; a run with more is
+# skipped, since its conflict edge is an exact set packing over them
+CONFLICT_CAP = 20
 
 
 class SegmentConflictCapError(RuntimeError):
@@ -150,55 +166,13 @@ def matching_weight(graph: MatchGraph, matching) -> float:
     return float(sum(weights[key] for key in matching))
 
 
-class ExtremityIncidence:
-    """Table rows incident to each candidate extremity.
-
-    The row lists cover every row of the table and are built once; `row_alive`
-    is held by reference, so the queries always see the rows live right now.
-    """
-
-    def __init__(self, table: ConservedAdjacencyTable, row_alive=None):
-        self.row_alive = row_alive
-        self.candidates = table.candidates
-        self.weight = table.weight.tolist()
-        self.by_ext: dict[tuple[int, int], list[int]] = {}
-        ends = zip(table.m1.tolist(), table.e1.tolist(), table.m2.tolist(), table.e2.tolist())
-        for k, (m1, e1, m2, e2) in enumerate(ends):
-            self.by_ext.setdefault((m1, e1), []).append(k)
-            self.by_ext.setdefault((m2, e2), []).append(k)
-
-    def _live(self, rows: list[int]) -> list[int]:
-        alive = self.row_alive
-        return rows if alive is None else [k for k in rows if alive[k]]
-
-    def rows_at(self, ext: tuple[int, int]) -> list[int]:
-        """Live rows incident to one extremity."""
-        return self._live(self.by_ext.get(ext, []))
-
-    def rows_of(self, m: int) -> list[int]:
-        """Live rows incident to either extremity of candidate m, in no
-        particular order (a row never joins a candidate to itself)."""
-        return [k for e in self.candidates[m].ends for k in self.rows_at((m, e))]
-
-    def best_weight(self, ext: tuple[int, int]) -> float:
-        return max((self.weight[k] for k in self.rows_at(ext)), default=0.0)
-
-
-def potential(
-    m: int,
-    table: ConservedAdjacencyTable,
-    incidence: ExtremityIncidence | None = None,
-) -> float:
-    """Best combined weight of adjacencies incident to opposite extremities.
+def potential(m: int, incidence: ExtremityIncidence) -> float:
+    """Best combined weight of live adjacencies incident to opposite extremities.
 
     With incident adjacencies on one extremity only, the best single weight;
     with none, 0.  Telomere triples have a single extremity.
     """
-    if incidence is None:
-        incidence = ExtremityIncidence(table)
-    cand = table.candidates[m]
-    best = [incidence.best_weight((m, e)) for e in cand.ends]
-    return float(sum(best))
+    return float(sum(incidence.best_weight((m, e)) for e in incidence.candidates[m].ends))
 
 
 # -- runs --------------------------------------------------------------------
@@ -433,13 +407,10 @@ def is_ic_free(
     genomes: Sequence[Genome],
 ) -> bool:
     """No internal conflicts and contiguous in all three genomes."""
-    conflict = ConflictIndex(candidates)
     ms = list(members)
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            if conflict.conflicting(ms[a], ms[b]):
-                return False
     for slot, genome in enumerate(genomes):
+        if len({candidates[m].genes[slot] for m in ms}) < len(ms):
+            return False  # two members share a gene of this genome
         spots = [genome.locate(candidates[m].genes[slot]) for m in ms]
         chroms = {s[0] for s in spots}
         if len(chroms) != 1:
@@ -519,25 +490,21 @@ def _max_conflict_free_potential(
 
 def build_gamma_prime(
     segment: Segment,
-    candidates: Sequence[CandidateGene],
     table: ConservedAdjacencyTable,
-    conflict_index: ConflictIndex | None = None,
-    cand_alive=None,
-    row_alive=None,
-    conflict_cap: int = 20,
-    incidence: ExtremityIncidence | None = None,
+    conflict: ConflictIndex,
+    cand_alive: np.ndarray,
+    incidence: ExtremityIncidence,
 ) -> MatchGraph:
     """Γ restricted to the segment plus one conflict edge per member.
 
     The conflict edge between a member's extremities carries the best total
-    potential of a conflict-free subset of its external conflicts; zero
-    weight conflict edges are omitted.  `incidence`, when given, must read
-    the same `row_alive`.
+    potential of a conflict-free subset of its live external conflicts; zero
+    weight conflict edges are omitted.  Only the rows live in `incidence`
+    count.  A member with more than `CONFLICT_CAP` live external conflicts
+    raises `SegmentConflictCapError`.
     """
-    conflict = conflict_index or ConflictIndex(candidates)
+    candidates = table.candidates
     members = set(segment.members)
-    if incidence is None:
-        incidence = ExtremityIncidence(table, row_alive)
     nodes = []
     for m in segment.members:
         for e in candidates[m].ends:
@@ -550,19 +517,15 @@ def build_gamma_prime(
             edges.append(((m1, e1), (m2, e2), incidence.weight[k]))
     deltas: dict[int, float] = {}
     for m in segment.members:
-        external = [
-            c
-            for c in conflict.conflicts_of(m)
-            if c not in members and (cand_alive is None or cand_alive[c])
-        ]
-        if len(external) > conflict_cap:
+        external = [c for c in conflict.conflicts_of(m) if c not in members and cand_alive[c]]
+        if len(external) > CONFLICT_CAP:
             raise SegmentConflictCapError(
                 f"segment member {candidates[m]} has {len(external)} external "
-                f"conflicts (cap {conflict_cap}); skip this segment"
+                f"conflicts (cap {CONFLICT_CAP}); skip this segment"
             )
         for c in external:
             if c not in deltas:
-                deltas[c] = potential(c, table, incidence)
+                deltas[c] = potential(c, incidence)
         w_prime = _max_conflict_free_potential(external, deltas, conflict)
         if w_prime > 0.0:
             edges.append(((m, 0), (m, 1), w_prime))
@@ -570,27 +533,23 @@ def build_gamma_prime(
 
 
 @dataclass(slots=True)
-class AcceptedSegment:
-    segment: Segment
-    rows: tuple[int, ...]
-    weight: float
-
-
-@dataclass(slots=True)
 class IcfSegResult:
-    candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
-    accepted: list[AcceptedSegment]
+    accepted: list[Segment]
     cand_alive: np.ndarray
     row_alive: np.ndarray
 
+    def weight(self, run: Segment) -> float:
+        """Total weight of a run's internal rows."""
+        return float(sum(self.table.weight[r] for r in run.internal_rows))
+
     @property
     def accepted_weight(self) -> float:
-        return float(sum(seg.weight for seg in self.accepted))
+        return float(sum(self.weight(run) for run in self.accepted))
 
     @property
     def accepted_rows(self) -> list[int]:
-        return [r for seg in self.accepted for r in seg.rows]
+        return [r for run in self.accepted for r in run.internal_rows]
 
     def reduced_table(self) -> ConservedAdjacencyTable:
         return self.table.subset(np.nonzero(self.row_alive)[0])
@@ -600,7 +559,6 @@ def icf_seg(
     G: Genome,
     candidates: list[CandidateGene],
     table: ConservedAdjacencyTable,
-    conflict_cap: int = 20,
     deadline: float | None = None,
 ) -> IcfSegResult:
     """Iteratively accept runs whose matching certificate holds.
@@ -616,7 +574,7 @@ def icf_seg(
     run is examined and the runs accepted so far are returned: each was
     applied whole, so the reduced instance is consistent.  One INFO line
     (shown by `ffmedian -v`) gives the runs examined, accepted and skipped
-    at the conflict cap.
+    at `CONFLICT_CAP`.
 
     The runs are kept up to date incrementally, with the same result as a
     fresh `detect_runs` after every acceptance.  An acceptance changes the
@@ -637,7 +595,7 @@ def icf_seg(
     incidence = ExtremityIncidence(table, row_alive)
     scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
     chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
-    accepted: list[AcceptedSegment] = []
+    accepted: list[Segment] = []
     observed: set[frozenset[int]] = set()
     skipped = 0
 
@@ -653,11 +611,7 @@ def icf_seg(
                 break
             observed.add(step.key)
             try:
-                gamma_prime = build_gamma_prime(
-                    run, candidates, table, conflict,
-                    cand_alive=cand_alive, row_alive=row_alive,
-                    conflict_cap=conflict_cap, incidence=incidence,
-                )
+                gamma_prime = build_gamma_prime(run, table, conflict, cand_alive, incidence)
             except SegmentConflictCapError as exc:
                 log.info("skipping segment: %s", exc)
                 skipped += 1
@@ -671,8 +625,7 @@ def icf_seg(
             if matching != internal:
                 continue
             # accept: mask adjacencies, drop external conflicts
-            weight = float(sum(table.weight[r] for r in run.internal_rows))
-            accepted.append(AcceptedSegment(run, tuple(run.internal_rows), weight))
+            accepted.append(run)
             masked = set()
             for r in run.internal_rows:
                 m1, e1, m2, e2 = table.key(r)
@@ -697,10 +650,4 @@ def icf_seg(
         "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap",
         len(observed), len(accepted), skipped,
     )
-    return IcfSegResult(
-        candidates=candidates,
-        table=table,
-        accepted=accepted,
-        cand_alive=cand_alive,
-        row_alive=row_alive,
-    )
+    return IcfSegResult(table, accepted, cand_alive, row_alive)

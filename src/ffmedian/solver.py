@@ -17,7 +17,9 @@ with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
 `scipy.optimize._highspy._core`.  The first solve that reaches HiGHS
 loads that one file, in about 10 ms, without importing `scipy.optimize`
 or `scipy.sparse`, whose imports take longer than the rest of a short
-`ffmedian` run.  `export_lp` writes the paper's own rows.
+`ffmedian` run.  `export_lp` writes the paper's own rows: a conflict row
+per extant gene off `ConflictIndex` and a saturation row per candidate
+extremity off `ExtremityIncidence`.
 
 `cars_from_rows` reads the CARs off a graph over the chosen extremities:
 one edge joins the two ends of each chosen gene and one edge stands for
@@ -45,7 +47,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .candidates import CandidateAdjacency, CandidateGene, ConservedAdjacencyTable
+from .candidates import (
+    CandidateAdjacency,
+    CandidateGene,
+    ConflictIndex,
+    ConservedAdjacencyTable,
+    ExtremityIncidence,
+)
 from .genomes import ENDS, Gene
 
 log = logging.getLogger(__name__)
@@ -162,10 +170,7 @@ def export_lp(model: IlpModel, path) -> None:
             counter += 1
             _wrap(fh, f" c{counter}:", terms + [rhs])
 
-        by_gene: dict[Gene, list[int]] = {}
-        for idx, cand in enumerate(model.candidates):
-            for gene in cand.genes:
-                by_gene.setdefault(gene, []).append(idx)
+        by_gene = ConflictIndex(model.candidates).by_gene
         for gene in sorted(by_gene):
             members = by_gene[gene]
             emit(
@@ -178,11 +183,7 @@ def export_lp(model: IlpModel, path) -> None:
                 [f"2 {model.b_name(k)}", f"- {model.a_name(m1)}", f"- {model.a_name(m2)}"],
                 "<= 0",
             )
-        by_ext: dict[tuple[int, int], list[int]] = {}
-        for k in range(model.n_b):
-            m1, e1, m2, e2 = model.table.key(k)
-            by_ext.setdefault((m1, e1), []).append(k)
-            by_ext.setdefault((m2, e2), []).append(k)
+        by_ext = ExtremityIncidence(model.table).by_ext
         for ext in sorted(by_ext):
             emit(
                 [("+ " if j else "") + model.b_name(k) for j, k in enumerate(by_ext[ext])],

@@ -116,6 +116,63 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     assert hashlib.sha256(absolute.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "-g", "genomes.txt", "-s", "similarity.tsv", "--time-limit", "abc"],
+        ["solve", "-s", "similarity.tsv"],
+        ["bogus"],
+        ["icf-seg", "-g", "genomes.txt", "-s", "similarity.tsv", "-o", "segments.tsv",
+         "--conflict-cap", "5"],
+    ],
+    ids=["malformed-time-limit", "missing-genome", "unknown-subcommand", "unknown-option"],
+)
+def test_usage_error_exits_with_input_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ffmedian")
+    assert ": error: " in err.splitlines()[-1] and "Traceback" not in err
+    if "--conflict-cap" in argv:
+        assert "unrecognized arguments: --conflict-cap 5" in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_help_and_version_exit_with_success(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out
+
+
+def test_solve_without_icf_seg_exports_the_export_lp_bytes(tmp_path):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    exported, solved = tmp_path / "export.lp", tmp_path / "solve.lp"
+    assert cli.main(["export-lp", *instance, "-o", str(exported)]) == cli.EXIT_OK
+    argv = ["solve", *instance, "--no-icf-seg", "--export-lp", str(solved),
+            "-o", str(tmp_path / "median.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert solved.read_bytes() == exported.read_bytes()
+
+
+def test_solve_exports_the_program_left_by_icf_seg(tmp_path):
+    """Every candidate keeps its selection binary; only the rows ICF-SEG
+    left live keep an adjacency binary."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    lp = tmp_path / "model.lp"
+    argv = ["solve", *instance, "--export-lp", str(lp), "-o", str(tmp_path / "median.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    binary = lp.read_text().split("Binary\n")[1].split("End\n")[0].split()
+    genomes, candidates, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
+    result = segments.icf_seg(genomes[0], candidates, table)
+    model = solver.build_ilp(candidates, result.reduced_table())
+    assert 0 < model.n_b < len(table)
+    assert binary == [model.a_name(i) for i in range(len(candidates))] + [
+        model.b_name(k) for k in range(model.n_b)
+    ]
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

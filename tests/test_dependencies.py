@@ -3,8 +3,10 @@
 The package's imports are read from its source with `ast`, local imports
 and `importlib.util.find_spec` lookups included; the standard library and
 relative imports are left out.  Every name a module-level import binds must
-be used in its module.  Every subcommand must then run in a process where
-networkx cannot be imported.  No module calls a BLAS routine, which is why
+be used in its module.  Only `segments.icf_seg` and `solver.export_lp`
+build the two instance indexes, `ConflictIndex` and `ExtremityIncidence`.
+Every subcommand must then run in a process where networkx cannot be
+imported.  No module calls a BLAS routine, which is why
 `ffmedian.cli` starts numpy with one OpenBLAS thread.
 """
 import ast
@@ -71,6 +73,37 @@ def test_every_module_level_import_is_used():
         if bound - used:
             unused[path.name] = sorted(bound - used)
     assert unused == {}
+
+
+INDEXES = {"ConflictIndex", "ExtremityIncidence"}
+
+
+def index_builders() -> set[tuple[str, str, str]]:
+    """(module, top-level function or Class.method, index) for every call
+    that builds one of the instance indexes in the package's source."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{node.name}", node) for node in top.body
+                          if isinstance(node, ast.FunctionDef)]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        index = dotted_name(node.func).split(".")[-1]
+                        if index in INDEXES:
+                            found.add((path.stem, name, index))
+    return found
+
+
+def test_each_instance_index_is_built_only_by_icf_seg_and_export_lp():
+    # every other reader takes the indexes as arguments
+    assert index_builders() == {
+        (module, function, index)
+        for module, function in (("segments", "icf_seg"), ("solver", "export_lp"))
+        for index in INDEXES
+    }
 
 
 BLAS_CALLS = {"dot", "matmul", "inner", "tensordot", "einsum"}

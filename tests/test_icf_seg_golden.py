@@ -29,6 +29,7 @@ import pytest
 
 from ffmedian.candidates import (
     ConflictIndex,
+    ExtremityIncidence,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
@@ -58,10 +59,10 @@ from conftest import (
 
 def digest(result) -> str:
     h = hashlib.sha256()
-    for acc in result.accepted:
-        members = ",".join(map(str, acc.segment.members))
-        rows = ",".join(map(str, acc.rows))
-        h.update(f"{members}|{rows}|{acc.segment.circular}|{acc.weight.hex()}\n".encode())
+    for run in result.accepted:
+        members = ",".join(map(str, run.members))
+        rows = ",".join(map(str, run.internal_rows))
+        h.update(f"{members}|{rows}|{run.circular}|{result.weight(run).hex()}\n".encode())
     h.update(np.packbits(result.cand_alive).tobytes())
     h.update(b"|")
     h.update(np.packbits(result.row_alive).tobytes())
@@ -179,7 +180,7 @@ def test_icf_seg_matches_golden(case):
 # -- the original restart loop, kept as the reference -------------------------
 
 
-def restart_loop(G, candidates, table, conflict_cap=20):
+def restart_loop(G, candidates, table):
     """ICF-SEG as first written: a fresh `detect_runs` after every acceptance.
 
     Calls `build_gamma_prime` through the module, as `icf_seg` does, so a
@@ -188,6 +189,7 @@ def restart_loop(G, candidates, table, conflict_cap=20):
     cand_alive = np.ones(len(candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
     conflict = ConflictIndex(candidates)
+    incidence = ExtremityIncidence(table, row_alive)
     accepted = []
     observed: set[frozenset[int]] = set()
     locked: set[int] = set()
@@ -204,9 +206,7 @@ def restart_loop(G, candidates, table, conflict_cap=20):
             observed.add(run.key)
             try:
                 gamma_prime = segments.build_gamma_prime(
-                    run, candidates, table, conflict,
-                    cand_alive=cand_alive, row_alive=row_alive,
-                    conflict_cap=conflict_cap,
+                    run, table, conflict, cand_alive, incidence
                 )
             except SegmentConflictCapError:
                 continue
@@ -302,8 +302,8 @@ def test_icf_seg_matches_restart_loop(monkeypatch):
         accepted, cand_alive, row_alive = restart_loop(genomes[0], candidates, table)
         assert examined_incrementally == examined, name
         got = [
-            (acc.segment.members, acc.rows, acc.segment.circular, acc.weight)
-            for acc in result.accepted
+            (run.members, run.internal_rows, run.circular, result.weight(run))
+            for run in result.accepted
         ]
         assert got == accepted, name
         assert np.array_equal(result.cand_alive, cand_alive), name

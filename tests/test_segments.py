@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ffmedian import segments
-from ffmedian.candidates import ConflictIndex, enumerate_candidates
+from ffmedian.candidates import ConflictIndex
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
 from ffmedian.segments import (
     ExtremityIncidence,
@@ -159,41 +159,34 @@ class TestPotential:
         rows = [k for k in gene_rows(cands, table)]
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         incidence = ExtremityIncidence(table, np.zeros(len(table), dtype=bool))
-        assert potential(a, table, incidence) == 0.0
+        assert potential(a, incidence) == 0.0
 
     def test_head_and_tail_maxima_sum(self):
         cands, table = self.setup_instance()
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         # b sits between a and c with unit scores: both sides carry 3
-        assert potential(b, table) == pytest.approx(6.0)
+        assert potential(b, ExtremityIncidence(table)) == pytest.approx(6.0)
 
     def test_single_sided(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
         incidence = ExtremityIncidence(table)
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
-        assert potential(a, table, incidence) == pytest.approx(6.0)
+        assert potential(a, incidence) == pytest.approx(6.0)
 
     def test_constructed_maxima(self):
         # one incident pair of 2.0 on the head and 1.5 on the tail
         cands, _ = self.setup_instance()
 
-        class FakeTable:
-            candidates = cands
-            weight = {0: 2.0, 1: 1.5}
-
         class FakeIncidence:
+            candidates = cands
+
             def best_weight(self, ext):
                 m, e = ext
                 return {1: 2.0, 0: 1.5}.get(e, 0.0)
 
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
-        fake = FakeIncidence()
-
-        class T:
-            candidates = cands
-
-        assert potential(b, T(), fake) == pytest.approx(3.5)
+        assert potential(b, FakeIncidence()) == pytest.approx(3.5)
 
 
 class TestRuns:
@@ -267,12 +260,19 @@ class TestSegmentClassification:
         assert not is_ic_free([a, b], cands, [G, H, I])
 
 
+def gamma_prime(run, table):
+    """Γ′ of a run on the whole instance: every candidate and row live."""
+    cands = table.candidates
+    alive = np.ones(len(cands), dtype=bool)
+    return build_gamma_prime(run, table, ConflictIndex(cands), alive, ExtremityIncidence(table))
+
+
 class TestGammaPrime:
     def test_no_external_conflicts_no_conflict_edges(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
         runs = detect_runs(genomes[0], cands, table)
-        gp = build_gamma_prime(runs[0], cands, table)
+        gp = gamma_prime(runs[0], table)
         ends = {frozenset((u, v)) for u, v, _ in gp.edges}
         for m in runs[0].members:
             assert frozenset(((m, 0), (m, 1))) not in ends
@@ -289,7 +289,7 @@ class TestGammaPrime:
         conflict = ConflictIndex(cands)
         runs = detect_runs(G, cands, table)
         if runs:
-            gp = build_gamma_prime(runs[0], cands, table, conflict)
+            gp = gamma_prime(runs[0], table)
             # every conflict edge weight equals the best conflict-free
             # potential sum, which is bounded by the sum of potentials
             incidence = ExtremityIncidence(table)
@@ -299,14 +299,15 @@ class TestGammaPrime:
                         c for c in conflict.conflicts_of(u[0])
                         if c not in runs[0].members
                     ]
-                    assert w <= sum(potential(c, table, incidence) for c in external) + 1e-9
+                    assert w <= sum(potential(c, incidence) for c in external) + 1e-9
 
-    def test_cap_exceeded_raises(self):
+    def test_cap_exceeded_raises(self, monkeypatch):
         genomes, sigma = identical_genomes(("a", "b"))
         cands, table = build_tables(genomes, sigma)
         runs = detect_runs(genomes[0], cands, table)
+        monkeypatch.setattr(segments, "CONFLICT_CAP", -1)
         with pytest.raises(SegmentConflictCapError):
-            build_gamma_prime(runs[0], cands, table, conflict_cap=-1)
+            gamma_prime(runs[0], table)
 
     def test_subset_maximization_examples(self):
         from ffmedian.segments import _max_conflict_free_potential
@@ -333,10 +334,10 @@ class TestGammaPrime:
 class TestIcfSeg:
     def test_identical_genomes_accept_gene_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
-        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
+        cands, table = build_tables(genomes, sigma)
+        result = icf_seg(genomes[0], cands, table)
         assert len(result.accepted) == 1
         assert result.accepted_weight == pytest.approx(6.0)
-        cands, table = result.candidates, result.table
         full = solve_branch_and_bound(build_ilp(cands, table))
         reduced = solve_branch_and_bound(build_ilp(cands, result.reduced_table()))
         assert result.accepted_weight + reduced.objective == pytest.approx(
@@ -359,11 +360,11 @@ class TestIcfSeg:
         sigma.set(Gene("G", "a"), Gene("I", "p"), 1.0)
         sigma.set(Gene("H", "p"), Gene("I", "p"), 1.0)
         genomes = [G, H, I]
-        cands = enumerate_candidates(*genomes, sigma)
-        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
-        for acc in result.accepted:
-            for m in acc.segment.members:
-                assert result.candidates[m].triple_score == 1.0
+        cands, table = build_tables(genomes, sigma)
+        result = icf_seg(genomes[0], cands, table)
+        for run in result.accepted:
+            for m in run.members:
+                assert cands[m].triple_score == 1.0
 
     def test_safety_and_preservation_on_random_instances(self):
         hits = 0
@@ -388,10 +389,10 @@ class TestIcfSeg:
         genomes, sigma = evolved_instance(31, 200, 2, 0.0)
         cands, table = build_tables(genomes, sigma)
         full = icf_seg(genomes[0], cands, table)
-        runs = [(acc.segment.members, acc.rows) for acc in full.accepted]
+        runs = full.accepted
         assert len(runs) > 20
         far = icf_seg(genomes[0], cands, table, deadline=math.inf)
-        assert [(acc.segment.members, acc.rows) for acc in far.accepted] == runs
+        assert far.accepted == runs
         assert np.array_equal(far.row_alive, full.row_alive)
 
         class FakeClock:
@@ -405,15 +406,16 @@ class TestIcfSeg:
         for deadline in (0, 5, 20):
             monkeypatch.setattr(segments, "time", FakeClock())
             cut = icf_seg(genomes[0], cands, table, deadline=deadline)
-            got = [(acc.segment.members, acc.rows) for acc in cut.accepted]
+            got = cut.accepted
             assert len(got) < len(runs) and got == runs[: len(got)]
             assert int((~cut.row_alive).sum()) < int((~full.row_alive).sum())
         assert cut.accepted
 
-    def test_info_line_counts_runs_skipped_at_the_conflict_cap(self, caplog):
+    def test_info_line_counts_runs_skipped_at_the_conflict_cap(self, caplog, monkeypatch):
         genomes, sigma = evolved_instance(33, 200, 2, 0.1)
         caplog.set_level(logging.INFO, logger="ffmedian.segments")
-        result = icf_seg(genomes[0], *build_tables(genomes, sigma), conflict_cap=0)
+        monkeypatch.setattr(segments, "CONFLICT_CAP", 0)
+        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
         messages = [record.getMessage() for record in caplog.records]
         skips = sum(m.startswith("skipping segment") for m in messages)
         summary = [m for m in messages if m.startswith("icf-seg:")]
