@@ -110,39 +110,56 @@ def random_bounded_graph(n: int, p: float, seed: int) -> BoundedGraph:
     return BoundedGraph.from_edges(edges, vertices)
 
 
-# -- edge coloring -------------------------------------------------------------
+# -- edge split ------------------------------------------------------------------
 
 
-def _edge_coloring(graph: BoundedGraph, colors: int = 4) -> dict[tuple[str, str], int]:
-    """Proper edge coloring with at most `colors` colors, by backtracking.
+def _split_edges(graph: BoundedGraph) -> dict[tuple[str, str], int]:
+    """Each edge's class, 0 or 1, with at most two edges of each class at
+    every vertex.
 
-    Degree-3 graphs always admit 4 colors; most admit the greedy choice
-    directly and the backtracking is only a safety net.
+    Every odd-degree vertex is joined to one extra vertex, so that every
+    degree is even and at most 4.  An Euler circuit of each component,
+    found by Hierholzer's algorithm without recursion, gives its edges the
+    classes 0, 1, 0, 1, ... in circuit order.  Each pass through a vertex
+    takes one edge of each class, so a vertex of degree 4 gets two of each.
+    Only the circuit's first vertex can get two edges of one class, where
+    the circuit closes, and that vertex is the extra one or, in a component
+    without it (a cycle), a vertex of degree 2.
     """
-    edges = sorted(graph.edges)
-    at_vertex: dict[str, set[int]] = {v: set() for v in graph.vertices}
-    assignment: dict[tuple[str, str], int] = {}
-
-    def assign(pos: int) -> bool:
-        if pos == len(edges):
-            return True
-        u, v = edges[pos]
-        for color in range(colors):
-            if color in at_vertex[u] or color in at_vertex[v]:
-                continue
-            assignment[(u, v)] = color
-            at_vertex[u].add(color)
-            at_vertex[v].add(color)
-            if assign(pos + 1):
-                return True
-            at_vertex[u].discard(color)
-            at_vertex[v].discard(color)
-            del assignment[(u, v)]
-        return False
-
-    if not assign(0):
-        raise ReductionError("edge coloring with 4 colors failed")
-    return assignment
+    extra = None  # no vertex is named None
+    ends = sorted(graph.edges)
+    degree = dict.fromkeys(graph.vertices, 0)
+    for u, v in ends:
+        degree[u] += 1
+        degree[v] += 1
+    ends += [(v, extra) for v in graph.vertices if degree[v] % 2]
+    incident: dict[str | None, list[int]] = {v: [] for v in (extra, *graph.vertices)}
+    for k, (u, v) in enumerate(ends):
+        incident[u].append(k)
+        incident[v].append(k)
+    used = [False] * len(ends)
+    split: dict[tuple[str, str], int] = {}
+    for start in incident:
+        circuit = []  # edges in circuit order, reversed
+        stack: list[tuple[str | None, int | None]] = [(start, None)]
+        while stack:
+            v, via = stack[-1]
+            edges = incident[v]
+            while edges and used[edges[-1]]:
+                edges.pop()
+            if edges:
+                k = edges.pop()
+                used[k] = True
+                u, w = ends[k]
+                stack.append((w if u == v else u, k))
+            else:
+                stack.pop()
+                if via is not None:
+                    circuit.append(via)
+        for position, k in enumerate(circuit):
+            if ends[k][1] is not extra:
+                split[ends[k]] = position % 2
+    return split
 
 
 # -- transformation ------------------------------------------------------------
@@ -175,8 +192,9 @@ def reduce_mis(
     g_chroms.append(("cstar", "circular", [("star.1", 1), ("star.2", 1)]))
     genome_g = build_genome(lg, g_chroms)
 
-    # edge chromosomes, assigned to H or I via a proper 4-edge-coloring
-    coloring = _edge_coloring(graph)
+    # edge chromosomes, split between H and I so that no vertex has more
+    # than two edge genes in either genome
+    split = _split_edges(graph)
     per_genome: dict[str, list[tuple[str, str, list]]] = {lh: [], li: []}
     assoc: dict[str, dict[str, list[str]]] = {
         lh: {v: [] for v in graph.vertices},
@@ -196,7 +214,7 @@ def reduce_mis(
             assoc[label][v].append(gene_name)
 
     for u, v in sorted(graph.edges):
-        label = li if coloring[(u, v)] in (0, 1) else lh
+        label = li if split[(u, v)] == 0 else lh
         add_chromosome(label, f"{u}.{v}", f"e.{u}.{v}", (u, v))
     # fillers: every vertex gets exactly two associated genes per genome
     for label in (lh, li):

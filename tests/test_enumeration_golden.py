@@ -80,7 +80,7 @@ GOLDEN = {
     "families": (13, 135, 64, 394, "54f335c84aa815f2e414fdb240c2761c0a3ca8780db2cec78c2e4c05b799c78c"),
     "families_no_preprocess": (0, 70, 8, 202, "301d93261a1ad8fc10b109419f658afd9f4ad4f97684b427f6c1c6d73ee20b3f"),
     "labels_ZAM": (23, 113, 64, 320, "0b0bc8f295ac0fb7ad3f3c4ffcc1d37877ca967d9d4ba5e8999e85581eb57bf8"),
-    "mis_reduction": (0, 436, 0, 77748, "ffcd79d2762733eb03792f0ec00405842f8333ef6113df06d13e34db3ef8bbbc"),
+    "mis_reduction": (0, 440, 0, 79316, "795f5119de790b540fc06651ef51cf980141bb2810a005e3e9e70e87aa67d4ff"),
     "telomeric": (31, 265, 216, 688, "9bd73067e6cde54469d3ad9c410246f12fc9f7760a9e025deacf4b69b28aa75c"),
 }
 

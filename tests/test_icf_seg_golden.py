@@ -166,7 +166,7 @@ GOLDEN = {
     "circular_c2_f0.2_n150": (216, 692, 12, "209abec6490cda00a6fde32dd15d6f740ef95e0d9991c9b623fe64f109d98c8e"),
     "closed_circle_n50": (50, 50, 1, "d3d655bb6ea721f167861b81b2b262fa0925125665e9bcf41b18a5af2c73d4a0"),
     "mixed_c2_f0.1_n150": (182, 443, 20, "d0ef1a1e4aa4581b977461863c2ba41d900f2d46dc2b2e93d5d3efdb6b160dd6"),
-    "mis_reduction": (224, 19024, 0, "a1b22b6087267473fa126f0f438c4abb7d62b48d4826998cdbb80206ce2ce84c"),
+    "mis_reduction": (236, 21376, 0, "56d76284ee0cdea7c9c55083121b3453baa6f84cd084b231cc073e62473b38a9"),
 }
 
 

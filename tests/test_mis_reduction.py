@@ -8,7 +8,7 @@ from ffmedian.genomes import Gene
 from ffmedian.mis_reduction import (
     BoundedGraph,
     ReductionError,
-    _edge_coloring,
+    _split_edges,
     backmap_solution,
     mis_bruteforce,
     random_bounded_graph,
@@ -45,17 +45,25 @@ class TestBoundedGraph:
         ).edges
 
 
-class TestEdgeColoring:
-    def test_proper_and_at_most_four_colors(self):
+class TestEdgeSplit:
+    @staticmethod
+    def assert_split(graph):
+        split = _split_edges(graph)
+        assert set(split) == set(graph.edges)
+        assert set(split.values()) <= {0, 1}
+        for v in graph.vertices:
+            classes = [c for e, c in split.items() if v in e]
+            assert classes.count(0) <= 2 and classes.count(1) <= 2
+        assert _split_edges(graph) == split
+
+    def test_at_most_two_edges_per_genome_at_every_vertex(self):
         for seed in range(10):
-            graph = random_bounded_graph(10, 0.5, seed)
-            coloring = _edge_coloring(graph)
-            assert set(coloring.values()) <= {0, 1, 2, 3}
-            for v in graph.vertices:
-                incident = [
-                    c for e, c in coloring.items() if v in e
-                ]
-                assert len(incident) == len(set(incident))
+            self.assert_split(random_bounded_graph(10, 0.5, seed))
+
+    def test_large_graph(self):
+        graph = random_bounded_graph(2000, 6 / 2000, 1)
+        assert len(graph.edges) > 2000
+        self.assert_split(graph)
 
 
 class TestTransformation:
@@ -102,6 +110,17 @@ class TestTransformation:
             g for genome in (H, I) for g in genome.genes if g.name.startswith("e.")
         ]
         assert len(edge_genes) == 1
+
+    def test_three_hundred_vertex_graph(self):
+        # a few hundred vertices of degree <= 3: the split of the edges
+        # between H and I must not search
+        graph = random_bounded_graph(300, 0.02, 1)
+        assert len(graph.edges) == 380
+        instance = reduce_mis(graph)
+        for genome in instance.genomes[1:]:
+            genes = {gene for gene in genome.genes if not gene.is_telomere}
+            for v in graph.vertices:
+                assert sum(v in instance.associated(gene) for gene in genes) == 2
 
     def test_instance_round_trip(self, tmp_path):
         graph = BoundedGraph.from_edges(FIVE_EDGE_GRAPH)
