@@ -119,13 +119,10 @@ class ExtremityIncidence:
             self.by_ext.setdefault((m1, e1), []).append(k)
             self.by_ext.setdefault((m2, e2), []).append(k)
 
-    def _live(self, rows: list[int]) -> list[int]:
-        alive = self.row_alive
-        return rows if alive is None else [k for k in rows if alive[k]]
-
     def rows_at(self, ext: tuple[int, int]) -> list[int]:
         """Live rows incident to one extremity."""
-        return self._live(self.by_ext.get(ext, []))
+        rows, alive = self.by_ext.get(ext, []), self.row_alive
+        return rows if alive is None else [k for k in rows if alive[k]]
 
     def rows_of(self, m: int) -> list[int]:
         """Live rows incident to either extremity of candidate m, in no

@@ -101,10 +101,8 @@ class RunConfig:
 def _stage(stages: list[dict], name: str):
     """Append the block's wall time to `stages` as {"name", "seconds"}."""
     t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        stages.append({"name": name, "seconds": time.perf_counter() - t0})
+    yield
+    stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
 
 def _load_genomes(paths) -> list[Genome]:

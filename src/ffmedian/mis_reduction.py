@@ -117,14 +117,13 @@ def _split_edges(graph: BoundedGraph) -> dict[tuple[str, str], int]:
     """Each edge's class, 0 or 1, with at most two edges of each class at
     every vertex.
 
-    Every odd-degree vertex is joined to one extra vertex, so that every
-    degree is even and at most 4.  An Euler circuit of each component,
-    found by Hierholzer's algorithm without recursion, gives its edges the
-    classes 0, 1, 0, 1, ... in circuit order.  Each pass through a vertex
-    takes one edge of each class, so a vertex of degree 4 gets two of each.
-    Only the circuit's first vertex can get two edges of one class, where
-    the circuit closes, and that vertex is the extra one or, in a component
-    without it (a cycle), a vertex of degree 2.
+    Every odd-degree vertex is joined to one extra vertex, so every degree
+    is even and at most 4.  The edges of an Euler circuit of each component
+    (Hierholzer's algorithm, without recursion) take the classes 0, 1, 0,
+    1, ... in circuit order, so each pass through a vertex takes one edge of
+    each class.  Only the circuit's first vertex can get two edges of one
+    class, where the circuit closes, and it is the extra vertex or, in a
+    component without it (a cycle), a vertex of degree 2.
     """
     extra = None  # no vertex is named None
     ends = sorted(graph.edges)
@@ -138,9 +137,9 @@ def _split_edges(graph: BoundedGraph) -> dict[tuple[str, str], int]:
         incident[u].append(k)
         incident[v].append(k)
     used = [False] * len(ends)
-    split: dict[tuple[str, str], int] = {}
-    for start in incident:
-        circuit = []  # edges in circuit order, reversed
+    split: dict[tuple[str | None, str | None], int] = {}
+    for start in incident:  # the extra vertex first
+        closed = 0  # edges of this circuit so far, taken in reverse order
         stack: list[tuple[str | None, int | None]] = [(start, None)]
         while stack:
             v, via = stack[-1]
@@ -155,11 +154,9 @@ def _split_edges(graph: BoundedGraph) -> dict[tuple[str, str], int]:
             else:
                 stack.pop()
                 if via is not None:
-                    circuit.append(via)
-        for position, k in enumerate(circuit):
-            if ends[k][1] is not extra:
-                split[ends[k]] = position % 2
-    return split
+                    split[ends[via]] = closed % 2
+                    closed += 1
+    return {edge: split[edge] for edge in graph.edges}
 
 
 # -- transformation ------------------------------------------------------------

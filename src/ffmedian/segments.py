@@ -62,9 +62,7 @@ from .solver import paths_and_cycles
 log = logging.getLogger(__name__)
 
 
-# most live external conflicts a run member may have; a run with more is
-# skipped, since its conflict edge is an exact set packing over them
-CONFLICT_CAP = 20
+CONFLICT_CAP = 20  # most live external conflicts of a run member (see above)
 
 
 class SegmentConflictCapError(RuntimeError):
