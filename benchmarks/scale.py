@@ -22,9 +22,11 @@ each stage in the report's `stages`, their sum, the median wall seconds of
 the whole child (start-up, verification, CAR assembly and the report write
 lie outside the stages), the median CPU seconds of the child (user plus
 system, over all its threads: a helper thread that spins shows as CPU above
-wall), the median peak RSS of the child, and the status, objective and
-`counts` of the report (candidates, conserved adjacency rows and the rest),
-which are the same in every repeat.
+wall), the median peak RSS of the child, and the status, objective, `counts`
+(candidates, conserved adjacency rows and the rest) and `stats` (telomere
+triples, rows handed to the solve, ICF-SEG runs, HiGHS nodes and iterations;
+null for a tree whose reports have none) of the report, which are the same
+in every repeat.
 """
 from __future__ import annotations
 
@@ -104,6 +106,7 @@ def summarize(reports: list[dict], samples: dict[str, list[float]]) -> dict:
         "status": first["status"],
         "objective": first["objective"],
         "counts": first["counts"],
+        "stats": first.get("stats"),
     }
 
 

@@ -10,6 +10,26 @@ Exit codes:
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
 
+The `solve` report, `median.json`, is one line of JSON with sorted keys
+(`python -m json.tool median.json` pretty-prints it).  Schema version 2:
+  genes        each chosen candidate once, as {"g", "h", "i", "triple_score",
+               "gene_score"}, in candidate order
+  adjacencies  the median adjacencies, as {"m1", "end1", "m2", "end2",
+               "conserved_in", "weight"}; `m1` and `m2` index `genes`
+  cars         {"shape", "genes": [[index into `genes`, "+" or "-"], ...]}
+  counts       sizes of the instance and of the median
+  stats        counters that explain the run: "telomere_triples" among the
+               candidates, "solve_rows" handed to the solve after ICF-SEG,
+               ICF-SEG's runs "examined", "accepted" and "skipped" at the
+               conflict cap, and HiGHS's "nodes", "simplex_iterations",
+               "dual_bound" and "gap" on that solve (0 and null without a
+               HiGHS run)
+  stages       each stage's name and wall seconds
+`--canonical` drops the stage seconds, and nothing else: every other field
+is free of timings.  Schema version 1 wrote the same fields, indented, with
+each candidate's record in place of an index, and no `stats`; `eval` reads
+both versions.
+
 Start-up: no module of the package calls a BLAS routine, and HiGHS does its
 own linear algebra, so the process asks OpenBLAS (bundled with numpy) for one
 thread before numpy loads.  Otherwise OpenBLAS starts a worker thread per
@@ -41,6 +61,7 @@ from .candidates import (
     preprocess_discard_nonclique,
 )
 from .genomes import (
+    ENDS,
     Gene,
     Genome,
     GenomeError,
@@ -64,7 +85,7 @@ from .solver import (
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -185,7 +206,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     )
     accepted_rows: list[int] = []
     accepted_weight = 0.0
-    accepted_segments = 0
+    accepted_segments = examined = skipped = 0
     solve_table = table
     row_map = np.arange(len(table))
     if config.use_icf_seg:
@@ -195,6 +216,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
+            examined, skipped = result.examined, result.skipped
             row_map = np.nonzero(result.row_alive)[0]
             solve_table = result.reduced_table()
     with _stage(stages, "solve"):
@@ -220,6 +242,11 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     objective = accepted_weight + solution.objective
     bound = accepted_weight + solution.bound
 
+    chosen = sorted(genes)
+    position = {m: j for j, m in enumerate(chosen)}
+    rows = np.array(combined_rows, dtype=np.int64)
+    # the conserved_in list of each conservation mask
+    labels = [[table.labels[x] for x in range(3) if mask >> x & 1] for mask in range(8)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ffmedian", "version": __version__},
@@ -238,27 +265,39 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             "cars": len(cars),
             "removed_genes": {k: len(v) for k, v in removed.items()},
         },
-        "genes": [_candidate_json(candidates[m]) for m in sorted(genes)],
+        "stats": {
+            "telomere_triples": sum(c.is_telomere_triple for c in candidates),
+            "solve_rows": len(solve_table),
+            "icf_seg": {"examined": examined, "accepted": accepted_segments,
+                        "skipped": skipped},
+            "mip": {
+                "nodes": solution.nodes_explored,
+                "simplex_iterations": solution.simplex_iterations,
+                "dual_bound": solution.dual_bound,
+                "gap": solution.gap,
+            },
+        },
+        "genes": [_candidate_json(candidates[m]) for m in chosen],
         "adjacencies": [
             {
-                "m1": _candidate_json(adj.m1),
-                "end1": adj.end1,
-                "m2": _candidate_json(adj.m2),
-                "end2": adj.end2,
-                "conserved_in": list(adj.conserved_in),
-                "weight": adj.weight,
+                "m1": position[m1],
+                "end1": ENDS[e1],
+                "m2": position[m2],
+                "end2": ENDS[e2],
+                "conserved_in": labels[mask],
+                "weight": weight,
             }
-            for adj in (table[k] for k in combined_rows)
+            for m1, e1, m2, e2, mask, weight in zip(
+                table.m1[rows].tolist(), table.e1[rows].tolist(),
+                table.m2[rows].tolist(), table.e2[rows].tolist(),
+                table.mask[rows].tolist(), table.weight[rows].tolist(),
+            )
         ],
         "cars": [
             {
                 "shape": car.shape,
                 "genes": [
-                    {
-                        **_candidate_json(candidates[m]),
-                        "orientation": "+" if orient > 0 else "-",
-                    }
-                    for m, orient in car.members
+                    [position[m], "+" if orient > 0 else "-"] for m, orient in car.members
                 ],
             }
             for car in cars
@@ -275,7 +314,8 @@ def report_bytes(report: dict, canonical: bool = False) -> bytes:
         # string, so only the stage timings need to go
         stages = [{"name": s["name"]} for s in report.get("stages", [])]
         report = {**report, "stages": stages}
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # no indent: CPython's C encoder runs only without one
+    return (json.dumps(report, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _write_report(report: dict, path: str | None, canonical: bool) -> None:
@@ -452,6 +492,9 @@ def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
     entries = data.get("genes", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ParseError(f"{path}: not a median report")
+    version = data.get("schema_version")
+    if version not in (1, 2):
+        raise ParseError(f"{path}: median report schema_version {version!r}, not 1 or 2")
     triples = []
     for entry in entries:
         tokens = [entry.get(key) if isinstance(entry, dict) else None for key in "ghi"]

@@ -536,6 +536,8 @@ class IcfSegResult:
     accepted: list[Segment]
     cand_alive: np.ndarray
     row_alive: np.ndarray
+    examined: int  # runs whose certificate was tried or skipped
+    skipped: int  # runs skipped at CONFLICT_CAP
 
     def weight(self, run: Segment) -> float:
         """Total weight of a run's internal rows."""
@@ -570,9 +572,9 @@ def icf_seg(
     of the changed instance.  The reduced instance is returned for the
     exact solver.  Once `time.monotonic()` passes `deadline`, no further
     run is examined and the runs accepted so far are returned: each was
-    applied whole, so the reduced instance is consistent.  One INFO line
-    (shown by `ffmedian -v`) gives the runs examined, accepted and skipped
-    at `CONFLICT_CAP`.
+    applied whole, so the reduced instance is consistent.  The result
+    counts the runs examined and those skipped at `CONFLICT_CAP`; one INFO
+    line (shown by `ffmedian -v`) gives them with the runs accepted.
 
     The runs are kept up to date incrementally, with the same result as a
     fresh `detect_runs` after every acceptance.  An acceptance changes the
@@ -648,4 +650,4 @@ def icf_seg(
         "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap",
         len(observed), len(accepted), skipped,
     )
-    return IcfSegResult(table, accepted, cand_alive, row_alive)
+    return IcfSegResult(table, accepted, cand_alive, row_alive, len(observed), skipped)

@@ -217,7 +217,11 @@ class MedianSolution:
     row_indices: tuple[int, ...]
     candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
+    # HiGHS's counters; zero and None when no MIP ran
     nodes_explored: int = 0
+    simplex_iterations: int = 0
+    dual_bound: float | None = None  # HiGHS's bound on the objective, or None
+    gap: float | None = None  # HiGHS's relative gap, or None
 
     @property
     def genes(self) -> list[CandidateGene]:
@@ -405,6 +409,7 @@ class MipResult:
     message: str
     x: np.ndarray | None
     nodes: int
+    iterations: int  # HiGHS's simplex iteration count
     dual_bound: float
     gap: float
 
@@ -461,7 +466,8 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
         x = np.array(solver.getSolution().col_value)
     return MipResult(
         status, solver.modelStatusToString(status), x,
-        int(info.mip_node_count), float(info.mip_dual_bound), float(info.mip_gap),
+        int(info.mip_node_count), int(info.simplex_iteration_count),
+        float(info.mip_dual_bound), float(info.mip_gap),
     )
 
 
@@ -558,7 +564,7 @@ def solve_branch_and_bound(
     if model.n_a == 0:
         return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), model.candidates, table)
     if model.n_b == 0:
-        return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, (), 0)
+        return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ())
 
     highs = _import_scipy()
     start, index, coeffs, rhs = _mip_rows(model)
@@ -578,7 +584,7 @@ def solve_branch_and_bound(
         rows = tuple(int(k) for k in np.nonzero(res.x[model.n_a :] > 0.5)[0])
     value = float(np.sum(table.weight[list(rows)]))
     if res.status == highs.HighsModelStatus.kOptimal:
-        return _finish(model, STATUS_OPTIMAL, value, value, rows, res.nodes)
+        return _finish(model, STATUS_OPTIMAL, value, value, rows, res)
     if res.status != highs.HighsModelStatus.kTimeLimit:
         raise SolverError(f"HiGHS MIP failed: {res.message}")
     greedy_value, greedy_rows = _greedy_incumbent(model)
@@ -586,10 +592,12 @@ def solve_branch_and_bound(
         value, rows = greedy_value, greedy_rows
     bound = dual_bound if np.isfinite(dual_bound) else float(np.sum(table.weight))
     # HiGHS's dual bound holds only up to its tolerances
-    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res.nodes)
+    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
 
 
-def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:
+def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
+    """The verified solution of `rows`, with the counters of the HiGHS run
+    `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
     genes = set()
     for k in rows:
         m1, _, m2, _ = model.table.key(int(k))
@@ -603,8 +611,14 @@ def _finish(model, status, value, bound, rows, nodes) -> MedianSolution:
         row_indices=tuple(sorted(int(k) for k in rows)),
         candidates=model.candidates,
         table=model.table,
-        nodes_explored=nodes,
     )
+    if res is not None:
+        solution.nodes_explored = res.nodes
+        solution.simplex_iterations = res.iterations
+        if np.isfinite(res.dual_bound):
+            solution.dual_bound = -res.dual_bound
+        if np.isfinite(res.gap):
+            solution.gap = res.gap
     verify_solution(
         model.candidates, model.table, solution.gene_indices, solution.row_indices,
         solution.objective,
@@ -677,7 +691,7 @@ def brute_force_median(
 
     dfs(0, 0.0)
     model = build_ilp(candidates, table)
-    solution = _finish(model, STATUS_OPTIMAL, best, best, min(optima), 0)
+    solution = _finish(model, STATUS_OPTIMAL, best, best, min(optima))
     if collect_optima:
         return solution, sorted(optima)
     return solution

@@ -29,8 +29,11 @@ ICF_SEG_DIGESTS = [
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
-    "solve": "710795c61686759f7c0de40a1f6089e3cbbffb5f7f9ea0d783ff49f50fd42a9d",
+    "solve": "d4f64f162306c36b8abccdbbe128ec8d736bc24f1ab99914c2ddeecd6a2cbd9c",
 }
+
+# SHA-256 of the schema-1 `solve --canonical` report on the same instance
+SOLVE_V1_DIGEST = "710795c61686759f7c0de40a1f6089e3cbbffb5f7f9ea0d783ff49f50fd42a9d"
 
 
 def write_files(tmp_path, genomes, sigma):
@@ -114,6 +117,119 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert (tmp_path / "bare.out").read_bytes() == absolute.read_bytes()
     assert hashlib.sha256(absolute.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
+
+
+def v1_layout(report: dict) -> dict:
+    """A schema-2 report in the schema-1 layout: every gene index replaced by
+    the gene's record, and no `stats`."""
+    genes = report["genes"]
+    v1 = {key: value for key, value in report.items() if key != "stats"}
+    v1["schema_version"] = 1
+    v1["adjacencies"] = [
+        {**adj, "m1": genes[adj["m1"]], "m2": genes[adj["m2"]]} for adj in report["adjacencies"]
+    ]
+    v1["cars"] = [
+        {"shape": car["shape"],
+         "genes": [{**genes[j], "orientation": orient} for j, orient in car["genes"]]}
+        for car in report["cars"]
+    ]
+    return v1
+
+
+def v1_bytes(report: dict) -> bytes:
+    return (json.dumps(v1_layout(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_solve_report_expands_to_the_schema_1_bytes(tmp_path):
+    """Schema 2 drops no field of schema 1: expanded, its canonical report
+    gives the schema-1 bytes."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    payload = out.read_bytes()
+    assert payload.count(b"\n") == 1 and payload.endswith(b"\n")
+    report = json.loads(payload)
+    assert report["schema_version"] == cli.SCHEMA_VERSION == 2
+    assert hashlib.sha256(v1_bytes(report)).hexdigest() == SOLVE_V1_DIGEST
+
+
+def test_eval_reads_schema_1_and_2_alike(tmp_path, capsys):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    v2 = tmp_path / "v2.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(v2)]) == cli.EXIT_OK
+    report = json.loads(v2.read_text())
+    v1 = tmp_path / "v1.json"
+    v1.write_bytes(v1_bytes(report))
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("".join(f"{gene['g']}\t{gene['h']}\n" for gene in report["genes"][::2]))
+    outputs = []
+    for pred in (v1, v2):
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["recall"] > 0
+    v3 = tmp_path / "v3.json"
+    v3.write_text(json.dumps({**report, "schema_version": 3}))
+    assert cli.main(["eval", "--pred", str(v3)]) == cli.EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_solve_to_stdout_writes_only_the_report(tmp_path):
+    """`-o -` gives the `-o FILE` bytes, one JSON document and nothing else,
+    in a child process whose stdout is a pipe, as HiGHS would see it."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    code = "import sys, ffmedian.cli; sys.exit(ffmedian.cli.main(sys.argv[1:]))"
+    to_file = run_child(code, "solve", *instance, "--canonical", "-o", str(out))
+    to_stdout = run_child(code, "solve", *instance, "--canonical", "-o", "-")
+    assert to_file.returncode == to_stdout.returncode == cli.EXIT_OK, to_stdout.stderr
+    assert to_file.stdout == ""
+    assert to_stdout.stdout.encode("utf-8") == out.read_bytes()
+    report, end = json.JSONDecoder().raw_decode(to_stdout.stdout)
+    assert to_stdout.stdout[end:] == "\n" and report["status"] == "optimal"
+
+
+@pytest.mark.parametrize("icf_seg", [True, False])
+def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch, icf_seg):
+    """With a conflict cap of 0 ICF-SEG skips runs; `stats` carries the
+    counts of its log line and the rows the solve was given."""
+    monkeypatch.setattr(segments, "CONFLICT_CAP", 0)
+    caplog.set_level(logging.INFO, logger="ffmedian.segments")
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    flags = [] if icf_seg else ["--no-icf-seg"]
+    assert cli.main(["solve", *instance, *flags, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    stats, counts = report["stats"], report["counts"]
+    genomes, candidates, table, _ = cli._front_end(
+        cli._read_files([instance[1]], instance[3]), True
+    )
+    assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in candidates) == 64
+    runs, mip = stats["icf_seg"], stats["mip"]
+    assert runs["accepted"] == counts["accepted_segments"]
+    assert mip["nodes"] >= 1 and mip["simplex_iterations"] > 0 and mip["gap"] == 0
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
+    if icf_seg:
+        result = segments.icf_seg(genomes[0], candidates, table)
+        assert runs["skipped"] > 0 and stats["solve_rows"] == int(result.row_alive.sum())
+        assert summary[0] == (
+            f"icf-seg: {runs['examined']} runs examined, {runs['accepted']} accepted, "
+            f"{runs['skipped']} skipped at the conflict cap"
+        )
+        # HiGHS bounds the program left after ICF-SEG, without the accepted rows
+        assert 0 < mip["dual_bound"] <= report["objective"]
+    else:
+        assert runs == {"examined": 0, "accepted": 0, "skipped": 0} and not summary
+        assert stats["solve_rows"] == counts["conserved_adjacencies"]
+        assert mip["dual_bound"] == pytest.approx(report["objective"])
+
+
+def test_oracle_stats_have_no_highs_counters(tmp_path):
+    instance = write_instance(tmp_path, ["a", "b"])
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", "--engine", "oracle", *instance, "-o", str(out)]) == cli.EXIT_OK
+    mip = json.loads(out.read_text())["stats"]["mip"]
+    assert mip == {"nodes": 0, "simplex_iterations": 0, "dual_bound": None, "gap": None}
 
 
 @pytest.mark.parametrize(
@@ -215,6 +331,19 @@ def test_eval_rejects_a_malformed_report(tmp_path, capsys, report):
     pred.write_text(json.dumps(report))
     assert cli.main(["eval", "--pred", str(pred)]) == cli.EXIT_INPUT
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"g": "a", "h": "H:a", "i": "I:a"}, {"h": "H:a", "i": "I:a"}],
+    ids=["token-without-colon", "entry-without-g"],
+)
+def test_eval_rejects_a_malformed_gene_entry_of_a_current_report(tmp_path, capsys, entry):
+    pred = tmp_path / "median.json"
+    pred.write_text(json.dumps({"schema_version": cli.SCHEMA_VERSION, "genes": [entry]}))
+    assert cli.main(["eval", "--pred", str(pred)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "schema_version" not in err
 
 
 def test_verify_reduction_rejects_meta_without_labels(tmp_path, capsys):
