@@ -6,7 +6,10 @@ Exit codes:
      subcommand or option, a missing or malformed argument), a malformed,
      missing or unreadable file, a malformed median report given to
      `eval`, a malformed reduction directory given to `verify-reduction`,
-     or a NaN or negative `--time-limit`
+     a NaN or negative `--time-limit`, or a subcommand's output that cannot
+     be written (a full device, a closed pipe), also when only the last
+     flush of stdout, as the process ends, fails; the text of `-h` and
+     `--version` is not covered (see "Start-up and shut-down")
   2  only a feasible solution was obtained within the limits
   3  solver error, such as an oracle run over its candidate cap
 
@@ -30,12 +33,23 @@ is free of timings.  Schema version 1 wrote the same fields, indented, with
 each candidate's record in place of an index, and no `stats`; `eval` reads
 both versions.
 
-Start-up: no module of the package calls a BLAS routine, and HiGHS does its
-own linear algebra, so the process asks OpenBLAS (bundled with numpy) for one
-thread before numpy loads.  Otherwise OpenBLAS starts a worker thread per
-extra core at `import numpy`, which spins and slows every subcommand's
-start-up while two cores are contended.  An `OPENBLAS_NUM_THREADS` already
-set in the environment is kept.
+Start-up and shut-down: no module of the package calls a BLAS routine, and
+HiGHS does its own linear algebra, so the process asks OpenBLAS (bundled with
+numpy) for one thread before numpy loads.  Otherwise OpenBLAS starts a worker
+thread per extra core at `import numpy`, which spins and slows every
+subcommand's start-up while two cores are contended.  An
+`OPENBLAS_NUM_THREADS` already set in the environment is kept.  The process
+entry point, `run`, ends the process with `os._exit` once `main` has
+returned and stdout, stderr and the log handlers are flushed: the
+interpreter's teardown would only finalize modules, numpy's and the HiGHS
+extension's above all, for about 30 ms per process, and every file the
+package writes is closed by its `with` block before `main` returns.  A
+failed flush of stdout there is an output error: one `error:` line and exit
+code 1.  An exception out of `main`, and argparse's exit on `-h`,
+`--version` or a usage error, take the interpreter's normal exit, where a
+failed flush of stdout is reported by the interpreter ("Exception ignored")
+with exit code 120.  `main` itself returns its exit code, for callers in
+the same process.
 """
 from __future__ import annotations
 
@@ -47,6 +61,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NoReturn
 
 # before numpy loads: the package needs no BLAS worker threads (see above)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -636,5 +651,20 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
+def run(argv=None) -> NoReturn:
+    """`main` as a whole process, ended without the interpreter's teardown
+    (see the module docstring)."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # the unwritten bytes stay buffered; _exit drops them unretried
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.stderr.flush()
+    logging.shutdown()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

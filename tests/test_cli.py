@@ -108,12 +108,10 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     extra = ["--canonical"] if command == "solve" else []
     absolute = tmp_path / "absolute.out"
-    assert cli.main([command, *instance, *extra, "-o", str(absolute)]) == cli.EXIT_OK
+    code = cli.main([command, *instance, *extra, "-o", str(absolute)])
+    assert type(code) is int and code == cli.EXIT_OK
     bare = ["-g", "genomes.txt", "-s", "similarity.tsv", *extra, "-o", "bare.out"]
-    proc = run_child(
-        "import sys, ffmedian.cli; sys.exit(ffmedian.cli.main(sys.argv[1:]))",
-        command, *bare, cwd=tmp_path,
-    )
+    proc = run_cli(command, *bare, cwd=tmp_path)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert (tmp_path / "bare.out").read_bytes() == absolute.read_bytes()
     assert hashlib.sha256(absolute.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
@@ -176,15 +174,20 @@ def test_eval_reads_schema_1_and_2_alike(tmp_path, capsys):
 
 def test_solve_to_stdout_writes_only_the_report(tmp_path):
     """`-o -` gives the `-o FILE` bytes, one JSON document and nothing else,
-    in a child process whose stdout is a pipe, as HiGHS would see it."""
+    in a child process whose stdout is a pipe, as HiGHS would see it.  With
+    an unbuffered stdout, C stdio is unbuffered too, so a stray HiGHS print
+    reaches the pipe although the process ends by `os._exit`; with a
+    buffered one, the entry point's last flush writes the report."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    code = "import sys, ffmedian.cli; sys.exit(ffmedian.cli.main(sys.argv[1:]))"
-    to_file = run_child(code, "solve", *instance, "--canonical", "-o", str(out))
-    to_stdout = run_child(code, "solve", *instance, "--canonical", "-o", "-")
+    to_file = run_cli("solve", *instance, "--canonical", "-o", str(out))
+    to_stdout = run_cli("solve", *instance, "--canonical", "-o", "-")
+    buffered = run_cli("solve", *instance, "--canonical", "-o", "-", buffered=True)
     assert to_file.returncode == to_stdout.returncode == cli.EXIT_OK, to_stdout.stderr
+    assert buffered.returncode == cli.EXIT_OK, buffered.stderr
     assert to_file.stdout == ""
     assert to_stdout.stdout.encode("utf-8") == out.read_bytes()
+    assert buffered.stdout == to_stdout.stdout
     report, end = json.JSONDecoder().raw_decode(to_stdout.stdout)
     assert to_stdout.stdout[end:] == "\n" and report["status"] == "optimal"
 
@@ -483,6 +486,91 @@ def run_child(code, *argv, cwd=None):
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
         cwd=cwd,
     )
+
+
+def run_cli(*argv, cwd=None, buffered=False, stdout=subprocess.PIPE):
+    """Run `python -m ffmedian.cli ARGV`, the process entry point, in a fresh
+    interpreter with `PYTHONUNBUFFERED=1`, or, with `buffered`, with no
+    `PYTHONUNBUFFERED` in its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "ffmedian.cli", *argv], env=env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, cwd=cwd,
+    )
+
+
+def entry_point_argv(tmp_path, expected):
+    """A `solve` argument list that must end with the exit code `expected`."""
+    out = ["-o", str(tmp_path / "median.json")]
+    if expected == cli.EXIT_FEASIBLE:
+        instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+        return ["solve", *instance, "--time-limit", "0", *out]
+    if expected == cli.EXIT_SOLVER:
+        # 6 gene triples and 8 telomere triples: over the oracle's cap of 12
+        instance = write_instance(tmp_path, [f"x{k}" for k in range(6)])
+        return ["solve", "--engine", "oracle", *instance, *out]
+    instance = write_instance(tmp_path, ["a", "b"])
+    if expected == cli.EXIT_INPUT:
+        instance[1] = str(tmp_path / "missing.txt")
+    return ["solve", *instance, *out]
+
+
+@pytest.mark.parametrize("expected", [0, 1, 2, 3])
+def test_entry_point_keeps_each_exit_code(tmp_path, expected):
+    proc = run_cli(*entry_point_argv(tmp_path, expected))
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if expected in (cli.EXIT_INPUT, cli.EXIT_SOLVER):
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+        assert json.loads((tmp_path / "median.json").read_text())["status"] in (
+            "optimal", "feasible")
+
+
+def test_entry_point_logs_info_lines_with_verbose(tmp_path):
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    proc = run_cli("-v", "solve", *instance, "--canonical", "-o", str(tmp_path / "m.json"))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert any(line.startswith("INFO ffmedian.segments: icf-seg: ") for line in lines)
+    assert any(line.startswith("INFO ffmedian.solver: HiGHS MIP: ") for line in lines)
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+def test_failed_stdout_flush_exits_with_input_code(tmp_path, sink):
+    """`eval` prints its scores into a buffered stdout, which only the entry
+    point's last flush tries to write: one `error:` line and exit 1."""
+    instance = write_instance(tmp_path, ["a", "b"])
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "-o", str(out)]) == cli.EXIT_OK
+    fd = closed_pipe() if sink == "closed-pipe" else os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = run_cli("eval", "--pred", str(out), buffered=True, stdout=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_installed_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(ffmedian.__file__).parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"ffmedian": "ffmedian.cli:run"}
 
 
 def blas_settings_after_import(**settings):
