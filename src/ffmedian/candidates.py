@@ -7,6 +7,9 @@ convention.  A candidate adjacency pairs two extremities of two
 non-conflicting candidates; it is conserved if its projection is an extant
 adjacency in at least one genome.
 
+`ConservedAdjacencyTable`, the candidate list with one row per conserved
+candidate adjacency, is the instance that every later stage reads.
+
 The two indexes of an instance are built here and nowhere else:
 `ConflictIndex` lists the candidates on each extant gene (one conflict row
 of the 0-1 program each) and `ExtremityIncidence` the table rows at each
@@ -23,7 +26,6 @@ import numpy as np
 
 from . import kernels
 from .genomes import (
-    ENDS,
     Gene,
     Genome,
     GenomeError,
@@ -60,18 +62,6 @@ class CandidateGene:
 
     def __str__(self) -> str:
         return f"({self.g.name},{self.h.name},{self.i.name})"
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateAdjacency:
-    """A conserved candidate adjacency between two candidate extremities."""
-
-    m1: CandidateGene
-    end1: str
-    m2: CandidateGene
-    end2: str
-    conserved_in: tuple[str, ...]
-    weight: float  # the sixth-root score factor times the conservation count
 
 
 class ConflictIndex:
@@ -240,17 +230,23 @@ def _candidates_from_index(index: InstanceIndex) -> list[CandidateGene]:
     return out
 
 
-class ConservedAdjacencyTable(Sequence):
-    """Array-backed table of conserved candidate adjacencies.
+class ConservedAdjacencyTable:
+    """The instance: the candidate genes and their conserved candidate
+    adjacencies, one table row each, held as arrays.
 
-    Rows are sorted by (m1, end1, m2, end2) with canonical endpoint order;
-    records are materialized lazily.  `mask` holds one conservation bit per
-    genome (bit k = genome k).
+    Rows are sorted by (m1, e1, m2, e2) with canonical endpoint order; m1 and
+    m2 index `candidates`, e1 and e2 are `genomes.ENDS` codes.  `mask` holds
+    one conservation bit per genome (bit k = genome k), and `conserved_in`
+    maps a mask to the labels of its genomes.  A solution is a set of row
+    indices: its median genes are the candidates its rows join.
     """
 
     def __init__(self, candidates, labels, m1, e1, m2, e2, mask):
         self.candidates = candidates
         self.labels = tuple(labels)
+        self.conserved_in = [
+            tuple(self.labels[x] for x in range(3) if bits >> x & 1) for bits in range(8)
+        ]
         self.m1 = m1
         self.e1 = e1
         self.m2 = m2
@@ -266,25 +262,11 @@ class ConservedAdjacencyTable(Sequence):
     def key(self, k: int) -> tuple[int, int, int, int]:
         return (int(self.m1[k]), int(self.e1[k]), int(self.m2[k]), int(self.e2[k]))
 
-    def conserved_labels(self, k: int) -> tuple[str, ...]:
-        m = int(self.mask[k])
-        return tuple(self.labels[x] for x in range(3) if m >> x & 1)
-
-    def __getitem__(self, k) -> CandidateAdjacency:
-        if isinstance(k, slice):
-            return [self[j] for j in range(*k.indices(len(self)))]
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        return CandidateAdjacency(
-            m1=self.candidates[int(self.m1[k])],
-            end1=ENDS[int(self.e1[k])],
-            m2=self.candidates[int(self.m2[k])],
-            end2=ENDS[int(self.e2[k])],
-            conserved_in=self.conserved_labels(k),
-            weight=float(self.weight[k]),
-        )
+    def genes(self, rows) -> list[int]:
+        """The candidates that the given rows join, sorted."""
+        rows = np.asarray(rows, dtype=np.int64)
+        # a set, not np.unique, which loads numpy.ma on its first call
+        return sorted({*self.m1[rows].tolist(), *self.m2[rows].tolist()})
 
     def subset(self, keep: np.ndarray) -> "ConservedAdjacencyTable":
         """New table restricted to the given row indices (candidate indexing kept)."""

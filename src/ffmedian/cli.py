@@ -6,12 +6,14 @@ Exit codes:
      subcommand or option, a missing or malformed argument), a malformed,
      missing or unreadable file, a malformed median report given to
      `eval`, a malformed reduction directory given to `verify-reduction`,
-     a NaN or negative `--time-limit`, or a subcommand's output that cannot
-     be written (a full device, a closed pipe), also when only the last
-     flush of stdout, as the process ends, fails; the text of `-h` and
-     `--version` is not covered (see "Start-up and shut-down")
-  2  only a feasible solution was obtained within the limits
-  3  solver error, such as an oracle run over its candidate cap
+     a NaN or negative `--time-limit`, an output that cannot be written (a
+     full device, a closed pipe), also when only the last flush of stdout,
+     as the process ends, fails, or a `verify-reduction` whose optimal
+     solve does not give the independence number
+  2  only a feasible solution was obtained within the limits, also by the
+     solve of `verify-reduction`, which then reports "ok": false
+  3  solver error, such as an oracle run over its candidate cap, or a
+     median whose rows fail the final check against the report's objective
 
 The `solve` report, `median.json`, is one line of JSON with sorted keys
 (`python -m json.tool median.json` pretty-prints it).  Schema version 2:
@@ -45,11 +47,10 @@ interpreter's teardown would only finalize modules, numpy's and the HiGHS
 extension's above all, for about 30 ms per process, and every file the
 package writes is closed by its `with` block before `main` returns.  A
 failed flush of stdout there is an output error: one `error:` line and exit
-code 1.  An exception out of `main`, and argparse's exit on `-h`,
-`--version` or a usage error, take the interpreter's normal exit, where a
-failed flush of stdout is reported by the interpreter ("Exception ignored")
-with exit code 120.  `main` itself returns its exit code, for callers in
-the same process.
+code 1.  argparse's exit on `-h`, `--version` or a usage error takes the
+same path with argparse's code.  An exception out of `main` takes the
+interpreter's normal exit.  `main` itself returns its exit code, for callers
+in the same process.
 """
 from __future__ import annotations
 
@@ -163,10 +164,11 @@ def _front_end(load, preprocess: bool, stages: list[dict] | None = None):
 
     `load()` returns the three genomes and their similarities.  With
     `preprocess`, genes outside every 3-clique are spliced out first.
-    Returns the genomes, the candidates, the conserved adjacency table and
-    the removed gene names per genome.  The stages are timed into `stages`
-    as `load`, `preprocess` and `enumerate`.  The layer functions are read
-    as module globals at each call, so that a tracer can patch them.
+    Returns the genomes, the conserved adjacency table, which holds the
+    candidates, and the removed gene names per genome.  The stages are
+    timed into `stages` as `load`, `preprocess` and `enumerate`.  The layer
+    functions are read as module globals at each call, so that a tracer can
+    patch them.
     """
     stages = [] if stages is None else stages
     with _stage(stages, "load"):
@@ -178,23 +180,33 @@ def _front_end(load, preprocess: bool, stages: list[dict] | None = None):
     with _stage(stages, "enumerate"):
         candidates = enumerate_candidates(*genomes, sigma)
         table = enumerate_conserved_adjacencies(candidates, *genomes)
-    return genomes, candidates, table, removed
+    return genomes, table, removed
 
 
-def _write_tsv(path, candidates, table: ConservedAdjacencyTable) -> None:
-    """Candidate genes, then conserved adjacencies, one per line."""
+def _rows(table: ConservedAdjacencyTable, rows=slice(None)):
+    """(m1, e1, m2, e2, mask, weight) of each row of `rows`, a list of row
+    indices or a slice, as Python numbers."""
+    arrays = (table.m1, table.e1, table.m2, table.e2, table.mask, table.weight)
+    return zip(*(a[rows].tolist() for a in arrays))
+
+
+def _write_tsv(path, table: ConservedAdjacencyTable, alive=None) -> None:
+    """Candidate genes (those `alive` marks, default all), then conserved
+    adjacencies, one per line."""
+    cands = table.candidates
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#type\tfields\n")
-        for cand in candidates:
+        for m, cand in enumerate(cands):
+            if alive is None or alive[m]:
+                fh.write(
+                    f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
+                    f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
+                )
+        for m1, e1, m2, e2, mask, weight in _rows(table):
+            a, b = cands[m1], cands[m2]
             fh.write(
-                f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
-                f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
-            )
-        for adj in table:
-            fh.write(
-                f"adjacency\t{adj.m1.g}\t{adj.m1.h}\t{adj.m1.i}\t{adj.end1}"
-                f"\t{adj.m2.g}\t{adj.m2.h}\t{adj.m2.i}\t{adj.end2}"
-                f"\t{','.join(adj.conserved_in)}\t{adj.weight:.12g}\n"
+                f"adjacency\t{a.g}\t{a.h}\t{a.i}\t{ENDS[e1]}\t{b.g}\t{b.h}\t{b.i}\t{ENDS[e2]}"
+                f"\t{','.join(table.conserved_in[mask])}\t{weight:.12g}\n"
             )
 
 
@@ -216,9 +228,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     """
     started = time.monotonic()
     stages: list[dict] = []
-    genomes, candidates, table, removed = _front_end(
+    genomes, table, removed = _front_end(
         _read_files(config.genome_files, config.similarity_file), config.preprocess, stages
     )
+    candidates = table.candidates
     accepted_rows: list[int] = []
     accepted_weight = 0.0
     accepted_segments = examined = skipped = 0
@@ -227,7 +240,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     if config.use_icf_seg:
         with _stage(stages, "icf-seg"):
             deadline = None if config.time_limit is None else started + config.time_limit
-            result = icf_seg(genomes[0], candidates, table, deadline=deadline)
+            result = icf_seg(genomes[0], table, deadline=deadline)
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
@@ -235,11 +248,11 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             row_map = np.nonzero(result.row_alive)[0]
             solve_table = result.reduced_table()
     with _stage(stages, "solve"):
-        model = build_ilp(candidates, solve_table)
+        model = build_ilp(solve_table)
         if config.export_lp_path:
             export_lp(model, config.export_lp_path)
         if config.engine == "oracle":
-            solution = brute_force_median(candidates, solve_table)
+            solution = brute_force_median(solve_table)
         else:
             remaining = None
             if config.time_limit is not None:
@@ -248,20 +261,13 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     combined_rows = sorted(
         set(accepted_rows) | {int(row_map[k]) for k in solution.row_indices}
     )
-    genes = set()
-    for k in combined_rows:
-        genes.add(int(table.m1[k]))
-        genes.add(int(table.m2[k]))
-    verify_solution(candidates, table, genes, combined_rows)
-    cars = cars_from_rows(candidates, table, genes, combined_rows)
     objective = accepted_weight + solution.objective
     bound = accepted_weight + solution.bound
+    verify_solution(table, combined_rows, objective)
+    cars = cars_from_rows(table, combined_rows)
 
-    chosen = sorted(genes)
+    chosen = table.genes(combined_rows)
     position = {m: j for j, m in enumerate(chosen)}
-    rows = np.array(combined_rows, dtype=np.int64)
-    # the conserved_in list of each conservation mask
-    labels = [[table.labels[x] for x in range(3) if mask >> x & 1] for mask in range(8)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ffmedian", "version": __version__},
@@ -275,7 +281,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             "conserved_adjacencies": len(table),
             "accepted_segments": accepted_segments,
             "accepted_adjacencies": len(accepted_rows),
-            "median_genes": len(genes),
+            "median_genes": len(chosen),
             "median_adjacencies": len(combined_rows),
             "cars": len(cars),
             "removed_genes": {k: len(v) for k, v in removed.items()},
@@ -299,14 +305,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
                 "end1": ENDS[e1],
                 "m2": position[m2],
                 "end2": ENDS[e2],
-                "conserved_in": labels[mask],
+                "conserved_in": table.conserved_in[mask],
                 "weight": weight,
             }
-            for m1, e1, m2, e2, mask, weight in zip(
-                table.m1[rows].tolist(), table.e1[rows].tolist(),
-                table.m2[rows].tolist(), table.e2[rows].tolist(),
-                table.mask[rows].tolist(), table.weight[rows].tolist(),
-            )
+            for m1, e1, m2, e2, mask, weight in _rows(table, combined_rows)
         ],
         "cars": [
             {
@@ -362,39 +364,32 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _, candidates, table, _ = _front_end(
-        _read_files(args.genomes, args.similarity), args.preprocess
-    )
-    _write_tsv(args.output, candidates, table)
+    _, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    _write_tsv(args.output, table)
     log.info(
-        "wrote %d candidates and %d conserved adjacencies", len(candidates), len(table)
+        "wrote %d candidates and %d conserved adjacencies",
+        len(table.candidates), len(table),
     )
     return EXIT_OK
 
 
 def _cmd_icf_seg(args) -> int:
-    genomes, candidates, table, _ = _front_end(
-        _read_files(args.genomes, args.similarity), args.preprocess
-    )
-    result = icf_seg(genomes[0], candidates, table)
+    genomes, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    cands = table.candidates
+    result = icf_seg(genomes[0], table)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
         for seg_id, run in enumerate(result.accepted):
-            genes = ",".join(str(candidates[m]) for m in run.members)
-            for row in run.internal_rows:
-                adj = table[row]
+            genes = ",".join(str(cands[m]) for m in run.members)
+            for m1, e1, m2, e2, _, weight in _rows(table, list(run.internal_rows)):
                 fh.write(
-                    f"{seg_id}\t{genes}\t{adj.m1}{adj.end1}--{adj.m2}{adj.end2}"
-                    f"\t{adj.weight:.12g}\n"
+                    f"{seg_id}\t{genes}\t{cands[m1]}{ENDS[e1]}--{cands[m2]}{ENDS[e2]}"
+                    f"\t{weight:.12g}\n"
                 )
     if args.emit_reduced:
         os.makedirs(args.emit_reduced, exist_ok=True)
         reduced = result.reduced_table()
-        _write_tsv(
-            os.path.join(args.emit_reduced, "candidates.tsv"),
-            [candidates[k] for k in np.nonzero(result.cand_alive)[0]],
-            reduced,
-        )
+        _write_tsv(os.path.join(args.emit_reduced, "candidates.tsv"), reduced, result.cand_alive)
         meta = {
             "accepted_segments": len(result.accepted),
             "accepted_weight": result.accepted_weight,
@@ -435,10 +430,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    _, candidates, table, _ = _front_end(
-        _read_files(args.genomes, args.similarity), args.preprocess
-    )
-    model = build_ilp(candidates, table)
+    _, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
+    model = build_ilp(table)
     export_lp(model, args.output)
     log.info("wrote model with %d variables and %d constraints",
              model.counted_variables, model.counted_constraints)
@@ -461,12 +454,8 @@ def _cmd_verify_reduction(args) -> int:
 
     time_limit = _time_limit(args.time_limit)
     instance = read_instance(args.instance_dir)
-    _, candidates, table, _ = _front_end(
-        lambda: (instance.genomes, instance.sigma), preprocess=False
-    )
-    solution = solve_branch_and_bound(
-        build_ilp(candidates, table), time_limit=time_limit
-    )
+    _, table, _ = _front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
+    solution = solve_branch_and_bound(build_ilp(table), time_limit=time_limit)
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0
     mapped = backmap_solution(solution, instance)
@@ -485,6 +474,7 @@ def _cmd_verify_reduction(args) -> int:
     print(
         json.dumps(
             {
+                "status": solution.status,
                 "objective": solution.objective,
                 "score": s_value,
                 "mis": mis,
@@ -496,6 +486,8 @@ def _cmd_verify_reduction(args) -> int:
             sort_keys=True,
         )
     )
+    if solution.status == STATUS_FEASIBLE:
+        return EXIT_FEASIBLE
     return EXIT_OK if ok else EXIT_INPUT
 
 
@@ -654,7 +646,10 @@ def main(argv=None) -> int:
 def run(argv=None) -> NoReturn:
     """`main` as a whole process, ended without the interpreter's teardown
     (see the module docstring)."""
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's exit on -h, --version or a usage error
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

@@ -275,12 +275,13 @@ def backmap_solution(
     unassociated genes and are skipped.  The result is an independent set.
     """
     label_g = instance.genomes[0].label
+    table = solution.table
     out: set[str] = set()
-    for adj in solution.adjacencies:
-        if label_g not in adj.conserved_in:
+    for k in solution.row_indices:
+        if label_g not in table.conserved_in[table.mask[k]]:
             continue
-        for cand in (adj.m1, adj.m2):
-            vertices = instance.associated(cand.g)
+        for m in (table.m1[k], table.m2[k]):
+            vertices = instance.associated(table.candidates[m].g)
             if vertices:
                 out.add(vertices[0])
     return out

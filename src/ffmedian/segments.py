@@ -4,7 +4,9 @@ Builds the matching graph over candidate extremities, detects runs
 (internally conflict-free segments whose extant gene order is conserved up
 to a full reversal), and accepts a run's internal adjacencies when a
 maximum-weight matching on its conflict-extended graph certifies that they
-belong to at least one optimal median.
+belong to at least one optimal median.  The instance is one
+`ConservedAdjacencyTable`: `build_gamma`, `detect_runs` and `icf_seg` read
+the candidates from its `candidates`.
 
 Runs are found by a left-to-right scan of each chromosome of G, a chain
 of steps: the step after position `prev` skips to the next position with
@@ -89,13 +91,11 @@ def _edge_key(u, v) -> tuple:
     return (u, v) if u <= v else (v, u)
 
 
-def build_gamma(
-    candidates: Sequence[CandidateGene], table: ConservedAdjacencyTable
-) -> MatchGraph:
+def build_gamma(table: ConservedAdjacencyTable) -> MatchGraph:
     """Graph with one vertex per candidate extremity and one weighted edge
     per conserved candidate adjacency."""
     nodes = []
-    for idx, cand in enumerate(candidates):
+    for idx, cand in enumerate(table.candidates):
         for e in cand.ends:
             nodes.append((idx, e))
     edges = []
@@ -226,9 +226,9 @@ class _RunScanner:
     checked when a link is followed.
     """
 
-    def __init__(self, G, candidates, table, cand_alive=None, row_alive=None, locked=()):
+    def __init__(self, G, table, cand_alive=None, row_alive=None, locked=()):
         self.G = G
-        self.candidates = candidates
+        self.candidates = table.candidates
         self.row_alive = row_alive
         self.link: dict[tuple[int, int], tuple[int, int]] = {}
         for k in np.nonzero(table.mask == 0b111)[0].tolist():
@@ -236,7 +236,7 @@ class _RunScanner:
             self.link[m1, e1] = (m2, k)
             self.link[m2, e2] = (m1, k)
         self.by_g_gene: dict[Gene, list[int]] = {}
-        for idx, cand in enumerate(candidates):
+        for idx, cand in enumerate(self.candidates):
             if (cand_alive is None or cand_alive[idx]) and idx not in locked \
                     and not cand.is_telomere_triple:
                 self.by_g_gene.setdefault(cand.g, []).append(idx)
@@ -373,7 +373,6 @@ class _RunScanner:
 
 def detect_runs(
     G: Genome,
-    candidates: Sequence[CandidateGene],
     table: ConservedAdjacencyTable,
     cand_alive=None,
     row_alive=None,
@@ -387,7 +386,7 @@ def detect_runs(
     reversal) everywhere.  Chain growth requires the next candidate to be
     the unique compatible choice; ambiguity ends the run.
     """
-    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive, locked or ())
+    scanner = _RunScanner(G, table, cand_alive, row_alive, locked or ())
     return [
         step.run
         for ci in range(len(G.chromosomes))
@@ -556,10 +555,7 @@ class IcfSegResult:
 
 
 def icf_seg(
-    G: Genome,
-    candidates: list[CandidateGene],
-    table: ConservedAdjacencyTable,
-    deadline: float | None = None,
+    G: Genome, table: ConservedAdjacencyTable, deadline: float | None = None
 ) -> IcfSegResult:
     """Iteratively accept runs whose matching certificate holds.
 
@@ -588,12 +584,11 @@ def icf_seg(
     grown again, and the chain after it moves its end with that run's left
     end.
     """
-    n = len(candidates)
-    cand_alive = np.ones(n, dtype=bool)
+    cand_alive = np.ones(len(table.candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
-    conflict = ConflictIndex(candidates)
+    conflict = ConflictIndex(table.candidates)
     incidence = ExtremityIncidence(table, row_alive)
-    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    scanner = _RunScanner(G, table, cand_alive, row_alive)
     chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
     accepted: list[Segment] = []
     observed: set[frozenset[int]] = set()

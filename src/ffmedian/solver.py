@@ -21,13 +21,16 @@ or `scipy.sparse`, whose imports take longer than the rest of a short
 per extant gene off `ConflictIndex` and a saturation row per candidate
 extremity off `ExtremityIncidence`.
 
-`cars_from_rows` reads the CARs off a graph over the chosen extremities:
-one edge joins the two ends of each chosen gene and one edge stands for
-each chosen adjacency.  `paths_and_cycles`, the walk that ICF-SEG's
-matching also uses, lists its paths and cycles.  A member reads `-` when
-the walk enters it at its head; a telomere triple has one end and reads
-`+`.  A linear CAR is the lesser of its two readings, and a circular CAR
-starts at its smallest candidate, read `-`.
+The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
+`verify_solution`, `cars_from_rows` and `brute_force_median` take alone, and
+a solution is a set of its rows: the median genes are the candidates those
+rows join.  `cars_from_rows` reads the CARs off a graph over the
+extremities of those genes: one edge joins the two ends of each gene and
+one edge stands for each chosen row.  `paths_and_cycles`, the walk that
+ICF-SEG's matching also uses, lists its paths and cycles.  A member reads
+`-` when the walk enters it at its head; a telomere triple has one end and
+reads `+`.  A linear CAR is the lesser of its two readings, and a circular
+CAR starts at its smallest candidate, read `-`.
 
 `brute_force_median` is the independent oracle: an exhaustive
 depth-first search over the adjacency rows in plain Python, with no LP and
@@ -43,17 +46,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .candidates import (
-    CandidateAdjacency,
-    CandidateGene,
-    ConflictIndex,
-    ConservedAdjacencyTable,
-    ExtremityIncidence,
-)
+from .candidates import ConflictIndex, ConservedAdjacencyTable, ExtremityIncidence
 from .genomes import ENDS, Gene
 
 log = logging.getLogger(__name__)
@@ -93,11 +90,10 @@ class IlpModel:
     in a candidate, one saturation constraint per candidate extremity.
     """
 
-    candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
 
     def __post_init__(self):
-        self.n_a = len(self.candidates)
+        self.n_a = len(self.table.candidates)
         self.n_b = len(self.table)
 
     @property
@@ -106,17 +102,18 @@ class IlpModel:
 
     @property
     def counted_constraints(self) -> int:
-        genes = {gene for cand in self.candidates for gene in cand.genes}
-        extremities = sum(len(cand.ends) for cand in self.candidates)
+        candidates = self.table.candidates
+        genes = {gene for cand in candidates for gene in cand.genes}
+        extremities = sum(len(cand.ends) for cand in candidates)
         return len(genes) + self.n_b + extremities
 
     def a_name(self, i: int) -> str:
-        c = self.candidates[i]
+        c = self.table.candidates[i]
         return f"a_{_token(c.g.name)}_{_token(c.h.name)}_{_token(c.i.name)}"
 
     def b_name(self, k: int) -> str:
         m1, e1, m2, e2 = self.table.key(k)
-        c1, c2 = self.candidates[m1], self.candidates[m2]
+        c1, c2 = self.table.candidates[m1], self.table.candidates[m2]
         s1, s2 = ENDS[e1], ENDS[e2]
         parts = []
         for x1, x2 in zip(c1.genes, c2.genes):
@@ -124,10 +121,8 @@ class IlpModel:
         return "b_" + "_".join(parts)
 
 
-def build_ilp(
-    candidates: Sequence[CandidateGene], table: ConservedAdjacencyTable
-) -> IlpModel:
-    return IlpModel(list(candidates), table)
+def build_ilp(table: ConservedAdjacencyTable) -> IlpModel:
+    return IlpModel(table)
 
 
 # -- LP text export ------------------------------------------------------------
@@ -170,7 +165,7 @@ def export_lp(model: IlpModel, path) -> None:
             counter += 1
             _wrap(fh, f" c{counter}:", terms + [rhs])
 
-        by_gene = ConflictIndex(model.candidates).by_gene
+        by_gene = ConflictIndex(model.table.candidates).by_gene
         for gene in sorted(by_gene):
             members = by_gene[gene]
             emit(
@@ -210,12 +205,12 @@ class Car:
 
 @dataclass
 class MedianSolution:
+    """The chosen rows of `table`; the median genes are the candidates they join."""
+
     status: str
     objective: float
     bound: float
-    gene_indices: tuple[int, ...]
     row_indices: tuple[int, ...]
-    candidates: list[CandidateGene]
     table: ConservedAdjacencyTable
     # HiGHS's counters; zero and None when no MIP ran
     nodes_explored: int = 0
@@ -223,42 +218,30 @@ class MedianSolution:
     dual_bound: float | None = None  # HiGHS's bound on the objective, or None
     gap: float | None = None  # HiGHS's relative gap, or None
 
-    @property
-    def genes(self) -> list[CandidateGene]:
-        return [self.candidates[i] for i in self.gene_indices]
-
-    @property
-    def adjacencies(self) -> list[CandidateAdjacency]:
-        return [self.table[k] for k in self.row_indices]
-
 
 def verify_solution(
-    candidates: Sequence[CandidateGene],
-    table: ConservedAdjacencyTable,
-    gene_indices: Iterable[int],
-    row_indices: Iterable[int],
-    objective: float | None = None,
+    table: ConservedAdjacencyTable, row_indices: Iterable[int], objective: float
 ) -> None:
-    """Independent feasibility check straight from the definitions."""
-    genes = set(gene_indices)
+    """Independent check of a solution straight from the definitions: no
+    extant gene under two of the candidates its rows join, no candidate
+    extremity in two rows, and the rows' weights summing to `objective`."""
+    rows = list(row_indices)
     gene_use: dict[Gene, int] = {}
-    for i in genes:
-        for gene in candidates[i].genes:
+    for i in table.genes(rows):
+        for gene in table.candidates[i].genes:
             if gene in gene_use:
                 raise SolverError(f"conflict on extant gene {gene}")
             gene_use[gene] = i
     ext_use: set[tuple[int, int]] = set()
     total = 0.0
-    for k in row_indices:
+    for k in rows:
         m1, e1, m2, e2 = table.key(k)
-        if m1 not in genes or m2 not in genes:
-            raise SolverError(f"adjacency row {k} uses unchosen candidate")
         for ext in ((m1, e1), (m2, e2)):
             if ext in ext_use:
                 raise SolverError(f"extremity {ext} used twice")
             ext_use.add(ext)
         total += float(table.weight[k])
-    if objective is not None and abs(total - objective) > 1e-6 * max(1.0, abs(total)):
+    if abs(total - objective) > 1e-6 * max(1.0, abs(total)):
         raise SolverError(f"objective mismatch: {total} vs {objective}")
 
 
@@ -312,24 +295,20 @@ def _members(walk: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(members)
 
 
-def cars_from_rows(
-    candidates: Sequence[CandidateGene],
-    table: ConservedAdjacencyTable,
-    gene_indices: Iterable[int],
-    row_indices: Iterable[int],
-) -> list[Car]:
-    """The paths and cycles of the chosen extremities, as canonical CARs
-    sorted by their smallest member.
+def cars_from_rows(table: ConservedAdjacencyTable, row_indices: Iterable[int]) -> list[Car]:
+    """The paths and cycles of the extremities of the genes that the chosen
+    rows join, as canonical CARs sorted by their smallest member.
 
     Only the chosen adjacencies are used; no completion adjacencies are
-    invented.  Chosen genes without adjacencies become singleton CARs.
+    invented.  Each gene has a row, so each CAR has two members or more.
     """
+    rows = list(row_indices)
     neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for m in sorted(set(gene_indices)):
-        ends = candidates[m].ends
+    for m in table.genes(rows):
+        ends = table.candidates[m].ends
         for e in ends:
             neighbours[(m, e)] = [(m, f) for f in ends if f != e]
-    for k in row_indices:
+    for k in rows:
         m1, e1, m2, e2 = table.key(k)
         neighbours[(m1, e1)].append((m2, e2))
         neighbours[(m2, e2)].append((m1, e1))
@@ -345,10 +324,7 @@ def cars_from_rows(
                 walk = walk[:1] + walk[:0:-1]
             cars.append(Car("circular", _members(walk)))
             continue
-        members = min(_members(walk), _members(walk[::-1]))
-        if len(members) == 1:
-            members = ((members[0][0], 1),)
-        cars.append(Car("linear", members))
+        cars.append(Car("linear", min(_members(walk), _members(walk[::-1]))))
     cars.sort(key=lambda car: min(car.members))
     return cars
 
@@ -484,7 +460,7 @@ def _mip_rows(model: IlpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     n_a, n_b = model.n_a, model.n_b
     gene_num: dict[Gene, int] = {}
     cand_gene = np.array(
-        [gene_num.setdefault(g, len(gene_num)) for c in model.candidates for g in c.genes],
+        [gene_num.setdefault(g, len(gene_num)) for c in table.candidates for g in c.genes],
         dtype=np.int64,
     )
     ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
@@ -518,7 +494,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
             continue
         ok = True
         for m in (m1, m2):
-            for gene in model.candidates[m].genes:
+            for gene in table.candidates[m].genes:
                 if owner.get(gene, m) != m:
                     ok = False
                     break
@@ -527,7 +503,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
         if not ok:
             continue
         for m in (m1, m2):
-            for gene in model.candidates[m].genes:
+            for gene in table.candidates[m].genes:
                 owner[gene] = m
         used_ext.add((m1, e1))
         used_ext.add((m2, e2))
@@ -562,7 +538,7 @@ def solve_branch_and_bound(
     started = time.monotonic()
     table = model.table
     if model.n_a == 0:
-        return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), model.candidates, table)
+        return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), table)
     if model.n_b == 0:
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ())
 
@@ -598,18 +574,11 @@ def solve_branch_and_bound(
 def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
     """The verified solution of `rows`, with the counters of the HiGHS run
     `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
-    genes = set()
-    for k in rows:
-        m1, _, m2, _ = model.table.key(int(k))
-        genes.add(m1)
-        genes.add(m2)
     solution = MedianSolution(
         status=status,
         objective=float(value),
         bound=float(bound),
-        gene_indices=tuple(sorted(genes)),
         row_indices=tuple(sorted(int(k) for k in rows)),
-        candidates=model.candidates,
         table=model.table,
     )
     if res is not None:
@@ -619,10 +588,7 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
             solution.dual_bound = -res.dual_bound
         if np.isfinite(res.gap):
             solution.gap = res.gap
-    verify_solution(
-        model.candidates, model.table, solution.gene_indices, solution.row_indices,
-        solution.objective,
-    )
+    verify_solution(model.table, solution.row_indices, solution.objective)
     return solution
 
 
@@ -630,10 +596,7 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
 
 
 def brute_force_median(
-    candidates: Sequence[CandidateGene],
-    table: ConservedAdjacencyTable,
-    cap: int = 12,
-    collect_optima: bool = False,
+    table: ConservedAdjacencyTable, cap: int = 12, collect_optima: bool = False
 ):
     """Oracle: a depth-first search over the adjacency rows.
 
@@ -646,13 +609,13 @@ def brute_force_median(
     With `collect_optima` returns (solution, optima) where optima lists all
     optimal adjacency sets as sorted row-index tuples.
     """
-    candidates = list(candidates)
+    candidates = table.candidates
     if len(candidates) > cap:
         raise OracleCapExceeded(
             f"{len(candidates)} candidates exceed the oracle cap of {cap}"
         )
     if not candidates:
-        empty = MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), (), candidates, table)
+        empty = MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), table)
         return (empty, [()]) if collect_optima else empty
     rows = sorted(range(len(table)), key=lambda k: (-float(table.weight[k]), k))
     weights = [float(table.weight[k]) for k in rows]
@@ -690,8 +653,7 @@ def brute_force_median(
         dfs(pos + 1, value)
 
     dfs(0, 0.0)
-    model = build_ilp(candidates, table)
-    solution = _finish(model, STATUS_OPTIMAL, best, best, min(optima))
+    solution = _finish(build_ilp(table), STATUS_OPTIMAL, best, best, min(optima))
     if collect_optima:
         return solution, sorted(optima)
     return solution

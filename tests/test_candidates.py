@@ -193,9 +193,8 @@ class TestConservedAdjacencies:
             if {table.key(k)[0], table.key(k)[2]} == {m2, m3}
         ]
         assert len(rows) == 1
-        record = table[rows[0]]
-        assert set(record.conserved_in) == {"G", "H", "I"}
-        assert record.weight == pytest.approx(3 * 0.125 ** (1 / 3.0))
+        assert table.conserved_in[table.mask[rows[0]]] == ("G", "H", "I")
+        assert table.weight[rows[0]] == pytest.approx(3 * 0.125 ** (1 / 3.0))
 
     def test_conflicting_pairs_never_emitted(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
@@ -245,25 +244,18 @@ class TestConservedAdjacencies:
             genomes, sigma, cands = _random_dense_instance(seed)
             table = enumerate_conserved_adjacencies(cands, *genomes)
             for k in range(len(table)):
-                rec = table[k]
+                m1, e1, m2, e2 = table.key(k)
+                c1, c2 = cands[m1], cands[m2]
                 total = 0.0
+                conserved = set()
                 for genome in genomes:
-                    e1 = _project(rec.m1, rec.end1, genome.label)
-                    e2 = _project(rec.m2, rec.end2, genome.label)
-                    if indicator(genome, e1, e2):
-                        total += math.sqrt(
-                            _gene_score(rec.m1, sigma) * _gene_score(rec.m2, sigma)
-                        )
-                assert total == pytest.approx(rec.weight, rel=1e-9)
-                assert set(rec.conserved_in) == {
-                    g.label
-                    for g in genomes
-                    if indicator(
-                        g,
-                        _project(rec.m1, rec.end1, g.label),
-                        _project(rec.m2, rec.end2, g.label),
-                    )
-                }
+                    x1 = _project(c1, ENDS[e1], genome.label)
+                    x2 = _project(c2, ENDS[e2], genome.label)
+                    if indicator(genome, x1, x2):
+                        total += math.sqrt(_gene_score(c1, sigma) * _gene_score(c2, sigma))
+                        conserved.add(genome.label)
+                assert total == pytest.approx(table.weight[k], rel=1e-9)
+                assert set(table.conserved_in[table.mask[k]]) == conserved
 
 
 def _random_genome(rng, label, shapes):

@@ -17,9 +17,10 @@ from conftest import (
 )
 
 
-def reference_cars(candidates, table, genes, rows):
+def reference_cars(table, rows):
     """CARs by their definition: follow the chosen links from a free end, or
     around a cycle, then take the least of every rotation and reversal."""
+    candidates = table.candidates
     link = {}
     for k in rows:
         m1, e1, m2, e2 = table.key(k)
@@ -47,15 +48,11 @@ def reference_cars(candidates, table, genes, rows):
         return tuple((m, o if telomere(m) else -o) for m, o in reversed(seq))
 
     cars, placed = [], set()
-    chosen = sorted(set(genes))
+    chosen = sorted({m for m, _ in link})  # the genes the rows join
     for on_cycles in (False, True):  # every path end first
         for m in chosen:
             linked = [e for e in candidates[m].ends if (m, e) in link]
             if m in placed or (len(linked) == 2) != on_cycles:
-                continue
-            if not linked:
-                cars.append(Car("linear", ((m, 1),)))
-                placed.add(m)
                 continue
             seq, closed = follow(m, linked[-1])
             placed.update(x for x, _ in seq)
@@ -69,8 +66,8 @@ def reference_cars(candidates, table, genes, rows):
 
 
 def random_selection(rng, candidates, table):
-    """A random conflict-free gene set and a random set of its rows that uses
-    each extremity at most once."""
+    """A random set of rows that joins a conflict-free gene set and uses each
+    extremity at most once."""
     keep = rng.choice((0.7, 0.9, 1.0))
     used, genes = set(), []
     for m in rng.sample(range(len(candidates)), len(candidates)):
@@ -84,7 +81,7 @@ def random_selection(rng, candidates, table):
         if m1 in chosen and m2 in chosen and not ends & pair and rng.random() < keep:
             ends |= pair
             rows.append(k)
-    return genes, rows
+    return rows
 
 
 def circular_instance(seed):
@@ -125,10 +122,11 @@ def test_cars_match_their_definition(make):
         candidates, table = build_tables(*make(seed))
         rng = random.Random(seed)
         for _ in range(3):
-            genes, rows = random_selection(rng, candidates, table)
-            cars = cars_from_rows(candidates, table, genes, rows)
-            assert cars == reference_cars(candidates, table, genes, rows)
-            shapes |= {car.shape for car in cars if len(car.members) > 1}
+            rows = random_selection(rng, candidates, table)
+            cars = cars_from_rows(table, rows)
+            assert cars == reference_cars(table, rows)
+            assert all(len(car.members) > 1 for car in cars)
+            shapes |= {car.shape for car in cars}
             telomere_rows += sum(
                 candidates[table.key(k)[0]].is_telomere_triple
                 and candidates[table.key(k)[2]].is_telomere_triple
@@ -155,8 +153,7 @@ def test_circular_car_with_a_reversed_gene():
                for label in "GHI"]
     cands, table = build_tables(genomes, diagonal_sigma(["a", "b", "c"]))
     assert [c.g.name for c in cands] == ["a", "b", "c"]
-    genes = {0, 1, 2}
-    cars = cars_from_rows(cands, table, genes, conserved_rows(table, genes))
+    cars = cars_from_rows(table, conserved_rows(table, {0, 1, 2}))
     assert cars == [Car("circular", ((0, -1), (2, -1), (1, 1)))]
 
 
@@ -165,28 +162,21 @@ def test_linear_car_capped_by_telomere_triples():
     cands, table = build_tables(genomes, diagonal_sigma(["a", "b"]))
     assert str(cands[2]) == "(~c1.L,~c1.L,~c1.L)"
     assert str(cands[9]) == "(~c1.R,~c1.R,~c1.R)"
-    genes = {0, 1, 2, 9}
-    cars = cars_from_rows(cands, table, genes, conserved_rows(table, genes))
+    cars = cars_from_rows(table, conserved_rows(table, {0, 1, 2, 9}))
     assert cars == [Car("linear", ((2, 1), (0, 1), (1, -1), (9, 1)))]
 
 
-def test_telomere_triple_without_rows_is_a_forward_singleton():
-    genomes, sigma = identical_genomes(("a", "b"))
-    cands, table = build_tables(genomes, sigma)
-    assert cands[2].is_telomere_triple
-    cars = cars_from_rows(cands, table, [2, 0], [])
-    assert cars == [Car("linear", ((0, 1),)), Car("linear", ((2, 1),))]
-
-
 def test_cars_are_sorted_by_their_smallest_member():
-    # genome order c a d b: the path c a d starts at c (2) but holds a (0),
-    # so it comes before the singleton b (1)
-    genomes = [linear(label, [("c", 1), ("a", 1), ("d", 1), ("b", 1)]) for label in "GHI"]
-    cands, table = build_tables(genomes, diagonal_sigma(["a", "b", "c", "d"]))
-    assert [c.g.name for c in cands[:4]] == ["a", "b", "c", "d"]
-    rows = conserved_rows(table, {0, 2, 3})
-    cars = cars_from_rows(cands, table, [0, 1, 2, 3], rows)
+    # genome order c a d b e: the path c a d starts at c (2) but holds a (0),
+    # so it comes before the path b e, which starts at b (1)
+    names = ["a", "b", "c", "d", "e"]
+    genomes = [linear(label, [(nm, 1) for nm in "cadbe"]) for label in "GHI"]
+    cands, table = build_tables(genomes, diagonal_sigma(names))
+    assert [c.g.name for c in cands[:5]] == names
+    rows = [k for k in conserved_rows(table, {0, 1, 2, 3, 4})
+            if {table.key(k)[0], table.key(k)[2]} != {1, 3}]  # cut d from b
+    cars = cars_from_rows(table, rows)
     assert cars == [
         Car("linear", ((2, 1), (0, 1), (3, 1))),
-        Car("linear", ((1, 1),)),
+        Car("linear", ((1, 1), (4, 1))),
     ]

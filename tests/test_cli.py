@@ -204,16 +204,14 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     assert cli.main(["solve", *instance, *flags, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     report = json.loads(out.read_text())
     stats, counts = report["stats"], report["counts"]
-    genomes, candidates, table, _ = cli._front_end(
-        cli._read_files([instance[1]], instance[3]), True
-    )
-    assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in candidates) == 64
+    genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
+    assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in table.candidates) == 64
     runs, mip = stats["icf_seg"], stats["mip"]
     assert runs["accepted"] == counts["accepted_segments"]
     assert mip["nodes"] >= 1 and mip["simplex_iterations"] > 0 and mip["gap"] == 0
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
     if icf_seg:
-        result = segments.icf_seg(genomes[0], candidates, table)
+        result = segments.icf_seg(genomes[0], table)
         assert runs["skipped"] > 0 and stats["solve_rows"] == int(result.row_alive.sum())
         assert summary[0] == (
             f"icf-seg: {runs['examined']} runs examined, {runs['accepted']} accepted, "
@@ -283,11 +281,11 @@ def test_solve_exports_the_program_left_by_icf_seg(tmp_path):
     argv = ["solve", *instance, "--export-lp", str(lp), "-o", str(tmp_path / "median.json")]
     assert cli.main(argv) == cli.EXIT_OK
     binary = lp.read_text().split("Binary\n")[1].split("End\n")[0].split()
-    genomes, candidates, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
-    result = segments.icf_seg(genomes[0], candidates, table)
-    model = solver.build_ilp(candidates, result.reduced_table())
+    genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
+    result = segments.icf_seg(genomes[0], table)
+    model = solver.build_ilp(result.reduced_table())
     assert 0 < model.n_b < len(table)
-    assert binary == [model.a_name(i) for i in range(len(candidates))] + [
+    assert binary == [model.a_name(i) for i in range(len(table.candidates))] + [
         model.b_name(k) for k in range(model.n_b)
     ]
 
@@ -436,7 +434,36 @@ def test_mis_reduction_round_trip(tmp_path, capsys):
     assert code == cli.EXIT_OK
     capsys.readouterr()
     assert cli.main(["verify-reduction", str(instance_dir)]) == cli.EXIT_OK
-    assert '"ok": true' in capsys.readouterr().out
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["ok"] is True and printed["status"] == "optimal"
+
+
+def test_time_limited_verify_reduction_exits_feasible(tmp_path, capsys):
+    """A solve cut by the time limit is no failed check: exit 2, as `solve`."""
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\nb\tc\nc\td\nd\ta\n")  # the 4-cycle a-b-c-d
+    instance_dir = tmp_path / "instance"
+    assert cli.main(["reduce-mis", "--graph", str(edges), "-o", str(instance_dir)]) == 0
+    capsys.readouterr()
+    code = cli.main(["verify-reduction", str(instance_dir), "--time-limit", "0"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FEASIBLE == 2
+    printed = json.loads(captured.out)
+    assert printed["status"] == "feasible" and printed["ok"] is False
+    assert printed["mis"] == 2 and captured.err == ""
+    assert cli.main(["verify-reduction", str(instance_dir)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_report_objective_is_checked_against_its_rows(tmp_path, monkeypatch, capsys):
+    """A report whose objective is not the weight of its adjacencies is a
+    solver error, not a result."""
+    monkeypatch.setattr(segments.IcfSegResult, "accepted_weight", property(lambda self: 1.0))
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "-o", str(out)]) == cli.EXIT_SOLVER
+    assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_verify_reduction_of_missing_directory_exits_with_input_code(tmp_path, capsys):
@@ -563,6 +590,38 @@ def test_failed_stdout_flush_exits_with_input_code(tmp_path, sink):
         os.close(fd)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_help_and_version_into_a_failed_stdout_exit_with_input_code(sink, flag):
+    """argparse prints the text into a buffered stdout and exits inside
+    `main`; the entry point's last flush still reports the failure."""
+    if sink == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    fd = closed_pipe() if sink == "closed-pipe" else os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = run_cli(flag, buffered=True, stdout=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_entry_point_keeps_argparse_usage_errors():
+    proc = run_cli("solve", "--time-limit", "abc", buffered=True)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("usage: ffmedian") and proc.stdout == ""
+    assert "error: argument --time-limit: invalid float value: 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_entry_point_prints_help_and_version(flag):
+    proc = run_cli(flag, buffered=True)
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    expected = "usage: ffmedian" if flag == "-h" else f"{ffmedian.__version__}\n"
+    assert proc.stdout.startswith(expected)
 
 
 def test_installed_script_is_the_entry_point():

@@ -173,22 +173,22 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_icf_seg_matches_golden(case):
     genomes, candidates, table = CASES[case]()
-    result = icf_seg(genomes[0], candidates, table)
+    result = icf_seg(genomes[0], table)
     assert (len(candidates), len(table), len(result.accepted), digest(result)) == GOLDEN[case]
 
 
 # -- the original restart loop, kept as the reference -------------------------
 
 
-def restart_loop(G, candidates, table):
+def restart_loop(G, table):
     """ICF-SEG as first written: a fresh `detect_runs` after every acceptance.
 
     Calls `build_gamma_prime` through the module, as `icf_seg` does, so a
     test can record the runs either one examines.
     """
-    cand_alive = np.ones(len(candidates), dtype=bool)
+    cand_alive = np.ones(len(table.candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
-    conflict = ConflictIndex(candidates)
+    conflict = ConflictIndex(table.candidates)
     incidence = ExtremityIncidence(table, row_alive)
     accepted = []
     observed: set[frozenset[int]] = set()
@@ -197,7 +197,7 @@ def restart_loop(G, candidates, table):
     while progress:
         progress = False
         runs = detect_runs(
-            G, candidates, table,
+            G, table,
             cand_alive=cand_alive, row_alive=row_alive, locked=locked,
         )
         for run in runs:
@@ -296,10 +296,10 @@ def test_icf_seg_matches_restart_loop(monkeypatch):
     cases = 0
     for name, genomes, candidates, table in reference_cases():
         examined.clear()
-        result = icf_seg(genomes[0], candidates, table)
+        result = icf_seg(genomes[0], table)
         examined_incrementally = list(examined)
         examined.clear()
-        accepted, cand_alive, row_alive = restart_loop(genomes[0], candidates, table)
+        accepted, cand_alive, row_alive = restart_loop(genomes[0], table)
         assert examined_incrementally == examined, name
         got = [
             (run.members, run.internal_rows, run.circular, result.weight(run))
@@ -331,7 +331,7 @@ def test_rescan_matches_fresh_scan(seed):
     G = genomes[0]
     cand_alive = np.ones(len(candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
-    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    scanner = _RunScanner(G, table, cand_alive, row_alive)
     chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
     genic = [c for c in range(len(candidates)) if not candidates[c].is_telomere_triple]
     rng.shuffle(genic)
@@ -343,7 +343,7 @@ def test_rescan_matches_fresh_scan(seed):
         for ci, positions in scanner.remove(killed).items():
             chains[ci] = scanner.rescan(ci, chains[ci], positions)
             rescans += 1
-        fresh = _RunScanner(G, candidates, table, cand_alive, row_alive)
+        fresh = _RunScanner(G, table, cand_alive, row_alive)
         assert chains == [fresh.scan(ci) for ci in range(len(G.chromosomes))]
     assert rescans > 20
 
@@ -355,7 +355,7 @@ def test_circular_rescan_is_local(monkeypatch):
     G = genomes[0]
     cand_alive = np.ones(len(candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
-    scanner = _RunScanner(G, candidates, table, cand_alive, row_alive)
+    scanner = _RunScanner(G, table, cand_alive, row_alive)
     old = scanner.scan(0)
     victim = scanner.by_g_gene[G.chromosomes[0].order[200][0]][0]
     cand_alive[victim] = False
@@ -374,4 +374,4 @@ def test_circular_rescan_is_local(monkeypatch):
     monkeypatch.setattr(_RunScanner, "_grow", counting_grow)
     new = scanner.rescan(0, old, changed[0])
     assert grown <= 5
-    assert new == _RunScanner(G, candidates, table, cand_alive, row_alive).scan(0)
+    assert new == _RunScanner(G, table, cand_alive, row_alive).scan(0)

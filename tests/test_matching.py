@@ -120,7 +120,7 @@ def test_gamma_prime_has_degree_two_at_most(case, monkeypatch):
 
     monkeypatch.setattr(segments, "build_gamma_prime", recording_build)
     genomes, candidates, table = CASES[case]()
-    icf_seg(genomes[0], candidates, table)
+    icf_seg(genomes[0], table)
     for graph in built:
         degree = {}
         for u, v, _ in graph.edges:

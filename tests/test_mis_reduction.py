@@ -169,7 +169,7 @@ class TestMisBruteforce:
 def solve_reduction(graph):
     instance = reduce_mis(graph)
     cands, table = build_tables(instance.genomes, instance.sigma)
-    solution = solve_branch_and_bound(build_ilp(cands, table))
+    solution = solve_branch_and_bound(build_ilp(table))
     return instance, cands, table, solution
 
 
@@ -184,14 +184,11 @@ class TestBackmap:
             and cands[table.key(k)[0]].h.name.startswith("star")
             and cands[table.key(k)[2]].h.name.startswith("star")
         ]
-        genes = set()
-        for k in star_rows:
-            genes.update((table.key(k)[0], table.key(k)[2]))
         from ffmedian.solver import MedianSolution
 
         solution = MedianSolution(
             "optimal", float(sum(table.weight[k] for k in star_rows)), 0.0,
-            tuple(sorted(genes)), tuple(star_rows), cands, table,
+            tuple(star_rows), table,
         )
         assert backmap_solution(solution, instance) == set()
 
@@ -210,14 +207,9 @@ class TestBackmap:
             cands, table = build_tables(instance.genomes, instance.sigma)
             from ffmedian.solver import _greedy_incumbent, MedianSolution
 
-            model = build_ilp(cands, table)
+            model = build_ilp(table)
             value, rows = _greedy_incumbent(model)
-            genes = set()
-            for k in rows:
-                genes.update((table.key(k)[0], table.key(k)[2]))
-            feasible = MedianSolution(
-                "feasible", value, value, tuple(sorted(genes)), rows, cands, table
-            )
+            feasible = MedianSolution("feasible", value, value, rows, table)
             mapped = backmap_solution(feasible, instance)
             for u, v in itertools.combinations(sorted(mapped), 2):
                 assert (u, v) not in graph.edges
@@ -228,7 +220,7 @@ class TestStructuralLaws:
         graph = BoundedGraph.from_edges(FIVE_EDGE_GRAPH)
         instance, cands, table, solution = solve_reduction(graph)
         unassociated = 0
-        for idx in solution.gene_indices:
+        for idx in table.genes(solution.row_indices):
             cand = cands[idx]
             assoc_g = set(instance.associated(cand.g))
             assoc_h = set(instance.associated(cand.h))

@@ -75,8 +75,8 @@ def _car_links(candidates, car):
 @given(circular_instances())
 def test_solve_equals_oracle_with_a_valid_bound(instance):
     genomes, candidates, table = instance
-    solution = solve_branch_and_bound(build_ilp(candidates, table))
-    oracle = brute_force_median(candidates, table)
+    solution = solve_branch_and_bound(build_ilp(table))
+    oracle = brute_force_median(table)
     assert abs(solution.objective - oracle.objective) <= GRID
     assert solution.bound >= solution.objective - GRID
     if solution.status == STATUS_OPTIMAL:
@@ -87,8 +87,8 @@ def test_solve_equals_oracle_with_a_valid_bound(instance):
 @given(circular_instances())
 def test_every_chosen_row_appears_once_in_the_cars(instance):
     genomes, candidates, table = instance
-    solution = solve_branch_and_bound(build_ilp(candidates, table))
-    cars = cars_from_rows(candidates, table, solution.gene_indices, solution.row_indices)
+    solution = solve_branch_and_bound(build_ilp(table))
+    cars = cars_from_rows(table, solution.row_indices)
     links = Counter(link for car in cars for link in _car_links(candidates, car))
     rows = Counter()
     for k in solution.row_indices:
@@ -96,14 +96,14 @@ def test_every_chosen_row_appears_once_in_the_cars(instance):
         rows[frozenset({(m1, e1), (m2, e2)})] += 1
     assert links == rows
     placed = Counter(m for car in cars for m, _ in car.members)
-    assert placed == Counter(solution.gene_indices)
+    assert placed == Counter(table.genes(solution.row_indices))
 
 
 @SETTINGS
 @given(circular_instances())
 def test_icf_seg_then_solve_equals_a_plain_solve(instance):
     genomes, candidates, table = instance
-    plain = solve_branch_and_bound(build_ilp(candidates, table))
-    segments = icf_seg(genomes[0], candidates, table)
-    reduced = solve_branch_and_bound(build_ilp(candidates, segments.reduced_table()))
+    plain = solve_branch_and_bound(build_ilp(table))
+    segments = icf_seg(genomes[0], table)
+    reduced = solve_branch_and_bound(build_ilp(segments.reduced_table()))
     assert abs(segments.accepted_weight + reduced.objective - plain.objective) <= GRID

@@ -49,7 +49,7 @@ class TestGamma:
     def test_fully_conserved_unit_cliques_weight_three(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        gamma = build_gamma(cands, table)
+        gamma = build_gamma(table)
         weights = sorted(w for _, _, w in gamma.edges)
         assert weights == [3.0, 3.0]  # both adjacencies of the 2-cycle
 
@@ -58,7 +58,7 @@ class TestGamma:
         H = linear("H", [("a", 1), ("x", 1), ("b", 1)])
         I = linear("I", [("b", 1), ("y", 1), ("a", 1)])
         cands, table = build_tables([G, H, I], diagonal_sigma(["a", "b"]))
-        gamma = build_gamma(cands, table)
+        gamma = build_gamma(table)
         keys = {frozenset((u[0], v[0])) for u, v, _ in gamma.edges}
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
@@ -77,7 +77,7 @@ class TestGamma:
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         assert cands[b].triple_score == pytest.approx(2.0 ** -6)
-        gamma = build_gamma(cands, table)
+        gamma = build_gamma(table)
         weights = sorted(
             round(w, 9) for u, v, w in gamma.edges if {u[0], v[0]} == {a, b}
         )
@@ -193,7 +193,7 @@ class TestRuns:
     def test_identical_genomes_single_spanning_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(genomes[0], cands, table)
+        runs = detect_runs(genomes[0], table)
         assert len(runs) == 1
         run = runs[0]
         assert [cands[m].g.name for m in run.members] == ["a", "b", "c"]
@@ -205,7 +205,7 @@ class TestRuns:
         I = linear("I", [("d", 1), ("a", 1), ("b", 1), ("c", 1)])
         sigma = diagonal_sigma(["a", "b", "c", "d"])
         cands, table = build_tables([G, H, I], sigma)
-        runs = detect_runs(G, cands, table)
+        runs = detect_runs(G, table)
         named = [[cands[m].g.name for m in run.members] for run in runs]
         assert ["a", "b"] in named
         assert all(len(r) == 2 for r in named)
@@ -213,7 +213,7 @@ class TestRuns:
     def test_conflicting_candidates_split_runs(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(genomes[0], cands, table)
+        runs = detect_runs(genomes[0], table)
         m3 = next(i for i, c in enumerate(cands) if c.g.name == "g3")
         m4 = next(i for i, c in enumerate(cands) if c.g.name == "g4")
         for run in runs:
@@ -225,13 +225,13 @@ class TestRuns:
         I = linear("I", [("a", 1), ("b", 1), ("c", 1)])
         sigma = diagonal_sigma(["a", "b", "c"])
         cands, table = build_tables([G, H, I], sigma)
-        runs = detect_runs(G, cands, table)
+        runs = detect_runs(G, table)
         assert len(runs) == 1 and len(runs[0].members) == 3
 
     def test_circular_whole_chromosome_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(genomes[0], cands, table)
+        runs = detect_runs(genomes[0], table)
         assert len(runs) == 1
         assert runs[0].circular
         assert len(runs[0].internal_rows) == 3
@@ -271,7 +271,7 @@ class TestGammaPrime:
     def test_no_external_conflicts_no_conflict_edges(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(genomes[0], cands, table)
+        runs = detect_runs(genomes[0], table)
         gp = gamma_prime(runs[0], table)
         ends = {frozenset((u, v)) for u, v, _ in gp.edges}
         for m in runs[0].members:
@@ -287,7 +287,7 @@ class TestGammaPrime:
         sigma.set(Gene("G", "a"), Gene("I", "a"), 1.0)
         cands, table = build_tables([G, H, I], sigma)
         conflict = ConflictIndex(cands)
-        runs = detect_runs(G, cands, table)
+        runs = detect_runs(G, table)
         if runs:
             gp = gamma_prime(runs[0], table)
             # every conflict edge weight equals the best conflict-free
@@ -304,7 +304,7 @@ class TestGammaPrime:
     def test_cap_exceeded_raises(self, monkeypatch):
         genomes, sigma = identical_genomes(("a", "b"))
         cands, table = build_tables(genomes, sigma)
-        runs = detect_runs(genomes[0], cands, table)
+        runs = detect_runs(genomes[0], table)
         monkeypatch.setattr(segments, "CONFLICT_CAP", -1)
         with pytest.raises(SegmentConflictCapError):
             gamma_prime(runs[0], table)
@@ -335,11 +335,11 @@ class TestIcfSeg:
     def test_identical_genomes_accept_gene_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        result = icf_seg(genomes[0], cands, table)
+        result = icf_seg(genomes[0], table)
         assert len(result.accepted) == 1
         assert result.accepted_weight == pytest.approx(6.0)
-        full = solve_branch_and_bound(build_ilp(cands, table))
-        reduced = solve_branch_and_bound(build_ilp(cands, result.reduced_table()))
+        full = solve_branch_and_bound(build_ilp(table))
+        reduced = solve_branch_and_bound(build_ilp(result.reduced_table()))
         assert result.accepted_weight + reduced.objective == pytest.approx(
             full.objective
         )
@@ -361,7 +361,7 @@ class TestIcfSeg:
         sigma.set(Gene("H", "p"), Gene("I", "p"), 1.0)
         genomes = [G, H, I]
         cands, table = build_tables(genomes, sigma)
-        result = icf_seg(genomes[0], cands, table)
+        result = icf_seg(genomes[0], table)
         for run in result.accepted:
             for m in run.members:
                 assert cands[m].triple_score == 1.0
@@ -373,9 +373,9 @@ class TestIcfSeg:
             from ffmedian.candidates import enumerate_conserved_adjacencies
 
             table = enumerate_conserved_adjacencies(cands, *genomes)
-            result = icf_seg(genomes[0], cands, table)
-            oracle, optima = brute_force_median(cands, table, collect_optima=True)
-            reduced = brute_force_median(cands, result.reduced_table())
+            result = icf_seg(genomes[0], table)
+            oracle, optima = brute_force_median(table, collect_optima=True)
+            reduced = brute_force_median(result.reduced_table())
             assert result.accepted_weight + reduced.objective == pytest.approx(
                 oracle.objective, rel=1e-6
             )
@@ -388,10 +388,10 @@ class TestIcfSeg:
     def test_deadline_keeps_a_prefix_of_the_accepted_runs(self, monkeypatch):
         genomes, sigma = evolved_instance(31, 200, 2, 0.0)
         cands, table = build_tables(genomes, sigma)
-        full = icf_seg(genomes[0], cands, table)
+        full = icf_seg(genomes[0], table)
         runs = full.accepted
         assert len(runs) > 20
-        far = icf_seg(genomes[0], cands, table, deadline=math.inf)
+        far = icf_seg(genomes[0], table, deadline=math.inf)
         assert far.accepted == runs
         assert np.array_equal(far.row_alive, full.row_alive)
 
@@ -405,7 +405,7 @@ class TestIcfSeg:
 
         for deadline in (0, 5, 20):
             monkeypatch.setattr(segments, "time", FakeClock())
-            cut = icf_seg(genomes[0], cands, table, deadline=deadline)
+            cut = icf_seg(genomes[0], table, deadline=deadline)
             got = cut.accepted
             assert len(got) < len(runs) and got == runs[: len(got)]
             assert int((~cut.row_alive).sum()) < int((~full.row_alive).sum())
@@ -415,7 +415,7 @@ class TestIcfSeg:
         genomes, sigma = evolved_instance(33, 200, 2, 0.1)
         caplog.set_level(logging.INFO, logger="ffmedian.segments")
         monkeypatch.setattr(segments, "CONFLICT_CAP", 0)
-        result = icf_seg(genomes[0], *build_tables(genomes, sigma))
+        result = icf_seg(genomes[0], build_tables(genomes, sigma)[1])
         messages = [record.getMessage() for record in caplog.records]
         skips = sum(m.startswith("skipping segment") for m in messages)
         summary = [m for m in messages if m.startswith("icf-seg:")]

@@ -11,6 +11,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ffmedian import solver
 from ffmedian.candidates import (
+    ConflictIndex,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
@@ -49,19 +50,25 @@ from test_matching import blossom
 OPTIMUM_5_120_6 = 148.24905413225594
 
 
+def empty_table():
+    """An instance without candidates: circular genomes, no similarities."""
+    genomes, _ = identical_genomes(shape="circular")
+    cands, table = build_tables(genomes, SimilarityGraph())
+    assert cands == [] and len(table) == 0
+    return table
+
+
 class TestBuildIlp:
     def test_empty_model(self):
-        genomes, _ = identical_genomes()
-        cands, table = build_tables(genomes, SimilarityGraph())
-        table = table.subset(np.empty(0, dtype=np.int64))
-        model = build_ilp([], table)
+        table = empty_table()
+        model = build_ilp(table)
         assert model.counted_variables == 0
         assert model.counted_constraints == 0
 
     def test_single_fully_conserved_adjacency_coefficient(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        model = build_ilp(cands, table)
+        model = build_ilp(table)
         assert model.n_a == 2
         assert model.n_b == 2
         assert sorted(model.table.weight.tolist()) == [3.0, 3.0]
@@ -69,7 +76,7 @@ class TestBuildIlp:
     def test_counts(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
         cands, table = build_tables(genomes, sigma)
-        model = build_ilp(cands, table)
+        model = build_ilp(table)
         genes = {g for c in cands for g in c.genes}
         ext = sum(len(c.ends) for c in cands)
         assert model.counted_variables == len(cands) + len(table)
@@ -78,10 +85,8 @@ class TestBuildIlp:
 
 class TestExportLp:
     def test_empty_model_golden_bytes(self, tmp_path):
-        genomes, _ = identical_genomes()
-        cands, table = build_tables(genomes, SimilarityGraph())
-        table = table.subset(np.empty(0, dtype=np.int64))
-        model = build_ilp([], table)
+        table = empty_table()
+        model = build_ilp(table)
         path = tmp_path / "empty.lp"
         export_lp(model, path)
         assert path.read_bytes() == b"Maximize\n obj:\nSubject To\nBinary\nEnd\n"
@@ -89,7 +94,7 @@ class TestExportLp:
     def test_coefficient_format(self, tmp_path):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        model = build_ilp(cands, table)
+        model = build_ilp(table)
         path = tmp_path / "model.lp"
         export_lp(model, path)
         text = path.read_text()
@@ -101,18 +106,16 @@ class TestExportLp:
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
         p1, p2 = tmp_path / "m1.lp", tmp_path / "m2.lp"
-        export_lp(build_ilp(cands, table), p1)
+        export_lp(build_ilp(table), p1)
         cands2, table2 = build_tables(genomes, sigma)
-        export_lp(build_ilp(cands2, table2), p2)
+        export_lp(build_ilp(table2), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestSolve:
     def test_no_candidates_is_empty_status(self):
-        genomes, _ = identical_genomes()
-        cands, table = build_tables(genomes, SimilarityGraph())
-        table = table.subset(np.empty(0, dtype=np.int64))
-        solution = solve_branch_and_bound(build_ilp([], table))
+        table = empty_table()
+        solution = solve_branch_and_bound(build_ilp(table))
         assert solution.status == STATUS_EMPTY
         assert solution.objective == 0.0
 
@@ -121,24 +124,24 @@ class TestSolve:
         for seed in range(6):
             genomes, sigma = disjoint_clique_instance(seed, n=5 + seed % 3)
             cands, table = build_tables(genomes, sigma)
-            gamma = build_gamma(cands, table)
+            gamma = build_gamma(table)
             matched = matching_weight(gamma, blossom(gamma))
-            solved = solve_branch_and_bound(build_ilp(cands, table)).objective
+            solved = solve_branch_and_bound(build_ilp(table)).objective
             assert round(matched / GRID) == round(solved / GRID)
 
     def test_oracle_equivalence_sample(self):
         for seed in range(40):
             genomes, sigma, cands = random_small_instance(seed, max_candidates=10)
             table = enumerate_conserved_adjacencies(cands, *genomes)
-            bb = solve_branch_and_bound(build_ilp(cands, table))
-            oracle = brute_force_median(cands, table)
+            bb = solve_branch_and_bound(build_ilp(table))
+            oracle = brute_force_median(table)
             assert round(bb.objective / GRID) == round(oracle.objective / GRID)
-            verify_solution(cands, table, bb.gene_indices, bb.row_indices, bb.objective)
+            verify_solution(table, bb.row_indices, bb.objective)
 
     def test_time_limit_zero_returns_feasible_with_bound(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        solution = solve_branch_and_bound(build_ilp(cands, table), time_limit=0)
+        solution = solve_branch_and_bound(build_ilp(table), time_limit=0)
         assert solution.status == STATUS_FEASIBLE
         assert solution.bound >= solution.objective - GRID
         assert solution.bound >= 12.0  # true optimum below the bound
@@ -159,15 +162,15 @@ class TestSolve:
         monkeypatch.setattr(solver, "linprog", recording)
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
-        solution = solve_branch_and_bound(build_ilp(cands, table), time_limit=60)
+        solution = solve_branch_and_bound(build_ilp(table), time_limit=60)
         assert solution.status == STATUS_OPTIMAL
         assert len(limits) == 1 and limits[0] <= 60 - 0.3
 
     def test_deterministic_across_repeated_solves(self):
         genomes, sigma, cands = random_small_instance(5)
         table = enumerate_conserved_adjacencies(cands, *genomes)
-        a = solve_branch_and_bound(build_ilp(cands, table))
-        b = solve_branch_and_bound(build_ilp(cands, table))
+        a = solve_branch_and_bound(build_ilp(table))
+        b = solve_branch_and_bound(build_ilp(table))
         assert a.row_indices == b.row_indices
         assert a.objective == b.objective
 
@@ -182,7 +185,7 @@ class TestSolve:
         # bound and no good point; after 1.5 s it is separating cuts.
         genomes, sigma = evolved_instance(5, 120, 6, 0.0)
         cands, table = build_tables(genomes, sigma)
-        model = build_ilp(cands, table)
+        model = build_ilp(table)
         greedy_value, _ = solver._greedy_incumbent(model)
         start = time.monotonic()
         limited = solve_branch_and_bound(model, time_limit=time_limit)
@@ -200,7 +203,7 @@ def _scipy_mip_rows(model):
     table = model.table
     n_a, n_b = model.n_a, model.n_b
     gene_num = {}
-    cand_gene = [gene_num.setdefault(g, len(gene_num)) for c in model.candidates for g in c.genes]
+    cand_gene = [gene_num.setdefault(g, len(gene_num)) for c in table.candidates for g in c.genes]
     ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
     ext, ext_row = np.unique(ext_keys.astype(np.int64), return_inverse=True)
     n_genes = len(gene_num)
@@ -219,7 +222,7 @@ def _scipy_mip_rows(model):
 )
 def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate):
     cands, table = build_tables(*evolved_instance(seed, n, chromosomes, family_rate))
-    model = build_ilp(cands, table)
+    model = build_ilp(table)
     start, index, value, rhs = solver._mip_rows(model)
     matrix, reference_rhs = _scipy_mip_rows(model)
     np.testing.assert_array_equal(start, matrix.indptr)
@@ -228,13 +231,14 @@ def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate
     np.testing.assert_array_equal(rhs, reference_rhs)
 
 
-def _milp_objective(cands, table) -> float:
+def _milp_objective(table) -> float:
     """Optimum of the full 0-1 program by HiGHS's MILP solver.
 
     The rows are those `export_lp` writes: one conflict row per extant gene,
     one coupling row per adjacency, one saturation row per candidate
     extremity.
     """
+    cands = table.candidates
     n_a, n_b = len(cands), len(table)
     rows, cols, vals, rhs = [], [], [], []
 
@@ -267,10 +271,11 @@ def _milp_objective(cands, table) -> float:
         options={"mip_rel_gap": 0},
     )
     assert res.status == 0
-    genes = np.nonzero(res.x[:n_a] > 0.5)[0]
     chosen = np.nonzero(res.x[n_a:] > 0.5)[0]
-    verify_solution(cands, table, genes, chosen)
-    return float(np.sum(table.weight[chosen]))
+    assert set(table.genes(chosen)) <= set(np.nonzero(res.x[:n_a] > 0.5)[0].tolist())
+    value = float(np.sum(table.weight[chosen]))
+    verify_solution(table, chosen, value)
+    return value
 
 
 @pytest.mark.parametrize(
@@ -285,14 +290,14 @@ def test_optimum_matches_milp(seed, n, family_rate):
     genomes = [g, h, i]
     cands, table = build_tables(genomes, sigma)
     assert sum(c.is_telomere_triple for c in cands) == 64
-    reference = _milp_objective(cands, table)
+    reference = _milp_objective(table)
 
-    plain = solve_branch_and_bound(build_ilp(cands, table))
+    plain = solve_branch_and_bound(build_ilp(table))
     assert plain.status == STATUS_OPTIMAL
     assert abs(plain.objective - reference) <= GRID
 
-    segs = icf_seg(genomes[0], cands, table)
-    reduced = solve_branch_and_bound(build_ilp(cands, segs.reduced_table()))
+    segs = icf_seg(genomes[0], table)
+    reduced = solve_branch_and_bound(build_ilp(segs.reduced_table()))
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
 
@@ -302,7 +307,7 @@ class TestBruteForce:
         genomes, sigma = identical_genomes(("a", "b", "c"))
         cands, table = build_tables(genomes, sigma)
         with pytest.raises(OracleCapExceeded):
-            brute_force_median(cands, table, cap=3)
+            brute_force_median(table, cap=3)
 
     def test_single_candidate_no_adjacency(self):
         genomes, sigma = identical_genomes(("a",), shape="circular")
@@ -311,7 +316,7 @@ class TestBruteForce:
         # triple cannot circularize with itself and the objective is zero
         assert len(cands) == 1
         assert len(table) == 0
-        solution = brute_force_median(cands, table)
+        solution = brute_force_median(table)
         assert solution.objective == 0.0
 
     def test_two_conflicting_candidates_pick_heavier(self):
@@ -327,13 +332,13 @@ class TestBruteForce:
         sigma.set(Gene("G", "a"), Gene("H", "b"), 0.9)
         sigma.set(Gene("G", "a"), Gene("I", "b"), 0.9)
         cands, table = build_tables([G, H, I], sigma)
-        solution = brute_force_median(cands, table)
-        verify_solution(cands, table, solution.gene_indices, solution.row_indices)
+        solution = brute_force_median(table)
+        verify_solution(table, solution.row_indices, solution.objective)
 
     def test_collect_optima_contains_best(self):
         genomes, sigma, cands = random_small_instance(9)
         table = enumerate_conserved_adjacencies(cands, *genomes)
-        solution, optima = brute_force_median(cands, table, collect_optima=True)
+        solution, optima = brute_force_median(table, collect_optima=True)
         assert tuple(sorted(solution.row_indices)) in [tuple(o) for o in optima]
         for rows in optima:
             total = sum(float(table.weight[k]) for k in rows)
@@ -366,10 +371,10 @@ class TestBruteForce:
                         valid.append((sum(float(table.weight[k]) for k in rows), rows))
             best = max(value for value, _ in valid)
             expected = sorted(rows for value, rows in valid if value >= best - GRID)
-            solution, optima = brute_force_median(cands, table, collect_optima=True)
+            solution, optima = brute_force_median(table, collect_optima=True)
             assert solution.objective == pytest.approx(best, abs=GRID)
             assert optima == expected
-            assert solution.row_indices == brute_force_median(cands, table).row_indices
+            assert solution.row_indices == brute_force_median(table).row_indices
             assert solution.row_indices == expected[0]
             checked += 1
         assert checked >= 150
@@ -379,11 +384,19 @@ class TestVerify:
     def test_conflict_detected(self):
         genomes, sigma = identical_genomes(("a", "b"))
         cands, table = build_tables(genomes, sigma)
-        clashing = [
-            i for i, c in enumerate(cands) if c.is_telomere_triple
-        ][:2]  # telomere triples share telomeres
+        conflict = ConflictIndex(cands)
+        # two rows on four distinct extremities whose candidates clash: two
+        # telomere triples that share a telomere, say
+        clashing = next(
+            (k, j)
+            for k, j in itertools.combinations(range(len(table)), 2)
+            if not {table.key(k)[:2], table.key(k)[2:]} & {table.key(j)[:2], table.key(j)[2:]}
+            and any(conflict.conflicting(a, b)
+                    for a in table.key(k)[::2] for b in table.key(j)[::2])
+        )
+        value = float(table.weight[list(clashing)].sum())
         with pytest.raises(SolverError, match="conflict"):
-            verify_solution(cands, table, clashing, [])
+            verify_solution(table, clashing, value)
 
     def test_extremity_reuse_detected(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
@@ -393,12 +406,16 @@ class TestVerify:
             m1, e1, m2, e2 = table.key(k)
             incident.setdefault((m1, e1), []).append(k)
         (ext, rows) = next((x, r) for x, r in incident.items() if len(r) >= 2)
-        genes = set()
-        for k in rows[:2]:
-            m1, _, m2, _ = table.key(k)
-            genes.update((m1, m2))
         with pytest.raises(SolverError):
-            verify_solution(cands, table, genes, rows[:2])
+            verify_solution(table, rows[:2], float(table.weight[rows[:2]].sum()))
+
+    def test_objective_mismatch_detected(self):
+        genomes, sigma = identical_genomes(("a", "b", "c"))
+        cands, table = build_tables(genomes, sigma)
+        solution = solve_branch_and_bound(build_ilp(table))
+        verify_solution(table, solution.row_indices, solution.objective)
+        with pytest.raises(SolverError, match="objective mismatch"):
+            verify_solution(table, solution.row_indices, solution.objective + 1.0)
 
 
 class TestCars:
@@ -412,10 +429,7 @@ class TestCars:
             and not cands[table.key(k)[0]].is_telomere_triple
             and not cands[table.key(k)[2]].is_telomere_triple
         ]
-        genes = set()
-        for k in rows:
-            genes.update((table.key(k)[0], table.key(k)[2]))
-        cars = cars_from_rows(cands, table, genes, rows)
+        cars = cars_from_rows(table, rows)
         assert len(cars) == 1
         car = cars[0]
         assert car.shape == "linear"
@@ -425,19 +439,10 @@ class TestCars:
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
         rows = list(range(len(table)))
-        genes = {table.key(k)[0] for k in rows} | {table.key(k)[2] for k in rows}
-        cars = cars_from_rows(cands, table, genes, rows)
+        cars = cars_from_rows(table, rows)
         assert len(cars) == 1
         assert cars[0].shape == "circular"
         assert len(cars[0].members) == 2
-
-    def test_adjacency_free_genes_become_singletons(self):
-        genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
-        gene_triples = [i for i, c in enumerate(cands) if not c.is_telomere_triple]
-        cars = cars_from_rows(cands, table, gene_triples, [])
-        assert len(cars) == len(gene_triples)
-        assert all(car.shape == "linear" and len(car.members) == 1 for car in cars)
 
     def test_orientation_follows_entry_side(self):
         # a reversed middle gene flips orientation in the walk
@@ -452,10 +457,7 @@ class TestCars:
             and not cands[table.key(k)[0]].is_telomere_triple
             and not cands[table.key(k)[2]].is_telomere_triple
         ]
-        genes = set()
-        for k in rows:
-            genes.update((table.key(k)[0], table.key(k)[2]))
-        cars = cars_from_rows(cands, table, genes, rows)
+        cars = cars_from_rows(table, rows)
         assert len(cars) == 1
         orientations = {
             cands[m].g.name: o for m, o in cars[0].members
@@ -477,7 +479,7 @@ class TestModelSizeGrowth:
                     for y in names:
                         sigma.set(Gene(a, x), Gene(b, y), 1.0)
             cands, table = build_tables(genomes, sigma)
-            model = build_ilp(cands, table)
+            model = build_ilp(table)
             counts[n] = model.counted_variables + model.counted_constraints
         for n, total in counts.items():
             assert total <= 6.0 * n ** 5

@@ -20,3 +20,35 @@ def test_traced_name_exists(module, attr):
 
 def test_cli_exports_the_names_the_setup_probe_imports():
     from ffmedian.cli import SimilarityGraph, parse_genome_file  # noqa: F401
+
+
+def test_traced_solve_records_every_counter_and_span(tmp_path):
+    """A solve under the tracer, in-process: every observer reads the
+    attributes it needs, so a rename breaks this test and not only the
+    benchmark's traced runs."""
+    from ffmedian import cli
+    from ffmedian.genomes import write_genome_file
+
+    from conftest import evolved_instance
+
+    tracing = runpy.run_path(str(TRACING), run_name="perfbench_tracing")
+    genomes, sigma = evolved_instance(51, 120, 2, 0.1)
+    write_genome_file(tmp_path / "genomes.txt", genomes)
+    sigma.write(tmp_path / "similarity.tsv")
+    argv = ["solve", "-g", str(tmp_path / "genomes.txt"), "-s", str(tmp_path / "similarity.tsv"),
+            "--canonical", "-o", str(tmp_path / "median.json")]
+    tracer = tracing["Tracer"]()
+    with tracer.install():
+        assert cli.main(argv) == cli.EXIT_OK
+    assert set(tracer.counters) == {
+        "genomes.sigma_pairs",
+        "candidates.removed_genes", "candidates.candidates", "candidates.telomere_triples",
+        "candidates.rows",
+        "kernels.input_mb", "kernels.triangles_out", "kernels.pairs_out",
+        "segments.accepted", "segments.rows_total", "segments.rows_fixed",
+        "solver.rows_in", "solver.nodes",
+    }
+    assert tracer.counters["segments.accepted"] > 0 and tracer.counters["solver.rows_in"] > 0
+    # `icf_seg` scans through `_RunScanner`, not `detect_runs`
+    spans = {span.name for span in tracer.spans}
+    assert spans == set(tracing["SPAN_NAMES"]) - {"segments.detect_runs"}
