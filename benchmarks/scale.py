@@ -11,7 +11,10 @@ solve.  The CIRCULAR cases turn each genome's one chromosome circular, as
 in a bacterial genome, by rewriting the shape column of the generated
 genome file.  Every case is solved with ICF-SEG on and off, REPEAT times
 each, by a fresh `ffmedian solve` child process per solve with a 120 s
-limit.
+limit.  Off is `--no-icf-seg`; on is `--icf-seg` for a tree whose `solve
+--help` lists it, and no flag for an older tree, where ICF-SEG was the
+default.  A report whose `config.use_icf_seg` is not the asked setting is
+an error.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
@@ -71,12 +74,18 @@ def circularize(path: str) -> None:
     genomes.write_text(genomes.read_text().replace("\tlinear\t", "\tcircular\t"))
 
 
-def solve(src: str, files: dict[str, str], icf_seg: bool, out: Path) -> tuple[dict, dict]:
+def icf_seg_flags(src: str) -> dict[bool, list[str]]:
+    """The `solve` flags that turn ICF-SEG on and off in the tree `src`."""
+    argv = [sys.executable, "-m", "ffmedian.cli", "solve", "--help"]
+    usage = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, check=True).stdout
+    return {True: ["--icf-seg"] if "--icf-seg " in usage else [], False: ["--no-icf-seg"]}
+
+
+def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple[dict, dict]:
     """One solve child: its report and its `wall_s`, `cpu_s` and `peak_rss_mb`."""
     argv = [sys.executable, "-m", "ffmedian.cli", "solve", "-g", files["genomes"],
-            "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out)]
-    if not icf_seg:
-        argv.append("--no-icf-seg")
+            "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out), *flags]
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
@@ -119,6 +128,7 @@ def main(argv=None) -> int:
     if any("=" not in spec for spec in args.src or []):
         parser.error("--src takes LABEL=DIR")
     trees = dict(spec.split("=", 1) for spec in args.src or [f"this={ROOT / 'src'}"])
+    flags = {label: icf_seg_flags(src) for label, src in trees.items()}
     results = []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
@@ -131,7 +141,10 @@ def main(argv=None) -> int:
                 samples = {label: {} for label in trees}
                 for _ in range(REPEAT):
                     for label, src in trees.items():
-                        report, usage = solve(src, files, icf_seg, work / "median.json")
+                        report, usage = solve(src, files, flags[label][icf_seg],
+                                              work / "median.json")
+                        if report["config"]["use_icf_seg"] != icf_seg:
+                            raise RuntimeError(f"{label} on {name}: use_icf_seg is not {icf_seg}")
                         reports[label].append(report)
                         for metric, value in usage.items():
                             samples[label].setdefault(metric, []).append(value)

@@ -24,16 +24,23 @@ The `solve` report, `median.json`, is one line of JSON with sorted keys
   cars         {"shape", "genes": [[index into `genes`, "+" or "-"], ...]}
   counts       sizes of the instance and of the median
   stats        counters that explain the run: "telomere_triples" among the
-               candidates, "solve_rows" handed to the solve after ICF-SEG,
-               ICF-SEG's runs "examined", "accepted" and "skipped" at the
-               conflict cap, and HiGHS's "nodes", "simplex_iterations",
-               "dual_bound" and "gap" on that solve (0 and null without a
-               HiGHS run)
+               candidates, "solve_rows" handed to the solve, ICF-SEG's runs
+               "examined", "accepted" and "skipped" at the conflict cap, and
+               HiGHS's "nodes", "simplex_iterations", "dual_bound" and "gap"
+               on that solve (0 and null without a HiGHS run)
   stages       each stage's name and wall seconds
 `--canonical` drops the stage seconds, and nothing else: every other field
 is free of timings.  Schema version 1 wrote the same fields, indented, with
 each candidate's record in place of an index, and no `stats`; `eval` reads
 both versions.
+
+`solve` runs the exact 0-1 program on the whole table unless `--icf-seg`
+asks for ICF-SEG (safe segments) first; both reach the same optimum.
+Without it, "solve_rows" is the whole table and the ICF-SEG runs are 0.
+With it, the solve sees only the rows ICF-SEG left, so "dual_bound" bounds
+that reduced program and leaves out the accepted rows' weight, which the
+report's "bound" adds back: compare "objective" with "bound", not with
+"dual_bound".  Only a run of ICF-SEG imports `segments`.
 
 Start-up and shut-down: no module of the package calls a BLAS routine, and
 HiGHS does its own linear algebra, so the process asks OpenBLAS (bundled with
@@ -86,7 +93,6 @@ from .genomes import (
     _parse_qualified,
     parse_genome_file,
 )
-from .segments import icf_seg
 from .solver import (
     STATUS_FEASIBLE,
     STATUS_OPTIMAL,
@@ -117,7 +123,7 @@ class RunConfig:
     engine: str = "bb"
     time_limit: float | None = 10800.0
     preprocess: bool = True
-    use_icf_seg: bool = True
+    use_icf_seg: bool = False
     export_lp_path: str | None = None
     canonical: bool = False
 
@@ -220,8 +226,14 @@ def _candidate_json(cand) -> dict:
     }
 
 
+def icf_seg(*args, **kwargs):
+    """`segments.icf_seg`, imported at the first call (see the module docstring)."""
+    from .segments import icf_seg as run
+    return run(*args, **kwargs)
+
+
 def run_pipeline(config: RunConfig) -> tuple[int, dict]:
-    """Run enumerate -> icf-seg -> solve and assemble the report.
+    """Run enumerate -> icf-seg, when asked -> solve and assemble the report.
 
     `config.time_limit` counts from this call: the solve gets what the
     earlier stages left of it.
@@ -591,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact median computation")
     add_instance_args(p)
     p.add_argument("--engine", choices=("bb", "oracle"), default="bb")
-    p.add_argument("--no-icf-seg", dest="icf_seg", action="store_false")
+    p.add_argument("--icf-seg", action=argparse.BooleanOptionalAction, default=False,
+                   help="fix ICF-SEG's safe segments before the solve (default off)")
     p.add_argument("--export-lp", dest="export_lp")
     p.add_argument("--time-limit", type=float, default=10800.0)
     p.add_argument("--canonical", action="store_true",

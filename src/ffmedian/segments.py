@@ -41,6 +41,10 @@ of its live external conflicts, a search exponential in their number, so a
 run with a member of more than `CONFLICT_CAP` (20) such conflicts is
 skipped.  The cap is a guard, not an option: it is a module constant, and
 the INFO line of `icf_seg` counts the runs it skipped.
+
+ICF-SEG runs only on request: the `icf-seg` subcommand, or `solve
+--icf-seg`.  A plain `solve` reaches the same optimum without it, and
+`cli` imports this module only when one of those runs it.
 """
 from __future__ import annotations
 

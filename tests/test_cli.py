@@ -25,14 +25,20 @@ ICF_SEG_DIGESTS = [
     "82c0742cbea9b599916af64edca82dea8c131b972cde0e69796eec031c5d32ae",
 ]
 
-# SHA-256 of the file each command writes on evolved_instance(51, 120, 2, 0.1)
+# SHA-256 of the file each command writes on evolved_instance(51, 120, 2, 0.1);
+# the `solve` entry pins `solve --canonical --icf-seg`
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
     "solve": "d4f64f162306c36b8abccdbbe128ec8d736bc24f1ab99914c2ddeecd6a2cbd9c",
 }
 
-# SHA-256 of the schema-1 `solve --canonical` report on the same instance
+# SHA-256 of the default `solve --canonical` report, without ICF-SEG, on the
+# same instance
+PLAIN_SOLVE_DIGEST = "c18e403573bb8d653fe11f75a71b6730f7513ae3a03803a26b09f6fd08902b7a"
+
+# SHA-256 of the schema-1 `solve --canonical --icf-seg` report on the same
+# instance
 SOLVE_V1_DIGEST = "710795c61686759f7c0de40a1f6089e3cbbffb5f7f9ea0d783ff49f50fd42a9d"
 
 
@@ -106,7 +112,7 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     """The same bytes by absolute paths and, in a child started in the
     instance's directory, by bare file names."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    extra = ["--canonical"] if command == "solve" else []
+    extra = ["--canonical", "--icf-seg"] if command == "solve" else []
     absolute = tmp_path / "absolute.out"
     code = cli.main([command, *instance, *extra, "-o", str(absolute)])
     assert type(code) is int and code == cli.EXIT_OK
@@ -115,6 +121,17 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert (tmp_path / "bare.out").read_bytes() == absolute.read_bytes()
     assert hashlib.sha256(absolute.read_bytes()).hexdigest() == OUTPUT_DIGESTS[command]
+
+
+def test_default_solve_writes_recorded_bytes(tmp_path):
+    """The default solve runs no ICF-SEG, as `--no-icf-seg` asks."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    default, plain = tmp_path / "default.json", tmp_path / "plain.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(default)]) == cli.EXIT_OK
+    argv = ["solve", *instance, "--canonical", "--no-icf-seg", "-o", str(plain)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert default.read_bytes() == plain.read_bytes()
+    assert hashlib.sha256(default.read_bytes()).hexdigest() == PLAIN_SOLVE_DIGEST
 
 
 def v1_layout(report: dict) -> dict:
@@ -143,7 +160,8 @@ def test_solve_report_expands_to_the_schema_1_bytes(tmp_path):
     gives the schema-1 bytes."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    argv = ["solve", *instance, "--canonical", "--icf-seg", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
     payload = out.read_bytes()
     assert payload.count(b"\n") == 1 and payload.endswith(b"\n")
     report = json.loads(payload)
@@ -200,7 +218,7 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     caplog.set_level(logging.INFO, logger="ffmedian.segments")
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    flags = [] if icf_seg else ["--no-icf-seg"]
+    flags = ["--icf-seg"] if icf_seg else []
     assert cli.main(["solve", *instance, *flags, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     report = json.loads(out.read_text())
     stats, counts = report["stats"], report["counts"]
@@ -278,7 +296,8 @@ def test_solve_exports_the_program_left_by_icf_seg(tmp_path):
     left live keep an adjacency binary."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     lp = tmp_path / "model.lp"
-    argv = ["solve", *instance, "--export-lp", str(lp), "-o", str(tmp_path / "median.json")]
+    argv = ["solve", *instance, "--icf-seg", "--export-lp", str(lp),
+            "-o", str(tmp_path / "median.json")]
     assert cli.main(argv) == cli.EXIT_OK
     binary = lp.read_text().split("Binary\n")[1].split("End\n")[0].split()
     genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
@@ -461,7 +480,7 @@ def test_report_objective_is_checked_against_its_rows(tmp_path, monkeypatch, cap
     monkeypatch.setattr(segments.IcfSegResult, "accepted_weight", property(lambda self: 1.0))
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    assert cli.main(["solve", *instance, "-o", str(out)]) == cli.EXIT_SOLVER
+    assert cli.main(["solve", *instance, "--icf-seg", "-o", str(out)]) == cli.EXIT_SOLVER
     assert_one_error_line(capsys)
     assert not out.exists()
 
@@ -498,7 +517,7 @@ def test_solve_does_not_load_networkx(tmp_path):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
-    argv = ["solve", *instance, "--canonical", "-o", str(tmp_path / "median.json")]
+    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o", str(tmp_path / "median.json")]
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
     )
@@ -561,7 +580,8 @@ def test_entry_point_keeps_each_exit_code(tmp_path, expected):
 
 def test_entry_point_logs_info_lines_with_verbose(tmp_path):
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    proc = run_cli("-v", "solve", *instance, "--canonical", "-o", str(tmp_path / "m.json"))
+    proc = run_cli("-v", "solve", *instance, "--icf-seg", "--canonical",
+                   "-o", str(tmp_path / "m.json"))
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     lines = proc.stderr.splitlines()
     assert any(line.startswith("INFO ffmedian.segments: icf-seg: ") for line in lines)
@@ -715,6 +735,44 @@ def test_only_solve_loads_scipy(tmp_path, command, loaded):
     assert all(m.startswith(solver.HIGHS_MODULE) for m in modules), modules
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["enumerate"], False),
+        (["export-lp"], False),
+        (["solve"], False),
+        (["solve", "--icf-seg"], True),
+        (["icf-seg"], True),
+    ],
+    ids=["enumerate", "export-lp", "solve", "solve-icf-seg", "icf-seg"],
+)
+def test_only_icf_seg_loads_segments(tmp_path, argv, loaded):
+    """`import ffmedian.cli`, as the benchmark's set-up probe does, and the
+    default solve leave `segments` unloaded; a run of ICF-SEG loads it."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import sys\n"
+        "import ffmedian.cli\n"
+        "assert 'ffmedian.segments' not in sys.modules, 'loaded by the import'\n"
+        "code = ffmedian.cli.main(sys.argv[1:])\n"
+        "print('ffmedian.segments' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_child(code, *argv, *instance, "-o", str(tmp_path / "out"))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, icf_seg",
+    [([], False), (["--icf-seg", "--no-icf-seg"], False), (["--no-icf-seg", "--icf-seg"], True)],
+    ids=["default", "no-icf-seg-last", "icf-seg-last"],
+)
+def test_last_icf_seg_spelling_wins(flags, icf_seg):
+    args = cli.build_parser().parse_args(["solve", "-g", "g.txt", "-s", "s.tsv", *flags])
+    assert args.icf_seg is icf_seg
+
+
 def test_missing_highs_extension_exits_with_solver_code(tmp_path, monkeypatch, capsys):
     monkeypatch.delitem(sys.modules, solver.HIGHS_MODULE, raising=False)
     monkeypatch.setattr(solver, "_highs_file", lambda: None)
@@ -770,9 +828,10 @@ def test_highs_module_is_shared_with_scipy_optimize(tmp_path, before, after):
 def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     quiet, verbose = tmp_path / "quiet.json", tmp_path / "verbose.json"
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(quiet)]) == cli.EXIT_OK
+    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o"]
+    assert cli.main([*argv, str(quiet)]) == cli.EXIT_OK
     caplog.set_level(logging.INFO, logger="ffmedian.segments")
-    assert cli.main(["-v", "solve", *instance, "--canonical", "-o", str(verbose)]) == cli.EXIT_OK
+    assert cli.main(["-v", *argv, str(verbose)]) == cli.EXIT_OK
     assert verbose.read_bytes() == quiet.read_bytes()
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
     accepted = json.loads(quiet.read_text())["counts"]["accepted_segments"]
@@ -792,7 +851,8 @@ def test_matching_graph_beyond_degree_two_exits_with_solver_code(
     )
     monkeypatch.setattr(segments, "build_gamma_prime", lambda *args, **kwargs: star)
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    code = cli.main([command, *instance, "-o", str(tmp_path / "out")])
+    flags = ["--icf-seg"] if command == "solve" else []
+    code = cli.main([command, *instance, *flags, "-o", str(tmp_path / "out")])
     assert code == cli.EXIT_SOLVER
     assert_one_error_line(capsys)
 
@@ -802,7 +862,8 @@ def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):
     then takes the rest and `run_pipeline` verifies the combined rows."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     full, cut = tmp_path / "full.json", tmp_path / "cut.json"
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(full)]) == cli.EXIT_OK
+    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o"]
+    assert cli.main([*argv, str(full)]) == cli.EXIT_OK
 
     class LateClock:
         readings = 0
@@ -812,7 +873,7 @@ def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):
             return time.monotonic() + (1e9 if self.readings > 3 else 0.0)
 
     monkeypatch.setattr(segments, "time", LateClock())
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(cut)]) == cli.EXIT_OK
+    assert cli.main([*argv, str(cut)]) == cli.EXIT_OK
     full_report, cut_report = json.loads(full.read_text()), json.loads(cut.read_text())
     assert 0 < cut_report["counts"]["accepted_segments"] < full_report["counts"]["accepted_segments"]
     assert cut_report["status"] == "optimal"

@@ -35,11 +35,37 @@ def test_canonical_solve_repeats_its_bytes(generated, tmp_path):
 
 
 def test_icf_seg_keeps_the_objective(generated, tmp_path):
-    with_seg = json.loads(solve(generated, tmp_path / "seg.json"))
+    with_seg = json.loads(solve(generated, tmp_path / "seg.json", "--icf-seg"))
     without = json.loads(solve(generated, tmp_path / "plain.json", "--no-icf-seg"))
     assert with_seg["counts"]["accepted_segments"] > 0
     assert with_seg["status"] == without["status"] == "optimal"
     assert abs(with_seg["objective"] - without["objective"]) <= GRID
+
+
+# the two benchmark workload shapes at a small size: no gene families
+# (colinear) and 10% of genes copied per genome (paralog)
+SHAPES = {
+    "colinear": GEN["Params"](n=60, chromosomes=2),
+    "paralog": GEN["Params"](n=60, chromosomes=2, family_rate=0.1),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_plain_solve_and_icf_seg_reach_the_same_median(tmp_path, shape, seed):
+    """ICF-SEG then the solve gives the plain solve's optimum and genes."""
+    files = GEN["write_instance"](SHAPES[shape], seed, str(tmp_path))
+    reports, genes = [], []
+    for flags in ([], ["--icf-seg"]):
+        out = tmp_path / f"median{len(flags)}.json"
+        reports.append(json.loads(solve(files, out, "--canonical", *flags)))
+        genes.append(sorted(cli._load_predictions(out)))
+    plain, seg = reports
+    assert plain["status"] == seg["status"] == "optimal"
+    assert seg["config"]["use_icf_seg"] and not plain["config"]["use_icf_seg"]
+    assert seg["counts"]["accepted_segments"] > 0
+    assert abs(plain["objective"] - seg["objective"]) <= 1e-9
+    assert genes[0] == genes[1] and genes[0]
 
 
 def test_eval_scores_against_the_generated_truth(generated, tmp_path, capsys):

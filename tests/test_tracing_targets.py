@@ -36,7 +36,7 @@ def test_traced_solve_records_every_counter_and_span(tmp_path):
     write_genome_file(tmp_path / "genomes.txt", genomes)
     sigma.write(tmp_path / "similarity.tsv")
     argv = ["solve", "-g", str(tmp_path / "genomes.txt"), "-s", str(tmp_path / "similarity.tsv"),
-            "--canonical", "-o", str(tmp_path / "median.json")]
+            "--icf-seg", "--canonical", "-o", str(tmp_path / "median.json")]
     tracer = tracing["Tracer"]()
     with tracer.install():
         assert cli.main(argv) == cli.EXIT_OK
