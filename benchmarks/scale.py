@@ -29,7 +29,8 @@ wall), the median peak RSS of the child, and the status, objective, `counts`
 (candidates, conserved adjacency rows and the rest) and `stats` (telomere
 triples, rows handed to the solve, ICF-SEG runs, HiGHS nodes and iterations;
 null for a tree whose reports have none) of the report, which are the same
-in every repeat.
+in every repeat.  It also records the versions of Python, numpy, scipy and
+the HiGHS bundled with scipy that the children run.
 """
 from __future__ import annotations
 
@@ -80,6 +81,20 @@ def icf_seg_flags(src: str) -> dict[bool, list[str]]:
     usage = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                            text=True, check=True).stdout
     return {True: ["--icf-seg"] if "--icf-seg " in usage else [], False: ["--no-icf-seg"]}
+
+
+def versions() -> dict[str, str]:
+    """The Python, numpy, scipy and HiGHS versions that the solve children run."""
+    code = (
+        "import json, platform, numpy, scipy\n"
+        "from scipy.optimize._highspy import _core as h\n"
+        "print(json.dumps({'python': platform.python_version(), 'numpy': numpy.__version__,"
+        " 'scipy': scipy.__version__, 'highs': '.'.join(str(v) for v in"
+        " (h.HIGHS_VERSION_MAJOR, h.HIGHS_VERSION_MINOR, h.HIGHS_VERSION_PATCH))}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out)
 
 
 def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple[dict, dict]:
@@ -160,6 +175,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeat": REPEAT,
         "time_limit_s": TIME_LIMIT,
+        "versions": versions(),
         "cases": {name: dict(vars(params), shape="circular" if name in CIRCULAR else "linear")
                   for name, params in CASES.items()},
         "results": results,

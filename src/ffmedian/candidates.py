@@ -19,8 +19,7 @@ both read them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .genomes import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateGene:
+class CandidateGene(NamedTuple):
     """A 3-clique (g, h, i) of the similarity graph, or a telomere triple."""
 
     g: Gene

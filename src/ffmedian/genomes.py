@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +50,15 @@ class ParseError(GenomeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Gene:
-    """A gene (or telomere) identified by its genome label and name."""
+class Gene(NamedTuple):
+    """A gene (or telomere) identified by its genome label and name.
+
+    A named tuple: immutable, and hashed, compared and sorted as the tuple
+    (genome, name).  Every stage keys dicts and sets by genes, and a tuple
+    hashes about three times as fast as a frozen dataclass.  A gene also
+    equals the plain tuple (genome, name), so no dict or set mixes the two.
+    `str` gives `genome:name`, the form of the similarity and report files.
+    """
 
     genome: str
     name: str
@@ -92,8 +98,7 @@ def adjacency(e1: Extremity, e2: Extremity) -> Adjacency:
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
-@dataclass(frozen=True, slots=True)
-class Chromosome:
+class Chromosome(NamedTuple):
     name: str
     shape: str
     order: tuple[tuple[Gene, int], ...]  # (gene, orientation in {+1,-1})

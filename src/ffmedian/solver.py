@@ -12,7 +12,15 @@ binaries, and one row per candidate extremity that bounds the adjacencies
 there by the selection of its candidate.  That row replaces the paper's
 coupling and saturation rows, is tighter than both, and keeps the same
 integer points.  HiGHS presolve is off, because on this form it costs more
-than it saves.  On a timeout the weight-order greedy selection competes
+than it saves.  So are the two MIP features that HiGHS (1.12, in scipy
+1.17) runs before the root LP, the feasibility-jump heuristic and symmetry
+detection: the root LP is already integral on 18 of the 24 perfbench pool
+models (colinear and paralog instances 0-11), and with both off the HiGHS
+time summed over those models went 576 -> 439 ms with the same optima
+(feasibility jump off alone: 487 ms, symmetry detection off alone: 573 ms,
+medians of 3).  Of the larger `benchmarks/scale.py` models, only n=200 c=6
+was seen to need them, its HiGHS time 1.62 s with them and 1.70 s
+without.  On a timeout the weight-order greedy selection competes
 with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
 `scipy.optimize._highspy._core`.  The first solve that reaches HiGHS
 loads that one file, in about 10 ms, without importing `scipy.optimize`
@@ -46,7 +54,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -195,8 +203,7 @@ def export_lp(model: IlpModel, path) -> None:
 # -- solutions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Car:
+class Car(NamedTuple):
     """Contiguous ancestral region: a path or cycle of chosen adjacencies."""
 
     shape: str  # "linear" | "circular"
@@ -334,6 +341,8 @@ def cars_from_rows(table: ConservedAdjacencyTable, row_indices: Iterable[int]) -
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 SCIPY_FLOOR = "1.15"  # the first scipy release that ships HIGHS_MODULE
+# HiGHS MIP features that run before the root LP; `linprog` turns them off
+OFF_BEFORE_ROOT_LP = ("mip_heuristic_run_feasibility_jump", "mip_detect_symmetry")
 
 
 def _highs_file() -> Path | None:
@@ -377,8 +386,7 @@ def _import_scipy():
     return module
 
 
-@dataclass(frozen=True, slots=True)
-class MipResult:
+class MipResult(NamedTuple):
     """What one HiGHS MIP run returns; `x` is None without a point."""
 
     status: object  # the extension's HighsModelStatus
@@ -396,9 +404,13 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     `highs` is the module `_import_scipy` returns and `A` is given in
     compressed-column form (`start`, `index`, `value`).  The options are
     those `scipy.optimize.linprog(method="highs")` sets when given
-    `presolve=False` and `mip_rel_gap=0`: presolve off, a zero relative gap,
-    no output, dual simplex, no debug checks.  A module-level name, so that
-    the HiGHS call can be timed on its own.
+    `presolve=False` and `mip_rel_gap=0` (presolve off, a zero relative gap,
+    no output, dual simplex, no debug checks), and two more, unlike scipy's:
+    `OFF_BEFORE_ROOT_LP`, the feasibility-jump heuristic and symmetry
+    detection, are off, as they cost more than they save on these models
+    (see the module docstring).  An older HiGHS may lack one of the two: it
+    rejects that setting, and the solve goes on.  A module-level name, so
+    that the HiGHS call can be timed on its own.
     """
     n_col, n_row = len(cost), len(rhs)
     lp = highs.HighsLp()
@@ -431,6 +443,8 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     error = highs.HighsStatus.kError
     if solver.passOptions(options) == error or solver.passModel(lp) == error:
         raise SolverError("HiGHS rejected the model or its options")
+    for name in OFF_BEFORE_ROOT_LP:
+        solver.setOptionValue(name, False)  # kError, and ignored, in a HiGHS without it
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()

@@ -1,4 +1,5 @@
 """The `ffmedian` command line, run in-process through `cli.main`."""
+import argparse
 import hashlib
 import json
 import logging
@@ -259,8 +260,11 @@ def test_oracle_stats_have_no_highs_counters(tmp_path):
         ["bogus"],
         ["icf-seg", "-g", "genomes.txt", "-s", "similarity.tsv", "-o", "segments.tsv",
          "--conflict-cap", "5"],
+        ["-v", "bogus"],
+        ["-v", "solve", "-g", "genomes.txt", "-s", "similarity.tsv", "--time-limit", "abc"],
     ],
-    ids=["malformed-time-limit", "missing-genome", "unknown-subcommand", "unknown-option"],
+    ids=["malformed-time-limit", "missing-genome", "unknown-subcommand", "unknown-option",
+         "verbose-unknown-subcommand", "verbose-malformed-time-limit"],
 )
 def test_usage_error_exits_with_input_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -278,7 +282,45 @@ def test_help_and_version_exit_with_success(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main([flag])
     assert exc.value.code == cli.EXIT_OK
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    if flag == "-h":
+        names = ["build-graph", "enumerate", "icf-seg", "solve", "export-lp", "reduce-mis",
+                 "verify-reduction", "eval"]
+        assert "{" + ",".join(names) + "}" in out
+        # one row per subcommand, indented by four spaces
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and not line[4].isspace()]
+        assert listed == names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "-h"],
+        ["-v", "eval", "--help"],
+        ["solve", "-g", "genomes.txt", "-s", "similarity.tsv", "--time-limit", "abc"],
+        ["solve", "-g", "genomes.txt", "-s", "similarity.tsv", "--conflict-cap", "5"],
+        ["verify-reduction"],
+        [],
+        ["-v"],
+    ],
+    ids=["solve-help", "verbose-eval-help", "malformed-value", "unknown-option",
+         "missing-positional", "no-subcommand", "verbose-only"],
+)
+def test_one_subcommand_parser_prints_what_all_parsers_print(capsys, argv):
+    """Given its argv, `build_parser` builds the invoked subcommand's parser
+    alone, and help and usage errors keep every byte and exit code."""
+    outcomes = []
+    for parser in (cli.build_parser(argv), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    built = [a for a in cli.build_parser(argv)._actions
+             if isinstance(a, argparse._SubParsersAction)][0].choices
+    named = [token for token in argv if token in cli.SUBCOMMANDS]
+    assert list(built) == (named or list(cli.SUBCOMMANDS))
 
 
 def test_solve_without_icf_seg_exports_the_export_lp_bytes(tmp_path):

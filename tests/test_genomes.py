@@ -22,6 +22,39 @@ def ext(label, name, end):
     return Extremity(Gene(label, name), end)
 
 
+class TestGene:
+    """What callers rely on: `str`, the order, immutability, use as a key."""
+
+    def test_str_is_the_qualified_name(self):
+        assert str(Gene("G", "a")) == "G:a"
+        assert f"{Gene('H', '~c1.L')}" == "H:~c1.L"
+
+    def test_sorted_by_genome_then_name(self):
+        genes = [Gene("H", "a"), Gene("G", "b"), Gene("G", "a"), Gene("G", "~c1.L")]
+        assert sorted(genes) == [Gene("G", "a"), Gene("G", "b"), Gene("G", "~c1.L"),
+                                 Gene("H", "a")]
+        assert Gene("G", "z") < Gene("H", "a")
+        assert ext("G", "a", "t") < ext("G", "b", "h")
+
+    def test_immutable(self):
+        gene = Gene("G", "a")
+        with pytest.raises(AttributeError):
+            gene.name = "b"
+        with pytest.raises(AttributeError):
+            gene.extra = 1
+        assert gene == Gene("G", "a")
+
+    def test_dict_and_set_key(self):
+        scores = {Gene("G", "a"): 1.0, Gene("G", "b"): 2.0}
+        assert scores[Gene("G", "a")] == 1.0
+        assert Gene("H", "a") not in scores
+        assert len({Gene("G", "a"), Gene("G", "a"), Gene("H", "a")}) == 2
+        assert hash(Gene("G", "a")) == hash(Gene("G", "a"))
+
+    def test_telomere_flag(self):
+        assert Gene("G", "~c1.R").is_telomere and not Gene("G", "a").is_telomere
+
+
 class TestBuildGenome:
     def test_linear_two_genes(self):
         genome = build_genome("G", [("c1", "linear", [("a", 1), ("b", 1)])])

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -165,6 +166,36 @@ class TestSolve:
         solution = solve_branch_and_bound(build_ilp(table), time_limit=60)
         assert solution.status == STATUS_OPTIMAL
         assert len(limits) == 1 and limits[0] <= 60 - 0.3
+
+    @pytest.mark.parametrize("lacks", [(), ("mip_heuristic_run_feasibility_jump",)],
+                             ids=["this-highs", "highs-without-feasibility-jump"])
+    def test_highs_runs_without_the_features_before_the_root_lp(self, monkeypatch, lacks):
+        """Feasibility jump and symmetry detection are off in the HiGHS run;
+        a HiGHS that lacks one of the options solves with the others."""
+        highs = solver._import_scipy()
+        seen = []
+
+        class Highs(highs._Highs):
+            def setOptionValue(self, name, value):
+                if name in lacks:
+                    return highs.HighsStatus.kError  # as for an unknown option
+                return super().setOptionValue(name, value)
+
+            def run(self):
+                seen.append({name: self.getOptionValue(name)[1]
+                             for name in solver.OFF_BEFORE_ROOT_LP})
+                return super().run()
+
+        module = types.SimpleNamespace(
+            **{name: getattr(highs, name) for name in dir(highs) if not name.startswith("__")}
+        )
+        module._Highs = Highs
+        monkeypatch.setattr(solver, "_import_scipy", lambda: module)
+        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+        solution = solve_branch_and_bound(build_ilp(table))
+        assert solution.status == STATUS_OPTIMAL
+        assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
+        assert seen == [{name: name in lacks for name in solver.OFF_BEFORE_ROOT_LP}]
 
     def test_deterministic_across_repeated_solves(self):
         genomes, sigma, cands = random_small_instance(5)
