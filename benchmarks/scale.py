@@ -31,6 +31,18 @@ triples, rows handed to the solve, ICF-SEG runs, HiGHS nodes and iterations;
 null for a tree whose reports have none) of the report, which are the same
 in every repeat.  It also records the versions of Python, numpy, scipy and
 the HiGHS bundled with scipy that the children run.
+
+Separately, so that the stage and wall numbers above stay as they are,
+`imports` records per tree the median import time of the package's own
+modules in a default solve child of the IMPORT_CASE instance, over
+IMPORT_REPEAT children per tree, the trees taking turns.  Each child is
+started as the installed `ffmedian` script starts it (`from ffmedian.cli
+import run`), so that `cli` is timed as a module too, under `python -X
+importtime`, whose self times of the `ffmedian` modules are summed.  The
+children read and write no bytecode cache (an empty `PYTHONPYCACHEPREFIX`
+and `PYTHONDONTWRITEBYTECODE=1`), so every module is compiled from source
+in every child, as on a host that writes no bytecode, whatever caches the
+tree holds; this makes each of these children about 1 s slower.
 """
 from __future__ import annotations
 
@@ -51,6 +63,10 @@ from gen import Params, write_instance  # noqa: E402
 SEED = 5
 REPEAT = 3
 TIME_LIMIT = 120.0
+IMPORT_CASE = "n300_c2_fam0.1"
+IMPORT_REPEAT = 20
+# a solve child as the installed `ffmedian` script runs one
+SCRIPT = "import sys; from ffmedian.cli import run; sys.exit(run())"
 
 # name -> instance parameters: genes per genome (n), linear chromosomes per
 # genome (c) and gene-family rate (fam)
@@ -116,6 +132,23 @@ def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple
     }
 
 
+def import_ms(src: str, files: dict[str, str], out: Path, cache: str) -> dict[str, float]:
+    """Milliseconds of self import time of each `ffmedian` module in one
+    default solve child that compiles every module from source."""
+    argv = [sys.executable, "-X", "importtime", "-c", SCRIPT, "solve", "-g", files["genomes"],
+            "-s", files["similarity"], "--canonical", "-o", str(out)]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
+    err = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stderr
+    times = {}
+    # "import time: self [us] | cumulative | imported package", one line per import
+    for line in err.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            own, _, name = (field.strip() for field in line[len("import time:"):].split("|"))
+            if name.split(".")[0] == "ffmedian" and own.isdigit():
+                times[name] = int(own) / 1000
+    return times
+
+
 def summarize(reports: list[dict], samples: dict[str, list[float]]) -> dict:
     stages: dict[str, list[float]] = {}
     for report in reports:
@@ -170,6 +203,22 @@ def main(argv=None) -> int:
                     f"{run['cpu_s']:.3f} s CPU, "
                     f"{run['peak_rss_mb']:.0f} MB"
                     for label, run in runs.items()), flush=True)
+        files = write_instance(CASES[IMPORT_CASE], SEED, str(work / "imports"))
+        cache = tempfile.mkdtemp(dir=work)  # stays empty: no child writes bytecode
+        children: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
+        for _ in range(IMPORT_REPEAT):
+            for label, src in trees.items():
+                children[label].append(import_ms(src, files, work / "median.json", cache))
+        imports = {}
+        for label, runs in children.items():
+            modules = sorted({name for run in runs for name in run})
+            imports[label] = {
+                "total_ms": statistics.median(sum(run.values()) for run in runs),
+                "modules_ms": {name: statistics.median(run.get(name, 0.0) for run in runs)
+                               for name in modules},
+            }
+        print("imports", " ".join(f"{label}: {run['total_ms']:.1f} ms"
+                                  for label, run in imports.items()), flush=True)
     payload = {
         "sources": list(trees),
         "seed": SEED,
@@ -179,6 +228,7 @@ def main(argv=None) -> int:
         "cases": {name: dict(vars(params), shape="circular" if name in CIRCULAR else "linear")
                   for name, params in CASES.items()},
         "results": results,
+        "imports": {"case": IMPORT_CASE, "children": IMPORT_REPEAT, "trees": imports},
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

@@ -18,7 +18,6 @@ both read them.
 """
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,8 +31,6 @@ from .genomes import (
     facing_end,
     splice_genes,
 )
-
-log = logging.getLogger(__name__)
 
 
 class CandidateGene(NamedTuple):

@@ -62,6 +62,19 @@ subcommand alone, not all eight (`build_parser`): building and parsing a
 `solve` command line in a fresh process takes 3.7 ms against 4.8 ms with
 every parser, most of the rest being argparse's first use of gettext.
 Help, usage errors and exit codes stay the same.
+
+A `solve` process compiles and runs only the code a solve needs: of the
+package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
+`segments` with `--icf-seg`.  Where the package's sources are compiled in
+every process, as they are without a writable bytecode cache, each line
+left out counts.  So the other seven subcommands live in `commands`, which
+`build_parser` imports only to build one of their parsers, and the paper's
+literal forms (its extremities, the LP export of its rows and the
+brute-force oracle) in `reference`, which `solve --export-lp` and
+`solve --engine oracle` reach through the forwarders `export_lp` and
+`brute_force_median` here, as `icf_seg` reaches `segments`.  No class on
+the solve path is a dataclass, and none of its modules imports
+`dataclasses`: creating one dataclass took 0.5 to 1.9 ms at import.
 """
 from __future__ import annotations
 
@@ -72,7 +85,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import NoReturn
 
 # before numpy loads: the package needs no BLAS worker threads (see above)
@@ -89,22 +101,17 @@ from .candidates import (
 )
 from .genomes import (
     ENDS,
-    Gene,
     Genome,
     GenomeError,
     ParseError,
     SimilarityGraph,
-    _parse_qualified,
     parse_genome_file,
 )
 from .solver import (
     STATUS_FEASIBLE,
-    STATUS_OPTIMAL,
     SolverError,
-    brute_force_median,
     build_ilp,
     cars_from_rows,
-    export_lp,
     solve_branch_and_bound,
     verify_solution,
 )
@@ -119,17 +126,30 @@ EXIT_FEASIBLE = 2
 EXIT_SOLVER = 3
 
 
-@dataclass
 class RunConfig:
-    genome_files: list[str]
-    similarity_file: str
-    output: str | None = None
-    engine: str = "bb"
-    time_limit: float | None = 10800.0
-    preprocess: bool = True
-    use_icf_seg: bool = False
-    export_lp_path: str | None = None
-    canonical: bool = False
+    """The settings of one `solve` run."""
+
+    def __init__(
+        self,
+        genome_files: list[str],
+        similarity_file: str,
+        output: str | None = None,
+        engine: str = "bb",
+        time_limit: float | None = 10800.0,
+        preprocess: bool = True,
+        use_icf_seg: bool = False,
+        export_lp_path: str | None = None,
+        canonical: bool = False,
+    ):
+        self.genome_files = genome_files
+        self.similarity_file = similarity_file
+        self.output = output
+        self.engine = engine
+        self.time_limit = time_limit
+        self.preprocess = preprocess
+        self.use_icf_seg = use_icf_seg
+        self.export_lp_path = export_lp_path
+        self.canonical = canonical
 
     def as_dict(self) -> dict:
         """The run's settings for the report; input files by base name, so
@@ -200,26 +220,6 @@ def _rows(table: ConservedAdjacencyTable, rows=slice(None)):
     return zip(*(a[rows].tolist() for a in arrays))
 
 
-def _write_tsv(path, table: ConservedAdjacencyTable, alive=None) -> None:
-    """Candidate genes (those `alive` marks, default all), then conserved
-    adjacencies, one per line."""
-    cands = table.candidates
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#type\tfields\n")
-        for m, cand in enumerate(cands):
-            if alive is None or alive[m]:
-                fh.write(
-                    f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
-                    f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
-                )
-        for m1, e1, m2, e2, mask, weight in _rows(table):
-            a, b = cands[m1], cands[m2]
-            fh.write(
-                f"adjacency\t{a.g}\t{a.h}\t{a.i}\t{ENDS[e1]}\t{b.g}\t{b.h}\t{b.i}\t{ENDS[e2]}"
-                f"\t{','.join(table.conserved_in[mask])}\t{weight:.12g}\n"
-            )
-
-
 def _candidate_json(cand) -> dict:
     return {
         "g": str(cand.g),
@@ -233,6 +233,19 @@ def _candidate_json(cand) -> dict:
 def icf_seg(*args, **kwargs):
     """`segments.icf_seg`, imported at the first call (see the module docstring)."""
     from .segments import icf_seg as run
+    return run(*args, **kwargs)
+
+
+def export_lp(*args, **kwargs):
+    """`reference.export_lp`, imported at the first call (see the module docstring)."""
+    from .reference import export_lp as run
+    return run(*args, **kwargs)
+
+
+def brute_force_median(*args, **kwargs):
+    """`reference.brute_force_median`, imported at the first call (see the
+    module docstring)."""
+    from .reference import brute_force_median as run
     return run(*args, **kwargs)
 
 
@@ -360,65 +373,7 @@ def _write_report(report: dict, path: str | None, canonical: bool) -> None:
             fh.write(payload)
 
 
-# -- subcommands ---------------------------------------------------------------
-
-
-def _cmd_build_graph(args) -> int:
-    from . import ingestion
-
-    params = ingestion.FilterParams(evalue_max=args.evalue, f=args.f)
-    genomes = _load_genomes(args.genomes) if args.genomes else None
-    hits = ingestion.read_hit_files(
-        list(args.hits) + list(args.self_hits), params=params, genomes=genomes
-    )
-    graph = ingestion.build_similarity_graph(
-        hits, params=params, require_reciprocal=args.require_reciprocal
-    )
-    graph.write(args.output)
-    log.info("wrote %d similarity pairs to %s", len(graph), args.output)
-    return EXIT_OK
-
-
-def _cmd_enumerate(args) -> int:
-    _, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    _write_tsv(args.output, table)
-    log.info(
-        "wrote %d candidates and %d conserved adjacencies",
-        len(table.candidates), len(table),
-    )
-    return EXIT_OK
-
-
-def _cmd_icf_seg(args) -> int:
-    genomes, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    cands = table.candidates
-    result = icf_seg(genomes[0], table)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("#segment\tgenes\tadjacency\tweight\n")
-        for seg_id, run in enumerate(result.accepted):
-            genes = ",".join(str(cands[m]) for m in run.members)
-            for m1, e1, m2, e2, _, weight in _rows(table, list(run.internal_rows)):
-                fh.write(
-                    f"{seg_id}\t{genes}\t{cands[m1]}{ENDS[e1]}--{cands[m2]}{ENDS[e2]}"
-                    f"\t{weight:.12g}\n"
-                )
-    if args.emit_reduced:
-        os.makedirs(args.emit_reduced, exist_ok=True)
-        reduced = result.reduced_table()
-        _write_tsv(os.path.join(args.emit_reduced, "candidates.tsv"), reduced, result.cand_alive)
-        meta = {
-            "accepted_segments": len(result.accepted),
-            "accepted_weight": result.accepted_weight,
-            "residual_adjacencies": len(reduced),
-        }
-        with open(
-            os.path.join(args.emit_reduced, "meta.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    log.info("accepted %d segments of total weight %.6g",
-             len(result.accepted), result.accepted_weight)
-    return EXIT_OK
+# -- solve ---------------------------------------------------------------------
 
 
 def _time_limit(seconds: float) -> float | None:
@@ -445,115 +400,6 @@ def _cmd_solve(args) -> int:
     return code
 
 
-def _cmd_export_lp(args) -> int:
-    _, table, _ = _front_end(_read_files(args.genomes, args.similarity), args.preprocess)
-    model = build_ilp(table)
-    export_lp(model, args.output)
-    log.info("wrote model with %d variables and %d constraints",
-             model.counted_variables, model.counted_constraints)
-    return EXIT_OK
-
-
-def _cmd_reduce_mis(args) -> int:
-    from .mis_reduction import BoundedGraph, reduce_mis, write_instance
-
-    graph = BoundedGraph.from_edge_file(args.graph)
-    instance = reduce_mis(graph)
-    write_instance(instance, args.output)
-    log.info("wrote reduction instance for %d vertices / %d edges to %s",
-             len(graph.vertices), len(graph.edges), args.output)
-    return EXIT_OK
-
-
-def _cmd_verify_reduction(args) -> int:
-    from .mis_reduction import backmap_solution, mis_bruteforce, read_instance
-
-    time_limit = _time_limit(args.time_limit)
-    instance = read_instance(args.instance_dir)
-    _, table, _ = _front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
-    solution = solve_branch_and_bound(build_ilp(table), time_limit=time_limit)
-    mis = mis_bruteforce(instance.graph)
-    s_value = solution.objective / 2.0 - 3.0
-    mapped = backmap_solution(solution, instance)
-    independent = all(
-        (u, v) not in instance.graph.edges and (v, u) not in instance.graph.edges
-        for u in mapped
-        for v in mapped
-        if u < v
-    )
-    ok = (
-        solution.status == STATUS_OPTIMAL
-        and abs(s_value - mis) < 1e-9
-        and len(mapped) == mis
-        and independent
-    )
-    print(
-        json.dumps(
-            {
-                "status": solution.status,
-                "objective": solution.objective,
-                "score": s_value,
-                "mis": mis,
-                "backmapped": sorted(mapped),
-                "independent": independent,
-                "ok": ok,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    if solution.status == STATUS_FEASIBLE:
-        return EXIT_FEASIBLE
-    return EXIT_OK if ok else EXIT_INPUT
-
-
-def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
-    """Ortholog triples from a median report; telomere triples are not
-    ortholog predictions and are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = data.get("genes", []) if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: not a median report")
-    version = data.get("schema_version")
-    if version not in (1, 2):
-        raise ParseError(f"{path}: median report schema_version {version!r}, not 1 or 2")
-    triples = []
-    for entry in entries:
-        tokens = [entry.get(key) if isinstance(entry, dict) else None for key in "ghi"]
-        if not all(isinstance(token, str) for token in tokens):
-            raise ParseError(f"{path}: gene entry {entry!r} lacks a g, h or i gene")
-        try:
-            triple = tuple(_parse_qualified(token) for token in tokens)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        if any(gene.is_telomere for gene in triple):
-            continue
-        triples.append(triple)
-    return triples
-
-
-def _cmd_eval(args) -> int:
-    from . import evaluation
-
-    preds = [_load_predictions(path) for path in args.pred]
-    payload: dict = {}
-    if args.truth:
-        truth = evaluation.read_truth_pairs(args.truth)
-        report = evaluation.precision_recall(preds[0], truth, strict=args.strict)
-        payload.update(report.as_dict())
-    if args.groups:
-        truth_map = evaluation.TruthMap.read(args.groups)
-        _, counts = evaluation.classify_vs_reference(preds[0], truth_map)
-        payload["class_counts"] = counts
-    if len(preds) > 1:
-        if not args.shared or len(args.shared) != 2:
-            raise ParseError("--shared GENOME_X GENOME_Y required with several --pred")
-        payload["robustness"] = evaluation.robustness(preds, *args.shared)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit with the input-error code;
     `add_subparsers` builds the subcommand parsers with this class too."""
@@ -571,34 +417,6 @@ def _add_instance_args(p) -> None:
                    help="keep genes outside every 3-clique")
 
 
-def _build_graph_args(p) -> None:
-    p.add_argument("--hits", action="append", default=[], required=True,
-                   help="cross-genome 12-column hit file (repeatable)")
-    p.add_argument("--self", dest="self_hits", action="append", default=[],
-                   help="self-hit file supplying bs(g,g) (repeatable)")
-    p.add_argument("-g", "--genome", dest="genomes", action="append",
-                   help="genome file for id validation (repeatable)")
-    p.add_argument("--evalue", type=float, default=1e-5)
-    p.add_argument("-f", type=float, default=0.5, dest="f",
-                   help="stringency fraction in [0,1]")
-    p.add_argument("--require-reciprocal", action="store_true")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_build_graph)
-
-
-def _enumerate_args(p) -> None:
-    _add_instance_args(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-
-def _icf_seg_args(p) -> None:
-    _add_instance_args(p)
-    p.add_argument("-o", "--output", required=True, help="accepted segments TSV")
-    p.add_argument("--emit-reduced", help="directory for the reduced instance")
-    p.set_defaults(func=_cmd_icf_seg)
-
-
 def _solve_args(p) -> None:
     _add_instance_args(p)
     p.add_argument("--engine", choices=("bb", "oracle"), default="bb")
@@ -612,45 +430,28 @@ def _solve_args(p) -> None:
     p.set_defaults(func=_cmd_solve)
 
 
-def _export_lp_args(p) -> None:
-    _add_instance_args(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_export_lp)
-
-
-def _reduce_mis_args(p) -> None:
-    p.add_argument("--graph", required=True, help="edge list u<TAB>v")
-    p.add_argument("-o", "--output", required=True, help="instance directory")
-    p.set_defaults(func=_cmd_reduce_mis)
-
-
-def _verify_reduction_args(p) -> None:
-    p.add_argument("instance_dir")
-    p.add_argument("--time-limit", type=float, default=600.0)
-    p.set_defaults(func=_cmd_verify_reduction)
-
-
-def _eval_args(p) -> None:
-    p.add_argument("--pred", action="append", required=True,
-                   help="median.json (repeat for robustness)")
-    p.add_argument("--truth", help="true pairs TSV")
-    p.add_argument("--groups", help="reference groups TSV")
-    p.add_argument("--shared", nargs=2, metavar=("GENOME_X", "GENOME_Y"))
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_eval)
-
-
-# each subcommand's help line and the function that adds its arguments
+# each subcommand's help line and the function that adds its arguments: a
+# function of this module, or the name of one in `commands`
 SUBCOMMANDS = {
-    "build-graph": ("hits to similarity graph", _build_graph_args),
-    "enumerate": ("candidate genes and adjacencies", _enumerate_args),
-    "icf-seg": ("safe local-optimum extraction", _icf_seg_args),
+    "build-graph": ("hits to similarity graph", "_build_graph_args"),
+    "enumerate": ("candidate genes and adjacencies", "_enumerate_args"),
+    "icf-seg": ("safe local-optimum extraction", "_icf_seg_args"),
     "solve": ("exact median computation", _solve_args),
-    "export-lp": ("write the 0-1 program in LP format", _export_lp_args),
-    "reduce-mis": ("independent-set reduction instance", _reduce_mis_args),
-    "verify-reduction": ("end-to-end reduction check", _verify_reduction_args),
-    "eval": ("score predictions", _eval_args),
+    "export-lp": ("write the 0-1 program in LP format", "_export_lp_args"),
+    "reduce-mis": ("independent-set reduction instance", "_reduce_mis_args"),
+    "verify-reduction": ("end-to-end reduction check", "_verify_reduction_args"),
+    "eval": ("score predictions", "_eval_args"),
 }
+
+
+def _commands():
+    """The `commands` module, handed this module as its `cli`: under
+    `python -m ffmedian.cli` this module is `__main__`, and `commands`
+    importing `ffmedian.cli` would load it a second time."""
+    from . import commands
+
+    commands.cli = sys.modules[__name__]
+    return commands
 
 
 def _invoked(argv) -> str | None:
@@ -680,6 +481,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for key in SUBCOMMANDS if name is None else (name,):
         help_line, add_args = SUBCOMMANDS[key]
+        if isinstance(add_args, str):
+            add_args = getattr(_commands(), add_args)
         add_args(sub.add_parser(key, help=help_line))
     return parser
 

@@ -9,7 +9,8 @@ entries of each chromosome (and the wrap of a circular one), and one rule,
 gene read in forward orientation contributes its tail extremity first and
 its head extremity second, so two consecutive forward genes a, b yield the
 adjacency {a_head, b_tail}.  Every stage that reads adjacencies, as
-extremity pairs or as int codes, goes through these two.
+int codes here or as the paper's extremity pairs (`reference.Extremity`,
+`reference.adjacencies`), goes through these two.
 
 Gene similarities across genomes live in a `SimilarityGraph`.  Telomere
 similarities are fixed by convention: 1 between any two telomeres of
@@ -17,12 +18,7 @@ different genomes, 0 between a telomere and a regular gene.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-log = logging.getLogger(__name__)
 
 TAIL = "t"
 HEAD = "h"
@@ -71,33 +67,6 @@ class Gene(NamedTuple):
         return f"{self.genome}:{self.name}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Extremity:
-    """One end of a gene: head, tail, or the single telomeric end."""
-
-    gene: Gene
-    end: str
-
-    def __post_init__(self):
-        if self.end not in (TAIL, HEAD, TELOMERIC):
-            raise GenomeError(f"bad extremity end {self.end!r}")
-        if (self.end == TELOMERIC) != self.gene.is_telomere:
-            raise GenomeError(
-                f"extremity end {self.end!r} inconsistent with gene {self.gene}"
-            )
-
-    def __str__(self) -> str:
-        return f"{self.gene}^{self.end}"
-
-
-Adjacency = tuple[Extremity, Extremity]
-
-
-def adjacency(e1: Extremity, e2: Extremity) -> Adjacency:
-    """Canonical (sorted) form of an unordered extremity pair."""
-    return (e1, e2) if e1 <= e2 else (e2, e1)
-
-
 class Chromosome(NamedTuple):
     name: str
     shape: str
@@ -117,7 +86,7 @@ def facing_end(gene: Gene, orientation: int, forward: bool) -> int:
 
 
 class Genome:
-    """Immutable genome; its adjacency set is built on first read.
+    """Immutable genome; `neighbours` walks its adjacencies.
 
     Construct via `build_genome`; direct construction expects chromosomes
     that already satisfy the telomere invariants.
@@ -168,17 +137,6 @@ class Genome:
             if chrom.shape == CIRCULAR and entries:
                 yield entries[-1], entries[0]
 
-    @cached_property
-    def adjacencies(self) -> frozenset[Adjacency]:
-        """The adjacencies as canonical extremity pairs."""
-        return frozenset(
-            adjacency(
-                Extremity(g1, ENDS[facing_end(g1, o1, True)]),
-                Extremity(g2, ENDS[facing_end(g2, o2, False)]),
-            )
-            for (g1, o1), (g2, o2) in self.neighbours()
-        )
-
     # -- queries ---------------------------------------------------------
 
     def locate(self, gene: Gene) -> tuple[int, int, int]:
@@ -197,14 +155,6 @@ class Genome:
 
     def __repr__(self) -> str:
         return f"Genome({self.label!r}, {len(self.chromosomes)} chromosomes)"
-
-
-def indicator(genome: Genome, e1: Extremity, e2: Extremity) -> int:
-    """1 if the unordered extremity pair is an adjacency of the genome."""
-    for e in (e1, e2):
-        if e.gene not in genome:
-            raise GenomeError(f"extremity {e} references a gene absent from {genome.label}")
-    return 1 if adjacency(e1, e2) in genome.adjacencies else 0
 
 
 def build_genome(

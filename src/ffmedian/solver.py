@@ -25,41 +25,42 @@ with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
 `scipy.optimize._highspy._core`.  The first solve that reaches HiGHS
 loads that one file, in about 10 ms, without importing `scipy.optimize`
 or `scipy.sparse`, whose imports take longer than the rest of a short
-`ffmedian` run.  `export_lp` writes the paper's own rows: a conflict row
-per extant gene off `ConflictIndex` and a saturation row per candidate
-extremity off `ExtremityIncidence`.
+`ffmedian` run.  The paper's own rows, a conflict row per extant gene, a
+coupling row per adjacency and a saturation row per candidate extremity,
+are written by `reference.export_lp`, which no default solve imports.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
-`verify_solution`, `cars_from_rows` and `brute_force_median` take alone, and
-a solution is a set of its rows: the median genes are the candidates those
-rows join.  `cars_from_rows` reads the CARs off a graph over the
-extremities of those genes: one edge joins the two ends of each gene and
-one edge stands for each chosen row.  `paths_and_cycles`, the walk that
-ICF-SEG's matching also uses, lists its paths and cycles.  A member reads
-`-` when the walk enters it at its head; a telomere triple has one end and
-reads `+`.  A linear CAR is the lesser of its two readings, and a circular
-CAR starts at its smallest candidate, read `-`.
+`verify_solution` and `cars_from_rows` take alone, and a solution is a set
+of its rows: the median genes are the candidates those rows join.
+`cars_from_rows` reads the CARs off a graph over the extremities of those
+genes: one edge joins the two ends of each gene and one edge stands for
+each chosen row.  `paths_and_cycles`, the walk that ICF-SEG's matching
+also uses, lists its paths and cycles.  A member reads `-` when the walk
+enters it at its head; a telomere triple has one end and reads `+`.  A
+linear CAR is the lesser of its two readings, and a circular CAR starts at
+its smallest candidate, read `-`.
 
-`brute_force_median` is the independent oracle: an exhaustive
-depth-first search over the adjacency rows in plain Python, with no LP and
-no graph library.
+The independent oracle, `reference.brute_force_median`, is an exhaustive
+search in plain Python that `solve --engine oracle` and the tests run.  It
+and the rest of `reference` stay out of this module so that a default
+solve compiles only the code it runs, and `IlpModel` and `MedianSolution`
+are plain classes, not dataclasses, whose creation at import cost about
+0.5 and 1 ms of each solve's start-up.
 """
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
 import logging
-import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .candidates import ConflictIndex, ConservedAdjacencyTable, ExtremityIncidence
-from .genomes import ENDS, Gene
+from .candidates import ConservedAdjacencyTable
+from .genomes import Gene
 
 log = logging.getLogger(__name__)
 
@@ -74,130 +75,22 @@ class SolverError(RuntimeError):
     pass
 
 
-class OracleCapExceeded(SolverError):
-    pass
-
-
 # -- model -------------------------------------------------------------------
 
 
-_NAME_BAD = re.compile(r"[^A-Za-z0-9._~]")
-
-
-def _token(name: str) -> str:
-    return _NAME_BAD.sub(".", name)
-
-
-@dataclass
 class IlpModel:
-    """Array-backed 0-1 program over candidate genes and adjacencies.
+    """The 0-1 program over the candidate genes (`n_a` selection columns)
+    and the rows of `table` (`n_b` adjacency columns).  `reference` counts
+    and names the paper's form of it."""
 
-    Counted sizes follow the program statements: one selection variable per
-    candidate, one adjacency variable and one coupling constraint per
-    conserved adjacency, one conflict constraint per extant gene occurring
-    in a candidate, one saturation constraint per candidate extremity.
-    """
-
-    table: ConservedAdjacencyTable
-
-    def __post_init__(self):
-        self.n_a = len(self.table.candidates)
-        self.n_b = len(self.table)
-
-    @property
-    def counted_variables(self) -> int:
-        return self.n_a + self.n_b
-
-    @property
-    def counted_constraints(self) -> int:
-        candidates = self.table.candidates
-        genes = {gene for cand in candidates for gene in cand.genes}
-        extremities = sum(len(cand.ends) for cand in candidates)
-        return len(genes) + self.n_b + extremities
-
-    def a_name(self, i: int) -> str:
-        c = self.table.candidates[i]
-        return f"a_{_token(c.g.name)}_{_token(c.h.name)}_{_token(c.i.name)}"
-
-    def b_name(self, k: int) -> str:
-        m1, e1, m2, e2 = self.table.key(k)
-        c1, c2 = self.table.candidates[m1], self.table.candidates[m2]
-        s1, s2 = ENDS[e1], ENDS[e2]
-        parts = []
-        for x1, x2 in zip(c1.genes, c2.genes):
-            parts.append(f"{_token(x1.name)}{s1}_{_token(x2.name)}{s2}")
-        return "b_" + "_".join(parts)
+    def __init__(self, table: ConservedAdjacencyTable):
+        self.table = table
+        self.n_a = len(table.candidates)
+        self.n_b = len(table)
 
 
 def build_ilp(table: ConservedAdjacencyTable) -> IlpModel:
     return IlpModel(table)
-
-
-# -- LP text export ------------------------------------------------------------
-
-
-def _coeff(value: float) -> str:
-    return np.format_float_positional(
-        value, precision=12, unique=False, fractional=False, trim="k"
-    )
-
-
-def _wrap(fh, head: str, chunks: list[str], limit: int = 220) -> None:
-    line = head
-    for chunk in chunks:
-        if len(line) + len(chunk) + 1 > limit:
-            fh.write(line + "\n")
-            line = " " + chunk
-        else:
-            line = f"{line} {chunk}"
-    fh.write(line + "\n")
-
-
-def export_lp(model: IlpModel, path) -> None:
-    """Write the program in LP text format, byte-deterministically."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("Maximize\n")
-        terms = []
-        for k in range(model.n_b):
-            op = "+ " if terms else ""
-            terms.append(f"{op}{_coeff(float(model.table.weight[k]))} {model.b_name(k)}")
-        if terms:
-            _wrap(fh, " obj:", terms)
-        else:
-            fh.write(" obj:\n")
-        fh.write("Subject To\n")
-        counter = 0
-
-        def emit(terms: list[str], rhs: str) -> None:
-            nonlocal counter
-            counter += 1
-            _wrap(fh, f" c{counter}:", terms + [rhs])
-
-        by_gene = ConflictIndex(model.table.candidates).by_gene
-        for gene in sorted(by_gene):
-            members = by_gene[gene]
-            emit(
-                [("+ " if j else "") + model.a_name(i) for j, i in enumerate(members)],
-                "<= 1",
-            )
-        for k in range(model.n_b):
-            m1, _, m2, _ = model.table.key(k)
-            emit(
-                [f"2 {model.b_name(k)}", f"- {model.a_name(m1)}", f"- {model.a_name(m2)}"],
-                "<= 0",
-            )
-        by_ext = ExtremityIncidence(model.table).by_ext
-        for ext in sorted(by_ext):
-            emit(
-                [("+ " if j else "") + model.b_name(k) for j, k in enumerate(by_ext[ext])],
-                "<= 1",
-            )
-        fh.write("Binary\n")
-        for i in range(model.n_a):
-            fh.write(f" {model.a_name(i)}\n")
-        for k in range(model.n_b):
-            fh.write(f" {model.b_name(k)}\n")
-        fh.write("End\n")
 
 
 # -- solutions -----------------------------------------------------------------
@@ -210,20 +103,31 @@ class Car(NamedTuple):
     members: tuple[tuple[int, int], ...]  # (candidate index, orientation)
 
 
-@dataclass
 class MedianSolution:
     """The chosen rows of `table`; the median genes are the candidates they join."""
 
-    status: str
-    objective: float
-    bound: float
-    row_indices: tuple[int, ...]
-    table: ConservedAdjacencyTable
-    # HiGHS's counters; zero and None when no MIP ran
-    nodes_explored: int = 0
-    simplex_iterations: int = 0
-    dual_bound: float | None = None  # HiGHS's bound on the objective, or None
-    gap: float | None = None  # HiGHS's relative gap, or None
+    def __init__(
+        self,
+        status: str,
+        objective: float,
+        bound: float,
+        row_indices: tuple[int, ...],
+        table: ConservedAdjacencyTable,
+        nodes_explored: int = 0,
+        simplex_iterations: int = 0,
+        dual_bound: float | None = None,
+        gap: float | None = None,
+    ):
+        self.status = status
+        self.objective = objective
+        self.bound = bound
+        self.row_indices = row_indices
+        self.table = table
+        # HiGHS's counters; zero and None when no MIP ran
+        self.nodes_explored = nodes_explored
+        self.simplex_iterations = simplex_iterations
+        self.dual_bound = dual_bound  # HiGHS's bound on the objective, or None
+        self.gap = gap  # HiGHS's relative gap, or None
 
 
 def verify_solution(
@@ -535,8 +439,8 @@ def solve_branch_and_bound(
     `sum b at (m, e) - a_m <= 0` merges the paper's coupling rows
     (`2b - a1 - a2 <= 0`) and saturation rows (`sum b <= 1`) into one row
     that is tighter than both and has the same integer points; the paper's
-    rows, as `export_lp` writes them, give one coupling row per adjacency
-    and a far larger, slower model.  HiGHS presolve is off: on this form it
+    rows, as `reference.export_lp` writes them, give one coupling row per
+    adjacency and a far larger, slower model.  HiGHS presolve is off: on this form it
     costs more than it saves, up to seconds on the MIS-reduction instances.
 
     HiGHS's `kOptimal` gives `optimal`.  When the time limit strikes
@@ -603,71 +507,4 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
         if np.isfinite(res.gap):
             solution.gap = res.gap
     verify_solution(model.table, solution.row_indices, solution.objective)
-    return solution
-
-
-# -- brute-force oracle ----------------------------------------------------------
-
-
-def brute_force_median(
-    table: ConservedAdjacencyTable, cap: int = 12, collect_optima: bool = False
-):
-    """Oracle: a depth-first search over the adjacency rows.
-
-    The rows are tried in decreasing weight order, ties by row index.  A row
-    is taken only when both of its extremities are unused and no extant gene
-    of its two candidates belongs to another chosen candidate (the two
-    candidates of a row never conflict with each other).  A branch is cut
-    when its weight plus that of every row left falls below the best found.
-    The solution holds the lexicographically smallest optimal row tuple.
-    With `collect_optima` returns (solution, optima) where optima lists all
-    optimal adjacency sets as sorted row-index tuples.
-    """
-    candidates = table.candidates
-    if len(candidates) > cap:
-        raise OracleCapExceeded(
-            f"{len(candidates)} candidates exceed the oracle cap of {cap}"
-        )
-    if not candidates:
-        empty = MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), table)
-        return (empty, [()]) if collect_optima else empty
-    rows = sorted(range(len(table)), key=lambda k: (-float(table.weight[k]), k))
-    weights = [float(table.weight[k]) for k in rows]
-    left = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    ends = [((int(table.m1[k]), int(table.e1[k])), (int(table.m2[k]), int(table.e2[k])))
-            for k in rows]
-    best = 0.0
-    optima: set[tuple[int, ...]] = set()
-    used: set[tuple[int, int]] = set()
-    owner: dict[Gene, int] = {}
-    picked: list[int] = []
-
-    def dfs(pos: int, value: float) -> None:
-        nonlocal best
-        if value + left[pos] < best - GRID:
-            return
-        if pos == len(rows):
-            if value > best + GRID:
-                best = value
-                optima.clear()
-            optima.add(tuple(sorted(picked)))
-            return
-        u, v = ends[pos]
-        genes = [(g, m) for m in (u[0], v[0]) for g in candidates[m].genes]
-        if u not in used and v not in used and all(owner.get(g, m) == m for g, m in genes):
-            claimed = [g for g, _ in genes if g not in owner]
-            owner.update(genes)
-            used.update((u, v))
-            picked.append(rows[pos])
-            dfs(pos + 1, value + weights[pos])
-            picked.pop()
-            used.difference_update((u, v))
-            for g in claimed:
-                del owner[g]
-        dfs(pos + 1, value)
-
-    dfs(0, 0.0)
-    solution = _finish(build_ilp(table), STATUS_OPTIMAL, best, best, min(optima))
-    if collect_optima:
-        return solution, sorted(optima)
     return solution

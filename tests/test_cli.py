@@ -1,6 +1,8 @@
 """The `ffmedian` command line, run in-process through `cli.main`."""
 import argparse
+import dataclasses
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -13,7 +15,8 @@ import pytest
 
 import ffmedian
 from ffmedian import cli, segments, solver
-from ffmedian.genomes import Extremity, Gene, write_genome_file
+from ffmedian.genomes import Gene, write_genome_file
+from ffmedian.reference import Extremity, a_name, b_name
 
 from conftest import evolved_instance, identical_genomes
 
@@ -346,8 +349,8 @@ def test_solve_exports_the_program_left_by_icf_seg(tmp_path):
     result = segments.icf_seg(genomes[0], table)
     model = solver.build_ilp(result.reduced_table())
     assert 0 < model.n_b < len(table)
-    assert binary == [model.a_name(i) for i in range(len(table.candidates))] + [
-        model.b_name(k) for k in range(model.n_b)
+    assert binary == [a_name(model, i) for i in range(len(table.candidates))] + [
+        b_name(model, k) for k in range(model.n_b)
     ]
 
 
@@ -738,6 +741,122 @@ def test_solve_does_not_load_other_subcommands_modules(tmp_path):
         code, "solve", *instance, "--canonical", "-o", str(tmp_path / "median.json")
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
+SOLVE_MODULES = {"ffmedian", "ffmedian.genomes", "ffmedian.kernels", "ffmedian.candidates",
+                 "ffmedian.solver"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["solve", "--canonical"], set()),
+        (["solve", "--canonical", "--icf-seg"], {"ffmedian.segments"}),
+        (["enumerate"], {"ffmedian.commands"}),
+    ],
+    ids=["solve", "solve-icf-seg", "enumerate"],
+)
+def test_entry_point_imports_only_the_modules_it_runs(tmp_path, argv, extra):
+    """A `solve` process, where `cli` runs as `__main__`, imports only these
+    modules of the package: not `ffmedian.cli` a second time, nor
+    `commands`, `reference` or the other subcommands' modules.  Another
+    subcommand adds `commands`, which does not import `ffmedian.cli`
+    either."""
+    instance = write_instance(tmp_path, ["a", "b", "c"])
+    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ffmedian.cli", *argv, *instance,
+         "-o", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    # "import time: self [us] | cumulative | imported package", one per import
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name for name in imported if name.split(".")[0] == "ffmedian"} == SOLVE_MODULES | extra
+
+
+def test_no_solve_module_defines_a_dataclass():
+    for name in sorted(SOLVE_MODULES | {"ffmedian.cli"}):
+        module = importlib.import_module(name)
+        classes = [value for value in vars(module).values()
+                   if isinstance(value, type) and value.__module__ == name]
+        assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)], name
+
+
+# SHA-256 of what the other commands write, through `python -m ffmedian.cli`
+# (see test_entry_point_writes_every_recorded_output)
+MOVED_COMMAND_DIGESTS = {
+    "build-graph": "d30f88c17cb0e1995df55ad4449549dcc6268a82ef2796df397cfb387386540f",
+    "solve --engine oracle": "5fd031d1cf97d8c34c80ed5b8b15a293d6290df4b8e380c1c2d49466e2ea8cfe",
+    "reduce-mis": "404e54c206469476e7a7ea198ecaa463c80bceba967b03eb648d563043b9c593",
+    "verify-reduction": "8ed197c1556707fe372f243533573baee3945107ae88ff4c4c76e47b6020cdc8",
+    "eval": "e7ee881fc4ca412f806d971dfbe49b8503bdb707999a9d008991648defe55d53",
+}
+
+
+def test_entry_point_writes_every_recorded_output(tmp_path):
+    """Every subcommand, `solve --engine oracle` and `solve --export-lp`
+    through the process entry point, where `cli` runs as `__main__` and
+    hands itself to `commands`, write their recorded bytes."""
+    write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    genomes, sigma = identical_genomes(["a", "b"])  # 10 candidates: within the oracle's cap
+    write_genome_file(tmp_path / "small.txt", genomes)
+    sigma.write(tmp_path / "small.tsv")
+    hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t{}\n"
+    (tmp_path / "hits.tsv").write_text(
+        hit.format("G:a", "H:a", 200) + hit.format("G:b", "I:b", 150)
+        + hit.format("H:a", "I:a", 120)
+    )
+    (tmp_path / "self.tsv").write_text(
+        "".join(hit.format(f"{x}:{n}", f"{x}:{n}", 220) for x in "GHI" for n in "ab")
+    )
+    (tmp_path / "graph.tsv").write_text(FIVE_EDGE_GRAPH)
+    (tmp_path / "truth.tsv").write_text(
+        "".join(f"G:a{k:03d}\tH:a{k:03d}\n" for k in range(0, 120, 3))
+    )
+    instance = ["-g", "genomes.txt", "-s", "similarity.tsv"]
+    # name: (argv, the file whose bytes are pinned, or None for stdout)
+    runs = {
+        "build-graph": (["build-graph", "--hits", "hits.tsv", "--self", "self.tsv",
+                         "-g", "small.txt", "-o", "built.tsv"], "built.tsv"),
+        "enumerate": (["enumerate", *instance, "-o", "candidates.tsv"], "candidates.tsv"),
+        "icf-seg": (["icf-seg", *instance, "-o", "segments.tsv", "--emit-reduced", "reduced"],
+                    "segments.tsv"),
+        "export-lp": (["export-lp", *instance, "-o", "model.lp"], "model.lp"),
+        "solve": (["solve", *instance, "--canonical", "-o", "median.json"], "median.json"),
+        "solve --icf-seg": (["solve", *instance, "--canonical", "--icf-seg", "-o", "icf.json"],
+                            "icf.json"),
+        "solve --export-lp": (["solve", *instance, "--export-lp", "solve.lp", "-o", "m.json"],
+                              "solve.lp"),
+        "solve --engine oracle": (["solve", "--engine", "oracle", "-g", "small.txt",
+                                   "-s", "small.tsv", "--canonical", "-o", "oracle.json"],
+                                  "oracle.json"),
+        "reduce-mis": (["reduce-mis", "--graph", "graph.tsv", "-o", "mis"], None),
+        "verify-reduction": (["verify-reduction", "mis"], None),
+        "eval": (["eval", "--pred", "median.json", "--pred", "icf.json",
+                  "--truth", "truth.tsv", "--shared", "G", "H"], None),
+    }
+    digests = {}
+    for name, (argv, path) in runs.items():
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OK, (name, proc.stderr)
+        if name == "reduce-mis":
+            data = b"".join(f.name.encode() + f.read_bytes()
+                            for f in sorted((tmp_path / "mis").iterdir()))
+        else:
+            data = (tmp_path / path).read_bytes() if path else proc.stdout.encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    reduced = (tmp_path / "reduced" / "candidates.tsv").read_bytes()
+    assert [digests.pop("icf-seg"), hashlib.sha256(reduced).hexdigest()] == ICF_SEG_DIGESTS
+    assert digests == {
+        "enumerate": OUTPUT_DIGESTS["enumerate"],
+        "export-lp": OUTPUT_DIGESTS["export-lp"],
+        "solve": PLAIN_SOLVE_DIGEST,
+        "solve --icf-seg": OUTPUT_DIGESTS["solve"],
+        "solve --export-lp": OUTPUT_DIGESTS["export-lp"],
+        **MOVED_COMMAND_DIGESTS,
+    }
 
 
 def test_setup_probe_does_not_load_scipy(tmp_path):

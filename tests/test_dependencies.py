@@ -3,7 +3,7 @@
 The package's imports are read from its source with `ast`, local imports
 and `importlib.util.find_spec` lookups included; the standard library and
 relative imports are left out.  Every name a module-level import binds must
-be used in its module.  Only `segments.icf_seg` and `solver.export_lp`
+be used in its module.  Only `segments.icf_seg` and `reference.export_lp`
 build the two instance indexes, `ConflictIndex` and `ExtremityIncidence`.
 Every subcommand must then run in a process where networkx cannot be
 imported.  No module calls a BLAS routine, which is why
@@ -101,7 +101,7 @@ def test_each_instance_index_is_built_only_by_icf_seg_and_export_lp():
     # every other reader takes the indexes as arguments
     assert index_builders() == {
         (module, function, index)
-        for module, function in (("segments", "icf_seg"), ("solver", "export_lp"))
+        for module, function in (("segments", "icf_seg"), ("reference", "export_lp"))
         for index in INDEXES
     }
 

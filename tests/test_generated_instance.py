@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ffmedian import cli
+from ffmedian import cli, commands
 from ffmedian.solver import GRID
 
 GEN = runpy.run_path(
@@ -59,7 +59,7 @@ def test_plain_solve_and_icf_seg_reach_the_same_median(tmp_path, shape, seed):
     for flags in ([], ["--icf-seg"]):
         out = tmp_path / f"median{len(flags)}.json"
         reports.append(json.loads(solve(files, out, "--canonical", *flags)))
-        genes.append(sorted(cli._load_predictions(out)))
+        genes.append(sorted(commands._load_predictions(out)))
     plain, seg = reports
     assert plain["status"] == seg["status"] == "optimal"
     assert seg["config"]["use_icf_seg"] and not plain["config"]["use_icf_seg"]

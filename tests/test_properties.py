@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from ffmedian.candidates import enumerate_candidates, enumerate_conserved_adjacencies
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.reference import brute_force_median
 from ffmedian.segments import icf_seg
 from ffmedian.solver import (
     GRID,
     STATUS_OPTIMAL,
-    brute_force_median,
     build_ilp,
     cars_from_rows,
     solve_branch_and_bound,

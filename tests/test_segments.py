@@ -24,7 +24,8 @@ from ffmedian.segments import (
     mwm,
     potential,
 )
-from ffmedian.solver import brute_force_median, build_ilp, solve_branch_and_bound
+from ffmedian.reference import brute_force_median
+from ffmedian.solver import build_ilp, solve_branch_and_bound
 
 from conftest import (
     build_tables,

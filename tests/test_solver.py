@@ -17,6 +17,13 @@ from ffmedian.candidates import (
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Gene, SimilarityGraph
+from ffmedian.reference import (
+    OracleCapExceeded,
+    brute_force_median,
+    counted_constraints,
+    counted_variables,
+    export_lp,
+)
 from ffmedian.segments import build_gamma, icf_seg, matching_weight
 from ffmedian.solver import (
     GRID,
@@ -25,12 +32,9 @@ from ffmedian.solver import (
     STATUS_OPTIMAL,
     Car,
     MedianSolution,
-    OracleCapExceeded,
     SolverError,
-    brute_force_median,
     build_ilp,
     cars_from_rows,
-    export_lp,
     solve_branch_and_bound,
     verify_solution,
 )
@@ -63,8 +67,8 @@ class TestBuildIlp:
     def test_empty_model(self):
         table = empty_table()
         model = build_ilp(table)
-        assert model.counted_variables == 0
-        assert model.counted_constraints == 0
+        assert counted_variables(model) == 0
+        assert counted_constraints(model) == 0
 
     def test_single_fully_conserved_adjacency_coefficient(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
@@ -80,8 +84,8 @@ class TestBuildIlp:
         model = build_ilp(table)
         genes = {g for c in cands for g in c.genes}
         ext = sum(len(c.ends) for c in cands)
-        assert model.counted_variables == len(cands) + len(table)
-        assert model.counted_constraints == len(genes) + len(table) + ext
+        assert counted_variables(model) == len(cands) + len(table)
+        assert counted_constraints(model) == len(genes) + len(table) + ext
 
 
 class TestExportLp:
@@ -198,12 +202,16 @@ class TestSolve:
         assert seen == [{name: name in lacks for name in solver.OFF_BEFORE_ROOT_LP}]
 
     def test_deterministic_across_repeated_solves(self):
-        genomes, sigma, cands = random_small_instance(5)
-        table = enumerate_conserved_adjacencies(cands, *genomes)
+        # 135 candidates and 363 rows: both solves run HiGHS
+        genomes, sigma = evolved_instance(51, 60, 2, 0.1)
+        cands, table = build_tables(genomes, sigma)
         a = solve_branch_and_bound(build_ilp(table))
         b = solve_branch_and_bound(build_ilp(table))
+        assert a.simplex_iterations > 0
         assert a.row_indices == b.row_indices
         assert a.objective == b.objective
+        counters = ("nodes_explored", "simplex_iterations", "dual_bound", "gap")
+        assert [getattr(a, c) for c in counters] == [getattr(b, c) for c in counters]
 
     @pytest.mark.parametrize(
         "time_limit",
@@ -511,6 +519,6 @@ class TestModelSizeGrowth:
                         sigma.set(Gene(a, x), Gene(b, y), 1.0)
             cands, table = build_tables(genomes, sigma)
             model = build_ilp(table)
-            counts[n] = model.counted_variables + model.counted_constraints
+            counts[n] = counted_variables(model) + counted_constraints(model)
         for n, total in counts.items():
             assert total <= 6.0 * n ** 5
