@@ -12,11 +12,16 @@ Exit codes:
      solve does not give the independence number
   2  only a feasible solution was obtained within the limits, also by the
      solve of `verify-reduction`, which then reports "ok": false
-  3  solver error, such as an oracle run over its candidate cap, or a
-     median whose rows fail the final check against the report's objective
+  3  solver error, such as a scipy without its HiGHS extension, an ICF-SEG
+     matching graph beyond degree 2, or a median whose rows fail the final
+     check against the report's objective
 
 The `solve` report, `median.json`, is one line of JSON with sorted keys
 (`python -m json.tool median.json` pretty-prints it).  Schema version 2:
+  config       the run's settings: "genome_files" and "similarity_file" by
+               base name, "time_limit" (null for no limit), "preprocess"
+               and "use_icf_seg"; reports of earlier versions also hold
+               "engine"
   genes        each chosen candidate once, as {"g", "h", "i", "triple_score",
                "gene_score"}, in candidate order
   adjacencies  the median adjacencies, as {"m1", "end1", "m2", "end2",
@@ -70,11 +75,12 @@ every process, as they are without a writable bytecode cache, each line
 left out counts.  So the other seven subcommands live in `commands`, which
 `build_parser` imports only to build one of their parsers, and the paper's
 literal forms (its extremities, the LP export of its rows and the
-brute-force oracle) in `reference`, which `solve --export-lp` and
-`solve --engine oracle` reach through the forwarders `export_lp` and
-`brute_force_median` here, as `icf_seg` reaches `segments`.  No class on
-the solve path is a dataclass, and none of its modules imports
-`dataclasses`: creating one dataclass took 0.5 to 1.9 ms at import.
+brute-force oracle) in `reference`, which `export-lp` and the tests import.
+`icf_seg` here imports `segments` at its first call.  No class on the
+solve path is a dataclass, and none of its modules imports `dataclasses`:
+creating one dataclass took 0.5 to 1.9 ms at import.  The parsed `solve`
+command line is the run's one configuration: `run_pipeline` reads its
+settings straight off it.
 """
 from __future__ import annotations
 
@@ -116,7 +122,8 @@ from .solver import (
     verify_solution,
 )
 
-log = logging.getLogger(__name__)
+# not `__name__`, which is `__main__` under `python -m ffmedian.cli`
+log = logging.getLogger("ffmedian.cli")
 
 SCHEMA_VERSION = 2
 
@@ -124,44 +131,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FEASIBLE = 2
 EXIT_SOLVER = 3
-
-
-class RunConfig:
-    """The settings of one `solve` run."""
-
-    def __init__(
-        self,
-        genome_files: list[str],
-        similarity_file: str,
-        output: str | None = None,
-        engine: str = "bb",
-        time_limit: float | None = 10800.0,
-        preprocess: bool = True,
-        use_icf_seg: bool = False,
-        export_lp_path: str | None = None,
-        canonical: bool = False,
-    ):
-        self.genome_files = genome_files
-        self.similarity_file = similarity_file
-        self.output = output
-        self.engine = engine
-        self.time_limit = time_limit
-        self.preprocess = preprocess
-        self.use_icf_seg = use_icf_seg
-        self.export_lp_path = export_lp_path
-        self.canonical = canonical
-
-    def as_dict(self) -> dict:
-        """The run's settings for the report; input files by base name, so
-        that the bytes do not depend on how their paths were spelled."""
-        return {
-            "genome_files": [os.path.basename(path) for path in self.genome_files],
-            "similarity_file": os.path.basename(self.similarity_file),
-            "engine": self.engine,
-            "time_limit": self.time_limit,
-            "preprocess": self.preprocess,
-            "use_icf_seg": self.use_icf_seg,
-        }
 
 
 @contextlib.contextmanager
@@ -236,29 +205,30 @@ def icf_seg(*args, **kwargs):
     return run(*args, **kwargs)
 
 
-def export_lp(*args, **kwargs):
-    """`reference.export_lp`, imported at the first call (see the module docstring)."""
-    from .reference import export_lp as run
-    return run(*args, **kwargs)
+def _config(args, time_limit: float | None) -> dict:
+    """The report's `config`: the settings of the `solve` namespace `args`,
+    input files by base name, so that the bytes do not depend on how their
+    paths were spelled, and the time limit as `_time_limit` read it."""
+    return {
+        "genome_files": [os.path.basename(path) for path in args.genomes],
+        "similarity_file": os.path.basename(args.similarity),
+        "time_limit": time_limit,
+        "preprocess": args.preprocess,
+        "use_icf_seg": args.icf_seg,
+    }
 
 
-def brute_force_median(*args, **kwargs):
-    """`reference.brute_force_median`, imported at the first call (see the
-    module docstring)."""
-    from .reference import brute_force_median as run
-    return run(*args, **kwargs)
-
-
-def run_pipeline(config: RunConfig) -> tuple[int, dict]:
+def run_pipeline(args) -> tuple[int, dict]:
     """Run enumerate -> icf-seg, when asked -> solve and assemble the report.
 
-    `config.time_limit` counts from this call: the solve gets what the
-    earlier stages left of it.
+    `args` is the parsed `solve` command line.  Its time limit counts from
+    this call: the solve gets what the earlier stages left of it.
     """
+    time_limit = _time_limit(args.time_limit)
     started = time.monotonic()
     stages: list[dict] = []
     genomes, table, removed = _front_end(
-        _read_files(config.genome_files, config.similarity_file), config.preprocess, stages
+        _read_files(args.genomes, args.similarity), args.preprocess, stages
     )
     candidates = table.candidates
     accepted_rows: list[int] = []
@@ -266,9 +236,9 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     accepted_segments = examined = skipped = 0
     solve_table = table
     row_map = np.arange(len(table))
-    if config.use_icf_seg:
+    if args.icf_seg:
         with _stage(stages, "icf-seg"):
-            deadline = None if config.time_limit is None else started + config.time_limit
+            deadline = None if time_limit is None else started + time_limit
             result = icf_seg(genomes[0], table, deadline=deadline)
             accepted_rows = result.accepted_rows
             accepted_weight = result.accepted_weight
@@ -278,15 +248,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             solve_table = result.reduced_table()
     with _stage(stages, "solve"):
         model = build_ilp(solve_table)
-        if config.export_lp_path:
-            export_lp(model, config.export_lp_path)
-        if config.engine == "oracle":
-            solution = brute_force_median(solve_table)
-        else:
-            remaining = None
-            if config.time_limit is not None:
-                remaining = config.time_limit - (time.monotonic() - started)
-            solution = solve_branch_and_bound(model, time_limit=remaining)
+        remaining = None
+        if time_limit is not None:
+            remaining = time_limit - (time.monotonic() - started)
+        solution = solve_branch_and_bound(model, time_limit=remaining)
     combined_rows = sorted(
         set(accepted_rows) | {int(row_map[k]) for k in solution.row_indices}
     )
@@ -300,7 +265,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ffmedian", "version": __version__},
-        "config": config.as_dict(),
+        "config": _config(args, time_limit),
         "genomes": [g.label for g in genomes],
         "status": solution.status,
         "objective": objective,
@@ -384,19 +349,8 @@ def _time_limit(seconds: float) -> float | None:
 
 
 def _cmd_solve(args) -> int:
-    config = RunConfig(
-        genome_files=args.genomes,
-        similarity_file=args.similarity,
-        output=args.output,
-        engine=args.engine,
-        time_limit=_time_limit(args.time_limit),
-        preprocess=args.preprocess,
-        use_icf_seg=args.icf_seg,
-        export_lp_path=args.export_lp,
-        canonical=args.canonical,
-    )
-    code, report = run_pipeline(config)
-    _write_report(report, config.output, config.canonical)
+    code, report = run_pipeline(args)
+    _write_report(report, args.output, args.canonical)
     return code
 
 
@@ -419,10 +373,8 @@ def _add_instance_args(p) -> None:
 
 def _solve_args(p) -> None:
     _add_instance_args(p)
-    p.add_argument("--engine", choices=("bb", "oracle"), default="bb")
     p.add_argument("--icf-seg", action=argparse.BooleanOptionalAction, default=False,
                    help="fix ICF-SEG's safe segments before the solve (default off)")
-    p.add_argument("--export-lp", dest="export_lp")
     p.add_argument("--time-limit", type=float, default=10800.0)
     p.add_argument("--canonical", action="store_true",
                    help="timing-free byte-reproducible report")

@@ -107,11 +107,11 @@ def _cmd_icf_seg(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    from .reference import counted_constraints, counted_variables
+    from .reference import counted_constraints, counted_variables, export_lp
 
     _, table, _ = _instance(args)
     model = cli.build_ilp(table)
-    cli.export_lp(model, args.output)
+    export_lp(model, args.output)
     cli.log.info("wrote model with %d variables and %d constraints",
                  counted_variables(model), counted_constraints(model))
     return cli.EXIT_OK

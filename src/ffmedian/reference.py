@@ -1,8 +1,8 @@
 """The paper's own definitions and rows, and the brute-force oracle.
 
-Nothing here runs in a default `solve`: the tests hold the fast paths of
-the other modules against these forms, and only `solve --export-lp`,
-`solve --engine oracle` and the `export-lp` subcommand import this module.
+Nothing here runs in a `solve`: the tests hold the fast paths of the
+other modules against these forms, and of the subcommands only `export-lp`
+imports this module.
 
 - Extremities and adjacencies as the paper states them: `Extremity`, one
   validated end of a gene, `adjacency`, the canonical unordered pair, and

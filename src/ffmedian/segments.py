@@ -52,16 +52,11 @@ import bisect
 import logging
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .candidates import (
-    CandidateGene,
-    ConflictIndex,
-    ConservedAdjacencyTable,
-    ExtremityIncidence,
-)
+from .candidates import ConflictIndex, ConservedAdjacencyTable, ExtremityIncidence
 from .genomes import Gene, Genome, facing_end
 from .solver import paths_and_cycles
 
@@ -397,68 +392,6 @@ def detect_runs(
         for step in scanner.scan(ci)
         if step.run is not None
     ]
-
-
-# -- segment classification (detect-only) -------------------------------------
-
-
-def is_ic_free(
-    members: Sequence[int],
-    candidates: Sequence[CandidateGene],
-    genomes: Sequence[Genome],
-) -> bool:
-    """No internal conflicts and contiguous in all three genomes."""
-    ms = list(members)
-    for slot, genome in enumerate(genomes):
-        if len({candidates[m].genes[slot] for m in ms}) < len(ms):
-            return False  # two members share a gene of this genome
-        spots = [genome.locate(candidates[m].genes[slot]) for m in ms]
-        chroms = {s[0] for s in spots}
-        if len(chroms) != 1:
-            return False
-        chrom = genome.chromosomes[spots[0][0]]
-        positions = sorted(s[1] for s in spots)
-        span = positions[-1] - positions[0] + 1
-        if span == len(positions):
-            continue
-        if chrom.shape == "circular":
-            # allow wrap-around contiguity
-            size = len(chrom.order)
-            gaps = [
-                (positions[(j + 1) % len(positions)] - positions[j]) % size
-                for j in range(len(positions))
-            ]
-            if sorted(gaps)[:-1] != [1] * (len(positions) - 1):
-                return False
-        else:
-            return False
-    return True
-
-
-def is_framed(
-    members: Sequence[int],
-    candidates: Sequence[CandidateGene],
-    genomes: Sequence[Genome],
-) -> bool:
-    """IC-free and flanked by the same two members in every genome, with
-    conserved relative orientations."""
-    if not is_ic_free(members, candidates, genomes):
-        return False
-    frames = []
-    for slot, genome in enumerate(genomes):
-        spots = sorted(
-            (genome.locate(candidates[m].genes[slot])[1], m) for m in members
-        )
-        first, last = spots[0][1], spots[-1][1]
-        o_first = genome.locate(candidates[first].genes[slot])[2]
-        frames.append((first, last, o_first))
-    anchor = frames[0]
-    for first, last, orientation in frames[1:]:
-        same = (first, last) == (anchor[0], anchor[1]) and orientation == anchor[2]
-        flipped = (first, last) == (anchor[1], anchor[0]) and orientation != anchor[2]
-        if not (same or flipped):
-            return False
-    return True
 
 
 # -- conflict-extended graph and ICF-SEG --------------------------------------

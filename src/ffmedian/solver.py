@@ -27,7 +27,7 @@ loads that one file, in about 10 ms, without importing `scipy.optimize`
 or `scipy.sparse`, whose imports take longer than the rest of a short
 `ffmedian` run.  The paper's own rows, a conflict row per extant gene, a
 coupling row per adjacency and a saturation row per candidate extremity,
-are written by `reference.export_lp`, which no default solve imports.
+are written by `reference.export_lp`, which no solve imports.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
@@ -41,11 +41,11 @@ linear CAR is the lesser of its two readings, and a circular CAR starts at
 its smallest candidate, read `-`.
 
 The independent oracle, `reference.brute_force_median`, is an exhaustive
-search in plain Python that `solve --engine oracle` and the tests run.  It
-and the rest of `reference` stay out of this module so that a default
-solve compiles only the code it runs, and `IlpModel` and `MedianSolution`
-are plain classes, not dataclasses, whose creation at import cost about
-0.5 and 1 ms of each solve's start-up.
+search in plain Python that the tests run.  It and the rest of
+`reference` stay out of this module so that a solve compiles only the
+code it runs, and `IlpModel` and `MedianSolution` are plain classes, not
+dataclasses, whose creation at import cost about 0.5 and 1 ms of each
+solve's start-up.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ import pytest
 import ffmedian
 from ffmedian import cli, segments, solver
 from ffmedian.genomes import Gene, write_genome_file
-from ffmedian.reference import Extremity, a_name, b_name
+from ffmedian.reference import Extremity
 
 from conftest import evolved_instance, identical_genomes
 
@@ -34,12 +34,12 @@ ICF_SEG_DIGESTS = [
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
-    "solve": "d4f64f162306c36b8abccdbbe128ec8d736bc24f1ab99914c2ddeecd6a2cbd9c",
+    "solve": "eb88ac21202ab1e1315daaf17870f00f86abc05a82e29da7f8fcc8cb0942875d",
 }
 
 # SHA-256 of the default `solve --canonical` report, without ICF-SEG, on the
 # same instance
-PLAIN_SOLVE_DIGEST = "c18e403573bb8d653fe11f75a71b6730f7513ae3a03803a26b09f6fd08902b7a"
+PLAIN_SOLVE_DIGEST = "3826ec9b560b4378478c09510f3596bc212aef1c500824f9ab6f45fde8f0da36"
 
 # SHA-256 of the schema-1 `solve --canonical --icf-seg` report on the same
 # instance
@@ -65,31 +65,10 @@ def test_pipeline_builds_no_extremity_objects(tmp_path, monkeypatch):
     monkeypatch.setattr(Extremity, "__post_init__", lambda self: built.append(self))
     Extremity(Gene("G", "a"), "t")
     assert len(built) == 1  # the patch sees every construction
-    config = cli.RunConfig([genome_file], similarity_file, canonical=True)
-    code, report = cli.run_pipeline(config)
+    argv = ["solve", "-g", genome_file, "-s", similarity_file, "--canonical"]
+    code, report = cli.run_pipeline(cli.build_parser(argv).parse_args(argv))
     assert code == cli.EXIT_OK and report["status"] == "optimal"
     assert len(built) == 1
-
-
-def test_oracle_over_its_cap_exits_with_solver_code(tmp_path, capsys):
-    # 6 gene triples and 8 telomere triples: over the oracle's cap of 12
-    instance = write_instance(tmp_path, [f"x{k}" for k in range(6)])
-    code = cli.main(["solve", "--engine", "oracle", *instance, "-o", str(tmp_path / "m.json")])
-    assert code == cli.EXIT_SOLVER == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "oracle cap" in err
-    assert "Traceback" not in err
-
-
-def test_oracle_and_branch_and_bound_agree(tmp_path):
-    # 2 gene triples and 8 telomere triples: within the oracle's cap
-    instance = write_instance(tmp_path, ["a", "b"])
-    objectives = []
-    for engine in ("oracle", "bb"):
-        out = tmp_path / f"{engine}.json"
-        assert cli.main(["solve", "--engine", engine, *instance, "-o", str(out)]) == cli.EXIT_OK
-        objectives.append(json.loads(out.read_text())["objective"])
-    assert objectives[0] == objectives[1] > 0
 
 
 def test_icf_seg_writes_recorded_segments_and_reduced_instance(tmp_path):
@@ -144,6 +123,8 @@ def v1_layout(report: dict) -> dict:
     genes = report["genes"]
     v1 = {key: value for key, value in report.items() if key != "stats"}
     v1["schema_version"] = 1
+    # every schema-1 report ran the one engine that `solve` had then
+    v1["config"] = {**report["config"], "engine": "bb"}
     v1["adjacencies"] = [
         {**adj, "m1": genes[adj["m1"]], "m2": genes[adj["m2"]]} for adj in report["adjacencies"]
     ]
@@ -248,10 +229,16 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
 
 
 def test_oracle_stats_have_no_highs_counters(tmp_path):
-    instance = write_instance(tmp_path, ["a", "b"])
+    """A solve that makes no HiGHS run reports 0 and null for HiGHS's
+    counters: one single-gene circular chromosome per genome gives one
+    candidate and no row."""
+    instance = write_files(tmp_path, *identical_genomes(["a"], shape="circular"))
     out = tmp_path / "median.json"
-    assert cli.main(["solve", "--engine", "oracle", *instance, "-o", str(out)]) == cli.EXIT_OK
-    mip = json.loads(out.read_text())["stats"]["mip"]
+    assert cli.main(["solve", *instance, "-o", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["counts"]["candidates"] == 1 and report["stats"]["solve_rows"] == 0
+    assert report["status"] == "optimal"
+    mip = report["stats"]["mip"]
     assert mip == {"nodes": 0, "simplex_iterations": 0, "dual_bound": None, "gap": None}
 
 
@@ -265,9 +252,12 @@ def test_oracle_stats_have_no_highs_counters(tmp_path):
          "--conflict-cap", "5"],
         ["-v", "bogus"],
         ["-v", "solve", "-g", "genomes.txt", "-s", "similarity.tsv", "--time-limit", "abc"],
+        ["solve", "--engine", "oracle", "-g", "genomes.txt", "-s", "similarity.tsv"],
+        ["solve", "--export-lp", "x", "-g", "genomes.txt", "-s", "similarity.tsv"],
     ],
     ids=["malformed-time-limit", "missing-genome", "unknown-subcommand", "unknown-option",
-         "verbose-unknown-subcommand", "verbose-malformed-time-limit"],
+         "verbose-unknown-subcommand", "verbose-malformed-time-limit", "removed-engine",
+         "removed-export-lp"],
 )
 def test_usage_error_exits_with_input_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -278,6 +268,22 @@ def test_usage_error_exits_with_input_code(capsys, argv):
     assert ": error: " in err.splitlines()[-1] and "Traceback" not in err
     if "--conflict-cap" in argv:
         assert "unrecognized arguments: --conflict-cap 5" in err
+    if "--engine" in argv:
+        assert "unrecognized arguments: --engine oracle" in err
+    if "--export-lp" in argv:
+        assert "unrecognized arguments: --export-lp x" in err
+
+
+def test_solve_takes_seven_options():
+    """One engine and one output: no `--engine` or `--export-lp`."""
+    parser = cli.build_parser(["solve"])
+    sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)][0]
+    options = [a.option_strings for a in sub.choices["solve"]._actions
+               if not isinstance(a, argparse._HelpAction)]
+    assert options == [
+        ["-g", "--genome"], ["-s", "--similarity"], ["--no-preprocess"],
+        ["--icf-seg", "--no-icf-seg"], ["--time-limit"], ["--canonical"], ["-o", "--output"],
+    ]
 
 
 @pytest.mark.parametrize("flag", ["-h", "--version"])
@@ -324,34 +330,6 @@ def test_one_subcommand_parser_prints_what_all_parsers_print(capsys, argv):
              if isinstance(a, argparse._SubParsersAction)][0].choices
     named = [token for token in argv if token in cli.SUBCOMMANDS]
     assert list(built) == (named or list(cli.SUBCOMMANDS))
-
-
-def test_solve_without_icf_seg_exports_the_export_lp_bytes(tmp_path):
-    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    exported, solved = tmp_path / "export.lp", tmp_path / "solve.lp"
-    assert cli.main(["export-lp", *instance, "-o", str(exported)]) == cli.EXIT_OK
-    argv = ["solve", *instance, "--no-icf-seg", "--export-lp", str(solved),
-            "-o", str(tmp_path / "median.json")]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert solved.read_bytes() == exported.read_bytes()
-
-
-def test_solve_exports_the_program_left_by_icf_seg(tmp_path):
-    """Every candidate keeps its selection binary; only the rows ICF-SEG
-    left live keep an adjacency binary."""
-    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    lp = tmp_path / "model.lp"
-    argv = ["solve", *instance, "--icf-seg", "--export-lp", str(lp),
-            "-o", str(tmp_path / "median.json")]
-    assert cli.main(argv) == cli.EXIT_OK
-    binary = lp.read_text().split("Binary\n")[1].split("End\n")[0].split()
-    genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
-    result = segments.icf_seg(genomes[0], table)
-    model = solver.build_ilp(result.reduced_table())
-    assert 0 < model.n_b < len(table)
-    assert binary == [a_name(model, i) for i in range(len(table.candidates))] + [
-        b_name(model, k) for k in range(model.n_b)
-    ]
 
 
 def assert_one_error_line(capsys):
@@ -579,11 +557,13 @@ def run_child(code, *argv, cwd=None):
     )
 
 
-def run_cli(*argv, cwd=None, buffered=False, stdout=subprocess.PIPE):
+def run_cli(*argv, cwd=None, buffered=False, stdout=subprocess.PIPE, path=()):
     """Run `python -m ffmedian.cli ARGV`, the process entry point, in a fresh
     interpreter with `PYTHONUNBUFFERED=1`, or, with `buffered`, with no
-    `PYTHONUNBUFFERED` in its environment."""
-    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
+    `PYTHONUNBUFFERED` in its environment.  The directories `path` lead
+    its `PYTHONPATH`."""
+    pythonpath = [*map(str, path), str(Path(ffmedian.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     else:
@@ -600,10 +580,6 @@ def entry_point_argv(tmp_path, expected):
     if expected == cli.EXIT_FEASIBLE:
         instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
         return ["solve", *instance, "--time-limit", "0", *out]
-    if expected == cli.EXIT_SOLVER:
-        # 6 gene triples and 8 telomere triples: over the oracle's cap of 12
-        instance = write_instance(tmp_path, [f"x{k}" for k in range(6)])
-        return ["solve", "--engine", "oracle", *instance, *out]
     instance = write_instance(tmp_path, ["a", "b"])
     if expected == cli.EXIT_INPUT:
         instance[1] = str(tmp_path / "missing.txt")
@@ -612,9 +588,18 @@ def entry_point_argv(tmp_path, expected):
 
 @pytest.mark.parametrize("expected", [0, 1, 2, 3])
 def test_entry_point_keeps_each_exit_code(tmp_path, expected):
-    proc = run_cli(*entry_point_argv(tmp_path, expected))
+    """Exit 3 comes from a scipy without its HiGHS extension: an empty
+    `scipy` package ahead of the real one on the child's path."""
+    path = ()
+    if expected == cli.EXIT_SOLVER:
+        path = (tmp_path / "no-highs",)
+        (path[0] / "scipy").mkdir(parents=True)
+        (path[0] / "scipy" / "__init__.py").write_text("")
+    proc = run_cli(*entry_point_argv(tmp_path, expected), path=path)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if expected == cli.EXIT_SOLVER:
+        assert proc.stderr.startswith(f"error: the solve needs scipy>={solver.SCIPY_FLOOR}: ")
     if expected in (cli.EXIT_INPUT, cli.EXIT_SOLVER):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     else:
@@ -631,6 +616,18 @@ def test_entry_point_logs_info_lines_with_verbose(tmp_path):
     lines = proc.stderr.splitlines()
     assert any(line.startswith("INFO ffmedian.segments: icf-seg: ") for line in lines)
     assert any(line.startswith("INFO ffmedian.solver: HiGHS MIP: ") for line in lines)
+
+
+def test_entry_point_names_the_cli_logger_by_its_module(tmp_path):
+    """Under `python -m ffmedian.cli` the module runs as `__main__`, but its
+    log lines, and those of the subcommands in `commands`, name
+    `ffmedian.cli`, as the installed script's do."""
+    instance = write_instance(tmp_path, ["a", "b"])
+    proc = run_cli("-v", "enumerate", *instance, "-o", str(tmp_path / "candidates.tsv"))
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "INFO ffmedian.cli: wrote 10 candidates and 15 conserved adjacencies"
+    ]
 
 
 def closed_pipe():
@@ -788,7 +785,6 @@ def test_no_solve_module_defines_a_dataclass():
 # (see test_entry_point_writes_every_recorded_output)
 MOVED_COMMAND_DIGESTS = {
     "build-graph": "d30f88c17cb0e1995df55ad4449549dcc6268a82ef2796df397cfb387386540f",
-    "solve --engine oracle": "5fd031d1cf97d8c34c80ed5b8b15a293d6290df4b8e380c1c2d49466e2ea8cfe",
     "reduce-mis": "404e54c206469476e7a7ea198ecaa463c80bceba967b03eb648d563043b9c593",
     "verify-reduction": "8ed197c1556707fe372f243533573baee3945107ae88ff4c4c76e47b6020cdc8",
     "eval": "e7ee881fc4ca412f806d971dfbe49b8503bdb707999a9d008991648defe55d53",
@@ -796,13 +792,12 @@ MOVED_COMMAND_DIGESTS = {
 
 
 def test_entry_point_writes_every_recorded_output(tmp_path):
-    """Every subcommand, `solve --engine oracle` and `solve --export-lp`
-    through the process entry point, where `cli` runs as `__main__` and
-    hands itself to `commands`, write their recorded bytes."""
+    """Every subcommand through the process entry point, where `cli` runs
+    as `__main__` and hands itself to `commands`, writes its recorded
+    bytes."""
     write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    genomes, sigma = identical_genomes(["a", "b"])  # 10 candidates: within the oracle's cap
+    genomes, _ = identical_genomes(["a", "b"])
     write_genome_file(tmp_path / "small.txt", genomes)
-    sigma.write(tmp_path / "small.tsv")
     hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t{}\n"
     (tmp_path / "hits.tsv").write_text(
         hit.format("G:a", "H:a", 200) + hit.format("G:b", "I:b", 150)
@@ -827,11 +822,6 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
         "solve": (["solve", *instance, "--canonical", "-o", "median.json"], "median.json"),
         "solve --icf-seg": (["solve", *instance, "--canonical", "--icf-seg", "-o", "icf.json"],
                             "icf.json"),
-        "solve --export-lp": (["solve", *instance, "--export-lp", "solve.lp", "-o", "m.json"],
-                              "solve.lp"),
-        "solve --engine oracle": (["solve", "--engine", "oracle", "-g", "small.txt",
-                                   "-s", "small.tsv", "--canonical", "-o", "oracle.json"],
-                                  "oracle.json"),
         "reduce-mis": (["reduce-mis", "--graph", "graph.tsv", "-o", "mis"], None),
         "verify-reduction": (["verify-reduction", "mis"], None),
         "eval": (["eval", "--pred", "median.json", "--pred", "icf.json",
@@ -854,7 +844,6 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
         "export-lp": OUTPUT_DIGESTS["export-lp"],
         "solve": PLAIN_SOLVE_DIGEST,
         "solve --icf-seg": OUTPUT_DIGESTS["solve"],
-        "solve --export-lp": OUTPUT_DIGESTS["export-lp"],
         **MOVED_COMMAND_DIGESTS,
     }
 

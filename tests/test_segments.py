@@ -18,8 +18,6 @@ from ffmedian.segments import (
     build_gamma_prime,
     detect_runs,
     icf_seg,
-    is_framed,
-    is_ic_free,
     matching_weight,
     mwm,
     potential,
@@ -236,29 +234,6 @@ class TestRuns:
         assert len(runs) == 1
         assert runs[0].circular
         assert len(runs[0].internal_rows) == 3
-
-
-class TestSegmentClassification:
-    def test_ic_free_and_framed(self):
-        genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
-        members = [
-            next(i for i, c in enumerate(cands) if c.g.name == nm)
-            for nm in ("a", "b", "c")
-        ]
-        assert is_ic_free(members, cands, genomes)
-        assert is_framed(members, cands, genomes)
-
-    def test_scattered_set_not_ic_free(self):
-        G = linear("G", [("a", 1), ("b", 1), ("c", 1)])
-        H = linear("H", [("a", 1), ("c", 1), ("b", 1)])
-        I = linear("I", [("a", 1), ("b", 1), ("c", 1)])
-        sigma = diagonal_sigma(["a", "b", "c"])
-        cands, _ = build_tables([G, H, I], sigma)
-        a = next(i for i, c in enumerate(cands) if c.g.name == "a")
-        b = next(i for i, c in enumerate(cands) if c.g.name == "b")
-        # a and b are not contiguous in H (c sits between them)
-        assert not is_ic_free([a, b], cands, [G, H, I])
 
 
 def gamma_prime(run, table):
