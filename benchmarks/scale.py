@@ -3,11 +3,14 @@
     python3 benchmarks/scale.py [--src LABEL=DIR ...] [-o OUT.json]
 
 Run from the root of a checkout.  Each case is one instance written by
-`perfbench/gen.py` (seed 5), with 200 to 5000 genes per genome, 1 to 8
-linear chromosomes and up to 20% gene families: the sizes and chromosome
-counts that the pool-sized benchmark in `perfbench/` does not reach, where
-the front end, the telomere triples or the gene families set the cost of a
-solve.  The CIRCULAR cases turn each genome's one chromosome circular, as
+`perfbench/gen.py` (seed 5 unless SEEDS names another), with 60 to 5000
+genes per genome, 1 to 8 linear chromosomes and up to 20% gene families:
+the sizes and chromosome counts that the pool-sized benchmark in
+`perfbench/` does not reach, where the front end, the telomere triples or
+the gene families set the cost of a solve.  In the EMPTIED case, 30% gene
+loss leaves linear chromosomes whose genes preprocessing discards, and
+the rows between the telomere triples at their two ends outnumber all
+others.  The CIRCULAR cases turn each genome's one chromosome circular, as
 in a bacterial genome, by rewriting the shape column of the generated
 genome file.  Every case is solved with ICF-SEG on and off, REPEAT times
 each, by a fresh `ffmedian solve` child process per solve with a 120 s
@@ -81,8 +84,11 @@ CASES = {
     "n4000_c2_fam0.2": Params(n=4000, chromosomes=2, family_rate=0.2),
     "n4000_c1_circular": Params(n=4000, chromosomes=1),
     "n4000_c1_circular_fam0.1": Params(n=4000, chromosomes=1, family_rate=0.1),
+    "n60_c8_loss0.3": Params(n=60, chromosomes=8, loss_rate=0.3),
 }
 CIRCULAR = {"n4000_c1_circular", "n4000_c1_circular_fam0.1"}
+EMPTIED = "n60_c8_loss0.3"
+SEEDS = {EMPTIED: 1}  # seed 1 empties chromosomes in all three genomes
 
 
 def circularize(path: str) -> None:
@@ -181,7 +187,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for name in CASES:
-            files = write_instance(CASES[name], SEED, str(work / name))
+            files = write_instance(CASES[name], SEEDS.get(name, SEED), str(work / name))
             if name in CIRCULAR:
                 circularize(files["genomes"])
             for icf_seg in (True, False):
@@ -222,6 +228,7 @@ def main(argv=None) -> int:
     payload = {
         "sources": list(trees),
         "seed": SEED,
+        "seeds": SEEDS,
         "repeat": REPEAT,
         "time_limit_s": TIME_LIMIT,
         "versions": versions(),

@@ -29,7 +29,9 @@ The `solve` report, `median.json`, is one line of JSON with sorted keys
   cars         {"shape", "genes": [[index into `genes`, "+" or "-"], ...]}
   counts       sizes of the instance and of the median
   stats        counters that explain the run: "telomere_triples" among the
-               candidates, "solve_rows" handed to the solve, ICF-SEG's runs
+               candidates, "solve_rows" handed to the solve, "solve_caps",
+               the cap and y columns that stand for its telomere triples in
+               the program HiGHS solves (`solver`), ICF-SEG's runs
                "examined", "accepted" and "skipped" at the conflict cap, and
                HiGHS's "nodes", "simplex_iterations", "dual_bound" and "gap"
                on that solve (0 and null without a HiGHS run)
@@ -283,6 +285,7 @@ def run_pipeline(args) -> tuple[int, dict]:
         "stats": {
             "telomere_triples": sum(c.is_telomere_triple for c in candidates),
             "solve_rows": len(solve_table),
+            "solve_caps": solution.caps,
             "icf_seg": {"examined": examined, "accepted": accepted_segments,
                         "skipped": skipped},
             "mip": {

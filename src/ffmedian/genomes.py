@@ -149,10 +149,6 @@ class Genome:
     def __contains__(self, gene: Gene) -> bool:
         return gene in self._occurrence
 
-    @property
-    def proper_genes(self) -> list[Gene]:
-        return sorted(g for g in self.genes if not g.is_telomere)
-
     def __repr__(self) -> str:
         return f"Genome({self.label!r}, {len(self.chromosomes)} chromosomes)"
 

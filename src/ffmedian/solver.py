@@ -6,28 +6,29 @@ one binary per conserved candidate adjacency (an adjacency needs both its
 genes chosen, and each candidate extremity carries at most one adjacency).
 The objective maximizes the conservation-weighted adjacency scores.
 
-`solve_branch_and_bound` hands the program to HiGHS's MIP solver in one
-call, in a two-block form: one row per extant gene over the selection
-binaries, and one row per candidate extremity that bounds the adjacencies
-there by the selection of its candidate.  That row replaces the paper's
-coupling and saturation rows, is tighter than both, and keeps the same
-integer points.  HiGHS presolve is off, because on this form it costs more
-than it saves.  So are the two MIP features that HiGHS (1.12, in scipy
-1.17) runs before the root LP, the feasibility-jump heuristic and symmetry
-detection: the root LP is already integral on 18 of the 24 perfbench pool
-models (colinear and paralog instances 0-11), and with both off the HiGHS
-time summed over those models went 576 -> 439 ms with the same optima
-(feasibility jump off alone: 487 ms, symmetry detection off alone: 573 ms,
-medians of 3).  Of the larger `benchmarks/scale.py` models, only n=200 c=6
-was seen to need them, its HiGHS time 1.62 s with them and 1.70 s
-without.  On a timeout the weight-order greedy selection competes
-with HiGHS's incumbent.  HiGHS is the extension module that scipy bundles,
-`scipy.optimize._highspy._core`.  The first solve that reaches HiGHS
-loads that one file, in about 10 ms, without importing `scipy.optimize`
-or `scipy.sparse`, whose imports take longer than the rest of a short
-`ffmedian` run.  The paper's own rows, a conflict row per extant gene, a
-coupling row per adjacency and a saturation row per candidate extremity,
-are written by `reference.export_lp`, which no solve imports.
+`solve_branch_and_bound` hands HiGHS's MIP solver, in one call, a capped
+form of it (`_Capped`).  Telomere triples, one telomere per genome in every
+combination, are interchangeable and get no columns.  A real extremity
+(m, e) gets one cap for its rows to telomere triples: the row to a triple
+that holds the telomere facing (m, e) in each genome of S, the union of
+those rows' masks.  Rows between two telomere triples, whose telomeres end
+a chromosome that preprocessing emptied in each genome of their mask S,
+become counts y_S.  Distinct chosen caps face distinct telomeres, none of
+which ends an emptied chromosome, so by Hall's theorem the caps and y_S get
+triples of their own exactly when each genome has the telomeres (caps +
+2 y) and the emptied chromosomes they need (Shao, Lin & Moret, JCB 2015;
+Bohnenkämper et al., JCB 2021).  So the capped program keeps the optimum,
+and `_Capped.table_rows` maps its point to table rows.  Each extremity row,
+`sum b at (m, e) - a_m <= 0`, stands for the paper's coupling and
+saturation rows: it is tighter than both, with the same integer points.
+HiGHS presolve is off, and so are feasibility jump and symmetry detection,
+which HiGHS 1.12 runs before the root LP: each costs more than it saves on
+these models (`BENCH_fixed_costs.json`).  On a timeout the weight-order
+greedy selection competes with HiGHS's point.  HiGHS is scipy's bundled
+extension `scipy.optimize._highspy._core`, loaded alone in about 10 ms,
+without `scipy.optimize` or `scipy.sparse`, whose imports take longer than
+the rest of a short `ffmedian` run.  The paper's own rows are written by
+`reference.export_lp`, which no solve imports.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
@@ -128,6 +129,7 @@ class MedianSolution:
         self.simplex_iterations = simplex_iterations
         self.dual_bound = dual_bound  # HiGHS's bound on the objective, or None
         self.gap = gap  # HiGHS's relative gap, or None
+        self.caps = 0  # the cap and y columns handed to HiGHS
 
 
 def verify_solution(
@@ -365,36 +367,124 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     )
 
 
-def _mip_rows(model: IlpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The two row blocks over the columns [candidates, adjacencies].
+class _Capped:
+    """The capped program of a table in compressed-column form (entries
+    sorted by column, then row).  Columns: a selection per real candidate;
+    one per row between two of them; a cap per real extremity (m, e) with
+    telomere rows, of weight triple(m)^(1/6) |S|; each y_S in unary, as
+    binaries of weight |S|.  Rows: per extant gene, its selections <= 1;
+    per real extremity, its rows and cap <= the selection of m; caps + 2 y
+    <= the fewest telomeres of a genome; per genome X, the y with X in S <=
+    X's emptied chromosomes; each y_S binary <= the one before it."""
 
-    One row per extant gene: its candidates take at most one selection.
-    One row per candidate extremity (m, e) carrying an adjacency: the
-    adjacencies there sum to at most a_m.  Returns the matrix in
-    compressed-column form, entries sorted by (column, row), and the
-    right-hand sides.
-    """
-    table = model.table
-    n_a, n_b = model.n_a, model.n_b
-    gene_num: dict[Gene, int] = {}
-    cand_gene = np.array(
-        [gene_num.setdefault(g, len(gene_num)) for c in table.candidates for g in c.genes],
-        dtype=np.int64,
-    )
-    ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
-    ext, ext_row = np.unique(ext_keys.astype(np.int64), return_inverse=True)
-    n_genes = len(gene_num)
-    rows = np.concatenate([cand_gene, n_genes + ext_row, n_genes + np.arange(ext.size)])
-    cols = np.concatenate([
-        np.repeat(np.arange(n_a), 3),
-        n_a + np.tile(np.arange(n_b), 2),
-        ext // 3,
-    ])
-    vals = np.concatenate([np.ones(3 * n_a + 2 * n_b), -np.ones(ext.size)])
-    order = np.lexsort((rows, cols))
-    start = np.searchsorted(cols[order], np.arange(n_a + n_b + 1))
-    rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size)])
-    return start, rows[order], vals[order], rhs
+    def __init__(self, table: ConservedAdjacencyTable):
+        cands = table.candidates
+        telomeric = [c.g.is_telomere for c in cands]
+        real = [m for m, t in enumerate(telomeric) if not t]
+        self.tri = tri = [m for m, t in enumerate(telomeric) if t]
+        gene_num: dict[Gene, int] = {}
+        cand_gene = [gene_num.setdefault(g, len(gene_num)) for m in real for g in cands[m].genes]
+        # per genome, each telomere triple's telomere, numbered in name order
+        self.code = code = np.full((len(cands), 3), -1, dtype=np.int64)
+        for x in range(3):
+            code[tri, x] = np.unique([cands[m][x].name for m in tri], return_inverse=True)[1]
+        self.telomeres = (code.max(axis=0, initial=-1) + 1).tolist()
+        m1, m2, mask = table.m1, table.m2, table.mask
+        end1, end2 = m1 * 3 + table.e1, m2 * 3 + table.e2
+        t1, t2 = code[m1, 0] >= 0, code[m2, 0] >= 0
+        self.inner = inner = np.nonzero(~(t1 | t2))[0]
+        mixed, tt = np.nonzero(t1 != t2)[0], np.nonzero(t1 & t2)[0]
+        self.cap_ext, first, cap_of = np.unique(
+            np.where(t1, end2, end1)[mixed], return_index=True, return_inverse=True
+        )
+        cap_mask = np.zeros(self.cap_ext.size, dtype=np.int64)
+        np.bitwise_or.at(cap_mask, cap_of, mask[mixed])
+        # per genome, the telomere each cap faces (-1: none) and each
+        # telomere's partner on an emptied chromosome (-1: none)
+        self.forced = np.full((self.cap_ext.size, 3), -1, dtype=np.int64)
+        self.partner = [np.full(n, -1, dtype=np.int64) for n in self.telomeres]
+        for x, partner in enumerate(self.partner):
+            on = mask[mixed] >> x & 1 == 1
+            self.forced[cap_of[on], x] = code[np.where(t1, m1, m2)[mixed[on]], x]
+            on = tt[mask[tt] >> x & 1 == 1]
+            partner[code[m1[on], x]], partner[code[m2[on], x]] = code[m2[on], x], code[m1[on], x]
+        emptied = [int((p >= 0).sum()) // 2 for p in self.partner]
+        room = min(self.telomeres)
+        seen = np.bincount(mask[tt], minlength=8)
+        masks = [s for s in range(1, 8) if seen[s]]
+        copies = [min(room // 2, *(emptied[x] for x in range(3) if s >> x & 1)) for s in masks]
+        self.y_mask = y_mask = np.repeat(np.array(masks, dtype=np.int64), copies)
+
+        n_r, n_in, n_cap, n_genes = len(real), inner.size, self.cap_ext.size, len(gene_num)
+        self.split = (n_r, n_r + n_in, n_r + n_in + n_cap)
+        ext, ext_row = np.unique(np.concatenate([end1[inner], end2[inner], self.cap_ext]),
+                                 return_inverse=True)
+        col_of = np.zeros(len(cands), dtype=np.int64)
+        col_of[real] = np.arange(n_r)
+        caps = np.arange(n_r + n_in, self.split[2])
+        ys = self.split[2] + np.arange(y_mask.size)
+        room_row = n_genes + ext.size
+        chain = np.nonzero(y_mask[1:] == y_mask[:-1])[0]
+        chain_row = room_row + 4 + np.arange(chain.size)
+        blocks = [  # (rows, columns, value)
+            (np.array(cand_gene, dtype=np.int64), np.repeat(np.arange(n_r), 3), 1.0),
+            (n_genes + ext_row, np.concatenate([n_r + np.tile(np.arange(n_in), 2), caps]), 1.0),
+            (n_genes + np.arange(ext.size), col_of[ext // 3], -1.0),
+            (room_row, caps, 1.0),
+            (room_row, ys, 2.0),
+            *((room_row + 1 + x, ys[y_mask >> x & 1 == 1], 1.0) for x in range(3)),
+            (chain_row, ys[chain + 1], 1.0),
+            (chain_row, ys[chain], -1.0),
+        ]
+        rows = np.concatenate([np.broadcast_to(r, c.shape) for r, c, _ in blocks])
+        cols = np.concatenate([c for _, c, _ in blocks])
+        order = np.lexsort((rows, cols))
+        self.start = np.searchsorted(cols[order], np.arange(ys.size + self.split[2] + 1))
+        self.index = rows[order]
+        self.value = np.concatenate([np.full(c.size, v) for _, c, v in blocks])[order]
+        self.rhs = np.concatenate(
+            [np.ones(n_genes), np.zeros(ext.size), [room, *emptied], np.zeros(chain.size)]
+        )
+        self.cost = -np.concatenate([
+            np.zeros(n_r), table.weight[inner],
+            table.factor[mixed[first]] * np.bitwise_count(cap_mask.astype(np.uint8)),
+            np.bitwise_count(y_mask.astype(np.uint8)),
+        ])
+        self.table = table
+
+    def table_rows(self, point: np.ndarray) -> tuple[int, ...]:
+        """The table rows of a 0-1 point: its rows between real candidates,
+        and a telomere triple's row for each cap and two triples' row for
+        each y binary.  A cap takes the telomeres its mask forces, and y_S
+        an unused emptied chromosome in each genome of S; each genome then
+        hands out its other telomeres in name order, to the y first.
+        """
+        on = point > 0.5
+        n_r, n_rows, n_caps = self.split
+        caps = np.nonzero(on[n_rows:n_caps])[0]
+        ends = [self.forced[c].tolist() for c in caps]
+        pairs = [(s, [-1] * 3, [-1] * 3) for s in self.y_mask[on[n_caps:]].tolist()]
+        slots = [t for _, *tu in pairs for t in tu] + ends
+        for x, partner in enumerate(p.tolist() for p in self.partner):
+            chromosomes = iter([t for t, p in enumerate(partner) if p > t])
+            for s, t, u in pairs:
+                if s >> x & 1:
+                    t[x] = next(chromosomes)
+                    u[x] = partner[t[x]]
+            free = iter(sorted(set(range(self.telomeres[x])) - {t[x] for t in slots}))
+            for t in slots:
+                if t[x] < 0:
+                    t[x] = next(free)
+        end = {tuple(t): 3 * m + 2 for m, t in zip(self.tri, self.code[self.tri].tolist())}
+        links = [(e, end[tuple(t)]) for e, t in zip(self.cap_ext[caps].tolist(), ends)]
+        links += [(end[tuple(t)], end[tuple(u)]) for _, t, u in pairs]
+        table = self.table
+        keys = (table.m1 * 3 + table.e1) << 32 | (table.m2 * 3 + table.e2)
+        wanted = np.array([min(link) << 32 | max(link) for link in links], dtype=np.int64)
+        found = np.searchsorted(keys, wanted)
+        if not np.array_equal(keys[np.minimum(found, len(table) - 1)], wanted):
+            raise SolverError("a cap or emptied chromosome has no row in the table")
+        return tuple(sorted(self.inner[on[n_r:n_rows]].tolist() + found.tolist()))
 
 
 def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
@@ -433,22 +523,14 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
 def solve_branch_and_bound(
     model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP run.
-
-    The rows are the two blocks of `_mip_rows`.  Its extremity row
-    `sum b at (m, e) - a_m <= 0` merges the paper's coupling rows
-    (`2b - a1 - a2 <= 0`) and saturation rows (`sum b <= 1`) into one row
-    that is tighter than both and has the same integer points; the paper's
-    rows, as `reference.export_lp` writes them, give one coupling row per
-    adjacency and a far larger, slower model.  HiGHS presolve is off: on this form it
-    costs more than it saves, up to seconds on the MIS-reduction instances.
+    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP run
+    on the capped program, `_Capped` (see the module docstring).
 
     HiGHS's `kOptimal` gives `optimal`.  When the time limit strikes
     (`kTimeLimit`) the result is `feasible`: the incumbent is the better of
-    HiGHS's point and the weight-order greedy selection, which is far better
-    than HiGHS's first points on telomere-heavy instances, and the bound is
-    HiGHS's dual bound, or the total weight when HiGHS has none.  Any other
-    status raises `SolverError` with HiGHS's status string.
+    HiGHS's point and the weight-order greedy selection, and the bound is
+    HiGHS's dual bound, or the capped program's total weight when HiGHS has
+    none.  Any other status raises `SolverError` with HiGHS's status string.
 
     `time_limit` counts from this call, so the first load of HiGHS and the
     row build come out of the budget HiGHS gets.
@@ -461,37 +543,36 @@ def solve_branch_and_bound(
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ())
 
     highs = _import_scipy()
-    start, index, coeffs, rhs = _mip_rows(model)
+    program = _Capped(table)
     limit = None
     if time_limit is not None:
         # HiGHS ignores a negative limit, so a spent budget becomes 0
         limit = max(0.0, float(time_limit) - (time.monotonic() - started))
-    cost = np.concatenate([np.zeros(model.n_a), -table.weight])
-    res = linprog(highs, cost, start, index, coeffs, rhs, limit)
+    res = linprog(highs, program.cost, program.start, program.index, program.value,
+                  program.rhs, limit)
     dual_bound = -res.dual_bound
     log.info(
         "HiGHS MIP: %s, %d nodes, gap %s, dual bound %s",
         res.message, res.nodes, res.gap, dual_bound,
     )
-    rows: tuple[int, ...] = ()
-    if res.x is not None:
-        rows = tuple(int(k) for k in np.nonzero(res.x[model.n_a :] > 0.5)[0])
+    rows = () if res.x is None else program.table_rows(res.x)
     value = float(np.sum(table.weight[list(rows)]))
     if res.status == highs.HighsModelStatus.kOptimal:
-        return _finish(model, STATUS_OPTIMAL, value, value, rows, res)
+        return _finish(model, STATUS_OPTIMAL, value, value, rows, res, program)
     if res.status != highs.HighsModelStatus.kTimeLimit:
         raise SolverError(f"HiGHS MIP failed: {res.message}")
     greedy_value, greedy_rows = _greedy_incumbent(model)
     if greedy_value > value:
         value, rows = greedy_value, greedy_rows
-    bound = dual_bound if np.isfinite(dual_bound) else float(np.sum(table.weight))
+    bound = dual_bound if np.isfinite(dual_bound) else -float(np.sum(program.cost))
     # HiGHS's dual bound holds only up to its tolerances
-    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
+    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res, program)
 
 
-def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
+def _finish(model, status, value, bound, rows, res=None, program=None) -> MedianSolution:
     """The verified solution of `rows`, with the counters of the HiGHS run
-    `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
+    `res` of `program` when there was one; a non-finite HiGHS bound or gap
+    becomes None."""
     solution = MedianSolution(
         status=status,
         objective=float(value),
@@ -506,5 +587,6 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
             solution.dual_bound = -res.dual_bound
         if np.isfinite(res.gap):
             solution.gap = res.gap
+        solution.caps = program.cost.size - program.split[1]
     verify_solution(model.table, solution.row_indices, solution.objective)
     return solution

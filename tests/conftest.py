@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ffmedian.candidates import enumerate_candidates, enumerate_conserved_adjacencies
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.solver import verify_solution
 
 
 def linear(label, entries, chrom="c1"):
@@ -146,19 +150,22 @@ def build_tables(genomes, sigma):
     return cands, table
 
 
-def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I")):
+def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I"),
+                     emptied=(0, 0, 0)):
     """Three genomes evolved from one ancestor, with their similarities.
 
     Each genome copies each ancestral gene as a paralog with probability
     `family_rate`, undergoes n/10 inversions, loses 5% of its genes and
     gains n/20 genes of its own, then is cut into `chromosomes` linear
-    chromosomes.  Orthologs and family members score U(0.4, 1); n/10
-    random pairs score U(0.2, 0.6); n/20 pairs name genes no genome has.
+    chromosomes.  Genome x then gains `emptied[x]` linear chromosomes of one
+    gene that resembles nothing, so that preprocessing empties them.
+    Orthologs and family members score U(0.4, 1); n/10 random pairs score
+    U(0.2, 0.6); n/20 pairs name genes no genome has.
     """
     rng = random.Random(seed)
     names = [f"a{k:03d}" for k in range(n)]
     genomes, contents = [], {}
-    for label in labels:
+    for x, label in enumerate(labels):
         order = [(name, 1) for name in names]
         for name in names:
             if rng.random() < family_rate:
@@ -175,7 +182,8 @@ def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I")):
             build_genome(
                 label,
                 [(f"c{k}", "linear", order[bounds[k] : bounds[k + 1]])
-                 for k in range(chromosomes)],
+                 for k in range(chromosomes)]
+                + [(f"e{k}", "linear", [(f"e{label}{k}", 1)]) for k in range(emptied[x])],
             )
         )
         contents[label] = [name for name, _ in order]
@@ -197,3 +205,50 @@ def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I")):
             for k in range(n // 20):
                 sigma.set(Gene(lx, f"gone{k}"), Gene(ly, rng.choice(contents[ly])), 0.5)
     return genomes, sigma
+
+
+def milp_objective(table) -> float:
+    """Optimum of the full 0-1 program by HiGHS's MILP solver.
+
+    The rows are those `export_lp` writes: one conflict row per extant gene,
+    one coupling row per adjacency, one saturation row per candidate
+    extremity.
+    """
+    cands = table.candidates
+    n_a, n_b = len(cands), len(table)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def row(entries, limit):
+        for col, val in entries:
+            rows.append(len(rhs))
+            cols.append(col)
+            vals.append(val)
+        rhs.append(limit)
+
+    by_gene, by_ext = {}, {}
+    for i, cand in enumerate(cands):
+        for gene in cand.genes:
+            by_gene.setdefault(gene, []).append(i)
+    for members in by_gene.values():
+        row([(i, 1.0) for i in members], 1.0)
+    for k in range(n_b):
+        m1, e1, m2, e2 = table.key(k)
+        row([(n_a + k, 2.0), (m1, -1.0), (m2, -1.0)], 0.0)
+        by_ext.setdefault((m1, e1), []).append(k)
+        by_ext.setdefault((m2, e2), []).append(k)
+    for incident in by_ext.values():
+        row([(n_a + k, 1.0) for k in incident], 1.0)
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n_a + n_b))
+    res = milp(
+        np.concatenate([np.zeros(n_a), -np.asarray(table.weight)]),
+        constraints=LinearConstraint(matrix, -np.inf, rhs),
+        integrality=np.ones(n_a + n_b),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0
+    chosen = np.nonzero(res.x[n_a:] > 0.5)[0]
+    assert set(table.genes(chosen)) <= set(np.nonzero(res.x[:n_a] > 0.5)[0].tolist())
+    value = float(np.sum(table.weight[chosen]))
+    verify_solution(table, chosen, value)
+    return value

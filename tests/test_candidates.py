@@ -341,7 +341,7 @@ class TestPreprocess:
         g, h, i, report = preprocess_discard_nonclique(G, H, I, SimilarityGraph())
         assert report == {"G": ["a", "b"], "H": ["a", "b"], "I": ["a", "b"]}
         for genome in (g, h, i):
-            assert genome.proper_genes == []
+            assert [g for g in genome.genes if not g.is_telomere] == []
             assert len(adjacencies(genome)) == 1  # the two telomeres joined
 
     def test_interior_splice_recovers_adjacency(self):

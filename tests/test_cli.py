@@ -34,16 +34,16 @@ ICF_SEG_DIGESTS = [
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
-    "solve": "eb88ac21202ab1e1315daaf17870f00f86abc05a82e29da7f8fcc8cb0942875d",
+    "solve": "d3779b64d67ddbe4e9276624eecfe5b821995870d4f71073879fcf4cd6047072",
 }
 
 # SHA-256 of the default `solve --canonical` report, without ICF-SEG, on the
 # same instance
-PLAIN_SOLVE_DIGEST = "3826ec9b560b4378478c09510f3596bc212aef1c500824f9ab6f45fde8f0da36"
+PLAIN_SOLVE_DIGEST = "23420ec86488c40c56c46270df0ec5e38fd48071c49578f9b5a50d1f69975e00"
 
 # SHA-256 of the schema-1 `solve --canonical --icf-seg` report on the same
 # instance
-SOLVE_V1_DIGEST = "710795c61686759f7c0de40a1f6089e3cbbffb5f7f9ea0d783ff49f50fd42a9d"
+SOLVE_V1_DIGEST = "731aeac68467882ff4f9d35f9dea3708a6af6f0a1419df9a41afec5310636517"
 
 
 def write_files(tmp_path, genomes, sigma):

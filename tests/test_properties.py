@@ -1,17 +1,25 @@
-"""Property tests of the exact solve on random small circular instances.
+"""Property tests of the exact solve on random small instances.
 
 Hypothesis draws instances of the `random_small_instance` kind: three
 genomes of one circular chromosome over the same 2-5 gene names, shuffled
 and randomly oriented, with most same-name similarities and a few paralog
 ones.  Circular genomes have no telomere triples, so the instances with at
-most 12 candidates stay within the oracle's cap.
+most 12 candidates stay within the oracle's cap.  The linear instances,
+1-3 chromosomes per genome with lost genes, have telomere triples beyond
+that cap and, where preprocessing empties a chromosome, rows between two
+telomere triples; their reference optimum comes from a MILP solver on the
+paper's rows (`conftest.milp_objective`).
 """
 from collections import Counter
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ffmedian.candidates import enumerate_candidates, enumerate_conserved_adjacencies
+from ffmedian.candidates import (
+    enumerate_candidates,
+    enumerate_conserved_adjacencies,
+    preprocess_discard_nonclique,
+)
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
 from ffmedian.reference import brute_force_median
 from ffmedian.segments import icf_seg
@@ -22,6 +30,8 @@ from ffmedian.solver import (
     cars_from_rows,
     solve_branch_and_bound,
 )
+
+from conftest import milp_objective
 
 PAIRS = (("G", "H"), ("G", "I"), ("H", "I"))
 WEIGHTS = st.integers(200, 1000).map(lambda w: w / 1000)
@@ -61,6 +71,37 @@ def circular_instances(draw):
     return genomes, candidates, enumerate_conserved_adjacencies(candidates, *genomes)
 
 
+@st.composite
+def linear_instances(draw):
+    """Three genomes of 1-3 linear chromosomes over the same 2-5 positions.
+    A genome loses the gene at a position with chance 1/4 and has a gene of
+    its own there, which resembles nothing; preprocessing splices those
+    genes out, and the genes lost elsewhere, so a chromosome can end up
+    empty, its two telomeres facing each other."""
+    names = [f"x{k}" for k in range(draw(st.integers(2, 5)))]
+    genomes = []
+    for label in "GHI":
+        order = draw(st.permutations(names))
+        entries = [
+            (name if draw(st.integers(0, 3)) else f"z{label}{k}", draw(st.sampled_from((1, -1))))
+            for k, name in enumerate(order)
+        ]
+        cuts = draw(st.sets(st.integers(1, len(names) - 1), max_size=2))
+        bounds = [0, *sorted(cuts), len(names)]
+        genomes.append(build_genome(label, [
+            (f"c{k}", "linear", entries[bounds[k] : bounds[k + 1]]) for k in range(len(bounds) - 1)
+        ]))
+    sigma = SimilarityGraph()
+    for name in names:
+        for a, b in PAIRS:
+            sigma.set(Gene(a, name), Gene(b, name), draw(WEIGHTS))
+    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    candidates = enumerate_candidates(*genomes, sigma)
+    table = enumerate_conserved_adjacencies(candidates, *genomes)
+    assume(len(table) <= 300)  # the MILP on the paper's rows slows down beyond
+    return genomes, candidates, table
+
+
 def _car_links(candidates, car):
     """The extremity pairs that join consecutive members of a CAR."""
     members = list(car.members)
@@ -68,6 +109,10 @@ def _car_links(candidates, car):
     for (m, o), (n, p) in steps:
         exit_end = 1 if o == 1 else 0  # forward leaves through the head
         entry_end = 0 if p == 1 else 1  # forward enters at the tail
+        if candidates[m].is_telomere_triple:  # a telomere triple has one end
+            exit_end = candidates[m].ends[0]
+        if candidates[n].is_telomere_triple:
+            entry_end = candidates[n].ends[0]
         yield frozenset({(m, exit_end), (n, entry_end)})
 
 
@@ -84,8 +129,28 @@ def test_solve_equals_oracle_with_a_valid_bound(instance):
 
 
 @SETTINGS
+@given(linear_instances())
+def test_linear_solve_equals_milp(instance):
+    genomes, candidates, table = instance
+    solution = solve_branch_and_bound(build_ilp(table))
+    assert solution.status == STATUS_OPTIMAL
+    assert abs(solution.objective - milp_objective(table)) <= GRID
+    assert abs(solution.bound - solution.objective) <= GRID
+
+
+@SETTINGS
 @given(circular_instances())
 def test_every_chosen_row_appears_once_in_the_cars(instance):
+    _check_cars(instance)
+
+
+@SETTINGS
+@given(linear_instances())
+def test_linear_cars_hold_every_chosen_row_once(instance):
+    _check_cars(instance)
+
+
+def _check_cars(instance):
     genomes, candidates, table = instance
     solution = solve_branch_and_bound(build_ilp(table))
     cars = cars_from_rows(table, solution.row_indices)
@@ -107,3 +172,12 @@ def test_icf_seg_then_solve_equals_a_plain_solve(instance):
     segments = icf_seg(genomes[0], table)
     reduced = solve_branch_and_bound(build_ilp(segments.reduced_table()))
     assert abs(segments.accepted_weight + reduced.objective - plain.objective) <= GRID
+
+
+@SETTINGS
+@given(linear_instances())
+def test_linear_icf_seg_then_solve_equals_milp(instance):
+    genomes, candidates, table = instance
+    segments = icf_seg(genomes[0], table)
+    reduced = solve_branch_and_bound(build_ilp(segments.reduced_table()))
+    assert abs(segments.accepted_weight + reduced.objective - milp_objective(table)) <= GRID

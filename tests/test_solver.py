@@ -8,7 +8,6 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ffmedian import solver
 from ffmedian.candidates import (
@@ -46,13 +45,14 @@ from conftest import (
     evolved_instance,
     identical_genomes,
     linear,
+    milp_objective,
     random_blockish_instance,
     random_small_instance,
 )
 from test_matching import blossom
 
-# optimum of evolved_instance(5, 120, 6, 0.0), proven by an untimed solve
-OPTIMUM_5_120_6 = 148.24905413225594
+# optimum of evolved_instance(6, 400, 2, 0.6), proven by an untimed solve
+OPTIMUM_6_400_2 = 433.9741946474661
 
 
 def empty_table():
@@ -219,10 +219,10 @@ class TestSolve:
         ids=["between-cut-rounds", "at-the-first-node"],
     )
     def test_deadline_holds_at_the_root(self, time_limit):
-        # 1833 candidates, 1728 of them telomere triples: HiGHS solves this
-        # at its root node in a few seconds.  After 0.3 s it holds no root LP
-        # bound and no good point; after 1.5 s it is separating cuts.
-        genomes, sigma = evolved_instance(5, 120, 6, 0.0)
+        # 8237 rows, with gene families on 60% of the genes: HiGHS solves
+        # this at its root node in about 20 s.  After 0.3 s it holds no root
+        # LP bound and no good point; after 1.5 s it is still at the root.
+        genomes, sigma = evolved_instance(6, 400, 2, 0.6)
         cands, table = build_tables(genomes, sigma)
         model = build_ilp(table)
         greedy_value, _ = solver._greedy_incumbent(model)
@@ -233,103 +233,110 @@ class TestSolve:
         assert limited.nodes_explored == 0
         assert limited.objective >= greedy_value
         assert limited.objective <= limited.bound
-        assert limited.bound >= OPTIMUM_5_120_6 - GRID
+        assert limited.bound >= OPTIMUM_6_400_2 - GRID
 
 
 def _scipy_mip_rows(model):
-    """Reference for `solver._mip_rows`: the same (row, column, value)
-    entries as a scipy.sparse CSR matrix, converted to CSC."""
+    """Reference for `solver._Capped`: the capped program's entries, built
+    by plain loops over the table into a scipy.sparse CSR matrix and
+    converted to CSC, with its right-hand sides and costs."""
     table = model.table
-    n_a, n_b = model.n_a, model.n_b
-    gene_num = {}
-    cand_gene = [gene_num.setdefault(g, len(gene_num)) for c in table.candidates for g in c.genes]
-    ext_keys = np.concatenate([table.m1 * 3 + table.e1, table.m2 * 3 + table.e2])
-    ext, ext_row = np.unique(ext_keys.astype(np.int64), return_inverse=True)
-    n_genes = len(gene_num)
-    rows = np.concatenate([cand_gene, n_genes + ext_row, n_genes + np.arange(ext.size)])
-    cols = np.concatenate(
-        [np.repeat(np.arange(n_a), 3), n_a + np.tile(np.arange(n_b), 2), ext // 3]
-    )
-    vals = np.concatenate([np.ones(3 * n_a + 2 * n_b), -np.ones(ext.size)])
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_genes + ext.size, n_a + n_b))
-    rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size)])
-    return sp.csc_array(matrix), rhs
+    cands = table.candidates
+    real = [m for m, c in enumerate(cands) if not c.is_telomere_triple]
+    column = {m: j for j, m in enumerate(real)}
+    entries = []  # (row, column, value)
+    gene_row = {}
+    for m in real:
+        for gene in cands[m].genes:
+            entries.append((gene_row.setdefault(gene, len(gene_row)), column[m], 1.0))
+    inner, cap_mask, cap_weight, y_masks = [], {}, {}, set()
+    facing = [set(), set(), set()]  # per genome, the telomeres of emptied chromosomes
+    for k in range(len(table)):
+        m1, e1, m2, e2 = table.key(k)
+        mask = int(table.mask[k])
+        tel1, tel2 = cands[m1].is_telomere_triple, cands[m2].is_telomere_triple
+        if not tel1 and not tel2:
+            inner.append(k)
+        elif tel1 and tel2:
+            y_masks.add(mask)
+            for x in range(3):
+                if mask >> x & 1:
+                    facing[x] |= {cands[m1].genes[x], cands[m2].genes[x]}
+        else:
+            ext = (m2, e2) if tel1 else (m1, e1)
+            cap_mask[ext] = cap_mask.get(ext, 0) | mask
+            factor = cands[ext[0]].triple_score ** (1 / 6)
+            cap_weight[ext] = factor * bin(cap_mask[ext]).count("1")
+    telomeres = [len({c.genes[x] for c in cands if c.is_telomere_triple}) for x in range(3)]
+    emptied = [len(f) // 2 for f in facing]
+    room = min(telomeres)
+    caps = sorted(cap_mask)
+    y = []
+    for mask in sorted(y_masks):
+        copies = min([room // 2] + [emptied[x] for x in range(3) if mask >> x & 1])
+        y += [(mask, j) for j in range(copies)]
+    n_r, n_in = len(real), len(inner)
+    ext_rows = sorted({(m, e) for k in inner for m, e in (table.key(k)[:2], table.key(k)[2:])}
+                      | set(caps))
+    ext_row = {ext: len(gene_row) + j for j, ext in enumerate(ext_rows)}
+    for j, k in enumerate(inner):
+        m1, e1, m2, e2 = table.key(k)
+        entries += [(ext_row[(m1, e1)], n_r + j, 1.0), (ext_row[(m2, e2)], n_r + j, 1.0)]
+    for (m, e), row in ext_row.items():
+        entries.append((row, column[m], -1.0))
+    room_row = len(gene_row) + len(ext_rows)
+    for j, ext in enumerate(caps):
+        entries += [(ext_row[ext], n_r + n_in + j, 1.0), (room_row, n_r + n_in + j, 1.0)]
+    chain_row = room_row + 4
+    for j, (mask, copy) in enumerate(y):
+        col = n_r + n_in + len(caps) + j
+        entries.append((room_row, col, 2.0))
+        entries += [(room_row + 1 + x, col, 1.0) for x in range(3) if mask >> x & 1]
+        if copy:
+            entries += [(chain_row, col, 1.0), (chain_row, col - 1, -1.0)]
+            chain_row += 1
+    rows, cols, vals = zip(*entries)
+    shape = (chain_row, n_r + n_in + len(caps) + len(y))
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    rhs = [1.0] * len(gene_row) + [0.0] * len(ext_rows) + [room, *emptied]
+    rhs += [0.0] * (chain_row - room_row - 4)
+    cost = [0.0] * n_r + [-float(table.weight[k]) for k in inner]
+    cost += [-cap_weight[ext] for ext in caps] + [-bin(mask).count("1") for mask, _ in y]
+    return sp.csc_array(matrix), np.array(rhs), np.array(cost)
+
+
+def _check_mip_rows(genomes, sigma):
+    cands, table = build_tables(genomes, sigma)
+    program = solver._Capped(table)
+    matrix, rhs, cost = _scipy_mip_rows(build_ilp(table))
+    np.testing.assert_array_equal(program.start, matrix.indptr)
+    np.testing.assert_array_equal(program.index, matrix.indices)
+    np.testing.assert_array_equal(program.value, matrix.data)
+    np.testing.assert_array_equal(program.rhs, rhs)
+    np.testing.assert_allclose(program.cost, cost, rtol=1e-12)
+    return program
 
 
 @pytest.mark.parametrize(
     "seed, n, chromosomes, family_rate", [(21, 40, 2, 0.0), (26, 70, 1, 0.2), (51, 120, 2, 0.1)]
 )
 def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate):
-    cands, table = build_tables(*evolved_instance(seed, n, chromosomes, family_rate))
-    model = build_ilp(table)
-    start, index, value, rhs = solver._mip_rows(model)
-    matrix, reference_rhs = _scipy_mip_rows(model)
-    np.testing.assert_array_equal(start, matrix.indptr)
-    np.testing.assert_array_equal(index, matrix.indices)
-    np.testing.assert_array_equal(value, matrix.data)
-    np.testing.assert_array_equal(rhs, reference_rhs)
+    program = _check_mip_rows(*evolved_instance(seed, n, chromosomes, family_rate))
+    assert program.y_mask.size == 0
 
 
-def _milp_objective(table) -> float:
-    """Optimum of the full 0-1 program by HiGHS's MILP solver.
-
-    The rows are those `export_lp` writes: one conflict row per extant gene,
-    one coupling row per adjacency, one saturation row per candidate
-    extremity.
-    """
-    cands = table.candidates
-    n_a, n_b = len(cands), len(table)
-    rows, cols, vals, rhs = [], [], [], []
-
-    def row(entries, limit):
-        for col, val in entries:
-            rows.append(len(rhs))
-            cols.append(col)
-            vals.append(val)
-        rhs.append(limit)
-
-    by_gene, by_ext = {}, {}
-    for i, cand in enumerate(cands):
-        for gene in cand.genes:
-            by_gene.setdefault(gene, []).append(i)
-    for members in by_gene.values():
-        row([(i, 1.0) for i in members], 1.0)
-    for k in range(n_b):
-        m1, e1, m2, e2 = table.key(k)
-        row([(n_a + k, 2.0), (m1, -1.0), (m2, -1.0)], 0.0)
-        by_ext.setdefault((m1, e1), []).append(k)
-        by_ext.setdefault((m2, e2), []).append(k)
-    for incident in by_ext.values():
-        row([(n_a + k, 1.0) for k in incident], 1.0)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n_a + n_b))
-    res = milp(
-        np.concatenate([np.zeros(n_a), -np.asarray(table.weight)]),
-        constraints=LinearConstraint(matrix, -np.inf, rhs),
-        integrality=np.ones(n_a + n_b),
-        bounds=Bounds(0, 1),
-        options={"mip_rel_gap": 0},
-    )
-    assert res.status == 0
-    chosen = np.nonzero(res.x[n_a:] > 0.5)[0]
-    assert set(table.genes(chosen)) <= set(np.nonzero(res.x[:n_a] > 0.5)[0].tolist())
-    value = float(np.sum(table.weight[chosen]))
-    verify_solution(table, chosen, value)
-    return value
+@pytest.mark.parametrize("seed, n, emptied", [(25, 8, (2, 1, 1)), (34, 12, (0, 1, 2))])
+def test_mip_rows_with_emptied_chromosomes_equal_the_scipy_sparse_build(seed, n, emptied):
+    genomes, sigma = evolved_instance(seed, n, 1, 0.0, emptied=emptied)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    assert _check_mip_rows(genomes, sigma).y_mask.size
 
 
-@pytest.mark.parametrize(
-    "seed, n, family_rate",
-    [(21, 40, 0.0), (22, 60, 0.1), (24, 100, 0.1), (26, 70, 0.2), (28, 90, 0.0)],
-)
-def test_optimum_matches_milp(seed, n, family_rate):
-    """Two linear chromosomes per genome give 64 telomere triples, beyond
-    the oracle's cap, so the reference optimum comes from a MILP solver."""
-    genomes, sigma = evolved_instance(seed, n, 2, family_rate)
+def _check_optimum(genomes, sigma):
     g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
     genomes = [g, h, i]
     cands, table = build_tables(genomes, sigma)
-    assert sum(c.is_telomere_triple for c in cands) == 64
-    reference = _milp_objective(table)
+    reference = milp_objective(table)
 
     plain = solve_branch_and_bound(build_ilp(table))
     assert plain.status == STATUS_OPTIMAL
@@ -339,6 +346,53 @@ def test_optimum_matches_milp(seed, n, family_rate):
     reduced = solve_branch_and_bound(build_ilp(segs.reduced_table()))
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
+    return cands, table
+
+
+@pytest.mark.parametrize(
+    "seed, n, family_rate",
+    [(21, 40, 0.0), (22, 60, 0.1), (24, 100, 0.1), (26, 70, 0.2), (28, 90, 0.0)],
+)
+def test_optimum_matches_milp(seed, n, family_rate):
+    """Two linear chromosomes per genome give 64 telomere triples, beyond
+    the oracle's cap, so the reference optimum comes from a MILP solver."""
+    cands, _ = _check_optimum(*evolved_instance(seed, n, 2, family_rate))
+    assert sum(c.is_telomere_triple for c in cands) == 64
+
+
+@pytest.mark.parametrize(
+    "seed, n, family_rate, emptied",
+    [(33, 10, 0.0, (2, 1, 0)), (34, 12, 0.1, (0, 1, 2)), (31, 6, 0.0, (1, 1, 1))],
+)
+def test_optimum_with_emptied_chromosomes_matches_milp(seed, n, family_rate, emptied):
+    """Chromosomes of one gene that resembles nothing, emptied by
+    preprocessing, give rows between two telomere triples: with one in
+    every genome, rows conserved in all three."""
+    _, table = _check_optimum(*evolved_instance(seed, n, 1, family_rate, emptied=emptied))
+    masks = {int(table.mask[k]) for k in range(len(table))
+             if table.candidates[table.m1[k]].is_telomere_triple
+             and table.candidates[table.m2[k]].is_telomere_triple}
+    assert masks == {s for s in range(1, 8) if all(emptied[x] for x in range(3) if s >> x & 1)}
+
+
+def test_capacity_row_binds():
+    """Each genome has two telomeres, and the best median without that
+    limit would end more than two CARs on telomere triples: the capacity
+    row cuts it back to the optimum of the paper's rows."""
+    genomes, sigma = evolved_instance(20, 20, 1, 0.0)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    cands, table = build_tables(genomes, sigma)
+    program = solver._Capped(table)
+    room_row = program.rhs.size - 4
+    assert program.rhs[room_row] == 2
+    highs = solver._import_scipy()
+    loose = program.rhs.copy()
+    loose[room_row] = 1000
+    res = solver.linprog(highs, program.cost, program.start, program.index, program.value, loose)
+    reference = milp_objective(table)
+    assert -res.x @ program.cost > reference + 0.1
+    solution = solve_branch_and_bound(build_ilp(table))
+    assert abs(solution.objective - reference) <= GRID
 
 
 class TestBruteForce:
