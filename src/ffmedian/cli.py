@@ -65,24 +65,22 @@ code 1.  argparse's exit on `-h`, `--version` or a usage error takes the
 same path with argparse's code.  An exception out of `main` takes the
 interpreter's normal exit.  `main` itself returns its exit code, for callers
 in the same process.  `main` builds the argument parser of the invoked
-subcommand alone, not all eight (`build_parser`): building and parsing a
-`solve` command line in a fresh process takes 3.7 ms against 4.8 ms with
-every parser, most of the rest being argparse's first use of gettext.
-Help, usage errors and exit codes stay the same.
+subcommand alone, not all eight (`build_parser`), with the same help,
+usage errors and exit codes.
 
 A `solve` process compiles and runs only the code a solve needs: of the
 package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
-`segments` with `--icf-seg`.  Where the package's sources are compiled in
+`segments` and `indexes` with `--icf-seg`.  Where the package's sources are compiled in
 every process, as they are without a writable bytecode cache, each line
 left out counts.  So the other seven subcommands live in `commands`, which
 `build_parser` imports only to build one of their parsers, and the paper's
 literal forms (its extremities, the LP export of its rows and the
-brute-force oracle) in `reference`, which `export-lp` and the tests import.
+brute-force oracle) in `reference`, which `export-lp` and the tests import,
+and the instance indexes that ICF-SEG and the LP export read in `indexes`.
 `icf_seg` here imports `segments` at its first call.  No class on the
-solve path is a dataclass, and none of its modules imports `dataclasses`:
-creating one dataclass took 0.5 to 1.9 ms at import.  The parsed `solve`
-command line is the run's one configuration: `run_pipeline` reads its
-settings straight off it.
+solve path is a dataclass, as creating one costs about a millisecond at
+import.  The parsed `solve` command line is the run's one configuration:
+`run_pipeline` reads its settings straight off it.
 """
 from __future__ import annotations
 

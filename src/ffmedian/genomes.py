@@ -18,7 +18,7 @@ different genomes, 0 between a telomere and a regular gene.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TAIL = "t"
 HEAD = "h"
@@ -283,11 +283,8 @@ class SimilarityGraph:
     telomere-gene pairs 0, and intra-genome queries 0 by convention.
     """
 
-    def __init__(self, scores: Mapping[tuple[Gene, Gene], float] | None = None):
+    def __init__(self):
         self._scores: dict[tuple[Gene, Gene], float] = {}
-        if scores:
-            for (x, y), value in scores.items():
-                self.set(x, y, value)
 
     def set(self, x: Gene, y: Gene, value: float) -> None:
         if x.genome == y.genome:

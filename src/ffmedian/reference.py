@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import ConflictIndex, ConservedAdjacencyTable, ExtremityIncidence
+from .candidates import ConservedAdjacencyTable
 from .genomes import ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end
+from .indexes import ConflictIndex, ExtremityIncidence
 from .solver import (
     GRID,
     STATUS_EMPTY,

@@ -56,8 +56,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .candidates import ConflictIndex, ConservedAdjacencyTable, ExtremityIncidence
+from .candidates import ConservedAdjacencyTable
 from .genomes import Gene, Genome, facing_end
+from .indexes import ConflictIndex, ExtremityIncidence
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)

@@ -19,16 +19,13 @@ triples of their own exactly when each genome has the telomeres (caps +
 2 y) and the emptied chromosomes they need (Shao, Lin & Moret, JCB 2015;
 Bohnenkämper et al., JCB 2021).  So the capped program keeps the optimum,
 and `_Capped.table_rows` maps its point to table rows.  Each extremity row,
-`sum b at (m, e) - a_m <= 0`, stands for the paper's coupling and
-saturation rows: it is tighter than both, with the same integer points.
-HiGHS presolve is off, and so are feasibility jump and symmetry detection,
-which HiGHS 1.12 runs before the root LP: each costs more than it saves on
-these models (`BENCH_fixed_costs.json`).  On a timeout the weight-order
-greedy selection competes with HiGHS's point.  HiGHS is scipy's bundled
-extension `scipy.optimize._highspy._core`, loaded alone in about 10 ms,
-without `scipy.optimize` or `scipy.sparse`, whose imports take longer than
-the rest of a short `ffmedian` run.  The paper's own rows are written by
-`reference.export_lp`, which no solve imports.
+`sum b at (m, e) - a_m <= 0`, is tighter than the paper's coupling and
+saturation rows, with the same integer points.  HiGHS presolve, feasibility
+jump and symmetry detection are off: each costs more than it saves on these
+models (`BENCH_fixed_costs.json`).  On a timeout the weight-order greedy
+selection competes with HiGHS's point.  HiGHS is scipy's extension
+`scipy.optimize._highspy._core`, loaded alone, without `scipy.optimize`.
+The paper's own rows are written by `reference.export_lp`.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
@@ -42,11 +39,9 @@ linear CAR is the lesser of its two readings, and a circular CAR starts at
 its smallest candidate, read `-`.
 
 The independent oracle, `reference.brute_force_median`, is an exhaustive
-search in plain Python that the tests run.  It and the rest of
-`reference` stay out of this module so that a solve compiles only the
-code it runs, and `IlpModel` and `MedianSolution` are plain classes, not
-dataclasses, whose creation at import cost about 0.5 and 1 ms of each
-solve's start-up.
+search in plain Python that the tests run.  It and the rest of `reference`
+stay out of this module, so that a solve compiles only the code it runs,
+and `IlpModel` and `MedianSolution` are plain classes, not dataclasses.
 """
 from __future__ import annotations
 
@@ -107,28 +102,18 @@ class Car(NamedTuple):
 class MedianSolution:
     """The chosen rows of `table`; the median genes are the candidates they join."""
 
-    def __init__(
-        self,
-        status: str,
-        objective: float,
-        bound: float,
-        row_indices: tuple[int, ...],
-        table: ConservedAdjacencyTable,
-        nodes_explored: int = 0,
-        simplex_iterations: int = 0,
-        dual_bound: float | None = None,
-        gap: float | None = None,
-    ):
+    def __init__(self, status: str, objective: float, bound: float,
+                 row_indices: tuple[int, ...], table: ConservedAdjacencyTable):
         self.status = status
         self.objective = objective
         self.bound = bound
         self.row_indices = row_indices
         self.table = table
-        # HiGHS's counters; zero and None when no MIP ran
-        self.nodes_explored = nodes_explored
-        self.simplex_iterations = simplex_iterations
-        self.dual_bound = dual_bound  # HiGHS's bound on the objective, or None
-        self.gap = gap  # HiGHS's relative gap, or None
+        # HiGHS's counters, which `solve_branch_and_bound` sets after a MIP run
+        self.nodes_explored = 0
+        self.simplex_iterations = 0
+        self.dual_bound: float | None = None  # HiGHS's bound on the objective
+        self.gap: float | None = None  # HiGHS's relative gap
         self.caps = 0  # the cap and y columns handed to HiGHS
 
 
@@ -373,25 +358,30 @@ class _Capped:
     one per row between two of them; a cap per real extremity (m, e) with
     telomere rows, of weight triple(m)^(1/6) |S|; each y_S in unary, as
     binaries of weight |S|.  Rows: per extant gene, its selections <= 1;
-    per real extremity, its rows and cap <= the selection of m; caps + 2 y
-    <= the fewest telomeres of a genome; per genome X, the y with X in S <=
-    X's emptied chromosomes; each y_S binary <= the one before it."""
+    per real extremity, its rows and cap <= the selection of m; per genome
+    X, the y with X in S <= X's emptied chromosomes; caps + 2 y <= the
+    fewest telomeres of a genome.  A row of the last two kinds is left out
+    when its coefficients sum to no more than its right side."""
 
     def __init__(self, table: ConservedAdjacencyTable):
         cands = table.candidates
-        telomeric = [c.g.is_telomere for c in cands]
-        real = [m for m, t in enumerate(telomeric) if not t]
-        self.tri = tri = [m for m, t in enumerate(telomeric) if t]
+        telomeric = np.array([c.g.is_telomere for c in cands], dtype=bool)
+        real, tri = np.nonzero(~telomeric)[0], np.nonzero(telomeric)[0]
         gene_num: dict[Gene, int] = {}
-        cand_gene = [gene_num.setdefault(g, len(gene_num)) for m in real for g in cands[m].genes]
-        # per genome, each telomere triple's telomere, numbered in name order
-        self.code = code = np.full((len(cands), 3), -1, dtype=np.int64)
+        cand_gene = [gene_num.setdefault(g, len(gene_num)) for m in real.tolist()
+                     for g in cands[m].genes]
+        # per genome, each telomere triple's telomere, numbered in name order,
+        # and per combination of telomeres the end of its telomere triple
+        code = np.full((len(cands), 3), -1, dtype=np.int64)
         for x in range(3):
-            code[tri, x] = np.unique([cands[m][x].name for m in tri], return_inverse=True)[1]
+            code[tri, x] = np.unique([cands[m][x].name for m in tri.tolist()],
+                                     return_inverse=True)[1]
         self.telomeres = (code.max(axis=0, initial=-1) + 1).tolist()
+        self.end = np.zeros(np.prod(self.telomeres), dtype=np.int64)
+        self.end[np.ravel_multi_index(code[tri].T, self.telomeres)] = 3 * tri + 2
         m1, m2, mask = table.m1, table.m2, table.mask
         end1, end2 = m1 * 3 + table.e1, m2 * 3 + table.e2
-        t1, t2 = code[m1, 0] >= 0, code[m2, 0] >= 0
+        t1, t2 = telomeric[m1], telomeric[m2]
         self.inner = inner = np.nonzero(~(t1 | t2))[0]
         mixed, tt = np.nonzero(t1 != t2)[0], np.nonzero(t1 & t2)[0]
         self.cap_ext, first, cap_of = np.unique(
@@ -399,23 +389,28 @@ class _Capped:
         )
         cap_mask = np.zeros(self.cap_ext.size, dtype=np.int64)
         np.bitwise_or.at(cap_mask, cap_of, mask[mixed])
-        # per genome, the telomere each cap faces (-1: none) and each
-        # telomere's partner on an emptied chromosome (-1: none)
+        # per genome, the telomere each cap faces (-1: none), each telomere's
+        # partner on an emptied chromosome (-1: none) and those chromosomes
         self.forced = np.full((self.cap_ext.size, 3), -1, dtype=np.int64)
-        self.partner = [np.full(n, -1, dtype=np.int64) for n in self.telomeres]
-        for x, partner in enumerate(self.partner):
+        self.partner, emptied = [], []
+        for x, n in enumerate(self.telomeres):
             on = mask[mixed] >> x & 1 == 1
             self.forced[cap_of[on], x] = code[np.where(t1, m1, m2)[mixed[on]], x]
             on = tt[mask[tt] >> x & 1 == 1]
+            partner = np.full(n, -1, dtype=np.int64)
             partner[code[m1[on], x]], partner[code[m2[on], x]] = code[m2[on], x], code[m1[on], x]
-        emptied = [int((p >= 0).sum()) // 2 for p in self.partner]
+            self.partner.append(partner)
+            emptied.append(int((partner >= 0).sum()) // 2)
         room = min(self.telomeres)
-        seen = np.bincount(mask[tt], minlength=8)
-        masks = [s for s in range(1, 8) if seen[s]]
-        copies = [min(room // 2, *(emptied[x] for x in range(3) if s >> x & 1)) for s in masks]
-        self.y_mask = y_mask = np.repeat(np.array(masks, dtype=np.int64), copies)
+        # y_S per mask S of those rows, in as many copies as S's genomes and
+        # the room allow; no np.unique here, which loads numpy.ma unless it
+        # returns an index
+        masks = np.nonzero(np.bincount(mask[tt], minlength=8))[0]
+        in_s = masks[:, None] >> np.arange(3) & 1 == 1
+        copies = np.minimum(np.where(in_s, emptied, room).min(axis=1), room // 2)
+        self.y_mask = y_mask = np.repeat(masks, copies)
 
-        n_r, n_in, n_cap, n_genes = len(real), inner.size, self.cap_ext.size, len(gene_num)
+        n_r, n_in, n_cap, n_genes = real.size, inner.size, self.cap_ext.size, len(gene_num)
         self.split = (n_r, n_r + n_in, n_r + n_in + n_cap)
         ext, ext_row = np.unique(np.concatenate([end1[inner], end2[inner], self.cap_ext]),
                                  return_inverse=True)
@@ -423,28 +418,27 @@ class _Capped:
         col_of[real] = np.arange(n_r)
         caps = np.arange(n_r + n_in, self.split[2])
         ys = self.split[2] + np.arange(y_mask.size)
-        room_row = n_genes + ext.size
-        chain = np.nonzero(y_mask[1:] == y_mask[:-1])[0]
-        chain_row = room_row + 4 + np.arange(chain.size)
         blocks = [  # (rows, columns, value)
             (np.array(cand_gene, dtype=np.int64), np.repeat(np.arange(n_r), 3), 1.0),
             (n_genes + ext_row, np.concatenate([n_r + np.tile(np.arange(n_in), 2), caps]), 1.0),
             (n_genes + np.arange(ext.size), col_of[ext // 3], -1.0),
-            (room_row, caps, 1.0),
-            (room_row, ys, 2.0),
-            *((room_row + 1 + x, ys[y_mask >> x & 1 == 1], 1.0) for x in range(3)),
-            (chain_row, ys[chain + 1], 1.0),
-            (chain_row, ys[chain], -1.0),
         ]
+        rhs, row = [np.ones(n_genes), np.zeros(ext.size)], n_genes + ext.size
+        for x in range(3):  # the count rows that can bind
+            if np.count_nonzero(y_mask >> x & 1) > emptied[x]:
+                blocks.append((row, ys[y_mask >> x & 1 == 1], 1.0))
+                rhs.append([emptied[x]])
+                row += 1
+        if caps.size + 2 * ys.size > room:
+            blocks += [(row, caps, 1.0), (row, ys, 2.0)]
+            rhs.append([room])
         rows = np.concatenate([np.broadcast_to(r, c.shape) for r, c, _ in blocks])
         cols = np.concatenate([c for _, c, _ in blocks])
         order = np.lexsort((rows, cols))
         self.start = np.searchsorted(cols[order], np.arange(ys.size + self.split[2] + 1))
         self.index = rows[order]
         self.value = np.concatenate([np.full(c.size, v) for _, c, v in blocks])[order]
-        self.rhs = np.concatenate(
-            [np.ones(n_genes), np.zeros(ext.size), [room, *emptied], np.zeros(chain.size)]
-        )
+        self.rhs = np.concatenate(rhs)
         self.cost = -np.concatenate([
             np.zeros(n_r), table.weight[inner],
             table.factor[mixed[first]] * np.bitwise_count(cap_mask.astype(np.uint8)),
@@ -462,25 +456,23 @@ class _Capped:
         on = point > 0.5
         n_r, n_rows, n_caps = self.split
         caps = np.nonzero(on[n_rows:n_caps])[0]
-        ends = [self.forced[c].tolist() for c in caps]
-        pairs = [(s, [-1] * 3, [-1] * 3) for s in self.y_mask[on[n_caps:]].tolist()]
-        slots = [t for _, *tu in pairs for t in tu] + ends
-        for x, partner in enumerate(p.tolist() for p in self.partner):
-            chromosomes = iter([t for t, p in enumerate(partner) if p > t])
-            for s, t, u in pairs:
-                if s >> x & 1:
-                    t[x] = next(chromosomes)
-                    u[x] = partner[t[x]]
-            free = iter(sorted(set(range(self.telomeres[x])) - {t[x] for t in slots}))
-            for t in slots:
-                if t[x] < 0:
-                    t[x] = next(free)
-        end = {tuple(t): 3 * m + 2 for m, t in zip(self.tri, self.code[self.tri].tolist())}
-        links = [(e, end[tuple(t)]) for e, t in zip(self.cap_ext[caps].tolist(), ends)]
-        links += [(end[tuple(t)], end[tuple(u)]) for _, t, u in pairs]
+        ys = self.y_mask[on[n_caps:]]
+        # the telomeres of the two triples of each y, then of each cap's triple
+        slots = np.concatenate([np.full((2 * ys.size, 3), -1), self.forced[caps]])
+        for x, partner in enumerate(self.partner):
+            held = 2 * np.nonzero(ys >> x & 1)[0]
+            left = np.nonzero(partner > np.arange(partner.size))[0][:held.size]
+            slots[held, x], slots[held + 1, x] = left, partner[left]
+            open_ = slots[:, x] < 0
+            free = np.ones(self.telomeres[x], dtype=bool)
+            free[slots[~open_, x]] = False
+            slots[open_, x] = np.nonzero(free)[0][:open_.sum()]
+        ends = self.end[np.ravel_multi_index(slots.T, self.telomeres)]
+        a = np.concatenate([ends[:2 * ys.size:2], self.cap_ext[caps]])
+        b = np.concatenate([ends[1:2 * ys.size:2], ends[2 * ys.size:]])
         table = self.table
         keys = (table.m1 * 3 + table.e1) << 32 | (table.m2 * 3 + table.e2)
-        wanted = np.array([min(link) << 32 | max(link) for link in links], dtype=np.int64)
+        wanted = np.minimum(a, b) << 32 | np.maximum(a, b)
         found = np.searchsorted(keys, wanted)
         if not np.array_equal(keys[np.minimum(found, len(table) - 1)], wanted):
             raise SolverError("a cap or emptied chromosome has no row in the table")
@@ -558,28 +550,25 @@ def solve_branch_and_bound(
     rows = () if res.x is None else program.table_rows(res.x)
     value = float(np.sum(table.weight[list(rows)]))
     if res.status == highs.HighsModelStatus.kOptimal:
-        return _finish(model, STATUS_OPTIMAL, value, value, rows, res, program)
-    if res.status != highs.HighsModelStatus.kTimeLimit:
+        solution = _finish(model, STATUS_OPTIMAL, value, value, rows, res)
+    elif res.status != highs.HighsModelStatus.kTimeLimit:
         raise SolverError(f"HiGHS MIP failed: {res.message}")
-    greedy_value, greedy_rows = _greedy_incumbent(model)
-    if greedy_value > value:
-        value, rows = greedy_value, greedy_rows
-    bound = dual_bound if np.isfinite(dual_bound) else -float(np.sum(program.cost))
-    # HiGHS's dual bound holds only up to its tolerances
-    return _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res, program)
+    else:
+        greedy_value, greedy_rows = _greedy_incumbent(model)
+        if greedy_value > value:
+            value, rows = greedy_value, greedy_rows
+        bound = dual_bound if np.isfinite(dual_bound) else -float(np.sum(program.cost))
+        # HiGHS's dual bound holds only up to its tolerances
+        solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
+    solution.caps = program.cost.size - program.split[1]
+    return solution
 
 
-def _finish(model, status, value, bound, rows, res=None, program=None) -> MedianSolution:
+def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
     """The verified solution of `rows`, with the counters of the HiGHS run
-    `res` of `program` when there was one; a non-finite HiGHS bound or gap
-    becomes None."""
-    solution = MedianSolution(
-        status=status,
-        objective=float(value),
-        bound=float(bound),
-        row_indices=tuple(sorted(int(k) for k in rows)),
-        table=model.table,
-    )
+    `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
+    rows = tuple(sorted(int(k) for k in rows))
+    solution = MedianSolution(status, float(value), float(bound), rows, model.table)
     if res is not None:
         solution.nodes_explored = res.nodes
         solution.simplex_iterations = res.iterations
@@ -587,6 +576,5 @@ def _finish(model, status, value, bound, rows, res=None, program=None) -> Median
             solution.dual_bound = -res.dual_bound
         if np.isfinite(res.gap):
             solution.gap = res.gap
-        solution.caps = program.cost.size - program.split[1]
     verify_solution(model.table, solution.row_indices, solution.objective)
     return solution

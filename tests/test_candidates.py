@@ -8,13 +8,13 @@ import pytest
 
 from ffmedian.candidates import (
     CandidateGene,
-    ConflictIndex,
     ConservedAdjacencyTable,
     InstanceIndex,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
+from ffmedian.indexes import ConflictIndex
 from ffmedian.genomes import ENDS, Gene, SimilarityGraph, build_genome, splice_genes
 from ffmedian.reference import Extremity, adjacencies, adjacency, indicator
 

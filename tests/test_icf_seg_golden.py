@@ -28,13 +28,12 @@ import numpy as np
 import pytest
 
 from ffmedian.candidates import (
-    ConflictIndex,
-    ExtremityIncidence,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Gene, build_genome
+from ffmedian.indexes import ConflictIndex, ExtremityIncidence
 from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
 from ffmedian import segments
 from ffmedian.segments import (

@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
-from ffmedian.candidates import ConflictIndex, enumerate_candidates
+from ffmedian.candidates import enumerate_candidates
 from ffmedian.genomes import Gene
+from ffmedian.indexes import ConflictIndex
 from ffmedian.mis_reduction import (
     BoundedGraph,
     ReductionError,

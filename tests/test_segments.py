@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ffmedian import segments
-from ffmedian.candidates import ConflictIndex
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.indexes import ConflictIndex
 from ffmedian.segments import (
     ExtremityIncidence,
     MatchGraph,

@@ -10,12 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 from ffmedian import solver
-from ffmedian.candidates import (
-    ConflictIndex,
-    enumerate_conserved_adjacencies,
-    preprocess_discard_nonclique,
-)
+from ffmedian.candidates import enumerate_conserved_adjacencies, preprocess_discard_nonclique
 from ffmedian.genomes import Gene, SimilarityGraph
+from ffmedian.indexes import ConflictIndex
 from ffmedian.reference import (
     OracleCapExceeded,
     brute_force_median,
@@ -284,22 +281,23 @@ def _scipy_mip_rows(model):
         entries += [(ext_row[(m1, e1)], n_r + j, 1.0), (ext_row[(m2, e2)], n_r + j, 1.0)]
     for (m, e), row in ext_row.items():
         entries.append((row, column[m], -1.0))
-    room_row = len(gene_row) + len(ext_rows)
     for j, ext in enumerate(caps):
-        entries += [(ext_row[ext], n_r + n_in + j, 1.0), (room_row, n_r + n_in + j, 1.0)]
-    chain_row = room_row + 4
-    for j, (mask, copy) in enumerate(y):
-        col = n_r + n_in + len(caps) + j
-        entries.append((room_row, col, 2.0))
-        entries += [(room_row + 1 + x, col, 1.0) for x in range(3) if mask >> x & 1]
-        if copy:
-            entries += [(chain_row, col, 1.0), (chain_row, col - 1, -1.0)]
-            chain_row += 1
+        entries.append((ext_row[ext], n_r + n_in + j, 1.0))
+    rhs = [1.0] * len(gene_row) + [0.0] * len(ext_rows)
+    # the count rows, each only when its coefficients sum above its right side
+    y_cols = {x: [n_r + n_in + len(caps) + j for j, (mask, _) in enumerate(y) if mask >> x & 1]
+              for x in range(3)}
+    for x in range(3):
+        if len(y_cols[x]) > emptied[x]:
+            entries += [(len(rhs), col, 1.0) for col in y_cols[x]]
+            rhs.append(emptied[x])
+    if len(caps) + 2 * len(y) > room:
+        entries += [(len(rhs), n_r + n_in + j, 1.0) for j in range(len(caps))]
+        entries += [(len(rhs), n_r + n_in + len(caps) + j, 2.0) for j in range(len(y))]
+        rhs.append(room)
     rows, cols, vals = zip(*entries)
-    shape = (chain_row, n_r + n_in + len(caps) + len(y))
+    shape = (len(rhs), n_r + n_in + len(caps) + len(y))
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    rhs = [1.0] * len(gene_row) + [0.0] * len(ext_rows) + [room, *emptied]
-    rhs += [0.0] * (chain_row - room_row - 4)
     cost = [0.0] * n_r + [-float(table.weight[k]) for k in inner]
     cost += [-cap_weight[ext] for ext in caps] + [-bin(mask).count("1") for mask, _ in y]
     return sp.csc_array(matrix), np.array(rhs), np.array(cost)
@@ -383,8 +381,8 @@ def test_capacity_row_binds():
     *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
     cands, table = build_tables(genomes, sigma)
     program = solver._Capped(table)
-    room_row = program.rhs.size - 4
-    assert program.rhs[room_row] == 2
+    room_row = program.rhs.size - 1
+    assert program.y_mask.size == 0 and program.rhs[room_row] == 2
     highs = solver._import_scipy()
     loose = program.rhs.copy()
     loose[room_row] = 1000
