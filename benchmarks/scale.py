@@ -3,7 +3,7 @@
     python3 benchmarks/scale.py [--src LABEL=DIR ...] [-o OUT.json]
 
 Run from the root of a checkout.  Each case is one instance written by
-`perfbench/gen.py` (seed 5 unless SEEDS names another), with 60 to 5000
+`perfbench/gen.py` (seed 5 unless SEEDS names another), with 60 to 20000
 genes per genome, 1 to 8 linear chromosomes and up to 20% gene families:
 the sizes and chromosome counts that the pool-sized benchmark in
 `perfbench/` does not reach, where the front end, the telomere triples or
@@ -76,6 +76,7 @@ SCRIPT = "import sys; from ffmedian.cli import run; sys.exit(run())"
 CASES = {
     "n2000_c2": Params(n=2000, chromosomes=2),
     "n5000_c2": Params(n=5000, chromosomes=2),
+    "n20000_c2": Params(n=20000, chromosomes=2),
     "n250_c5": Params(n=250, chromosomes=5),
     "n200_c6": Params(n=200, chromosomes=6),
     "n200_c8": Params(n=200, chromosomes=8),

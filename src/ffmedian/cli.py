@@ -49,6 +49,13 @@ that reduced program and leaves out the accepted rows' weight, which the
 report's "bound" adds back: compare "objective" with "bound", not with
 "dual_bound".  Only a run of ICF-SEG imports `segments`.
 
+A solve's stages are `load`, which numbers each genome's genes once
+(`genomes`); `preprocess`, one similarity index build and triangle scan,
+then the genes in no candidate spliced out of the walks; `enumerate`, the
+adjacency scan (`candidates`); `icf-seg` when asked; and `solve`.  One
+check of the chosen rows (`verify_solution`) and the CARs follow.  The
+stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`.
+
 Start-up and shut-down: no module of the package calls a BLAS routine, and
 HiGHS does its own linear algebra, so the process asks OpenBLAS (bundled with
 numpy) for one thread before numpy loads.  Otherwise OpenBLAS starts a worker
@@ -161,23 +168,25 @@ def _read_files(genome_files, similarity_file):
 def _front_end(load, preprocess: bool, stages: list[dict] | None = None):
     """Load, preprocess and enumerate: the instance every subcommand works on.
 
-    `load()` returns the three genomes and their similarities.  With
-    `preprocess`, genes outside every 3-clique are spliced out first.
-    Returns the genomes, the conserved adjacency table, which holds the
-    candidates, and the removed gene names per genome.  The stages are
-    timed into `stages` as `load`, `preprocess` and `enumerate`.  The layer
-    functions are read as module globals at each call, so that a tracer can
-    patch them.
+    `load()` returns the three genomes and their similarities.  One triangle
+    scan gives the candidates; with `preprocess`, it runs first and the genes
+    outside every 3-clique are spliced out of the walks.  Returns the genomes,
+    the conserved adjacency table, which holds the candidates, and the
+    removed gene names per genome.  The stages are timed into `stages` as
+    `load`, `preprocess` and `enumerate`.  The layer functions are read as
+    module globals at each call, so that a tracer can patch them.
     """
     stages = [] if stages is None else stages
     with _stage(stages, "load"):
         genomes, sigma = load()
-    removed: dict[str, list[str]] = {}
+    candidates, removed = None, {}
     if preprocess:
         with _stage(stages, "preprocess"):
-            *genomes, removed = preprocess_discard_nonclique(*genomes, sigma)
+            candidates = enumerate_candidates(*genomes, sigma)
+            *genomes, removed = preprocess_discard_nonclique(*genomes, candidates)
     with _stage(stages, "enumerate"):
-        candidates = enumerate_candidates(*genomes, sigma)
+        if candidates is None:
+            candidates = enumerate_candidates(*genomes, sigma)
         table = enumerate_conserved_adjacencies(candidates, *genomes)
     return genomes, table, removed
 
@@ -189,14 +198,12 @@ def _rows(table: ConservedAdjacencyTable, rows=slice(None)):
     return zip(*(a[rows].tolist() for a in arrays))
 
 
-def _candidate_json(cand) -> dict:
-    return {
-        "g": str(cand.g),
-        "h": str(cand.h),
-        "i": str(cand.i),
-        "triple_score": cand.triple_score,
-        "gene_score": cand.gene_score,
-    }
+def _genes_json(candidates, chosen: list[int]) -> list[dict]:
+    """The report entries of the chosen candidates, read off the arrays."""
+    genes = ([f"{genome.label}:{genome.names[k]}" for k in row]
+             for genome, row in zip(candidates.genomes, candidates.ids[:, chosen].tolist()))
+    return [{"g": g, "h": h, "i": i, "triple_score": t, "gene_score": s} for g, h, i, t, s in
+            zip(*genes, candidates.triple[chosen].tolist(), candidates.score[chosen].tolist())]
 
 
 def icf_seg(*args, **kwargs):
@@ -281,7 +288,7 @@ def run_pipeline(args) -> tuple[int, dict]:
             "removed_genes": {k: len(v) for k, v in removed.items()},
         },
         "stats": {
-            "telomere_triples": sum(c.is_telomere_triple for c in candidates),
+            "telomere_triples": int(candidates.telomeric.sum()),
             "solve_rows": len(solve_table),
             "solve_caps": solution.caps,
             "icf_seg": {"examined": examined, "accepted": accepted_segments,
@@ -293,7 +300,7 @@ def run_pipeline(args) -> tuple[int, dict]:
                 "gap": solution.gap,
             },
         },
-        "genes": [_candidate_json(candidates[m]) for m in chosen],
+        "genes": _genes_json(candidates, chosen),
         "adjacencies": [
             {
                 "m1": position[m1],

@@ -135,6 +135,7 @@ def _cmd_verify_reduction(args) -> int:
     instance = read_instance(args.instance_dir)
     _, table, _ = cli._front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
     solution = cli.solve_branch_and_bound(cli.build_ilp(table), time_limit=time_limit)
+    cli.verify_solution(table, solution.row_indices, solution.objective)
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0
     mapped = backmap_solution(solution, instance)

@@ -1,24 +1,30 @@
-"""Genome representation: oriented genes, explicit telomeres, adjacencies.
+"""Genome representation: numbered genes, explicit telomeres, adjacencies.
 
 A genome is a set of chromosomes, each an ordered list of signed genes.
 Linear chromosomes are capped by two telomeres that are created
-automatically and never shared between chromosomes.  A genome's
-adjacencies come from one walk, `Genome.neighbours`, over consecutive
-entries of each chromosome (and the wrap of a circular one), and one rule,
-`facing_end`, names the extremity each entry turns to its neighbour: a
-gene read in forward orientation contributes its tail extremity first and
-its head extremity second, so two consecutive forward genes a, b yield the
-adjacency {a_head, b_tail}.  Every stage that reads adjacencies, as
-int codes here or as the paper's extremity pairs (`reference.Extremity`,
-`reference.adjacencies`), goes through these two.
+automatically and never shared between chromosomes.  A genome is numbered
+once, at load: `Genome.names` lists its genes and telomeres in name order
+(gene k is `names[k]`), and each chromosome is a walk of gene ids and
+orientations.  Its adjacencies join consecutive entries of a walk (and the
+ends of a circular one); one rule, `facing_end`, names the extremity each
+entry turns to its neighbour: a gene read forward contributes its tail
+first and its head second, so consecutive forward genes a, b yield
+{a_head, b_tail}.  `Genome.adjacency_arrays` applies it to the walks as int
+codes, `reference.adjacencies` to `Gene` objects.  A solve reads only the
+numbering and the walks; `Genome.chromosomes`, `genes` and `locate`, the
+genome as `Gene` objects, are built on first use.
 
-Gene similarities across genomes live in a `SimilarityGraph`.  Telomere
-similarities are fixed by convention: 1 between any two telomeres of
-different genomes, 0 between a telomere and a regular gene.
+Gene similarities across genomes live in a `SimilarityGraph`, keyed by
+labels and names, with no `Gene` built per line.  Telomere similarities are
+fixed by convention: 1 between any two telomeres of different genomes, 0
+between a telomere and a regular gene.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 TAIL = "t"
 HEAD = "h"
@@ -86,58 +92,70 @@ def facing_end(gene: Gene, orientation: int, forward: bool) -> int:
 
 
 class Genome:
-    """Immutable genome; `neighbours` walks its adjacencies.
+    """An immutable genome, numbered once (see the module docstring).
 
-    Construct via `build_genome`; direct construction expects chromosomes
-    that already satisfy the telomere invariants.
+    `walks` holds each chromosome as (name, shape, walk), the walk a (2, k)
+    int64 array of its entries' gene ids over their orientations.
+    `telomeric` and `present` flag, per gene id, the telomeres and the genes
+    on some walk: a spliced genome keeps the numbering of its genes.  Build
+    one with `build_genome`.
     """
 
-    def __init__(self, label: str, chromosomes: Sequence[Chromosome]):
-        if ":" in label or not label:
-            raise GenomeError(f"bad genome label {label!r}")
+    def __init__(self, label: str, names: Sequence[str], walks):
         self.label = label
-        self.chromosomes = tuple(chromosomes)
-        genes: dict[Gene, tuple[int, int, int]] = {}
-        for ci, chrom in enumerate(self.chromosomes):
-            if chrom.shape not in (LINEAR, CIRCULAR):
-                raise GenomeError(f"bad chromosome shape {chrom.shape!r}")
-            for pos, (gene, orientation) in enumerate(chrom.order):
-                if gene.genome != label:
-                    raise GenomeError(f"gene {gene} does not belong to genome {label}")
-                if gene in genes:
-                    raise GenomeError(f"duplicate gene {gene.name!r} in genome {label}")
-                genes[gene] = (ci, pos, orientation)
-            if chrom.shape == LINEAR:
-                if (
-                    len(chrom.order) < 2
-                    or not chrom.order[0][0].is_telomere
-                    or not chrom.order[-1][0].is_telomere
-                ):
-                    raise GenomeError(
-                        f"linear chromosome {chrom.name!r} must be capped by telomeres"
-                    )
-                if any(g.is_telomere for g, _ in chrom.order[1:-1]):
-                    raise GenomeError(f"interior telomere in chromosome {chrom.name!r}")
-            else:
-                if any(g.is_telomere for g, _ in chrom.order):
-                    raise GenomeError(
-                        f"telomere inside circular chromosome {chrom.name!r}"
-                    )
-        self._occurrence = genes
-        self.genes = frozenset(genes)
+        self.names = names
+        self.walks = tuple(walks)
+        self.telomeric = np.zeros(len(names), dtype=bool)
+        self.present = np.zeros(len(names), dtype=bool)
+        for _, shape, walk in self.walks:
+            self.present[walk[0]] = True
+            if shape == LINEAR:
+                self.telomeric[walk[0, [0, -1]]] = True
 
-    def neighbours(self) -> Iterator[tuple[tuple[Gene, int], tuple[Gene, int]]]:
-        """Each adjacency as the two (gene, orientation) entries it joins, in
-        chromosome order: consecutive entries, then the last and first
-        entries of a circular chromosome.  The first entry's forward
-        `facing_end` meets the second's backward one."""
-        for chrom in self.chromosomes:
-            entries = chrom.order
-            yield from zip(entries, entries[1:])
-            if chrom.shape == CIRCULAR and entries:
-                yield entries[-1], entries[0]
+    def adjacency_arrays(self):
+        """The adjacencies as (gene, end, gene, end) int arrays: consecutive
+        entries of each walk, then the last and first entries of a circular
+        one, with the `facing_end` code of each entry's end."""
+        pairs = [np.empty((4, 0), dtype=np.int64)]
+        for _, shape, walk in self.walks:
+            if shape == CIRCULAR:
+                walk = np.concatenate([walk, walk[:, :1]], axis=1)
+            pairs.append(np.concatenate([walk[:, :-1], walk[:, 1:]]))
+        g1, o1, g2, o2 = np.concatenate(pairs, axis=1)
+        return (g1, np.where(self.telomeric[g1], 2, o1 > 0),
+                g2, np.where(self.telomeric[g2], 2, o2 < 0))
 
-    # -- queries ---------------------------------------------------------
+    def splice(self, keep: np.ndarray) -> "Genome":
+        """The genome with only the genes that `keep` marks, numbered as
+        before.  Neighbours of a removed gene become adjacent; a chromosome
+        that loses all its genes stays, telomere-only (linear) or empty
+        (circular).  `keep` must mark every telomere."""
+        return Genome(self.label, self.names,
+                      [(name, shape, walk[:, keep[walk[0]]]) for name, shape, walk in self.walks])
+
+    @cached_property
+    def id_of(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
+
+    # -- the genome as `Gene` objects, built on first use ----------------
+
+    @cached_property
+    def chromosomes(self) -> tuple[Chromosome, ...]:
+        genes = [Gene(self.label, name) for name in self.names]
+        return tuple(
+            Chromosome(name, shape, tuple(zip(map(genes.__getitem__, walk[0].tolist()),
+                                              walk[1].tolist())))
+            for name, shape, walk in self.walks
+        )
+
+    @cached_property
+    def _occurrence(self) -> dict[Gene, tuple[int, int, int]]:
+        return {gene: (ci, pos, orientation) for ci, chrom in enumerate(self.chromosomes)
+                for pos, (gene, orientation) in enumerate(chrom.order)}
+
+    @cached_property
+    def genes(self) -> frozenset[Gene]:
+        return frozenset(self._occurrence)
 
     def locate(self, gene: Gene) -> tuple[int, int, int]:
         """(chromosome index, position, orientation) of a gene."""
@@ -150,7 +168,7 @@ class Genome:
         return gene in self._occurrence
 
     def __repr__(self) -> str:
-        return f"Genome({self.label!r}, {len(self.chromosomes)} chromosomes)"
+        return f"Genome({self.label!r}, {len(self.walks)} chromosomes)"
 
 
 def build_genome(
@@ -160,9 +178,10 @@ def build_genome(
     """Build a genome from (chromosome name, shape, [(gene name, +1/-1)]) entries.
 
     Telomeres for linear chromosomes are created here and named after the
-    chromosome, e.g. ``~chr1.L``.
+    chromosome, e.g. ``~chr1.L``.  The genes and telomeres are numbered in
+    name order.
     """
-    built = []
+    layout, names, signs = [], [], []
     seen_chroms: set[str] = set()
     for chrom_name, shape, entries in chromosomes:
         if chrom_name in seen_chroms:
@@ -172,37 +191,41 @@ def build_genome(
             raise GenomeError(f"chromosome {chrom_name!r}: bad shape {shape!r}")
         if not entries:
             raise GenomeError(f"chromosome {chrom_name!r} declares no genes")
-        order: list[tuple[Gene, int]] = []
-        for name, orientation in entries:
-            if name.startswith(TELOMERE_PREFIX):
-                raise GenomeError(
-                    f"gene name {name!r} uses the reserved telomere prefix"
-                )
-            if orientation not in (1, -1):
-                raise GenomeError(f"gene {name!r}: bad orientation {orientation!r}")
-            order.append((Gene(label, name), orientation))
+        chrom_names, chrom_signs = zip(*entries)
+        if {*chrom_signs} - {1, -1} or f"\n{TELOMERE_PREFIX}" in "\n" + "\n".join(chrom_names):
+            for name, orientation in entries:  # the first bad entry
+                if name.startswith(TELOMERE_PREFIX):
+                    raise GenomeError(f"gene name {name!r} uses the reserved telomere prefix")
+                if orientation not in (1, -1):
+                    raise GenomeError(f"gene {name!r}: bad orientation {orientation!r}")
         if shape == LINEAR:
-            left = Gene(label, f"{TELOMERE_PREFIX}{chrom_name}.L")
-            right = Gene(label, f"{TELOMERE_PREFIX}{chrom_name}.R")
-            order = [(left, 1)] + order + [(right, 1)]
-        built.append(Chromosome(chrom_name, shape, tuple(order)))
-    return Genome(label, built)
+            chrom_names = (f"{TELOMERE_PREFIX}{chrom_name}.L", *chrom_names,
+                           f"{TELOMERE_PREFIX}{chrom_name}.R")
+            chrom_signs = (1, *chrom_signs, 1)
+        layout.append((chrom_name, shape, len(names), len(names) + len(chrom_names)))
+        names += chrom_names
+        signs += chrom_signs
+    if ":" in label or not label:
+        raise GenomeError(f"bad genome label {label!r}")
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        duplicate = next(name for name in names if name in seen or seen.add(name))
+        raise GenomeError(f"duplicate gene {duplicate!r} in genome {label}")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    walk = np.empty((2, len(names)), dtype=np.int64)
+    walk[0, order] = np.arange(len(names))
+    walk[1] = signs
+    return Genome(label, [names[k] for k in order],
+                  [(name, shape, walk[:, a:b]) for name, shape, a, b in layout])
 
 
 def splice_genes(genome: Genome, remove: set[Gene]) -> Genome:
-    """Return a copy with the given (non-telomere) genes spliced out.
-
-    Neighbours of a removed gene become adjacent; telomere structure is
-    preserved.  Chromosomes that lose all their genes stay in place,
-    either telomere-only (linear) or empty (circular).
-    """
+    """`Genome.splice` without the given (non-telomere) genes."""
     if any(g.is_telomere for g in remove):
         raise GenomeError("cannot splice telomeres")
-    chromosomes = []
-    for chrom in genome.chromosomes:
-        order = tuple(entry for entry in chrom.order if entry[0] not in remove)
-        chromosomes.append(Chromosome(chrom.name, chrom.shape, order))
-    return Genome(genome.label, chromosomes)
+    keep = np.ones(len(genome.names), dtype=bool)
+    keep[[genome.id_of[g.name] for g in remove if g in genome]] = False
+    return genome.splice(keep)
 
 
 # -- genome file format ----------------------------------------------------
@@ -222,22 +245,20 @@ def parse_genomes(text: str) -> list[Genome]:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ParseError(
-                f"expected 4 tab-separated fields, got {len(fields)}", lineno
-            )
+            raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", lineno)
         label, chrom_name, shape, tokens = (f.strip() for f in fields)
         if shape not in (LINEAR, CIRCULAR):
             raise ParseError(f"bad chromosome shape {shape!r}", lineno)
-        entries: list[tuple[str, int]] = []
-        for token in tokens.split():
-            if token[0] == "+":
-                entries.append((token[1:], 1))
-            elif token[0] == "-":
-                entries.append((token[1:], -1))
-            else:
-                raise ParseError(f"gene token {token!r} lacks an orientation sign", lineno)
-            if not token[1:]:
-                raise ParseError(f"empty gene name in token {token!r}", lineno)
+        tokens = tokens.split()
+        signs = "".join(token[0] for token in tokens)
+        names = [token[1:] for token in tokens]
+        if signs.count("+") + signs.count("-") < len(signs) or "" in names:
+            for token in tokens:  # the first bad token
+                if token[0] not in "+-":
+                    raise ParseError(f"gene token {token!r} lacks an orientation sign", lineno)
+                if not token[1:]:
+                    raise ParseError(f"empty gene name in token {token!r}", lineno)
+        entries = list(zip(names, [1 if sign == "+" else -1 for sign in signs]))
         if not entries:
             raise ParseError(f"chromosome {chrom_name!r} declares no genes", lineno)
         per_label.setdefault(label, []).append((chrom_name, shape, entries))
@@ -279,41 +300,46 @@ def write_genome_file(path, genomes: Iterable[Genome]) -> None:
 class SimilarityGraph:
     """Symmetric cross-genome gene similarity with values in [0, 1].
 
-    Only regular genes are stored.  Telomere pairs across genomes score 1,
-    telomere-gene pairs 0, and intra-genome queries 0 by convention.
+    Only regular genes are stored, in `scores`, keyed by (genome x, name x,
+    genome y, name y) with genome x < genome y.  Telomere pairs across
+    genomes score 1, telomere-gene pairs 0, and intra-genome queries 0 by
+    convention.
     """
 
     def __init__(self):
-        self._scores: dict[tuple[Gene, Gene], float] = {}
+        self.scores: dict[tuple[str, str, str, str], float] = {}
 
     def set(self, x: Gene, y: Gene, value: float) -> None:
-        if x.genome == y.genome:
-            raise GenomeError(f"intra-genome similarity {x} / {y} not allowed")
-        if x.is_telomere or y.is_telomere:
+        self._set(x.genome, x.name, y.genome, y.name, value)
+
+    def _set(self, gx: str, nx: str, gy: str, ny: str, value: float) -> None:
+        if gx == gy:
+            raise GenomeError(f"intra-genome similarity {gx}:{nx} / {gy}:{ny} not allowed")
+        if nx.startswith(TELOMERE_PREFIX) or ny.startswith(TELOMERE_PREFIX):
             raise GenomeError("telomere similarities are fixed by convention")
         if not (0.0 <= value <= 1.0):
             raise GenomeError(f"similarity {value!r} outside [0, 1]")
-        key = (x, y) if x <= y else (y, x)
+        key = (gx, nx, gy, ny) if gx < gy else (gy, ny, gx, nx)
         if value == 0.0:
-            self._scores.pop(key, None)
+            self.scores.pop(key, None)
         else:
-            self._scores[key] = value
+            self.scores[key] = value
 
     def get(self, x: Gene, y: Gene) -> float:
         if x.genome == y.genome:
             return 0.0
         if x.is_telomere or y.is_telomere:
             return 1.0 if (x.is_telomere and y.is_telomere) else 0.0
-        key = (x, y) if x <= y else (y, x)
-        return self._scores.get(key, 0.0)
+        return self.scores.get((*x, *y) if x < y else (*y, *x), 0.0)
 
     def pairs(self) -> list[tuple[Gene, Gene, float]]:
         """Stored pairs (x, y, value) with x <= y, in the order they were
         stored, not sorted; `serialize` sorts them."""
-        return [(x, y, value) for (x, y), value in self._scores.items()]
+        return [(Gene(gx, nx), Gene(gy, ny), value)
+                for (gx, nx, gy, ny), value in self.scores.items()]
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self.scores)
 
     def serialize(self) -> str:
         lines = [f"{x}\t{y}\t{value:.12g}" for x, y, value in sorted(self.pairs())]
@@ -328,20 +354,20 @@ class SimilarityGraph:
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}", lineno
-                )
-            try:
-                x = _parse_qualified(fields[0])
-                y = _parse_qualified(fields[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+                raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", lineno)
+            gx, sx, nx = fields[0].partition(":")
+            gy, sy, ny = fields[1].partition(":")
+            if not (sx and gx and nx and sy and gy and ny):
+                try:
+                    _parse_qualified(fields[0]), _parse_qualified(fields[1])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from exc
             try:
                 value = float(fields[2])
             except ValueError:
                 raise ParseError(f"bad score {fields[2]!r}", lineno) from None
             try:
-                graph.set(x, y, value)
+                graph._set(gx, nx, gy, ny, value)
             except GenomeError as exc:
                 raise ParseError(str(exc), lineno) from exc
         return graph

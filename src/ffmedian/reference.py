@@ -6,9 +6,9 @@ imports this module.
 
 - Extremities and adjacencies as the paper states them: `Extremity`, one
   validated end of a gene, `adjacency`, the canonical unordered pair, and
-  `adjacencies`, a genome's set of them, with the 0-1 `indicator` on it.
-  `InstanceIndex.adjacency_arrays` reads the same walk, `Genome.neighbours`,
-  as int codes.
+  `adjacencies`, a genome's set of them, with the 0-1 `indicator` on it,
+  read off the genome's `Gene` objects.  `Genome.adjacency_arrays` reads
+  the same walks as int codes.
 - `export_lp` writes the 0-1 program with the paper's rows in LP text
   format: a conflict row per extant gene off `ConflictIndex`, a coupling
   row per conserved adjacency, and a saturation row per candidate
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import ConservedAdjacencyTable
-from .genomes import ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end
+from .genomes import (
+    CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end,
+)
 from .indexes import ConflictIndex, ExtremityIncidence
 from .solver import (
     GRID,
@@ -76,6 +78,18 @@ def adjacency(e1: Extremity, e2: Extremity) -> Adjacency:
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
+def neighbours(genome: Genome):
+    """Each adjacency as the two (gene, orientation) entries it joins, in
+    chromosome order: consecutive entries, then the last and first entries
+    of a circular chromosome.  The first entry's forward `facing_end` meets
+    the second's backward one."""
+    for chrom in genome.chromosomes:
+        entries = chrom.order
+        yield from zip(entries, entries[1:])
+        if chrom.shape == CIRCULAR and entries:
+            yield entries[-1], entries[0]
+
+
 def adjacencies(genome: Genome) -> frozenset[Adjacency]:
     """The genome's adjacencies as canonical extremity pairs."""
     return frozenset(
@@ -83,7 +97,7 @@ def adjacencies(genome: Genome) -> frozenset[Adjacency]:
             Extremity(g1, ENDS[facing_end(g1, o1, True)]),
             Extremity(g2, ENDS[facing_end(g2, o2, False)]),
         )
-        for (g1, o1), (g2, o2) in genome.neighbours()
+        for (g1, o1), (g2, o2) in neighbours(genome)
     )
 
 

@@ -56,7 +56,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .candidates import ConservedAdjacencyTable
-from .genomes import Gene
 
 log = logging.getLogger(__name__)
 
@@ -120,25 +119,24 @@ class MedianSolution:
 def verify_solution(
     table: ConservedAdjacencyTable, row_indices: Iterable[int], objective: float
 ) -> None:
-    """Independent check of a solution straight from the definitions: no
-    extant gene under two of the candidates its rows join, no candidate
-    extremity in two rows, and the rows' weights summing to `objective`."""
-    rows = list(row_indices)
-    gene_use: dict[Gene, int] = {}
-    for i in table.genes(rows):
-        for gene in table.candidates[i].genes:
-            if gene in gene_use:
-                raise SolverError(f"conflict on extant gene {gene}")
-            gene_use[gene] = i
-    ext_use: set[tuple[int, int]] = set()
-    total = 0.0
-    for k in rows:
-        m1, e1, m2, e2 = table.key(k)
-        for ext in ((m1, e1), (m2, e2)):
-            if ext in ext_use:
-                raise SolverError(f"extremity {ext} used twice")
-            ext_use.add(ext)
-        total += float(table.weight[k])
+    """Independent check of a solution straight from the definitions, counted
+    on the table's arrays: no extant gene under two of the candidates its
+    rows join, no candidate extremity in two rows, and the rows' weights
+    summing to `objective`.  `cli.run_pipeline` runs it once per solve."""
+    rows = np.array(list(row_indices), dtype=np.int64)
+    cands = table.candidates
+    for genome, genes in zip(cands.genomes, cands.ids[:, table.genes(rows)]):
+        used = np.bincount(genes, minlength=1)
+        if used.max() > 1:
+            gene = genome.names[int(used.argmax())]
+            raise SolverError(f"conflict on extant gene {genome.label}:{gene}")
+    ends = np.concatenate([table.m1[rows] * 3 + table.e1[rows],
+                           table.m2[rows] * 3 + table.e2[rows]])
+    used = np.bincount(ends, minlength=1)
+    if used.max() > 1:
+        ext = int(used.argmax())
+        raise SolverError(f"extremity {(ext // 3, ext % 3)} used twice")
+    total = float(sum(table.weight[rows].tolist()))
     if abs(total - objective) > 1e-6 * max(1.0, abs(total)):
         raise SolverError(f"objective mismatch: {total} vs {objective}")
 
@@ -202,8 +200,9 @@ def cars_from_rows(table: ConservedAdjacencyTable, row_indices: Iterable[int]) -
     """
     rows = list(row_indices)
     neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    telomeric = table.candidates.telomeric
     for m in table.genes(rows):
-        ends = table.candidates[m].ends
+        ends = (2,) if telomeric[m] else (0, 1)
         for e in ends:
             neighbours[(m, e)] = [(m, f) for f in ends if f != e]
     for k in rows:
@@ -364,18 +363,18 @@ class _Capped:
     when its coefficients sum to no more than its right side."""
 
     def __init__(self, table: ConservedAdjacencyTable):
-        cands = table.candidates
-        telomeric = np.array([c.g.is_telomere for c in cands], dtype=bool)
+        ids, telomeric = table.candidates.ids, table.candidates.telomeric
         real, tri = np.nonzero(~telomeric)[0], np.nonzero(telomeric)[0]
-        gene_num: dict[Gene, int] = {}
-        cand_gene = [gene_num.setdefault(g, len(gene_num)) for m in real.tolist()
-                     for g in cands[m].genes]
+        # the real candidates' genes, numbered in order of first use
+        _, used, cand_gene = np.unique((ids[:, real] * 3 + np.arange(3)[:, None]).T,
+                                       return_index=True, return_inverse=True)
+        rank = np.empty(used.size, dtype=np.int64)
+        rank[np.argsort(used)] = np.arange(used.size)
         # per genome, each telomere triple's telomere, numbered in name order,
         # and per combination of telomeres the end of its telomere triple
-        code = np.full((len(cands), 3), -1, dtype=np.int64)
+        code = np.full((telomeric.size, 3), -1, dtype=np.int64)
         for x in range(3):
-            code[tri, x] = np.unique([cands[m][x].name for m in tri.tolist()],
-                                     return_inverse=True)[1]
+            code[tri, x] = np.unique(ids[x, tri], return_inverse=True)[1]
         self.telomeres = (code.max(axis=0, initial=-1) + 1).tolist()
         self.end = np.zeros(np.prod(self.telomeres), dtype=np.int64)
         self.end[np.ravel_multi_index(code[tri].T, self.telomeres)] = 3 * tri + 2
@@ -410,16 +409,16 @@ class _Capped:
         copies = np.minimum(np.where(in_s, emptied, room).min(axis=1), room // 2)
         self.y_mask = y_mask = np.repeat(masks, copies)
 
-        n_r, n_in, n_cap, n_genes = real.size, inner.size, self.cap_ext.size, len(gene_num)
+        n_r, n_in, n_cap, n_genes = real.size, inner.size, self.cap_ext.size, used.size
         self.split = (n_r, n_r + n_in, n_r + n_in + n_cap)
         ext, ext_row = np.unique(np.concatenate([end1[inner], end2[inner], self.cap_ext]),
                                  return_inverse=True)
-        col_of = np.zeros(len(cands), dtype=np.int64)
+        col_of = np.zeros(telomeric.size, dtype=np.int64)
         col_of[real] = np.arange(n_r)
         caps = np.arange(n_r + n_in, self.split[2])
         ys = self.split[2] + np.arange(y_mask.size)
         blocks = [  # (rows, columns, value)
-            (np.array(cand_gene, dtype=np.int64), np.repeat(np.arange(n_r), 3), 1.0),
+            (rank[cand_gene.ravel()], np.repeat(np.arange(n_r), 3), 1.0),
             (n_genes + ext_row, np.concatenate([n_r + np.tile(np.arange(n_in), 2), caps]), 1.0),
             (n_genes + np.arange(ext.size), col_of[ext // 3], -1.0),
         ]
@@ -483,7 +482,8 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
     """Take adjacencies by decreasing weight while the selection stays valid."""
     table = model.table
     order = np.lexsort((np.arange(len(table)), -table.weight))
-    owner: dict[Gene, int] = {}
+    genes = [list(enumerate(col)) for col in table.candidates.ids.T.tolist()]
+    owner: dict[tuple[int, int], int] = {}
     used_ext: set[tuple[int, int]] = set()
     chosen: list[int] = []
     value = 0.0
@@ -494,7 +494,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
             continue
         ok = True
         for m in (m1, m2):
-            for gene in table.candidates[m].genes:
+            for gene in genes[m]:
                 if owner.get(gene, m) != m:
                     ok = False
                     break
@@ -503,7 +503,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
         if not ok:
             continue
         for m in (m1, m2):
-            for gene in table.candidates[m].genes:
+            for gene in genes[m]:
                 owner[gene] = m
         used_ext.add((m1, e1))
         used_ext.add((m2, e2))
@@ -565,7 +565,7 @@ def solve_branch_and_bound(
 
 
 def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
-    """The verified solution of `rows`, with the counters of the HiGHS run
+    """The solution of `rows`, unverified, with the counters of the HiGHS run
     `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
     rows = tuple(sorted(int(k) for k in rows))
     solution = MedianSolution(status, float(value), float(bound), rows, model.table)
@@ -576,5 +576,4 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
             solution.dual_bound = -res.dual_bound
         if np.isfinite(res.gap):
             solution.gap = res.gap
-    verify_solution(model.table, solution.row_indices, solution.objective)
     return solution

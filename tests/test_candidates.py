@@ -8,8 +8,8 @@ import pytest
 
 from ffmedian.candidates import (
     CandidateGene,
+    Candidates,
     ConservedAdjacencyTable,
-    InstanceIndex,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
@@ -106,15 +106,12 @@ class TestScores:
     def factors(triple_scores):
         """`table.factor` of one adjacency row per consecutive pair of
         candidates with the given triple scores."""
-        cands = [
-            CandidateGene(Gene("G", "a"), Gene("H", "a"), Gene("I", "a"), t, t ** (1.0 / 3.0))
-            for t in triple_scores
-        ]
+        genomes = [linear(label, [("a", 1)]) for label in "GHI"]
+        ids = np.zeros((3, len(triple_scores)), dtype=np.int64)  # gene a of each genome
+        cands = Candidates(genomes, ids, np.array(triple_scores))
         first = np.arange(0, len(cands), 2)
         zeros = np.zeros(first.size, dtype=np.int64)
-        table = ConservedAdjacencyTable(
-            cands, "GHI", first, zeros, first + 1, zeros + 1, zeros + 0b111
-        )
+        table = ConservedAdjacencyTable(cands, first, zeros, first + 1, zeros + 1, zeros + 0b111)
         return cands, table.factor
 
     def test_median_adjacency_weight_examples(self):
@@ -260,17 +257,17 @@ def _random_genome(rng, label, shapes):
     return build_genome(label, chromosomes)
 
 
-def _array_adjacencies(index, x):
-    """Genome x's adjacency arrays read back as (gene, end) extremity pairs."""
-    genes = index.genes[x]
+def _array_adjacencies(genome):
+    """The genome's adjacency arrays read back as (gene, end) extremity pairs."""
+    genes = [Gene(genome.label, name) for name in genome.names]
     return sorted(
         adjacency(Extremity(genes[g1], ENDS[c1]), Extremity(genes[g2], ENDS[c2]))
-        for g1, c1, g2, c2 in zip(*(a.tolist() for a in index.adjacency_arrays(x)))
+        for g1, c1, g2, c2 in zip(*(a.tolist() for a in genome.adjacency_arrays()))
     )
 
 
 class TestAdjacencyArrays:
-    """`InstanceIndex.adjacency_arrays` against the genomes' adjacency sets."""
+    """`Genome.adjacency_arrays` against the genomes' adjacency sets."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_linear_circular_and_mixed_genomes(self, seed):
@@ -280,9 +277,8 @@ class TestAdjacencyArrays:
             _random_genome(rng, label, [rng.choice(shapes) for _ in range(rng.randint(1, 3))])
             for label in "GHI"
         ]
-        index = InstanceIndex(genomes)
-        for x, genome in enumerate(genomes):
-            assert _array_adjacencies(index, x) == sorted(adjacencies(genome))
+        for genome in genomes:
+            assert _array_adjacencies(genome) == sorted(adjacencies(genome))
 
     def test_single_gene_circle_and_emptied_chromosomes(self):
         G = build_genome("G", [("c1", "circular", [("a", 1)])])
@@ -293,9 +289,8 @@ class TestAdjacencyArrays:
             ("c3", "linear", [("e", -1)]),
         ])
         I = splice_genes(mixed, {Gene("I", nm) for nm in "abcd"})
-        index = InstanceIndex([G, H, I])
-        for x, genome in enumerate((G, H, I)):
-            assert _array_adjacencies(index, x) == sorted(adjacencies(genome))
+        for genome in (G, H, I):
+            assert _array_adjacencies(genome) == sorted(adjacencies(genome))
         # the emptied linear chromosome leaves a telomere-telomere adjacency
         assert adjacency(
             Extremity(Gene("I", "~c1.L"), "o"), Extremity(Gene("I", "~c1.R"), "o")
@@ -333,12 +328,25 @@ def _gene_score(cand, sigma):
     return product ** (1.0 / 3.0)
 
 
+class TestSplicedGenomes:
+    def test_spliced_genes_have_no_candidates(self):
+        """A gene spliced out of its genome keeps its number but loses its
+        similarity edges, so no candidate holds it."""
+        genomes, sigma = identical_genomes(("a", "b", "c"))
+        spliced = [splice_genes(genomes[0], {Gene("G", "b")}), *genomes[1:]]
+        names = {c.g.name for c in gene_triples(enumerate_candidates(*spliced, sigma))}
+        assert names == {"a", "c"}
+        assert spliced[0].names == genomes[0].names
+
+
 class TestPreprocess:
     def test_no_triangles_collapses_everything(self):
         G = linear("G", [("a", 1), ("b", 1)])
         H = linear("H", [("a", 1), ("b", 1)])
         I = linear("I", [("a", 1), ("b", 1)])
-        g, h, i, report = preprocess_discard_nonclique(G, H, I, SimilarityGraph())
+        g, h, i, report = preprocess_discard_nonclique(
+            G, H, I, enumerate_candidates(G, H, I, SimilarityGraph())
+        )
         assert report == {"G": ["a", "b"], "H": ["a", "b"], "I": ["a", "b"]}
         for genome in (g, h, i):
             assert [g for g in genome.genes if not g.is_telomere] == []
@@ -352,7 +360,7 @@ class TestPreprocess:
         sigma = diagonal_sigma(["a", "b"])
         cands_before = enumerate_candidates(G, H, I, sigma)
         table_before = enumerate_conserved_adjacencies(cands_before, G, H, I)
-        g2, h2, i2, report = preprocess_discard_nonclique(G, H, I, sigma)
+        g2, h2, i2, report = preprocess_discard_nonclique(G, H, I, cands_before)
         assert report["G"] == ["ins"]
         cands_after = enumerate_candidates(g2, h2, i2, sigma)
         table_after = enumerate_conserved_adjacencies(cands_after, g2, h2, i2)

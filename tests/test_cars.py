@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffmedian.candidates import preprocess_discard_nonclique
+from ffmedian.candidates import enumerate_candidates, preprocess_discard_nonclique
 from ffmedian.genomes import build_genome
 from ffmedian.solver import Car, cars_from_rows
 
@@ -107,8 +107,9 @@ def spliced_instance(seed):
             ("c1", "linear", entries),
             ("c2", "linear", [(f"only{label}", 1)]),
         ]))
-    *genomes, _ = preprocess_discard_nonclique(*genomes, diagonal_sigma(names))
-    return genomes, diagonal_sigma(names)
+    sigma = diagonal_sigma(names)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+    return genomes, sigma
 
 
 @pytest.mark.parametrize("make", [

@@ -45,7 +45,8 @@ def digest(candidates, table) -> str:
 def enumerate_case(genomes, sigma, preprocess):
     removed = 0
     if preprocess:
-        g, h, i, report = preprocess_discard_nonclique(*genomes, sigma)
+        candidates = enumerate_candidates(*genomes, sigma)
+        g, h, i, report = preprocess_discard_nonclique(*genomes, candidates)
         genomes = [g, h, i]
         removed = sum(len(v) for v in report.values())
     candidates = enumerate_candidates(*genomes, sigma)

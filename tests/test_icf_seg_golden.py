@@ -70,7 +70,7 @@ def digest(result) -> str:
 
 def tables(genomes, sigma, preprocess=True):
     if preprocess:
-        g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
+        g, h, i, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
         genomes = [g, h, i]
     candidates = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(candidates, *genomes)

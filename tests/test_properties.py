@@ -95,7 +95,7 @@ def linear_instances(draw):
     for name in names:
         for a, b in PAIRS:
             sigma.set(Gene(a, name), Gene(b, name), draw(WEIGHTS))
-    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     candidates = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(candidates, *genomes)
     assume(len(table) <= 300)  # the MILP on the paper's rows slows down beyond

@@ -10,7 +10,11 @@ import pytest
 import scipy.sparse as sp
 
 from ffmedian import solver
-from ffmedian.candidates import enumerate_conserved_adjacencies, preprocess_discard_nonclique
+from ffmedian.candidates import (
+    enumerate_candidates,
+    enumerate_conserved_adjacencies,
+    preprocess_discard_nonclique,
+)
 from ffmedian.genomes import Gene, SimilarityGraph
 from ffmedian.indexes import ConflictIndex
 from ffmedian.reference import (
@@ -56,7 +60,7 @@ def empty_table():
     """An instance without candidates: circular genomes, no similarities."""
     genomes, _ = identical_genomes(shape="circular")
     cands, table = build_tables(genomes, SimilarityGraph())
-    assert cands == [] and len(table) == 0
+    assert len(cands) == 0 and len(table) == 0
     return table
 
 
@@ -326,12 +330,12 @@ def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate
 @pytest.mark.parametrize("seed, n, emptied", [(25, 8, (2, 1, 1)), (34, 12, (0, 1, 2))])
 def test_mip_rows_with_emptied_chromosomes_equal_the_scipy_sparse_build(seed, n, emptied):
     genomes, sigma = evolved_instance(seed, n, 1, 0.0, emptied=emptied)
-    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     assert _check_mip_rows(genomes, sigma).y_mask.size
 
 
 def _check_optimum(genomes, sigma):
-    g, h, i, _ = preprocess_discard_nonclique(*genomes, sigma)
+    g, h, i, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     genomes = [g, h, i]
     cands, table = build_tables(genomes, sigma)
     reference = milp_objective(table)
@@ -378,7 +382,7 @@ def test_capacity_row_binds():
     limit would end more than two CARs on telomere triples: the capacity
     row cuts it back to the optimum of the paper's rows."""
     genomes, sigma = evolved_instance(20, 20, 1, 0.0)
-    *genomes, _ = preprocess_discard_nonclique(*genomes, sigma)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     cands, table = build_tables(genomes, sigma)
     program = solver._Capped(table)
     room_row = program.rhs.size - 1
@@ -499,6 +503,16 @@ class TestVerify:
         (ext, rows) = next((x, r) for x, r in incident.items() if len(r) >= 2)
         with pytest.raises(SolverError):
             verify_solution(table, rows[:2], float(table.weight[rows[:2]].sum()))
+        # a's head meets b's tail in G and I, and c's tail in H: two rows at
+        # one extremity whose candidates share no gene
+        genomes = [linear(label, [(nm, 1) for nm in order]) for label, order in
+                   zip("GHI", ("abc", "acb", "abc"))]
+        cands, table = build_tables(genomes, diagonal_sigma(["a", "b", "c"]))
+        rows = [k for k in range(len(table))
+                if table.key(k)[:2] == (0, 1) and table.key(k)[2] in (1, 2)]
+        assert len(rows) == 2
+        with pytest.raises(SolverError, match="used twice"):
+            verify_solution(table, rows, float(table.weight[rows].sum()))
 
     def test_objective_mismatch_detected(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
