@@ -61,7 +61,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from gen import Params, write_instance  # noqa: E402
+from gen import GENOMES_FILE, SIMILARITY_FILE, TRUTH_FILE, Params  # noqa: E402
 
 SEED = 5
 REPEAT = 3
@@ -70,6 +70,12 @@ IMPORT_CASE = "n300_c2_fam0.1"
 IMPORT_REPEAT = 20
 # a solve child as the installed `ffmedian` script runs one
 SCRIPT = "import sys; from ffmedian.cli import run; sys.exit(run())"
+# the report fields that `main` and `summarize` read, printed by a child that
+# parses the report: a report at n=20000 is large (see `write_instance`)
+FIELDS = ("config", "stages", "status", "objective", "counts", "stats")
+SUMMARY = ("import json, sys\n"
+           "report = json.load(open(sys.argv[1]))\n"
+           "print(json.dumps({key: report.get(key) for key in sys.argv[2:]}))\n")
 
 # name -> instance parameters: genes per genome (n), linear chromosomes per
 # genome (c) and gene-family rate (fam)
@@ -90,6 +96,18 @@ CASES = {
 CIRCULAR = {"n4000_c1_circular", "n4000_c1_circular_fam0.1"}
 EMPTIED = "n60_c8_loss0.3"
 SEEDS = {EMPTIED: 1}  # seed 1 empties chromosomes in all three genomes
+
+
+def write_instance(params: Params, seed: int, out_dir: str) -> dict[str, str]:
+    """`gen.write_instance` in a child process.  A child's peak RSS counts
+    the peak memory of the process that started it, so this process stays
+    small: generating the largest instances here, or parsing their reports,
+    would raise the peak RSS of every later solve."""
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in vars(params).items()]
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), *flags, f"--seed={seed}",
+                    f"--out={out_dir}"], check=True, stdout=subprocess.DEVNULL)
+    names = {"genomes": GENOMES_FILE, "similarity": SIMILARITY_FILE, "truth": TRUTH_FILE}
+    return {role: os.path.join(out_dir, name) for role, name in names.items()}
 
 
 def circularize(path: str) -> None:
@@ -121,7 +139,8 @@ def versions() -> dict[str, str]:
 
 
 def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple[dict, dict]:
-    """One solve child: its report and its `wall_s`, `cpu_s` and `peak_rss_mb`."""
+    """One solve child: its report's FIELDS and its `wall_s`, `cpu_s` and
+    `peak_rss_mb`."""
     argv = [sys.executable, "-m", "ffmedian.cli", "solve", "-g", files["genomes"],
             "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out), *flags]
     env = dict(os.environ, PYTHONPATH=src)
@@ -132,7 +151,9 @@ def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple
     code = os.waitstatus_to_exitcode(status)
     if code not in (0, 2):
         raise RuntimeError(f"solve with {src} exited with {code}")
-    return json.loads(out.read_text()), {
+    fields = subprocess.run([sys.executable, "-c", SUMMARY, str(out), *FIELDS],
+                            capture_output=True, text=True, check=True).stdout
+    return json.loads(fields), {
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
