@@ -7,17 +7,18 @@ Run from the root of a checkout.  Each case is one instance written by
 genes per genome, 1 to 8 linear chromosomes and up to 20% gene families:
 the sizes and chromosome counts that the pool-sized benchmark in
 `perfbench/` does not reach, where the front end, the telomere triples or
-the gene families set the cost of a solve.  In the EMPTIED case, 30% gene
-loss leaves linear chromosomes whose genes preprocessing discards, and
-the rows between the telomere triples at their two ends outnumber all
-others.  The CIRCULAR cases turn each genome's one chromosome circular, as
-in a bacterial genome, by rewriting the shape column of the generated
-genome file.  Every case is solved with ICF-SEG on and off, REPEAT times
-each, by a fresh `ffmedian solve` child process per solve with a 120 s
-limit.  Off is `--no-icf-seg`; on is `--icf-seg` for a tree whose `solve
---help` lists it, and no flag for an older tree, where ICF-SEG was the
-default.  A report whose `config.use_icf_seg` is not the asked setting is
-an error.
+the gene families set the cost of a solve.  The n=4000 family case runs at
+seeds 5 and 6, whose LP vertices are fractional, so that HiGHS's MIP runs.
+In the EMPTIED case, 30% gene loss leaves linear chromosomes whose genes
+preprocessing discards, and the rows between the telomere triples at their
+two ends outnumber all others.  The CIRCULAR cases turn each genome's one
+chromosome circular, as in a bacterial genome, by rewriting the shape
+column of the generated genome file.  Every case is solved with ICF-SEG
+on and off, REPEAT times each, by a fresh `ffmedian solve` child process
+per solve with a 120 s limit.  Off is `--no-icf-seg`; on is `--icf-seg`
+for a tree whose `solve --help` lists it, and no flag for an older tree,
+where ICF-SEG was the default.  A report whose `config.use_icf_seg` is not
+the asked setting is an error.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
@@ -89,13 +90,16 @@ CASES = {
     "n300_c2_fam0.1": Params(n=300, chromosomes=2, family_rate=0.1),
     "n4000_c1_fam0.1": Params(n=4000, chromosomes=1, family_rate=0.1),
     "n4000_c2_fam0.2": Params(n=4000, chromosomes=2, family_rate=0.2),
+    "n4000_c2_fam0.2_seed6": Params(n=4000, chromosomes=2, family_rate=0.2),
     "n4000_c1_circular": Params(n=4000, chromosomes=1),
     "n4000_c1_circular_fam0.1": Params(n=4000, chromosomes=1, family_rate=0.1),
     "n60_c8_loss0.3": Params(n=60, chromosomes=8, loss_rate=0.3),
 }
 CIRCULAR = {"n4000_c1_circular", "n4000_c1_circular_fam0.1"}
 EMPTIED = "n60_c8_loss0.3"
-SEEDS = {EMPTIED: 1}  # seed 1 empties chromosomes in all three genomes
+# seed 1 empties chromosomes in all three genomes; at seed 6 the LP of the
+# n=4000 family case leaves other fractional columns than at seed 5
+SEEDS = {EMPTIED: 1, "n4000_c2_fam0.2_seed6": 6}
 
 
 def write_instance(params: Params, seed: int, out_dir: str) -> dict[str, str]:

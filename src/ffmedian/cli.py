@@ -33,8 +33,12 @@ The `solve` report, `median.json`, is one line of JSON with sorted keys
                the cap and y columns that stand for its telomere triples in
                the program HiGHS solves (`solver`), ICF-SEG's runs
                "examined", "accepted" and "skipped" at the conflict cap, and
-               HiGHS's "nodes", "simplex_iterations", "dual_bound" and "gap"
-               on that solve (0 and null without a HiGHS run)
+               in "mip" HiGHS's "nodes", "simplex_iterations", "dual_bound"
+               and "gap" on that solve, "lp_integral", whether the LP's
+               vertex was a 0-1 point (then no MIP ran and "nodes" is 0),
+               and the "rows" and "fixed_selections" handed to HiGHS (0 and
+               null without a HiGHS run; reports without these three keys
+               ran one MIP on every solve)
   stages       each stage's name and wall seconds
 `--canonical` drops the stage seconds, and nothing else: every other field
 is free of timings.  Schema version 1 wrote the same fields, indented, with
@@ -298,6 +302,9 @@ def run_pipeline(args) -> tuple[int, dict]:
                 "simplex_iterations": solution.simplex_iterations,
                 "dual_bound": solution.dual_bound,
                 "gap": solution.gap,
+                "lp_integral": solution.lp_integral,
+                "rows": solution.highs_rows,
+                "fixed_selections": solution.fixed,
             },
         },
         "genes": _genes_json(candidates, chosen),

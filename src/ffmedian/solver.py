@@ -6,13 +6,13 @@ one binary per conserved candidate adjacency (an adjacency needs both its
 genes chosen, and each candidate extremity carries at most one adjacency).
 The objective maximizes the conservation-weighted adjacency scores.
 
-`solve_branch_and_bound` hands HiGHS's MIP solver, in one call, a capped
-form of it (`_Capped`).  Telomere triples, one telomere per genome in every
-combination, are interchangeable and get no columns.  A real extremity
-(m, e) gets one cap for its rows to telomere triples: the row to a triple
-that holds the telomere facing (m, e) in each genome of S, the union of
-those rows' masks.  Rows between two telomere triples, whose telomeres end
-a chromosome that preprocessing emptied in each genome of their mask S,
+`solve_branch_and_bound` solves a capped form of it (`_Capped`).
+Telomere triples, one telomere per genome in every combination, are
+interchangeable and get no columns.  A real extremity (m, e) gets one cap
+for its rows to telomere triples: the row to a triple that holds the
+telomere facing (m, e) in each genome of S, the union of those rows'
+masks.  Rows between two telomere triples, whose telomeres end a
+chromosome that preprocessing emptied in each genome of their mask S,
 become counts y_S.  Distinct chosen caps face distinct telomeres, none of
 which ends an emptied chromosome, so by Hall's theorem the caps and y_S get
 triples of their own exactly when each genome has the telomeres (caps +
@@ -20,10 +20,16 @@ triples of their own exactly when each genome has the telomeres (caps +
 Bohnenkämper et al., JCB 2021).  So the capped program keeps the optimum,
 and `_Capped.table_rows` maps its point to table rows.  Each extremity row,
 `sum b at (m, e) - a_m <= 0`, is tighter than the paper's coupling and
-saturation rows, with the same integer points.  HiGHS presolve, feasibility
-jump and symmetry detection are off: each costs more than it saves on these
-models (`BENCH_fixed_costs.json`).  On a timeout the weight-order greedy
-selection competes with HiGHS's point.  HiGHS is scipy's extension
+saturation rows, with the same integer points.  Two exact reductions
+(Achterberg et al., "Presolve Reductions in Mixed Integer Programming",
+INFORMS J. Comput. 2020) shrink what HiGHS gets: the selection of a
+candidate that alone holds its genes is fixed at 1, and a row that cannot
+bind is left out.  `linprog` solves the LP, and runs the MIP on the same
+HiGHS object only when the LP's vertex is not a 0-1 point of the rows;
+nearly every root is integral.  HiGHS presolve, feasibility jump and
+symmetry detection are off: each costs more than it saves on these models
+(`BENCH_fixed_costs.json`).  On a timeout the weight-order greedy selection
+competes with HiGHS's point.  HiGHS is scipy's extension
 `scipy.optimize._highspy._core`, loaded alone, without `scipy.optimize`.
 The paper's own rows are written by `reference.export_lp`.
 
@@ -45,9 +51,12 @@ and `IlpModel` and `MedianSolution` are plain classes, not dataclasses.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import importlib.machinery
 import importlib.util
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -114,6 +123,9 @@ class MedianSolution:
         self.dual_bound: float | None = None  # HiGHS's bound on the objective
         self.gap: float | None = None  # HiGHS's relative gap
         self.caps = 0  # the cap and y columns handed to HiGHS
+        self.lp_integral: bool | None = None  # whether HiGHS's LP vertex was a 0-1 point
+        self.highs_rows = 0  # the rows handed to HiGHS
+        self.fixed = 0  # the selections fixed at 1 before HiGHS runs
 
 
 def verify_solution(
@@ -277,31 +289,58 @@ def _import_scipy():
 
 
 class MipResult(NamedTuple):
-    """What one HiGHS MIP run returns; `x` is None without a point."""
+    """What `linprog` returns; `x` is None without a point."""
 
     status: object  # the extension's HighsModelStatus
     message: str
     x: np.ndarray | None
     nodes: int
-    iterations: int  # HiGHS's simplex iteration count
-    dual_bound: float
+    iterations: int  # HiGHS's simplex iterations, the LP's and the MIP's
+    dual_bound: float  # the tighter of the LP's objective and the MIP's bound
     gap: float
+    lp_integral: bool | None  # whether the LP's vertex is a 0-1 point of the rows
+
+
+@contextlib.contextmanager
+def _stdout_away():
+    """Point fd 1 at the null device while HiGHS runs: its MIP prints debug
+    lines through C stdio whatever its output options say.  C stdio is
+    flushed before fd 1 points back, so none of them is left pending."""
+    try:
+        saved = os.dup(1)
+    except OSError:  # no fd 1, nothing to keep clean
+        yield
+        return
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        yield
+    finally:
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult:
-    """Minimize `cost @ x` over 0-1 `x` with `A @ x <= rhs` in one HiGHS run.
+    """Minimize `cost @ x` over 0-1 `x` with `A @ x <= rhs`: the LP first,
+    then, only when its vertex is not a 0-1 point within 1e-6 whose rounding
+    satisfies every row, the MIP on the same HiGHS object, in what the LP
+    left of `time_limit`.  A module-level name, so that it can be timed.
 
     `highs` is the module `_import_scipy` returns and `A` is given in
     compressed-column form (`start`, `index`, `value`).  The options are
     those `scipy.optimize.linprog(method="highs")` sets when given
     `presolve=False` and `mip_rel_gap=0` (presolve off, a zero relative gap,
-    no output, dual simplex, no debug checks), and two more, unlike scipy's:
-    `OFF_BEFORE_ROOT_LP`, the feasibility-jump heuristic and symmetry
-    detection, are off, as they cost more than they save on these models
-    (see the module docstring).  An older HiGHS may lack one of the two: it
-    rejects that setting, and the solve goes on.  A module-level name, so
-    that the HiGHS call can be timed on its own.
+    no output, dual simplex, no debug checks), and `OFF_BEFORE_ROOT_LP`,
+    the feasibility-jump heuristic and symmetry detection, turned off (see
+    the module docstring); an older HiGHS that lacks one rejects it, and
+    the solve goes on.
     """
+    if time_limit is not None and time_limit <= 0:  # HiGHS's LP would still run
+        return MipResult(highs.HighsModelStatus.kTimeLimit, "Time limit reached", None,
+                         0, 0, -np.inf, np.inf, None)
+    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     n_col, n_row = len(cost), len(rhs)
     lp = highs.HighsLp()
     lp.num_col_ = n_col
@@ -311,7 +350,6 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     lp.col_upper_ = np.ones(n_col)
     lp.row_lower_ = np.full(n_row, -highs.kHighsInf)
     lp.row_upper_ = rhs
-    lp.integrality_ = [highs.HighsVarType.kInteger] * n_col
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kColwise
     matrix.num_col_ = n_col
@@ -335,19 +373,38 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
         raise SolverError("HiGHS rejected the model or its options")
     for name in OFF_BEFORE_ROOT_LP:
         solver.setOptionValue(name, False)  # kError, and ignored, in a HiGHS without it
-    solver.run()
-    status = solver.getModelStatus()
-    info = solver.getInfo()
+    optimal = highs.HighsModelStatus.kOptimal
+    with _stdout_away():
+        solver.run()
+        status, info = solver.getModelStatus(), solver.getInfo()
+        iterations = int(info.simplex_iteration_count)
+        if status != optimal:  # the LP did not finish: no point, no bound
+            return MipResult(status, solver.modelStatusToString(status), None, 0,
+                             iterations, -np.inf, np.inf, None)
+        lp_bound = float(info.objective_function_value)
+        x = np.array(solver.getSolution().col_value)
+        point = np.round(x)
+        activity = np.bincount(index, value * np.repeat(point, np.diff(start)),
+                               minlength=n_row)
+        if np.abs(x - point).max(initial=0.0) <= 1e-6 and (activity <= rhs).all():
+            return MipResult(status, solver.modelStatusToString(status), point, 0,
+                             iterations, lp_bound, 0.0, True)
+        solver.changeColsIntegrality(n_col, np.arange(n_col, dtype=np.int32),
+                                     np.full(n_col, int(highs.HighsVarType.kInteger), np.uint8))
+        if deadline is not None:
+            solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
+        solver.run()
+    status, info = solver.getModelStatus(), solver.getInfo()
     x = None
-    if status == highs.HighsModelStatus.kOptimal or (
+    if status == optimal or (
         status == highs.HighsModelStatus.kTimeLimit
         and np.isfinite(info.objective_function_value)
     ):
         x = np.array(solver.getSolution().col_value)
     return MipResult(
-        status, solver.modelStatusToString(status), x,
-        int(info.mip_node_count), int(info.simplex_iteration_count),
-        float(info.mip_dual_bound), float(info.mip_gap),
+        status, solver.modelStatusToString(status), x, int(info.mip_node_count),
+        iterations + int(info.simplex_iteration_count),
+        max(float(info.mip_dual_bound), lp_bound), float(info.mip_gap), False,
     )
 
 
@@ -359,8 +416,9 @@ class _Capped:
     binaries of weight |S|.  Rows: per extant gene, its selections <= 1;
     per real extremity, its rows and cap <= the selection of m; per genome
     X, the y with X in S <= X's emptied chromosomes; caps + 2 y <= the
-    fewest telomeres of a genome.  A row of the last two kinds is left out
-    when its coefficients sum to no more than its right side."""
+    fewest telomeres of a genome.  `handed` is the program HiGHS gets,
+    reduced by rules (a) and (b) below with the columns' numbers kept, and
+    `fixed` counts the selections that rule (a) fixes."""
 
     def __init__(self, table: ConservedAdjacencyTable):
         ids, telomeric = table.candidates.ids, table.candidates.telomeric
@@ -422,22 +480,36 @@ class _Capped:
             (n_genes + ext_row, np.concatenate([n_r + np.tile(np.arange(n_in), 2), caps]), 1.0),
             (n_genes + np.arange(ext.size), col_of[ext // 3], -1.0),
         ]
-        rhs, row = [np.ones(n_genes), np.zeros(ext.size)], n_genes + ext.size
-        for x in range(3):  # the count rows that can bind
-            if np.count_nonzero(y_mask >> x & 1) > emptied[x]:
-                blocks.append((row, ys[y_mask >> x & 1 == 1], 1.0))
-                rhs.append([emptied[x]])
-                row += 1
-        if caps.size + 2 * ys.size > room:
-            blocks += [(row, caps, 1.0), (row, ys, 2.0)]
-            rhs.append([room])
+        row = n_genes + ext.size
+        blocks += [(row + x, ys[y_mask >> x & 1 == 1], 1.0) for x in range(3)]
+        blocks += [(row + 3, caps, 1.0), (row + 3, ys, 2.0)]
         rows = np.concatenate([np.broadcast_to(r, c.shape) for r, c, _ in blocks])
         cols = np.concatenate([c for _, c, _ in blocks])
         order = np.lexsort((rows, cols))
-        self.start = np.searchsorted(cols[order], np.arange(ys.size + self.split[2] + 1))
-        self.index = rows[order]
+        rows, cols = rows[order], cols[order]
+        n_col = ys.size + self.split[2]
+        self.start = np.searchsorted(cols, np.arange(n_col + 1))
+        self.index = rows
         self.value = np.concatenate([np.full(c.size, v) for _, c, v in blocks])[order]
-        self.rhs = np.concatenate(rhs)
+        self.rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size), emptied, [room]])
+        # (a) a real candidate that alone holds each of its genes is fixed at
+        # 1: its entries move to the right sides, and its column is left
+        # empty.  Its gene rows hold it alone, it costs 0, and choosing it
+        # only loosens its extremity rows.
+        fixed = np.zeros(n_col, dtype=bool)
+        fixed[:n_r] = np.bincount(cand_gene.ravel())[cand_gene].max(axis=1, initial=0) == 1
+        self.fixed = int(fixed.sum())
+        on = fixed[cols]
+        rhs = self.rhs - np.bincount(rows[on], self.value[on], minlength=self.rhs.size)
+        # (b) a row goes to HiGHS only when its largest activity, the sum of
+        # its positive coefficients on free columns, exceeds its right side
+        keep = np.bincount(rows[~on], np.maximum(self.value[~on], 0.0),
+                           minlength=rhs.size) > rhs
+        on = ~on & keep[rows]  # the entries handed to HiGHS
+        self.handed = (  # compressed-column arrays and right sides, as `linprog` takes them
+            np.concatenate([[0], np.cumsum(np.bincount(cols[on], minlength=n_col))]),
+            (np.cumsum(keep) - 1)[rows[on]], self.value[on], rhs[keep],
+        )
         self.cost = -np.concatenate([
             np.zeros(n_r), table.weight[inner],
             table.factor[mixed[first]] * np.bitwise_count(cap_mask.astype(np.uint8)),
@@ -481,48 +553,37 @@ class _Capped:
 def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
     """Take adjacencies by decreasing weight while the selection stays valid."""
     table = model.table
-    order = np.lexsort((np.arange(len(table)), -table.weight))
     genes = [list(enumerate(col)) for col in table.candidates.ids.T.tolist()]
     owner: dict[tuple[int, int], int] = {}
     used_ext: set[tuple[int, int]] = set()
     chosen: list[int] = []
-    value = 0.0
-    for k in order:
-        k = int(k)
+    for k in np.lexsort((np.arange(len(table)), -table.weight)).tolist():
         m1, e1, m2, e2 = table.key(k)
-        if (m1, e1) in used_ext or (m2, e2) in used_ext:
+        if (m1, e1) in used_ext or (m2, e2) in used_ext or any(
+            owner.get(gene, m) != m for m in (m1, m2) for gene in genes[m]
+        ):
             continue
-        ok = True
-        for m in (m1, m2):
-            for gene in genes[m]:
-                if owner.get(gene, m) != m:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for m in (m1, m2):
-            for gene in genes[m]:
-                owner[gene] = m
-        used_ext.add((m1, e1))
-        used_ext.add((m2, e2))
+        owner.update((gene, m) for m in (m1, m2) for gene in genes[m])
+        used_ext |= {(m1, e1), (m2, e2)}
         chosen.append(k)
-        value += float(table.weight[k])
-    return value, tuple(sorted(chosen))
+    return float(sum(table.weight[chosen].tolist())), tuple(sorted(chosen))
 
 
 def solve_branch_and_bound(
     model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact, deterministic solve of the 0-1 program by one HiGHS MIP run
-    on the capped program, `_Capped` (see the module docstring).
+    """Exact, deterministic solve of the 0-1 program: the capped program,
+    `_Capped`, reduced by its rules (a) and (b), goes to `linprog`, which
+    runs HiGHS's LP and, only on a fractional root, its MIP (see the module
+    docstring).
 
-    HiGHS's `kOptimal` gives `optimal`.  When the time limit strikes
-    (`kTimeLimit`) the result is `feasible`: the incumbent is the better of
-    HiGHS's point and the weight-order greedy selection, and the bound is
-    HiGHS's dual bound, or the capped program's total weight when HiGHS has
-    none.  Any other status raises `SolverError` with HiGHS's status string.
+    An LP vertex that is a 0-1 point of the rows, or HiGHS's MIP `kOptimal`,
+    gives `optimal`.  When the time limit strikes (`kTimeLimit`) the result
+    is `feasible`: the incumbent is the better of HiGHS's point and the
+    weight-order greedy selection, and the bound is the tighter of the LP's
+    objective and HiGHS's MIP bound, or the capped program's total weight
+    when the LP did not finish.  Any other status raises `SolverError` with
+    HiGHS's status string.
 
     `time_limit` counts from this call, so the first load of HiGHS and the
     row build come out of the budget HiGHS gets.
@@ -540,19 +601,18 @@ def solve_branch_and_bound(
     if time_limit is not None:
         # HiGHS ignores a negative limit, so a spent budget becomes 0
         limit = max(0.0, float(time_limit) - (time.monotonic() - started))
-    res = linprog(highs, program.cost, program.start, program.index, program.value,
-                  program.rhs, limit)
+    res = linprog(highs, program.cost, *program.handed, limit)
     dual_bound = -res.dual_bound
     log.info(
-        "HiGHS MIP: %s, %d nodes, gap %s, dual bound %s",
-        res.message, res.nodes, res.gap, dual_bound,
+        "HiGHS: %s, LP integral %s, %d nodes, gap %s, dual bound %s",
+        res.message, res.lp_integral, res.nodes, res.gap, dual_bound,
     )
     rows = () if res.x is None else program.table_rows(res.x)
     value = float(np.sum(table.weight[list(rows)]))
     if res.status == highs.HighsModelStatus.kOptimal:
         solution = _finish(model, STATUS_OPTIMAL, value, value, rows, res)
     elif res.status != highs.HighsModelStatus.kTimeLimit:
-        raise SolverError(f"HiGHS MIP failed: {res.message}")
+        raise SolverError(f"HiGHS failed: {res.message}")
     else:
         greedy_value, greedy_rows = _greedy_incumbent(model)
         if greedy_value > value:
@@ -561,6 +621,7 @@ def solve_branch_and_bound(
         # HiGHS's dual bound holds only up to its tolerances
         solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
     solution.caps = program.cost.size - program.split[1]
+    solution.highs_rows, solution.fixed = program.handed[3].size, program.fixed
     return solution
 
 
@@ -572,6 +633,7 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
     if res is not None:
         solution.nodes_explored = res.nodes
         solution.simplex_iterations = res.iterations
+        solution.lp_integral = res.lp_integral
         if np.isfinite(res.dual_bound):
             solution.dual_bound = -res.dual_bound
         if np.isfinite(res.gap):

@@ -30,16 +30,18 @@ ICF_SEG_DIGESTS = [
 ]
 
 # SHA-256 of the file each command writes on evolved_instance(51, 120, 2, 0.1);
-# the `solve` entry pins `solve --canonical --icf-seg`
+# the `solve` entry pins `solve --canonical --icf-seg`.  The two `solve`
+# digests moved only by `stats.mip` when the LP came first: the same rows,
+# three new keys, no MIP node and other simplex iteration counts
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
-    "solve": "d3779b64d67ddbe4e9276624eecfe5b821995870d4f71073879fcf4cd6047072",
+    "solve": "40904eedc33cbcaa224b932e82f9f7bd110c29be445d3affe486a323db938ada",
 }
 
 # SHA-256 of the default `solve --canonical` report, without ICF-SEG, on the
 # same instance
-PLAIN_SOLVE_DIGEST = "23420ec86488c40c56c46270df0ec5e38fd48071c49578f9b5a50d1f69975e00"
+PLAIN_SOLVE_DIGEST = "b6fdc720bfe27e0899ffedc729c48fb3202a10cd858bf28af909e4ef65b1d9b2"
 
 # SHA-256 of the schema-1 `solve --canonical --icf-seg` report on the same
 # instance
@@ -235,6 +237,21 @@ def test_solve_to_stdout_writes_only_the_report(tmp_path):
     assert to_stdout.stdout[end:] == "\n" and report["status"] == "optimal"
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_solve_to_stdout_after_a_mip_run_writes_only_the_report(tmp_path, buffered):
+    """HiGHS's MIP, run on the LP's object after a fractional root, prints
+    a debug line through C stdio on some instances; none of it reaches the
+    stdout of `-o -`, which holds the `-o FILE` bytes alone."""
+    instance = write_files(tmp_path, *evolved_instance(2, 40, 2, 0.1))
+    out = tmp_path / "median.json"
+    to_file = run_cli("solve", *instance, "--canonical", "-o", str(out))
+    to_stdout = run_cli("solve", *instance, "--canonical", "-o", "-", buffered=buffered)
+    assert to_file.returncode == to_stdout.returncode == cli.EXIT_OK, to_stdout.stderr
+    assert to_stdout.stdout.encode("utf-8") == out.read_bytes()
+    mip = json.loads(out.read_text())["stats"]["mip"]
+    assert mip["lp_integral"] is False and mip["nodes"] >= 1
+
+
 @pytest.mark.parametrize("icf_seg", [True, False])
 def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch, icf_seg):
     """With a conflict cap of 0 ICF-SEG skips runs; `stats` carries the
@@ -251,10 +268,14 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in table.candidates) == 64
     runs, mip = stats["icf_seg"], stats["mip"]
     assert runs["accepted"] == counts["accepted_segments"]
-    assert mip["nodes"] >= 1 and mip["simplex_iterations"] > 0 and mip["gap"] == 0
+    assert mip["lp_integral"] is True and mip["nodes"] == 0
+    assert mip["simplex_iterations"] > 0 and mip["gap"] == 0
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
+    result = segments.icf_seg(genomes[0], table)
+    program = solver._Capped(result.reduced_table() if icf_seg else table)
+    assert mip["rows"] == program.handed[3].size < program.rhs.size
+    assert mip["fixed_selections"] == program.fixed > 0
     if icf_seg:
-        result = segments.icf_seg(genomes[0], table)
         assert runs["skipped"] > 0 and stats["solve_rows"] == int(result.row_alive.sum())
         assert summary[0] == (
             f"icf-seg: {runs['examined']} runs examined, {runs['accepted']} accepted, "
@@ -268,6 +289,18 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
         assert mip["dual_bound"] == pytest.approx(report["objective"])
 
 
+def test_stats_of_a_fractional_root_count_the_mip_nodes(tmp_path):
+    """A fractional root sends the program to HiGHS's MIP, whose nodes count."""
+    instance = write_files(tmp_path, *evolved_instance(2, 40, 2, 0.1))
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    mip = report["stats"]["mip"]
+    assert report["status"] == "optimal" and mip["lp_integral"] is False
+    assert mip["nodes"] >= 1 and mip["gap"] == 0
+    assert mip["dual_bound"] == pytest.approx(report["objective"])
+
+
 def test_oracle_stats_have_no_highs_counters(tmp_path):
     """A solve that makes no HiGHS run reports 0 and null for HiGHS's
     counters: one single-gene circular chromosome per genome gives one
@@ -279,7 +312,8 @@ def test_oracle_stats_have_no_highs_counters(tmp_path):
     assert report["counts"]["candidates"] == 1 and report["stats"]["solve_rows"] == 0
     assert report["status"] == "optimal"
     mip = report["stats"]["mip"]
-    assert mip == {"nodes": 0, "simplex_iterations": 0, "dual_bound": None, "gap": None}
+    assert mip == {"nodes": 0, "simplex_iterations": 0, "dual_bound": None, "gap": None,
+                   "lp_integral": None, "rows": 0, "fixed_selections": 0}
 
 
 @pytest.mark.parametrize(
@@ -655,7 +689,7 @@ def test_entry_point_logs_info_lines_with_verbose(tmp_path):
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     lines = proc.stderr.splitlines()
     assert any(line.startswith("INFO ffmedian.segments: icf-seg: ") for line in lines)
-    assert any(line.startswith("INFO ffmedian.solver: HiGHS MIP: ") for line in lines)
+    assert any(line.startswith("INFO ffmedian.solver: HiGHS: ") for line in lines)
 
 
 def test_entry_point_names_the_cli_logger_by_its_module(tmp_path):

@@ -8,7 +8,8 @@ most 12 candidates stay within the oracle's cap.  The linear instances,
 1-3 chromosomes per genome with lost genes, have telomere triples beyond
 that cap and, where preprocessing empties a chromosome, rows between two
 telomere triples; their reference optimum comes from a MILP solver on the
-paper's rows (`conftest.milp_objective`).
+paper's rows (`conftest.milp_objective`), as does that of the gene-family
+instances, drawn from `conftest.evolved_instance`.
 """
 from collections import Counter
 
@@ -31,7 +32,7 @@ from ffmedian.solver import (
     solve_branch_and_bound,
 )
 
-from conftest import milp_objective
+from conftest import evolved_instance, milp_objective
 
 PAIRS = (("G", "H"), ("G", "I"), ("H", "I"))
 WEIGHTS = st.integers(200, 1000).map(lambda w: w / 1000)
@@ -102,6 +103,22 @@ def linear_instances(draw):
     return genomes, candidates, table
 
 
+@st.composite
+def family_instances(draw):
+    """`conftest.evolved_instance` genomes of 20-40 genes with 10-30% of the
+    genes copied per genome and 1-3 linear chromosomes, not preprocessed:
+    their LP vertices are fractional more often than those of the
+    preprocessed tables, which is what the MIP branch needs."""
+    genomes, sigma = evolved_instance(
+        draw(st.integers(0, 10**6)), draw(st.integers(20, 40)), draw(st.integers(1, 3)),
+        draw(st.sampled_from((0.1, 0.2, 0.3))),
+    )
+    candidates = enumerate_candidates(*genomes, sigma)
+    table = enumerate_conserved_adjacencies(candidates, *genomes)
+    assume(len(table) <= 300)
+    return genomes, candidates, table
+
+
 def _car_links(candidates, car):
     """The extremity pairs that join consecutive members of a CAR."""
     members = list(car.members)
@@ -136,6 +153,25 @@ def test_linear_solve_equals_milp(instance):
     assert solution.status == STATUS_OPTIMAL
     assert abs(solution.objective - milp_objective(table)) <= GRID
     assert abs(solution.bound - solution.objective) <= GRID
+
+
+def test_solve_equals_milp_on_integral_and_fractional_roots():
+    """Linear, circular, emptied-chromosome and gene-family tables: the
+    solve reaches the MILP optimum of the paper's rows whether the LP's
+    vertex is a 0-1 point or HiGHS's MIP runs, and both happen."""
+    roots = Counter()
+
+    @settings(SETTINGS, max_examples=90)
+    @given(st.one_of(circular_instances(), linear_instances(), family_instances()))
+    def check(instance):
+        genomes, candidates, table = instance
+        solution = solve_branch_and_bound(build_ilp(table))
+        roots[solution.lp_integral] += 1
+        assert solution.status == STATUS_OPTIMAL
+        assert abs(solution.objective - milp_objective(table)) <= GRID
+
+    check()
+    assert roots[True] > 0 and roots[False] > 0, roots
 
 
 @SETTINGS

@@ -288,23 +288,49 @@ def _scipy_mip_rows(model):
     for j, ext in enumerate(caps):
         entries.append((ext_row[ext], n_r + n_in + j, 1.0))
     rhs = [1.0] * len(gene_row) + [0.0] * len(ext_rows)
-    # the count rows, each only when its coefficients sum above its right side
-    y_cols = {x: [n_r + n_in + len(caps) + j for j, (mask, _) in enumerate(y) if mask >> x & 1]
-              for x in range(3)}
+    # the count rows: per genome, then the capacity row
     for x in range(3):
-        if len(y_cols[x]) > emptied[x]:
-            entries += [(len(rhs), col, 1.0) for col in y_cols[x]]
-            rhs.append(emptied[x])
-    if len(caps) + 2 * len(y) > room:
-        entries += [(len(rhs), n_r + n_in + j, 1.0) for j in range(len(caps))]
-        entries += [(len(rhs), n_r + n_in + len(caps) + j, 2.0) for j in range(len(y))]
-        rhs.append(room)
+        entries += [(len(rhs), n_r + n_in + len(caps) + j, 1.0)
+                    for j, (mask, _) in enumerate(y) if mask >> x & 1]
+        rhs.append(emptied[x])
+    entries += [(len(rhs), n_r + n_in + j, 1.0) for j in range(len(caps))]
+    entries += [(len(rhs), n_r + n_in + len(caps) + j, 2.0) for j in range(len(y))]
+    rhs.append(room)
     rows, cols, vals = zip(*entries)
     shape = (len(rhs), n_r + n_in + len(caps) + len(y))
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     cost = [0.0] * n_r + [-float(table.weight[k]) for k in inner]
     cost += [-cap_weight[ext] for ext in caps] + [-bin(mask).count("1") for mask, _ in y]
     return sp.csc_array(matrix), np.array(rhs), np.array(cost)
+
+
+def _reduced_by_loops(matrix, rhs, n_genes, n_r):
+    """Reference for `_Capped.handed`: rules (a) and (b) by plain loops over
+    the unreduced program, `matrix` (CSC) and `rhs`, whose first `n_genes`
+    rows are the gene rows and first `n_r` columns the selections."""
+    entries = {}  # row -> {column: value}
+    for j in range(matrix.shape[1]):
+        for k in range(matrix.indptr[j], matrix.indptr[j + 1]):
+            entries.setdefault(int(matrix.indices[k]), {})[j] = float(matrix.data[k])
+    # (a) a selection whose gene rows hold it alone is fixed at 1
+    fixed = {j for j in range(n_r)
+             if all(len(entries[i]) == 1 for i in range(n_genes) if j in entries[i])}
+    kept, rows, cols, vals, right = 0, [], [], [], []
+    for i in range(len(rhs)):
+        row = entries.get(i, {})
+        limit = rhs[i] - sum(v for j, v in row.items() if j in fixed)
+        # (b) a row is kept only when its free columns can exceed its limit
+        if sum(max(v, 0.0) for j, v in row.items() if j not in fixed) > limit:
+            for j, v in sorted(row.items()):
+                if j not in fixed:
+                    rows.append(kept)
+                    cols.append(j)
+                    vals.append(v)
+            right.append(limit)
+            kept += 1
+    reduced = sp.csc_array((vals, (rows, cols)), shape=(kept, matrix.shape[1]))
+    reduced.sort_indices()
+    return reduced, np.array(right), len(fixed)
 
 
 def _check_mip_rows(genomes, sigma):
@@ -316,6 +342,13 @@ def _check_mip_rows(genomes, sigma):
     np.testing.assert_array_equal(program.value, matrix.data)
     np.testing.assert_array_equal(program.rhs, rhs)
     np.testing.assert_allclose(program.cost, cost, rtol=1e-12)
+    n_r = program.split[0]
+    n_genes = len({g for c in cands if not c.is_telomere_triple for g in c.genes})
+    reduced, right, fixed = _reduced_by_loops(matrix, rhs, n_genes, n_r)
+    for handed, expected in zip(program.handed, (reduced.indptr, reduced.indices,
+                                                  reduced.data, right)):
+        np.testing.assert_array_equal(handed, expected)
+    assert program.fixed == fixed
     return program
 
 
@@ -395,6 +428,47 @@ def test_capacity_row_binds():
     assert -res.x @ program.cost > reference + 0.1
     solution = solve_branch_and_bound(build_ilp(table))
     assert abs(solution.objective - reference) <= GRID
+
+
+def test_rule_a_fixes_the_candidates_that_alone_hold_their_genes():
+    """Identical genomes: a, b and c each hold their genes alone, so their
+    selections are fixed and their columns handed empty.  Candidates that
+    share a gene stay free: (a, a, a) and (a, b, b) share G's a, and (a, b,
+    b) and (b, b, b) share H's and I's b."""
+    cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+    program = solver._Capped(table)
+    assert program.fixed == 3 and not np.diff(program.handed[0])[:3].any()
+    G, H, I = (linear(label, [("a", 1), ("b", 1)]) for label in "GHI")
+    sigma = diagonal_sigma(["a"])
+    for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
+        sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
+    for y in "HI":
+        sigma.set(Gene("G", "a"), Gene(y, "b"), 0.9)
+    cands, table = build_tables([G, H, I], sigma)
+    assert sum(not c.is_telomere_triple for c in cands) == 3
+    assert solver._Capped(table).fixed == 0
+    solution = solve_branch_and_bound(build_ilp(table))
+    assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
+
+
+def test_rule_b_hands_only_the_rows_that_can_bind():
+    """Identical genomes: with a, b and c fixed, each gene row is empty and
+    each extremity row holds one adjacency or one cap, so HiGHS gets no
+    row, and its LP vertex is the optimum.  Where the capacity row binds
+    (see `test_capacity_row_binds`) it is handed, with every cap."""
+    cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+    program = solver._Capped(table)
+    assert program.handed[3].size == 0 < program.rhs.size
+    solution = solve_branch_and_bound(build_ilp(table))
+    assert solution.lp_integral and solution.status == STATUS_OPTIMAL
+    assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
+    genomes, sigma = evolved_instance(20, 20, 1, 0.0)
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+    program = solver._Capped(build_tables(genomes, sigma)[1])
+    start, index, value, rhs = program.handed
+    caps = program.split[2] - program.split[1]
+    assert caps > 2 and rhs[-1] == 2
+    assert np.count_nonzero(index == rhs.size - 1) == caps
 
 
 class TestBruteForce:
