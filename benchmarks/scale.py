@@ -13,9 +13,15 @@ In the EMPTIED case, 30% gene loss leaves linear chromosomes whose genes
 preprocessing discards, and the rows between the telomere triples at their
 two ends outnumber all others.  The CIRCULAR cases turn each genome's one
 chromosome circular, as in a bacterial genome, by rewriting the shape
-column of the generated genome file.  Every case is solved with ICF-SEG
-on and off, REPEAT times each, by a fresh `ffmedian solve` child process
-per solve with a 120 s limit.  Off is `--no-icf-seg`; on is `--icf-seg`
+column of the generated genome file.  The MIS cases are the paper's
+hardness reduction, `reduce_mis(random_bounded_graph(n, 3/n, 1))` at n = 8
+and 12, written by this checkout's `src/`: tie-heavy models whose rows grow
+about as n^4 (n = 16 already takes 20 to 30 s a solve).  They are solved
+without preprocessing, as `verify-reduction` solves them, and each tree's
+`verify-reduction` verdict on the instance, one child per tree, is recorded
+next to the stage times.  Every case is solved with ICF-SEG on and off,
+REPEAT times each, by a fresh `ffmedian solve` child process per solve
+with a 120 s limit.  Off is `--no-icf-seg`; on is `--icf-seg`
 for a tree whose `solve --help` lists it, and no flag for an older tree,
 where ICF-SEG was the default.  A report whose `config.use_icf_seg` is not
 the asked setting is an error.
@@ -37,13 +43,20 @@ in every repeat.  It also records the versions of Python, numpy, scipy and
 the HiGHS bundled with scipy that the children run.
 
 Separately, so that the stage and wall numbers above stay as they are,
-`imports` records per tree the median import time of the package's own
-modules in a default solve child of the IMPORT_CASE instance, over
-IMPORT_REPEAT children per tree, the trees taking turns.  Each child is
-started as the installed `ffmedian` script starts it (`from ffmedian.cli
-import run`), so that `cli` is timed as a module too, under `python -X
-importtime`, whose self times of the `ffmedian` modules are summed.  The
-children read and write no bytecode cache (an empty `PYTHONPYCACHEPREFIX`
+`imports` records per tree the median import time of the modules a
+default solve child of the IMPORT_CASE instance loads, over IMPORT_REPEAT
+children per tree, the trees taking turns.  Each child is started as the
+installed `ffmedian` script starts it (`from ffmedian.cli import run`), so
+that `cli` is timed as a module too, under `python -X importtime`.  The
+self times of the `ffmedian` modules are summed into `total_ms`; those of
+the other modules imported once the package starts loading, except numpy
+and the modules numpy imports, into `other_total_ms`: argparse, json and
+the rest of the standard library that the program's own code pulls in,
+and HiGHS.  The HiGHS extension is loaded from its file, not through the
+import system, so `-X importtime` does not see it: the child times the
+call of `solver._import_scipy`, once per solve, and reports it as one more
+import line.  Together the two sums are the start-up that the program controls.
+The children read and write no bytecode cache (an empty `PYTHONPYCACHEPREFIX`
 and `PYTHONDONTWRITEBYTECODE=1`), so every module is compiled from source
 in every child, as on a host that writes no bytecode, whatever caches the
 tree holds; this makes each of these children about 1 s slower.
@@ -62,15 +75,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from gen import GENOMES_FILE, SIMILARITY_FILE, TRUTH_FILE, Params  # noqa: E402
+from gen import GENOMES_FILE, SIMILARITY_FILE, Params  # noqa: E402
 
 SEED = 5
 REPEAT = 3
 TIME_LIMIT = 120.0
 IMPORT_CASE = "n300_c2_fam0.1"
 IMPORT_REPEAT = 20
-# a solve child as the installed `ffmedian` script runs one
-SCRIPT = "import sys; from ffmedian.cli import run; sys.exit(run())"
+# a solve child as the installed `ffmedian` script runs one, which also
+# reports the first load of the HiGHS extension as `-X importtime` would
+IMPORT_SCRIPT = (
+    "import sys, time\n"
+    "from ffmedian.cli import run\n"
+    "from ffmedian import solver\n"
+    "load = solver._import_scipy\n"
+    "def timed():\n"
+    "    start = time.perf_counter_ns()\n"
+    "    module = load()\n"
+    "    us = (time.perf_counter_ns() - start) // 1000\n"
+    "    sys.stderr.write(f'import time: {us:9} | {us:10} | {solver.HIGHS_MODULE}\\n')\n"
+    "    return module\n"
+    "solver._import_scipy = timed\n"
+    "sys.exit(run())\n"
+)
 # the report fields that `main` and `summarize` read, printed by a child that
 # parses the report: a report at n=20000 is large (see `write_instance`)
 FIELDS = ("config", "stages", "status", "objective", "counts", "stats")
@@ -100,6 +127,14 @@ EMPTIED = "n60_c8_loss0.3"
 # seed 1 empties chromosomes in all three genomes; at seed 6 the LP of the
 # n=4000 family case leaves other fractional columns than at seed 5
 SEEDS = {EMPTIED: 1, "n4000_c2_fam0.2_seed6": 6}
+# name -> vertices n of the graph `random_bounded_graph(n, 3 / n, 1)` whose
+# `reduce_mis` instance the case solves
+MIS_CASES = {"mis_n8": 8, "mis_n12": 12}
+MIS_SEED = 1
+REDUCTION = ("import sys\n"
+             "from ffmedian.mis_reduction import random_bounded_graph, reduce_mis, write_instance\n"
+             "n, seed, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
+             "write_instance(reduce_mis(random_bounded_graph(n, 3 / n, seed)), out)\n")
 
 
 def write_instance(params: Params, seed: int, out_dir: str) -> dict[str, str]:
@@ -110,8 +145,31 @@ def write_instance(params: Params, seed: int, out_dir: str) -> dict[str, str]:
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in vars(params).items()]
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen.py"), *flags, f"--seed={seed}",
                     f"--out={out_dir}"], check=True, stdout=subprocess.DEVNULL)
-    names = {"genomes": GENOMES_FILE, "similarity": SIMILARITY_FILE, "truth": TRUTH_FILE}
-    return {role: os.path.join(out_dir, name) for role, name in names.items()}
+    return {"genomes": [os.path.join(out_dir, GENOMES_FILE)],
+            "similarity": os.path.join(out_dir, SIMILARITY_FILE)}
+
+
+def write_reduction(n: int, out_dir: str) -> dict:
+    """The `reduce_mis` instance of MIS_CASES' graph on `n` vertices, written
+    by this checkout's `src/` in a child process, as `write_instance`."""
+    subprocess.run([sys.executable, "-c", REDUCTION, str(n), str(MIS_SEED), out_dir],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    with open(os.path.join(out_dir, "meta.json"), encoding="utf-8") as fh:
+        labels = json.load(fh)["labels"]
+    return {"genomes": [os.path.join(out_dir, f"{label}.gen") for label in labels],
+            "similarity": os.path.join(out_dir, "graph.sim"), "dir": out_dir}
+
+
+def verify_reduction(src: str, instance_dir: str) -> dict:
+    """The verdict that `ffmedian verify-reduction` of the tree `src` prints."""
+    argv = [sys.executable, "-m", "ffmedian.cli", "verify-reduction", instance_dir,
+            "--time-limit", str(TIME_LIMIT)]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    if not proc.stdout:
+        raise RuntimeError(f"verify-reduction with {src} exited with {proc.returncode}: "
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def circularize(path: str) -> None:
@@ -142,11 +200,17 @@ def versions() -> dict[str, str]:
     return json.loads(out)
 
 
-def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple[dict, dict]:
+def instance_args(files: dict) -> list[str]:
+    """`-g` for each genome file and `-s` for the similarity file of `files`."""
+    return [*(arg for path in files["genomes"] for arg in ("-g", path)),
+            "-s", files["similarity"]]
+
+
+def solve(src: str, files: dict, flags: list[str], out: Path) -> tuple[dict, dict]:
     """One solve child: its report's FIELDS and its `wall_s`, `cpu_s` and
     `peak_rss_mb`."""
-    argv = [sys.executable, "-m", "ffmedian.cli", "solve", "-g", files["genomes"],
-            "-s", files["similarity"], "--time-limit", str(TIME_LIMIT), "-o", str(out), *flags]
+    argv = [sys.executable, "-m", "ffmedian.cli", "solve", *instance_args(files),
+            "--time-limit", str(TIME_LIMIT), "-o", str(out), *flags]
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
@@ -164,21 +228,40 @@ def solve(src: str, files: dict[str, str], flags: list[str], out: Path) -> tuple
     }
 
 
-def import_ms(src: str, files: dict[str, str], out: Path, cache: str) -> dict[str, float]:
-    """Milliseconds of self import time of each `ffmedian` module in one
-    default solve child that compiles every module from source."""
-    argv = [sys.executable, "-X", "importtime", "-c", SCRIPT, "solve", "-g", files["genomes"],
-            "-s", files["similarity"], "--canonical", "-o", str(out)]
+def import_ms(src: str, files: dict, out: Path,
+              cache: str) -> tuple[dict[str, float], dict[str, float]]:
+    """Milliseconds of self import time of each `ffmedian` module, and of
+    each other module imported after the package's first one, numpy's
+    aside, in one default solve child that compiles every module from
+    source (see the module docstring)."""
+    argv = [sys.executable, "-X", "importtime", "-c", IMPORT_SCRIPT, "solve",
+            *instance_args(files), "--canonical", "-o", str(out)]
     env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
     err = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stderr
-    times = {}
-    # "import time: self [us] | cumulative | imported package", one line per import
+    # "import time: self [us] | cumulative | imported package", one line per
+    # import, a module's after those it imports, indented two spaces a level
+    lines = []
     for line in err.splitlines():
         if line.startswith("import time:") and "|" in line:
-            own, _, name = (field.strip() for field in line[len("import time:"):].split("|"))
-            if name.split(".")[0] == "ffmedian" and own.isdigit():
-                times[name] = int(own) / 1000
-    return times
+            own, _, name = line[len("import time:"):].split("|")
+            if own.strip().isdigit():
+                depth = (len(name) - len(name.lstrip()) - 1) // 2
+                lines.append((int(own) / 1000, name.strip(), depth))
+    package, other = {}, {}
+    numpy_depth = None  # depth of the numpy import whose modules are being read
+    for ms, name, depth in reversed(lines):
+        top = name.split(".")[0]
+        if numpy_depth is not None and depth <= numpy_depth:
+            numpy_depth = None
+        if top == "ffmedian":
+            package[name] = ms
+        elif top == "numpy" and numpy_depth is None:
+            numpy_depth = depth
+        elif numpy_depth is None:
+            other[name] = ms
+        if name == "ffmedian":
+            break  # what came before is the interpreter's own start-up
+    return package, other
 
 
 def summarize(reports: list[dict], samples: dict[str, list[float]]) -> dict:
@@ -212,16 +295,23 @@ def main(argv=None) -> int:
     results = []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        for name in CASES:
-            files = write_instance(CASES[name], SEEDS.get(name, SEED), str(work / name))
+        for name in [*CASES, *MIS_CASES]:
+            extra, verdicts = [], {}
+            if name in MIS_CASES:
+                files = write_reduction(MIS_CASES[name], str(work / name))
+                extra = ["--no-preprocess"]
+                verdicts = {label: verify_reduction(src, files["dir"])
+                            for label, src in trees.items()}
+            else:
+                files = write_instance(CASES[name], SEEDS.get(name, SEED), str(work / name))
             if name in CIRCULAR:
-                circularize(files["genomes"])
+                circularize(files["genomes"][0])
             for icf_seg in (True, False):
                 reports = {label: [] for label in trees}
                 samples = {label: {} for label in trees}
                 for _ in range(REPEAT):
                     for label, src in trees.items():
-                        report, usage = solve(src, files, flags[label][icf_seg],
+                        report, usage = solve(src, files, flags[label][icf_seg] + extra,
                                               work / "median.json")
                         if report["config"]["use_icf_seg"] != icf_seg:
                             raise RuntimeError(f"{label} on {name}: use_icf_seg is not {icf_seg}")
@@ -229,6 +319,8 @@ def main(argv=None) -> int:
                         for metric, value in usage.items():
                             samples[label].setdefault(metric, []).append(value)
                 runs = {label: summarize(reports[label], samples[label]) for label in trees}
+                for label, verdict in verdicts.items():
+                    runs[label]["verify_reduction"] = verdict
                 results.append({"case": name, "icf_seg": icf_seg, "runs": runs})
                 print(name, "icf-seg" if icf_seg else "no icf-seg", " ".join(
                     f"{label}: {run['total_s']:.3f} s in stages, {run['wall_s']:.3f} s wall, "
@@ -237,20 +329,23 @@ def main(argv=None) -> int:
                     for label, run in runs.items()), flush=True)
         files = write_instance(CASES[IMPORT_CASE], SEED, str(work / "imports"))
         cache = tempfile.mkdtemp(dir=work)  # stays empty: no child writes bytecode
-        children: dict[str, list[dict[str, float]]] = {label: [] for label in trees}
+        children: dict[str, list[tuple]] = {label: [] for label in trees}
         for _ in range(IMPORT_REPEAT):
             for label, src in trees.items():
                 children[label].append(import_ms(src, files, work / "median.json", cache))
         imports = {}
         for label, runs in children.items():
-            modules = sorted({name for run in runs for name in run})
-            imports[label] = {
-                "total_ms": statistics.median(sum(run.values()) for run in runs),
-                "modules_ms": {name: statistics.median(run.get(name, 0.0) for run in runs)
-                               for name in modules},
-            }
-        print("imports", " ".join(f"{label}: {run['total_ms']:.1f} ms"
-                                  for label, run in imports.items()), flush=True)
+            imports[label] = {}
+            for key, part in (("", 0), ("other_", 1)):
+                modules = sorted({name for run in runs for name in run[part]})
+                imports[label][f"{key}total_ms"] = statistics.median(
+                    sum(run[part].values()) for run in runs)
+                imports[label][f"{key}modules_ms"] = {
+                    name: statistics.median(run[part].get(name, 0.0) for run in runs)
+                    for name in modules}
+        print("imports", " ".join(
+            f"{label}: {run['total_ms']:.1f} ms package, {run['other_total_ms']:.1f} ms other"
+            for label, run in imports.items()), flush=True)
     payload = {
         "sources": list(trees),
         "seed": SEED,
@@ -258,8 +353,10 @@ def main(argv=None) -> int:
         "repeat": REPEAT,
         "time_limit_s": TIME_LIMIT,
         "versions": versions(),
-        "cases": {name: dict(vars(params), shape="circular" if name in CIRCULAR else "linear")
-                  for name, params in CASES.items()},
+        "cases": {**{name: dict(vars(params), shape="circular" if name in CIRCULAR else "linear")
+                     for name, params in CASES.items()},
+                  **{name: {"reduce_mis": {"n": n, "p": 3 / n, "seed": MIS_SEED}}
+                     for name, n in MIS_CASES.items()}},
         "results": results,
         "imports": {"case": IMPORT_CASE, "children": IMPORT_REPEAT, "trees": imports},
     }

@@ -65,19 +65,25 @@ HiGHS does its own linear algebra, so the process asks OpenBLAS (bundled with
 numpy) for one thread before numpy loads.  Otherwise OpenBLAS starts a worker
 thread per extra core at `import numpy`, which spins and slows every
 subcommand's start-up while two cores are contended.  An
-`OPENBLAS_NUM_THREADS` already set in the environment is kept.  The process
-entry point, `run`, ends the process with `os._exit` once `main` has
-returned and stdout, stderr and the log handlers are flushed: the
-interpreter's teardown would only finalize modules, numpy's and the HiGHS
-extension's above all, for about 30 ms per process, and every file the
-package writes is closed by its `with` block before `main` returns.  A
-failed flush of stdout there is an output error: one `error:` line and exit
-code 1.  argparse's exit on `-h`, `--version` or a usage error takes the
-same path with argparse's code.  An exception out of `main` takes the
-interpreter's normal exit.  `main` itself returns its exit code, for callers
-in the same process.  `main` builds the argument parser of the invoked
-subcommand alone, not all eight (`build_parser`), with the same help,
-usage errors and exit codes.
+`OPENBLAS_NUM_THREADS` already set in the environment is kept.  Nothing in
+the package logs above INFO, so only `-v` can show a log line: `main`
+imports `logging`, with the `string` and `traceback` modules it loads, and
+configures it only under `-v`, and the solver writes its INFO record only
+when `logging` is loaded, as without the module no handler can exist.  A
+default `solve` never loads it.  The other subcommands log as
+`ffmedian.cli` through `commands`.  The process entry point, `run`, ends
+the process with `os._exit` once `main` has returned and stdout, stderr
+and, when `logging` is loaded, its handlers are flushed: the interpreter's
+teardown would only finalize modules, numpy's and the HiGHS extension's
+above all, for about 30 ms per process, and every file the package writes
+is closed by its `with` block before `main` returns.  A failed flush of
+stdout there is an output error: one `error:` line and exit code 1.
+argparse's exit on `-h`, `--version` or a usage error takes the same path
+with argparse's code.  An exception out of `main` takes the interpreter's
+normal exit.  `main` itself returns its exit code, for callers in the same
+process.  `main` builds the argument parser of the invoked subcommand
+alone, not all eight (`build_parser`), with the same help, usage errors
+and exit codes.
 
 A `solve` process compiles and runs only the code a solve needs: of the
 package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
@@ -98,7 +104,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 import time
@@ -132,9 +137,6 @@ from .solver import (
     solve_branch_and_bound,
     verify_solution,
 )
-
-# not `__name__`, which is `__main__` under `python -m ffmedian.cli`
-log = logging.getLogger("ffmedian.cli")
 
 SCHEMA_VERSION = 2
 
@@ -457,10 +459,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if args.verbose:  # only `-v` shows log lines (see the module docstring)
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ParseError, GenomeError, OSError, ValueError) as exc:
@@ -485,7 +487,8 @@ def run(argv=None) -> NoReturn:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     sys.stderr.flush()
-    logging.shutdown()
+    if "logging" in sys.modules:
+        sys.modules["logging"].shutdown()
     os._exit(code)
 
 

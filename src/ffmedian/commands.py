@@ -10,17 +10,20 @@ module does not import `ffmedian.cli`: under `python -m ffmedian.cli` the
 running command line is the module `__main__`, and that import would
 compile and run `cli` a second time.  The subcommands reach the shared
 stages, `cli._front_end` above all, and the exit codes through it, as
-`solve` does.
+`solve` does.  Their log lines name `ffmedian.cli`, as the command line's
+own would: `cli` itself loads `logging` only under `-v`.
 """
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 from .genomes import ENDS, Gene, ParseError, _parse_qualified
 from .solver import STATUS_FEASIBLE, STATUS_OPTIMAL
 
 cli = None  # the running `cli` module; see the module docstring
+log = logging.getLogger("ffmedian.cli")
 
 
 def _write_tsv(path, table, alive=None) -> None:
@@ -60,14 +63,14 @@ def _cmd_build_graph(args) -> int:
         hits, params=params, require_reciprocal=args.require_reciprocal
     )
     graph.write(args.output)
-    cli.log.info("wrote %d similarity pairs to %s", len(graph), args.output)
+    log.info("wrote %d similarity pairs to %s", len(graph), args.output)
     return cli.EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     _, table, _ = _instance(args)
     _write_tsv(args.output, table)
-    cli.log.info(
+    log.info(
         "wrote %d candidates and %d conserved adjacencies",
         len(table.candidates), len(table),
     )
@@ -101,8 +104,8 @@ def _cmd_icf_seg(args) -> int:
         ) as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    cli.log.info("accepted %d segments of total weight %.6g",
-                 len(result.accepted), result.accepted_weight)
+    log.info("accepted %d segments of total weight %.6g",
+             len(result.accepted), result.accepted_weight)
     return cli.EXIT_OK
 
 
@@ -112,8 +115,8 @@ def _cmd_export_lp(args) -> int:
     _, table, _ = _instance(args)
     model = cli.build_ilp(table)
     export_lp(model, args.output)
-    cli.log.info("wrote model with %d variables and %d constraints",
-                 counted_variables(model), counted_constraints(model))
+    log.info("wrote model with %d variables and %d constraints",
+             counted_variables(model), counted_constraints(model))
     return cli.EXIT_OK
 
 
@@ -123,8 +126,8 @@ def _cmd_reduce_mis(args) -> int:
     graph = BoundedGraph.from_edge_file(args.graph)
     instance = reduce_mis(graph)
     write_instance(instance, args.output)
-    cli.log.info("wrote reduction instance for %d vertices / %d edges to %s",
-                 len(graph.vertices), len(graph.edges), args.output)
+    log.info("wrote reduction instance for %d vertices / %d edges to %s",
+             len(graph.vertices), len(graph.edges), args.output)
     return cli.EXIT_OK
 
 

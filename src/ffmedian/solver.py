@@ -48,6 +48,9 @@ The independent oracle, `reference.brute_force_median`, is an exhaustive
 search in plain Python that the tests run.  It and the rest of `reference`
 stay out of this module, so that a solve compiles only the code it runs,
 and `IlpModel` and `MedianSolution` are plain classes, not dataclasses.
+Nor does it import `logging`: the solve's INFO record on the HiGHS run
+goes to the `ffmedian.solver` logger only in a process that has loaded the
+module, as `ffmedian -v` and any caller that configures logging have.
 """
 from __future__ import annotations
 
@@ -55,7 +58,6 @@ import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
-import logging
 import os
 import sys
 import time
@@ -65,8 +67,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .candidates import ConservedAdjacencyTable
-
-log = logging.getLogger(__name__)
 
 GRID = 1e-9  # objective comparison grid
 
@@ -603,10 +603,12 @@ def solve_branch_and_bound(
         limit = max(0.0, float(time_limit) - (time.monotonic() - started))
     res = linprog(highs, program.cost, *program.handed, limit)
     dual_bound = -res.dual_bound
-    log.info(
-        "HiGHS: %s, LP integral %s, %d nodes, gap %s, dual bound %s",
-        res.message, res.lp_integral, res.nodes, res.gap, dual_bound,
-    )
+    logging = sys.modules.get("logging")
+    if logging is not None:  # without the module no handler could show the record
+        logging.getLogger(__name__).info(
+            "HiGHS: %s, LP integral %s, %d nodes, gap %s, dual bound %s",
+            res.message, res.lp_integral, res.nodes, res.gap, dual_bound,
+        )
     rows = () if res.x is None else program.table_rows(res.x)
     value = float(np.sum(table.weight[list(rows)]))
     if res.status == highs.HighsModelStatus.kOptimal:

@@ -704,6 +704,19 @@ def test_entry_point_names_the_cli_logger_by_its_module(tmp_path):
     ]
 
 
+def test_entry_point_logs_the_solver_line_of_verify_reduction(tmp_path):
+    """`verify-reduction` runs the solver in-process, whose INFO record goes
+    out only where `logging` is loaded: under `-v` it is."""
+    (tmp_path / "edges.tsv").write_text(FIVE_EDGE_GRAPH)
+    assert run_cli("reduce-mis", "--graph", "edges.tsv", "-o", "mis",
+                   cwd=tmp_path).returncode == cli.EXIT_OK
+    proc = run_cli("-v", "verify-reduction", "mis", cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("INFO ffmedian.solver: HiGHS: Optimal, ")
+
+
 def closed_pipe():
     """The write end of a pipe whose read end is already closed."""
     read, write = os.pipe()
@@ -818,22 +831,30 @@ SOLVE_MODULES = {"ffmedian", "ffmedian.genomes", "ffmedian.kernels", "ffmedian.c
                  "ffmedian.solver"}
 
 
+# the standard-library modules that only a log line needs
+LOGGING_MODULES = {"logging", "string", "traceback"}
+
+
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, extra, logging_loaded",
     [
-        (["solve", "--canonical"], set()),
-        (["solve", "--canonical", "--icf-seg"], {"ffmedian.segments", "ffmedian.indexes"}),
-        (["enumerate"], {"ffmedian.commands"}),
+        (["solve", "--canonical"], set(), False),
+        (["-v", "solve", "--canonical"], set(), True),
+        (["solve", "--canonical", "--icf-seg"], {"ffmedian.segments", "ffmedian.indexes"},
+         None),
+        (["enumerate"], {"ffmedian.commands"}, None),
     ],
-    ids=["solve", "solve-icf-seg", "enumerate"],
+    ids=["solve", "verbose-solve", "solve-icf-seg", "enumerate"],
 )
-def test_entry_point_imports_only_the_modules_it_runs(tmp_path, argv, extra):
+def test_entry_point_imports_only_the_modules_it_runs(tmp_path, argv, extra, logging_loaded):
     """A `solve` process, where `cli` runs as `__main__`, imports only these
     modules of the package: not `ffmedian.cli` a second time, nor
     `commands`, `reference` or the other subcommands' modules.  Another
     subcommand adds `commands`, which does not import `ffmedian.cli`
     either.  None imports `numpy.ma`, which `np.unique` loads when it
-    returns no index."""
+    returns no index.  A default solve imports no `logging`, nor the
+    `string` and `traceback` modules it loads; `-v` imports it (None:
+    not checked)."""
     instance = write_instance(tmp_path, ["a", "b", "c"])
     env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
     proc = subprocess.run(
@@ -847,6 +868,10 @@ def test_entry_point_imports_only_the_modules_it_runs(tmp_path, argv, extra):
                 if line.startswith("import time:")}
     assert {name for name in imported if name.split(".")[0] == "ffmedian"} == SOLVE_MODULES | extra
     assert "numpy.ma" not in imported
+    if logging_loaded is False:
+        assert not LOGGING_MODULES & imported
+    elif logging_loaded:
+        assert "logging" in imported
 
 
 def test_no_solve_module_defines_a_dataclass():

@@ -1,5 +1,6 @@
 """Model construction, LP export, the exact search, and CAR assembly."""
 import itertools
+import logging
 import math
 import random
 import time
@@ -382,6 +383,18 @@ def _check_optimum(genomes, sigma):
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
     return cands, table
+
+
+def test_solve_logs_the_highs_run_to_a_configured_caller(caplog):
+    """The solver imports no `logging`, but a caller that has configured it
+    gets the INFO record on the HiGHS run."""
+    caplog.set_level(logging.INFO, logger="ffmedian.solver")
+    _, table = build_tables(*evolved_instance(21, 40, 2, 0.0))
+    solution = solve_branch_and_bound(build_ilp(table))
+    assert solution.status == STATUS_OPTIMAL
+    records = [r for r in caplog.records if r.name == "ffmedian.solver"]
+    assert len(records) == 1 and records[0].levelno == logging.INFO
+    assert records[0].getMessage().startswith("HiGHS: Optimal, LP integral ")
 
 
 @pytest.mark.parametrize(
