@@ -9,24 +9,27 @@ adjacency in at least one genome.
 
 Every stage here reads the gene numbering the genomes got at load
 (`genomes.Genome`).  `enumerate_candidates` builds the similarity edges
-between those ids once (`InstanceIndex`) and scans them once for
-triangles; its `Candidates` are id arrays.  Preprocessing
+between those ids once (`InstanceIndex`) and scans them once for triangles;
+its `Candidates` are id arrays (`kernels.IntArray`).  Preprocessing
 (`preprocess_discard_nonclique`) splices the genes in no candidate out of
 the walks and keeps the numbering, so the candidates stay theirs.
 `enumerate_conserved_adjacencies` scans the walks for the
 `ConservedAdjacencyTable`, the instance every later stage reads.
 `CandidateGene` objects are built only for code that indexes the
 candidates; a solve reads the arrays.  The indexes over the table that
-ICF-SEG and the LP export read are in `indexes`.
+ICF-SEG and the LP export read are in `indexes`.  Scores and weights come
+from the C library's `cbrt` and `pow`, so they do not depend on the CPU's
+vector units, and a solve imports no numpy.
 """
 from __future__ import annotations
 
+import math
+from array import array
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import kernels
 from .genomes import Gene, Genome, GenomeError, SimilarityGraph
+from .kernels import LOW, SHIFT, IntArray
 
 
 class CandidateGene(NamedTuple):
@@ -62,9 +65,9 @@ class InstanceIndex:
     """The sparse similarity edges of three genomes, between their gene ids.
 
     For each genome pair (a, b) in `GENOME_PAIRS`, positions in the given
-    genome order, `edges[(a, b)]` is an int64 array of shape (2, m) with the
-    (gene of a, gene of b) endpoints of every positive similarity between
-    genes on the genomes' walks, sorted, and `values[(a, b)]` holds the m
+    genome order, `edges[(a, b)]` is an `IntArray` of the sorted keys
+    `gene of a << SHIFT | gene of b` of every positive similarity between
+    genes on the genomes' walks, and `values[(a, b)]` holds their
     similarities.  Every telomere pair is an edge of value 1.0.
     """
 
@@ -77,7 +80,7 @@ class InstanceIndex:
         self.genomes = tuple(genomes)
         slot = {label: x for x, label in enumerate(labels)}
         ids = [genome.id_of for genome in genomes]
-        found = {pair: ([], [], []) for pair in GENOME_PAIRS}
+        found: dict[tuple[int, int], dict[int, float]] = {pair: {} for pair in GENOME_PAIRS}
         for (gx, nx, gy, ny), value in sigma.scores.items():
             a, b = slot.get(gx), slot.get(gy)
             if a is None or b is None:
@@ -87,46 +90,42 @@ class InstanceIndex:
                 continue
             if a > b:
                 a, b, ka, kb = b, a, kb, ka
-            rows, cols, vals = found[(a, b)]
-            rows.append(ka)
-            cols.append(kb)
-            vals.append(value)
-        self.edges: dict[tuple[int, int], np.ndarray] = {}
-        self.values: dict[tuple[int, int], np.ndarray] = {}
+            found[(a, b)][ka << SHIFT | kb] = value
+        self.edges: dict[tuple[int, int], IntArray] = {}
+        self.values: dict[tuple[int, int], array] = {}
         for a, b in GENOME_PAIRS:
-            rows, cols, vals = found[(a, b)]
-            ta, tb = (np.nonzero(genomes[x].telomeric)[0] for x in (a, b))
-            row = np.concatenate([np.array(rows, dtype=np.int64), np.repeat(ta, tb.size)])
-            col = np.concatenate([np.array(cols, dtype=np.int64), np.tile(tb, ta.size)])
-            val = np.concatenate(
-                [np.array(vals, dtype=np.float64), np.ones(ta.size * tb.size)]
-            )
-            order = np.lexsort((col, row))
+            edges = found[(a, b)]
+            ta, tb = ([k for k, t in enumerate(genomes[x].telomeric) if t] for x in (a, b))
+            edges.update((ka << SHIFT | kb, 1.0) for ka in ta for kb in tb)
             # a gene spliced out of its genome has no edges
-            order = order[genomes[a].present[row[order]] & genomes[b].present[col[order]]]
-            self.edges[(a, b)] = np.stack([row[order], col[order]])
-            self.values[(a, b)] = val[order]
+            present_a, present_b = genomes[a].present, genomes[b].present
+            keys = sorted(key for key in edges
+                          if present_a[key >> SHIFT] and present_b[key & LOW])
+            self.edges[(a, b)] = IntArray(keys)
+            self.values[(a, b)] = array("d", map(edges.__getitem__, keys))
 
 
 class Candidates:
     """The candidate genes as arrays over the gene ids of `genomes`.
 
-    Candidate m is the genes `ids[:, m]`, one per genome, with triple score
-    `triple[m]` and gene score `score[m]`, its cube root; `telomeric[m]`
+    Candidate m is the genes `ids[x][m]`, one per genome x, with triple
+    score `triple[m]` and gene score `score[m]`, its cube root; `telomeric[m]`
     marks a telomere triple.  Indexed or iterated, it is a list of
     `CandidateGene`s, all built on first use.
     """
 
-    def __init__(self, genomes: Sequence[Genome], ids: np.ndarray, triple: np.ndarray):
+    def __init__(self, genomes: Sequence[Genome], ids: Sequence[Sequence[int]],
+                 triple: Sequence[float]):
         self.genomes = tuple(genomes)
-        self.ids = ids
+        self.ids = tuple(ids)
         self.triple = triple
-        self.score = np.cbrt(triple)
-        self.telomeric = self.genomes[0].telomeric[ids[0]]
+        self.score = array("d", map(math.cbrt, triple))
+        telomeric = self.genomes[0].telomeric
+        self.telomeric = [telomeric[g] for g in self.ids[0]]
         self._objects: list[CandidateGene] | None = None
 
     def __len__(self) -> int:
-        return int(self.triple.size)
+        return len(self.triple)
 
     def __getitem__(self, m):
         return self.objects()[m]
@@ -137,9 +136,9 @@ class Candidates:
     def objects(self) -> list[CandidateGene]:
         if self._objects is None:
             genes = zip(*([Gene(genome.label, genome.names[k]) for k in row]
-                          for genome, row in zip(self.genomes, self.ids.tolist())))
+                          for genome, row in zip(self.genomes, self.ids)))
             self._objects = [CandidateGene(*c, t, s) for c, t, s in
-                             zip(genes, self.triple.tolist(), self.score.tolist())]
+                             zip(genes, self.triple, self.score)]
         return self._objects
 
 
@@ -152,8 +151,10 @@ def enumerate_candidates(
     gh, gi, hi = (index.edges[pair] for pair in GENOME_PAIRS)
     p, q, r = kernels.triangles(gh, gi, hi)
     gh_val, gi_val, hi_val = (index.values[pair] for pair in GENOME_PAIRS)
-    return Candidates(index.genomes, np.stack([gh[0, p], gh[1, p], gi[1, q]]),
-                      gh_val[p] * gi_val[q] * hi_val[r])
+    ids = (IntArray(gh[k] >> SHIFT for k in p), IntArray(gh[k] & LOW for k in p),
+           IntArray(gi[k] & LOW for k in q))
+    return Candidates(index.genomes, ids, array("d", [
+        gh_val[a] * gi_val[b] * hi_val[c] for a, b, c in zip(p, q, r)]))
 
 
 class ConservedAdjacencyTable:
@@ -163,8 +164,10 @@ class ConservedAdjacencyTable:
     Rows are sorted by (m1, e1, m2, e2) with canonical endpoint order; m1 and
     m2 index `candidates`, e1 and e2 are `genomes.ENDS` codes.  `mask` holds
     one conservation bit per genome (bit k = genome k), and `conserved_in`
-    maps a mask to the labels of its genomes.  A solution is a set of row
-    indices: its median genes are the candidates its rows join.
+    maps a mask to the labels of its genomes.  A row's `factor` is
+    (triple(m1) triple(m2))^(1/6), and its `weight` the factor times the
+    genomes in its mask.  A solution is a set of row indices: its median
+    genes are the candidates its rows join.
     """
 
     def __init__(self, candidates: Candidates, m1, e1, m2, e2, mask):
@@ -175,28 +178,26 @@ class ConservedAdjacencyTable:
         ]
         self.m1, self.e1, self.m2, self.e2, self.mask = m1, e1, m2, e2, mask
         triple = candidates.triple
-        self.factor = (triple[m1] * triple[m2]) ** (1.0 / 6.0)
-        self.weight = self.factor * np.bitwise_count(mask.astype(np.uint8))
+        self.factor = array("d", [(triple[a] * triple[b]) ** (1.0 / 6.0) for a, b in zip(m1, m2)])
+        self.weight = array("d", [f * bits.bit_count() for f, bits in zip(self.factor, mask)])
 
     def __len__(self) -> int:
-        return int(self.m1.size)
+        return len(self.m1)
 
     def key(self, k: int) -> tuple[int, int, int, int]:
-        return (int(self.m1[k]), int(self.e1[k]), int(self.m2[k]), int(self.e2[k]))
+        return (self.m1[k], self.e1[k], self.m2[k], self.e2[k])
 
     def genes(self, rows) -> list[int]:
         """The candidates that the given rows join, sorted."""
-        rows = np.asarray(rows, dtype=np.int64)
-        # a set, not np.unique, which loads numpy.ma on its first call
-        return sorted({*self.m1[rows].tolist(), *self.m2[rows].tolist()})
+        m1, m2 = self.m1, self.m2
+        return sorted({m for k in rows for m in (m1[k], m2[k])})
 
-    def subset(self, keep: np.ndarray) -> "ConservedAdjacencyTable":
+    def subset(self, keep) -> "ConservedAdjacencyTable":
         """New table restricted to the given row indices (candidate indexing kept)."""
-        keep = np.asarray(keep, dtype=np.int64)
-        return ConservedAdjacencyTable(
-            self.candidates, self.m1[keep], self.e1[keep], self.m2[keep], self.e2[keep],
-            self.mask[keep],
-        )
+        keep = [int(k) for k in keep]
+        return ConservedAdjacencyTable(self.candidates, *(
+            IntArray(map(column.__getitem__, keep))
+            for column in (self.m1, self.e1, self.m2, self.e2, self.mask)))
 
 
 def enumerate_conserved_adjacencies(
@@ -205,22 +206,16 @@ def enumerate_conserved_adjacencies(
     """All conserved candidate adjacencies induced by the extant genomes,
     which are those the candidates were enumerated on or those genomes
     after preprocessing.  Only their walks are read."""
-    ids = candidates.ids
+    ids = [list(column) for column in candidates.ids]
     per_genome = []
     for genome, slot in zip((G, H, I), ids):
-        indptr, cand_ids = _gene_csr(slot, len(genome.names))
+        on_gene: list[list[int]] = [[] for _ in genome.names]
+        for m, gene in enumerate(slot):
+            on_gene[gene].append(m)
         per_genome.append(
-            kernels.conserved_pairs(*genome.adjacency_arrays(), indptr, cand_ids, *ids)
+            kernels.conserved_pairs(*genome.adjacency_arrays(), on_gene, *ids)
         )
     return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome))
-
-
-def _gene_csr(slot: np.ndarray, n_genes: int):
-    order = np.argsort(slot, kind="stable")
-    counts = np.bincount(slot, minlength=n_genes)
-    indptr = np.zeros(n_genes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, order.astype(np.int64)
 
 
 def preprocess_discard_nonclique(
@@ -238,8 +233,9 @@ def preprocess_discard_nonclique(
     report: dict[str, list[str]] = {}
     for genome, ids in zip((G, H, I), candidates.ids):
         keep = genome.telomeric.copy()
-        keep[ids] = True
-        doomed = np.nonzero(genome.present & ~keep)[0].tolist()
+        for k in ids:
+            keep[k] = True
+        doomed = [k for k, (on, kept) in enumerate(zip(genome.present, keep)) if on and not kept]
         report[genome.label] = [genome.names[k] for k in doomed]
         reduced.append(genome.splice(keep) if doomed else genome)
     return reduced[0], reduced[1], reduced[2], report

@@ -60,44 +60,47 @@ adjacency scan (`candidates`); `icf-seg` when asked; and `solve`.  One
 check of the chosen rows (`verify_solution`) and the CARs follow.  The
 stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`.
 
-Start-up and shut-down: no module of the package calls a BLAS routine, and
-HiGHS does its own linear algebra, so the process asks OpenBLAS (bundled with
-numpy) for one thread before numpy loads.  Otherwise OpenBLAS starts a worker
-thread per extra core at `import numpy`, which spins and slows every
-subcommand's start-up while two cores are contended.  An
-`OPENBLAS_NUM_THREADS` already set in the environment is kept.  Nothing in
-the package logs above INFO, so only `-v` can show a log line: `main`
-imports `logging`, with the `string` and `traceback` modules it loads, and
-configures it only under `-v`, and the solver writes its INFO record only
-when `logging` is loaded, as without the module no handler can exist.  A
-default `solve` never loads it.  The other subcommands log as
-`ffmedian.cli` through `commands`.  The process entry point, `run`, ends
-the process with `os._exit` once `main` has returned and stdout, stderr
-and, when `logging` is loaded, its handlers are flushed: the interpreter's
-teardown would only finalize modules, numpy's and the HiGHS extension's
-above all, for about 30 ms per process, and every file the package writes
-is closed by its `with` block before `main` returns.  A failed flush of
-stdout there is an output error: one `error:` line and exit code 1.
-argparse's exit on `-h`, `--version` or a usage error takes the same path
-with argparse's code.  An exception out of `main` takes the interpreter's
-normal exit.  `main` itself returns its exit code, for callers in the same
-process.  `main` builds the argument parser of the invoked subcommand
-alone, not all eight (`build_parser`), with the same help, usage errors
-and exit codes.
+Start-up and shut-down: the modules a solve runs hold their numbers in
+lists and `array.array`s, so a `solve` process imports no numpy, nor do the
+other subcommands but `icf-seg` and `export-lp`: only `segments` and
+`reference`, which ICF-SEG and the LP export run, import it.  No module of
+the package calls a BLAS routine, and HiGHS does its own linear algebra, so
+the process asks OpenBLAS (bundled with numpy) for one thread before numpy
+can load.  Otherwise OpenBLAS starts a worker thread per extra core at
+`import numpy`, which spins and slows the start-up of an ICF-SEG or export
+process while two cores are contended.  An `OPENBLAS_NUM_THREADS` already
+set in the environment is kept.  Nothing in the package logs above INFO, so
+only `-v` can show a log line: `main` imports `logging`, with the `string`
+and `traceback` modules it loads, and configures it only under `-v`, and
+the solver writes its INFO record only when `logging` is loaded, as without
+the module no handler can exist.  A default `solve` never loads it.  The
+other subcommands log as `ffmedian.cli` through `commands`.  The process
+entry point, `run`, ends the process with `os._exit` once `main` has
+returned and stdout, stderr and, when `logging` is loaded, its handlers are
+flushed: the interpreter's teardown would only finalize modules, the HiGHS
+extension's above all, and every file the package writes is closed by its
+`with` block before `main` returns.  A failed flush of stdout there is an
+output error: one `error:` line and exit code 1.  argparse's exit on `-h`,
+`--version` or a usage error takes the same path with argparse's code.  An
+exception out of `main` takes the interpreter's normal exit.  `main` itself
+returns its exit code, for callers in the same process.  `main` builds the
+argument parser of the invoked subcommand alone, not all eight
+(`build_parser`), with the same help, usage errors and exit codes.
 
 A `solve` process compiles and runs only the code a solve needs: of the
 package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
-`segments` and `indexes` with `--icf-seg`.  Where the package's sources are compiled in
-every process, as they are without a writable bytecode cache, each line
-left out counts.  So the other seven subcommands live in `commands`, which
-`build_parser` imports only to build one of their parsers, and the paper's
-literal forms (its extremities, the LP export of its rows and the
-brute-force oracle) in `reference`, which `export-lp` and the tests import,
-and the instance indexes that ICF-SEG and the LP export read in `indexes`.
-`icf_seg` here imports `segments` at its first call.  No class on the
-solve path is a dataclass, as creating one costs about a millisecond at
-import.  The parsed `solve` command line is the run's one configuration:
-`run_pipeline` reads its settings straight off it.
+`segments` and `indexes`, with numpy, under `--icf-seg`.  Where the
+package's sources are compiled in every process, as they are without a
+writable bytecode cache, each line left out counts.  So the other seven
+subcommands live in `commands`, which `build_parser` imports only to build
+one of their parsers, and the paper's literal forms (its extremities, the
+LP export of its rows and the brute-force oracle) in `reference`, which
+`export-lp` and the tests import, and the instance indexes that ICF-SEG and
+the LP export read in `indexes`.  `icf_seg` here imports `segments` at its
+first call.  No class on the solve path is a dataclass, as creating one
+costs about a millisecond at import.  The parsed `solve` command line is
+the run's one configuration: `run_pipeline` reads its settings straight off
+it.
 """
 from __future__ import annotations
 
@@ -111,8 +114,6 @@ from typing import NoReturn
 
 # before numpy loads: the package needs no BLAS worker threads (see above)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import __version__
 from .candidates import (
@@ -197,19 +198,21 @@ def _front_end(load, preprocess: bool, stages: list[dict] | None = None):
     return genomes, table, removed
 
 
-def _rows(table: ConservedAdjacencyTable, rows=slice(None)):
+def _rows(table: ConservedAdjacencyTable, rows=None):
     """(m1, e1, m2, e2, mask, weight) of each row of `rows`, a list of row
-    indices or a slice, as Python numbers."""
+    indices, by default every row."""
     arrays = (table.m1, table.e1, table.m2, table.e2, table.mask, table.weight)
-    return zip(*(a[rows].tolist() for a in arrays))
+    if rows is None:
+        return zip(*arrays)
+    return zip(*([a[k] for k in rows] for a in arrays))
 
 
 def _genes_json(candidates, chosen: list[int]) -> list[dict]:
     """The report entries of the chosen candidates, read off the arrays."""
-    genes = ([f"{genome.label}:{genome.names[k]}" for k in row]
-             for genome, row in zip(candidates.genomes, candidates.ids[:, chosen].tolist()))
-    return [{"g": g, "h": h, "i": i, "triple_score": t, "gene_score": s} for g, h, i, t, s in
-            zip(*genes, candidates.triple[chosen].tolist(), candidates.score[chosen].tolist())]
+    genes = ([f"{genome.label}:{genome.names[row[m]]}" for m in chosen]
+             for genome, row in zip(candidates.genomes, candidates.ids))
+    return [{"g": g, "h": h, "i": i, "triple_score": candidates.triple[m],
+             "gene_score": candidates.score[m]} for g, h, i, m in zip(*genes, chosen)]
 
 
 def icf_seg(*args, **kwargs):
@@ -248,7 +251,7 @@ def run_pipeline(args) -> tuple[int, dict]:
     accepted_weight = 0.0
     accepted_segments = examined = skipped = 0
     solve_table = table
-    row_map = np.arange(len(table))
+    row_map = range(len(table))
     if args.icf_seg:
         with _stage(stages, "icf-seg"):
             deadline = None if time_limit is None else started + time_limit
@@ -257,7 +260,7 @@ def run_pipeline(args) -> tuple[int, dict]:
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
             examined, skipped = result.examined, result.skipped
-            row_map = np.nonzero(result.row_alive)[0]
+            row_map = [k for k, alive in enumerate(result.row_alive) if alive]
             solve_table = result.reduced_table()
     with _stage(stages, "solve"):
         model = build_ilp(solve_table)
@@ -265,9 +268,7 @@ def run_pipeline(args) -> tuple[int, dict]:
         if time_limit is not None:
             remaining = time_limit - (time.monotonic() - started)
         solution = solve_branch_and_bound(model, time_limit=remaining)
-    combined_rows = sorted(
-        set(accepted_rows) | {int(row_map[k]) for k in solution.row_indices}
-    )
+    combined_rows = sorted(set(accepted_rows) | {row_map[k] for k in solution.row_indices})
     objective = accepted_weight + solution.objective
     bound = accepted_weight + solution.bound
     verify_solution(table, combined_rows, objective)
@@ -294,7 +295,7 @@ def run_pipeline(args) -> tuple[int, dict]:
             "removed_genes": {k: len(v) for k, v in removed.items()},
         },
         "stats": {
-            "telomere_triples": int(candidates.telomeric.sum()),
+            "telomere_triples": sum(candidates.telomeric),
             "solve_rows": len(solve_table),
             "solve_caps": solution.caps,
             "icf_seg": {"examined": examined, "accepted": accepted_segments,

@@ -10,7 +10,8 @@ ends of a circular one); one rule, `facing_end`, names the extremity each
 entry turns to its neighbour: a gene read forward contributes its tail
 first and its head second, so consecutive forward genes a, b yield
 {a_head, b_tail}.  `Genome.adjacency_arrays` applies it to the walks as int
-codes, `reference.adjacencies` to `Gene` objects.  A solve reads only the
+codes, `reference.adjacencies` to `Gene` objects.  The module holds its
+numbers in plain lists: a solve imports no numpy.  A solve reads only the
 numbering and the walks; `Genome.chromosomes`, `genes` and `locate`, the
 genome as `Gene` objects, are built on first use.
 
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 TAIL = "t"
 HEAD = "h"
@@ -94,44 +93,50 @@ def facing_end(gene: Gene, orientation: int, forward: bool) -> int:
 class Genome:
     """An immutable genome, numbered once (see the module docstring).
 
-    `walks` holds each chromosome as (name, shape, walk), the walk a (2, k)
-    int64 array of its entries' gene ids over their orientations.
-    `telomeric` and `present` flag, per gene id, the telomeres and the genes
-    on some walk: a spliced genome keeps the numbering of its genes.  Build
-    one with `build_genome`.
+    `walks` holds each chromosome as (name, shape, walk), the walk a pair
+    of lists: its entries' gene ids and their orientations.  `telomeric`
+    and `present` flag, per gene id, the telomeres and the genes on some
+    walk: a spliced genome keeps the numbering of its genes.  Build one
+    with `build_genome`.
     """
 
     def __init__(self, label: str, names: Sequence[str], walks):
         self.label = label
         self.names = names
         self.walks = tuple(walks)
-        self.telomeric = np.zeros(len(names), dtype=bool)
-        self.present = np.zeros(len(names), dtype=bool)
-        for _, shape, walk in self.walks:
-            self.present[walk[0]] = True
+        self.telomeric = [False] * len(names)
+        self.present = [False] * len(names)
+        for _, shape, (ids, _) in self.walks:
+            for k in ids:
+                self.present[k] = True
             if shape == LINEAR:
-                self.telomeric[walk[0, [0, -1]]] = True
+                self.telomeric[ids[0]] = self.telomeric[ids[-1]] = True
 
     def adjacency_arrays(self):
-        """The adjacencies as (gene, end, gene, end) int arrays: consecutive
+        """The adjacencies as (gene, end, gene, end) int lists: consecutive
         entries of each walk, then the last and first entries of a circular
         one, with the `facing_end` code of each entry's end."""
-        pairs = [np.empty((4, 0), dtype=np.int64)]
-        for _, shape, walk in self.walks:
+        g1, e1, g2, e2 = [], [], [], []
+        telomeric = self.telomeric
+        for _, shape, (ids, signs) in self.walks:
             if shape == CIRCULAR:
-                walk = np.concatenate([walk, walk[:, :1]], axis=1)
-            pairs.append(np.concatenate([walk[:, :-1], walk[:, 1:]]))
-        g1, o1, g2, o2 = np.concatenate(pairs, axis=1)
-        return (g1, np.where(self.telomeric[g1], 2, o1 > 0),
-                g2, np.where(self.telomeric[g2], 2, o2 < 0))
+                ids, signs = ids + ids[:1], signs + signs[:1]
+            g1 += ids[:-1]
+            g2 += ids[1:]
+            e1 += [2 if telomeric[k] else int(o > 0) for k, o in zip(ids[:-1], signs)]
+            e2 += [2 if telomeric[k] else int(o < 0) for k, o in zip(ids[1:], signs[1:])]
+        return g1, e1, g2, e2
 
-    def splice(self, keep: np.ndarray) -> "Genome":
+    def splice(self, keep: Sequence[bool]) -> "Genome":
         """The genome with only the genes that `keep` marks, numbered as
         before.  Neighbours of a removed gene become adjacent; a chromosome
         that loses all its genes stays, telomere-only (linear) or empty
         (circular).  `keep` must mark every telomere."""
-        return Genome(self.label, self.names,
-                      [(name, shape, walk[:, keep[walk[0]]]) for name, shape, walk in self.walks])
+        walks = []
+        for name, shape, (ids, signs) in self.walks:
+            kept = [j for j, k in enumerate(ids) if keep[k]]
+            walks.append((name, shape, ([ids[j] for j in kept], [signs[j] for j in kept])))
+        return Genome(self.label, self.names, walks)
 
     @cached_property
     def id_of(self) -> dict[str, int]:
@@ -143,9 +148,8 @@ class Genome:
     def chromosomes(self) -> tuple[Chromosome, ...]:
         genes = [Gene(self.label, name) for name in self.names]
         return tuple(
-            Chromosome(name, shape, tuple(zip(map(genes.__getitem__, walk[0].tolist()),
-                                              walk[1].tolist())))
-            for name, shape, walk in self.walks
+            Chromosome(name, shape, tuple(zip(map(genes.__getitem__, ids), signs)))
+            for name, shape, (ids, signs) in self.walks
         )
 
     @cached_property
@@ -212,19 +216,21 @@ def build_genome(
         duplicate = next(name for name in names if name in seen or seen.add(name))
         raise GenomeError(f"duplicate gene {duplicate!r} in genome {label}")
     order = sorted(range(len(names)), key=names.__getitem__)
-    walk = np.empty((2, len(names)), dtype=np.int64)
-    walk[0, order] = np.arange(len(names))
-    walk[1] = signs
+    number = [0] * len(names)
+    for k, j in enumerate(order):
+        number[j] = k
     return Genome(label, [names[k] for k in order],
-                  [(name, shape, walk[:, a:b]) for name, shape, a, b in layout])
+                  [(name, shape, (number[a:b], signs[a:b])) for name, shape, a, b in layout])
 
 
 def splice_genes(genome: Genome, remove: set[Gene]) -> Genome:
     """`Genome.splice` without the given (non-telomere) genes."""
     if any(g.is_telomere for g in remove):
         raise GenomeError("cannot splice telomeres")
-    keep = np.ones(len(genome.names), dtype=bool)
-    keep[[genome.id_of[g.name] for g in remove if g in genome]] = False
+    keep = [True] * len(genome.names)
+    for gene in remove:
+        if gene in genome:
+            keep[genome.id_of[gene.name]] = False
     return genome.splice(keep)
 
 

@@ -231,7 +231,7 @@ class _RunScanner:
         self.candidates = table.candidates
         self.row_alive = row_alive
         self.link: dict[tuple[int, int], tuple[int, int]] = {}
-        for k in np.nonzero(table.mask == 0b111)[0].tolist():
+        for k in np.flatnonzero(np.asarray(table.mask) == 0b111).tolist():
             m1, e1, m2, e2 = table.key(k)
             self.link[m1, e1] = (m2, k)
             self.link[m2, e2] = (m1, k)

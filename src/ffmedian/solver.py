@@ -31,7 +31,14 @@ symmetry detection are off: each costs more than it saves on these models
 (`BENCH_fixed_costs.json`).  On a timeout the weight-order greedy selection
 competes with HiGHS's point.  HiGHS is scipy's extension
 `scipy.optimize._highspy._core`, loaded alone, without `scipy.optimize`.
-The paper's own rows are written by `reference.export_lp`.
+Its setters of model arrays load numpy, even when given a list, so
+`linprog` hands HiGHS the program as a free MPS file instead: every column
+in order, the empty ones too, and every number written with `repr`, so
+that HiGHS reads back the very model the arrays hold.  The columns are
+binary, and the LP is HiGHS's relaxation of them (`solve_relaxation`), so
+that the MIP needs no call per column.  The file lives only until HiGHS
+has read it, and the solve imports no numpy.  The paper's own
+rows are written by `reference.export_lp`.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
@@ -58,15 +65,17 @@ import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
+import itertools
+import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .candidates import ConservedAdjacencyTable
+from .kernels import SHIFT
 
 GRID = 1e-9  # objective comparison grid
 
@@ -135,22 +144,29 @@ def verify_solution(
     on the table's arrays: no extant gene under two of the candidates its
     rows join, no candidate extremity in two rows, and the rows' weights
     summing to `objective`.  `cli.run_pipeline` runs it once per solve."""
-    rows = np.array(list(row_indices), dtype=np.int64)
+    rows = list(row_indices)
     cands = table.candidates
-    for genome, genes in zip(cands.genomes, cands.ids[:, table.genes(rows)]):
-        used = np.bincount(genes, minlength=1)
-        if used.max() > 1:
-            gene = genome.names[int(used.argmax())]
-            raise SolverError(f"conflict on extant gene {genome.label}:{gene}")
-    ends = np.concatenate([table.m1[rows] * 3 + table.e1[rows],
-                           table.m2[rows] * 3 + table.e2[rows]])
-    used = np.bincount(ends, minlength=1)
-    if used.max() > 1:
-        ext = int(used.argmax())
+    chosen = table.genes(rows)
+    for genome, slot in zip(cands.genomes, cands.ids):
+        gene, used = _most_used(slot[m] for m in chosen)
+        if used > 1:
+            raise SolverError(f"conflict on extant gene {genome.label}:{genome.names[gene]}")
+    m1, e1, m2, e2 = table.m1, table.e1, table.m2, table.e2
+    ext, used = _most_used(end for k in rows for end in (m1[k] * 3 + e1[k], m2[k] * 3 + e2[k]))
+    if used > 1:
         raise SolverError(f"extremity {(ext // 3, ext % 3)} used twice")
-    total = float(sum(table.weight[rows].tolist()))
+    total = math.fsum(table.weight[k] for k in rows)
     if abs(total - objective) > 1e-6 * max(1.0, abs(total)):
         raise SolverError(f"objective mismatch: {total} vs {objective}")
+
+
+def _most_used(values) -> tuple[int | None, int]:
+    """The least of the values that occur most often, and how often it does."""
+    counts: dict[int, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    top = max(counts.values(), default=0)
+    return min((v for v, n in counts.items() if n == top), default=None), top
 
 
 # -- CAR assembly ---------------------------------------------------------------
@@ -293,7 +309,7 @@ class MipResult(NamedTuple):
 
     status: object  # the extension's HighsModelStatus
     message: str
-    x: np.ndarray | None
+    x: list[float] | None
     nodes: int
     iterations: int  # HiGHS's simplex iterations, the LP's and the MIP's
     dual_bound: float  # the tighter of the LP's objective and the MIP's bound
@@ -322,6 +338,43 @@ def _stdout_away():
         os.close(saved)
 
 
+def _mps(cost, start, index, value, rhs) -> str:
+    """The program of `linprog` in free MPS: rows r0.. (`A @ x <= rhs`) and
+    binary columns c0.. in order, each with its cost, even 0, so that an
+    empty column is kept; numbers as `repr` writes them."""
+    text = {v: repr(v) for v in set(value)}  # the matrix holds few distinct values
+    lines = ["NAME", "ROWS", " N obj", *(f" L r{i}" for i in range(len(rhs))), "COLUMNS"]
+    for j, c in enumerate(cost):
+        lines.append(f" c{j} obj {c!r}")
+        lines += [f" c{j} r{index[k]} {text[value[k]]}" for k in range(start[j], start[j + 1])]
+    lines.append("RHS")
+    lines += [f" rhs r{i} {v!r}" for i, v in enumerate(rhs) if v]
+    lines.append("BOUNDS")
+    lines += [f" BV bnd c{j}" for j in range(len(cost))]
+    lines.append("ENDATA\n")
+    return "\n".join(lines)
+
+
+def _read_model(solver, cost, start, index, value, rhs):
+    """Hand the program to the HiGHS object `solver` through an MPS file,
+    in `TMPDIR` when it is set, removed once HiGHS has read it, and return
+    HiGHS's status.  A file that cannot be written, such as one in a
+    `TMPDIR` that does not exist, raises `SolverError`."""
+    try:
+        fd, path = tempfile.mkstemp(suffix=".mps", dir=os.environ.get("TMPDIR") or None)
+    except OSError as exc:
+        raise SolverError(f"cannot write the model for HiGHS: {exc}") from None
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            fh.write(_mps(cost, start, index, value, rhs))
+        with _stdout_away():
+            return solver.readModel(path)
+    except OSError as exc:
+        raise SolverError(f"cannot write the model for HiGHS: {exc}") from None
+    finally:
+        os.unlink(path)
+
+
 def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult:
     """Minimize `cost @ x` over 0-1 `x` with `A @ x <= rhs`: the LP first,
     then, only when its vertex is not a 0-1 point within 1e-6 whose rounding
@@ -329,8 +382,10 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     left of `time_limit`.  A module-level name, so that it can be timed.
 
     `highs` is the module `_import_scipy` returns and `A` is given in
-    compressed-column form (`start`, `index`, `value`).  The options are
-    those `scipy.optimize.linprog(method="highs")` sets when given
+    compressed-column form (`start`, `index`, `value`), as sequences of
+    Python numbers; `_read_model` hands it to HiGHS with binary columns, and
+    the LP is HiGHS's `solve_relaxation` of it.  The options are those
+    `scipy.optimize.linprog(method="highs")` sets when given
     `presolve=False` and `mip_rel_gap=0` (presolve off, a zero relative gap,
     no output, dual simplex, no debug checks), and `OFF_BEFORE_ROOT_LP`,
     the feasibility-jump heuristic and symmetry detection, turned off (see
@@ -339,40 +394,23 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     """
     if time_limit is not None and time_limit <= 0:  # HiGHS's LP would still run
         return MipResult(highs.HighsModelStatus.kTimeLimit, "Time limit reached", None,
-                         0, 0, -np.inf, np.inf, None)
+                         0, 0, -math.inf, math.inf, None)
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
-    n_col, n_row = len(cost), len(rhs)
-    lp = highs.HighsLp()
-    lp.num_col_ = n_col
-    lp.num_row_ = n_row
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(n_col)
-    lp.col_upper_ = np.ones(n_col)
-    lp.row_lower_ = np.full(n_row, -highs.kHighsInf)
-    lp.row_upper_ = rhs
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_ = n_col
-    matrix.num_row_ = n_row
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
-
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.mip_rel_gap = 0.0
-    options.output_flag = False
-    options.log_to_console = False
-    options.simplex_strategy = 1  # dual
-    options.highs_debug_level = 0  # none
-    if time_limit is not None:
-        options.time_limit = float(time_limit)
+    n_row = len(rhs)
     solver = highs._Highs()
-    error = highs.HighsStatus.kError
-    if solver.passOptions(options) == error or solver.passModel(lp) == error:
-        raise SolverError("HiGHS rejected the model or its options")
+    options = {"output_flag": False, "log_to_console": False, "presolve": "off",
+               "mip_rel_gap": 0.0, "simplex_strategy": 1,  # dual
+               "highs_debug_level": 0,  # none
+               "solve_relaxation": True}  # the LP first
+    for name, setting in options.items():
+        if solver.setOptionValue(name, setting) == highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected its option {name}")
     for name in OFF_BEFORE_ROOT_LP:
         solver.setOptionValue(name, False)  # kError, and ignored, in a HiGHS without it
+    if _read_model(solver, cost, start, index, value, rhs) == highs.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    if time_limit is not None:  # set after the read, which HiGHS would time out
+        solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
     optimal = highs.HighsModelStatus.kOptimal
     with _stdout_away():
         solver.run()
@@ -380,17 +418,21 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
         iterations = int(info.simplex_iteration_count)
         if status != optimal:  # the LP did not finish: no point, no bound
             return MipResult(status, solver.modelStatusToString(status), None, 0,
-                             iterations, -np.inf, np.inf, None)
+                             iterations, -math.inf, math.inf, None)
         lp_bound = float(info.objective_function_value)
-        x = np.array(solver.getSolution().col_value)
-        point = np.round(x)
-        activity = np.bincount(index, value * np.repeat(point, np.diff(start)),
-                               minlength=n_row)
-        if np.abs(x - point).max(initial=0.0) <= 1e-6 and (activity <= rhs).all():
+        x = solver.getSolution().col_value
+        point = [float(round(v)) for v in x]
+        activity = [0.0] * n_row
+        for j, p in enumerate(point):
+            if p:
+                for k in range(start[j], start[j + 1]):
+                    activity[index[k]] += value[k] * p
+        if max((abs(v - p) for v, p in zip(x, point)), default=0.0) <= 1e-6 and all(
+            a <= r for a, r in zip(activity, rhs)
+        ):
             return MipResult(status, solver.modelStatusToString(status), point, 0,
                              iterations, lp_bound, 0.0, True)
-        solver.changeColsIntegrality(n_col, np.arange(n_col, dtype=np.int32),
-                                     np.full(n_col, int(highs.HighsVarType.kInteger), np.uint8))
+        solver.setOptionValue("solve_relaxation", False)
         if deadline is not None:
             solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
         solver.run()
@@ -398,9 +440,9 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     x = None
     if status == optimal or (
         status == highs.HighsModelStatus.kTimeLimit
-        and np.isfinite(info.objective_function_value)
+        and math.isfinite(info.objective_function_value)
     ):
-        x = np.array(solver.getSolution().col_value)
+        x = solver.getSolution().col_value
     return MipResult(
         status, solver.modelStatusToString(status), x, int(info.mip_node_count),
         iterations + int(info.simplex_iteration_count),
@@ -422,142 +464,186 @@ class _Capped:
 
     def __init__(self, table: ConservedAdjacencyTable):
         ids, telomeric = table.candidates.ids, table.candidates.telomeric
-        real, tri = np.nonzero(~telomeric)[0], np.nonzero(telomeric)[0]
-        # the real candidates' genes, numbered in order of first use
-        _, used, cand_gene = np.unique((ids[:, real] * 3 + np.arange(3)[:, None]).T,
-                                       return_index=True, return_inverse=True)
-        rank = np.empty(used.size, dtype=np.int64)
-        rank[np.argsort(used)] = np.arange(used.size)
+        real = [m for m, t in enumerate(telomeric) if not t]
+        tri = [m for m, t in enumerate(telomeric) if t]
+        # the real candidates' genes, as gene rows numbered in order of first use
+        g, h, i = ids
+        gene_row: dict[int, int] = {}
+        for m in real:
+            for code in (3 * g[m], 3 * h[m] + 1, 3 * i[m] + 2):
+                gene_row.setdefault(code, len(gene_row))
+        cand_gene = [(gene_row[3 * g[m]], gene_row[3 * h[m] + 1], gene_row[3 * i[m] + 2])
+                     for m in real]
         # per genome, each telomere triple's telomere, numbered in name order,
         # and per combination of telomeres the end of its telomere triple
-        code = np.full((telomeric.size, 3), -1, dtype=np.int64)
-        for x in range(3):
-            code[tri, x] = np.unique(ids[x, tri], return_inverse=True)[1]
-        self.telomeres = (code.max(axis=0, initial=-1) + 1).tolist()
-        self.end = np.zeros(np.prod(self.telomeres), dtype=np.int64)
-        self.end[np.ravel_multi_index(code[tri].T, self.telomeres)] = 3 * tri + 2
-        m1, m2, mask = table.m1, table.m2, table.mask
-        end1, end2 = m1 * 3 + table.e1, m2 * 3 + table.e2
-        t1, t2 = telomeric[m1], telomeric[m2]
-        self.inner = inner = np.nonzero(~(t1 | t2))[0]
-        mixed, tt = np.nonzero(t1 != t2)[0], np.nonzero(t1 & t2)[0]
-        self.cap_ext, first, cap_of = np.unique(
-            np.where(t1, end2, end1)[mixed], return_index=True, return_inverse=True
-        )
-        cap_mask = np.zeros(self.cap_ext.size, dtype=np.int64)
-        np.bitwise_or.at(cap_mask, cap_of, mask[mixed])
-        # per genome, the telomere each cap faces (-1: none), each telomere's
-        # partner on an emptied chromosome (-1: none) and those chromosomes
-        self.forced = np.full((self.cap_ext.size, 3), -1, dtype=np.int64)
+        number = [{t: c for c, t in enumerate(sorted({ids[x][m] for m in tri}))}
+                  for x in range(3)]
+        self.telomeres = [len(n) for n in number]
+        code = {m: tuple(number[x][ids[x][m]] for x in range(3)) for m in tri}
+        self.end = {c: 3 * m + 2 for m, c in code.items()}
+        m1, e1, m2, e2, mask = table.m1, table.e1, table.m2, table.e2, table.mask
+        self.inner = inner = []
+        mixed, tt = [], []
+        for k, (a, b) in enumerate(zip(m1, m2)):
+            (tt if telomeric[a] and telomeric[b] else
+             mixed if telomeric[a] or telomeric[b] else inner).append(k)
+        # a cap per real extremity of the mixed rows: its first row, the
+        # union of the rows' masks and, per genome, the telomere it faces
+        # (-1: none)
+        cap_first: dict[int, int] = {}
+        cap_mask: dict[int, int] = {}
+        forced: dict[int, list[int]] = {}
+        for k in mixed:
+            tel, ext = ((m1[k], 3 * m2[k] + e2[k]) if telomeric[m1[k]] else
+                        (m2[k], 3 * m1[k] + e1[k]))
+            cap_first.setdefault(ext, k)
+            cap_mask[ext] = cap_mask.get(ext, 0) | mask[k]
+            faced = forced.setdefault(ext, [-1, -1, -1])
+            for x in range(3):
+                if mask[k] >> x & 1:
+                    faced[x] = code[tel][x]
+        self.cap_ext = sorted(cap_first)
+        self.forced = [forced[ext] for ext in self.cap_ext]
+        # per genome, each telomere's partner on an emptied chromosome (-1:
+        # none) and those chromosomes
         self.partner, emptied = [], []
         for x, n in enumerate(self.telomeres):
-            on = mask[mixed] >> x & 1 == 1
-            self.forced[cap_of[on], x] = code[np.where(t1, m1, m2)[mixed[on]], x]
-            on = tt[mask[tt] >> x & 1 == 1]
-            partner = np.full(n, -1, dtype=np.int64)
-            partner[code[m1[on], x]], partner[code[m2[on], x]] = code[m2[on], x], code[m1[on], x]
+            on = [k for k in tt if mask[k] >> x & 1]
+            partner = [-1] * n
+            for k in on:
+                partner[code[m1[k]][x]] = code[m2[k]][x]
+            for k in on:
+                partner[code[m2[k]][x]] = code[m1[k]][x]
             self.partner.append(partner)
-            emptied.append(int((partner >= 0).sum()) // 2)
+            emptied.append(sum(t >= 0 for t in partner) // 2)
         room = min(self.telomeres)
         # y_S per mask S of those rows, in as many copies as S's genomes and
-        # the room allow; no np.unique here, which loads numpy.ma unless it
-        # returns an index
-        masks = np.nonzero(np.bincount(mask[tt], minlength=8))[0]
-        in_s = masks[:, None] >> np.arange(3) & 1 == 1
-        copies = np.minimum(np.where(in_s, emptied, room).min(axis=1), room // 2)
-        self.y_mask = y_mask = np.repeat(masks, copies)
+        # the room allow
+        self.y_mask = y_mask = []
+        for bits in sorted({mask[k] for k in tt}):
+            copies = min(emptied[x] if bits >> x & 1 else room for x in range(3))
+            y_mask += [bits] * min(copies, room // 2)
 
-        n_r, n_in, n_cap, n_genes = real.size, inner.size, self.cap_ext.size, used.size
+        n_r, n_in, n_cap, n_genes = len(real), len(inner), len(self.cap_ext), len(gene_row)
         self.split = (n_r, n_r + n_in, n_r + n_in + n_cap)
-        ext, ext_row = np.unique(np.concatenate([end1[inner], end2[inner], self.cap_ext]),
-                                 return_inverse=True)
-        col_of = np.zeros(telomeric.size, dtype=np.int64)
-        col_of[real] = np.arange(n_r)
-        caps = np.arange(n_r + n_in, self.split[2])
-        ys = self.split[2] + np.arange(y_mask.size)
-        blocks = [  # (rows, columns, value)
-            (rank[cand_gene.ravel()], np.repeat(np.arange(n_r), 3), 1.0),
-            (n_genes + ext_row, np.concatenate([n_r + np.tile(np.arange(n_in), 2), caps]), 1.0),
-            (n_genes + np.arange(ext.size), col_of[ext // 3], -1.0),
-        ]
-        row = n_genes + ext.size
-        blocks += [(row + x, ys[y_mask >> x & 1 == 1], 1.0) for x in range(3)]
-        blocks += [(row + 3, caps, 1.0), (row + 3, ys, 2.0)]
-        rows = np.concatenate([np.broadcast_to(r, c.shape) for r, c, _ in blocks])
-        cols = np.concatenate([c for _, c, _ in blocks])
-        order = np.lexsort((rows, cols))
-        rows, cols = rows[order], cols[order]
-        n_col = ys.size + self.split[2]
-        self.start = np.searchsorted(cols, np.arange(n_col + 1))
-        self.index = rows
-        self.value = np.concatenate([np.full(c.size, v) for _, c, v in blocks])[order]
-        self.rhs = np.concatenate([np.ones(n_genes), np.zeros(ext.size), emptied, [room]])
+        ext_rows = sorted({*(3 * m1[k] + e1[k] for k in inner),
+                           *(3 * m2[k] + e2[k] for k in inner), *self.cap_ext})
+        ext_row = {ext: n_genes + j for j, ext in enumerate(ext_rows)}.get
+        row = n_genes + len(ext_rows)
+        # each column's (row, value) entries, by row
+        index, value, self.start = [], [], [0]
+        for m, genes in zip(real, cand_gene):
+            index += sorted(genes)
+            value += (1.0, 1.0, 1.0)
+            for r in (ext_row(3 * m), ext_row(3 * m + 1)):
+                if r is not None:
+                    index.append(r)
+                    value.append(-1.0)
+            self.start.append(len(index))
+        for k in inner:
+            index += (ext_row(3 * m1[k] + e1[k]), ext_row(3 * m2[k] + e2[k]))
+            value += (1.0, 1.0)
+            self.start.append(len(index))
+        for ext in self.cap_ext:
+            index += (ext_row(ext), row + 3)
+            value += (1.0, 1.0)
+            self.start.append(len(index))
+        for bits in y_mask:
+            rows = [row + x for x in range(3) if bits >> x & 1] + [row + 3]
+            index += rows
+            value += [1.0] * (len(rows) - 1) + [2.0]
+            self.start.append(len(index))
+        self.index, self.value = index, value
+        self.rhs = [1.0] * n_genes + [0.0] * len(ext_rows) + [float(e) for e in emptied]
+        self.rhs.append(float(room))
         # (a) a real candidate that alone holds each of its genes is fixed at
         # 1: its entries move to the right sides, and its column is left
         # empty.  Its gene rows hold it alone, it costs 0, and choosing it
         # only loosens its extremity rows.
-        fixed = np.zeros(n_col, dtype=bool)
-        fixed[:n_r] = np.bincount(cand_gene.ravel())[cand_gene].max(axis=1, initial=0) == 1
-        self.fixed = int(fixed.sum())
-        on = fixed[cols]
-        rhs = self.rhs - np.bincount(rows[on], self.value[on], minlength=self.rhs.size)
+        uses = [0] * n_genes
+        for genes in cand_gene:
+            for r in genes:
+                uses[r] += 1
+        fixed = [uses[a] == uses[b] == uses[c] == 1 for a, b, c in cand_gene]
+        self.fixed = sum(fixed)
+        column = [j for j, (a, b) in enumerate(itertools.pairwise(self.start))
+                  for _ in range(a, b)]
+        on = [j < n_r and fixed[j] for j in column]  # the entries of fixed columns
+        rhs = self.rhs.copy()
         # (b) a row goes to HiGHS only when its largest activity, the sum of
         # its positive coefficients on free columns, exceeds its right side
-        keep = np.bincount(rows[~on], np.maximum(self.value[~on], 0.0),
-                           minlength=rhs.size) > rhs
-        on = ~on & keep[rows]  # the entries handed to HiGHS
-        self.handed = (  # compressed-column arrays and right sides, as `linprog` takes them
-            np.concatenate([[0], np.cumsum(np.bincount(cols[on], minlength=n_col))]),
-            (np.cumsum(keep) - 1)[rows[on]], self.value[on], rhs[keep],
-        )
-        self.cost = -np.concatenate([
-            np.zeros(n_r), table.weight[inner],
-            table.factor[mixed[first]] * np.bitwise_count(cap_mask.astype(np.uint8)),
-            np.bitwise_count(y_mask.astype(np.uint8)),
-        ])
+        reach = [0.0] * len(rhs)
+        for r, v, dead in zip(index, value, on):
+            if dead:
+                rhs[r] -= v
+            elif v > 0:
+                reach[r] += v
+        kept = [r for r, (most, limit) in enumerate(zip(reach, rhs)) if most > limit]
+        new_row = [-1] * len(rhs)
+        for j, r in enumerate(kept):
+            new_row[r] = j
+        handed = [not dead and new_row[r] >= 0 for r, dead in zip(index, on)]
+        counts = [0] * (len(self.start) - 1)
+        for j, keep in zip(column, handed):
+            counts[j] += keep
+        # compressed-column arrays and right sides, as `linprog` takes them
+        self.handed = (list(itertools.accumulate(counts, initial=0)),
+                       [new_row[r] for r, keep in zip(index, handed) if keep],
+                       [v for v, keep in zip(value, handed) if keep], [rhs[r] for r in kept])
+        weight, factor = table.weight, table.factor
+        self.cost = [-0.0] * n_r + [-weight[k] for k in inner]
+        self.cost += [-(factor[cap_first[ext]] * cap_mask[ext].bit_count())
+                      for ext in self.cap_ext]
+        self.cost += [-float(bits.bit_count()) for bits in y_mask]
         self.table = table
 
-    def table_rows(self, point: np.ndarray) -> tuple[int, ...]:
+    def table_rows(self, point) -> tuple[int, ...]:
         """The table rows of a 0-1 point: its rows between real candidates,
         and a telomere triple's row for each cap and two triples' row for
         each y binary.  A cap takes the telomeres its mask forces, and y_S
         an unused emptied chromosome in each genome of S; each genome then
         hands out its other telomeres in name order, to the y first.
         """
-        on = point > 0.5
+        on = [v > 0.5 for v in point]
         n_r, n_rows, n_caps = self.split
-        caps = np.nonzero(on[n_rows:n_caps])[0]
-        ys = self.y_mask[on[n_caps:]]
+        caps = [j for j in range(n_caps - n_rows) if on[n_rows + j]]
+        ys = [bits for bits, chosen in zip(self.y_mask, on[n_caps:]) if chosen]
         # the telomeres of the two triples of each y, then of each cap's triple
-        slots = np.concatenate([np.full((2 * ys.size, 3), -1), self.forced[caps]])
+        slots = [[-1, -1, -1] for _ in range(2 * len(ys))]
+        slots += [self.forced[j].copy() for j in caps]
         for x, partner in enumerate(self.partner):
-            held = 2 * np.nonzero(ys >> x & 1)[0]
-            left = np.nonzero(partner > np.arange(partner.size))[0][:held.size]
-            slots[held, x], slots[held + 1, x] = left, partner[left]
-            open_ = slots[:, x] < 0
-            free = np.ones(self.telomeres[x], dtype=bool)
-            free[slots[~open_, x]] = False
-            slots[open_, x] = np.nonzero(free)[0][:open_.sum()]
-        ends = self.end[np.ravel_multi_index(slots.T, self.telomeres)]
-        a = np.concatenate([ends[:2 * ys.size:2], self.cap_ext[caps]])
-        b = np.concatenate([ends[1:2 * ys.size:2], ends[2 * ys.size:]])
+            held = [2 * j for j, bits in enumerate(ys) if bits >> x & 1]
+            left = [t for t, other in enumerate(partner) if other > t]
+            for j, t in zip(held, left):
+                slots[j][x], slots[j + 1][x] = t, partner[t]
+            taken = {slot[x] for slot in slots}
+            free = (t for t in range(self.telomeres[x]) if t not in taken)
+            for slot in slots:
+                if slot[x] < 0:
+                    slot[x] = next(free, -1)
+        ends = [self.end.get(tuple(slot), -1) for slot in slots]
+        n_y = 2 * len(ys)
+        a = ends[:n_y:2] + [self.cap_ext[j] for j in caps]
+        b = ends[1:n_y:2] + ends[n_y:]
         table = self.table
-        keys = (table.m1 * 3 + table.e1) << 32 | (table.m2 * 3 + table.e2)
-        wanted = np.minimum(a, b) << 32 | np.maximum(a, b)
-        found = np.searchsorted(keys, wanted)
-        if not np.array_equal(keys[np.minimum(found, len(table) - 1)], wanted):
+        row_of = {(3 * m1 + e1) << SHIFT | (3 * m2 + e2): k for k, (m1, e1, m2, e2) in
+                  enumerate(zip(table.m1, table.e1, table.m2, table.e2))} if a else {}
+        found = [row_of.get(min(u, v) << SHIFT | max(u, v), -1) if min(u, v) >= 0 else -1
+                 for u, v in zip(a, b)]
+        if -1 in found:
             raise SolverError("a cap or emptied chromosome has no row in the table")
-        return tuple(sorted(self.inner[on[n_r:n_rows]].tolist() + found.tolist()))
+        return tuple(sorted([k for j, k in enumerate(self.inner) if on[n_r + j]] + found))
 
 
 def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
     """Take adjacencies by decreasing weight while the selection stays valid."""
     table = model.table
-    genes = [list(enumerate(col)) for col in table.candidates.ids.T.tolist()]
+    weight = table.weight
+    genes = [list(enumerate(col)) for col in zip(*table.candidates.ids)]
     owner: dict[tuple[int, int], int] = {}
     used_ext: set[tuple[int, int]] = set()
     chosen: list[int] = []
-    for k in np.lexsort((np.arange(len(table)), -table.weight)).tolist():
+    for k in sorted(range(len(table)), key=lambda k: (-weight[k], k)):
         m1, e1, m2, e2 = table.key(k)
         if (m1, e1) in used_ext or (m2, e2) in used_ext or any(
             owner.get(gene, m) != m for m in (m1, m2) for gene in genes[m]
@@ -566,7 +652,7 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
         owner.update((gene, m) for m in (m1, m2) for gene in genes[m])
         used_ext |= {(m1, e1), (m2, e2)}
         chosen.append(k)
-    return float(sum(table.weight[chosen].tolist())), tuple(sorted(chosen))
+    return math.fsum(weight[k] for k in chosen), tuple(sorted(chosen))
 
 
 def solve_branch_and_bound(
@@ -610,7 +696,7 @@ def solve_branch_and_bound(
             res.message, res.lp_integral, res.nodes, res.gap, dual_bound,
         )
     rows = () if res.x is None else program.table_rows(res.x)
-    value = float(np.sum(table.weight[list(rows)]))
+    value = math.fsum(table.weight[k] for k in rows)
     if res.status == highs.HighsModelStatus.kOptimal:
         solution = _finish(model, STATUS_OPTIMAL, value, value, rows, res)
     elif res.status != highs.HighsModelStatus.kTimeLimit:
@@ -619,11 +705,11 @@ def solve_branch_and_bound(
         greedy_value, greedy_rows = _greedy_incumbent(model)
         if greedy_value > value:
             value, rows = greedy_value, greedy_rows
-        bound = dual_bound if np.isfinite(dual_bound) else -float(np.sum(program.cost))
+        bound = dual_bound if math.isfinite(dual_bound) else -math.fsum(program.cost)
         # HiGHS's dual bound holds only up to its tolerances
         solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
-    solution.caps = program.cost.size - program.split[1]
-    solution.highs_rows, solution.fixed = program.handed[3].size, program.fixed
+    solution.caps = len(program.cost) - program.split[1]
+    solution.highs_rows, solution.fixed = len(program.handed[3]), program.fixed
     return solution
 
 
@@ -636,8 +722,8 @@ def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
         solution.nodes_explored = res.nodes
         solution.simplex_iterations = res.iterations
         solution.lp_integral = res.lp_integral
-        if np.isfinite(res.dual_bound):
+        if math.isfinite(res.dual_bound):
             solution.dual_bound = -res.dual_bound
-        if np.isfinite(res.gap):
+        if math.isfinite(res.gap):
             solution.gap = res.gap
     return solution

@@ -1,6 +1,7 @@
 """Shared instance builders for the test suite."""
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -249,6 +250,6 @@ def milp_objective(table) -> float:
     assert res.status == 0
     chosen = np.nonzero(res.x[n_a:] > 0.5)[0]
     assert set(table.genes(chosen)) <= set(np.nonzero(res.x[:n_a] > 0.5)[0].tolist())
-    value = float(np.sum(table.weight[chosen]))
+    value = math.fsum(table.weight[k] for k in chosen.tolist())
     verify_solution(table, chosen, value)
     return value

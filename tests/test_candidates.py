@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from ffmedian.candidates import (
@@ -107,11 +106,12 @@ class TestScores:
         """`table.factor` of one adjacency row per consecutive pair of
         candidates with the given triple scores."""
         genomes = [linear(label, [("a", 1)]) for label in "GHI"]
-        ids = np.zeros((3, len(triple_scores)), dtype=np.int64)  # gene a of each genome
-        cands = Candidates(genomes, ids, np.array(triple_scores))
-        first = np.arange(0, len(cands), 2)
-        zeros = np.zeros(first.size, dtype=np.int64)
-        table = ConservedAdjacencyTable(cands, first, zeros, first + 1, zeros + 1, zeros + 0b111)
+        ids = [[0] * len(triple_scores)] * 3  # gene a of each genome
+        cands = Candidates(genomes, ids, triple_scores)
+        first = list(range(0, len(cands), 2))
+        zeros = [0] * len(first)
+        table = ConservedAdjacencyTable(cands, first, zeros, [m + 1 for m in first],
+                                        [1] * len(first), [0b111] * len(first))
         return cands, table.factor
 
     def test_median_adjacency_weight_examples(self):
@@ -262,7 +262,7 @@ def _array_adjacencies(genome):
     genes = [Gene(genome.label, name) for name in genome.names]
     return sorted(
         adjacency(Extremity(genes[g1], ENDS[c1]), Extremity(genes[g2], ENDS[c2]))
-        for g1, c1, g2, c2 in zip(*(a.tolist() for a in genome.adjacency_arrays()))
+        for g1, c1, g2, c2 in zip(*genome.adjacency_arrays())
     )
 
 

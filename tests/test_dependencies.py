@@ -6,8 +6,9 @@ relative imports are left out.  Every name a module-level import binds must
 be used in its module.  Only `segments.icf_seg` and `reference.export_lp`
 build the two instance indexes, `ConflictIndex` and `ExtremityIncidence`.
 Every subcommand must then run in a process where networkx cannot be
-imported.  No module calls a BLAS routine, which is why
-`ffmedian.cli` starts numpy with one OpenBLAS thread.
+imported, and every one but `icf-seg` and `export-lp` where numpy cannot.
+No module calls a BLAS routine, which is why `ffmedian.cli` starts numpy
+with one OpenBLAS thread.
 """
 import ast
 import json
@@ -166,6 +167,41 @@ def test_every_subcommand_runs_without_networkx(tmp_path):
         "_, table, _ = cli._front_end(cli._read_files(['genomes.txt'], 'similarity.tsv'), True)\n"
         "assert brute_force_median(table).objective > 0\n"
         "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
+
+
+def test_the_subcommands_but_icf_seg_and_export_lp_run_without_numpy(tmp_path):
+    """`segments` and `reference` import numpy; what the other subcommands
+    run, `solve` first, must not."""
+    genomes, sigma = identical_genomes(["a", "b"])
+    write_genome_file(tmp_path / "genomes.txt", genomes)
+    sigma.write(tmp_path / "similarity.tsv")
+    hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t200\n"
+    (tmp_path / "hits.tsv").write_text(hit.format("G:a", "H:a"))
+    (tmp_path / "self.tsv").write_text(hit.format("G:a", "G:a") + hit.format("H:a", "H:a"))
+    (tmp_path / "graph.tsv").write_text("a\tb\nb\tc\n")
+    (tmp_path / "truth.tsv").write_text("G:a\tH:a\n")
+    instance = ["-g", "genomes.txt", "-s", "similarity.tsv"]
+    runs = [
+        ["build-graph", "--hits", "hits.tsv", "--self", "self.tsv", "-o", "built.tsv"],
+        ["enumerate", *instance, "-o", "candidates.tsv"],
+        ["solve", *instance, "-o", "median.json"],
+        ["eval", "--pred", "median.json", "--truth", "truth.tsv"],
+        ["reduce-mis", "--graph", "graph.tsv", "-o", "mis"],
+        ["verify-reduction", "mis"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
+        "from ffmedian import cli\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(

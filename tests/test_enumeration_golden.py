@@ -77,12 +77,12 @@ CASES = {
 
 # (removed genes, candidates, telomere triples, table rows, digest)
 GOLDEN = {
-    "call_order_IGH": (21, 269, 216, 800, "7429f97ab1c7af4c87680d380001b903016e54f55aabab7a414d396913088e34"),
-    "families": (13, 135, 64, 394, "54f335c84aa815f2e414fdb240c2761c0a3ca8780db2cec78c2e4c05b799c78c"),
-    "families_no_preprocess": (0, 70, 8, 202, "301d93261a1ad8fc10b109419f658afd9f4ad4f97684b427f6c1c6d73ee20b3f"),
-    "labels_ZAM": (23, 113, 64, 320, "0b0bc8f295ac0fb7ad3f3c4ffcc1d37877ca967d9d4ba5e8999e85581eb57bf8"),
-    "mis_reduction": (0, 440, 0, 79316, "795f5119de790b540fc06651ef51cf980141bb2810a005e3e9e70e87aa67d4ff"),
-    "telomeric": (31, 265, 216, 688, "9bd73067e6cde54469d3ad9c410246f12fc9f7760a9e025deacf4b69b28aa75c"),
+    "call_order_IGH": (21, 269, 216, 800, "e2677a34a73e941e7de4e5bf2a9e3f2b92aedf5e94b88f8baff650e267c54b7f"),
+    "families": (13, 135, 64, 394, "55732dbf63be65df85591d1c646f0221c2c343473359a9de56f9ef1affe52a9c"),
+    "families_no_preprocess": (0, 70, 8, 202, "5d5ed6845f77c252786e94dd477341210d44b2e9bcc8d974a3311093a8cda2c2"),
+    "labels_ZAM": (23, 113, 64, 320, "21e1c01036a5e93381401297d81ab1eb5cdf9e193f2b4fe17dbfffc8fdd6bdb0"),
+    "mis_reduction": (0, 440, 0, 79316, "4e01d46bad441ba1e9f62c40d1606c573011fd63c6535e97c3c1baff79226ef3"),
+    "telomeric": (31, 265, 216, 688, "22388dbba5eb6e2e0ca2d7ed2f5845d17f120de995e22ae7aea1ce899dc44268"),
 }
 
 

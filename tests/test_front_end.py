@@ -148,8 +148,8 @@ def test_id_front_end_equals_the_plain_python_reference(instance, preprocess):
     _, table, removed = cli._front_end(load, preprocess)
     cands = table.candidates
     assert [(c.g, c.h, c.i, c.triple_score) for c in cands] == triples
-    assert np.allclose(cands.score ** 3, cands.triple)
-    assert cands.telomeric.tolist() == [c[0].is_telomere for c in triples]
+    assert np.allclose(np.asarray(cands.score) ** 3, cands.triple)
+    assert cands.telomeric == [c[0].is_telomere for c in triples]
     assert {table.key(k): int(table.mask[k]) for k in range(len(table))} == rows
     assert [table.key(k) for k in range(len(table))] == sorted(rows)
     if preprocess:

@@ -152,19 +152,19 @@ CASES = {
 
 # (candidates, table rows, accepted runs, digest)
 GOLDEN = {
-    "c2_f0.1_n200": (286, 698, 26, "815ccb8d10955ffaea536523316e08bbf99f6d6987ae61ee9763e0c3237bc31d"),
+    "c2_f0.1_n200": (286, 698, 26, "32f6438ef11631347da4f3fea308b4f67f350827d0bde02890af8d51ba8f01ba"),
     "c2_f0.2_n150": (281, 975, 8, "dae3ee797bb6beb461b1dfa06ad74ca8847ae28018691a43c02917605074a1d2"),
-    "c2_f0_n300": (323, 592, 59, "acc2101fd4a15ce71a720dcadd78a19e1e62295fd3361a958546e4265388d177"),
+    "c2_f0_n300": (323, 592, 59, "95635d64aeaa7646e2f3adebaa6c3a4d2205cc013bcc220f91a332d78c76f0a9"),
     "c3_f0.1_n150": (379, 1057, 22, "3a4f3d6e92eb86bcaf835963558d5a262fe454c6b2aa3f297ab9924a4a18128d"),
     "c3_f0.2_n100": (362, 1357, 4, "9427a11f7d12c6f40c6e95b7600ce091a5347bc5afef7b6e5163d687fe65cdcf"),
-    "c3_f0_n200": (383, 881, 41, "8e82bfc0ba63bf4326c96dc5140f7760313f108ee5c92728275936e20bf4e1f7"),
-    "call_order_IGH": (208, 574, 12, "c957badbabe2395d189471f3af59379de53177de0461f3f0b797d2d3201a5906"),
+    "c3_f0_n200": (383, 881, 41, "3c38a72b9b55d8b97196078390d04638b49f0ec495fdcd609cd98f1ac6d3dfa2"),
+    "call_order_IGH": (208, 574, 12, "3c72800cc9664c086f7e4dc682625ff17895937260d05aef7317a44399887eb4"),
     "circle_across_origin": (50, 52, 2, "7a7b49223c4d2c709e3f1f12562844f044bc46c69d3f200af5ee007c8c8d5a56"),
-    "circular_c1_f0_n300": (272, 426, 71, "fa033d28201de38ffc786704c8bd6029e83d594f32db88b400476ba193a1f133"),
+    "circular_c1_f0_n300": (272, 426, 71, "cef4867e304addb81d82a98893c1930f89b7d1b91d72dc07f4bd39edea7675c0"),
     "circular_c2_f0.1_n120": (124, 270, 16, "2ef51115bae7091e7dfbc60de6f708b39959208e45d613b1925a3070c2f69807"),
-    "circular_c2_f0.2_n150": (216, 692, 12, "209abec6490cda00a6fde32dd15d6f740ef95e0d9991c9b623fe64f109d98c8e"),
+    "circular_c2_f0.2_n150": (216, 692, 12, "8743043430c1a5bf8f51e3ba08a48a54d98e3db143d92da9221345103e07225d"),
     "closed_circle_n50": (50, 50, 1, "d3d655bb6ea721f167861b81b2b262fa0925125665e9bcf41b18a5af2c73d4a0"),
-    "mixed_c2_f0.1_n150": (182, 443, 20, "d0ef1a1e4aa4581b977461863c2ba41d900f2d46dc2b2e93d5d3efdb6b160dd6"),
+    "mixed_c2_f0.1_n150": (182, 443, 20, "ef5266465ef3ee3440ea187a0b42709a2cd9d00fb47389a0f8b687170552c1bb"),
     "mis_reduction": (236, 21376, 0, "56d76284ee0cdea7c9c55083121b3453baa6f84cd084b231cc073e62473b38a9"),
 }
 

@@ -1,4 +1,4 @@
-"""The numpy enumeration kernels against brute force over dense rebuilds.
+"""The enumeration kernels against brute force over dense rebuilds.
 
 The triangle join runs on random sparse edge lists, some of them empty, and
 must return exactly the triangles, in the same lexicographic order, that a
@@ -28,6 +28,11 @@ def random_edges(seed, sizes=(8, 7, 9)):
     return out
 
 
+def keys(edges):
+    """A sorted (2, m) edge array as the keys `kernels.triangles` takes."""
+    return kernels.IntArray((edges[0] << kernels.SHIFT | edges[1]).tolist())
+
+
 def dense(edges, shape):
     mat = np.zeros(shape, dtype=bool)
     mat[edges[0], edges[1]] = True
@@ -49,7 +54,7 @@ def test_triangles_match_bruteforce(seed):
     sizes = (8, 7, 9) if seed % 2 else (12, 10, 11)
     gh, gi, hi = random_edges(seed, sizes)
     ng, nh, ni = sizes
-    p, q, r = kernels.triangles(gh, gi, hi)
+    p, q, r = (np.asarray(x, dtype=np.int64) for x in kernels.triangles(*map(keys, (gh, gi, hi))))
     got = list(zip(gh[0, p].tolist(), gh[1, p].tolist(), gi[1, q].tolist()))
     assert got == brute_triangles(
         dense(gh, (ng, nh)), dense(gi, (ng, ni)), dense(hi, (nh, ni))
@@ -105,18 +110,24 @@ def brute_pairs(ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci):
 @pytest.mark.parametrize("seed", PAIR_SEEDS)
 def test_pairs_match_bruteforce(seed):
     args = random_pair_inputs(seed)
-    got = kernels.conserved_pairs(*args)
-    assert list(zip(*(x.tolist() for x in got))) == brute_pairs(*args)
+    ax1, ae1, ax2, ae2, indptr, cand_ids, cg, ch, ci = args
+    on_gene = [cand_ids[indptr[x]:indptr[x + 1]].tolist() for x in range(indptr.size - 1)]
+    first, second = kernels.conserved_pairs(
+        *(a.tolist() for a in (ax1, ae1, ax2, ae2)), on_gene, *(a.tolist() for a in (cg, ch, ci))
+    )
+    got = [(*divmod(a, 3), *divmod(b, 3)) for a, b in zip(first, second)]
+    assert got == brute_pairs(*args)
+
+
+def codes(*rows):
+    """(m1, e1, m2, e2) rows as the extremity codes `conserved_pairs` emits."""
+    return [3 * m1 + e1 for m1, e1, _, _ in rows], [3 * m2 + e2 for _, _, m2, e2 in rows]
 
 
 def test_merge_deduplicates_and_masks():
-    m1 = np.array([0, 0, 1])
-    e1 = np.array([1, 1, 0])
-    m2 = np.array([2, 2, 3])
-    e2 = np.array([0, 0, 1])
-    genome0 = (m1[:2], e1[:2], m2[:2], e2[:2])  # same record twice
-    genome1 = (m1[2:], e1[2:], m2[2:], e2[2:])
-    out = kernels.merge_genome_pairs([genome0, genome1, tuple(np.empty(0, np.int64) for _ in range(4))])
+    genome0 = codes((0, 1, 2, 0), (0, 1, 2, 0))  # same record twice
+    genome1 = codes((1, 0, 3, 1))
+    out = kernels.merge_genome_pairs([genome0, genome1, codes()])
     lo, elo, hi, ehi, mask = out
     assert lo.tolist() == [0, 1]
     assert mask.tolist() == [1, 2]
@@ -124,11 +135,9 @@ def test_merge_deduplicates_and_masks():
 
 def test_merge_canonicalizes_endpoint_order():
     # the same unordered pair reported from both sides collapses
-    g0 = (np.array([5]), np.array([1]), np.array([2]), np.array([0]))
-    g1 = (np.array([2]), np.array([0]), np.array([5]), np.array([1]))
-    lo, elo, hi, ehi, mask = kernels.merge_genome_pairs(
-        [g0, g1, tuple(np.empty(0, np.int64) for _ in range(4))]
-    )
+    g0 = codes((5, 1, 2, 0))
+    g1 = codes((2, 0, 5, 1))
+    lo, elo, hi, ehi, mask = kernels.merge_genome_pairs([g0, g1, codes()])
     assert len(lo) == 1
     assert (lo[0], elo[0], hi[0], ehi[0]) == (2, 0, 5, 1)
     assert mask[0] == 0b011

@@ -2,6 +2,7 @@
 import itertools
 import logging
 import math
+import os
 import random
 import time
 import types
@@ -358,14 +359,14 @@ def _check_mip_rows(genomes, sigma):
 )
 def test_mip_rows_equal_the_scipy_sparse_build(seed, n, chromosomes, family_rate):
     program = _check_mip_rows(*evolved_instance(seed, n, chromosomes, family_rate))
-    assert program.y_mask.size == 0
+    assert len(program.y_mask) == 0
 
 
 @pytest.mark.parametrize("seed, n, emptied", [(25, 8, (2, 1, 1)), (34, 12, (0, 1, 2))])
 def test_mip_rows_with_emptied_chromosomes_equal_the_scipy_sparse_build(seed, n, emptied):
     genomes, sigma = evolved_instance(seed, n, 1, 0.0, emptied=emptied)
     *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
-    assert _check_mip_rows(genomes, sigma).y_mask.size
+    assert len(_check_mip_rows(genomes, sigma).y_mask)
 
 
 def _check_optimum(genomes, sigma):
@@ -431,16 +432,48 @@ def test_capacity_row_binds():
     *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     cands, table = build_tables(genomes, sigma)
     program = solver._Capped(table)
-    room_row = program.rhs.size - 1
-    assert program.y_mask.size == 0 and program.rhs[room_row] == 2
+    room_row = len(program.rhs) - 1
+    assert len(program.y_mask) == 0 and program.rhs[room_row] == 2
     highs = solver._import_scipy()
     loose = program.rhs.copy()
     loose[room_row] = 1000
     res = solver.linprog(highs, program.cost, program.start, program.index, program.value, loose)
     reference = milp_objective(table)
-    assert -res.x @ program.cost > reference + 0.1
+    assert -sum(x * c for x, c in zip(res.x, program.cost)) > reference + 0.1
     solution = solve_branch_and_bound(build_ilp(table))
     assert abs(solution.objective - reference) <= GRID
+
+
+def test_the_model_file_is_removed_on_every_path(tmp_path, monkeypatch):
+    """`linprog` hands HiGHS the program as an MPS file in `TMPDIR`; none is
+    left after an optimal run, a run cut by the time limit, an infeasible
+    program or a file that HiGHS rejects."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    written = []
+    mkstemp = solver.tempfile.mkstemp
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        written.append(path)
+        return fd, path
+
+    monkeypatch.setattr(solver.tempfile, "mkstemp", recording_mkstemp)
+    highs = solver._import_scipy()
+    program = solver._Capped(build_tables(*evolved_instance(51, 120, 2, 0.1))[1])
+    status = highs.HighsModelStatus
+    runs = [
+        (status.kOptimal, (program.cost, *program.handed)),
+        (status.kTimeLimit, (program.cost, *program.handed, 1e-9)),
+        (status.kInfeasible, ([-1.0], [0, 1], [0], [1.0], [-1.0])),
+    ]
+    for expected, args in runs:
+        assert solver.linprog(highs, *args).status == expected
+        assert os.path.dirname(written[-1]) == str(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(solver, "_mps", lambda *args: "garbage\n")
+    with pytest.raises(SolverError, match="HiGHS rejected the model"):
+        solver.linprog(highs, program.cost, *program.handed)
+    assert len(written) == 4 and list(tmp_path.iterdir()) == []
 
 
 def test_rule_a_fixes_the_candidates_that_alone_hold_their_genes():
@@ -471,7 +504,7 @@ def test_rule_b_hands_only_the_rows_that_can_bind():
     (see `test_capacity_row_binds`) it is handed, with every cap."""
     cands, table = build_tables(*identical_genomes(("a", "b", "c")))
     program = solver._Capped(table)
-    assert program.handed[3].size == 0 < program.rhs.size
+    assert len(program.handed[3]) == 0 < len(program.rhs)
     solution = solve_branch_and_bound(build_ilp(table))
     assert solution.lp_integral and solution.status == STATUS_OPTIMAL
     assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
@@ -481,7 +514,7 @@ def test_rule_b_hands_only_the_rows_that_can_bind():
     start, index, value, rhs = program.handed
     caps = program.split[2] - program.split[1]
     assert caps > 2 and rhs[-1] == 2
-    assert np.count_nonzero(index == rhs.size - 1) == caps
+    assert index.count(len(rhs) - 1) == caps
 
 
 class TestBruteForce:
@@ -576,7 +609,7 @@ class TestVerify:
             and any(conflict.conflicting(a, b)
                     for a in table.key(k)[::2] for b in table.key(j)[::2])
         )
-        value = float(table.weight[list(clashing)].sum())
+        value = sum(table.weight[k] for k in clashing)
         with pytest.raises(SolverError, match="conflict"):
             verify_solution(table, clashing, value)
 
@@ -589,7 +622,7 @@ class TestVerify:
             incident.setdefault((m1, e1), []).append(k)
         (ext, rows) = next((x, r) for x, r in incident.items() if len(r) >= 2)
         with pytest.raises(SolverError):
-            verify_solution(table, rows[:2], float(table.weight[rows[:2]].sum()))
+            verify_solution(table, rows[:2], sum(table.weight[k] for k in rows[:2]))
         # a's head meets b's tail in G and I, and c's tail in H: two rows at
         # one extremity whose candidates share no gene
         genomes = [linear(label, [(nm, 1) for nm in order]) for label, order in
@@ -599,7 +632,7 @@ class TestVerify:
                 if table.key(k)[:2] == (0, 1) and table.key(k)[2] in (1, 2)]
         assert len(rows) == 2
         with pytest.raises(SolverError, match="used twice"):
-            verify_solution(table, rows, float(table.weight[rows].sum()))
+            verify_solution(table, rows, sum(table.weight[k] for k in rows))
 
     def test_objective_mismatch_detected(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
