@@ -13,13 +13,14 @@ between those ids once (`InstanceIndex`) and scans them once for triangles;
 its `Candidates` are id arrays (`kernels.IntArray`).  Preprocessing
 (`preprocess_discard_nonclique`) splices the genes in no candidate out of
 the walks and keeps the numbering, so the candidates stay theirs.
-`enumerate_conserved_adjacencies` scans the walks for the
-`ConservedAdjacencyTable`, the instance every later stage reads.
-`CandidateGene` objects are built only for code that indexes the
-candidates; a solve reads the arrays.  The indexes over the table that
-ICF-SEG and the LP export read are in `indexes`.  Scores and weights come
-from the C library's `cbrt` and `pow`, so they do not depend on the CPU's
-vector units, and a solve imports no numpy.
+`candidates_on_genes` lists the candidates on each gene (the conflict
+rows); `enumerate_conserved_adjacencies` reads those lists to scan the
+walks for the `ConservedAdjacencyTable`, the instance every later stage
+reads as arrays.  ICF-SEG and the LP export read them too, with
+`extremity_rows` (the saturation rows).  `CandidateGene` objects are built
+only for code that indexes or iterates the candidates.  Scores and weights
+come from the C library's `cbrt` and `pow`, so they do not depend on the
+CPU's vector units.
 """
 from __future__ import annotations
 
@@ -133,6 +134,10 @@ class Candidates:
     def __iter__(self):
         return iter(self.objects())
 
+    def names(self, m: int) -> tuple[str, str, str]:
+        """The names of candidate m's genes, one per genome."""
+        return tuple(genome.names[row[m]] for genome, row in zip(self.genomes, self.ids))
+
     def objects(self) -> list[CandidateGene]:
         if self._objects is None:
             genes = zip(*([Gene(genome.label, genome.names[k]) for k in row]
@@ -200,6 +205,29 @@ class ConservedAdjacencyTable:
             for column in (self.m1, self.e1, self.m2, self.e2, self.mask)))
 
 
+def candidates_on_genes(candidates: Candidates) -> list[list[list[int]]]:
+    """Per genome x and gene id k, the candidates whose genome-x gene is k,
+    in candidate order: one conflict row of the 0-1 program each.  Two
+    candidates conflict when they share a list."""
+    per_genome = []
+    for genome, slot in zip(candidates.genomes, candidates.ids):
+        on_gene: list[list[int]] = [[] for _ in genome.names]
+        for m, gene in enumerate(slot):
+            on_gene[gene].append(m)
+        per_genome.append(on_gene)
+    return per_genome
+
+
+def extremity_rows(table: ConservedAdjacencyTable) -> list[list[int]]:
+    """Per extremity code 3 m + e, the rows of `table` at it, in row order:
+    one saturation row of the 0-1 program each."""
+    rows: list[list[int]] = [[] for _ in range(3 * len(table.candidates))]
+    for k, (m1, e1, m2, e2) in enumerate(zip(table.m1, table.e1, table.m2, table.e2)):
+        rows[3 * m1 + e1].append(k)
+        rows[3 * m2 + e2].append(k)
+    return rows
+
+
 def enumerate_conserved_adjacencies(
     candidates: Candidates, G: Genome, H: Genome, I: Genome
 ) -> ConservedAdjacencyTable:
@@ -207,14 +235,10 @@ def enumerate_conserved_adjacencies(
     which are those the candidates were enumerated on or those genomes
     after preprocessing.  Only their walks are read."""
     ids = [list(column) for column in candidates.ids]
-    per_genome = []
-    for genome, slot in zip((G, H, I), ids):
-        on_gene: list[list[int]] = [[] for _ in genome.names]
-        for m, gene in enumerate(slot):
-            on_gene[gene].append(m)
-        per_genome.append(
-            kernels.conserved_pairs(*genome.adjacency_arrays(), on_gene, *ids)
-        )
+    per_genome = [
+        kernels.conserved_pairs(*genome.adjacency_arrays(), on_gene, *ids)
+        for genome, on_gene in zip((G, H, I), candidates_on_genes(candidates))
+    ]
     return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome))
 
 

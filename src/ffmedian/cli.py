@@ -58,49 +58,41 @@ A solve's stages are `load`, which numbers each genome's genes once
 then the genes in no candidate spliced out of the walks; `enumerate`, the
 adjacency scan (`candidates`); `icf-seg` when asked; and `solve`.  One
 check of the chosen rows (`verify_solution`) and the CARs follow.  The
-stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`.
+stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`,
+nor does ICF-SEG.
 
-Start-up and shut-down: the modules a solve runs hold their numbers in
-lists and `array.array`s, so a `solve` process imports no numpy, nor do the
-other subcommands but `icf-seg` and `export-lp`: only `segments` and
-`reference`, which ICF-SEG and the LP export run, import it.  No module of
-the package calls a BLAS routine, and HiGHS does its own linear algebra, so
-the process asks OpenBLAS (bundled with numpy) for one thread before numpy
-can load.  Otherwise OpenBLAS starts a worker thread per extra core at
-`import numpy`, which spins and slows the start-up of an ICF-SEG or export
-process while two cores are contended.  An `OPENBLAS_NUM_THREADS` already
-set in the environment is kept.  Nothing in the package logs above INFO, so
-only `-v` can show a log line: `main` imports `logging`, with the `string`
-and `traceback` modules it loads, and configures it only under `-v`, and
-the solver writes its INFO record only when `logging` is loaded, as without
-the module no handler can exist.  A default `solve` never loads it.  The
-other subcommands log as `ffmedian.cli` through `commands`.  The process
-entry point, `run`, ends the process with `os._exit` once `main` has
-returned and stdout, stderr and, when `logging` is loaded, its handlers are
-flushed: the interpreter's teardown would only finalize modules, the HiGHS
-extension's above all, and every file the package writes is closed by its
-`with` block before `main` returns.  A failed flush of stdout there is an
-output error: one `error:` line and exit code 1.  argparse's exit on `-h`,
-`--version` or a usage error takes the same path with argparse's code.  An
-exception out of `main` takes the interpreter's normal exit.  `main` itself
-returns its exit code, for callers in the same process.  `main` builds the
-argument parser of the invoked subcommand alone, not all eight
-(`build_parser`), with the same help, usage errors and exit codes.
+Start-up and shut-down: the package holds its numbers in lists and
+`array.array`s, so no subcommand imports numpy.  Nothing in the package
+logs above INFO, so only `-v` can show a log line: `main` imports
+`logging`, with the `string` and `traceback` modules it loads, and
+configures it only under `-v`, and the solver writes its INFO record only
+when `logging` is loaded, as without the module no handler can exist.  A
+default `solve` never loads it.  The other subcommands log as
+`ffmedian.cli` through `commands`.  The process entry point, `run`, ends
+the process with `os._exit` once `main` has returned and stdout, stderr
+and, when `logging` is loaded, its handlers are flushed: the interpreter's
+teardown would only finalize modules, the HiGHS extension's above all, and
+every file the package writes is closed by its `with` block before `main`
+returns.  A failed flush of stdout there is an output error: one `error:`
+line and exit code 1.  argparse's exit on `-h`, `--version` or a usage
+error takes the same path with argparse's code.  An exception out of `main`
+takes the interpreter's normal exit.  `main` itself returns its exit code,
+for callers in the same process.  `main` builds the argument parser of the
+invoked subcommand alone, not all eight (`build_parser`), with the same
+help, usage errors and exit codes.
 
 A `solve` process compiles and runs only the code a solve needs: of the
 package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
-`segments` and `indexes`, with numpy, under `--icf-seg`.  Where the
-package's sources are compiled in every process, as they are without a
-writable bytecode cache, each line left out counts.  So the other seven
-subcommands live in `commands`, which `build_parser` imports only to build
-one of their parsers, and the paper's literal forms (its extremities, the
-LP export of its rows and the brute-force oracle) in `reference`, which
-`export-lp` and the tests import, and the instance indexes that ICF-SEG and
-the LP export read in `indexes`.  `icf_seg` here imports `segments` at its
-first call.  No class on the solve path is a dataclass, as creating one
-costs about a millisecond at import.  The parsed `solve` command line is
-the run's one configuration: `run_pipeline` reads its settings straight off
-it.
+`segments` under `--icf-seg`.  Where the package's sources are compiled in
+every process, as they are without a writable bytecode cache, each line
+left out counts.  So the other seven subcommands live in `commands`, which
+`build_parser` imports only to build one of their parsers, and the paper's
+literal forms (its extremities, the LP export of its rows and the
+brute-force oracle) in `reference`, which `export-lp` and the tests import.
+`icf_seg` here imports `segments` at its first call.  No class on the solve
+path is a dataclass, as creating one costs about a millisecond at import.
+The parsed `solve` command line is the run's one configuration:
+`run_pipeline` reads its settings straight off it.
 """
 from __future__ import annotations
 
@@ -111,9 +103,6 @@ import os
 import sys
 import time
 from typing import NoReturn
-
-# before numpy loads: the package needs no BLAS worker threads (see above)
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .candidates import (
@@ -260,8 +249,8 @@ def run_pipeline(args) -> tuple[int, dict]:
             accepted_weight = result.accepted_weight
             accepted_segments = len(result.accepted)
             examined, skipped = result.examined, result.skipped
-            row_map = [k for k, alive in enumerate(result.row_alive) if alive]
-            solve_table = result.reduced_table()
+            row_map = result.live_rows
+            solve_table = table.subset(row_map)
     with _stage(stages, "solve"):
         model = build_ilp(solve_table)
         remaining = None

@@ -28,20 +28,19 @@ log = logging.getLogger("ffmedian.cli")
 
 def _write_tsv(path, table, alive=None) -> None:
     """Candidate genes (those `alive` marks, default all), then conserved
-    adjacencies, one per line."""
+    adjacencies, one per line; a gene is written `genome:name`."""
     cands = table.candidates
+    columns = ([f"{genome.label}:{genome.names[k]}" for k in row]
+               for genome, row in zip(cands.genomes, cands.ids))
+    genes = ["\t".join(triple) for triple in zip(*columns)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#type\tfields\n")
-        for m, cand in enumerate(cands):
+        for m, (triple, score) in enumerate(zip(cands.triple, cands.score)):
             if alive is None or alive[m]:
-                fh.write(
-                    f"gene\t{cand.g}\t{cand.h}\t{cand.i}"
-                    f"\t{cand.triple_score:.12g}\t{cand.gene_score:.12g}\n"
-                )
+                fh.write(f"gene\t{genes[m]}\t{triple:.12g}\t{score:.12g}\n")
         for m1, e1, m2, e2, mask, weight in cli._rows(table):
-            a, b = cands[m1], cands[m2]
             fh.write(
-                f"adjacency\t{a.g}\t{a.h}\t{a.i}\t{ENDS[e1]}\t{b.g}\t{b.h}\t{b.i}\t{ENDS[e2]}"
+                f"adjacency\t{genes[m1]}\t{ENDS[e1]}\t{genes[m2]}\t{ENDS[e2]}"
                 f"\t{','.join(table.conserved_in[mask])}\t{weight:.12g}\n"
             )
 
@@ -79,15 +78,18 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_icf_seg(args) -> int:
     genomes, table, _ = _instance(args)
-    cands = table.candidates
     result = cli.icf_seg(genomes[0], table)
+
+    def triple(m: int) -> str:
+        return f"({','.join(table.candidates.names(m))})"
+
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
         for seg_id, run in enumerate(result.accepted):
-            genes = ",".join(str(cands[m]) for m in run.members)
+            genes = ",".join(map(triple, run.members))
             for m1, e1, m2, e2, _, weight in cli._rows(table, list(run.internal_rows)):
                 fh.write(
-                    f"{seg_id}\t{genes}\t{cands[m1]}{ENDS[e1]}--{cands[m2]}{ENDS[e2]}"
+                    f"{seg_id}\t{genes}\t{triple(m1)}{ENDS[e1]}--{triple(m2)}{ENDS[e2]}"
                     f"\t{weight:.12g}\n"
                 )
     if args.emit_reduced:

@@ -10,10 +10,11 @@ ends of a circular one); one rule, `facing_end`, names the extremity each
 entry turns to its neighbour: a gene read forward contributes its tail
 first and its head second, so consecutive forward genes a, b yield
 {a_head, b_tail}.  `Genome.adjacency_arrays` applies it to the walks as int
-codes, `reference.adjacencies` to `Gene` objects.  The module holds its
-numbers in plain lists: a solve imports no numpy.  A solve reads only the
-numbering and the walks; `Genome.chromosomes`, `genes` and `locate`, the
-genome as `Gene` objects, are built on first use.
+codes, ICF-SEG's run scan to the G walk (`segments`) and
+`reference.adjacencies` to `Gene` objects.  The module holds its numbers
+in plain lists.  Every stage of the program reads only the numbering and
+the walks; `Genome.chromosomes` and `genes`, the genome as `Gene` objects,
+are built on first use.
 
 Gene similarities across genomes live in a `SimilarityGraph`, keyed by
 labels and names, with no `Gene` built per line.  Telomere similarities are
@@ -78,14 +79,15 @@ class Chromosome(NamedTuple):
     order: tuple[tuple[Gene, int], ...]  # (gene, orientation in {+1,-1})
 
 
-def facing_end(gene: Gene, orientation: int, forward: bool) -> int:
-    """Code (index into `ENDS`) of the extremity of an oriented gene that
-    faces the next entry of its chromosome (`forward`) or the previous one.
+def facing_end(telomere: bool, orientation: int, forward: bool) -> int:
+    """Code (index into `ENDS`) of the extremity that an oriented gene, or a
+    telomere, turns to the next entry of its chromosome (`forward`) or to
+    the previous one.
 
     A gene read forward shows its tail first and its head last; a telomere
     has its single telomeric end.
     """
-    if gene.is_telomere:
+    if telomere:
         return 2
     return int((orientation > 0) == forward)
 
@@ -153,23 +155,13 @@ class Genome:
         )
 
     @cached_property
-    def _occurrence(self) -> dict[Gene, tuple[int, int, int]]:
-        return {gene: (ci, pos, orientation) for ci, chrom in enumerate(self.chromosomes)
-                for pos, (gene, orientation) in enumerate(chrom.order)}
-
-    @cached_property
     def genes(self) -> frozenset[Gene]:
-        return frozenset(self._occurrence)
-
-    def locate(self, gene: Gene) -> tuple[int, int, int]:
-        """(chromosome index, position, orientation) of a gene."""
-        try:
-            return self._occurrence[gene]
-        except KeyError:
-            raise GenomeError(f"gene {gene} not in genome {self.label}") from None
+        """The genes and telomeres on the walks."""
+        names = (name for name, on in zip(self.names, self.present) if on)
+        return frozenset(Gene(self.label, name) for name in names)
 
     def __contains__(self, gene: Gene) -> bool:
-        return gene in self._occurrence
+        return gene in self.genes
 
     def __repr__(self) -> str:
         return f"Genome({self.label!r}, {len(self.walks)} chromosomes)"

@@ -276,12 +276,13 @@ def backmap_solution(
     """
     label_g = instance.genomes[0].label
     table = solution.table
+    genome, g_ids = table.candidates.genomes[0], table.candidates.ids[0]
     out: set[str] = set()
     for k in solution.row_indices:
         if label_g not in table.conserved_in[table.mask[k]]:
             continue
         for m in (table.m1[k], table.m2[k]):
-            vertices = instance.associated(table.candidates[m].g)
+            vertices = instance.associated(Gene(genome.label, genome.names[g_ids[m]]))
             if vertices:
                 out.add(vertices[0])
     return out

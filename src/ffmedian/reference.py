@@ -10,28 +10,25 @@ imports this module.
   read off the genome's `Gene` objects.  `Genome.adjacency_arrays` reads
   the same walks as int codes.
 - `export_lp` writes the 0-1 program with the paper's rows in LP text
-  format: a conflict row per extant gene off `ConflictIndex`, a coupling
-  row per conserved adjacency, and a saturation row per candidate
-  extremity off `ExtremityIncidence`.  `solver.solve_branch_and_bound`
-  solves a tighter form with the same integer points.  `counted_variables`
-  and `counted_constraints` give that program's sizes, and `a_name` and
-  `b_name` its variable names.
+  format, off the table's arrays: a conflict row per extant gene
+  (`candidates.candidates_on_genes`), a coupling row per conserved
+  adjacency, and a saturation row per candidate extremity
+  (`candidates.extremity_rows`).  `solver.solve_branch_and_bound` solves a
+  tighter form with the same integer points.  `counted_variables` and
+  `counted_constraints` give that program's sizes.
 - `brute_force_median` is the independent oracle: an exhaustive
   depth-first search over the adjacency rows in plain Python, with no LP
   and no graph library.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
-import numpy as np
-
-from .candidates import ConservedAdjacencyTable
-from .genomes import (
-    CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end,
-)
-from .indexes import ConflictIndex, ExtremityIncidence
+from .candidates import ConservedAdjacencyTable, candidates_on_genes, extremity_rows
+from .genomes import CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end
 from .solver import (
     GRID,
     STATUS_EMPTY,
@@ -94,8 +91,8 @@ def adjacencies(genome: Genome) -> frozenset[Adjacency]:
     """The genome's adjacencies as canonical extremity pairs."""
     return frozenset(
         adjacency(
-            Extremity(g1, ENDS[facing_end(g1, o1, True)]),
-            Extremity(g2, ENDS[facing_end(g2, o2, False)]),
+            Extremity(g1, ENDS[facing_end(g1.is_telomere, o1, True)]),
+            Extremity(g2, ENDS[facing_end(g2.is_telomere, o2, False)]),
         )
         for (g1, o1), (g2, o2) in neighbours(genome)
     )
@@ -129,30 +126,43 @@ def counted_constraints(model: IlpModel) -> int:
     coupling constraint per conserved adjacency, one saturation constraint
     per candidate extremity."""
     candidates = model.table.candidates
-    genes = {gene for cand in candidates for gene in cand.genes}
-    extremities = sum(len(cand.ends) for cand in candidates)
-    return len(genes) + model.n_b + extremities
+    genes = sum(len(set(column)) for column in candidates.ids)
+    extremities = sum(1 if telomeric else 2 for telomeric in candidates.telomeric)
+    return genes + model.n_b + extremities
 
 
-def a_name(model: IlpModel, i: int) -> str:
-    c = model.table.candidates[i]
-    return f"a_{_token(c.g.name)}_{_token(c.h.name)}_{_token(c.i.name)}"
+def _a_names(table: ConservedAdjacencyTable) -> list[str]:
+    """The selection variables' names, one per candidate."""
+    return ["a_" + "_".join(map(_token, table.candidates.names(m)))
+            for m in range(len(table.candidates))]
 
 
-def b_name(model: IlpModel, k: int) -> str:
-    m1, e1, m2, e2 = model.table.key(k)
-    c1, c2 = model.table.candidates[m1], model.table.candidates[m2]
-    s1, s2 = ENDS[e1], ENDS[e2]
-    parts = []
-    for x1, x2 in zip(c1.genes, c2.genes):
-        parts.append(f"{_token(x1.name)}{s1}_{_token(x2.name)}{s2}")
-    return "b_" + "_".join(parts)
+def _b_names(table: ConservedAdjacencyTable) -> list[str]:
+    """The adjacency variables' names, one per row: per genome, the two
+    genes' names with their ends."""
+    names = [[_token(name) for name in table.candidates.names(m)]
+             for m in range(len(table.candidates))]
+    return [
+        "b_" + "_".join(f"{x1}{ENDS[e1]}_{x2}{ENDS[e2]}" for x1, x2 in zip(names[m1], names[m2]))
+        for m1, e1, m2, e2 in zip(table.m1, table.e1, table.m2, table.e2)
+    ]
+
+
+_TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def _coeff(value: float) -> str:
-    return np.format_float_positional(
-        value, precision=12, unique=False, fractional=False, trim="k"
-    )
+    """`value` in positional notation to 12 significant digits, as numpy's
+    `format_float_positional(value, precision=12, unique=False,
+    fractional=False, trim="k")` writes it: the exact binary value rounded
+    half to even, its trailing zeros stripped when it rounded up or was
+    exact, then the fraction padded with zeros to 12 digits in all."""
+    exact = Decimal(value)
+    rounded = _TWELVE_DIGITS.plus(exact)
+    if abs(rounded) > abs(exact) or rounded == exact:
+        rounded = rounded.normalize()
+    whole, _, fraction = format(rounded, "f").partition(".")
+    return f"{whole}.{fraction.ljust(12 - len(whole.lstrip('-')), '0')}"
 
 
 def _wrap(fh, head: str, chunks: list[str], limit: int = 220) -> None:
@@ -167,13 +177,15 @@ def _wrap(fh, head: str, chunks: list[str], limit: int = 220) -> None:
 
 
 def export_lp(model: IlpModel, path) -> None:
-    """Write the program in LP text format, byte-deterministically."""
+    """Write the program in LP text format, byte-deterministically: the
+    conflict rows by genome label, then gene name (a genome numbers its
+    genes in name order), and the saturation rows by extremity."""
+    table = model.table
+    a_names, b_names = _a_names(table), _b_names(table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("Maximize\n")
-        terms = []
-        for k in range(model.n_b):
-            op = "+ " if terms else ""
-            terms.append(f"{op}{_coeff(float(model.table.weight[k]))} {b_name(model, k)}")
+        terms = [f"{'+ ' if k else ''}{_coeff(w)} {name}"
+                 for k, (w, name) in enumerate(zip(table.weight, b_names))]
         if terms:
             _wrap(fh, " obj:", terms)
         else:
@@ -186,30 +198,22 @@ def export_lp(model: IlpModel, path) -> None:
             counter += 1
             _wrap(fh, f" c{counter}:", terms + [rhs])
 
-        by_gene = ConflictIndex(model.table.candidates).by_gene
-        for gene in sorted(by_gene):
-            members = by_gene[gene]
-            emit(
-                [("+ " if j else "") + a_name(model, i) for j, i in enumerate(members)],
-                "<= 1",
-            )
-        for k in range(model.n_b):
-            m1, _, m2, _ = model.table.key(k)
-            emit(
-                [f"2 {b_name(model, k)}", f"- {a_name(model, m1)}", f"- {a_name(model, m2)}"],
-                "<= 0",
-            )
-        by_ext = ExtremityIncidence(model.table).by_ext
-        for ext in sorted(by_ext):
-            emit(
-                [("+ " if j else "") + b_name(model, k) for j, k in enumerate(by_ext[ext])],
-                "<= 1",
-            )
+        def row(names) -> list[str]:
+            return [("+ " if j else "") + name for j, name in enumerate(names)]
+
+        on_genes = candidates_on_genes(table.candidates)
+        for x in sorted(range(3), key=table.labels.__getitem__):
+            for members in on_genes[x]:
+                if members:
+                    emit(row(a_names[m] for m in members), "<= 1")
+        for k, (m1, m2) in enumerate(zip(table.m1, table.m2)):
+            emit([f"2 {b_names[k]}", f"- {a_names[m1]}", f"- {a_names[m2]}"], "<= 0")
+        for rows in extremity_rows(table):
+            if rows:
+                emit(row(b_names[k] for k in rows), "<= 1")
         fh.write("Binary\n")
-        for i in range(model.n_a):
-            fh.write(f" {a_name(model, i)}\n")
-        for k in range(model.n_b):
-            fh.write(f" {b_name(model, k)}\n")
+        for name in a_names + b_names:
+            fh.write(f" {name}\n")
         fh.write("End\n")
 
 
@@ -238,15 +242,15 @@ def brute_force_median(
     if not candidates:
         empty = MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), table)
         return (empty, [()]) if collect_optima else empty
-    rows = sorted(range(len(table)), key=lambda k: (-float(table.weight[k]), k))
-    weights = [float(table.weight[k]) for k in rows]
-    left = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    ends = [((int(table.m1[k]), int(table.e1[k])), (int(table.m2[k]), int(table.e2[k])))
-            for k in rows]
+    rows = sorted(range(len(table)), key=lambda k: (-table.weight[k], k))
+    weights = [table.weight[k] for k in rows]
+    # the weight of the rows from each position on, summed from the last
+    left = [*itertools.accumulate(weights[::-1])][::-1] + [0.0]
+    ends = [((table.m1[k], table.e1[k]), (table.m2[k], table.e2[k])) for k in rows]
     best = 0.0
     optima: set[tuple[int, ...]] = set()
     used: set[tuple[int, int]] = set()
-    owner: dict[Gene, int] = {}
+    owner: dict[tuple[int, int], int] = {}  # (genome, gene id) -> its candidate
     picked: list[int] = []
 
     def dfs(pos: int, value: float) -> None:
@@ -260,7 +264,8 @@ def brute_force_median(
             optima.add(tuple(sorted(picked)))
             return
         u, v = ends[pos]
-        genes = [(g, m) for m in (u[0], v[0]) for g in candidates[m].genes]
+        genes = [((x, column[m]), m) for m in (u[0], v[0])
+                 for x, column in enumerate(candidates.ids)]
         if u not in used and v not in used and all(owner.get(g, m) == m for g, m in genes):
             claimed = [g for g, _ in genes if g not in owner]
             owner.update(genes)

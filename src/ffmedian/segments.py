@@ -5,8 +5,9 @@ Builds the matching graph over candidate extremities, detects runs
 to a full reversal), and accepts a run's internal adjacencies when a
 maximum-weight matching on its conflict-extended graph certifies that they
 belong to at least one optimal median.  The instance is one
-`ConservedAdjacencyTable`: `build_gamma`, `detect_runs` and `icf_seg` read
-the candidates from its `candidates`.
+`ConservedAdjacencyTable`, read as a solve reads it: the candidates' gene
+ids, the table's columns and G's walks.  Every key is an int: a G gene id,
+a candidate id, or the extremity code 3 m + e of end e of candidate m.
 
 Runs are found by a left-to-right scan of each chromosome of G, a chain
 of steps: the step after position `prev` skips to the next position with
@@ -18,7 +19,8 @@ after it ends just before that run's left end.  Accepting a run changes
 the scan state only at the G positions of its members and of the
 candidates it kills, so ICF-SEG builds its lookups once and, after each
 acceptance, grows again only the first step of a circular chromosome and
-the steps whose window holds a changed position.  A run grows from its end
+the steps whose window holds a changed position, and resumes its walk
+over the steps at the first one grown again.  A run grows from its end
 member through the extremity that `genomes.facing_end` says the member's
 G entry turns to the next position: the rule that also gives every
 genome's adjacencies.
@@ -54,11 +56,8 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .candidates import ConservedAdjacencyTable
-from .genomes import Gene, Genome, facing_end
-from .indexes import ConflictIndex, ExtremityIncidence
+from .candidates import ConservedAdjacencyTable, candidates_on_genes, extremity_rows
+from .genomes import Genome, facing_end
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
@@ -71,17 +70,33 @@ class SegmentConflictCapError(RuntimeError):
     """Too many external conflicts; the segment should be skipped."""
 
 
+class Flags(bytearray):
+    """One 0/1 flag per candidate or table row, answering numpy's `size`,
+    `~` and `sum` of a boolean array."""
+
+    size = property(len)
+
+    def __invert__(self) -> "Flags":
+        return Flags(self.translate(_NOT))
+
+    def sum(self) -> int:
+        return self.count(1)
+
+
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 @dataclass(frozen=True, slots=True)
 class MatchGraph:
     """Weighted graph over candidate extremities.
 
-    Vertex keys are (candidate index, end code), end codes as in
-    `genomes.ENDS`: the codes `genomes.facing_end` gives the extremity an
-    oriented gene turns to its neighbour.
+    A vertex is the extremity code 3 m + e of end e (a `genomes.ENDS`
+    code) of candidate m, as `kernels` and `solver.verify_solution` number
+    extremities.
     """
 
-    nodes: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[tuple[int, int], tuple[int, int], float], ...]
+    nodes: tuple[int, ...]
+    edges: tuple[tuple[int, int, float], ...]
 
     def edge_weight(self) -> dict[tuple, float]:
         return {_edge_key(u, v): w for u, v, w in self.edges}
@@ -91,18 +106,19 @@ def _edge_key(u, v) -> tuple:
     return (u, v) if u <= v else (v, u)
 
 
+def _ends(telomeric: bool) -> tuple[int, ...]:
+    """The end codes of a candidate: a telomere triple has one."""
+    return (2,) if telomeric else (0, 1)
+
+
 def build_gamma(table: ConservedAdjacencyTable) -> MatchGraph:
     """Graph with one vertex per candidate extremity and one weighted edge
     per conserved candidate adjacency."""
-    nodes = []
-    for idx, cand in enumerate(table.candidates):
-        for e in cand.ends:
-            nodes.append((idx, e))
-    edges = []
-    for k in range(len(table)):
-        m1, e1, m2, e2 = table.key(k)
-        edges.append(((m1, e1), (m2, e2), float(table.weight[k])))
-    return MatchGraph(tuple(nodes), tuple(edges))
+    nodes = tuple(3 * m + e for m, telomeric in enumerate(table.candidates.telomeric)
+                  for e in _ends(telomeric))
+    edges = tuple((3 * m1 + e1, 3 * m2 + e2, w) for m1, e1, m2, e2, w in
+                  zip(table.m1, table.e1, table.m2, table.e2, table.weight))
+    return MatchGraph(nodes, edges)
 
 
 def mwm(graph: MatchGraph) -> frozenset[tuple]:
@@ -120,7 +136,7 @@ def mwm(graph: MatchGraph) -> frozenset[tuple]:
     raises `SolverError`.  Parallel edges keep the last weight listed.
     """
     weight = graph.edge_weight()
-    neighbours: dict[tuple, list[tuple]] = {}
+    neighbours: dict = {}
     for u, v in weight:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
@@ -164,13 +180,54 @@ def matching_weight(graph: MatchGraph, matching) -> float:
     return float(sum(weights[key] for key in matching))
 
 
-def potential(m: int, incidence: ExtremityIncidence) -> float:
+# -- the id indexes ICF-SEG reads ---------------------------------------------
+
+
+class Incidence:
+    """The candidates on each gene (`candidates_on_genes`) and the rows at
+    each extremity (`extremity_rows`), built once per ICF-SEG run.  The
+    queries see the candidates and rows that `cand_alive` and `row_alive`
+    flag live right now (by default all; ICF-SEG clears them as it goes).
+    """
+
+    def __init__(self, table: ConservedAdjacencyTable, cand_alive=None, row_alive=None):
+        candidates = table.candidates
+        self.table = table
+        self.ids = candidates.ids
+        self.ends = [_ends(telomeric) for telomeric in candidates.telomeric]
+        self.on_gene = candidates_on_genes(candidates)
+        self.at = extremity_rows(table)
+        self.cand_alive = Flags(b"\x01" * len(candidates)) if cand_alive is None else cand_alive
+        self.row_alive = Flags(b"\x01" * len(table)) if row_alive is None else row_alive
+
+    def conflicts_of(self, m: int) -> list[int]:
+        """The candidates other than m that share a gene with it, sorted."""
+        seen = {c for on_gene, column in zip(self.on_gene, self.ids) for c in on_gene[column[m]]}
+        seen.discard(m)
+        return sorted(seen)
+
+    def rows_at(self, code: int) -> list[int]:
+        """Live rows at one extremity."""
+        alive = self.row_alive
+        return [k for k in self.at[code] if alive[k]]
+
+    def rows_of(self, m: int) -> list[int]:
+        """Live rows at either extremity of candidate m, in no particular
+        order (a row never joins a candidate to itself)."""
+        return [k for e in self.ends[m] for k in self.rows_at(3 * m + e)]
+
+    def best_weight(self, code: int) -> float:
+        weight = self.table.weight
+        return max((weight[k] for k in self.rows_at(code)), default=0.0)
+
+
+def potential(m: int, incidence: Incidence) -> float:
     """Best combined weight of live adjacencies incident to opposite extremities.
 
     With incident adjacencies on one extremity only, the best single weight;
     with none, 0.  Telomere triples have a single extremity.
     """
-    return float(sum(incidence.best_weight((m, e)) for e in incidence.candidates[m].ends))
+    return float(sum(incidence.best_weight(3 * m + e) for e in incidence.ends[m]))
 
 
 # -- runs --------------------------------------------------------------------
@@ -216,37 +273,43 @@ class _Step(NamedTuple):
 class _RunScanner:
     """The lookups of run detection along G, built once per instance.
 
-    `by_g_gene` lists, per G gene, the live candidates not yet locked in a
-    run (telomere triples never join runs: capping is not part of a run's
-    internal adjacency set, and their crossed variants would only inflate
-    the conflict-edge potentials).  `link` maps a candidate extremity to the
+    G is numbered as the candidates' G genes (preprocessing keeps the
+    numbering).  `by_g_gene` lists, per G gene id, the live candidates not
+    yet locked in a run (telomere triples never join runs: capping is not
+    part of a run's internal adjacency set, and their crossed variants
+    would only inflate the conflict-edge potentials), and `where` gives its
+    chromosome and position.  `link` maps a candidate extremity code to the
     other candidate and the row of the one row conserved in all three
     genomes that touches it: an extant extremity has one neighbour per
     genome, so there is at most one.  `row_alive` is held by reference and
     checked when a link is followed.
     """
 
-    def __init__(self, G, table, cand_alive=None, row_alive=None, locked=()):
-        self.G = G
-        self.candidates = table.candidates
+    def __init__(self, G: Genome, table, cand_alive=None, row_alive=None, locked=()):
+        self.walks = [(shape, *walk) for _, shape, walk in G.walks]
+        self.telomeric = G.telomeric
+        self.ids = table.candidates.ids
         self.row_alive = row_alive
-        self.link: dict[tuple[int, int], tuple[int, int]] = {}
-        for k in np.flatnonzero(np.asarray(table.mask) == 0b111).tolist():
-            m1, e1, m2, e2 = table.key(k)
-            self.link[m1, e1] = (m2, k)
-            self.link[m2, e2] = (m1, k)
-        self.by_g_gene: dict[Gene, list[int]] = {}
-        for idx, cand in enumerate(self.candidates):
-            if (cand_alive is None or cand_alive[idx]) and idx not in locked \
-                    and not cand.is_telomere_triple:
-                self.by_g_gene.setdefault(cand.g, []).append(idx)
+        self.link: dict[int, tuple[int, int]] = {}
+        for k, (m1, e1, m2, e2, bits) in enumerate(
+                zip(table.m1, table.e1, table.m2, table.e2, table.mask)):
+            if bits == 0b111:
+                self.link[3 * m1 + e1] = (m2, k)
+                self.link[3 * m2 + e2] = (m1, k)
+        self.by_g_gene: list[list[int]] = [[] for _ in G.names]
+        for m, (gene, telomeric) in enumerate(zip(self.ids[0], table.candidates.telomeric)):
+            if (cand_alive is None or cand_alive[m]) and m not in locked and not telomeric:
+                self.by_g_gene[gene].append(m)
+        self.where = {gene: (ci, pos) for ci, (_, ids, _) in enumerate(self.walks)
+                      for pos, gene in enumerate(ids)}
 
     def scan(self, ci: int) -> list[_Step]:
         """All steps of chromosome ci, scanned left to right."""
-        return self.rescan(ci, [], [])
+        return self.rescan(ci, [], [])[0]
 
-    def rescan(self, ci: int, old: list[_Step], changed: list[int]) -> list[_Step]:
-        """The steps of chromosome ci after the state at `changed` positions moved.
+    def rescan(self, ci: int, old: list[_Step], changed: list[int]) -> tuple[list[_Step], int]:
+        """The steps of chromosome ci after the state at `changed` positions
+        moved, and the index of the first that differs from the old chain.
 
         Each old step that starts where the new chain needs a step and whose
         window prev+1 .. end+1 holds no changed position is kept, with the
@@ -256,14 +319,16 @@ class _RunScanner:
         before that left end; a changed position stands for both of its
         unwrapped positions.
         """
-        chrom = self.G.chromosomes[ci]
-        entries = chrom.order
-        size = len(entries)
-        if chrom.shape == "circular":
-            first = self._step(entries, -1, size - 1, around=True)
-            steps, last = [first], first.prev + size
+        shape, ids, signs = self.walks[ci]
+        size = len(ids)
+        first = None
+        if shape == "circular":
+            head = self._step(ids, signs, -1, size - 1, around=True)
+            steps, last = [head], head.prev + size
             if old:
-                changed = [*changed, first.prev + 1, old[0].prev + 1]
+                changed = [*changed, head.prev + 1, old[0].prev + 1]
+                if head != old[0]:
+                    first = 0
                 old = old[1:]
             changed = [p % size + k for p in changed for k in (0, size)]
         else:
@@ -282,9 +347,11 @@ class _RunScanner:
             if j < clean_until and old[j].prev == prev:
                 steps.extend(old[j:clean_until])
             else:
-                steps.append(self._step(entries, prev, last))
+                if first is None:
+                    first = len(steps)
+                steps.append(self._step(ids, signs, prev, last))
             prev = steps[-1].end
-        return steps
+        return steps, len(steps) if first is None else first
 
     def remove(self, indices) -> dict[int, list[int]]:
         """Take locked or killed candidates out of the starter lists.
@@ -293,30 +360,31 @@ class _RunScanner:
         state changed.
         """
         changed: dict[int, list[int]] = {}
-        for idx in indices:
-            gene = self.candidates[idx].g
-            options = self.by_g_gene.get(gene)
-            if options and idx in options:
-                options.remove(idx)
-            ci, pos, _ = self.G.locate(gene)
+        for m in indices:
+            gene = self.ids[0][m]
+            options = self.by_g_gene[gene]
+            if m in options:
+                options.remove(m)
+            ci, pos = self.where[gene]
             changed.setdefault(ci, []).append(pos)
         return changed
 
-    def _step(self, entries, prev: int, last: int, around: bool = False) -> _Step:
+    def _step(self, ids, signs, prev: int, last: int, around: bool = False) -> _Step:
         """The step after position `prev` of a chain that ends at `last`;
         `around` grows the first run of a circular chromosome."""
-        size = len(entries)
+        by_g_gene = self.by_g_gene
+        size = len(ids)
         start = prev + 1
-        while start <= last and len(self.by_g_gene.get(entries[start % size][0], ())) != 1:
+        while start <= last and len(by_g_gene[ids[start % size]]) != 1:
             start += 1
         if start > last:
             return _Step(prev, last, None, None)
         lo, hi = (start - size, start + size) if around else (prev + 1, last)
-        left, right, members, rows, closed = self._grow(entries, start, lo, hi)
+        left, right, members, rows, closed = self._grow(ids, signs, start, lo, hi)
         run = Segment(tuple(members), tuple(rows), closed) if len(members) > 1 else None
         return _Step(left - 1 if around else prev, right, run, run.key if run else None)
 
-    def _grow(self, entries, start, lo, hi):
+    def _grow(self, ids, signs, start, lo, hi):
         """Grow a run from position `start` right up to `hi`, then left down to `lo`.
 
         Each growth step follows the link of the end member's facing
@@ -328,25 +396,27 @@ class _RunScanner:
         end again.  Returns the run's left and right end, its members and
         internal rows in G order, and whether it closed the circle.
         """
-        candidates, by_g_gene, link, row_alive = (
-            self.candidates, self.by_g_gene, self.link, self.row_alive
+        columns, by_g_gene, link, row_alive, telomeric = (
+            self.ids, self.by_g_gene, self.link, self.row_alive, self.telomeric
         )
-        size = len(entries)
-        first = by_g_gene[entries[start % size][0]][0]
+        size = len(ids)
+        first = by_g_gene[ids[start % size]][0]
         # the members' G, H and I genes: a candidate sharing one conflicts
-        member_genes = [{g} for g in candidates[first].genes]
+        member_genes = [{column[first]} for column in columns]
 
         def extend(pos: int, member: int, forward: bool) -> tuple[int, int] | None:
             """The candidate that continues the run past `pos`, and its row."""
-            linked = link.get((member, facing_end(*entries[pos % size], forward)))
+            pos %= size
+            end = facing_end(telomeric[ids[pos]], signs[pos], forward)
+            linked = link.get(3 * member + end)
             if linked is None:
                 return None
             cand, row = linked
-            nxt = pos + 1 if forward else pos - 1
+            nxt = (pos + 1 if forward else pos - 1) % size
             if row_alive is not None and not row_alive[row] \
-                    or cand not in by_g_gene.get(entries[nxt % size][0], ()):
+                    or cand not in by_g_gene[ids[nxt]]:
                 return None
-            genes = candidates[cand].genes
+            genes = [column[cand] for column in columns]
             # the start member, met again when the circle closes, is no conflict
             if cand != first and any(g in seen for g, seen in zip(genes, member_genes)):
                 return None
@@ -389,7 +459,7 @@ def detect_runs(
     scanner = _RunScanner(G, table, cand_alive, row_alive, locked or ())
     return [
         step.run
-        for ci in range(len(G.chromosomes))
+        for ci in range(len(G.walks))
         for step in scanner.scan(ci)
         if step.run is not None
     ]
@@ -401,15 +471,13 @@ def detect_runs(
 def _max_conflict_free_potential(
     conflicts: list[int],
     deltas: dict[int, float],
-    conflict: ConflictIndex,
+    conflict: Incidence,
 ) -> float:
     """Exact maximum total potential of a conflict-free subset (MWIS)."""
     items = [c for c in conflicts if deltas[c] > 0.0]
     if not items:
         return 0.0
-    adj = {
-        c: {d for d in items if d != c and conflict.conflicting(c, d)} for c in items
-    }
+    adj = {c: set(conflict.conflicts_of(c)) for c in items}
 
     def solve(active: frozenset[int]) -> float:
         if not active:
@@ -423,56 +491,48 @@ def _max_conflict_free_potential(
     return solve(frozenset(items))
 
 
-def build_gamma_prime(
-    segment: Segment,
-    table: ConservedAdjacencyTable,
-    conflict: ConflictIndex,
-    cand_alive: np.ndarray,
-    incidence: ExtremityIncidence,
-) -> MatchGraph:
+def build_gamma_prime(segment: Segment, incidence: Incidence) -> MatchGraph:
     """Γ restricted to the segment plus one conflict edge per member.
 
     The conflict edge between a member's extremities carries the best total
     potential of a conflict-free subset of its live external conflicts; zero
-    weight conflict edges are omitted.  Only the rows live in `incidence`
-    count.  A member with more than `CONFLICT_CAP` live external conflicts
-    raises `SegmentConflictCapError`.
+    weight conflict edges are omitted.  Only the candidates and rows live
+    in `incidence` count.  A member with more than `CONFLICT_CAP` live
+    external conflicts raises `SegmentConflictCapError`.
     """
-    candidates = table.candidates
+    table = incidence.table
+    m1, e1, m2, e2, weight = table.m1, table.e1, table.m2, table.e2, table.weight
+    cand_alive = incidence.cand_alive
     members = set(segment.members)
-    nodes = []
-    for m in segment.members:
-        for e in candidates[m].ends:
-            nodes.append((m, e))
+    nodes = tuple(3 * m + e for m in segment.members for e in incidence.ends[m])
     edges = []
     # in row order, as a scan over the whole table would list them
     for k in sorted({k for m in segment.members for k in incidence.rows_of(m)}):
-        m1, e1, m2, e2 = table.key(k)
-        if m1 in members and m2 in members:
-            edges.append(((m1, e1), (m2, e2), incidence.weight[k]))
+        if m1[k] in members and m2[k] in members:
+            edges.append((3 * m1[k] + e1[k], 3 * m2[k] + e2[k], weight[k]))
     deltas: dict[int, float] = {}
     for m in segment.members:
-        external = [c for c in conflict.conflicts_of(m) if c not in members and cand_alive[c]]
+        external = [c for c in incidence.conflicts_of(m) if c not in members and cand_alive[c]]
         if len(external) > CONFLICT_CAP:
             raise SegmentConflictCapError(
-                f"segment member {candidates[m]} has {len(external)} external "
-                f"conflicts (cap {CONFLICT_CAP}); skip this segment"
+                f"segment member ({','.join(table.candidates.names(m))}) has "
+                f"{len(external)} external conflicts (cap {CONFLICT_CAP}); skip this segment"
             )
         for c in external:
             if c not in deltas:
                 deltas[c] = potential(c, incidence)
-        w_prime = _max_conflict_free_potential(external, deltas, conflict)
+        w_prime = _max_conflict_free_potential(external, deltas, incidence)
         if w_prime > 0.0:
-            edges.append(((m, 0), (m, 1), w_prime))
-    return MatchGraph(tuple(nodes), tuple(edges))
+            edges.append((3 * m, 3 * m + 1, w_prime))
+    return MatchGraph(nodes, tuple(edges))
 
 
 @dataclass(slots=True)
 class IcfSegResult:
     table: ConservedAdjacencyTable
     accepted: list[Segment]
-    cand_alive: np.ndarray
-    row_alive: np.ndarray
+    cand_alive: Flags
+    row_alive: Flags
     examined: int  # runs whose certificate was tried or skipped
     skipped: int  # runs skipped at CONFLICT_CAP
 
@@ -488,8 +548,13 @@ class IcfSegResult:
     def accepted_rows(self) -> list[int]:
         return [r for run in self.accepted for r in run.internal_rows]
 
+    @property
+    def live_rows(self) -> list[int]:
+        """The rows left to the solve, in table order."""
+        return [k for k, alive in enumerate(self.row_alive) if alive]
+
     def reduced_table(self) -> ConservedAdjacencyTable:
-        return self.table.subset(np.nonzero(self.row_alive)[0])
+        return self.table.subset(self.live_rows)
 
 
 def icf_seg(
@@ -502,82 +567,75 @@ def icf_seg(
     and an exact maximum-weight matching computed; if the matching equals
     the run's internal adjacency set, those adjacencies are recorded, masked
     from the instance, and all externally conflicting candidates are
-    removed.  After an acceptance the examination starts over on the runs
-    of the changed instance.  The reduced instance is returned for the
-    exact solver.  Once `time.monotonic()` passes `deadline`, no further
-    run is examined and the runs accepted so far are returned: each was
-    applied whole, so the reduced instance is consistent.  The result
-    counts the runs examined and those skipped at `CONFLICT_CAP`; one INFO
-    line (shown by `ffmedian -v`) gives them with the runs accepted.
+    removed.  After an acceptance the examination goes on over the runs of
+    the changed instance, in the same order.  The reduced instance is
+    returned for the exact solver.  Once `time.monotonic()` passes
+    `deadline`, no further run is examined and the runs accepted so far are
+    returned: each was applied whole, so the reduced instance is
+    consistent.  The result counts the runs examined and those skipped at
+    `CONFLICT_CAP`; one INFO line (shown by `ffmedian -v`) gives them with
+    the runs accepted.
 
     The runs are kept up to date incrementally, with the same result as a
-    fresh `detect_runs` after every acceptance.  An acceptance changes the
-    scan state only at the G positions of the run's members (now locked)
-    and of the killed candidates: every masked row touches one of them.  A
-    step of the scan reads only the positions from just after the previous
-    run's right end to just after its own (see `_Step`), so only steps whose
-    window holds a changed position are grown again, and every other step
-    that starts where the new chain needs one is kept.  On a circular
-    chromosome the first step, which reads the whole circle, is always
-    grown again, and the chain after it moves its end with that run's left
-    end.
+    fresh `detect_runs` after every acceptance, walked from its first run.
+    An acceptance changes the scan state only at the G positions of the
+    run's members (now locked) and of the killed candidates: every masked
+    row touches one of them.  `_RunScanner.rescan` grows again only the
+    steps that read such a position.  Every step before the first one that
+    changed was walked already, so it holds no run or an observed one: the
+    walk resumes there, never past the accepted run's own step.
     """
-    cand_alive = np.ones(len(table.candidates), dtype=bool)
-    row_alive = np.ones(len(table), dtype=bool)
-    conflict = ConflictIndex(table.candidates)
-    incidence = ExtremityIncidence(table, row_alive)
+    incidence = Incidence(table)
+    cand_alive, row_alive = incidence.cand_alive, incidence.row_alive
     scanner = _RunScanner(G, table, cand_alive, row_alive)
-    chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
+    chains = [scanner.scan(ci) for ci in range(len(G.walks))]
     accepted: list[Segment] = []
     observed: set[frozenset[int]] = set()
     skipped = 0
 
-    progress = True
-    while progress:
-        progress = False
-        for step in (step for chain in chains for step in chain):
-            run = step.run
-            if run is None or step.key in observed:
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                log.info("icf-seg stopped at the deadline")
-                break
-            observed.add(step.key)
-            try:
-                gamma_prime = build_gamma_prime(run, table, conflict, cand_alive, incidence)
-            except SegmentConflictCapError as exc:
-                log.info("skipping segment: %s", exc)
-                skipped += 1
-                continue
-            matching = mwm(gamma_prime)
-            internal = frozenset(
-                _edge_key((table.key(r)[0], table.key(r)[1]),
-                          (table.key(r)[2], table.key(r)[3]))
-                for r in run.internal_rows
-            )
-            if matching != internal:
-                continue
-            # accept: mask adjacencies, drop external conflicts
-            accepted.append(run)
-            masked = set()
-            for r in run.internal_rows:
-                m1, e1, m2, e2 = table.key(r)
-                masked.update(incidence.rows_at((m1, e1)))
-                masked.update(incidence.rows_at((m2, e2)))
-            doomed = set()
-            for m in run.members:
-                for c in conflict.conflicts_of(m):
-                    if cand_alive[c] and c not in step.key:
-                        doomed.add(c)
-            for c in doomed:
-                cand_alive[c] = False
-                masked.update(incidence.rows_of(c))
-            row_alive[list(masked)] = False
-            # every masked row touches a member or a killed candidate
-            for ci, positions in scanner.remove(step.key | doomed).items():
-                chains[ci] = scanner.rescan(ci, chains[ci], positions)
-            progress = True
+    ci = j = 0  # the next step is chains[ci][j]
+    while ci < len(chains):
+        if j == len(chains[ci]):
+            ci, j = ci + 1, 0
+            continue
+        step = chains[ci][j]
+        j += 1
+        run = step.run
+        if run is None or step.key in observed:
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            log.info("icf-seg stopped at the deadline")
             break
+        observed.add(step.key)
+        try:
+            gamma_prime = build_gamma_prime(run, incidence)
+        except SegmentConflictCapError as exc:
+            log.info("skipping segment: %s", exc)
+            skipped += 1
+            continue
+        matching = mwm(gamma_prime)
+        internal = frozenset(
+            _edge_key(3 * table.m1[r] + table.e1[r], 3 * table.m2[r] + table.e2[r])
+            for r in run.internal_rows
+        )
+        if matching != internal:
+            continue
+        # accept: mask adjacencies, drop external conflicts
+        accepted.append(run)
+        masked = {k for edge in internal for code in edge for k in incidence.rows_at(code)}
+        doomed = {c for m in run.members for c in incidence.conflicts_of(m)
+                  if cand_alive[c] and c not in step.key}
+        for c in doomed:
+            cand_alive[c] = 0
+            masked.update(incidence.rows_of(c))
+        for k in masked:
+            row_alive[k] = 0
+        # every masked row touches a member or a killed candidate; resume at
+        # this step or at the first step grown again, whichever comes first
+        j -= 1
+        for c, positions in scanner.remove(step.key | doomed).items():
+            chains[c], grown = scanner.rescan(c, chains[c], positions)
+            ci, j = min((ci, j), (c, grown))
 
     log.info(
         "icf-seg: %d runs examined, %d accepted, %d skipped at the conflict cap",

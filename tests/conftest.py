@@ -9,7 +9,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ffmedian.candidates import enumerate_candidates, enumerate_conserved_adjacencies
+from ffmedian.candidates import (
+    candidates_on_genes,
+    enumerate_candidates,
+    enumerate_conserved_adjacencies,
+)
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
 from ffmedian.solver import verify_solution
 
@@ -143,6 +147,19 @@ def disjoint_clique_instance(seed, n=6, n_chroms=1):
             chroms.append((f"c{ci}", "circular", entries))
         genomes.append(build_genome(label, chroms))
     return genomes, diagonal_sigma(names)
+
+
+def conflicts(candidates):
+    """`conflicting(a, b)`: whether two distinct candidates share a gene,
+    read off the lists of `candidates_on_genes`."""
+    on_genes = candidates_on_genes(candidates)
+
+    def conflicting(a, b):
+        return a != b and any(
+            b in on_gene[column[a]] for on_gene, column in zip(on_genes, candidates.ids)
+        )
+
+    return conflicting
 
 
 def build_tables(genomes, sigma):

@@ -6,18 +6,19 @@ import random
 import pytest
 
 from ffmedian.candidates import (
-    CandidateGene,
     Candidates,
     ConservedAdjacencyTable,
+    candidates_on_genes,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.indexes import ConflictIndex
 from ffmedian.genomes import ENDS, Gene, SimilarityGraph, build_genome, splice_genes
+from ffmedian.kernels import IntArray
 from ffmedian.reference import Extremity, adjacencies, adjacency, indicator
+from ffmedian.segments import Incidence
 
-from conftest import build_tables, diagonal_sigma, identical_genomes, linear
+from conftest import build_tables, conflicts, diagonal_sigma, identical_genomes, linear
 
 
 def gene_triples(cands):
@@ -131,42 +132,39 @@ class TestConflicts:
     def test_shared_gene_conflicts(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
         cands = enumerate_candidates(*genomes, sigma)
-        conflict = ConflictIndex(cands)
+        conflicting = conflicts(cands)
         m1 = find(cands, "g1", "h1", "i2")
         m2 = find(cands, "g2", "h2", "i1")
         m3 = find(cands, "g3", "h3", "i2")
         m4 = find(cands, "g4", "h3", "i3")
-        assert conflict.conflicting(m1, m3)  # share i2
-        assert conflict.conflicting(m3, m4)  # share h3
-        assert not conflict.conflicting(m1, m2)
-        assert not conflict.conflicting(m1, m4)
+        assert conflicting(m1, m3)  # share i2
+        assert conflicting(m3, m4)  # share h3
+        assert not conflicting(m1, m2)
+        assert not conflicting(m1, m4)
 
     def test_symmetric_irreflexive_and_index_agreement(self):
+        names = [f"x{k}" for k in range(4)]
+        genomes = [linear(label, [(nm, 1) for nm in names]) for label in "GHI"]
+        genes = [[k for k, t in enumerate(g.telomeric) if not t] for g in genomes]
         for seed in range(6):
             rng = random.Random(seed)
-            names = [f"x{k}" for k in range(4)]
-            cands = []
-            for _ in range(8):
-                cands.append(
-                    CandidateGene(
-                        Gene("G", rng.choice(names)),
-                        Gene("H", rng.choice(names)),
-                        Gene("I", rng.choice(names)),
-                        0.5, 0.5 ** (1 / 3),
-                    )
+            ids = [[rng.choice(genes[x]) for _ in range(8)] for x in range(3)]
+            cands = Candidates(genomes, ids, [0.5] * 8)
+            on_genes = candidates_on_genes(cands)
+            # each candidate is listed once per genome, on its own gene, in order
+            for on_gene, column in zip(on_genes, ids):
+                assert [(m, k) for k, members in enumerate(on_gene) for m in members] == sorted(
+                    zip(range(8), column), key=lambda pair: (pair[1], pair[0])
                 )
-            conflict = ConflictIndex(cands)
-            for i in range(len(cands)):
-                assert not conflict.conflicting(i, i)
-                for j in range(len(cands)):
-                    direct = i != j and any(
-                        a == b for a, b in zip(cands[i].genes, cands[j].genes)
-                    )
-                    assert conflict.conflicting(i, j) == direct
-                    assert conflict.conflicting(j, i) == direct
-                assert set(conflict.conflicts_of(i)) == {
-                    j for j in range(len(cands)) if conflict.conflicting(i, j)
-                }
+            conflicting = conflicts(cands)
+            incidence = Incidence(ConservedAdjacencyTable(cands, *[IntArray()] * 5))
+            for i in range(8):
+                assert not conflicting(i, i)
+                for j in range(8):
+                    direct = i != j and any(column[i] == column[j] for column in ids)
+                    assert conflicting(i, j) == direct
+                    assert conflicting(j, i) == direct
+                assert incidence.conflicts_of(i) == [j for j in range(8) if conflicting(i, j)]
 
 
 class TestConservedAdjacencies:
@@ -188,11 +186,11 @@ class TestConservedAdjacencies:
     def test_conflicting_pairs_never_emitted(self, four_candidate_instance):
         genomes, sigma = four_candidate_instance
         cands, table = build_tables(genomes, sigma)
-        conflict = ConflictIndex(cands)
+        conflicting = conflicts(cands)
         for k in range(len(table)):
             m1, _, m2, _ = table.key(k)
             assert m1 != m2
-            assert not conflict.conflicting(m1, m2)
+            assert not conflicting(m1, m2)
 
     def test_no_shared_adjacency_means_empty(self):
         # gene triples exist but no projected pair is ever adjacent

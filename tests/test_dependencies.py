@@ -2,13 +2,13 @@
 
 The package's imports are read from its source with `ast`, local imports
 and `importlib.util.find_spec` lookups included; the standard library and
-relative imports are left out.  Every name a module-level import binds must
-be used in its module.  Only `segments.icf_seg` and `reference.export_lp`
-build the two instance indexes, `ConflictIndex` and `ExtremityIncidence`.
-Every subcommand must then run in a process where networkx cannot be
-imported, and every one but `icf-seg` and `export-lp` where numpy cannot.
-No module calls a BLAS routine, which is why `ffmedian.cli` starts numpy
-with one OpenBLAS thread.
+relative imports are left out: only scipy remains.  Every name a
+module-level import binds must be used in its module.  ICF-SEG and the LP
+export each build the id indexes they read, the candidates on each gene
+and the rows at each extremity, once per call.  Every subcommand must run
+in a process where networkx cannot be imported, and in one where numpy
+cannot, and so must the brute-force oracle.  No module calls a BLAS
+routine.
 """
 import ast
 import json
@@ -55,7 +55,7 @@ def declared_dependencies() -> set[str]:
 
 
 def test_declared_dependencies_are_the_imported_packages():
-    assert imported_packages() == declared_dependencies() == {"numpy", "scipy"}
+    assert imported_packages() == declared_dependencies() == {"scipy"}
 
 
 def test_every_module_level_import_is_used():
@@ -76,35 +76,31 @@ def test_every_module_level_import_is_used():
     assert unused == {}
 
 
-INDEXES = {"ConflictIndex", "ExtremityIncidence"}
+def test_icf_seg_and_export_lp_build_each_id_index_once(tmp_path, monkeypatch):
+    """Each reads the lists it built at its start, not a fresh one per run
+    or row."""
+    from ffmedian import reference, segments
+    from ffmedian.solver import build_ilp
 
+    from conftest import build_tables, evolved_instance
 
-def index_builders() -> set[tuple[str, str, str]]:
-    """(module, top-level function or Class.method, index) for every call
-    that builds one of the instance indexes in the package's source."""
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            scopes = [(getattr(top, "name", "<module>"), top)]
-            if isinstance(top, ast.ClassDef):
-                scopes = [(f"{top.name}.{node.name}", node) for node in top.body
-                          if isinstance(node, ast.FunctionDef)]
-            for name, scope in scopes:
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Call):
-                        index = dotted_name(node.func).split(".")[-1]
-                        if index in INDEXES:
-                            found.add((path.stem, name, index))
-    return found
+    genomes, sigma = evolved_instance(51, 60, 2, 0.1)
+    _, table = build_tables(genomes, sigma)
+    builds = []
+    for module, name in ((segments, "candidates_on_genes"), (segments, "extremity_rows"),
+                         (reference, "candidates_on_genes"), (reference, "extremity_rows")):
+        build = getattr(module, name)
 
+        def counted(*args, build=build, name=name):
+            builds.append(name)
+            return build(*args)
 
-def test_each_instance_index_is_built_only_by_icf_seg_and_export_lp():
-    # every other reader takes the indexes as arguments
-    assert index_builders() == {
-        (module, function, index)
-        for module, function in (("segments", "icf_seg"), ("reference", "export_lp"))
-        for index in INDEXES
-    }
+        monkeypatch.setattr(module, name, counted)
+    result = segments.icf_seg(genomes[0], table)
+    assert result.accepted and sorted(builds) == ["candidates_on_genes", "extremity_rows"]
+    builds.clear()
+    reference.export_lp(build_ilp(table), tmp_path / "model.lp")
+    assert sorted(builds) == ["candidates_on_genes", "extremity_rows"]
 
 
 BLAS_CALLS = {"dot", "matmul", "inner", "tensordot", "einsum"}
@@ -118,7 +114,7 @@ def dotted_name(node) -> str:
 
 
 def test_no_module_calls_blas():
-    # a BLAS call would want the worker threads that `ffmedian.cli` turns off
+    # the package does its own arithmetic; HiGHS does its own linear algebra
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -177,9 +173,9 @@ def test_every_subcommand_runs_without_networkx(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
 
 
-def test_the_subcommands_but_icf_seg_and_export_lp_run_without_numpy(tmp_path):
-    """`segments` and `reference` import numpy; what the other subcommands
-    run, `solve` first, must not."""
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    """No module of the package imports numpy: every subcommand runs, and
+    the brute-force oracle, where numpy cannot be imported."""
     genomes, sigma = identical_genomes(["a", "b"])
     write_genome_file(tmp_path / "genomes.txt", genomes)
     sigma.write(tmp_path / "similarity.tsv")
@@ -192,7 +188,10 @@ def test_the_subcommands_but_icf_seg_and_export_lp_run_without_numpy(tmp_path):
     runs = [
         ["build-graph", "--hits", "hits.tsv", "--self", "self.tsv", "-o", "built.tsv"],
         ["enumerate", *instance, "-o", "candidates.tsv"],
+        ["icf-seg", *instance, "-o", "segments.tsv", "--emit-reduced", "reduced"],
+        ["export-lp", *instance, "-o", "model.lp"],
         ["solve", *instance, "-o", "median.json"],
+        ["solve", *instance, "--icf-seg", "-o", "icf.json"],
         ["eval", "--pred", "median.json", "--truth", "truth.tsv"],
         ["reduce-mis", "--graph", "graph.tsv", "-o", "mis"],
         ["verify-reduction", "mis"],
@@ -201,7 +200,11 @@ def test_the_subcommands_but_icf_seg_and_export_lp_run_without_numpy(tmp_path):
         "import json, sys\n"
         "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
         "from ffmedian import cli\n"
-        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        "from ffmedian.reference import brute_force_median\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "_, table, _ = cli._front_end(cli._read_files(['genomes.txt'], 'similarity.tsv'), True)\n"
+        "assert brute_force_median(table).objective > 0\n"
+        "print(json.dumps(codes))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(

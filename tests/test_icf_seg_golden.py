@@ -33,10 +33,10 @@ from ffmedian.candidates import (
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Gene, build_genome
-from ffmedian.indexes import ConflictIndex, ExtremityIncidence
 from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
 from ffmedian import segments
 from ffmedian.segments import (
+    Incidence,
     SegmentConflictCapError,
     _edge_key,
     _RunScanner,
@@ -187,8 +187,7 @@ def restart_loop(G, table):
     """
     cand_alive = np.ones(len(table.candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
-    conflict = ConflictIndex(table.candidates)
-    incidence = ExtremityIncidence(table, row_alive)
+    incidence = Incidence(table, cand_alive, row_alive)
     accepted = []
     observed: set[frozenset[int]] = set()
     locked: set[int] = set()
@@ -204,14 +203,11 @@ def restart_loop(G, table):
                 continue
             observed.add(run.key)
             try:
-                gamma_prime = segments.build_gamma_prime(
-                    run, table, conflict, cand_alive, incidence
-                )
+                gamma_prime = segments.build_gamma_prime(run, incidence)
             except SegmentConflictCapError:
                 continue
             internal = frozenset(
-                _edge_key((table.key(r)[0], table.key(r)[1]),
-                          (table.key(r)[2], table.key(r)[3]))
+                _edge_key(3 * table.m1[r] + table.e1[r], 3 * table.m2[r] + table.e2[r])
                 for r in run.internal_rows
             )
             if mwm(gamma_prime) != internal:
@@ -225,7 +221,7 @@ def restart_loop(G, table):
             doomed = {
                 c
                 for m in run.members
-                for c in conflict.conflicts_of(m)
+                for c in incidence.conflicts_of(m)
                 if cand_alive[c] and c not in run.members
             }
             for c in doomed:
@@ -279,6 +275,9 @@ def reference_cases():
         (54, 80, 2, 0.0, None), (55, 60, 2, 0.1, None), (56, 80, 3, 0.2, None),
         (57, 80, 2, 0.0, {"c0"}), (58, 80, 2, 0.1, {"c1"}), (59, 60, 3, 0.2, {"c1"}),
         (60, 100, 2, 0.05, {"c0"}), (61, 80, 3, 0.1, {"c0", "c2"}),
+        # accepting a later run shortens the circle's first run, which was
+        # examined before: the walk must go back to the first step
+        (2729, 28, 1, 0.3, None),
     ):
         yield f"circular{seed}", *circular_tables(seed, n, chromosomes, rate, circular_chromosomes)
 
@@ -340,7 +339,7 @@ def test_rescan_matches_fresh_scan(seed):
         cand_alive[killed] = False
         row_alive[np.isin(table.m1, killed) | np.isin(table.m2, killed)] = False
         for ci, positions in scanner.remove(killed).items():
-            chains[ci] = scanner.rescan(ci, chains[ci], positions)
+            chains[ci], _ = scanner.rescan(ci, chains[ci], positions)
             rescans += 1
         fresh = _RunScanner(G, table, cand_alive, row_alive)
         assert chains == [fresh.scan(ci) for ci in range(len(G.chromosomes))]
@@ -356,9 +355,11 @@ def test_circular_rescan_is_local(monkeypatch):
     row_alive = np.ones(len(table), dtype=bool)
     scanner = _RunScanner(G, table, cand_alive, row_alive)
     old = scanner.scan(0)
-    victim = scanner.by_g_gene[G.chromosomes[0].order[200][0]][0]
+    _, _, (g_ids, _) = G.walks[0]
+    victim = scanner.by_g_gene[g_ids[200]][0]
     cand_alive[victim] = False
-    row_alive[(table.m1 == victim) | (table.m2 == victim)] = False
+    row_alive[np.isin(table.m1, [victim]) | np.isin(table.m2, [victim])] = False
+    assert (~row_alive).sum() > 0
     changed = scanner.remove([victim])
     assert changed == {0: [200]}
 
@@ -371,6 +372,6 @@ def test_circular_rescan_is_local(monkeypatch):
         return grow(self, *args)
 
     monkeypatch.setattr(_RunScanner, "_grow", counting_grow)
-    new = scanner.rescan(0, old, changed[0])
+    new, _ = scanner.rescan(0, old, changed[0])
     assert grown <= 5
     assert new == _RunScanner(G, table, cand_alive, row_alive).scan(0)

@@ -5,7 +5,6 @@ import pytest
 
 from ffmedian.candidates import enumerate_candidates
 from ffmedian.genomes import Gene
-from ffmedian.indexes import ConflictIndex
 from ffmedian.mis_reduction import (
     BoundedGraph,
     ReductionError,
@@ -19,7 +18,7 @@ from ffmedian.mis_reduction import (
 )
 from ffmedian.solver import build_ilp, solve_branch_and_bound
 
-from conftest import build_tables
+from conftest import build_tables, conflicts
 
 FIVE_EDGE_GRAPH = [("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
 
@@ -251,7 +250,7 @@ class TestStructuralLaws:
         graph = BoundedGraph.from_edges(FIVE_EDGE_GRAPH)
         instance = reduce_mis(graph)
         cands = enumerate_candidates(*instance.genomes, instance.sigma)
-        conflict = ConflictIndex(cands)
+        conflicting = conflicts(cands)
         per_vertex = {}
         for idx, cand in enumerate(cands):
             assoc = instance.associated(cand.g)
@@ -259,7 +258,7 @@ class TestStructuralLaws:
                 per_vertex.setdefault(assoc[0], []).append(idx)
         for u, v in itertools.combinations(sorted(per_vertex), 2):
             pair_conflicts = any(
-                conflict.conflicting(a, b)
+                conflicting(a, b)
                 for a in per_vertex[u]
                 for b in per_vertex[v]
             )

@@ -9,9 +9,9 @@ import pytest
 
 from ffmedian import segments
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
-from ffmedian.indexes import ConflictIndex
 from ffmedian.segments import (
-    ExtremityIncidence,
+    Flags,
+    Incidence,
     MatchGraph,
     SegmentConflictCapError,
     build_gamma,
@@ -58,7 +58,7 @@ class TestGamma:
         I = linear("I", [("b", 1), ("y", 1), ("a", 1)])
         cands, table = build_tables([G, H, I], diagonal_sigma(["a", "b"]))
         gamma = build_gamma(table)
-        keys = {frozenset((u[0], v[0])) for u, v, _ in gamma.edges}
+        keys = {frozenset((u // 3, v // 3)) for u, v, _ in gamma.edges}
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         assert frozenset((a, b)) not in keys
@@ -78,7 +78,7 @@ class TestGamma:
         assert cands[b].triple_score == pytest.approx(2.0 ** -6)
         gamma = build_gamma(table)
         weights = sorted(
-            round(w, 9) for u, v, w in gamma.edges if {u[0], v[0]} == {a, b}
+            round(w, 9) for u, v, w in gamma.edges if {u // 3, v // 3} == {a, b}
         )
         # head-tail conserved in G and H (0.5 * 2), the wrap pair only in I
         assert weights == [0.5, 1.0]
@@ -157,19 +157,19 @@ class TestPotential:
         cands, table = build_tables([G, H, I], diagonal_sigma(["a", "b"]))
         rows = [k for k in gene_rows(cands, table)]
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
-        incidence = ExtremityIncidence(table, np.zeros(len(table), dtype=bool))
+        incidence = Incidence(table, row_alive=Flags(len(table)))  # no row live
         assert potential(a, incidence) == 0.0
 
     def test_head_and_tail_maxima_sum(self):
         cands, table = self.setup_instance()
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         # b sits between a and c with unit scores: both sides carry 3
-        assert potential(b, ExtremityIncidence(table)) == pytest.approx(6.0)
+        assert potential(b, Incidence(table)) == pytest.approx(6.0)
 
     def test_single_sided(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        incidence = ExtremityIncidence(table)
+        incidence = Incidence(table)
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         assert potential(a, incidence) == pytest.approx(6.0)
 
@@ -178,11 +178,10 @@ class TestPotential:
         cands, _ = self.setup_instance()
 
         class FakeIncidence:
-            candidates = cands
+            ends = [c.ends for c in cands]
 
-            def best_weight(self, ext):
-                m, e = ext
-                return {1: 2.0, 0: 1.5}.get(e, 0.0)
+            def best_weight(self, code):
+                return {1: 2.0, 0: 1.5}.get(code % 3, 0.0)
 
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         assert potential(b, FakeIncidence()) == pytest.approx(3.5)
@@ -238,9 +237,7 @@ class TestRuns:
 
 def gamma_prime(run, table):
     """Γ′ of a run on the whole instance: every candidate and row live."""
-    cands = table.candidates
-    alive = np.ones(len(cands), dtype=bool)
-    return build_gamma_prime(run, table, ConflictIndex(cands), alive, ExtremityIncidence(table))
+    return build_gamma_prime(run, Incidence(table))
 
 
 class TestGammaPrime:
@@ -262,17 +259,16 @@ class TestGammaPrime:
         sigma.set(Gene("G", "a"), Gene("H", "b"), 0.9)  # crossing candidate
         sigma.set(Gene("G", "a"), Gene("I", "a"), 1.0)
         cands, table = build_tables([G, H, I], sigma)
-        conflict = ConflictIndex(cands)
         runs = detect_runs(G, table)
         if runs:
             gp = gamma_prime(runs[0], table)
             # every conflict edge weight equals the best conflict-free
             # potential sum, which is bounded by the sum of potentials
-            incidence = ExtremityIncidence(table)
+            incidence = Incidence(table)
             for u, v, w in gp.edges:
-                if u[0] == v[0] or v[1] == 4:
+                if u // 3 == v // 3:
                     external = [
-                        c for c in conflict.conflicts_of(u[0])
+                        c for c in incidence.conflicts_of(u // 3)
                         if c not in runs[0].members
                     ]
                     assert w <= sum(potential(c, incidence) for c in external) + 1e-9
@@ -292,8 +288,8 @@ class TestGammaPrime:
             def __init__(self, pairs):
                 self.pairs = pairs
 
-            def conflicting(self, a, b):
-                return (a, b) in self.pairs or (b, a) in self.pairs
+            def conflicts_of(self, a):
+                return sorted({b for pair in self.pairs if a in pair for b in pair} - {a})
 
         # singleton
         assert _max_conflict_free_potential([7], {7: 4.0}, FakeConflict(set())) == 4.0

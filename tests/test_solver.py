@@ -18,9 +18,9 @@ from ffmedian.candidates import (
     preprocess_discard_nonclique,
 )
 from ffmedian.genomes import Gene, SimilarityGraph
-from ffmedian.indexes import ConflictIndex
 from ffmedian.reference import (
     OracleCapExceeded,
+    _coeff,
     brute_force_median,
     counted_constraints,
     counted_variables,
@@ -43,6 +43,7 @@ from ffmedian.solver import (
 
 from conftest import (
     build_tables,
+    conflicts,
     diagonal_sigma,
     disjoint_clique_instance,
     evolved_instance,
@@ -118,6 +119,26 @@ class TestExportLp:
         cands2, table2 = build_tables(genomes, sigma)
         export_lp(build_ilp(table2), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_coefficient_matches_numpy_positional_format(self):
+        """`_coeff` writes what numpy's 12-digit positional format writes:
+        zero, exact binary fractions, round-ups that carry into a new
+        digit, integers of 12 digits and more, subnormals and random
+        weights."""
+        rng = random.Random(7)
+        values = [
+            0.0, 0.5, 0.125, 3.0, 6.0, 1 / 3, 2 / 3, 0.1, 0.3,
+            0.999999999999999, 9.9999999999995, 99999999999.95, 123456789012.5,
+            1e12, 1e13, 123456789012345.0, 1e-300, 5e-324, 2.2250738585072014e-308,
+        ]
+        values += [rng.uniform(0.0, 3.0) for _ in range(2000)]
+        values += [rng.uniform(0.0, 1.0) ** rng.choice((1, 2, 6)) * 10 ** rng.randint(-8, 14)
+                   for _ in range(2000)]
+        for value in values:
+            expected = np.format_float_positional(
+                value, precision=12, unique=False, fractional=False, trim="k"
+            )
+            assert _coeff(value) == expected, value
 
 
 class TestSolve:
@@ -599,14 +620,14 @@ class TestVerify:
     def test_conflict_detected(self):
         genomes, sigma = identical_genomes(("a", "b"))
         cands, table = build_tables(genomes, sigma)
-        conflict = ConflictIndex(cands)
+        conflicting = conflicts(cands)
         # two rows on four distinct extremities whose candidates clash: two
         # telomere triples that share a telomere, say
         clashing = next(
             (k, j)
             for k, j in itertools.combinations(range(len(table)), 2)
             if not {table.key(k)[:2], table.key(k)[2:]} & {table.key(j)[:2], table.key(j)[2:]}
-            and any(conflict.conflicting(a, b)
+            and any(conflicting(a, b)
                     for a in table.key(k)[::2] for b in table.key(j)[::2])
         )
         value = sum(table.weight[k] for k in clashing)
