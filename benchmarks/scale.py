@@ -19,25 +19,22 @@ and 12, written by this checkout's `src/`: tie-heavy models whose rows grow
 about as n^4 (n = 16 already takes 20 to 30 s a solve).  They are solved
 without preprocessing, as `verify-reduction` solves them, and each tree's
 `verify-reduction` verdict on the instance, one child per tree, is recorded
-next to the stage times.  Every case is solved with ICF-SEG on and off,
-REPEAT times each, by a fresh `ffmedian solve` child process per solve
-with a 120 s limit.  Off is `--no-icf-seg`; on is `--icf-seg`
-for a tree whose `solve --help` lists it, and no flag for an older tree,
-where ICF-SEG was the default.  A report whose `config.use_icf_seg` is not
-the asked setting is an error.
+next to the stage times.  Every case is solved REPEAT times per tree, by
+a fresh `ffmedian solve` child process per solve with a 120 s limit and
+no flag beyond the instance's, so that each tree runs its default path.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
 solve, so that a drift in machine speed reaches all of them alike.
 
-For every case, setting and tree, the output records the median seconds of
-each stage in the report's `stages`, their sum, the median wall seconds of
-the whole child (start-up, verification, CAR assembly and the report write
-lie outside the stages), the median CPU seconds of the child (user plus
+For every case and tree, the output records the median seconds of each
+stage in the report's `stages`, their sum, the median wall seconds of the
+whole child (start-up, verification, CAR assembly and the report write lie
+outside the stages), the median CPU seconds of the child (user plus
 system, over all its threads: a helper thread that spins shows as CPU above
 wall), the median peak RSS of the child, and the status, objective, `counts`
 (candidates, conserved adjacency rows and the rest) and `stats` (telomere
-triples, rows handed to the solve, ICF-SEG runs, HiGHS nodes and iterations;
+triples, rows handed to the solve, HiGHS nodes and iterations;
 null for a tree whose reports have none) of the report, which are the same
 in every repeat.  It also records the versions of Python, numpy, scipy and
 the HiGHS bundled with scipy that the children run.
@@ -78,7 +75,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from gen import GENOMES_FILE, SIMILARITY_FILE, Params  # noqa: E402
 
 SEED = 5
-REPEAT = 3
+REPEAT = 5
 TIME_LIMIT = 120.0
 IMPORT_CASE = "n300_c2_fam0.1"
 IMPORT_REPEAT = 20
@@ -176,14 +173,6 @@ def circularize(path: str) -> None:
     """Make every chromosome of a genome file circular."""
     genomes = Path(path)
     genomes.write_text(genomes.read_text().replace("\tlinear\t", "\tcircular\t"))
-
-
-def icf_seg_flags(src: str) -> dict[bool, list[str]]:
-    """The `solve` flags that turn ICF-SEG on and off in the tree `src`."""
-    argv = [sys.executable, "-m", "ffmedian.cli", "solve", "--help"]
-    usage = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                           text=True, check=True).stdout
-    return {True: ["--icf-seg"] if "--icf-seg " in usage else [], False: ["--no-icf-seg"]}
 
 
 def versions() -> dict[str, str]:
@@ -291,7 +280,6 @@ def main(argv=None) -> int:
     if any("=" not in spec for spec in args.src or []):
         parser.error("--src takes LABEL=DIR")
     trees = dict(spec.split("=", 1) for spec in args.src or [f"this={ROOT / 'src'}"])
-    flags = {label: icf_seg_flags(src) for label, src in trees.items()}
     results = []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
@@ -306,27 +294,23 @@ def main(argv=None) -> int:
                 files = write_instance(CASES[name], SEEDS.get(name, SEED), str(work / name))
             if name in CIRCULAR:
                 circularize(files["genomes"][0])
-            for icf_seg in (True, False):
-                reports = {label: [] for label in trees}
-                samples = {label: {} for label in trees}
-                for _ in range(REPEAT):
-                    for label, src in trees.items():
-                        report, usage = solve(src, files, flags[label][icf_seg] + extra,
-                                              work / "median.json")
-                        if report["config"]["use_icf_seg"] != icf_seg:
-                            raise RuntimeError(f"{label} on {name}: use_icf_seg is not {icf_seg}")
-                        reports[label].append(report)
-                        for metric, value in usage.items():
-                            samples[label].setdefault(metric, []).append(value)
-                runs = {label: summarize(reports[label], samples[label]) for label in trees}
-                for label, verdict in verdicts.items():
-                    runs[label]["verify_reduction"] = verdict
-                results.append({"case": name, "icf_seg": icf_seg, "runs": runs})
-                print(name, "icf-seg" if icf_seg else "no icf-seg", " ".join(
-                    f"{label}: {run['total_s']:.3f} s in stages, {run['wall_s']:.3f} s wall, "
-                    f"{run['cpu_s']:.3f} s CPU, "
-                    f"{run['peak_rss_mb']:.0f} MB"
-                    for label, run in runs.items()), flush=True)
+            reports = {label: [] for label in trees}
+            samples = {label: {} for label in trees}
+            for _ in range(REPEAT):
+                for label, src in trees.items():
+                    report, usage = solve(src, files, extra, work / "median.json")
+                    reports[label].append(report)
+                    for metric, value in usage.items():
+                        samples[label].setdefault(metric, []).append(value)
+            runs = {label: summarize(reports[label], samples[label]) for label in trees}
+            for label, verdict in verdicts.items():
+                runs[label]["verify_reduction"] = verdict
+            results.append({"case": name, "runs": runs})
+            print(name, " ".join(
+                f"{label}: {run['total_s']:.3f} s in stages, {run['wall_s']:.3f} s wall, "
+                f"{run['cpu_s']:.3f} s CPU, "
+                f"{run['peak_rss_mb']:.0f} MB"
+                for label, run in runs.items()), flush=True)
         files = write_instance(CASES[IMPORT_CASE], SEED, str(work / "imports"))
         cache = tempfile.mkdtemp(dir=work)  # stays empty: no child writes bytecode
         children: dict[str, list[tuple]] = {label: [] for label in trees}

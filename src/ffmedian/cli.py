@@ -31,35 +31,32 @@ The `solve` report, `median.json`, is one line of JSON with sorted keys
   stats        counters that explain the run: "telomere_triples" among the
                candidates, "solve_rows" handed to the solve, "solve_caps",
                the cap and y columns that stand for its telomere triples in
-               the program HiGHS solves (`solver`), ICF-SEG's runs
-               "examined", "accepted" and "skipped" at the conflict cap, and
-               in "mip" HiGHS's "nodes", "simplex_iterations", "dual_bound"
-               and "gap" on that solve, "lp_integral", whether the LP's
-               vertex was a 0-1 point (then no MIP ran and "nodes" is 0),
-               and the "rows" and "fixed_selections" handed to HiGHS (0 and
-               null without a HiGHS run; reports without these three keys
-               ran one MIP on every solve)
+               the program HiGHS solves (`solver`), "icf_seg" (see below),
+               and in "mip" HiGHS's "nodes", "simplex_iterations",
+               "dual_bound" and "gap" on that solve, "lp_integral", whether
+               the LP's vertex was a 0-1 point (then no MIP ran and "nodes"
+               is 0), and the "rows" and "fixed_selections" handed to HiGHS
+               (0 and null without a HiGHS run; reports without these three
+               keys ran one MIP on every solve)
   stages       each stage's name and wall seconds
 `--canonical` drops the stage seconds, and nothing else: every other field
 is free of timings.  Schema version 1 wrote the same fields, indented, with
 each candidate's record in place of an index, and no `stats`; `eval` reads
 both versions.
 
-`solve` runs the exact 0-1 program on the whole table unless `--icf-seg`
-asks for ICF-SEG (safe segments) first; both reach the same optimum.
-Without it, "solve_rows" is the whole table and the ICF-SEG runs are 0.
-With it, the solve sees only the rows ICF-SEG left, so "dual_bound" bounds
-that reduced program and leaves out the accepted rows' weight, which the
-report's "bound" adds back: compare "objective" with "bound", not with
-"dual_bound".  Only a run of ICF-SEG imports `segments`.
+`solve` runs the exact 0-1 program on the whole table, so "solve_rows" is
+the whole table.  ICF-SEG runs only in the `icf-seg` subcommand.  For
+schema-2 readers a report keeps its four ICF-SEG fields, fixed at false
+and 0: "config.use_icf_seg", "counts.accepted_segments",
+"counts.accepted_adjacencies" and the runs in "stats.icf_seg".  `solve`
+still accepts `--no-icf-seg`, hidden from its help, and ignores it.
 
 A solve's stages are `load`, which numbers each genome's genes once
 (`genomes`); `preprocess`, one similarity index build and triangle scan,
 then the genes in no candidate spliced out of the walks; `enumerate`, the
-adjacency scan (`candidates`); `icf-seg` when asked; and `solve`.  One
-check of the chosen rows (`verify_solution`) and the CARs follow.  The
-stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`,
-nor does ICF-SEG.
+adjacency scan (`candidates`); and `solve`.  One check of the chosen rows
+(`verify_solution`) and the CARs follow.  The stages pass gene-id arrays:
+a solve builds no `Gene` or `CandidateGene`, nor does ICF-SEG.
 
 Start-up and shut-down: the package holds its numbers in lists and
 `array.array`s, so no subcommand imports numpy.  Nothing in the package
@@ -82,15 +79,16 @@ invoked subcommand alone, not all eight (`build_parser`), with the same
 help, usage errors and exit codes.
 
 A `solve` process compiles and runs only the code a solve needs: of the
-package, this module, `genomes`, `kernels`, `candidates` and `solver`, and
-`segments` under `--icf-seg`.  Where the package's sources are compiled in
-every process, as they are without a writable bytecode cache, each line
-left out counts.  So the other seven subcommands live in `commands`, which
-`build_parser` imports only to build one of their parsers, and the paper's
-literal forms (its extremities, the LP export of its rows and the
-brute-force oracle) in `reference`, which `export-lp` and the tests import.
-`icf_seg` here imports `segments` at its first call.  No class on the solve
-path is a dataclass, as creating one costs about a millisecond at import.
+package, this module, `genomes`, `kernels`, `candidates` and `solver`.
+Where the package's sources are compiled in every process, as they are
+without a writable bytecode cache, each line left out counts.  So the
+other seven subcommands live in `commands`, which `build_parser` imports
+only to build one of their parsers, and the paper's literal forms (its
+extremities, the LP export of its rows and the brute-force oracle) in
+`reference`, which `export-lp` and the tests import.  `icf_seg` here,
+which the `icf-seg` subcommand calls, imports `segments` at its first
+call.  No class on the solve path is a dataclass, as creating one costs
+about a millisecond at import.
 The parsed `solve` command line is the run's one configuration:
 `run_pipeline` reads its settings straight off it.
 """
@@ -219,12 +217,12 @@ def _config(args, time_limit: float | None) -> dict:
         "similarity_file": os.path.basename(args.similarity),
         "time_limit": time_limit,
         "preprocess": args.preprocess,
-        "use_icf_seg": args.icf_seg,
+        "use_icf_seg": False,
     }
 
 
 def run_pipeline(args) -> tuple[int, dict]:
-    """Run enumerate -> icf-seg, when asked -> solve and assemble the report.
+    """Run load -> preprocess -> enumerate -> solve and assemble the report.
 
     `args` is the parsed `solve` command line.  Its time limit counts from
     this call: the solve gets what the earlier stages left of it.
@@ -236,34 +234,17 @@ def run_pipeline(args) -> tuple[int, dict]:
         _read_files(args.genomes, args.similarity), args.preprocess, stages
     )
     candidates = table.candidates
-    accepted_rows: list[int] = []
-    accepted_weight = 0.0
-    accepted_segments = examined = skipped = 0
-    solve_table = table
-    row_map = range(len(table))
-    if args.icf_seg:
-        with _stage(stages, "icf-seg"):
-            deadline = None if time_limit is None else started + time_limit
-            result = icf_seg(genomes[0], table, deadline=deadline)
-            accepted_rows = result.accepted_rows
-            accepted_weight = result.accepted_weight
-            accepted_segments = len(result.accepted)
-            examined, skipped = result.examined, result.skipped
-            row_map = result.live_rows
-            solve_table = table.subset(row_map)
     with _stage(stages, "solve"):
-        model = build_ilp(solve_table)
+        model = build_ilp(table)
         remaining = None
         if time_limit is not None:
             remaining = time_limit - (time.monotonic() - started)
         solution = solve_branch_and_bound(model, time_limit=remaining)
-    combined_rows = sorted(set(accepted_rows) | {row_map[k] for k in solution.row_indices})
-    objective = accepted_weight + solution.objective
-    bound = accepted_weight + solution.bound
-    verify_solution(table, combined_rows, objective)
-    cars = cars_from_rows(table, combined_rows)
+    rows = solution.row_indices
+    verify_solution(table, rows, solution.objective)
+    cars = cars_from_rows(table, rows)
 
-    chosen = table.genes(combined_rows)
+    chosen = table.genes(rows)
     position = {m: j for j, m in enumerate(chosen)}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -271,24 +252,23 @@ def run_pipeline(args) -> tuple[int, dict]:
         "config": _config(args, time_limit),
         "genomes": [g.label for g in genomes],
         "status": solution.status,
-        "objective": objective,
-        "bound": bound,
+        "objective": solution.objective,
+        "bound": solution.bound,
         "counts": {
             "candidates": len(candidates),
             "conserved_adjacencies": len(table),
-            "accepted_segments": accepted_segments,
-            "accepted_adjacencies": len(accepted_rows),
+            "accepted_segments": 0,
+            "accepted_adjacencies": 0,
             "median_genes": len(chosen),
-            "median_adjacencies": len(combined_rows),
+            "median_adjacencies": len(rows),
             "cars": len(cars),
             "removed_genes": {k: len(v) for k, v in removed.items()},
         },
         "stats": {
             "telomere_triples": sum(candidates.telomeric),
-            "solve_rows": len(solve_table),
+            "solve_rows": len(table),
             "solve_caps": solution.caps,
-            "icf_seg": {"examined": examined, "accepted": accepted_segments,
-                        "skipped": skipped},
+            "icf_seg": {"examined": 0, "accepted": 0, "skipped": 0},
             "mip": {
                 "nodes": solution.nodes_explored,
                 "simplex_iterations": solution.simplex_iterations,
@@ -309,7 +289,7 @@ def run_pipeline(args) -> tuple[int, dict]:
                 "conserved_in": table.conserved_in[mask],
                 "weight": weight,
             }
-            for m1, e1, m2, e2, mask, weight in _rows(table, combined_rows)
+            for m1, e1, m2, e2, mask, weight in _rows(table, rows)
         ],
         "cars": [
             {
@@ -380,8 +360,8 @@ def _add_instance_args(p) -> None:
 
 def _solve_args(p) -> None:
     _add_instance_args(p)
-    p.add_argument("--icf-seg", action=argparse.BooleanOptionalAction, default=False,
-                   help="fix ICF-SEG's safe segments before the solve (default off)")
+    # a no-op that earlier command lines pass (see the module docstring)
+    p.add_argument("--no-icf-seg", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--time-limit", type=float, default=10800.0)
     p.add_argument("--canonical", action="store_true",
                    help="timing-free byte-reproducible report")

@@ -44,15 +44,14 @@ run with a member of more than `CONFLICT_CAP` (20) such conflicts is
 skipped.  The cap is a guard, not an option: it is a module constant, and
 the INFO line of `icf_seg` counts the runs it skipped.
 
-ICF-SEG runs only on request: the `icf-seg` subcommand, or `solve
---icf-seg`.  A plain `solve` reaches the same optimum without it, and
-`cli` imports this module only when one of those runs it.
+ICF-SEG runs only in the `icf-seg` subcommand.  `solve` reaches the same
+optimum without it, and `cli` imports this module only when `icf-seg`
+runs.
 """
 from __future__ import annotations
 
 import bisect
 import logging
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -557,9 +556,7 @@ class IcfSegResult:
         return self.table.subset(self.live_rows)
 
 
-def icf_seg(
-    G: Genome, table: ConservedAdjacencyTable, deadline: float | None = None
-) -> IcfSegResult:
+def icf_seg(G: Genome, table: ConservedAdjacencyTable) -> IcfSegResult:
     """Iteratively accept runs whose matching certificate holds.
 
     The runs are examined in the order `detect_runs` lists them, each run
@@ -569,12 +566,9 @@ def icf_seg(
     from the instance, and all externally conflicting candidates are
     removed.  After an acceptance the examination goes on over the runs of
     the changed instance, in the same order.  The reduced instance is
-    returned for the exact solver.  Once `time.monotonic()` passes
-    `deadline`, no further run is examined and the runs accepted so far are
-    returned: each was applied whole, so the reduced instance is
-    consistent.  The result counts the runs examined and those skipped at
-    `CONFLICT_CAP`; one INFO line (shown by `ffmedian -v`) gives them with
-    the runs accepted.
+    returned for the exact solver.  The result counts the runs examined
+    and those skipped at `CONFLICT_CAP`; one INFO line (shown by `ffmedian
+    -v`) gives them with the runs accepted.
 
     The runs are kept up to date incrementally, with the same result as a
     fresh `detect_runs` after every acceptance, walked from its first run.
@@ -603,9 +597,6 @@ def icf_seg(
         run = step.run
         if run is None or step.key in observed:
             continue
-        if deadline is not None and time.monotonic() > deadline:
-            log.info("icf-seg stopped at the deadline")
-            break
         observed.add(step.key)
         try:
             gamma_prime = build_gamma_prime(run, incidence)

@@ -14,6 +14,7 @@ from ffmedian.candidates import (
     enumerate_candidates,
     enumerate_conserved_adjacencies,
 )
+from ffmedian import segments, solver
 from ffmedian.genomes import Gene, SimilarityGraph, build_genome
 from ffmedian.solver import verify_solution
 
@@ -166,6 +167,17 @@ def build_tables(genomes, sigma):
     cands = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(cands, *genomes)
     return cands, table
+
+
+def icf_seg_then_solve(G, table):
+    """ICF-SEG on `table`, then the exact solve of the table it leaves: the
+    ICF-SEG result, the solution of the reduced table, and the rows of
+    `table` that the two choose, checked against their summed weight."""
+    result = segments.icf_seg(G, table)
+    solution = solver.solve_branch_and_bound(solver.build_ilp(result.reduced_table()))
+    rows = sorted(result.accepted_rows + [result.live_rows[k] for k in solution.row_indices])
+    solver.verify_solution(table, rows, result.accepted_weight + solution.objective)
+    return result, solution, rows
 
 
 def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I"),

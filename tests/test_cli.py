@@ -8,7 +8,6 @@ import logging
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from ffmedian import cli, segments, solver
 from ffmedian.genomes import Gene, write_genome_file
 from ffmedian.reference import Extremity
 
-from conftest import evolved_instance, identical_genomes
+from conftest import evolved_instance, icf_seg_then_solve, identical_genomes
 
 FIVE_EDGE_GRAPH = "a\tb\na\td\nb\tc\nb\td\nc\td\n"
 
@@ -29,32 +28,33 @@ ICF_SEG_DIGESTS = [
     "82c0742cbea9b599916af64edca82dea8c131b972cde0e69796eec031c5d32ae",
 ]
 
-# SHA-256 of the file each command writes on evolved_instance(51, 120, 2, 0.1);
-# the `solve` entry pins `solve --canonical --icf-seg`.  The two `solve`
-# digests moved only by `stats.mip` when the LP came first: the same rows,
-# three new keys, no MIP node and other simplex iteration counts.  All the
-# solve digests below moved again, by the last digits of the floats, when
-# the scores and weights came to be computed by the C library's `cbrt` and
-# `pow` instead of numpy's: the same report once they are rounded to 12
-# significant digits
+# SHA-256 of the default `solve --canonical` report on evolved_instance(51,
+# 120, 2, 0.1).  It moved only by `stats.mip` when the LP came first: the
+# same rows, three new keys, no MIP node and other simplex iteration counts.
+# It moved again, by the last digits of the floats, when the scores and
+# weights came to be computed by the C library's `cbrt` and `pow` instead of
+# numpy's: the same report once they are rounded to 12 significant digits
+PLAIN_SOLVE_DIGEST = "f3182fd38f6ddbf8b539c9c055c4d1f76ca755b986f851c703f035409fa74c6d"
+
+# SHA-256 of the file each command writes on the same instance; the `solve`
+# entry pins `solve --canonical`
 OUTPUT_DIGESTS = {
     "enumerate": "4e81ffc9e2b3c4fabef7f098a58a9163d8983d1a1e281d4da3607205e0ee5798",
     "export-lp": "e9f4afd0cb6b2eee5c1d5fdc212b8a5b59e5e9bd851fd0b70e6d11c16265a76b",
-    "solve": "5cbbb8b807372ae8ac9839360c2b301b8b0f8a831318dcf74c4dfbfa5acab5c4",
+    "solve": PLAIN_SOLVE_DIGEST,
 }
 
-# SHA-256 of the default `solve --canonical` report, without ICF-SEG, on the
-# same instance
-PLAIN_SOLVE_DIGEST = "f3182fd38f6ddbf8b539c9c055c4d1f76ca755b986f851c703f035409fa74c6d"
+# SHA-256 of the schema-1 `solve --canonical` report on the same instance.
+# This and the digest below pinned the report of `solve --icf-seg` until
+# that flag was dropped; they now pin the default solve's.  The two reports
+# have the same genes, adjacencies, CARs, objective and bound: they differ
+# only in the ICF-SEG fields of `config` and `counts`, in `stats`, which
+# `v1_layout` drops, and in the icf-seg stage
+SOLVE_V1_DIGEST = "6d67a1214be7d67986410f9211fa4c83f32a6444bea40bb10427e43e2c1fafe5"
 
-# SHA-256 of the schema-1 `solve --canonical --icf-seg` report on the same
-# instance
-SOLVE_V1_DIGEST = "9fdb6137de081f5794efdb1dd98d1195ebe03396de54e9955208139e7ec90c1c"
-
-# SHA-256 of `telomere_blind` of that report: the two-block program, which
-# had a column per telomere triple, gave the same, so the capped program
-# moved only tied telomere triples and the objective's last digits
-SOLVE_V1_BLIND_DIGEST = "e4414953f48601cde817e516098e0e4a34dc9a442470d0e95ec75c273af3bd3b"
+# SHA-256 of `telomere_blind` of that report, which is blind to the tied
+# telomere triples it chose and to the objective's last digits
+SOLVE_V1_BLIND_DIGEST = "bb9169cfd88e1d592ef3f42b82b801c027ede051a79f5f920210f1cd4ae494de"
 
 
 def write_files(tmp_path, genomes, sigma):
@@ -106,7 +106,7 @@ def test_command_writes_recorded_bytes(tmp_path, command):
     """The same bytes by absolute paths and, in a child started in the
     instance's directory, by bare file names."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    extra = ["--canonical", "--icf-seg"] if command == "solve" else []
+    extra = ["--canonical"] if command == "solve" else []
     absolute = tmp_path / "absolute.out"
     code = cli.main([command, *instance, *extra, "-o", str(absolute)])
     assert type(code) is int and code == cli.EXIT_OK
@@ -118,14 +118,15 @@ def test_command_writes_recorded_bytes(tmp_path, command):
 
 
 def test_default_solve_writes_recorded_bytes(tmp_path):
-    """The default solve runs no ICF-SEG, as `--no-icf-seg` asks."""
+    """A solve runs no ICF-SEG: its report's ICF-SEG fields read false and 0."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    default, plain = tmp_path / "default.json", tmp_path / "plain.json"
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(default)]) == cli.EXIT_OK
-    argv = ["solve", *instance, "--canonical", "--no-icf-seg", "-o", str(plain)]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert default.read_bytes() == plain.read_bytes()
-    assert hashlib.sha256(default.read_bytes()).hexdigest() == PLAIN_SOLVE_DIGEST
+    out = tmp_path / "median.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAIN_SOLVE_DIGEST
+    report = json.loads(out.read_text())
+    assert report["config"]["use_icf_seg"] is False
+    assert report["counts"]["accepted_segments"] == report["counts"]["accepted_adjacencies"] == 0
+    assert report["stats"]["icf_seg"] == {"examined": 0, "accepted": 0, "skipped": 0}
 
 
 def v1_layout(report: dict) -> dict:
@@ -189,8 +190,7 @@ def test_solve_report_expands_to_the_schema_1_bytes(tmp_path):
     gives the schema-1 bytes."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    argv = ["solve", *instance, "--canonical", "--icf-seg", "-o", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     payload = out.read_bytes()
     assert payload.count(b"\n") == 1 and payload.endswith(b"\n")
     report = json.loads(payload)
@@ -258,39 +258,43 @@ def test_solve_to_stdout_after_a_mip_run_writes_only_the_report(tmp_path, buffer
 
 @pytest.mark.parametrize("icf_seg", [True, False])
 def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch, icf_seg):
-    """With a conflict cap of 0 ICF-SEG skips runs; `stats` carries the
-    counts of its log line and the rows the solve was given."""
+    """`stats` carries the rows the solve was given and HiGHS's work on them.
+    With `icf_seg`, ICF-SEG then runs in process at a conflict cap of 0,
+    where it skips runs, before the solve of the table it leaves: its log
+    line counts the runs, and the two reach the report's objective."""
     monkeypatch.setattr(segments, "CONFLICT_CAP", 0)
     caplog.set_level(logging.INFO, logger="ffmedian.segments")
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    flags = ["--icf-seg"] if icf_seg else []
-    assert cli.main(["solve", *instance, *flags, "--canonical", "-o", str(out)]) == cli.EXIT_OK
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     report = json.loads(out.read_text())
-    stats, counts = report["stats"], report["counts"]
+    stats, counts, mip = report["stats"], report["counts"], report["stats"]["mip"]
     genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
     assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in table.candidates) == 64
-    runs, mip = stats["icf_seg"], stats["mip"]
-    assert runs["accepted"] == counts["accepted_segments"]
+    assert stats["solve_rows"] == counts["conserved_adjacencies"]
     assert mip["lp_integral"] is True and mip["nodes"] == 0
     assert mip["simplex_iterations"] > 0 and mip["gap"] == 0
-    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
-    result = segments.icf_seg(genomes[0], table)
-    program = solver._Capped(result.reduced_table() if icf_seg else table)
+    assert mip["dual_bound"] == pytest.approx(report["objective"])
+    program = solver._Capped(table)
     assert mip["rows"] == len(program.handed[3]) < len(program.rhs)
     assert mip["fixed_selections"] == program.fixed > 0
-    if icf_seg:
-        assert runs["skipped"] > 0 and stats["solve_rows"] == int(result.row_alive.sum())
-        assert summary[0] == (
-            f"icf-seg: {runs['examined']} runs examined, {runs['accepted']} accepted, "
-            f"{runs['skipped']} skipped at the conflict cap"
-        )
-        # HiGHS bounds the program left after ICF-SEG, without the accepted rows
-        assert 0 < mip["dual_bound"] <= report["objective"]
-    else:
-        assert runs == {"examined": 0, "accepted": 0, "skipped": 0} and not summary
-        assert stats["solve_rows"] == counts["conserved_adjacencies"]
-        assert mip["dual_bound"] == pytest.approx(report["objective"])
+    if not icf_seg:
+        assert not [r for r in caplog.records if r.getMessage().startswith("icf-seg:")]
+        return
+    result, solution, _ = icf_seg_then_solve(genomes[0], table)
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
+    assert result.skipped > 0 and summary == [
+        f"icf-seg: {result.examined} runs examined, {len(result.accepted)} accepted, "
+        f"{result.skipped} skipped at the conflict cap"
+    ]
+    program = solver._Capped(result.reduced_table())
+    assert solution.highs_rows == len(program.handed[3]) < len(program.rhs)
+    assert solution.fixed == program.fixed > 0
+    assert solution.lp_integral is True and solution.nodes_explored == 0
+    # HiGHS bounds the program left after ICF-SEG, without the accepted rows
+    assert 0 < solution.dual_bound <= report["objective"]
+    objective = result.accepted_weight + solution.objective
+    assert objective == pytest.approx(report["objective"], abs=1e-9)
 
 
 def test_stats_of_a_fractional_root_count_the_mip_nodes(tmp_path):
@@ -352,15 +356,16 @@ def test_usage_error_exits_with_input_code(capsys, argv):
         assert "unrecognized arguments: --export-lp x" in err
 
 
-def test_solve_takes_seven_options():
-    """One engine and one output: no `--engine` or `--export-lp`."""
+def test_solve_takes_six_options():
+    """One engine, one path and one output: no `--engine`, `--icf-seg` or
+    `--export-lp`.  The hidden no-op `--no-icf-seg` is not an option."""
     parser = cli.build_parser(["solve"])
     sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)][0]
     options = [a.option_strings for a in sub.choices["solve"]._actions
-               if not isinstance(a, argparse._HelpAction)]
+               if not isinstance(a, argparse._HelpAction) and a.help != argparse.SUPPRESS]
     assert options == [
         ["-g", "--genome"], ["-s", "--similarity"], ["--no-preprocess"],
-        ["--icf-seg", "--no-icf-seg"], ["--time-limit"], ["--canonical"], ["-o", "--output"],
+        ["--time-limit"], ["--canonical"], ["-o", "--output"],
     ]
 
 
@@ -578,10 +583,17 @@ def test_time_limited_verify_reduction_exits_feasible(tmp_path, capsys):
 def test_report_objective_is_checked_against_its_rows(tmp_path, monkeypatch, capsys):
     """A report whose objective is not the weight of its adjacencies is a
     solver error, not a result."""
-    monkeypatch.setattr(segments.IcfSegResult, "accepted_weight", property(lambda self: 1.0))
+    solve = cli.solve_branch_and_bound
+
+    def off_by_one(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solution.objective += 1.0
+        return solution
+
+    monkeypatch.setattr(cli, "solve_branch_and_bound", off_by_one)
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
-    assert cli.main(["solve", *instance, "--icf-seg", "-o", str(out)]) == cli.EXIT_SOLVER
+    assert cli.main(["solve", *instance, "-o", str(out)]) == cli.EXIT_SOLVER
     assert_one_error_line(capsys)
     assert not out.exists()
 
@@ -608,22 +620,22 @@ def test_directory_as_input_file_exits_with_input_code(tmp_path, capsys, command
 
 
 def test_solve_does_not_load_networkx(tmp_path):
+    """Nor does ICF-SEG, whose matchings `segments` solves itself."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     code = (
         "import sys\n"
         "import ffmedian.cli\n"
         "assert 'networkx' not in sys.modules, 'networkx loaded by the import'\n"
-        "code = ffmedian.cli.main(sys.argv[1:])\n"
+        "*instance, out = sys.argv[1:]\n"
+        "assert ffmedian.cli.main(['solve', *instance, '-o', out + '/median.json']) == 0\n"
         "assert 'networkx' not in sys.modules, 'networkx loaded by the solve'\n"
-        "sys.exit(code)\n"
+        "assert ffmedian.cli.main(['icf-seg', *instance, '-o', out + '/segments.tsv']) == 0\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded by ICF-SEG'\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1]))
-    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o", str(tmp_path / "median.json")]
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert json.loads((tmp_path / "median.json").read_text())["counts"]["accepted_segments"] > 0
+    proc = run_child(code, *instance, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "median.json").read_text())["status"] == "optimal"
+    assert len((tmp_path / "segments.tsv").read_text().splitlines()) > 1
 
 
 def run_child(code, *argv, cwd=None):
@@ -688,12 +700,13 @@ def test_entry_point_keeps_each_exit_code(tmp_path, expected):
 
 def test_entry_point_logs_info_lines_with_verbose(tmp_path):
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    proc = run_cli("-v", "solve", *instance, "--icf-seg", "--canonical",
-                   "-o", str(tmp_path / "m.json"))
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert any(line.startswith("INFO ffmedian.segments: icf-seg: ") for line in lines)
-    assert any(line.startswith("INFO ffmedian.solver: HiGHS: ") for line in lines)
+    runs = {"solver: HiGHS: ": ["solve", "--canonical", "-o", "m.json"],
+            "segments: icf-seg: ": ["icf-seg", "-o", "segments.tsv"]}
+    for line_start, (command, *flags) in runs.items():
+        proc = run_cli("-v", command, *instance, *flags, cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert any(line.startswith(f"INFO ffmedian.{line_start}") for line in lines), command
 
 
 def test_entry_point_names_the_cli_logger_by_its_module(tmp_path):
@@ -845,10 +858,9 @@ LOGGING_MODULES = {"logging", "string", "traceback"}
     [
         (["solve", "--canonical"], set(), False, False),
         (["-v", "solve", "--canonical"], set(), True, False),
-        (["solve", "--canonical", "--icf-seg"], {"ffmedian.segments"}, None, False),
         (["enumerate"], {"ffmedian.commands"}, None, False),
     ],
-    ids=["solve", "verbose-solve", "solve-icf-seg", "enumerate"],
+    ids=["solve", "verbose-solve", "enumerate"],
 )
 def test_entry_point_imports_only_the_modules_it_runs(
     tmp_path, argv, extra, logging_loaded, numpy_loaded
@@ -927,11 +939,11 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
                     "segments.tsv"),
         "export-lp": (["export-lp", *instance, "-o", "model.lp"], "model.lp"),
         "solve": (["solve", *instance, "--canonical", "-o", "median.json"], "median.json"),
-        "solve --icf-seg": (["solve", *instance, "--canonical", "--icf-seg", "-o", "icf.json"],
-                            "icf.json"),
+        "solve --no-icf-seg": (["solve", *instance, "--canonical", "--no-icf-seg",
+                                "-o", "hidden.json"], "hidden.json"),
         "reduce-mis": (["reduce-mis", "--graph", "graph.tsv", "-o", "mis"], None),
         "verify-reduction": (["verify-reduction", "mis"], None),
-        "eval": (["eval", "--pred", "median.json", "--pred", "icf.json",
+        "eval": (["eval", "--pred", "median.json", "--pred", "hidden.json",
                   "--truth", "truth.tsv", "--shared", "G", "H"], None),
     }
     digests = {}
@@ -950,7 +962,7 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
         "enumerate": OUTPUT_DIGESTS["enumerate"],
         "export-lp": OUTPUT_DIGESTS["export-lp"],
         "solve": PLAIN_SOLVE_DIGEST,
-        "solve --icf-seg": OUTPUT_DIGESTS["solve"],
+        "solve --no-icf-seg": PLAIN_SOLVE_DIGEST,
         **MOVED_COMMAND_DIGESTS,
     }
 
@@ -999,14 +1011,13 @@ def test_only_solve_loads_scipy(tmp_path, command, loaded):
         (["enumerate"], False),
         (["export-lp"], False),
         (["solve"], False),
-        (["solve", "--icf-seg"], True),
         (["icf-seg"], True),
     ],
-    ids=["enumerate", "export-lp", "solve", "solve-icf-seg", "icf-seg"],
+    ids=["enumerate", "export-lp", "solve", "icf-seg"],
 )
 def test_only_icf_seg_loads_segments(tmp_path, argv, loaded):
     """`import ffmedian.cli`, as the benchmark's set-up probe does, and the
-    default solve leave `segments` unloaded; a run of ICF-SEG loads it."""
+    other subcommands leave `segments` unloaded; `icf-seg` loads it."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     code = (
         "import sys\n"
@@ -1021,14 +1032,24 @@ def test_only_icf_seg_loads_segments(tmp_path, argv, loaded):
     assert proc.stdout == f"{loaded}\n"
 
 
-@pytest.mark.parametrize(
-    "flags, icf_seg",
-    [([], False), (["--icf-seg", "--no-icf-seg"], False), (["--no-icf-seg", "--icf-seg"], True)],
-    ids=["default", "no-icf-seg-last", "icf-seg-last"],
-)
-def test_last_icf_seg_spelling_wins(flags, icf_seg):
-    args = cli.build_parser().parse_args(["solve", "-g", "g.txt", "-s", "s.tsv", *flags])
-    assert args.icf_seg is icf_seg
+def test_solve_rejects_icf_seg_and_ignores_no_icf_seg(tmp_path, capsys):
+    """`solve --icf-seg` is a usage error; the hidden `--no-icf-seg`, which
+    earlier command lines pass, changes no byte; `solve --help` lists
+    neither."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    out = tmp_path / "median.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", *instance, "--canonical", "--icf-seg", "-o", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert exc.value.code == cli.EXIT_INPUT and not out.exists()
+    assert [line for line in err if line.startswith("usage: ")] == [err[0]]
+    assert err[-1] == "ffmedian: error: unrecognized arguments: --icf-seg"
+    argv = ["solve", *instance, "--canonical", "--no-icf-seg", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAIN_SOLVE_DIGEST
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == cli.EXIT_OK and "icf-seg" not in capsys.readouterr().out
 
 
 def test_missing_highs_extension_exits_with_solver_code(tmp_path, monkeypatch, capsys):
@@ -1099,19 +1120,26 @@ def test_highs_module_is_shared_with_scipy_optimize(tmp_path, before, after):
 
 def test_verbose_logs_icf_seg_counts_and_keeps_report_bytes(tmp_path, caplog):
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    quiet, verbose = tmp_path / "quiet.json", tmp_path / "verbose.json"
-    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o"]
-    assert cli.main([*argv, str(quiet)]) == cli.EXIT_OK
+    quiet, verbose = tmp_path / "quiet", tmp_path / "verbose"
+
+    def argv(out):
+        return ["icf-seg", *instance, "-o", f"{out}.tsv", "--emit-reduced", str(out)]
+
+    def written(out):
+        return [Path(f"{out}.tsv").read_bytes(), *((out / name).read_bytes()
+                                                   for name in ("candidates.tsv", "meta.json"))]
+
+    assert cli.main(argv(quiet)) == cli.EXIT_OK
     caplog.set_level(logging.INFO, logger="ffmedian.segments")
-    assert cli.main(["-v", *argv, str(verbose)]) == cli.EXIT_OK
-    assert verbose.read_bytes() == quiet.read_bytes()
+    assert cli.main(["-v", *argv(verbose)]) == cli.EXIT_OK
+    assert written(verbose) == written(quiet)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
-    accepted = json.loads(quiet.read_text())["counts"]["accepted_segments"]
-    assert len(lines) == 1
+    accepted = json.loads((quiet / "meta.json").read_text())["accepted_segments"]
+    assert len(lines) == 1 and accepted > 0
     assert f"examined, {accepted} accepted, 0 skipped at the conflict cap" in lines[0]
 
 
-@pytest.mark.parametrize("command", ["icf-seg", "solve"])
+@pytest.mark.parametrize("command", ["icf-seg"])
 def test_matching_graph_beyond_degree_two_exits_with_solver_code(
     tmp_path, monkeypatch, capsys, command
 ):
@@ -1123,30 +1151,6 @@ def test_matching_graph_beyond_degree_two_exits_with_solver_code(
     )
     monkeypatch.setattr(segments, "build_gamma_prime", lambda *args, **kwargs: star)
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    flags = ["--icf-seg"] if command == "solve" else []
-    code = cli.main([command, *instance, *flags, "-o", str(tmp_path / "out")])
+    code = cli.main([command, *instance, "-o", str(tmp_path / "out")])
     assert code == cli.EXIT_SOLVER
     assert_one_error_line(capsys)
-
-
-def test_icf_seg_deadline_still_gives_a_verified_optimum(tmp_path, monkeypatch):
-    """ICF-SEG's clock passes the deadline after three readings; the solve
-    then takes the rest and `run_pipeline` verifies the combined rows."""
-    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
-    argv = ["solve", *instance, "--icf-seg", "--canonical", "-o"]
-    assert cli.main([*argv, str(full)]) == cli.EXIT_OK
-
-    class LateClock:
-        readings = 0
-
-        def monotonic(self):
-            self.readings += 1
-            return time.monotonic() + (1e9 if self.readings > 3 else 0.0)
-
-    monkeypatch.setattr(segments, "time", LateClock())
-    assert cli.main([*argv, str(cut)]) == cli.EXIT_OK
-    full_report, cut_report = json.loads(full.read_text()), json.loads(cut.read_text())
-    assert 0 < cut_report["counts"]["accepted_segments"] < full_report["counts"]["accepted_segments"]
-    assert cut_report["status"] == "optimal"
-    assert cut_report["objective"] == pytest.approx(full_report["objective"], abs=1e-9)

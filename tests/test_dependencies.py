@@ -191,7 +191,6 @@ def test_every_subcommand_runs_without_numpy(tmp_path):
         ["icf-seg", *instance, "-o", "segments.tsv", "--emit-reduced", "reduced"],
         ["export-lp", *instance, "-o", "model.lp"],
         ["solve", *instance, "-o", "median.json"],
-        ["solve", *instance, "--icf-seg", "-o", "icf.json"],
         ["eval", "--pred", "median.json", "--truth", "truth.tsv"],
         ["reduce-mis", "--graph", "graph.tsv", "-o", "mis"],
         ["verify-reduction", "mis"],

@@ -17,7 +17,7 @@ from ffmedian import candidates, cli, kernels, solver
 from ffmedian.genomes import ENDS, Gene, SimilarityGraph, parse_genomes, splice_genes
 from ffmedian.reference import adjacencies
 
-from conftest import evolved_instance
+from conftest import evolved_instance, icf_seg_then_solve
 from test_cli import write_files
 
 LABELS = "GHI"
@@ -33,17 +33,24 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-preprocess"], ["--icf-seg"]],
+@pytest.mark.parametrize("flags", [[], ["--no-preprocess"], None],
                          ids=["default", "no-preprocess", "icf-seg"])
 def test_a_solve_indexes_scans_and_verifies_once(tmp_path, monkeypatch, flags):
+    """A `solve` with `flags`; None runs the front end, ICF-SEG and the solve
+    of the table it leaves in process instead, which index and scan no
+    more."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     calls: dict[str, int] = {}
     _counting(monkeypatch, candidates, "InstanceIndex", calls)
     _counting(monkeypatch, kernels, "triangles", calls)
     _counting(monkeypatch, cli, "verify_solution", calls)
     _counting(monkeypatch, solver, "verify_solution", calls)
-    argv = ["solve", *instance, *flags, "--canonical", "-o", str(tmp_path / "median.json")]
-    assert cli.main(argv) == cli.EXIT_OK
+    if flags is None:
+        genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
+        icf_seg_then_solve(genomes[0], table)
+    else:
+        argv = ["solve", *instance, *flags, "--canonical", "-o", str(tmp_path / "median.json")]
+        assert cli.main(argv) == cli.EXIT_OK
     assert calls == {"InstanceIndex": 1, "triangles": 1, "verify_solution": 1}
 
 

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from ffmedian import cli, commands
+from ffmedian import cli
 from ffmedian.solver import GRID
+
+from conftest import icf_seg_then_solve
 
 GEN = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"), run_name="perfbench_gen"
@@ -34,12 +36,22 @@ def test_canonical_solve_repeats_its_bytes(generated, tmp_path):
     assert solve(generated, tmp_path / "second.json", "--canonical") == first
 
 
+def front_end(files):
+    """The genomes and table of the instance `files`, as a solve builds them."""
+    genomes, table, _ = cli._front_end(cli._read_files([files["genomes"]], files["similarity"]),
+                                       True)
+    return genomes, table
+
+
 def test_icf_seg_keeps_the_objective(generated, tmp_path):
-    with_seg = json.loads(solve(generated, tmp_path / "seg.json", "--icf-seg"))
-    without = json.loads(solve(generated, tmp_path / "plain.json", "--no-icf-seg"))
-    assert with_seg["counts"]["accepted_segments"] > 0
-    assert with_seg["status"] == without["status"] == "optimal"
-    assert abs(with_seg["objective"] - without["objective"]) <= GRID
+    """ICF-SEG, then the solve of the table it leaves, reaches the optimum of
+    the command line's solve."""
+    without = json.loads(solve(generated, tmp_path / "plain.json"))
+    genomes, table = front_end(generated)
+    result, solution, _ = icf_seg_then_solve(genomes[0], table)
+    assert result.accepted
+    assert solution.status == without["status"] == "optimal"
+    assert abs(result.accepted_weight + solution.objective - without["objective"]) <= GRID
 
 
 # the two benchmark workload shapes at a small size: no gene families
@@ -53,19 +65,19 @@ SHAPES = {
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_plain_solve_and_icf_seg_reach_the_same_median(tmp_path, shape, seed):
-    """ICF-SEG then the solve gives the plain solve's optimum and genes."""
+    """ICF-SEG then the solve gives the plain solve's optimum and genes, the
+    tied telomere triples aside."""
     files = GEN["write_instance"](SHAPES[shape], seed, str(tmp_path))
-    reports, genes = [], []
-    for flags in ([], ["--icf-seg"]):
-        out = tmp_path / f"median{len(flags)}.json"
-        reports.append(json.loads(solve(files, out, "--canonical", *flags)))
-        genes.append(sorted(commands._load_predictions(out)))
-    plain, seg = reports
-    assert plain["status"] == seg["status"] == "optimal"
-    assert seg["config"]["use_icf_seg"] and not plain["config"]["use_icf_seg"]
-    assert seg["counts"]["accepted_segments"] > 0
-    assert abs(plain["objective"] - seg["objective"]) <= 1e-9
-    assert genes[0] == genes[1] and genes[0]
+    plain = json.loads(solve(files, tmp_path / "median.json", "--canonical"))
+    genomes, table = front_end(files)
+    result, solution, rows = icf_seg_then_solve(genomes[0], table)
+    assert plain["status"] == solution.status == "optimal"
+    assert result.accepted
+    assert abs(plain["objective"] - (result.accepted_weight + solution.objective)) <= 1e-9
+    telomeric = table.candidates.telomeric
+    chosen = [m for m in table.genes(rows) if not telomeric[m]]
+    genes = [gene for gene in plain["genes"] if not gene["g"].partition(":")[2].startswith("~")]
+    assert cli._genes_json(table.candidates, chosen) == genes and genes
 
 
 def test_eval_scores_against_the_generated_truth(generated, tmp_path, capsys):

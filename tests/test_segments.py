@@ -1,10 +1,8 @@
 """Matching graph, potentials, run detection, and safe extraction."""
 import itertools
 import logging
-import math
 import random
 
-import numpy as np
 import pytest
 
 from ffmedian import segments
@@ -356,32 +354,6 @@ class TestIcfSeg:
                 hits += 1
                 assert any(accepted <= set(opt) for opt in optima)
         assert hits > 5  # the check must not be vacuous
-
-    def test_deadline_keeps_a_prefix_of_the_accepted_runs(self, monkeypatch):
-        genomes, sigma = evolved_instance(31, 200, 2, 0.0)
-        cands, table = build_tables(genomes, sigma)
-        full = icf_seg(genomes[0], table)
-        runs = full.accepted
-        assert len(runs) > 20
-        far = icf_seg(genomes[0], table, deadline=math.inf)
-        assert far.accepted == runs
-        assert np.array_equal(far.row_alive, full.row_alive)
-
-        class FakeClock:
-            """One second per reading, from 1 on."""
-            now = 0
-
-            def monotonic(self):
-                self.now += 1
-                return self.now
-
-        for deadline in (0, 5, 20):
-            monkeypatch.setattr(segments, "time", FakeClock())
-            cut = icf_seg(genomes[0], table, deadline=deadline)
-            got = cut.accepted
-            assert len(got) < len(runs) and got == runs[: len(got)]
-            assert int((~cut.row_alive).sum()) < int((~full.row_alive).sum())
-        assert cut.accepted
 
     def test_info_line_counts_runs_skipped_at_the_conflict_cap(self, caplog, monkeypatch):
         genomes, sigma = evolved_instance(33, 200, 2, 0.1)

@@ -22,10 +22,9 @@ def test_cli_exports_the_names_the_setup_probe_imports():
     from ffmedian.cli import SimilarityGraph, parse_genome_file  # noqa: F401
 
 
-def test_traced_solve_records_every_counter_and_span(tmp_path):
-    """A solve under the tracer, in-process: every observer reads the
-    attributes it needs, so a rename breaks this test and not only the
-    benchmark's traced runs."""
+def traced(tmp_path, command, *flags):
+    """The tracer of one in-process `command` run on evolved_instance(51,
+    120, 2, 0.1), and the tracing module."""
     from ffmedian import cli
     from ffmedian.genomes import write_genome_file
 
@@ -35,20 +34,45 @@ def test_traced_solve_records_every_counter_and_span(tmp_path):
     genomes, sigma = evolved_instance(51, 120, 2, 0.1)
     write_genome_file(tmp_path / "genomes.txt", genomes)
     sigma.write(tmp_path / "similarity.tsv")
-    argv = ["solve", "-g", str(tmp_path / "genomes.txt"), "-s", str(tmp_path / "similarity.tsv"),
-            "--icf-seg", "--canonical", "-o", str(tmp_path / "median.json")]
+    argv = [command, "-g", str(tmp_path / "genomes.txt"), "-s", str(tmp_path / "similarity.tsv"),
+            *flags]
     tracer = tracing["Tracer"]()
     with tracer.install():
         assert cli.main(argv) == cli.EXIT_OK
-    assert set(tracer.counters) == {
-        "genomes.sigma_pairs",
-        "candidates.removed_genes", "candidates.candidates", "candidates.telomere_triples",
-        "candidates.rows",
-        "kernels.input_mb", "kernels.triangles_out", "kernels.pairs_out",
-        "segments.accepted", "segments.rows_total", "segments.rows_fixed",
-        "solver.rows_in", "solver.nodes",
-    }
-    assert tracer.counters["segments.accepted"] > 0 and tracer.counters["solver.rows_in"] > 0
-    # `icf_seg` scans through `_RunScanner`, not `detect_runs`
+    return tracer, tracing
+
+
+FRONT_END_COUNTERS = {
+    "genomes.sigma_pairs",
+    "candidates.removed_genes", "candidates.candidates", "candidates.telomere_triples",
+    "candidates.rows",
+    "kernels.input_mb", "kernels.triangles_out", "kernels.pairs_out",
+}
+
+
+def test_traced_solve_records_every_counter_and_span(tmp_path):
+    """A solve under the tracer, in-process, as the benchmark traces it:
+    every observer reads the attributes it needs, so a rename breaks this
+    test and not only the benchmark's traced runs.  A solve runs no
+    ICF-SEG, so no `segments` counter or span appears."""
+    tracer, tracing = traced(tmp_path, "solve", "--canonical", "-o", str(tmp_path / "m.json"))
+    assert set(tracer.counters) == FRONT_END_COUNTERS | {"solver.rows_in", "solver.nodes"}
+    assert tracer.counters["solver.rows_in"] > 0
     spans = {span.name for span in tracer.spans}
-    assert spans == set(tracing["SPAN_NAMES"]) - {"segments.detect_runs"}
+    assert spans == {name for name in tracing["SPAN_NAMES"] if not name.startswith("segments.")}
+
+
+def test_traced_icf_seg_records_its_counters_and_spans(tmp_path):
+    """The `icf-seg` subcommand under the tracer: its observer reads the
+    result's `accepted` and the `size`, `~` and `sum` of its `row_alive`."""
+    tracer, tracing = traced(tmp_path, "icf-seg", "-o", str(tmp_path / "segments.tsv"))
+    assert set(tracer.counters) == FRONT_END_COUNTERS | {
+        "segments.accepted", "segments.rows_total", "segments.rows_fixed"}
+    counters = tracer.counters
+    assert counters["segments.rows_total"] == counters["candidates.rows"]
+    assert 0 < counters["segments.rows_fixed"] < counters["segments.rows_total"]
+    assert counters["segments.accepted"] > 0
+    # no solve; `icf_seg` scans through `_RunScanner`, not `detect_runs`
+    spans = {span.name for span in tracer.spans}
+    assert spans == {name for name in tracing["SPAN_NAMES"]
+                     if not name.startswith(("solver.", "cli.")) and name != "segments.detect_runs"}
