@@ -35,9 +35,14 @@ The `solve` report, `median.json`, is one line of JSON with sorted keys
                and in "mip" HiGHS's "nodes", "simplex_iterations",
                "dual_bound" and "gap" on that solve, "lp_integral", whether
                the LP's vertex was a 0-1 point (then no MIP ran and "nodes"
-               is 0), and the "rows" and "fixed_selections" handed to HiGHS
-               (0 and null without a HiGHS run; reports without these three
-               keys ran one MIP on every solve)
+               is 0), the "rows" and "columns" handed to HiGHS and the
+               "fixed_selections" (0 and null without a table row; reports
+               without "rows" ran one MIP on every solve, and reports
+               without "columns" handed HiGHS every column).  When no
+               row can bind, every column takes its best bound and HiGHS
+               does not run: "rows", "columns", "nodes", "simplex_iterations"
+               and "gap" read 0, "lp_integral" true and "dual_bound" the
+               objective
   stages       each stage's name and wall seconds
 `--canonical` drops the stage seconds, and nothing else: every other field
 is free of timings.  Schema version 1 wrote the same fields, indented, with
@@ -276,6 +281,7 @@ def run_pipeline(args) -> tuple[int, dict]:
                 "gap": solution.gap,
                 "lp_integral": solution.lp_integral,
                 "rows": solution.highs_rows,
+                "columns": solution.highs_columns,
                 "fixed_selections": solution.fixed,
             },
         },

@@ -20,25 +20,31 @@ triples of their own exactly when each genome has the telomeres (caps +
 Bohnenkämper et al., JCB 2021).  So the capped program keeps the optimum,
 and `_Capped.table_rows` maps its point to table rows.  Each extremity row,
 `sum b at (m, e) - a_m <= 0`, is tighter than the paper's coupling and
-saturation rows, with the same integer points.  Two exact reductions
+saturation rows, with the same integer points.  Three exact reductions
 (Achterberg et al., "Presolve Reductions in Mixed Integer Programming",
 INFORMS J. Comput. 2020) shrink what HiGHS gets: the selection of a
-candidate that alone holds its genes is fixed at 1, and a row that cannot
-bind is left out.  `linprog` solves the LP, and runs the MIP on the same
-HiGHS object only when the LP's vertex is not a 0-1 point of the rows;
-nearly every root is integral.  HiGHS presolve, feasibility jump and
+candidate that alone holds its genes is fixed at 1, a row that cannot
+bind is left out, and a column left with no entry takes its best bound.
+HiGHS gets only the live columns, those with an entry, and
+`solve_branch_and_bound` widens its point back to every column.  When no
+column is live, the point of best bounds is optimal, and HiGHS is not
+loaded.  `linprog` solves the LP, and runs the MIP on the same HiGHS
+object only when the LP's vertex is not a 0-1 point of the rows; nearly
+every root is integral.  HiGHS presolve, feasibility jump and
 symmetry detection are off: each costs more than it saves on these models
 (`BENCH_fixed_costs.json`).  On a timeout the weight-order greedy selection
 competes with HiGHS's point.  HiGHS is scipy's extension
 `scipy.optimize._highspy._core`, loaded alone, without `scipy.optimize`.
 Its setters of model arrays load numpy, even when given a list, so
 `linprog` hands HiGHS the program as a free MPS file instead: every column
-in order, the empty ones too, and every number written with `repr`, so
-that HiGHS reads back the very model the arrays hold.  The columns are
-binary, and the LP is HiGHS's relaxation of them (`solve_relaxation`), so
-that the MIP needs no call per column.  The file lives only until HiGHS
-has read it, and the solve imports no numpy.  The paper's own
-rows are written by `reference.export_lp`.
+it is given, in order, and every number written with `repr`, so that
+HiGHS reads back the very model the arrays hold.  The columns are binary,
+and the LP is HiGHS's relaxation of them (`solve_relaxation`), so that
+the MIP needs no call per column.  The file lives only until HiGHS has
+read it, and the solve imports no numpy.  Only the MIP prints to fd 1,
+so only its run has fd 1 pointed away (`_stdout_away`), and a solve whose
+root is integral loads no `ctypes`.  The paper's own rows are written by
+`reference.export_lp`.
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
@@ -62,11 +68,11 @@ module, as `ffmedian -v` and any caller that configures logging have.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import importlib.machinery
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -134,6 +140,7 @@ class MedianSolution:
         self.caps = 0  # the cap and y columns handed to HiGHS
         self.lp_integral: bool | None = None  # whether HiGHS's LP vertex was a 0-1 point
         self.highs_rows = 0  # the rows handed to HiGHS
+        self.highs_columns = 0  # the columns handed to HiGHS
         self.fixed = 0  # the selections fixed at 1 before HiGHS runs
 
 
@@ -319,9 +326,12 @@ class MipResult(NamedTuple):
 
 @contextlib.contextmanager
 def _stdout_away():
-    """Point fd 1 at the null device while HiGHS runs: its MIP prints debug
-    lines through C stdio whatever its output options say.  C stdio is
-    flushed before fd 1 points back, so none of them is left pending."""
+    """Point fd 1 at the null device while HiGHS's MIP runs: it prints debug
+    lines through C stdio whatever its output options say, which the model
+    read and the LP do not.  C stdio is flushed, through `ctypes`, loaded
+    here only, before fd 1 points back, so none of them is left pending."""
+    import ctypes
+
     try:
         saved = os.dup(1)
     except OSError:  # no fd 1, nothing to keep clean
@@ -342,10 +352,11 @@ def _mps(cost, start, index, value, rhs) -> str:
     """The program of `linprog` in free MPS: rows r0.. (`A @ x <= rhs`) and
     binary columns c0.. in order, each with its cost, even 0, so that an
     empty column is kept; numbers as `repr` writes them."""
-    text = {v: repr(v) for v in set(value)}  # the matrix holds few distinct values
+    # the matrix, and the costs of a large program, hold few distinct values
+    text = {v: repr(v) for v in {*value, *cost}}
     lines = ["NAME", "ROWS", " N obj", *(f" L r{i}" for i in range(len(rhs))), "COLUMNS"]
     for j, c in enumerate(cost):
-        lines.append(f" c{j} obj {c!r}")
+        lines.append(f" c{j} obj {text[c]}")
         lines += [f" c{j} r{index[k]} {text[value[k]]}" for k in range(start[j], start[j + 1])]
     lines.append("RHS")
     lines += [f" rhs r{i} {v!r}" for i, v in enumerate(rhs) if v]
@@ -365,10 +376,9 @@ def _read_model(solver, cost, start, index, value, rhs):
     except OSError as exc:
         raise SolverError(f"cannot write the model for HiGHS: {exc}") from None
     try:
-        with open(fd, "w", encoding="ascii") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:  # ASCII text; utf-8 is loaded already
             fh.write(_mps(cost, start, index, value, rhs))
-        with _stdout_away():
-            return solver.readModel(path)
+        return solver.readModel(path)
     except OSError as exc:
         raise SolverError(f"cannot write the model for HiGHS: {exc}") from None
     finally:
@@ -412,29 +422,29 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
     if time_limit is not None:  # set after the read, which HiGHS would time out
         solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
     optimal = highs.HighsModelStatus.kOptimal
+    solver.run()
+    status, info = solver.getModelStatus(), solver.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if status != optimal:  # the LP did not finish: no point, no bound
+        return MipResult(status, solver.modelStatusToString(status), None, 0,
+                         iterations, -math.inf, math.inf, None)
+    lp_bound = float(info.objective_function_value)
+    x = solver.getSolution().col_value
+    point = [float(round(v)) for v in x]
+    activity = [0.0] * n_row
+    for j, p in enumerate(point):
+        if p:
+            for k in range(start[j], start[j + 1]):
+                activity[index[k]] += value[k] * p
+    if max((abs(v - p) for v, p in zip(x, point)), default=0.0) <= 1e-6 and all(
+        a <= r for a, r in zip(activity, rhs)
+    ):
+        return MipResult(status, solver.modelStatusToString(status), point, 0,
+                         iterations, lp_bound, 0.0, True)
+    solver.setOptionValue("solve_relaxation", False)
+    if deadline is not None:
+        solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
     with _stdout_away():
-        solver.run()
-        status, info = solver.getModelStatus(), solver.getInfo()
-        iterations = int(info.simplex_iteration_count)
-        if status != optimal:  # the LP did not finish: no point, no bound
-            return MipResult(status, solver.modelStatusToString(status), None, 0,
-                             iterations, -math.inf, math.inf, None)
-        lp_bound = float(info.objective_function_value)
-        x = solver.getSolution().col_value
-        point = [float(round(v)) for v in x]
-        activity = [0.0] * n_row
-        for j, p in enumerate(point):
-            if p:
-                for k in range(start[j], start[j + 1]):
-                    activity[index[k]] += value[k] * p
-        if max((abs(v - p) for v, p in zip(x, point)), default=0.0) <= 1e-6 and all(
-            a <= r for a, r in zip(activity, rhs)
-        ):
-            return MipResult(status, solver.modelStatusToString(status), point, 0,
-                             iterations, lp_bound, 0.0, True)
-        solver.setOptionValue("solve_relaxation", False)
-        if deadline is not None:
-            solver.setOptionValue("time_limit", max(0.0, deadline - time.monotonic()))
         solver.run()
     status, info = solver.getModelStatus(), solver.getInfo()
     x = None
@@ -459,8 +469,9 @@ class _Capped:
     per real extremity, its rows and cap <= the selection of m; per genome
     X, the y with X in S <= X's emptied chromosomes; caps + 2 y <= the
     fewest telomeres of a genome.  `handed` is the program HiGHS gets,
-    reduced by rules (a) and (b) below with the columns' numbers kept, and
-    `fixed` counts the selections that rule (a) fixes."""
+    reduced by rules (a), (b) and (c) below to the `live` columns, and
+    `fixed` counts the selections that rule (a) fixes.  `point` holds the
+    values of the other columns, and `offset` their cost."""
 
     def __init__(self, table: ConservedAdjacencyTable):
         ids, telomeric = table.candidates.ids, table.candidates.telomeric
@@ -556,6 +567,11 @@ class _Capped:
         self.index, self.value = index, value
         self.rhs = [1.0] * n_genes + [0.0] * len(ext_rows) + [float(e) for e in emptied]
         self.rhs.append(float(room))
+        weight, factor = table.weight, table.factor
+        self.cost = [-0.0] * n_r + [-weight[k] for k in inner]
+        self.cost += [-(factor[cap_first[ext]] * cap_mask[ext].bit_count())
+                      for ext in self.cap_ext]
+        self.cost += [-float(bits.bit_count()) for bits in y_mask]
         # (a) a real candidate that alone holds each of its genes is fixed at
         # 1: its entries move to the right sides, and its column is left
         # empty.  Its gene rows hold it alone, it costs 0, and choosing it
@@ -583,18 +599,28 @@ class _Capped:
         for j, r in enumerate(kept):
             new_row[r] = j
         handed = [not dead and new_row[r] >= 0 for r, dead in zip(index, on)]
-        counts = [0] * (len(self.start) - 1)
+        counts = [0] * len(self.cost)
         for j, keep in zip(column, handed):
             counts[j] += keep
-        # compressed-column arrays and right sides, as `linprog` takes them
-        self.handed = (list(itertools.accumulate(counts, initial=0)),
+        # (c) a column with no entry in a handed row takes its best bound, 1
+        # when it costs less than 0: each row it is in cannot bind, whatever
+        # the columns take.  `point` holds these values and rule (a)'s 1s;
+        # HiGHS gets the live columns, numbered in order, and `offset` is
+        # the cost of the others.
+        columns = range(len(counts))
+        self.live = list(itertools.compress(columns, counts))
+        gain = [j for j in itertools.compress(columns, map(operator.not_, counts))
+                if self.cost[j] < 0]
+        self.offset = math.fsum(self.cost[j] for j in gain)
+        self.point = [0.0] * len(counts)
+        for j in itertools.chain(gain, itertools.compress(columns, fixed)):
+            self.point[j] = 1.0
+        # the live program as `linprog` takes it: costs, compressed-column
+        # arrays and right sides
+        self.handed = (list(itertools.compress(self.cost, counts)),
+                       list(itertools.accumulate(itertools.compress(counts, counts), initial=0)),
                        [new_row[r] for r, keep in zip(index, handed) if keep],
                        [v for v, keep in zip(value, handed) if keep], [rhs[r] for r in kept])
-        weight, factor = table.weight, table.factor
-        self.cost = [-0.0] * n_r + [-weight[k] for k in inner]
-        self.cost += [-(factor[cap_first[ext]] * cap_mask[ext].bit_count())
-                      for ext in self.cap_ext]
-        self.cost += [-float(bits.bit_count()) for bits in y_mask]
         self.table = table
 
     def table_rows(self, point) -> tuple[int, ...]:
@@ -658,18 +684,20 @@ def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
 def solve_branch_and_bound(
     model: IlpModel, time_limit: float | None = None
 ) -> MedianSolution:
-    """Exact, deterministic solve of the 0-1 program: the capped program,
-    `_Capped`, reduced by its rules (a) and (b), goes to `linprog`, which
-    runs HiGHS's LP and, only on a fractional root, its MIP (see the module
-    docstring).
+    """Exact, deterministic solve of the 0-1 program: the live columns of
+    the capped program, `_Capped`, reduced by its rules (a), (b) and (c),
+    go to `linprog`, which runs HiGHS's LP and, only on a fractional root,
+    its MIP (see the module docstring).  HiGHS's point is widened back to
+    every column, and the cost of the columns it did not get is added to
+    its bounds.
 
-    An LP vertex that is a 0-1 point of the rows, or HiGHS's MIP `kOptimal`,
-    gives `optimal`.  When the time limit strikes (`kTimeLimit`) the result
-    is `feasible`: the incumbent is the better of HiGHS's point and the
-    weight-order greedy selection, and the bound is the tighter of the LP's
-    objective and HiGHS's MIP bound, or the capped program's total weight
-    when the LP did not finish.  Any other status raises `SolverError` with
-    HiGHS's status string.
+    An LP vertex that is a 0-1 point of the rows, HiGHS's MIP `kOptimal`,
+    or a program without a live column gives `optimal`.  When the time
+    limit strikes (`kTimeLimit`) the result is `feasible`: the incumbent is
+    the better of HiGHS's point and the weight-order greedy selection, and
+    the bound is the tighter of the LP's objective and HiGHS's MIP bound,
+    or the capped program's total weight when the LP did not finish.  Any
+    other status raises `SolverError` with HiGHS's status string.
 
     `time_limit` counts from this call, so the first load of HiGHS and the
     row build come out of the budget HiGHS gets.
@@ -681,13 +709,24 @@ def solve_branch_and_bound(
     if model.n_b == 0:
         return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ())
 
-    highs = _import_scipy()
     program = _Capped(table)
-    limit = None
-    if time_limit is not None:
-        # HiGHS ignores a negative limit, so a spent budget becomes 0
-        limit = max(0.0, float(time_limit) - (time.monotonic() - started))
-    res = linprog(highs, program.cost, *program.handed, limit)
+    if program.live:
+        highs = _import_scipy()
+        limit = None
+        if time_limit is not None:
+            # HiGHS ignores a negative limit, so a spent budget becomes 0
+            limit = max(0.0, float(time_limit) - (time.monotonic() - started))
+        res = linprog(highs, *program.handed, limit)
+        status = (STATUS_OPTIMAL if res.status == highs.HighsModelStatus.kOptimal else
+                  STATUS_FEASIBLE if res.status == highs.HighsModelStatus.kTimeLimit else None)
+    else:  # every column takes its best bound, which is optimal: HiGHS is not loaded
+        res, status = MipResult(None, "no live column", [], 0, 0, 0.0, 0.0, True), STATUS_OPTIMAL
+    point = None
+    if res.x is not None:  # HiGHS's point, widened to every column
+        point = program.point.copy()
+        for j, v in zip(program.live, res.x):
+            point[j] = v
+    res = res._replace(x=point, dual_bound=res.dual_bound + program.offset)
     dual_bound = -res.dual_bound
     logging = sys.modules.get("logging")
     if logging is not None:  # without the module no handler could show the record
@@ -697,9 +736,9 @@ def solve_branch_and_bound(
         )
     rows = () if res.x is None else program.table_rows(res.x)
     value = math.fsum(table.weight[k] for k in rows)
-    if res.status == highs.HighsModelStatus.kOptimal:
+    if status == STATUS_OPTIMAL:
         solution = _finish(model, STATUS_OPTIMAL, value, value, rows, res)
-    elif res.status != highs.HighsModelStatus.kTimeLimit:
+    elif status is None:
         raise SolverError(f"HiGHS failed: {res.message}")
     else:
         greedy_value, greedy_rows = _greedy_incumbent(model)
@@ -709,7 +748,8 @@ def solve_branch_and_bound(
         # HiGHS's dual bound holds only up to its tolerances
         solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
     solution.caps = len(program.cost) - program.split[1]
-    solution.highs_rows, solution.fixed = len(program.handed[3]), program.fixed
+    solution.highs_rows, solution.highs_columns = len(program.handed[4]), len(program.live)
+    solution.fixed = program.fixed
     return solution
 
 

@@ -33,8 +33,13 @@ ICF_SEG_DIGESTS = [
 # same rows, three new keys, no MIP node and other simplex iteration counts.
 # It moved again, by the last digits of the floats, when the scores and
 # weights came to be computed by the C library's `cbrt` and `pow` instead of
-# numpy's: the same report once they are rounded to 12 significant digits
-PLAIN_SOLVE_DIGEST = "f3182fd38f6ddbf8b539c9c055c4d1f76ca755b986f851c703f035409fa74c6d"
+# numpy's: the same report once they are rounded to 12 significant digits.
+# It moved again when HiGHS came to get only the live columns: `stats.mip`
+# gained "columns" (323 of 439) and reads 236 simplex iterations, not 235,
+# as HiGHS's cost perturbation depends on the columns it gets; the genes,
+# adjacencies, CARs, objective and bound are unchanged, and so are the
+# schema-1 digests below, which drop `stats`
+PLAIN_SOLVE_DIGEST = "25ceb4cf68ddcbd04967bc5404ed42b1dc7bb9a2c71db5a653817687c48c4b95"
 
 # SHA-256 of the file each command writes on the same instance; the `solve`
 # entry pins `solve --canonical`
@@ -276,7 +281,8 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     assert mip["simplex_iterations"] > 0 and mip["gap"] == 0
     assert mip["dual_bound"] == pytest.approx(report["objective"])
     program = solver._Capped(table)
-    assert mip["rows"] == len(program.handed[3]) < len(program.rhs)
+    assert mip["rows"] == len(program.handed[4]) < len(program.rhs)
+    assert mip["columns"] == len(program.live) == len(program.handed[0]) < len(program.cost)
     assert mip["fixed_selections"] == program.fixed > 0
     if not icf_seg:
         assert not [r for r in caplog.records if r.getMessage().startswith("icf-seg:")]
@@ -288,7 +294,8 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
         f"{result.skipped} skipped at the conflict cap"
     ]
     program = solver._Capped(result.reduced_table())
-    assert solution.highs_rows == len(program.handed[3]) < len(program.rhs)
+    assert solution.highs_rows == len(program.handed[4]) < len(program.rhs)
+    assert solution.highs_columns == len(program.live) < len(program.cost)
     assert solution.fixed == program.fixed > 0
     assert solution.lp_integral is True and solution.nodes_explored == 0
     # HiGHS bounds the program left after ICF-SEG, without the accepted rows
@@ -321,7 +328,7 @@ def test_oracle_stats_have_no_highs_counters(tmp_path):
     assert report["status"] == "optimal"
     mip = report["stats"]["mip"]
     assert mip == {"nodes": 0, "simplex_iterations": 0, "dual_bound": None, "gap": None,
-                   "lp_integral": None, "rows": 0, "fixed_selections": 0}
+                   "lp_integral": None, "rows": 0, "columns": 0, "fixed_selections": 0}
 
 
 @pytest.mark.parametrize(
@@ -667,9 +674,10 @@ def run_cli(*argv, cwd=None, buffered=False, stdout=subprocess.PIPE, path=()):
 def entry_point_argv(tmp_path, expected):
     """A `solve` argument list that must end with the exit code `expected`."""
     out = ["-o", str(tmp_path / "median.json")]
-    if expected == cli.EXIT_FEASIBLE:
+    if expected in (cli.EXIT_FEASIBLE, cli.EXIT_SOLVER):  # an instance that needs HiGHS
         instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-        return ["solve", *instance, "--time-limit", "0", *out]
+        limit = ["--time-limit", "0"] if expected == cli.EXIT_FEASIBLE else []
+        return ["solve", *instance, *limit, *out]
     instance = write_instance(tmp_path, ["a", "b"])
     if expected == cli.EXIT_INPUT:
         instance[1] = str(tmp_path / "missing.txt")
@@ -968,7 +976,8 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
 
 
 def test_setup_probe_does_not_load_scipy(tmp_path):
-    # the code of the benchmark's set-up probe, then the check: nor numpy
+    # the code of the benchmark's set-up probe, then the check: nor numpy,
+    # nor ctypes
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     code = (
         "import sys\n"
@@ -977,6 +986,7 @@ def test_setup_probe_does_not_load_scipy(tmp_path):
         "SimilarityGraph.read(sys.argv[2])\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'numpy'], 'numpy loaded'\n"
+        "assert 'ctypes' not in sys.modules, 'ctypes loaded'\n"
     )
     proc = run_child(code, instance[1], instance[3])
     assert proc.returncode == 0, proc.stderr
@@ -988,21 +998,56 @@ def test_setup_probe_does_not_load_scipy(tmp_path):
 )
 def test_only_solve_loads_scipy(tmp_path, command, loaded):
     """A solve loads scipy's HiGHS extension and no other scipy module; the
-    other subcommands load no scipy module at all."""
+    other subcommands load no scipy module at all.  Neither `import
+    ffmedian.cli` nor any of them loads `ctypes`: the solve's LP root is
+    integral here, so HiGHS's MIP, the one run that needs it, does not run."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     code = (
         "import sys\n"
         "import ffmedian.cli\n"
+        "assert 'ctypes' not in sys.modules, 'ctypes loaded by the import'\n"
         "code = ffmedian.cli.main(sys.argv[1:])\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'ctypes')))\n"
         "sys.exit(code)\n"
     )
     proc = run_child(code, command, *instance, "-o", str(tmp_path / "out"))
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     modules = proc.stdout.split()
+    assert "ctypes" not in modules
     assert (solver.HIGHS_MODULE in modules) == loaded
     assert "scipy.optimize" not in modules and "scipy.sparse" not in modules
     assert all(m.startswith(solver.HIGHS_MODULE) for m in modules), modules
+
+
+def test_highs_model_read_and_lp_write_nothing_to_stdout(tmp_path):
+    """Only HiGHS's MIP runs with fd 1 pointed away (`solver._stdout_away`):
+    in a child whose stdout is an unbuffered pipe, as C stdio is then too,
+    the read of a model that HiGHS rejects and a solve whose LP root is
+    integral write nothing to it, and `ctypes` stays unloaded."""
+    instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    code = (
+        "import json, sys\n"
+        "from ffmedian import cli, solver\n"
+        "highs, mps = solver._import_scipy(), solver._mps\n"
+        "solver._mps = lambda *args: 'garbage\\n'\n"
+        "try:\n"
+        "    solver.linprog(highs, [-1.0], [0, 1], [0], [1.0], [1.0])\n"
+        "except solver.SolverError as exc:\n"
+        "    sys.stderr.write(f'{exc}\\n')\n"
+        "solver._mps = mps\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "mip = json.load(open(sys.argv[-1]))['stats']['mip']\n"
+        "loaded = 'ctypes' in sys.modules\n"
+        "sys.stderr.write(f\"{code} {mip['lp_integral']} {mip['columns']} {loaded}\\n\")\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-u", "-c", code, "solve", *instance, "-o", str(tmp_path / "m.json")],
+        env=dict(os.environ, PYTHONPATH=str(Path(ffmedian.__file__).parents[1])),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["HiGHS rejected the model", "0 True 323 False"]
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -1055,7 +1100,7 @@ def test_solve_rejects_icf_seg_and_ignores_no_icf_seg(tmp_path, capsys):
 def test_missing_highs_extension_exits_with_solver_code(tmp_path, monkeypatch, capsys):
     monkeypatch.delitem(sys.modules, solver.HIGHS_MODULE, raising=False)
     monkeypatch.setattr(solver, "_highs_file", lambda: None)
-    instance = write_instance(tmp_path, ["a", "b", "c"])
+    instance = write_files(tmp_path, *evolved_instance(51, 60, 2, 0.1))
     code = cli.main(["solve", *instance, "-o", str(tmp_path / "median.json")])
     assert code == cli.EXIT_SOLVER == 3
     err = capsys.readouterr().err

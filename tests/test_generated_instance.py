@@ -10,13 +10,12 @@ from pathlib import Path
 import pytest
 
 from ffmedian import cli
-from ffmedian.solver import GRID
+from ffmedian.solver import GRID, build_ilp, solve_branch_and_bound
 
 from conftest import icf_seg_then_solve
 
-GEN = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"), run_name="perfbench_gen"
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GEN = runpy.run_path(str(PERFBENCH / "gen.py"), run_name="perfbench_gen")
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +87,31 @@ def test_eval_scores_against_the_generated_truth(generated, tmp_path, capsys):
     scores = json.loads(capsys.readouterr().out)
     assert 0 <= scores["precision"] <= 1 and 0 <= scores["recall"] <= 1
     assert scores["tp"] > 0
+
+
+# the benchmark's two workloads (`perfbench/run.py`), whose pools of 40
+# instances each have their optimum recorded in `perfbench/references.json`
+WORKLOADS = {
+    "colinear": GEN["Params"](n=300, chromosomes=2),
+    "paralog": GEN["Params"](n=150, chromosomes=2, family_rate=0.1),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_pool_solves_reach_the_recorded_optima(tmp_path, workload):
+    """Every pool instance of the benchmark solves to its recorded optimum.
+    HiGHS gets only the live columns, so on an integral root the LP's bound
+    plus the cost of the other columns is the objective."""
+    references = json.loads((PERFBENCH / "references.json").read_text())[workload]
+    integral = 0
+    for seed in range(40):
+        files = GEN["write_instance"](WORKLOADS[workload], seed, str(tmp_path / str(seed)))
+        _, table = front_end(files)
+        solution = solve_branch_and_bound(build_ilp(table))
+        assert solution.status == "optimal" and solution.highs_columns > 0, seed
+        assert abs(solution.objective - references[str(seed)]) <= GRID, seed
+        if solution.lp_integral:
+            integral += 1
+            tolerance = 1e-9 * max(1.0, abs(solution.objective))
+            assert abs(solution.dual_bound - solution.objective) <= tolerance, seed
+    assert integral >= 30

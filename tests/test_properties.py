@@ -27,6 +27,7 @@ from ffmedian.segments import icf_seg
 from ffmedian.solver import (
     GRID,
     STATUS_OPTIMAL,
+    _Capped,
     build_ilp,
     cars_from_rows,
     solve_branch_and_bound,
@@ -158,8 +159,12 @@ def test_linear_solve_equals_milp(instance):
 def test_solve_equals_milp_on_integral_and_fractional_roots():
     """Linear, circular, emptied-chromosome and gene-family tables: the
     solve reaches the MILP optimum of the paper's rows whether the LP's
-    vertex is a 0-1 point or HiGHS's MIP runs, and both happen."""
-    roots = Counter()
+    vertex is a 0-1 point or HiGHS's MIP runs, and both happen.  HiGHS gets
+    only the live columns, the others take their best bounds (rule (c) of
+    `solver._Capped`), and on an integral root the dual bound, HiGHS's plus
+    the cost of those columns, is the objective; some tables leave HiGHS
+    no column at all."""
+    roots, handed = Counter(), Counter()
 
     @settings(SETTINGS, max_examples=90)
     @given(st.one_of(circular_instances(), linear_instances(), family_instances()))
@@ -169,9 +174,17 @@ def test_solve_equals_milp_on_integral_and_fractional_roots():
         roots[solution.lp_integral] += 1
         assert solution.status == STATUS_OPTIMAL
         assert abs(solution.objective - milp_objective(table)) <= GRID
+        if solution.lp_integral:
+            tolerance = 1e-9 * max(1.0, abs(solution.objective))
+            assert abs(solution.dual_bound - solution.objective) <= tolerance
+        if len(table):
+            columns = len(_Capped(table).cost)
+            handed["none" if not solution.highs_columns else
+                   "some" if solution.highs_columns < columns else "all"] += 1
 
     check()
     assert roots[True] > 0 and roots[False] > 0, roots
+    assert handed["none"] > 0 and handed["some"] > 0, handed
 
 
 @SETTINGS

@@ -59,6 +59,19 @@ from test_matching import blossom
 OPTIMUM_6_400_2 = 433.9741946474661
 
 
+def shared_gene_tables():
+    """Three candidates on one chromosome per genome: (a, a, a) and (a, b,
+    b) share G's a, and (a, b, b) and (b, b, b) share H's and I's b, so no
+    selection is fixed and HiGHS gets rows."""
+    G, H, I = (linear(label, [("a", 1), ("b", 1)]) for label in "GHI")
+    sigma = diagonal_sigma(["a"])
+    for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
+        sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
+    for y in "HI":
+        sigma.set(Gene("G", "a"), Gene(y, "b"), 0.9)
+    return build_tables([G, H, I], sigma)
+
+
 def empty_table():
     """An instance without candidates: circular genomes, no similarities."""
     genomes, _ = identical_genomes(shape="circular")
@@ -168,12 +181,34 @@ class TestSolve:
             verify_solution(table, bb.row_indices, bb.objective)
 
     def test_time_limit_zero_returns_feasible_with_bound(self):
-        genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
+        cands, table = shared_gene_tables()
         solution = solve_branch_and_bound(build_ilp(table), time_limit=0)
         assert solution.status == STATUS_FEASIBLE
         assert solution.bound >= solution.objective - GRID
-        assert solution.bound >= 12.0  # true optimum below the bound
+        assert solution.bound >= brute_force_median(table).objective - GRID
+
+    def test_no_live_column_solves_without_highs(self, monkeypatch):
+        """Identical genomes: rules (a) and (b) leave HiGHS no row, so every
+        column takes its best bound, which is optimal also at a time limit
+        of 0; HiGHS is not loaded, and the counters read as `cli`
+        documents."""
+
+        def no_highs():
+            raise AssertionError("HiGHS loaded")
+
+        monkeypatch.setattr(solver, "_import_scipy", no_highs)
+        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+        oracle = brute_force_median(table).objective
+        for time_limit in (None, 0):
+            solution = solve_branch_and_bound(build_ilp(table), time_limit=time_limit)
+            assert solution.status == STATUS_OPTIMAL
+            assert round(solution.objective / GRID) == round(oracle / GRID)
+            assert solution.bound == solution.objective
+            assert solution.dual_bound == pytest.approx(solution.objective, rel=1e-12)
+            assert (solution.highs_rows, solution.highs_columns, solution.nodes_explored,
+                    solution.simplex_iterations, solution.gap) == (0, 0, 0, 0, 0.0)
+            assert solution.lp_integral is True and solution.fixed == 3
+            verify_solution(table, solution.row_indices, solution.objective)
 
     def test_scipy_import_counts_against_the_time_limit(self, monkeypatch):
         limits = []
@@ -189,8 +224,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_import_scipy", slow_import)
         monkeypatch.setattr(solver, "linprog", recording)
-        genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
+        cands, table = shared_gene_tables()
         solution = solve_branch_and_bound(build_ilp(table), time_limit=60)
         assert solution.status == STATUS_OPTIMAL
         assert len(limits) == 1 and limits[0] <= 60 - 0.3
@@ -219,7 +253,7 @@ class TestSolve:
         )
         module._Highs = Highs
         monkeypatch.setattr(solver, "_import_scipy", lambda: module)
-        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+        cands, table = shared_gene_tables()
         solution = solve_branch_and_bound(build_ilp(table))
         assert solution.status == STATUS_OPTIMAL
         assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
@@ -327,10 +361,12 @@ def _scipy_mip_rows(model):
     return sp.csc_array(matrix), np.array(rhs), np.array(cost)
 
 
-def _reduced_by_loops(matrix, rhs, n_genes, n_r):
-    """Reference for `_Capped.handed`: rules (a) and (b) by plain loops over
-    the unreduced program, `matrix` (CSC) and `rhs`, whose first `n_genes`
-    rows are the gene rows and first `n_r` columns the selections."""
+def _reduced_by_loops(matrix, rhs, cost, n_genes, n_r):
+    """Reference for `_Capped.handed`: rules (a), (b) and (c) by plain loops
+    over the unreduced program, `matrix` (CSC), `rhs` and `cost`, whose
+    first `n_genes` rows are the gene rows and first `n_r` columns the
+    selections.  Also the live columns, the values of the others and their
+    cost."""
     entries = {}  # row -> {column: value}
     for j in range(matrix.shape[1]):
         for k in range(matrix.indptr[j], matrix.indptr[j + 1]):
@@ -351,9 +387,15 @@ def _reduced_by_loops(matrix, rhs, n_genes, n_r):
                     vals.append(v)
             right.append(limit)
             kept += 1
-    reduced = sp.csc_array((vals, (rows, cols)), shape=(kept, matrix.shape[1]))
+    # (c) a column with no entry in a kept row takes its best bound
+    live = sorted(set(cols))
+    point = [1.0 if j in fixed or (j not in live and cost[j] < 0) else 0.0
+             for j in range(matrix.shape[1])]
+    offset = math.fsum(c for j, c in enumerate(cost) if j not in live and point[j])
+    cols = [live.index(j) for j in cols]
+    reduced = sp.csc_array((vals, (rows, cols)), shape=(kept, len(live)))
     reduced.sort_indices()
-    return reduced, np.array(right), len(fixed)
+    return reduced, np.array(right), len(fixed), live, point, offset
 
 
 def _check_mip_rows(genomes, sigma):
@@ -367,11 +409,15 @@ def _check_mip_rows(genomes, sigma):
     np.testing.assert_allclose(program.cost, cost, rtol=1e-12)
     n_r = program.split[0]
     n_genes = len({g for c in cands if not c.is_telomere_triple for g in c.genes})
-    reduced, right, fixed = _reduced_by_loops(matrix, rhs, n_genes, n_r)
-    for handed, expected in zip(program.handed, (reduced.indptr, reduced.indices,
+    reduced, right, fixed, live, point, offset = _reduced_by_loops(matrix, rhs, cost, n_genes, n_r)
+    for handed, expected in zip(program.handed, (cost[live], reduced.indptr, reduced.indices,
                                                   reduced.data, right)):
         np.testing.assert_array_equal(handed, expected)
     assert program.fixed == fixed
+    assert program.live == live and len(live) < len(cost)
+    dropped = [j for j in range(len(cost)) if j not in live]
+    assert [program.point[j] for j in dropped] == [point[j] for j in dropped]
+    assert program.offset == pytest.approx(offset, abs=1e-9)
     return program
 
 
@@ -483,8 +529,8 @@ def test_the_model_file_is_removed_on_every_path(tmp_path, monkeypatch):
     program = solver._Capped(build_tables(*evolved_instance(51, 120, 2, 0.1))[1])
     status = highs.HighsModelStatus
     runs = [
-        (status.kOptimal, (program.cost, *program.handed)),
-        (status.kTimeLimit, (program.cost, *program.handed, 1e-9)),
+        (status.kOptimal, program.handed),
+        (status.kTimeLimit, (*program.handed, 1e-9)),
         (status.kInfeasible, ([-1.0], [0, 1], [0], [1.0], [-1.0])),
     ]
     for expected, args in runs:
@@ -493,25 +539,19 @@ def test_the_model_file_is_removed_on_every_path(tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == []
     monkeypatch.setattr(solver, "_mps", lambda *args: "garbage\n")
     with pytest.raises(SolverError, match="HiGHS rejected the model"):
-        solver.linprog(highs, program.cost, *program.handed)
+        solver.linprog(highs, *program.handed)
     assert len(written) == 4 and list(tmp_path.iterdir()) == []
 
 
 def test_rule_a_fixes_the_candidates_that_alone_hold_their_genes():
     """Identical genomes: a, b and c each hold their genes alone, so their
-    selections are fixed and their columns handed empty.  Candidates that
-    share a gene stay free: (a, a, a) and (a, b, b) share G's a, and (a, b,
-    b) and (b, b, b) share H's and I's b."""
+    selections are fixed at 1 and their columns not handed.  Candidates
+    that share a gene stay free (`shared_gene_tables`)."""
     cands, table = build_tables(*identical_genomes(("a", "b", "c")))
     program = solver._Capped(table)
-    assert program.fixed == 3 and not np.diff(program.handed[0])[:3].any()
-    G, H, I = (linear(label, [("a", 1), ("b", 1)]) for label in "GHI")
-    sigma = diagonal_sigma(["a"])
-    for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
-        sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
-    for y in "HI":
-        sigma.set(Gene("G", "a"), Gene(y, "b"), 0.9)
-    cands, table = build_tables([G, H, I], sigma)
+    assert program.fixed == 3 and program.point[:3] == [1.0, 1.0, 1.0]
+    assert not {0, 1, 2} & set(program.live)
+    cands, table = shared_gene_tables()
     assert sum(not c.is_telomere_triple for c in cands) == 3
     assert solver._Capped(table).fixed == 0
     solution = solve_branch_and_bound(build_ilp(table))
@@ -525,14 +565,14 @@ def test_rule_b_hands_only_the_rows_that_can_bind():
     (see `test_capacity_row_binds`) it is handed, with every cap."""
     cands, table = build_tables(*identical_genomes(("a", "b", "c")))
     program = solver._Capped(table)
-    assert len(program.handed[3]) == 0 < len(program.rhs)
+    assert len(program.handed[4]) == 0 < len(program.rhs)
     solution = solve_branch_and_bound(build_ilp(table))
     assert solution.lp_integral and solution.status == STATUS_OPTIMAL
     assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
     genomes, sigma = evolved_instance(20, 20, 1, 0.0)
     *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     program = solver._Capped(build_tables(genomes, sigma)[1])
-    start, index, value, rhs = program.handed
+    cost, start, index, value, rhs = program.handed
     caps = program.split[2] - program.split[1]
     assert caps > 2 and rhs[-1] == 2
     assert index.count(len(rhs) - 1) == caps
