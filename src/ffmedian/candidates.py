@@ -17,46 +17,25 @@ the walks and keeps the numbering, so the candidates stay theirs.
 rows); `enumerate_conserved_adjacencies` reads those lists to scan the
 walks for the `ConservedAdjacencyTable`, the instance every later stage
 reads as arrays.  ICF-SEG and the LP export read them too, with
-`extremity_rows` (the saturation rows).  `CandidateGene` objects are built
-only for code that indexes or iterates the candidates.  Scores and weights
-come from the C library's `cbrt` and `pow`, so they do not depend on the
-CPU's vector units.
+`objects.extremity_rows` (the saturation rows).  Scores and weights come
+from the C library's `cbrt` and `pow`, so they do not depend on the CPU's
+vector units.
+
+A solve compiles this module, so it holds only what a solve runs.  The
+candidates as named objects, `objects.CandidateGene`, are built only for
+code that indexes or iterates a `Candidates`, and `objects` is imported
+then; `objects.candidate_names` names one candidate's genes, and
+`segments.subset` cuts a table down to some of its rows.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import kernels
-from .genomes import Gene, Genome, GenomeError, SimilarityGraph
+from .genomes import Genome, GenomeError, SimilarityGraph
 from .kernels import LOW, SHIFT, IntArray
-
-
-class CandidateGene(NamedTuple):
-    """A 3-clique (g, h, i) of the similarity graph, or a telomere triple."""
-
-    g: Gene
-    h: Gene
-    i: Gene
-    triple_score: float
-    gene_score: float
-
-    @property
-    def genes(self) -> tuple[Gene, Gene, Gene]:
-        return (self.g, self.h, self.i)
-
-    @property
-    def is_telomere_triple(self) -> bool:
-        return self.g.is_telomere
-
-    @property
-    def ends(self) -> tuple[int, ...]:
-        """Extremity end codes this candidate exposes."""
-        return (2,) if self.is_telomere_triple else (0, 1)
-
-    def __str__(self) -> str:
-        return f"({self.g.name},{self.h.name},{self.i.name})"
 
 
 GENOME_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -111,8 +90,8 @@ class Candidates:
 
     Candidate m is the genes `ids[x][m]`, one per genome x, with triple
     score `triple[m]` and gene score `score[m]`, its cube root; `telomeric[m]`
-    marks a telomere triple.  Indexed or iterated, it is a list of
-    `CandidateGene`s, all built on first use.
+    marks a telomere triple.  Indexed or iterated, it is the list that
+    `objects()` builds.
     """
 
     def __init__(self, genomes: Sequence[Genome], ids: Sequence[Sequence[int]],
@@ -123,7 +102,7 @@ class Candidates:
         self.score = array("d", map(math.cbrt, triple))
         telomeric = self.genomes[0].telomeric
         self.telomeric = [telomeric[g] for g in self.ids[0]]
-        self._objects: list[CandidateGene] | None = None
+        self._objects = None
 
     def __len__(self) -> int:
         return len(self.triple)
@@ -134,12 +113,12 @@ class Candidates:
     def __iter__(self):
         return iter(self.objects())
 
-    def names(self, m: int) -> tuple[str, str, str]:
-        """The names of candidate m's genes, one per genome."""
-        return tuple(genome.names[row[m]] for genome, row in zip(self.genomes, self.ids))
-
-    def objects(self) -> list[CandidateGene]:
+    def objects(self) -> list:
+        """The candidates as `objects.CandidateGene`s, built on the first
+        call: a solve never asks for them."""
         if self._objects is None:
+            from .objects import CandidateGene, Gene
+
             genes = zip(*([Gene(genome.label, genome.names[k]) for k in row]
                           for genome, row in zip(self.genomes, self.ids)))
             self._objects = [CandidateGene(*c, t, s) for c, t, s in
@@ -197,13 +176,6 @@ class ConservedAdjacencyTable:
         m1, m2 = self.m1, self.m2
         return sorted({m for k in rows for m in (m1[k], m2[k])})
 
-    def subset(self, keep) -> "ConservedAdjacencyTable":
-        """New table restricted to the given row indices (candidate indexing kept)."""
-        keep = [int(k) for k in keep]
-        return ConservedAdjacencyTable(self.candidates, *(
-            IntArray(map(column.__getitem__, keep))
-            for column in (self.m1, self.e1, self.m2, self.e2, self.mask)))
-
 
 def candidates_on_genes(candidates: Candidates) -> list[list[list[int]]]:
     """Per genome x and gene id k, the candidates whose genome-x gene is k,
@@ -216,16 +188,6 @@ def candidates_on_genes(candidates: Candidates) -> list[list[list[int]]]:
             on_gene[gene].append(m)
         per_genome.append(on_gene)
     return per_genome
-
-
-def extremity_rows(table: ConservedAdjacencyTable) -> list[list[int]]:
-    """Per extremity code 3 m + e, the rows of `table` at it, in row order:
-    one saturation row of the 0-1 program each."""
-    rows: list[list[int]] = [[] for _ in range(3 * len(table.candidates))]
-    for k, (m1, e1, m2, e2) in enumerate(zip(table.m1, table.e1, table.m2, table.e2)):
-        rows[3 * m1 + e1].append(k)
-        rows[3 * m2 + e2].append(k)
-    return rows
 
 
 def enumerate_conserved_adjacencies(

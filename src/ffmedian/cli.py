@@ -61,7 +61,8 @@ A solve's stages are `load`, which numbers each genome's genes once
 then the genes in no candidate spliced out of the walks; `enumerate`, the
 adjacency scan (`candidates`); and `solve`.  One check of the chosen rows
 (`verify_solution`) and the CARs follow.  The stages pass gene-id arrays:
-a solve builds no `Gene` or `CandidateGene`, nor does ICF-SEG.
+a solve builds no `Gene` or `CandidateGene`, nor does ICF-SEG, and it
+does not import `objects`, which defines them.
 
 Start-up and shut-down: the package holds its numbers in lists and
 `array.array`s, so no subcommand imports numpy.  Nothing in the package
@@ -86,14 +87,20 @@ help, usage errors and exit codes.
 A `solve` process compiles and runs only the code a solve needs: of the
 package, this module, `genomes`, `kernels`, `candidates` and `solver`.
 Where the package's sources are compiled in every process, as they are
-without a writable bytecode cache, each line left out counts.  So the
-other seven subcommands live in `commands`, which `build_parser` imports
-only to build one of their parsers, and the paper's literal forms (its
-extremities, the LP export of its rows and the brute-force oracle) in
-`reference`, which `export-lp` and the tests import.  `icf_seg` here,
-which the `icf-seg` subcommand calls, imports `segments` at its first
-call.  No class on the solve path is a dataclass, as creating one costs
-about a millisecond at import.
+without a writable bytecode cache, each line left out counts.  So every
+function and method of those modules is one that a solve calls, apart
+from error paths, `run` and the forwarders below, and what the benchmark's
+tracer reads; `tests/test_cli.py` holds the list.  The other seven
+subcommands live in `commands`, which `build_parser` imports only to build
+one of their parsers; the instance as named objects (`Gene`,
+`CandidateGene`, the genome and similarity file writers) in `objects`;
+and the paper's literal forms (its extremities, the LP export of its rows
+and the brute-force oracle) in `reference`, which `export-lp` and the
+tests import.  `icf_seg` here, which the `icf-seg` subcommand calls,
+imports `segments` at its first call.  No class on the solve path is a
+dataclass or a `typing.NamedTuple`: creating a dataclass costs about a
+millisecond at import, and a named tuple class about 0.1 ms (0.54 ms for
+the five that a solve process used to create).
 The parsed `solve` command line is the run's one configuration:
 `run_pipeline` reads its settings straight off it.
 """

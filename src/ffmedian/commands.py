@@ -11,19 +11,33 @@ running command line is the module `__main__`, and that import would
 compile and run `cli` a second time.  The subcommands reach the shared
 stages, `cli._front_end` above all, and the exit codes through it, as
 `solve` does.  Their log lines name `ffmedian.cli`, as the command line's
-own would: `cli` itself loads `logging` only under `-v`.
+own would: `cli` itself loads `logging` only under `-v`.  An output file
+`-` is stdout (`_output`), as for `solve -o -`.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import sys
 
-from .genomes import ENDS, Gene, ParseError, _parse_qualified
+from .genomes import ENDS, ParseError
 from .solver import STATUS_FEASIBLE, STATUS_OPTIMAL
 
 cli = None  # the running `cli` module; see the module docstring
 log = logging.getLogger("ffmedian.cli")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The text file at `path`, open for writing, or stdout when `path` is
+    `-`, as for `solve -o -`."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def _write_tsv(path, table, alive=None) -> None:
@@ -33,7 +47,7 @@ def _write_tsv(path, table, alive=None) -> None:
     columns = ([f"{genome.label}:{genome.names[k]}" for k in row]
                for genome, row in zip(cands.genomes, cands.ids))
     genes = ["\t".join(triple) for triple in zip(*columns)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write("#type\tfields\n")
         for m, (triple, score) in enumerate(zip(cands.triple, cands.score)):
             if alive is None or alive[m]:
@@ -52,6 +66,7 @@ def _instance(args):
 
 def _cmd_build_graph(args) -> int:
     from . import ingestion
+    from .objects import serialize_similarities
 
     params = ingestion.FilterParams(evalue_max=args.evalue, f=args.f)
     genomes = cli._load_genomes(args.genomes) if args.genomes else None
@@ -61,7 +76,8 @@ def _cmd_build_graph(args) -> int:
     graph = ingestion.build_similarity_graph(
         hits, params=params, require_reciprocal=args.require_reciprocal
     )
-    graph.write(args.output)
+    with _output(args.output) as fh:
+        fh.write(serialize_similarities(graph))
     log.info("wrote %d similarity pairs to %s", len(graph), args.output)
     return cli.EXIT_OK
 
@@ -77,13 +93,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_icf_seg(args) -> int:
+    from .objects import candidate_names
+
     genomes, table, _ = _instance(args)
     result = cli.icf_seg(genomes[0], table)
 
     def triple(m: int) -> str:
-        return f"({','.join(table.candidates.names(m))})"
+        return f"({','.join(candidate_names(table.candidates, m))})"
 
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _output(args.output) as fh:
         fh.write("#segment\tgenes\tadjacency\tweight\n")
         for seg_id, run in enumerate(result.accepted):
             genes = ",".join(map(triple, run.members))
@@ -112,11 +130,12 @@ def _cmd_icf_seg(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    from .reference import counted_constraints, counted_variables, export_lp
+    from .reference import counted_constraints, counted_variables, write_lp
 
     _, table, _ = _instance(args)
     model = cli.build_ilp(table)
-    export_lp(model, args.output)
+    with _output(args.output) as fh:
+        write_lp(model, fh)
     log.info("wrote model with %d variables and %d constraints",
              counted_variables(model), counted_constraints(model))
     return cli.EXIT_OK
@@ -176,9 +195,11 @@ def _cmd_verify_reduction(args) -> int:
     return cli.EXIT_OK if ok else cli.EXIT_INPUT
 
 
-def _load_predictions(path) -> list[tuple[Gene, Gene, Gene]]:
-    """Ortholog triples from a median report; telomere triples are not
-    ortholog predictions and are skipped."""
+def _load_predictions(path) -> list[tuple]:
+    """Ortholog triples of `objects.Gene`s from a median report; telomere
+    triples are not ortholog predictions and are skipped."""
+    from .objects import _parse_qualified
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     entries = data.get("genes", []) if isinstance(data, dict) else None

@@ -12,7 +12,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .genomes import Gene, ParseError, _parse_qualified
+from .genomes import ParseError
+from .objects import Gene, _parse_qualified
 
 log = logging.getLogger(__name__)
 

@@ -6,25 +6,30 @@ automatically and never shared between chromosomes.  A genome is numbered
 once, at load: `Genome.names` lists its genes and telomeres in name order
 (gene k is `names[k]`), and each chromosome is a walk of gene ids and
 orientations.  Its adjacencies join consecutive entries of a walk (and the
-ends of a circular one); one rule, `facing_end`, names the extremity each
-entry turns to its neighbour: a gene read forward contributes its tail
-first and its head second, so consecutive forward genes a, b yield
-{a_head, b_tail}.  `Genome.adjacency_arrays` applies it to the walks as int
-codes, ICF-SEG's run scan to the G walk (`segments`) and
-`reference.adjacencies` to `Gene` objects.  The module holds its numbers
-in plain lists.  Every stage of the program reads only the numbering and
-the walks; `Genome.chromosomes` and `genes`, the genome as `Gene` objects,
-are built on first use.
+ends of a circular one); one rule, `objects.facing_end`, names the
+extremity each entry turns to its neighbour: a gene read forward
+contributes its tail first and its head second, so consecutive forward
+genes a, b yield {a_head, b_tail}.  `Genome.adjacency_arrays` applies it
+to the walks as int codes, ICF-SEG's run scan to the G walk (`segments`)
+and `reference.adjacencies` to `Gene` objects.  The module holds its
+numbers in plain lists.  Every stage of the program reads only the
+numbering and the walks.
 
 Gene similarities across genomes live in a `SimilarityGraph`, keyed by
 labels and names, with no `Gene` built per line.  Telomere similarities are
 fixed by convention: 1 between any two telomeres of different genomes, 0
 between a telomere and a regular gene.
+
+A solve compiles this module, so it holds only what a solve runs: the
+numbered `Genome`, the genome file parser and the similarity file reader.
+The named forms, `Gene` and `Chromosome`, a genome read or spliced by
+them, the writers of both file formats and a `SimilarityGraph` read and
+written by `Gene`, are in `objects`.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 TAIL = "t"
 HEAD = "h"
@@ -50,46 +55,6 @@ class ParseError(GenomeError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class Gene(NamedTuple):
-    """A gene (or telomere) identified by its genome label and name.
-
-    A named tuple: immutable, and hashed, compared and sorted as the tuple
-    (genome, name).  Every stage keys dicts and sets by genes, and a tuple
-    hashes about three times as fast as a frozen dataclass.  A gene also
-    equals the plain tuple (genome, name), so no dict or set mixes the two.
-    `str` gives `genome:name`, the form of the similarity and report files.
-    """
-
-    genome: str
-    name: str
-
-    @property
-    def is_telomere(self) -> bool:
-        return self.name.startswith(TELOMERE_PREFIX)
-
-    def __str__(self) -> str:
-        return f"{self.genome}:{self.name}"
-
-
-class Chromosome(NamedTuple):
-    name: str
-    shape: str
-    order: tuple[tuple[Gene, int], ...]  # (gene, orientation in {+1,-1})
-
-
-def facing_end(telomere: bool, orientation: int, forward: bool) -> int:
-    """Code (index into `ENDS`) of the extremity that an oriented gene, or a
-    telomere, turns to the next entry of its chromosome (`forward`) or to
-    the previous one.
-
-    A gene read forward shows its tail first and its head last; a telomere
-    has its single telomeric end.
-    """
-    if telomere:
-        return 2
-    return int((orientation > 0) == forward)
 
 
 class Genome:
@@ -144,28 +109,6 @@ class Genome:
     def id_of(self) -> dict[str, int]:
         return dict(zip(self.names, range(len(self.names))))
 
-    # -- the genome as `Gene` objects, built on first use ----------------
-
-    @cached_property
-    def chromosomes(self) -> tuple[Chromosome, ...]:
-        genes = [Gene(self.label, name) for name in self.names]
-        return tuple(
-            Chromosome(name, shape, tuple(zip(map(genes.__getitem__, ids), signs)))
-            for name, shape, (ids, signs) in self.walks
-        )
-
-    @cached_property
-    def genes(self) -> frozenset[Gene]:
-        """The genes and telomeres on the walks."""
-        names = (name for name, on in zip(self.names, self.present) if on)
-        return frozenset(Gene(self.label, name) for name in names)
-
-    def __contains__(self, gene: Gene) -> bool:
-        return gene in self.genes
-
-    def __repr__(self) -> str:
-        return f"Genome({self.label!r}, {len(self.walks)} chromosomes)"
-
 
 def build_genome(
     label: str,
@@ -215,23 +158,12 @@ def build_genome(
                   [(name, shape, (number[a:b], signs[a:b])) for name, shape, a, b in layout])
 
 
-def splice_genes(genome: Genome, remove: set[Gene]) -> Genome:
-    """`Genome.splice` without the given (non-telomere) genes."""
-    if any(g.is_telomere for g in remove):
-        raise GenomeError("cannot splice telomeres")
-    keep = [True] * len(genome.names)
-    for gene in remove:
-        if gene in genome:
-            keep[genome.id_of[gene.name]] = False
-    return genome.splice(keep)
-
-
 # -- genome file format ----------------------------------------------------
 #
 # One line per chromosome, tab-separated:
 #   genome_label <TAB> chromosome_id <TAB> linear|circular <TAB> +geneA -geneB
 # Lines starting with '#' are comments.  Comments and surplus whitespace are
-# not preserved by serialization (declared canonicalization).
+# not preserved by `objects.serialize_genome` (declared canonicalization).
 
 
 def parse_genomes(text: str) -> list[Genome]:
@@ -274,24 +206,6 @@ def parse_genome_file(path) -> list[Genome]:
         return parse_genomes(fh.read())
 
 
-def serialize_genome(genome: Genome) -> str:
-    lines = []
-    for chrom in genome.chromosomes:
-        tokens = " ".join(
-            ("+" if orientation > 0 else "-") + gene.name
-            for gene, orientation in chrom.order
-            if not gene.is_telomere
-        )
-        lines.append(f"{genome.label}\t{chrom.name}\t{chrom.shape}\t{tokens}")
-    return "\n".join(lines) + "\n"
-
-
-def write_genome_file(path, genomes: Iterable[Genome]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for genome in genomes:
-            fh.write(serialize_genome(genome))
-
-
 # -- similarity graph ------------------------------------------------------
 
 
@@ -301,14 +215,11 @@ class SimilarityGraph:
     Only regular genes are stored, in `scores`, keyed by (genome x, name x,
     genome y, name y) with genome x < genome y.  Telomere pairs across
     genomes score 1, telomere-gene pairs 0, and intra-genome queries 0 by
-    convention.
+    convention.  `objects` sets, reads and writes it by `Gene`.
     """
 
     def __init__(self):
         self.scores: dict[tuple[str, str, str, str], float] = {}
-
-    def set(self, x: Gene, y: Gene, value: float) -> None:
-        self._set(x.genome, x.name, y.genome, y.name, value)
 
     def _set(self, gx: str, nx: str, gy: str, ny: str, value: float) -> None:
         if gx == gy:
@@ -323,25 +234,8 @@ class SimilarityGraph:
         else:
             self.scores[key] = value
 
-    def get(self, x: Gene, y: Gene) -> float:
-        if x.genome == y.genome:
-            return 0.0
-        if x.is_telomere or y.is_telomere:
-            return 1.0 if (x.is_telomere and y.is_telomere) else 0.0
-        return self.scores.get((*x, *y) if x < y else (*y, *x), 0.0)
-
-    def pairs(self) -> list[tuple[Gene, Gene, float]]:
-        """Stored pairs (x, y, value) with x <= y, in the order they were
-        stored, not sorted; `serialize` sorts them."""
-        return [(Gene(gx, nx), Gene(gy, ny), value)
-                for (gx, nx, gy, ny), value in self.scores.items()]
-
     def __len__(self) -> int:
         return len(self.scores)
-
-    def serialize(self) -> str:
-        lines = [f"{x}\t{y}\t{value:.12g}" for x, y, value in sorted(self.pairs())]
-        return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def parse(cls, text: str) -> "SimilarityGraph":
@@ -356,6 +250,8 @@ class SimilarityGraph:
             gx, sx, nx = fields[0].partition(":")
             gy, sy, ny = fields[1].partition(":")
             if not (sx and gx and nx and sy and gy and ny):
+                from .objects import _parse_qualified  # raises on the bad token
+
                 try:
                     _parse_qualified(fields[0]), _parse_qualified(fields[1])
                 except ValueError as exc:
@@ -374,14 +270,3 @@ class SimilarityGraph:
     def read(cls, path) -> "SimilarityGraph":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read())
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
-
-def _parse_qualified(token: str) -> Gene:
-    genome, sep, name = token.partition(":")
-    if not sep or not genome or not name:
-        raise ValueError(f"gene token {token!r} is not of the form genome:gene")
-    return Gene(genome, name)

@@ -13,7 +13,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .genomes import Gene, Genome, ParseError, SimilarityGraph, _parse_qualified
+from .genomes import Genome, ParseError, SimilarityGraph
+from .objects import Gene, _parse_qualified, genes, set_similarity
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +54,7 @@ def parse_hits(
     """
     known = None
     if genomes is not None:
-        known = {gene for genome in genomes for gene in genome.genes}
+        known = {gene for genome in genomes for gene in genes(genome)}
     hits = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -177,7 +178,7 @@ def rrbs_weights(
         else:
             numerator = forward + backward
         value = numerator / (self_score[key[0]] + self_score[key[1]])
-        graph.set(key[0], key[1], min(1.0, max(0.0, value)))
+        set_similarity(graph, key[0], key[1], min(1.0, max(0.0, value)))
     return graph
 
 

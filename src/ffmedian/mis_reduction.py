@@ -16,13 +16,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .genomes import (
+from .genomes import Genome, ParseError, SimilarityGraph, build_genome
+from .objects import (
     Gene,
-    Genome,
-    ParseError,
-    SimilarityGraph,
     _parse_qualified,
-    build_genome,
+    set_similarity,
+    write_genome_file,
+    write_similarity_file,
 )
 from .solver import MedianSolution
 
@@ -234,24 +234,24 @@ def reduce_mis(
         h_genes = [Gene(lh, name) for name in sorted(assoc[lh][v])]
         i_genes = [Gene(li, name) for name in sorted(assoc[li][v])]
         for k in range(2):
-            sigma.set(g_genes[k], h_genes[k], 1.0)
-            sigma.set(g_genes[k], i_genes[k], 1.0)
-            sigma.set(h_genes[k], i_genes[k], 1.0)
+            set_similarity(sigma, g_genes[k], h_genes[k], 1.0)
+            set_similarity(sigma, g_genes[k], i_genes[k], 1.0)
+            set_similarity(sigma, h_genes[k], i_genes[k], 1.0)
     # star triples
     for k in ("1", "2"):
-        sigma.set(Gene(lg, f"star.{k}"), Gene(lh, f"star.{k}"), 1.0)
-        sigma.set(Gene(lg, f"star.{k}"), Gene(li, f"star.{k}"), 1.0)
-        sigma.set(Gene(lh, f"star.{k}"), Gene(li, f"star.{k}"), 1.0)
+        set_similarity(sigma, Gene(lg, f"star.{k}"), Gene(lh, f"star.{k}"), 1.0)
+        set_similarity(sigma, Gene(lg, f"star.{k}"), Gene(li, f"star.{k}"), 1.0)
+        set_similarity(sigma, Gene(lh, f"star.{k}"), Gene(li, f"star.{k}"), 1.0)
     # unassociated class: null genes everywhere plus G's star genes, at 1/4
     null_h = [Gene(lh, f"null.{k}") for k in range(1, null_count[lh] + 1)]
     null_i = [Gene(li, f"null.{k}") for k in range(1, null_count[li] + 1)]
     g_star = [Gene(lg, "star.1"), Gene(lg, "star.2")]
     for gs in g_star:
         for x in null_h + null_i:
-            sigma.set(gs, x, 0.25)
+            set_similarity(sigma, gs, x, 0.25)
     for xh in null_h:
         for xi_gene in null_i:
-            sigma.set(xh, xi_gene, 0.25)
+            set_similarity(sigma, xh, xi_gene, 0.25)
     for k in ("1", "2"):
         xi[Gene(lh, f"star.{k}")] = ()
         xi[Gene(li, f"star.{k}")] = ()
@@ -310,13 +310,11 @@ def mis_bruteforce(graph: BoundedGraph, cap: int = 24) -> int:
 
 
 def write_instance(instance: ReductionInstance, out_dir) -> None:
-    from .genomes import write_genome_file
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for genome in instance.genomes:
         write_genome_file(out / f"{genome.label}.gen", [genome])
-    instance.sigma.write(out / "graph.sim")
+    write_similarity_file(out / "graph.sim", instance.sigma)
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
         for v in instance.graph.vertices:
             if not instance.graph.neighbors(v):

@@ -7,15 +7,16 @@ imports this module.
 - Extremities and adjacencies as the paper states them: `Extremity`, one
   validated end of a gene, `adjacency`, the canonical unordered pair, and
   `adjacencies`, a genome's set of them, with the 0-1 `indicator` on it,
-  read off the genome's `Gene` objects.  `Genome.adjacency_arrays` reads
-  the same walks as int codes.
-- `export_lp` writes the 0-1 program with the paper's rows in LP text
-  format, off the table's arrays: a conflict row per extant gene
-  (`candidates.candidates_on_genes`), a coupling row per conserved
-  adjacency, and a saturation row per candidate extremity
-  (`candidates.extremity_rows`).  `solver.solve_branch_and_bound` solves a
-  tighter form with the same integer points.  `counted_variables` and
-  `counted_constraints` give that program's sizes.
+  read off the genome's `Gene` objects (`objects.chromosomes`).
+  `Genome.adjacency_arrays` reads the same walks as int codes.
+- `write_lp` writes the 0-1 program with the paper's rows in LP text
+  format, off the table's arrays, and `export_lp` writes it to a file: a
+  conflict row per extant gene (`candidates.candidates_on_genes`), a
+  coupling row per conserved adjacency, and a saturation row per
+  candidate extremity (`objects.extremity_rows`).
+  `solver.solve_branch_and_bound` solves a tighter form with the same
+  integer points.  `counted_variables` and `counted_constraints` give that
+  program's sizes.
 - `brute_force_median` is the independent oracle: an exhaustive
   depth-first search over the adjacency rows in plain Python, with no LP
   and no graph library.
@@ -27,8 +28,9 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
-from .candidates import ConservedAdjacencyTable, candidates_on_genes, extremity_rows
-from .genomes import CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Gene, Genome, GenomeError, facing_end
+from .candidates import ConservedAdjacencyTable, candidates_on_genes
+from .genomes import CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Genome, GenomeError
+from .objects import Gene, candidate_names, chromosomes, extremity_rows, facing_end, has_gene
 from .solver import (
     GRID,
     STATUS_EMPTY,
@@ -80,7 +82,7 @@ def neighbours(genome: Genome):
     chromosome order: consecutive entries, then the last and first entries
     of a circular chromosome.  The first entry's forward `facing_end` meets
     the second's backward one."""
-    for chrom in genome.chromosomes:
+    for chrom in chromosomes(genome):
         entries = chrom.order
         yield from zip(entries, entries[1:])
         if chrom.shape == CIRCULAR and entries:
@@ -101,7 +103,7 @@ def adjacencies(genome: Genome) -> frozenset[Adjacency]:
 def indicator(genome: Genome, e1: Extremity, e2: Extremity) -> int:
     """1 if the unordered extremity pair is an adjacency of the genome."""
     for e in (e1, e2):
-        if e.gene not in genome:
+        if not has_gene(genome, e.gene):
             raise GenomeError(f"extremity {e} references a gene absent from {genome.label}")
     return 1 if adjacency(e1, e2) in adjacencies(genome) else 0
 
@@ -133,14 +135,14 @@ def counted_constraints(model: IlpModel) -> int:
 
 def _a_names(table: ConservedAdjacencyTable) -> list[str]:
     """The selection variables' names, one per candidate."""
-    return ["a_" + "_".join(map(_token, table.candidates.names(m)))
+    return ["a_" + "_".join(map(_token, candidate_names(table.candidates, m)))
             for m in range(len(table.candidates))]
 
 
 def _b_names(table: ConservedAdjacencyTable) -> list[str]:
     """The adjacency variables' names, one per row: per genome, the two
     genes' names with their ends."""
-    names = [[_token(name) for name in table.candidates.names(m)]
+    names = [[_token(name) for name in candidate_names(table.candidates, m)]
              for m in range(len(table.candidates))]
     return [
         "b_" + "_".join(f"{x1}{ENDS[e1]}_{x2}{ENDS[e2]}" for x1, x2 in zip(names[m1], names[m2]))
@@ -177,44 +179,50 @@ def _wrap(fh, head: str, chunks: list[str], limit: int = 220) -> None:
 
 
 def export_lp(model: IlpModel, path) -> None:
-    """Write the program in LP text format, byte-deterministically: the
-    conflict rows by genome label, then gene name (a genome numbers its
-    genes in name order), and the saturation rows by extremity."""
+    """`write_lp` to the file at `path`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_lp(model, fh)
+
+
+def write_lp(model: IlpModel, fh) -> None:
+    """Write the program in LP text format to the text file `fh`,
+    byte-deterministically: the conflict rows by genome label, then gene
+    name (a genome numbers its genes in name order), and the saturation
+    rows by extremity."""
     table = model.table
     a_names, b_names = _a_names(table), _b_names(table)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("Maximize\n")
-        terms = [f"{'+ ' if k else ''}{_coeff(w)} {name}"
-                 for k, (w, name) in enumerate(zip(table.weight, b_names))]
-        if terms:
-            _wrap(fh, " obj:", terms)
-        else:
-            fh.write(" obj:\n")
-        fh.write("Subject To\n")
-        counter = 0
+    fh.write("Maximize\n")
+    terms = [f"{'+ ' if k else ''}{_coeff(w)} {name}"
+             for k, (w, name) in enumerate(zip(table.weight, b_names))]
+    if terms:
+        _wrap(fh, " obj:", terms)
+    else:
+        fh.write(" obj:\n")
+    fh.write("Subject To\n")
+    counter = 0
 
-        def emit(terms: list[str], rhs: str) -> None:
-            nonlocal counter
-            counter += 1
-            _wrap(fh, f" c{counter}:", terms + [rhs])
+    def emit(terms: list[str], rhs: str) -> None:
+        nonlocal counter
+        counter += 1
+        _wrap(fh, f" c{counter}:", terms + [rhs])
 
-        def row(names) -> list[str]:
-            return [("+ " if j else "") + name for j, name in enumerate(names)]
+    def row(names) -> list[str]:
+        return [("+ " if j else "") + name for j, name in enumerate(names)]
 
-        on_genes = candidates_on_genes(table.candidates)
-        for x in sorted(range(3), key=table.labels.__getitem__):
-            for members in on_genes[x]:
-                if members:
-                    emit(row(a_names[m] for m in members), "<= 1")
-        for k, (m1, m2) in enumerate(zip(table.m1, table.m2)):
-            emit([f"2 {b_names[k]}", f"- {a_names[m1]}", f"- {a_names[m2]}"], "<= 0")
-        for rows in extremity_rows(table):
-            if rows:
-                emit(row(b_names[k] for k in rows), "<= 1")
-        fh.write("Binary\n")
-        for name in a_names + b_names:
-            fh.write(f" {name}\n")
-        fh.write("End\n")
+    on_genes = candidates_on_genes(table.candidates)
+    for x in sorted(range(3), key=table.labels.__getitem__):
+        for members in on_genes[x]:
+            if members:
+                emit(row(a_names[m] for m in members), "<= 1")
+    for k, (m1, m2) in enumerate(zip(table.m1, table.m2)):
+        emit([f"2 {b_names[k]}", f"- {a_names[m1]}", f"- {a_names[m2]}"], "<= 0")
+    for rows in extremity_rows(table):
+        if rows:
+            emit(row(b_names[k] for k in rows), "<= 1")
+    fh.write("Binary\n")
+    for name in a_names + b_names:
+        fh.write(f" {name}\n")
+    fh.write("End\n")
 
 
 # -- brute-force oracle ----------------------------------------------------------

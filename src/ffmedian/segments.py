@@ -21,7 +21,7 @@ candidates it kills, so ICF-SEG builds its lookups once and, after each
 acceptance, grows again only the first step of a circular chromosome and
 the steps whose window holds a changed position, and resumes its walk
 over the steps at the first one grown again.  A run grows from its end
-member through the extremity that `genomes.facing_end` says the member's
+member through the extremity that `objects.facing_end` says the member's
 G entry turns to the next position: the rule that also gives every
 genome's adjacencies.
 
@@ -55,8 +55,10 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .candidates import ConservedAdjacencyTable, candidates_on_genes, extremity_rows
-from .genomes import Genome, facing_end
+from .candidates import ConservedAdjacencyTable, candidates_on_genes
+from .genomes import Genome
+from .kernels import IntArray
+from .objects import candidate_names, extremity_rows, facing_end
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
@@ -514,7 +516,7 @@ def build_gamma_prime(segment: Segment, incidence: Incidence) -> MatchGraph:
         external = [c for c in incidence.conflicts_of(m) if c not in members and cand_alive[c]]
         if len(external) > CONFLICT_CAP:
             raise SegmentConflictCapError(
-                f"segment member ({','.join(table.candidates.names(m))}) has "
+                f"segment member ({','.join(candidate_names(table.candidates, m))}) has "
                 f"{len(external)} external conflicts (cap {CONFLICT_CAP}); skip this segment"
             )
         for c in external:
@@ -553,7 +555,15 @@ class IcfSegResult:
         return [k for k, alive in enumerate(self.row_alive) if alive]
 
     def reduced_table(self) -> ConservedAdjacencyTable:
-        return self.table.subset(self.live_rows)
+        return subset(self.table, self.live_rows)
+
+
+def subset(table: ConservedAdjacencyTable, keep) -> ConservedAdjacencyTable:
+    """New table restricted to the given row indices (candidate indexing kept)."""
+    keep = [int(k) for k in keep]
+    return ConservedAdjacencyTable(table.candidates, *(
+        IntArray(map(column.__getitem__, keep))
+        for column in (table.m1, table.e1, table.m2, table.e2, table.mask)))
 
 
 def icf_seg(G: Genome, table: ConservedAdjacencyTable) -> IcfSegResult:

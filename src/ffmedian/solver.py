@@ -60,7 +60,9 @@ its smallest candidate, read `-`.
 The independent oracle, `reference.brute_force_median`, is an exhaustive
 search in plain Python that the tests run.  It and the rest of `reference`
 stay out of this module, so that a solve compiles only the code it runs,
-and `IlpModel` and `MedianSolution` are plain classes, not dataclasses.
+and `IlpModel`, `MedianSolution`, `MipResult` and `Car` are plain classes,
+neither dataclasses nor `typing.NamedTuple`s, whose classes cost time to
+create at import (see `cli`).
 Nor does it import `logging`: the solve's INFO record on the HiGHS run
 goes to the `ffmedian.solver` logger only in a process that has loaded the
 module, as `ffmedian -v` and any caller that configures logging have.
@@ -78,7 +80,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .candidates import ConservedAdjacencyTable
 from .kernels import SHIFT
@@ -115,11 +117,19 @@ def build_ilp(table: ConservedAdjacencyTable) -> IlpModel:
 # -- solutions -----------------------------------------------------------------
 
 
-class Car(NamedTuple):
-    """Contiguous ancestral region: a path or cycle of chosen adjacencies."""
+class Car(tuple):
+    """Contiguous ancestral region: a path or cycle of chosen adjacencies.
 
-    shape: str  # "linear" | "circular"
-    members: tuple[tuple[int, int], ...]  # (candidate index, orientation)
+    The pair (shape, members), hashed, compared and sorted as that tuple;
+    a plain tuple subclass, not a `typing.NamedTuple` (see the module
+    docstring)."""
+
+    __slots__ = ()
+    shape = property(operator.itemgetter(0))  # "linear" | "circular"
+    members = property(operator.itemgetter(1))  # (candidate index, orientation)
+
+    def __new__(cls, shape: str, members: tuple[tuple[int, int], ...]):
+        return tuple.__new__(cls, (shape, members))
 
 
 class MedianSolution:
@@ -311,17 +321,18 @@ def _import_scipy():
     return module
 
 
-class MipResult(NamedTuple):
+class MipResult:
     """What `linprog` returns; `x` is None without a point."""
 
-    status: object  # the extension's HighsModelStatus
-    message: str
-    x: list[float] | None
-    nodes: int
-    iterations: int  # HiGHS's simplex iterations, the LP's and the MIP's
-    dual_bound: float  # the tighter of the LP's objective and the MIP's bound
-    gap: float
-    lp_integral: bool | None  # whether the LP's vertex is a 0-1 point of the rows
+    def __init__(self, status, message, x, nodes, iterations, dual_bound, gap, lp_integral):
+        self.status = status  # the extension's HighsModelStatus
+        self.message = message  # its status string
+        self.x = x  # list[float] | None
+        self.nodes = nodes
+        self.iterations = iterations  # HiGHS's simplex iterations, the LP's and the MIP's
+        self.dual_bound = dual_bound  # the tighter of the LP's objective and the MIP's bound
+        self.gap = gap
+        self.lp_integral = lp_integral  # whether the LP's vertex is a 0-1 point of the rows
 
 
 @contextlib.contextmanager
@@ -721,12 +732,12 @@ def solve_branch_and_bound(
                   STATUS_FEASIBLE if res.status == highs.HighsModelStatus.kTimeLimit else None)
     else:  # every column takes its best bound, which is optimal: HiGHS is not loaded
         res, status = MipResult(None, "no live column", [], 0, 0, 0.0, 0.0, True), STATUS_OPTIMAL
-    point = None
     if res.x is not None:  # HiGHS's point, widened to every column
         point = program.point.copy()
         for j, v in zip(program.live, res.x):
             point[j] = v
-    res = res._replace(x=point, dual_bound=res.dual_bound + program.offset)
+        res.x = point
+    res.dual_bound += program.offset
     dual_bound = -res.dual_bound
     logging = sys.modules.get("logging")
     if logging is not None:  # without the module no handler could show the record

@@ -15,7 +15,8 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
 )
 from ffmedian import segments, solver
-from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.genomes import SimilarityGraph, build_genome
+from ffmedian.objects import Gene, set_similarity
 from ffmedian.solver import verify_solution
 
 
@@ -30,9 +31,9 @@ def circular(label, entries, chrom="c1"):
 def diagonal_sigma(names, value=1.0):
     sigma = SimilarityGraph()
     for nm in names:
-        sigma.set(Gene("G", nm), Gene("H", nm), value)
-        sigma.set(Gene("G", nm), Gene("I", nm), value)
-        sigma.set(Gene("H", nm), Gene("I", nm), value)
+        set_similarity(sigma, Gene("G", nm), Gene("H", nm), value)
+        set_similarity(sigma, Gene("G", nm), Gene("I", nm), value)
+        set_similarity(sigma, Gene("H", nm), Gene("I", nm), value)
     return sigma
 
 
@@ -62,7 +63,7 @@ def four_candidate_instance():
     ]
     for a, b in edges:
         ga, gb = a.split(":"), b.split(":")
-        sigma.set(Gene(ga[0], ga[1]), Gene(gb[0], gb[1]), 0.5)
+        set_similarity(sigma, Gene(ga[0], ga[1]), Gene(gb[0], gb[1]), 0.5)
     return (G, H, I), sigma
 
 
@@ -83,13 +84,14 @@ def random_small_instance(seed, max_candidates=12, rng_genes=(2, 4)):
         for nm in names:
             for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
                 if rng.random() < 0.9:
-                    sigma.set(Gene(a, nm), Gene(b, nm), round(rng.uniform(0.2, 1.0), 3))
+                    set_similarity(sigma, Gene(a, nm), Gene(b, nm),
+                                   round(rng.uniform(0.2, 1.0), 3))
         for _ in range(rng.randint(0, 3)):
             if n < 2:
                 break
             x, y = rng.sample(names, 2)
             a, b = rng.choice([("G", "H"), ("G", "I"), ("H", "I")])
-            sigma.set(Gene(a, x), Gene(b, y), round(rng.uniform(0.2, 1.0), 3))
+            set_similarity(sigma, Gene(a, x), Gene(b, y), round(rng.uniform(0.2, 1.0), 3))
         cands = enumerate_candidates(*genomes, sigma)
         if 0 < len(cands) <= max_candidates:
             return genomes, sigma, cands
@@ -117,11 +119,11 @@ def random_blockish_instance(seed, max_candidates=11):
         sigma = SimilarityGraph()
         for nm in names:
             for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
-                sigma.set(Gene(a, nm), Gene(b, nm), round(rng.uniform(0.3, 1.0), 3))
+                set_similarity(sigma, Gene(a, nm), Gene(b, nm), round(rng.uniform(0.3, 1.0), 3))
         for _ in range(rng.randint(0, 2)):
             x, y = rng.sample(names, 2)
             a, b = rng.choice([("G", "H"), ("G", "I"), ("H", "I")])
-            sigma.set(Gene(a, x), Gene(b, y), round(rng.uniform(0.3, 1.0), 3))
+            set_similarity(sigma, Gene(a, x), Gene(b, y), round(rng.uniform(0.3, 1.0), 3))
         cands = enumerate_candidates(*genomes, sigma)
         if 0 < len(cands) <= max_candidates:
             return genomes, sigma, cands
@@ -225,15 +227,18 @@ def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I"),
                 family_y.setdefault(name.rstrip("p"), []).append(name)
             for name in contents[lx]:
                 for other in family_y.get(name.rstrip("p"), []):
-                    sigma.set(Gene(lx, name), Gene(ly, other), round(rng.uniform(0.4, 1.0), 6))
+                    set_similarity(sigma, Gene(lx, name), Gene(ly, other),
+                                   round(rng.uniform(0.4, 1.0), 6))
             for _ in range(n // 10):
-                sigma.set(
+                set_similarity(
+                    sigma,
                     Gene(lx, rng.choice(contents[lx])),
                     Gene(ly, rng.choice(contents[ly])),
                     round(rng.uniform(0.2, 0.6), 6),
                 )
             for k in range(n // 20):
-                sigma.set(Gene(lx, f"gone{k}"), Gene(ly, rng.choice(contents[ly])), 0.5)
+                set_similarity(sigma, Gene(lx, f"gone{k}"),
+                               Gene(ly, rng.choice(contents[ly])), 0.5)
     return genomes, sigma
 
 

@@ -13,7 +13,9 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import ENDS, Gene, SimilarityGraph, build_genome, splice_genes
+from ffmedian import objects
+from ffmedian.genomes import ENDS, SimilarityGraph, build_genome
+from ffmedian.objects import Gene, set_similarity, similarity, splice_genes
 from ffmedian.kernels import IntArray
 from ffmedian.reference import Extremity, adjacencies, adjacency, indicator
 from ffmedian.segments import Incidence
@@ -63,7 +65,7 @@ class TestEnumeration:
         for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
             for x in names:
                 for y in names:
-                    sigma.set(Gene(a, x), Gene(b, y), 0.5)
+                    set_similarity(sigma, Gene(a, x), Gene(b, y), 0.5)
         cands = enumerate_candidates(*genomes, sigma)
         assert len(gene_triples(cands)) == 4 ** 3
 
@@ -80,7 +82,7 @@ class TestEnumeration:
                     for y in names:
                         if rng.random() < 0.3:
                             v = round(rng.uniform(0.1, 1.0), 3)
-                            sigma.set(Gene(a, x), Gene(b, y), v)
+                            set_similarity(sigma, Gene(a, x), Gene(b, y), v)
                             values[(a, x, b, y)] = v
             cands = gene_triples(enumerate_candidates(*genomes, sigma))
             brute = set()
@@ -219,7 +221,7 @@ class TestConservedAdjacencies:
             sigma = SimilarityGraph()
             for nm in names:
                 for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
-                    sigma.set(Gene(a, nm), Gene(b, nm), rng.uniform(0.1, 1.0))
+                    set_similarity(sigma, Gene(a, nm), Gene(b, nm), rng.uniform(0.1, 1.0))
             cands, table = build_tables(genomes, sigma)
             for k in range(len(table)):
                 assert 0.0 < table.weight[k] <= 3.0 + 1e-12
@@ -307,7 +309,7 @@ def _random_dense_instance(seed):
     sigma = SimilarityGraph()
     for nm in names:
         for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
-            sigma.set(Gene(a, nm), Gene(b, nm), round(rng.uniform(0.1, 1.0), 3))
+            set_similarity(sigma, Gene(a, nm), Gene(b, nm), round(rng.uniform(0.1, 1.0), 3))
     cands = enumerate_candidates(*genomes, sigma)
     return genomes, sigma, cands
 
@@ -321,7 +323,8 @@ def _gene_score(cand, sigma):
     if cand.is_telomere_triple:
         return 1.0
     product = (
-        sigma.get(cand.g, cand.h) * sigma.get(cand.g, cand.i) * sigma.get(cand.h, cand.i)
+        similarity(sigma, cand.g, cand.h) * similarity(sigma, cand.g, cand.i)
+        * similarity(sigma, cand.h, cand.i)
     )
     return product ** (1.0 / 3.0)
 
@@ -347,7 +350,7 @@ class TestPreprocess:
         )
         assert report == {"G": ["a", "b"], "H": ["a", "b"], "I": ["a", "b"]}
         for genome in (g, h, i):
-            assert [g for g in genome.genes if not g.is_telomere] == []
+            assert [g for g in objects.genes(genome) if not g.is_telomere] == []
             assert len(adjacencies(genome)) == 1  # the two telomeres joined
 
     def test_interior_splice_recovers_adjacency(self):

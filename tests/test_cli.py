@@ -14,7 +14,7 @@ import pytest
 
 import ffmedian
 from ffmedian import cli, segments, solver
-from ffmedian.genomes import Gene, write_genome_file
+from ffmedian.objects import Gene, write_genome_file, write_similarity_file
 from ffmedian.reference import Extremity
 
 from conftest import evolved_instance, icf_seg_then_solve, identical_genomes
@@ -66,7 +66,7 @@ def write_files(tmp_path, genomes, sigma):
     genome_file = tmp_path / "genomes.txt"
     similarity_file = tmp_path / "similarity.tsv"
     write_genome_file(genome_file, genomes)
-    sigma.write(similarity_file)
+    write_similarity_file(similarity_file, sigma)
     return ["-g", str(genome_file), "-s", str(similarity_file)]
 
 
@@ -92,7 +92,7 @@ def test_icf_seg_writes_recorded_segments_and_reduced_instance(tmp_path):
     genome_file = tmp_path / "genomes.txt"
     similarity_file = tmp_path / "similarity.tsv"
     write_genome_file(genome_file, genomes)
-    sigma.write(similarity_file)
+    write_similarity_file(similarity_file, sigma)
     tsv, reduced = tmp_path / "segments.tsv", tmp_path / "reduced"
     code = cli.main([
         "icf-seg", "-g", str(genome_file), "-s", str(similarity_file),
@@ -259,6 +259,39 @@ def test_solve_to_stdout_after_a_mip_run_writes_only_the_report(tmp_path, buffer
     assert to_stdout.stdout.encode("utf-8") == out.read_bytes()
     mip = json.loads(out.read_text())["stats"]["mip"]
     assert mip["lp_integral"] is False and mip["nodes"] >= 1
+
+
+def write_subcommand_inputs(tmp_path):
+    """The instance and hit files of `test_entry_point_writes_every_recorded_output`."""
+    write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    genomes, _ = identical_genomes(["a", "b"])
+    write_genome_file(tmp_path / "small.txt", genomes)
+    hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t{}\n"
+    (tmp_path / "hits.tsv").write_text(
+        hit.format("G:a", "H:a", 200) + hit.format("G:b", "I:b", 150)
+        + hit.format("H:a", "I:a", 120)
+    )
+    (tmp_path / "self.tsv").write_text(
+        "".join(hit.format(f"{x}:{n}", f"{x}:{n}", 220) for x in "GHI" for n in "ab")
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--hits", "hits.tsv", "--self", "self.tsv", "-g", "small.txt"],
+    ["enumerate", "-g", "genomes.txt", "-s", "similarity.tsv"],
+    ["icf-seg", "-g", "genomes.txt", "-s", "similarity.tsv"],
+    ["export-lp", "-g", "genomes.txt", "-s", "similarity.tsv"],
+], ids=lambda argv: argv[0])
+def test_output_dash_writes_to_stdout(tmp_path, argv):
+    """`-o -` writes the `-o FILE` bytes to stdout, as `solve -o -` does,
+    and no file named `-`."""
+    write_subcommand_inputs(tmp_path)
+    to_file = run_cli(*argv, "-o", "out", cwd=tmp_path)
+    to_stdout = run_cli(*argv, "-o", "-", cwd=tmp_path)
+    assert to_file.returncode == to_stdout.returncode == cli.EXIT_OK, to_stdout.stderr
+    assert to_file.stdout == ""
+    assert to_stdout.stdout.encode("utf-8") == (tmp_path / "out").read_bytes() != b""
+    assert not (tmp_path / "-").exists()
 
 
 @pytest.mark.parametrize("icf_seg", [True, False])
@@ -900,12 +933,83 @@ def test_entry_point_imports_only_the_modules_it_runs(
         assert "logging" in imported
 
 
+# The functions and methods of the solve modules and `cli` that a default
+# solve does not call, by module and qualified name: error paths, the
+# process entry point and the forwarders to the other subcommands, and
+# what `perfbench/tracing.py` reads (it iterates the candidates and reads
+# `len` of the similarity graph and `nbytes` of the kernels' arrays).
+NOT_CALLED_BY_A_SOLVE = {
+    ("ffmedian.genomes", "ParseError.__init__"),
+    ("ffmedian.cli", "_Parser.error"),
+    ("ffmedian.cli", "run"),
+    ("ffmedian.cli", "icf_seg"),
+    ("ffmedian.cli", "_commands"),
+    ("ffmedian.candidates", "Candidates.__iter__"),
+    ("ffmedian.candidates", "Candidates.__getitem__"),
+    ("ffmedian.candidates", "Candidates.objects"),
+    ("ffmedian.genomes", "SimilarityGraph.__len__"),
+    ("ffmedian.kernels", "IntArray.<lambda>"),
+}
+
+
+def test_solve_modules_hold_only_solve_code(tmp_path):
+    """Every function and method, lambdas included, of the modules a solve
+    compiles is called by one of three default solves, apart from
+    `NOT_CALLED_BY_A_SOLVE`: an integral root, a fractional root, which
+    runs HiGHS's MIP, and `--time-limit 0`, which takes the greedy
+    selection.  The calls are seen by `sys.setprofile` in a child."""
+    (tmp_path / "integral").mkdir()
+    (tmp_path / "fractional").mkdir()
+    integral = write_files(tmp_path / "integral", *evolved_instance(51, 120, 2, 0.1))
+    fractional = write_files(tmp_path / "fractional", *evolved_instance(2, 40, 2, 0.1))
+    out = ["--canonical", "-o", str(tmp_path / "median.json")]
+    solves = [["solve", *integral, *out], ["solve", *fractional, *out],
+              ["solve", *integral, "--time-limit", "0", *out]]
+    code = (
+        "import json, sys, types\n"
+        "from ffmedian import cli\n"
+        "called = set()\n"
+        "def seen(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
+        "sys.setprofile(seen)\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "sys.setprofile(None)\n"
+        "uncalled = []\n"
+        "for name in json.loads(sys.argv[2]):\n"
+        "    path = sys.modules[name].__file__\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        stack = [compile(fh.read(), path, 'exec')]\n"
+        "    while stack:\n"
+        "        for const in stack.pop().co_consts:\n"
+        "            if isinstance(const, types.CodeType):\n"
+        "                stack.append(const)\n"
+        "                # a function's own locals: not a class body nor the module\n"
+        "                defined = const.co_flags & 2 and (\n"
+        "                    const.co_name == '<lambda>' or not const.co_name.startswith('<'))\n"
+        "                if defined and (path, const.co_firstlineno) not in called:\n"
+        "                    uncalled.append([name, const.co_qualname])\n"
+        "print(json.dumps([codes, uncalled]))\n"
+    )
+    modules = sorted(SOLVE_MODULES | {"ffmedian.cli"})
+    proc = run_child(code, json.dumps(solves), json.dumps(modules))
+    assert proc.returncode == 0, proc.stderr
+    codes, uncalled = json.loads(proc.stdout)
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_FEASIBLE]
+    assert json.loads((tmp_path / "median.json").read_text())["status"] == "feasible"
+    assert {tuple(entry) for entry in uncalled} == NOT_CALLED_BY_A_SOLVE
+
+
 def test_no_solve_module_defines_a_dataclass():
+    """Nor a `typing.NamedTuple` (or `collections.namedtuple`): a tuple
+    class with `_fields`.  Creating one costs time at import."""
     for name in sorted(SOLVE_MODULES | {"ffmedian.cli"}):
         module = importlib.import_module(name)
         classes = [value for value in vars(module).values()
                    if isinstance(value, type) and value.__module__ == name]
         assert not [c.__name__ for c in classes if dataclasses.is_dataclass(c)], name
+        assert not [c.__name__ for c in classes
+                    if issubclass(c, tuple) and hasattr(c, "_fields")], name
 
 
 # SHA-256 of what the other commands write, through `python -m ffmedian.cli`
@@ -922,17 +1026,7 @@ def test_entry_point_writes_every_recorded_output(tmp_path):
     """Every subcommand through the process entry point, where `cli` runs
     as `__main__` and hands itself to `commands`, writes its recorded
     bytes."""
-    write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
-    genomes, _ = identical_genomes(["a", "b"])
-    write_genome_file(tmp_path / "small.txt", genomes)
-    hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t{}\n"
-    (tmp_path / "hits.tsv").write_text(
-        hit.format("G:a", "H:a", 200) + hit.format("G:b", "I:b", 150)
-        + hit.format("H:a", "I:a", 120)
-    )
-    (tmp_path / "self.tsv").write_text(
-        "".join(hit.format(f"{x}:{n}", f"{x}:{n}", 220) for x in "GHI" for n in "ab")
-    )
+    write_subcommand_inputs(tmp_path)
     (tmp_path / "graph.tsv").write_text(FIVE_EDGE_GRAPH)
     (tmp_path / "truth.tsv").write_text(
         "".join(f"G:a{k:03d}\tH:a{k:03d}\n" for k in range(0, 120, 3))

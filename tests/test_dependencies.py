@@ -20,7 +20,7 @@ import tomllib
 from pathlib import Path
 
 import ffmedian
-from ffmedian.genomes import write_genome_file
+from ffmedian.objects import write_genome_file, write_similarity_file
 
 from conftest import identical_genomes
 
@@ -138,7 +138,7 @@ def test_every_subcommand_runs_without_networkx(tmp_path):
     8 telomere triples are within its cap."""
     genomes, sigma = identical_genomes(["a", "b"])
     write_genome_file(tmp_path / "genomes.txt", genomes)
-    sigma.write(tmp_path / "similarity.tsv")
+    write_similarity_file(tmp_path / "similarity.tsv", sigma)
     hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t200\n"
     (tmp_path / "hits.tsv").write_text(hit.format("G:a", "H:a"))
     (tmp_path / "self.tsv").write_text(hit.format("G:a", "G:a") + hit.format("H:a", "H:a"))
@@ -178,7 +178,7 @@ def test_every_subcommand_runs_without_numpy(tmp_path):
     the brute-force oracle, where numpy cannot be imported."""
     genomes, sigma = identical_genomes(["a", "b"])
     write_genome_file(tmp_path / "genomes.txt", genomes)
-    sigma.write(tmp_path / "similarity.tsv")
+    write_similarity_file(tmp_path / "similarity.tsv", sigma)
     hit = "{}\t{}\t90\t100\t1\t0\t1\t100\t1\t100\t1e-30\t200\n"
     (tmp_path / "hits.tsv").write_text(hit.format("G:a", "H:a"))
     (tmp_path / "self.tsv").write_text(hit.format("G:a", "G:a") + hit.format("H:a", "H:a"))

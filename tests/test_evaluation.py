@@ -7,7 +7,8 @@ from ffmedian.evaluation import (
     precision_recall,
     robustness,
 )
-from ffmedian.genomes import Gene, ParseError
+from ffmedian.genomes import ParseError
+from ffmedian.objects import Gene
 
 
 def genes(*tokens):

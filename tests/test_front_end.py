@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffmedian import candidates, cli, kernels, solver
-from ffmedian.genomes import ENDS, Gene, SimilarityGraph, parse_genomes, splice_genes
+from ffmedian import candidates, cli, kernels, objects, solver
+from ffmedian.genomes import ENDS, SimilarityGraph, parse_genomes
+from ffmedian.objects import Gene, similarity, splice_genes
 from ffmedian.reference import adjacencies
 
 from conftest import evolved_instance, icf_seg_then_solve
@@ -116,14 +117,16 @@ def reference_instance(genome_text, sigma, preprocess):
     straight from the definitions."""
     G, H, I = parse_genomes(genome_text)
     triples = []
-    for g, h, i in itertools.product(*(sorted(x.genes, key=lambda x: x.name) for x in (G, H, I))):
-        triple = sigma.get(g, h) * sigma.get(g, i) * sigma.get(h, i)
+    for g, h, i in itertools.product(*(sorted(objects.genes(x), key=lambda x: x.name)
+                                       for x in (G, H, I))):
+        triple = similarity(sigma, g, h) * similarity(sigma, g, i) * similarity(sigma, h, i)
         if triple > 0:
             triples.append((g, h, i, triple))
     reduced = [G, H, I]
     if preprocess:
         used = {gene for c in triples for gene in c[:3]}
-        reduced = [splice_genes(x, {g for g in x.genes if not g.is_telomere and g not in used})
+        reduced = [splice_genes(x, {g for g in objects.genes(x)
+                                    if not g.is_telomere and g not in used})
                    for x in reduced]
     # each adjacency as a set of two (gene, end) extremities
     extant = [{frozenset((e.gene, e.end) for e in pair) for pair in adjacencies(x)}
@@ -148,7 +151,8 @@ def test_id_front_end_equals_the_plain_python_reference(instance, preprocess):
     sigma = SimilarityGraph.parse(sim_text)
     assert len(sigma) == len(expected)
     for (x, y), value in expected.items():
-        assert sigma.get(Gene(*x), Gene(*y)) == sigma.get(Gene(*y), Gene(*x)) == value
+        assert (similarity(sigma, Gene(*x), Gene(*y))
+                == similarity(sigma, Gene(*y), Gene(*x)) == value)
     triples, rows = reference_instance(genome_text, sigma, preprocess)
 
     load = lambda: (parse_genomes(genome_text), SimilarityGraph.parse(sim_text))  # noqa: E731
@@ -162,6 +166,7 @@ def test_id_front_end_equals_the_plain_python_reference(instance, preprocess):
     if preprocess:
         used = {gene for c in triples for gene in c[:3]}
         assert removed == {
-            x.label: sorted(g.name for g in x.genes if not g.is_telomere and g not in used)
+            x.label: sorted(g.name for g in objects.genes(x)
+                            if not g.is_telomere and g not in used)
             for x in parse_genomes(genome_text)
         }

@@ -32,9 +32,10 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import Gene, build_genome
+from ffmedian.genomes import build_genome
 from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
-from ffmedian import segments
+from ffmedian import objects, segments
+from ffmedian.objects import Gene, set_similarity
 from ffmedian.segments import (
     Incidence,
     SegmentConflictCapError,
@@ -93,7 +94,7 @@ def reshaped(genomes, circular_chromosomes):
                 (chrom.name,
                  "circular" if chrom.name in circular_chromosomes else "linear",
                  [(gene.name, o) for gene, o in chrom.order if not gene.is_telomere])
-                for chrom in genome.chromosomes
+                for chrom in objects.chromosomes(genome)
             ],
         )
         for genome in genomes
@@ -244,9 +245,9 @@ def killed_member_case():
     I = linear("I", [(nm, 1) for nm in "abxze"])
     sigma = diagonal_sigma(["a", "b", "e"])
     for g, h, i in (("c", "b", "x"), ("d", "y", "z")):
-        sigma.set(Gene("G", g), Gene("H", h), 0.5)
-        sigma.set(Gene("G", g), Gene("I", i), 0.5)
-        sigma.set(Gene("H", h), Gene("I", i), 0.5)
+        set_similarity(sigma, Gene("G", g), Gene("H", h), 0.5)
+        set_similarity(sigma, Gene("G", g), Gene("I", i), 0.5)
+        set_similarity(sigma, Gene("H", h), Gene("I", i), 0.5)
     return tables([G, H, I], sigma, preprocess=False)
 
 
@@ -330,7 +331,7 @@ def test_rescan_matches_fresh_scan(seed):
     cand_alive = np.ones(len(candidates), dtype=bool)
     row_alive = np.ones(len(table), dtype=bool)
     scanner = _RunScanner(G, table, cand_alive, row_alive)
-    chains = [scanner.scan(ci) for ci in range(len(G.chromosomes))]
+    chains = [scanner.scan(ci) for ci in range(len(objects.chromosomes(G)))]
     genic = [c for c in range(len(candidates)) if not candidates[c].is_telomere_triple]
     rng.shuffle(genic)
     rescans = 0
@@ -342,7 +343,7 @@ def test_rescan_matches_fresh_scan(seed):
             chains[ci], _ = scanner.rescan(ci, chains[ci], positions)
             rescans += 1
         fresh = _RunScanner(G, table, cand_alive, row_alive)
-        assert chains == [fresh.scan(ci) for ci in range(len(G.chromosomes))]
+        assert chains == [fresh.scan(ci) for ci in range(len(objects.chromosomes(G)))]
     assert rescans > 20
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffmedian.genomes import Gene, ParseError, build_genome
+from ffmedian.genomes import ParseError, build_genome
 from ffmedian.ingestion import (
     AlignmentHit,
     FilterParams,
@@ -12,6 +12,7 @@ from ffmedian.ingestion import (
     rrbs_weights,
     stringency_filter,
 )
+from ffmedian.objects import Gene, serialize_similarities, similarity, similarity_pairs
 
 
 def row(query, subject, evalue, bitscore):
@@ -100,7 +101,7 @@ class TestRrbsWeights:
             hit("G:g", "G:g", 100.0), hit("H:h", "H:h", 100.0),
         ]
         sigma = rrbs_weights(hits)
-        assert sigma.get(Gene("G", "g"), Gene("H", "h")) == 1.0
+        assert similarity(sigma, Gene("G", "g"), Gene("H", "h")) == 1.0
 
     def test_symmetric_half(self):
         hits = [
@@ -108,7 +109,7 @@ class TestRrbsWeights:
             hit("G:g", "G:g", 100.0), hit("H:h", "H:h", 100.0),
         ]
         sigma = rrbs_weights(hits)
-        assert sigma.get(Gene("G", "g"), Gene("H", "h")) == pytest.approx(0.5)
+        assert similarity(sigma, Gene("G", "g"), Gene("H", "h")) == pytest.approx(0.5)
 
     def test_one_directional_doubled(self):
         hits = [
@@ -116,7 +117,7 @@ class TestRrbsWeights:
             hit("G:g", "G:g", 100.0), hit("H:h", "H:h", 140.0),
         ]
         sigma = rrbs_weights(hits)
-        assert sigma.get(Gene("G", "g"), Gene("H", "h")) == pytest.approx(120.0 / 240.0)
+        assert similarity(sigma, Gene("G", "g"), Gene("H", "h")) == pytest.approx(120.0 / 240.0)
 
     def test_require_reciprocal_drops_one_directional(self):
         hits = [
@@ -124,7 +125,7 @@ class TestRrbsWeights:
             hit("G:g", "G:g", 100.0), hit("H:h", "H:h", 140.0),
         ]
         sigma = rrbs_weights(hits, require_reciprocal=True)
-        assert sigma.get(Gene("G", "g"), Gene("H", "h")) == 0.0
+        assert similarity(sigma, Gene("G", "g"), Gene("H", "h")) == 0.0
 
     def test_missing_self_hit_lists_gene(self):
         hits = [hit("G:g", "H:h", 60.0), hit("G:g", "G:g", 100.0)]
@@ -137,7 +138,7 @@ class TestRrbsWeights:
             hit("G:g", "G:g", 100.0), hit("H:h", "H:h", 100.0),
         ]
         sigma = rrbs_weights(hits)
-        assert sigma.get(Gene("G", "g"), Gene("H", "h")) == 1.0
+        assert similarity(sigma, Gene("G", "g"), Gene("H", "h")) == 1.0
 
 
 class TestPipelineDeterminism:
@@ -151,10 +152,10 @@ class TestPipelineDeterminism:
             a, b = rng.sample(genes, 2)
             if a.split(":")[0] != b.split(":")[0]:
                 hits.append(hit(a, b, round(rng.uniform(20, 99), 1)))
-        first = build_similarity_graph(hits, FilterParams()).serialize()
-        second = build_similarity_graph(list(hits), FilterParams()).serialize()
+        first = serialize_similarities(build_similarity_graph(hits, FilterParams()))
+        second = serialize_similarities(build_similarity_graph(list(hits), FilterParams()))
         assert first == second
-        for x, y, value in build_similarity_graph(hits, FilterParams()).pairs():
+        for x, y, value in similarity_pairs(build_similarity_graph(hits, FilterParams())):
             assert 0.0 < value <= 1.0
             assert x.genome != y.genome
 

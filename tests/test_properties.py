@@ -21,7 +21,8 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.genomes import SimilarityGraph, build_genome
+from ffmedian.objects import Gene, set_similarity
 from ffmedian.reference import brute_force_median
 from ffmedian.segments import icf_seg
 from ffmedian.solver import (
@@ -60,14 +61,14 @@ def circular_instances(draw):
     for name in names:
         for a, b in PAIRS:
             if draw(st.integers(0, 9)):  # nine in ten
-                sigma.set(Gene(a, name), Gene(b, name), draw(WEIGHTS))
+                set_similarity(sigma, Gene(a, name), Gene(b, name), draw(WEIGHTS))
     # a paralog: gene y of one genome is also similar to gene x of the two
     # others, which makes the candidate (x, x, y) that conflicts with (x, x, x)
     paralogs = st.tuples(st.sampled_from(names), st.sampled_from(names), st.sampled_from("GHI"))
     for x, y, label in draw(st.lists(paralogs, max_size=4)):
         for other in "GHI":
             if x != y and other != label:
-                sigma.set(Gene(label, y), Gene(other, x), draw(WEIGHTS))
+                set_similarity(sigma, Gene(label, y), Gene(other, x), draw(WEIGHTS))
     candidates = enumerate_candidates(*genomes, sigma)
     assume(0 < len(candidates) <= 12)
     return genomes, candidates, enumerate_conserved_adjacencies(candidates, *genomes)
@@ -96,7 +97,7 @@ def linear_instances(draw):
     sigma = SimilarityGraph()
     for name in names:
         for a, b in PAIRS:
-            sigma.set(Gene(a, name), Gene(b, name), draw(WEIGHTS))
+            set_similarity(sigma, Gene(a, name), Gene(b, name), draw(WEIGHTS))
     *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     candidates = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(candidates, *genomes)

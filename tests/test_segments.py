@@ -6,7 +6,8 @@ import random
 import pytest
 
 from ffmedian import segments
-from ffmedian.genomes import Gene, SimilarityGraph, build_genome
+from ffmedian.genomes import SimilarityGraph, build_genome
+from ffmedian.objects import Gene, set_similarity
 from ffmedian.segments import (
     Flags,
     Incidence,
@@ -68,8 +69,8 @@ class TestGamma:
         I = linear("I", [("b", 1), ("a", 1)])
         sigma = SimilarityGraph()
         for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
-            sigma.set(Gene(x, "a"), Gene(y, "a"), 1.0)
-            sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
+            set_similarity(sigma, Gene(x, "a"), Gene(y, "a"), 1.0)
+            set_similarity(sigma, Gene(x, "b"), Gene(y, "b"), 0.25)
         cands, table = build_tables([G, H, I], sigma)
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
@@ -254,8 +255,8 @@ class TestGammaPrime:
         H = linear("H", [("a", 1), ("b", 1)])
         I = linear("I", [("a", 1), ("b", 1)])
         sigma = diagonal_sigma(["a", "b"])
-        sigma.set(Gene("G", "a"), Gene("H", "b"), 0.9)  # crossing candidate
-        sigma.set(Gene("G", "a"), Gene("I", "a"), 1.0)
+        set_similarity(sigma, Gene("G", "a"), Gene("H", "b"), 0.9)  # crossing candidate
+        set_similarity(sigma, Gene("G", "a"), Gene("I", "a"), 1.0)
         cands, table = build_tables([G, H, I], sigma)
         runs = detect_runs(G, table)
         if runs:
@@ -322,13 +323,13 @@ class TestIcfSeg:
         I = linear("I", [("p", 1), ("q", 1), ("a", 1), ("b", 1)])
         sigma = diagonal_sigma(["a", "b"], value=0.4)
         for nm in ("p", "q"):
-            sigma.set(Gene("G", nm), Gene("H", nm), 1.0)
-            sigma.set(Gene("G", nm), Gene("I", nm), 1.0)
-            sigma.set(Gene("H", nm), Gene("I", nm), 1.0)
+            set_similarity(sigma, Gene("G", nm), Gene("H", nm), 1.0)
+            set_similarity(sigma, Gene("G", nm), Gene("I", nm), 1.0)
+            set_similarity(sigma, Gene("H", nm), Gene("I", nm), 1.0)
         # crossing similarities create conflicts between the two blocks
-        sigma.set(Gene("G", "a"), Gene("H", "p"), 1.0)
-        sigma.set(Gene("G", "a"), Gene("I", "p"), 1.0)
-        sigma.set(Gene("H", "p"), Gene("I", "p"), 1.0)
+        set_similarity(sigma, Gene("G", "a"), Gene("H", "p"), 1.0)
+        set_similarity(sigma, Gene("G", "a"), Gene("I", "p"), 1.0)
+        set_similarity(sigma, Gene("H", "p"), Gene("I", "p"), 1.0)
         genomes = [G, H, I]
         cands, table = build_tables(genomes, sigma)
         result = icf_seg(genomes[0], table)

@@ -17,7 +17,8 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import Gene, SimilarityGraph
+from ffmedian.genomes import SimilarityGraph
+from ffmedian.objects import Gene, set_similarity
 from ffmedian.reference import (
     OracleCapExceeded,
     _coeff,
@@ -66,9 +67,9 @@ def shared_gene_tables():
     G, H, I = (linear(label, [("a", 1), ("b", 1)]) for label in "GHI")
     sigma = diagonal_sigma(["a"])
     for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
-        sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
+        set_similarity(sigma, Gene(x, "b"), Gene(y, "b"), 0.25)
     for y in "HI":
-        sigma.set(Gene("G", "a"), Gene(y, "b"), 0.9)
+        set_similarity(sigma, Gene("G", "a"), Gene(y, "b"), 0.9)
     return build_tables([G, H, I], sigma)
 
 
@@ -602,11 +603,11 @@ class TestBruteForce:
         I = linear("I", [("a", 1), ("b", 1)])
         sigma = SimilarityGraph()
         for x, y in (("G", "H"), ("G", "I"), ("H", "I")):
-            sigma.set(Gene(x, "a"), Gene(y, "a"), 1.0)
-            sigma.set(Gene(x, "b"), Gene(y, "b"), 0.25)
+            set_similarity(sigma, Gene(x, "a"), Gene(y, "a"), 1.0)
+            set_similarity(sigma, Gene(x, "b"), Gene(y, "b"), 0.25)
         # crossing edges make (a,a,a) and the crossed triple conflict
-        sigma.set(Gene("G", "a"), Gene("H", "b"), 0.9)
-        sigma.set(Gene("G", "a"), Gene("I", "b"), 0.9)
+        set_similarity(sigma, Gene("G", "a"), Gene("H", "b"), 0.9)
+        set_similarity(sigma, Gene("G", "a"), Gene("I", "b"), 0.9)
         cands, table = build_tables([G, H, I], sigma)
         solution = brute_force_median(table)
         verify_solution(table, solution.row_indices, solution.objective)
@@ -763,7 +764,7 @@ class TestModelSizeGrowth:
             for a, b in (("G", "H"), ("G", "I"), ("H", "I")):
                 for x in names:
                     for y in names:
-                        sigma.set(Gene(a, x), Gene(b, y), 1.0)
+                        set_similarity(sigma, Gene(a, x), Gene(b, y), 1.0)
             cands, table = build_tables(genomes, sigma)
             model = build_ilp(table)
             counts[n] = counted_variables(model) + counted_constraints(model)

@@ -26,14 +26,14 @@ def traced(tmp_path, command, *flags):
     """The tracer of one in-process `command` run on evolved_instance(51,
     120, 2, 0.1), and the tracing module."""
     from ffmedian import cli
-    from ffmedian.genomes import write_genome_file
+    from ffmedian.objects import write_genome_file, write_similarity_file
 
     from conftest import evolved_instance
 
     tracing = runpy.run_path(str(TRACING), run_name="perfbench_tracing")
     genomes, sigma = evolved_instance(51, 120, 2, 0.1)
     write_genome_file(tmp_path / "genomes.txt", genomes)
-    sigma.write(tmp_path / "similarity.tsv")
+    write_similarity_file(tmp_path / "similarity.tsv", sigma)
     argv = [command, "-g", str(tmp_path / "genomes.txt"), "-s", str(tmp_path / "similarity.tsv"),
             *flags]
     tracer = tracing["Tracer"]()
