@@ -2,10 +2,11 @@
 
 A candidate median gene is a triple (g, h, i), one gene per extant genome,
 whose three pairwise similarities are all positive (a tripartite triangle).
-Telomere triples arise automatically from the fixed telomere similarity
-convention.  A candidate adjacency pairs two extremities of two
-non-conflicting candidates; it is conserved if its projection is an extant
-adjacency in at least one genome.
+A candidate adjacency pairs two extremities of two non-conflicting
+candidates; it is conserved if its projection is an extant adjacency in at
+least one genome.  Of the paper's telomere triples the table holds only
+what a solve reads: the telomeres, those facing each candidate extremity
+and those of emptied chromosomes.  `objects.paper_table` rebuilds them.
 
 Every stage here reads the gene numbering the genomes got at load
 (`genomes.Genome`).  `enumerate_candidates` builds the similarity edges
@@ -34,7 +35,7 @@ from array import array
 from typing import Sequence
 
 from . import kernels
-from .genomes import Genome, GenomeError, SimilarityGraph
+from .genomes import LINEAR, Genome, GenomeError, SimilarityGraph
 from .kernels import LOW, SHIFT, IntArray
 
 
@@ -48,7 +49,7 @@ class InstanceIndex:
     genome order, `edges[(a, b)]` is an `IntArray` of the sorted keys
     `gene of a << SHIFT | gene of b` of every positive similarity between
     genes on the genomes' walks, and `values[(a, b)]` holds their
-    similarities.  Every telomere pair is an edge of value 1.0.
+    similarities.  Telomeres have no edges.
     """
 
     def __init__(self, genomes: Sequence[Genome], sigma: SimilarityGraph):
@@ -75,8 +76,6 @@ class InstanceIndex:
         self.values: dict[tuple[int, int], array] = {}
         for a, b in GENOME_PAIRS:
             edges = found[(a, b)]
-            ta, tb = ([k for k, t in enumerate(genomes[x].telomeric) if t] for x in (a, b))
-            edges.update((ka << SHIFT | kb, 1.0) for ka in ta for kb in tb)
             # a gene spliced out of its genome has no edges
             present_a, present_b = genomes[a].present, genomes[b].present
             keys = sorted(key for key in edges
@@ -89,9 +88,8 @@ class Candidates:
     """The candidate genes as arrays over the gene ids of `genomes`.
 
     Candidate m is the genes `ids[x][m]`, one per genome x, with triple
-    score `triple[m]` and gene score `score[m]`, its cube root; `telomeric[m]`
-    marks a telomere triple.  Indexed or iterated, it is the list that
-    `objects()` builds.
+    score `triple[m]` and gene score `score[m]`, its cube root.  Indexed or
+    iterated, it is the list that `objects()` builds.
     """
 
     def __init__(self, genomes: Sequence[Genome], ids: Sequence[Sequence[int]],
@@ -100,8 +98,6 @@ class Candidates:
         self.ids = tuple(ids)
         self.triple = triple
         self.score = array("d", map(math.cbrt, triple))
-        telomeric = self.genomes[0].telomeric
-        self.telomeric = [telomeric[g] for g in self.ids[0]]
         self._objects = None
 
     def __len__(self) -> int:
@@ -143,24 +139,32 @@ def enumerate_candidates(
 
 class ConservedAdjacencyTable:
     """The instance: the candidate genes and their conserved candidate
-    adjacencies, one table row each, held as arrays.
+    adjacencies, one table row each, held as arrays, and telomere facts.
 
     Rows are sorted by (m1, e1, m2, e2) with canonical endpoint order; m1 and
     m2 index `candidates`, e1 and e2 are `genomes.ENDS` codes.  `mask` holds
     one conservation bit per genome (bit k = genome k), and `conserved_in`
     maps a mask to the labels of its genomes.  A row's `factor` is
     (triple(m1) triple(m2))^(1/6), and its `weight` the factor times the
-    genomes in its mask.  A solution is a set of row indices: its median
-    genes are the candidates its rows join.
-    """
+    genomes in its mask.  A solution is a set of row indices, with caps and
+    y masks (`solver`): its median genes are the candidates they join.
 
-    def __init__(self, candidates: Candidates, m1, e1, m2, e2, mask):
+    Per genome k, `telomeres[k]` lists its telomere ids and `emptied[k]`
+    the telomere pairs that end a chromosome left without genes; `facing`
+    maps the code 3 m + e of each extremity that a telomere faces, in order,
+    to the telomere facing it in each genome (-1: none).  The paper's table
+    (`objects.paper_table`) has none of these facts."""
+
+    def __init__(self, candidates: Candidates, m1, e1, m2, e2, mask,
+                 telomeres=((), (), ()), emptied=((), (), ()), facing=None):
         self.candidates = candidates
         self.labels = tuple(genome.label for genome in candidates.genomes)
         self.conserved_in = [
             tuple(self.labels[x] for x in range(3) if bits >> x & 1) for bits in range(8)
         ]
         self.m1, self.e1, self.m2, self.e2, self.mask = m1, e1, m2, e2, mask
+        self.telomeres, self.emptied = telomeres, emptied
+        self.facing: dict[int, list[int]] = {} if facing is None else facing
         triple = candidates.triple
         self.factor = array("d", [(triple[a] * triple[b]) ** (1.0 / 6.0) for a, b in zip(m1, m2)])
         self.weight = array("d", [f * bits.bit_count() for f, bits in zip(self.factor, mask)])
@@ -171,10 +175,16 @@ class ConservedAdjacencyTable:
     def key(self, k: int) -> tuple[int, int, int, int]:
         return (self.m1[k], self.e1[k], self.m2[k], self.e2[k])
 
-    def genes(self, rows) -> list[int]:
-        """The candidates that the given rows join, sorted."""
+    def cap(self, code: int) -> tuple[int, float]:
+        """The mask and weight of the cap at extremity `code` of `facing`:
+        its row to a telomere triple that holds each telomere facing it."""
+        bits = sum(1 << x for x, t in enumerate(self.facing[code]) if t >= 0)
+        return bits, self.candidates.triple[code // 3] ** (1.0 / 6.0) * bits.bit_count()
+
+    def genes(self, rows, caps=()) -> list[int]:
+        """The candidates that the given rows and caps join, sorted."""
         m1, m2 = self.m1, self.m2
-        return sorted({m for k in rows for m in (m1[k], m2[k])})
+        return sorted({*(m for k in rows for m in (m1[k], m2[k])), *(code // 3 for code in caps)})
 
 
 def candidates_on_genes(candidates: Candidates) -> list[list[list[int]]]:
@@ -195,13 +205,32 @@ def enumerate_conserved_adjacencies(
 ) -> ConservedAdjacencyTable:
     """All conserved candidate adjacencies induced by the extant genomes,
     which are those the candidates were enumerated on or those genomes
-    after preprocessing.  Only their walks are read."""
+    after preprocessing, and their telomere facts.  Only their walks are
+    read: a telomere faces the gene next to it on a linear walk, and a
+    linear walk of two entries is an emptied chromosome."""
     ids = [list(column) for column in candidates.ids]
+    genomes, on_genes = (G, H, I), candidates_on_genes(candidates)
     per_genome = [
         kernels.conserved_pairs(*genome.adjacency_arrays(), on_gene, *ids)
-        for genome, on_gene in zip((G, H, I), candidates_on_genes(candidates))
+        for genome, on_gene in zip(genomes, on_genes)
     ]
-    return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome))
+    emptied: tuple[list, list, list] = ([], [], [])
+    facing: dict[int, list[int]] = {}
+    for x, (genome, on_gene) in enumerate(zip(genomes, on_genes)):
+        for _, shape, (walk, signs) in genome.walks:
+            if shape != LINEAR:
+                continue
+            if len(walk) == 2:
+                emptied[x].append((walk[0], walk[1]))
+                continue
+            # the end each telomere's neighbour turns to it (`objects.facing_end`)
+            for t, k, e in ((walk[0], walk[1], int(signs[1] < 0)),
+                            (walk[-1], walk[-2], int(signs[-2] > 0))):
+                for m in on_gene[k]:
+                    facing.setdefault(3 * m + e, [-1, -1, -1])[x] = t
+    telomeres = tuple([k for k, t in enumerate(genome.telomeric) if t] for genome in genomes)
+    return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome),
+                                   telomeres, emptied, dict(sorted(facing.items())))
 
 
 def preprocess_discard_nonclique(

@@ -17,52 +17,49 @@ Exit codes:
      check against the report's objective
 
 The `solve` report, `median.json`, is one line of JSON with sorted keys
-(`python -m json.tool median.json` pretty-prints it).  Schema version 2:
+(`python -m json.tool median.json` pretty-prints it).  Schema version 3:
   config       the run's settings: "genome_files" and "similarity_file" by
-               base name, "time_limit" (null for no limit), "preprocess"
-               and "use_icf_seg"; reports of earlier versions also hold
-               "engine"
+               base name, "time_limit" (null for no limit) and "preprocess"
   genes        each chosen candidate once, as {"g", "h", "i", "triple_score",
                "gene_score"}, in candidate order
   adjacencies  the median adjacencies, as {"m1", "end1", "m2", "end2",
                "conserved_in", "weight"}; `m1` and `m2` index `genes`
+  telomeres    each chosen cap (`solver`) as {"m", "end", "conserved_in",
+               "telomeres", "weight"}, "telomeres" naming the extant
+               telomere that faces the extremity in each genome of
+               "conserved_in", then each chosen y as {"conserved_in",
+               "weight"}
   cars         {"shape", "genes": [[index into `genes`, "+" or "-"], ...]}
   counts       sizes of the instance and of the median
-  stats        counters that explain the run: "telomere_triples" among the
-               candidates, "solve_rows" handed to the solve, "solve_caps",
-               the cap and y columns that stand for its telomere triples in
-               the program HiGHS solves (`solver`), "icf_seg" (see below),
-               and in "mip" HiGHS's "nodes", "simplex_iterations",
-               "dual_bound" and "gap" on that solve, "lp_integral", whether
-               the LP's vertex was a 0-1 point (then no MIP ran and "nodes"
-               is 0), the "rows" and "columns" handed to HiGHS and the
-               "fixed_selections" (0 and null without a table row; reports
-               without "rows" ran one MIP on every solve, and reports
-               without "columns" handed HiGHS every column).  When no
-               row can bind, every column takes its best bound and HiGHS
-               does not run: "rows", "columns", "nodes", "simplex_iterations"
-               and "gap" read 0, "lp_integral" true and "dual_bound" the
-               objective
+  stats        counters that explain the run: "telomeres" per genome,
+               "solve_rows" handed to the solve, "solve_caps", its cap and
+               y columns, and in "mip" HiGHS's "nodes",
+               "simplex_iterations", "dual_bound" and "gap" on that solve,
+               "lp_integral", whether the LP's vertex was a 0-1 point (then
+               no MIP ran and "nodes" is 0), the "rows" and "columns"
+               handed to HiGHS and the "fixed_selections" (0 and null
+               with nothing to choose).  When no row can bind, every column
+               takes its best bound and HiGHS does not run: "rows",
+               "columns", "nodes", "simplex_iterations" and "gap" read 0,
+               "lp_integral" true and "dual_bound" the objective
   stages       each stage's name and wall seconds
 `--canonical` drops the stage seconds, and nothing else: every other field
-is free of timings.  Schema version 1 wrote the same fields, indented, with
-each candidate's record in place of an index, and no `stats`; `eval` reads
-both versions.
+is free of timings.  `eval` reads versions 1 to 3.  Version 2 listed the
+paper's telomere triples in `genes`, `adjacencies` and `cars`, counted them
+in "stats.telomere_triples", and had four ICF-SEG fields fixed at false
+and 0.  Version 1 wrote the fields of version 2, indented, with each
+candidate's record in place of an index, and no `stats`.
 
-`solve` runs the exact 0-1 program on the whole table, so "solve_rows" is
-the whole table.  ICF-SEG runs only in the `icf-seg` subcommand.  For
-schema-2 readers a report keeps its four ICF-SEG fields, fixed at false
-and 0: "config.use_icf_seg", "counts.accepted_segments",
-"counts.accepted_adjacencies" and the runs in "stats.icf_seg".  `solve`
-still accepts `--no-icf-seg`, hidden from its help, and ignores it.
+ICF-SEG runs only in the `icf-seg` subcommand.  `solve` still accepts
+`--no-icf-seg`, hidden from its help, and ignores it.
 
 A solve's stages are `load`, which numbers each genome's genes once
 (`genomes`); `preprocess`, one similarity index build and triangle scan,
 then the genes in no candidate spliced out of the walks; `enumerate`, the
-adjacency scan (`candidates`); and `solve`.  One check of the chosen rows
-(`verify_solution`) and the CARs follow.  The stages pass gene-id arrays:
-a solve builds no `Gene` or `CandidateGene`, nor does ICF-SEG, and it
-does not import `objects`, which defines them.
+adjacency scan (`candidates`); `solve`; `verify` (`verify_solution`); and
+`cars`.  The report's assembly and JSON encoding follow, untimed.  The
+stages pass gene-id arrays: a solve builds no `Gene` or `CandidateGene`,
+nor does ICF-SEG, and it does not import `objects`, which defines them.
 
 Start-up and shut-down: the package holds its numbers in lists and
 `array.array`s, so no subcommand imports numpy.  Nothing in the package
@@ -138,7 +135,7 @@ from .solver import (
     verify_solution,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -214,6 +211,19 @@ def _genes_json(candidates, chosen: list[int]) -> list[dict]:
              "gene_score": candidates.score[m]} for g, h, i, m in zip(*genes, chosen)]
 
 
+def _telomeres_json(table: ConservedAdjacencyTable, caps, ys, position: dict) -> list[dict]:
+    """The report entries of the chosen caps, then of the chosen y masks."""
+    entries = []
+    for code in caps:
+        bits, weight = table.cap(code)
+        names = [f"{genome.label}:{genome.names[t]}"
+                 for genome, t in zip(table.candidates.genomes, table.facing[code]) if t >= 0]
+        entries.append({"m": position[code // 3], "end": ENDS[code % 3], "telomeres": names,
+                        "conserved_in": table.conserved_in[bits], "weight": weight})
+    return entries + [{"conserved_in": table.conserved_in[bits], "weight": float(bits.bit_count())}
+                      for bits in ys]
+
+
 def icf_seg(*args, **kwargs):
     """`segments.icf_seg`, imported at the first call (see the module docstring)."""
     from .segments import icf_seg as run
@@ -229,12 +239,12 @@ def _config(args, time_limit: float | None) -> dict:
         "similarity_file": os.path.basename(args.similarity),
         "time_limit": time_limit,
         "preprocess": args.preprocess,
-        "use_icf_seg": False,
     }
 
 
 def run_pipeline(args) -> tuple[int, dict]:
-    """Run load -> preprocess -> enumerate -> solve and assemble the report.
+    """Run load -> preprocess -> enumerate -> solve -> verify -> cars and
+    assemble the report.
 
     `args` is the parsed `solve` command line.  Its time limit counts from
     this call: the solve gets what the earlier stages left of it.
@@ -252,11 +262,13 @@ def run_pipeline(args) -> tuple[int, dict]:
         if time_limit is not None:
             remaining = time_limit - (time.monotonic() - started)
         solution = solve_branch_and_bound(model, time_limit=remaining)
-    rows = solution.row_indices
-    verify_solution(table, rows, solution.objective)
-    cars = cars_from_rows(table, rows)
+    rows, caps, ys = solution.row_indices, solution.caps, solution.ys
+    with _stage(stages, "verify"):
+        verify_solution(table, rows, solution.objective, caps, ys)
+    with _stage(stages, "cars"):
+        cars = cars_from_rows(table, rows, caps)
 
-    chosen = table.genes(rows)
+    chosen = table.genes(rows, caps)
     position = {m: j for j, m in enumerate(chosen)}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -269,18 +281,15 @@ def run_pipeline(args) -> tuple[int, dict]:
         "counts": {
             "candidates": len(candidates),
             "conserved_adjacencies": len(table),
-            "accepted_segments": 0,
-            "accepted_adjacencies": 0,
             "median_genes": len(chosen),
             "median_adjacencies": len(rows),
             "cars": len(cars),
             "removed_genes": {k: len(v) for k, v in removed.items()},
         },
         "stats": {
-            "telomere_triples": sum(candidates.telomeric),
+            "telomeres": {label: len(t) for label, t in zip(table.labels, table.telomeres)},
             "solve_rows": len(table),
-            "solve_caps": solution.caps,
-            "icf_seg": {"examined": 0, "accepted": 0, "skipped": 0},
+            "solve_caps": solution.cap_columns,
             "mip": {
                 "nodes": solution.nodes_explored,
                 "simplex_iterations": solution.simplex_iterations,
@@ -304,6 +313,7 @@ def run_pipeline(args) -> tuple[int, dict]:
             }
             for m1, e1, m2, e2, mask, weight in _rows(table, rows)
         ],
+        "telomeres": _telomeres_json(table, caps, ys, position),
         "cars": [
             {
                 "shape": car.shape,

@@ -12,7 +12,9 @@ compile and run `cli` a second time.  The subcommands reach the shared
 stages, `cli._front_end` above all, and the exit codes through it, as
 `solve` does.  Their log lines name `ffmedian.cli`, as the command line's
 own would: `cli` itself loads `logging` only under `-v`.  An output file
-`-` is stdout (`_output`), as for `solve -o -`.
+`-` is stdout (`_output`), as for `solve -o -`.  `enumerate`, `icf-seg`
+and `export-lp` read the paper's table, telomere triples and all
+(`objects.paper_table`).
 """
 from __future__ import annotations
 
@@ -83,7 +85,10 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .objects import paper_table
+
     _, table, _ = _instance(args)
+    table = paper_table(table)
     _write_tsv(args.output, table)
     log.info(
         "wrote %d candidates and %d conserved adjacencies",
@@ -93,9 +98,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_icf_seg(args) -> int:
-    from .objects import candidate_names
+    from .objects import candidate_names, paper_table
 
     genomes, table, _ = _instance(args)
+    table = paper_table(table)
     result = cli.icf_seg(genomes[0], table)
 
     def triple(m: int) -> str:
@@ -130,10 +136,11 @@ def _cmd_icf_seg(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
+    from .objects import paper_table
     from .reference import counted_constraints, counted_variables, write_lp
 
     _, table, _ = _instance(args)
-    model = cli.build_ilp(table)
+    model = cli.build_ilp(paper_table(table))  # one paper's table for all three readers
     with _output(args.output) as fh:
         write_lp(model, fh)
     log.info("wrote model with %d variables and %d constraints",
@@ -159,7 +166,8 @@ def _cmd_verify_reduction(args) -> int:
     instance = read_instance(args.instance_dir)
     _, table, _ = cli._front_end(lambda: (instance.genomes, instance.sigma), preprocess=False)
     solution = cli.solve_branch_and_bound(cli.build_ilp(table), time_limit=time_limit)
-    cli.verify_solution(table, solution.row_indices, solution.objective)
+    cli.verify_solution(table, solution.row_indices, solution.objective,
+                        solution.caps, solution.ys)
     mis = mis_bruteforce(instance.graph)
     s_value = solution.objective / 2.0 - 3.0
     mapped = backmap_solution(solution, instance)
@@ -197,7 +205,8 @@ def _cmd_verify_reduction(args) -> int:
 
 def _load_predictions(path) -> list[tuple]:
     """Ortholog triples of `objects.Gene`s from a median report; telomere
-    triples are not ortholog predictions and are skipped."""
+    triples, which reports before schema 3 list, are not ortholog
+    predictions and are skipped."""
     from .objects import _parse_qualified
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -206,8 +215,8 @@ def _load_predictions(path) -> list[tuple]:
     if not isinstance(entries, list):
         raise ParseError(f"{path}: not a median report")
     version = data.get("schema_version")
-    if version not in (1, 2):
-        raise ParseError(f"{path}: median report schema_version {version!r}, not 1 or 2")
+    if version not in (1, 2, 3):
+        raise ParseError(f"{path}: median report schema_version {version!r}, not 1, 2 or 3")
     triples = []
     for entry in entries:
         tokens = [entry.get(key) if isinstance(entry, dict) else None for key in "ghi"]

@@ -2,7 +2,8 @@
 
 Nothing here runs in a `solve`: the tests hold the fast paths of the
 other modules against these forms, and of the subcommands only `export-lp`
-imports this module.
+imports this module.  `write_lp`, the counts and the oracle read the
+paper's table, with its telomere triples (`objects.paper_table`).
 
 - Extremities and adjacencies as the paper states them: `Extremity`, one
   validated end of a gene, `adjacency`, the canonical unordered pair, and
@@ -30,7 +31,16 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 from .candidates import ConservedAdjacencyTable, candidates_on_genes
 from .genomes import CIRCULAR, ENDS, HEAD, TAIL, TELOMERIC, Genome, GenomeError
-from .objects import Gene, candidate_names, chromosomes, extremity_rows, facing_end, has_gene
+from .objects import (
+    Gene,
+    candidate_names,
+    chromosomes,
+    extremity_rows,
+    facing_end,
+    has_gene,
+    paper_table,
+    telomere_triples,
+)
 from .solver import (
     GRID,
     STATUS_EMPTY,
@@ -120,17 +130,19 @@ def _token(name: str) -> str:
 
 def counted_variables(model: IlpModel) -> int:
     """One selection variable per candidate, one per conserved adjacency."""
-    return model.n_a + model.n_b
+    table = paper_table(model.table)
+    return len(table.candidates) + len(table)
 
 
 def counted_constraints(model: IlpModel) -> int:
     """One conflict constraint per extant gene occurring in a candidate, one
     coupling constraint per conserved adjacency, one saturation constraint
     per candidate extremity."""
-    candidates = model.table.candidates
+    table = paper_table(model.table)
+    candidates = table.candidates
     genes = sum(len(set(column)) for column in candidates.ids)
-    extremities = sum(1 if telomeric else 2 for telomeric in candidates.telomeric)
-    return genes + model.n_b + extremities
+    extremities = sum(1 if telomeric else 2 for telomeric in telomere_triples(candidates))
+    return genes + len(table) + extremities
 
 
 def _a_names(table: ConservedAdjacencyTable) -> list[str]:
@@ -189,7 +201,7 @@ def write_lp(model: IlpModel, fh) -> None:
     byte-deterministically: the conflict rows by genome label, then gene
     name (a genome numbers its genes in name order), and the saturation
     rows by extremity."""
-    table = model.table
+    table = paper_table(model.table)
     a_names, b_names = _a_names(table), _b_names(table)
     fh.write("Maximize\n")
     terms = [f"{'+ ' if k else ''}{_coeff(w)} {name}"
@@ -231,7 +243,8 @@ def write_lp(model: IlpModel, fh) -> None:
 def brute_force_median(
     table: ConservedAdjacencyTable, cap: int = 12, collect_optima: bool = False
 ):
-    """Oracle: a depth-first search over the adjacency rows.
+    """Oracle: a depth-first search over the rows of the paper's table of
+    `table`, which its solution's rows index and its `cap` bounds.
 
     The rows are tried in decreasing weight order, ties by row index.  A row
     is taken only when both of its extremities are unused and no extant gene
@@ -242,6 +255,7 @@ def brute_force_median(
     With `collect_optima` returns (solution, optima) where optima lists all
     optimal adjacency sets as sorted row-index tuples.
     """
+    table = paper_table(table)
     candidates = table.candidates
     if len(candidates) > cap:
         raise OracleCapExceeded(
@@ -287,7 +301,7 @@ def brute_force_median(
         dfs(pos + 1, value)
 
     dfs(0, 0.0)
-    solution = _finish(build_ilp(table), STATUS_OPTIMAL, best, best, min(optima))
+    solution = _finish(build_ilp(table), STATUS_OPTIMAL, best, best, (min(optima), (), ()))
     if collect_optima:
         return solution, sorted(optima)
     return solution

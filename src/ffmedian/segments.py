@@ -4,9 +4,10 @@ Builds the matching graph over candidate extremities, detects runs
 (internally conflict-free segments whose extant gene order is conserved up
 to a full reversal), and accepts a run's internal adjacencies when a
 maximum-weight matching on its conflict-extended graph certifies that they
-belong to at least one optimal median.  The instance is one
-`ConservedAdjacencyTable`, read as a solve reads it: the candidates' gene
-ids, the table's columns and G's walks.  Every key is an int: a G gene id,
+belong to at least one optimal median.  The instance is the paper's
+`ConservedAdjacencyTable`, with its telomere triples
+(`objects.paper_table`), read as arrays: the candidates' gene ids, the
+table's columns and G's walks.  Every key is an int: a G gene id,
 a candidate id, or the extremity code 3 m + e of end e of candidate m.
 
 Runs are found by a left-to-right scan of each chromosome of G, a chain
@@ -58,7 +59,7 @@ from typing import NamedTuple
 from .candidates import ConservedAdjacencyTable, candidates_on_genes
 from .genomes import Genome
 from .kernels import IntArray
-from .objects import candidate_names, extremity_rows, facing_end
+from .objects import candidate_names, extremity_rows, facing_end, telomere_triples
 from .solver import paths_and_cycles
 
 log = logging.getLogger(__name__)
@@ -110,16 +111,6 @@ def _edge_key(u, v) -> tuple:
 def _ends(telomeric: bool) -> tuple[int, ...]:
     """The end codes of a candidate: a telomere triple has one."""
     return (2,) if telomeric else (0, 1)
-
-
-def build_gamma(table: ConservedAdjacencyTable) -> MatchGraph:
-    """Graph with one vertex per candidate extremity and one weighted edge
-    per conserved candidate adjacency."""
-    nodes = tuple(3 * m + e for m, telomeric in enumerate(table.candidates.telomeric)
-                  for e in _ends(telomeric))
-    edges = tuple((3 * m1 + e1, 3 * m2 + e2, w) for m1, e1, m2, e2, w in
-                  zip(table.m1, table.e1, table.m2, table.e2, table.weight))
-    return MatchGraph(nodes, edges)
 
 
 def mwm(graph: MatchGraph) -> frozenset[tuple]:
@@ -176,11 +167,6 @@ def _path_matching(edges: list[tuple], weight: dict[tuple, float]) -> tuple[floa
     return best[-1], chosen
 
 
-def matching_weight(graph: MatchGraph, matching) -> float:
-    weights = graph.edge_weight()
-    return float(sum(weights[key] for key in matching))
-
-
 # -- the id indexes ICF-SEG reads ---------------------------------------------
 
 
@@ -195,7 +181,7 @@ class Incidence:
         candidates = table.candidates
         self.table = table
         self.ids = candidates.ids
-        self.ends = [_ends(telomeric) for telomeric in candidates.telomeric]
+        self.ends = [_ends(telomeric) for telomeric in telomere_triples(candidates)]
         self.on_gene = candidates_on_genes(candidates)
         self.at = extremity_rows(table)
         self.cand_alive = Flags(b"\x01" * len(candidates)) if cand_alive is None else cand_alive
@@ -298,7 +284,7 @@ class _RunScanner:
                 self.link[3 * m1 + e1] = (m2, k)
                 self.link[3 * m2 + e2] = (m1, k)
         self.by_g_gene: list[list[int]] = [[] for _ in G.names]
-        for m, (gene, telomeric) in enumerate(zip(self.ids[0], table.candidates.telomeric)):
+        for m, (gene, telomeric) in enumerate(zip(self.ids[0], telomere_triples(table.candidates))):
             if (cand_alive is None or cand_alive[m]) and m not in locked and not telomeric:
                 self.by_g_gene[gene].append(m)
         self.where = {gene: (ci, pos) for ci, (_, ids, _) in enumerate(self.walks)
@@ -544,10 +530,6 @@ class IcfSegResult:
     @property
     def accepted_weight(self) -> float:
         return float(sum(self.weight(run) for run in self.accepted))
-
-    @property
-    def accepted_rows(self) -> list[int]:
-        return [r for run in self.accepted for r in run.internal_rows]
 
     @property
     def live_rows(self) -> list[int]:

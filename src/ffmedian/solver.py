@@ -6,19 +6,19 @@ one binary per conserved candidate adjacency (an adjacency needs both its
 genes chosen, and each candidate extremity carries at most one adjacency).
 The objective maximizes the conservation-weighted adjacency scores.
 
-`solve_branch_and_bound` solves a capped form of it (`_Capped`).
-Telomere triples, one telomere per genome in every combination, are
-interchangeable and get no columns.  A real extremity (m, e) gets one cap
-for its rows to telomere triples: the row to a triple that holds the
-telomere facing (m, e) in each genome of S, the union of those rows'
-masks.  Rows between two telomere triples, whose telomeres end a
-chromosome that preprocessing emptied in each genome of their mask S,
-become counts y_S.  Distinct chosen caps face distinct telomeres, none of
-which ends an emptied chromosome, so by Hall's theorem the caps and y_S get
-triples of their own exactly when each genome has the telomeres (caps +
-2 y) and the emptied chromosomes they need (Shao, Lin & Moret, JCB 2015;
-Bohnenkämper et al., JCB 2021).  So the capped program keeps the optimum,
-and `_Capped.table_rows` maps its point to table rows.  Each extremity row,
+`solve_branch_and_bound` solves a capped form of it (`_Capped`).  The
+paper's telomere triples, one telomere per genome in every combination,
+are interchangeable, and the table holds only their facts.  A candidate
+extremity (m, e) gets one cap: the row to a triple that holds the telomere
+facing (m, e) in each genome of S, the genomes where one faces it.  Rows
+between two triples, whose telomeres end a chromosome that preprocessing
+emptied in each genome of their mask S, become counts y_S.  Distinct
+chosen caps face distinct telomeres, none of which ends an emptied
+chromosome, so by Hall's theorem the caps and y_S get triples of their own
+exactly when each genome has the telomeres (caps + 2 y) and the emptied
+chromosomes they need (Shao, Lin & Moret, JCB 2015; Bohnenkämper et al.,
+JCB 2021).  So the capped program keeps the optimum, and a solution is its
+chosen rows, caps and y masks.  Each extremity row,
 `sum b at (m, e) - a_m <= 0`, is tighter than the paper's coupling and
 saturation rows, with the same integer points.  Three exact reductions
 (Achterberg et al., "Presolve Reductions in Mixed Integer Programming",
@@ -48,14 +48,14 @@ root is integral loads no `ctypes`.  The paper's own rows are written by
 
 The instance is one `ConservedAdjacencyTable`, which `build_ilp`,
 `verify_solution` and `cars_from_rows` take alone, and a solution is a set
-of its rows: the median genes are the candidates those rows join.
-`cars_from_rows` reads the CARs off a graph over the extremities of those
-genes: one edge joins the two ends of each gene and one edge stands for
-each chosen row.  `paths_and_cycles`, the walk that ICF-SEG's matching
-also uses, lists its paths and cycles.  A member reads `-` when the walk
-enters it at its head; a telomere triple has one end and reads `+`.  A
-linear CAR is the lesser of its two readings, and a circular CAR starts at
-its smallest candidate, read `-`.
+of its rows, its caps (extremity codes) and its y masks: the median genes
+are the candidates those rows and caps join.  `cars_from_rows` reads the
+CARs off a graph over the extremities of those genes: one edge joins the
+two ends of each gene and one edge stands for each chosen row.
+`paths_and_cycles`, the walk that ICF-SEG's matching also uses, lists its
+paths and cycles.  A member reads `-` when the walk enters it at its head.
+A linear CAR is the lesser of its two readings, and a circular CAR starts
+at its smallest candidate, read `-`.
 
 The independent oracle, `reference.brute_force_median`, is an exhaustive
 search in plain Python that the tests run.  It and the rest of `reference`
@@ -83,7 +83,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .candidates import ConservedAdjacencyTable
-from .kernels import SHIFT
 
 GRID = 1e-9  # objective comparison grid
 
@@ -133,46 +132,67 @@ class Car(tuple):
 
 
 class MedianSolution:
-    """The chosen rows of `table`; the median genes are the candidates they join."""
+    """The chosen rows, caps and y masks of `table`, which join the median genes."""
 
     def __init__(self, status: str, objective: float, bound: float,
-                 row_indices: tuple[int, ...], table: ConservedAdjacencyTable):
+                 row_indices: tuple[int, ...], table: ConservedAdjacencyTable,
+                 caps: tuple[int, ...] = (), ys: tuple[int, ...] = ()):
         self.status = status
         self.objective = objective
         self.bound = bound
         self.row_indices = row_indices
         self.table = table
+        self.caps, self.ys = caps, ys  # the chosen caps' extremity codes, the y masks
         # HiGHS's counters, which `solve_branch_and_bound` sets after a MIP run
         self.nodes_explored = 0
         self.simplex_iterations = 0
         self.dual_bound: float | None = None  # HiGHS's bound on the objective
         self.gap: float | None = None  # HiGHS's relative gap
-        self.caps = 0  # the cap and y columns handed to HiGHS
+        self.cap_columns = 0  # the cap and y columns of the capped program
         self.lp_integral: bool | None = None  # whether HiGHS's LP vertex was a 0-1 point
         self.highs_rows = 0  # the rows handed to HiGHS
         self.highs_columns = 0  # the columns handed to HiGHS
         self.fixed = 0  # the selections fixed at 1 before HiGHS runs
 
 
+def solution_weight(table: ConservedAdjacencyTable, rows, caps=(), ys=()) -> float:
+    """The summed weight of rows, caps and y masks: a y_S weighs |S|."""
+    return math.fsum([*(table.weight[k] for k in rows), *(table.cap(c)[1] for c in caps),
+                      *(float(bits.bit_count()) for bits in ys)])
+
+
 def verify_solution(
-    table: ConservedAdjacencyTable, row_indices: Iterable[int], objective: float
+    table: ConservedAdjacencyTable, row_indices: Iterable[int], objective: float,
+    caps: Iterable[int] = (), ys: Iterable[int] = (),
 ) -> None:
-    """Independent check of a solution straight from the definitions, counted
-    on the table's arrays: no extant gene under two of the candidates its
-    rows join, no candidate extremity in two rows, and the rows' weights
-    summing to `objective`.  `cli.run_pipeline` runs it once per solve."""
-    rows = list(row_indices)
+    """Independent check of a solution from the definitions, on the table's
+    arrays and telomere facts: no extant gene under two of the candidates
+    its rows and caps join, no extremity in two of its rows and caps, a
+    telomere facing each cap, in each genome caps + 2 y <= telomeres and
+    the y that hold it <= emptied chromosomes, and the weights summing to
+    `objective`.  `cli.run_pipeline` runs it once per solve."""
+    rows, caps, ys = list(row_indices), list(caps), list(ys)
     cands = table.candidates
-    chosen = table.genes(rows)
+    chosen = table.genes(rows, caps)
     for genome, slot in zip(cands.genomes, cands.ids):
         gene, used = _most_used(slot[m] for m in chosen)
         if used > 1:
             raise SolverError(f"conflict on extant gene {genome.label}:{genome.names[gene]}")
     m1, e1, m2, e2 = table.m1, table.e1, table.m2, table.e2
-    ext, used = _most_used(end for k in rows for end in (m1[k] * 3 + e1[k], m2[k] * 3 + e2[k]))
+    ext, used = _most_used([*(end for k in rows for end in (m1[k] * 3 + e1[k], m2[k] * 3 + e2[k])),
+                            *caps])
     if used > 1:
         raise SolverError(f"extremity {(ext // 3, ext % 3)} used twice")
-    total = math.fsum(table.weight[k] for k in rows)
+    for code in caps:
+        if code not in table.facing:
+            raise SolverError(f"cap at extremity {(code // 3, code % 3)}, which no telomere faces")
+    for x, (label, telomeres, emptied) in enumerate(zip(table.labels, table.telomeres,
+                                                        table.emptied)):
+        if len(caps) + 2 * len(ys) > len(telomeres):
+            raise SolverError(f"caps and y masks exceed the {len(telomeres)} telomeres of {label}")
+        if sum(bits >> x & 1 for bits in ys) > len(emptied):
+            raise SolverError(f"y masks exceed the {len(emptied)} emptied chromosomes of {label}")
+    total = solution_weight(table, rows, caps, ys)
     if abs(total - objective) > 1e-6 * max(1.0, abs(total)):
         raise SolverError(f"objective mismatch: {total} vs {objective}")
 
@@ -236,20 +256,20 @@ def _members(walk: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(members)
 
 
-def cars_from_rows(table: ConservedAdjacencyTable, row_indices: Iterable[int]) -> list[Car]:
+def cars_from_rows(table: ConservedAdjacencyTable, row_indices: Iterable[int],
+                   caps: Iterable[int] = ()) -> list[Car]:
     """The paths and cycles of the extremities of the genes that the chosen
-    rows join, as canonical CARs sorted by their smallest member.
+    rows and caps join, as canonical CARs sorted by their smallest member.
 
     Only the chosen adjacencies are used; no completion adjacencies are
-    invented.  Each gene has a row, so each CAR has two members or more.
+    invented.  A gene that only caps hold is a CAR of its own; every other
+    CAR has two members or more.
     """
     rows = list(row_indices)
     neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    telomeric = table.candidates.telomeric
-    for m in table.genes(rows):
-        ends = (2,) if telomeric[m] else (0, 1)
-        for e in ends:
-            neighbours[(m, e)] = [(m, f) for f in ends if f != e]
+    for m in table.genes(rows, caps):
+        neighbours[(m, 0)] = [(m, 1)]
+        neighbours[(m, 1)] = [(m, 0)]
     for k in rows:
         m1, e1, m2, e2 = table.key(k)
         neighbours[(m1, e1)].append((m2, e2))
@@ -473,88 +493,49 @@ def linprog(highs, cost, start, index, value, rhs, time_limit=None) -> MipResult
 
 class _Capped:
     """The capped program of a table in compressed-column form (entries
-    sorted by column, then row).  Columns: a selection per real candidate;
-    one per row between two of them; a cap per real extremity (m, e) with
-    telomere rows, of weight triple(m)^(1/6) |S|; each y_S in unary, as
-    binaries of weight |S|.  Rows: per extant gene, its selections <= 1;
-    per real extremity, its rows and cap <= the selection of m; per genome
-    X, the y with X in S <= X's emptied chromosomes; caps + 2 y <= the
-    fewest telomeres of a genome.  `handed` is the program HiGHS gets,
-    reduced by rules (a), (b) and (c) below to the `live` columns, and
-    `fixed` counts the selections that rule (a) fixes.  `point` holds the
-    values of the other columns, and `offset` their cost."""
+    sorted by column, then row).  Columns: a selection per candidate; one
+    per row; a cap per extremity that a telomere faces (weight:
+    `ConservedAdjacencyTable.cap`); each y_S in unary, as binaries of weight
+    |S|.  Rows: per extant gene, its selections <= 1; per extremity, its
+    rows and cap <= the selection of m; per genome X, the y with X in S <=
+    X's emptied chromosomes; caps + 2 y <= the fewest telomeres of a genome,
+    without which there is no cap and no y.  `handed` is the program HiGHS
+    gets, reduced by rules (a), (b) and (c) below to the `live` columns,
+    and `fixed` counts the selections that rule (a) fixes.  `point` holds
+    the values of the other columns, and `offset` their cost."""
 
     def __init__(self, table: ConservedAdjacencyTable):
-        ids, telomeric = table.candidates.ids, table.candidates.telomeric
-        real = [m for m, t in enumerate(telomeric) if not t]
-        tri = [m for m, t in enumerate(telomeric) if t]
-        # the real candidates' genes, as gene rows numbered in order of first use
-        g, h, i = ids
+        # the candidates' genes, as gene rows numbered in order of first use
+        g, h, i = table.candidates.ids
         gene_row: dict[int, int] = {}
-        for m in real:
-            for code in (3 * g[m], 3 * h[m] + 1, 3 * i[m] + 2):
+        for a, b, c in zip(g, h, i):
+            for code in (3 * a, 3 * b + 1, 3 * c + 2):
                 gene_row.setdefault(code, len(gene_row))
-        cand_gene = [(gene_row[3 * g[m]], gene_row[3 * h[m] + 1], gene_row[3 * i[m] + 2])
-                     for m in real]
-        # per genome, each telomere triple's telomere, numbered in name order,
-        # and per combination of telomeres the end of its telomere triple
-        number = [{t: c for c, t in enumerate(sorted({ids[x][m] for m in tri}))}
-                  for x in range(3)]
-        self.telomeres = [len(n) for n in number]
-        code = {m: tuple(number[x][ids[x][m]] for x in range(3)) for m in tri}
-        self.end = {c: 3 * m + 2 for m, c in code.items()}
-        m1, e1, m2, e2, mask = table.m1, table.e1, table.m2, table.e2, table.mask
-        self.inner = inner = []
-        mixed, tt = [], []
-        for k, (a, b) in enumerate(zip(m1, m2)):
-            (tt if telomeric[a] and telomeric[b] else
-             mixed if telomeric[a] or telomeric[b] else inner).append(k)
-        # a cap per real extremity of the mixed rows: its first row, the
-        # union of the rows' masks and, per genome, the telomere it faces
-        # (-1: none)
-        cap_first: dict[int, int] = {}
-        cap_mask: dict[int, int] = {}
-        forced: dict[int, list[int]] = {}
-        for k in mixed:
-            tel, ext = ((m1[k], 3 * m2[k] + e2[k]) if telomeric[m1[k]] else
-                        (m2[k], 3 * m1[k] + e1[k]))
-            cap_first.setdefault(ext, k)
-            cap_mask[ext] = cap_mask.get(ext, 0) | mask[k]
-            faced = forced.setdefault(ext, [-1, -1, -1])
-            for x in range(3):
-                if mask[k] >> x & 1:
-                    faced[x] = code[tel][x]
-        self.cap_ext = sorted(cap_first)
-        self.forced = [forced[ext] for ext in self.cap_ext]
-        # per genome, each telomere's partner on an emptied chromosome (-1:
-        # none) and those chromosomes
-        self.partner, emptied = [], []
-        for x, n in enumerate(self.telomeres):
-            on = [k for k in tt if mask[k] >> x & 1]
-            partner = [-1] * n
-            for k in on:
-                partner[code[m1[k]][x]] = code[m2[k]][x]
-            for k in on:
-                partner[code[m2[k]][x]] = code[m1[k]][x]
-            self.partner.append(partner)
-            emptied.append(sum(t >= 0 for t in partner) // 2)
-        room = min(self.telomeres)
-        # y_S per mask S of those rows, in as many copies as S's genomes and
-        # the room allow
+        cand_gene = [(gene_row[3 * a], gene_row[3 * b + 1], gene_row[3 * c + 2])
+                     for a, b, c in zip(g, h, i)]
+        m1, e1, m2, e2 = table.m1, table.e1, table.m2, table.e2
+        room = min(map(len, table.telomeres))
+        self.cap_ext = list(table.facing) if room else []
+        emptied = [len(pairs) if room else 0 for pairs in table.emptied]
+        # y_S, in as many copies as S's genomes and the room allow, per mask
+        # S of a row between two telomere triples: each genome of S has an
+        # emptied chromosome, each other two telomeres that do not end one
         self.y_mask = y_mask = []
-        for bits in sorted({mask[k] for k in tt}):
-            copies = min(emptied[x] if bits >> x & 1 else room for x in range(3))
-            y_mask += [bits] * min(copies, room // 2)
+        for bits in range(1, 8):
+            if all(emptied[x] if bits >> x & 1 else len(table.telomeres[x]) > 2 or not emptied[x]
+                   for x in range(3)):
+                copies = min(emptied[x] if bits >> x & 1 else room for x in range(3))
+                y_mask += [bits] * min(copies, room // 2)
 
-        n_r, n_in, n_cap, n_genes = len(real), len(inner), len(self.cap_ext), len(gene_row)
+        n_r, n_in, n_cap, n_genes = len(cand_gene), len(table), len(self.cap_ext), len(gene_row)
         self.split = (n_r, n_r + n_in, n_r + n_in + n_cap)
-        ext_rows = sorted({*(3 * m1[k] + e1[k] for k in inner),
-                           *(3 * m2[k] + e2[k] for k in inner), *self.cap_ext})
+        ext_rows = sorted({*(3 * m + e for m, e in zip(m1, e1)),
+                           *(3 * m + e for m, e in zip(m2, e2)), *self.cap_ext})
         ext_row = {ext: n_genes + j for j, ext in enumerate(ext_rows)}.get
         row = n_genes + len(ext_rows)
         # each column's (row, value) entries, by row
         index, value, self.start = [], [], [0]
-        for m, genes in zip(real, cand_gene):
+        for m, genes in enumerate(cand_gene):
             index += sorted(genes)
             value += (1.0, 1.0, 1.0)
             for r in (ext_row(3 * m), ext_row(3 * m + 1)):
@@ -562,8 +543,8 @@ class _Capped:
                     index.append(r)
                     value.append(-1.0)
             self.start.append(len(index))
-        for k in inner:
-            index += (ext_row(3 * m1[k] + e1[k]), ext_row(3 * m2[k] + e2[k]))
+        for a, b in zip(zip(m1, e1), zip(m2, e2)):
+            index += (ext_row(3 * a[0] + a[1]), ext_row(3 * b[0] + b[1]))
             value += (1.0, 1.0)
             self.start.append(len(index))
         for ext in self.cap_ext:
@@ -578,12 +559,10 @@ class _Capped:
         self.index, self.value = index, value
         self.rhs = [1.0] * n_genes + [0.0] * len(ext_rows) + [float(e) for e in emptied]
         self.rhs.append(float(room))
-        weight, factor = table.weight, table.factor
-        self.cost = [-0.0] * n_r + [-weight[k] for k in inner]
-        self.cost += [-(factor[cap_first[ext]] * cap_mask[ext].bit_count())
-                      for ext in self.cap_ext]
+        self.cost = [-0.0] * n_r + [-w for w in table.weight]
+        self.cost += [-table.cap(ext)[1] for ext in self.cap_ext]
         self.cost += [-float(bits.bit_count()) for bits in y_mask]
-        # (a) a real candidate that alone holds each of its genes is fixed at
+        # (a) a candidate that alone holds each of its genes is fixed at
         # 1: its entries move to the right sides, and its column is left
         # empty.  Its gene rows hold it alone, it costs 0, and choosing it
         # only loosens its extremity rows.
@@ -632,64 +611,40 @@ class _Capped:
                        list(itertools.accumulate(itertools.compress(counts, counts), initial=0)),
                        [new_row[r] for r, keep in zip(index, handed) if keep],
                        [v for v, keep in zip(value, handed) if keep], [rhs[r] for r in kept])
-        self.table = table
 
-    def table_rows(self, point) -> tuple[int, ...]:
-        """The table rows of a 0-1 point: its rows between real candidates,
-        and a telomere triple's row for each cap and two triples' row for
-        each y binary.  A cap takes the telomeres its mask forces, and y_S
-        an unused emptied chromosome in each genome of S; each genome then
-        hands out its other telomeres in name order, to the y first.
-        """
+    def solution(self, point) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The rows, caps and y masks that a 0-1 point chooses."""
         on = [v > 0.5 for v in point]
         n_r, n_rows, n_caps = self.split
-        caps = [j for j in range(n_caps - n_rows) if on[n_rows + j]]
-        ys = [bits for bits, chosen in zip(self.y_mask, on[n_caps:]) if chosen]
-        # the telomeres of the two triples of each y, then of each cap's triple
-        slots = [[-1, -1, -1] for _ in range(2 * len(ys))]
-        slots += [self.forced[j].copy() for j in caps]
-        for x, partner in enumerate(self.partner):
-            held = [2 * j for j, bits in enumerate(ys) if bits >> x & 1]
-            left = [t for t, other in enumerate(partner) if other > t]
-            for j, t in zip(held, left):
-                slots[j][x], slots[j + 1][x] = t, partner[t]
-            taken = {slot[x] for slot in slots}
-            free = (t for t in range(self.telomeres[x]) if t not in taken)
-            for slot in slots:
-                if slot[x] < 0:
-                    slot[x] = next(free, -1)
-        ends = [self.end.get(tuple(slot), -1) for slot in slots]
-        n_y = 2 * len(ys)
-        a = ends[:n_y:2] + [self.cap_ext[j] for j in caps]
-        b = ends[1:n_y:2] + ends[n_y:]
-        table = self.table
-        row_of = {(3 * m1 + e1) << SHIFT | (3 * m2 + e2): k for k, (m1, e1, m2, e2) in
-                  enumerate(zip(table.m1, table.e1, table.m2, table.e2))} if a else {}
-        found = [row_of.get(min(u, v) << SHIFT | max(u, v), -1) if min(u, v) >= 0 else -1
-                 for u, v in zip(a, b)]
-        if -1 in found:
-            raise SolverError("a cap or emptied chromosome has no row in the table")
-        return tuple(sorted([k for j, k in enumerate(self.inner) if on[n_r + j]] + found))
+        return (tuple(itertools.compress(range(n_rows - n_r), on[n_r:n_rows])),
+                tuple(itertools.compress(self.cap_ext, on[n_rows:n_caps])),
+                tuple(itertools.compress(self.y_mask, on[n_caps:])))
 
 
-def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple[int, ...]]:
-    """Take adjacencies by decreasing weight while the selection stays valid."""
+def _greedy_incumbent(model: IlpModel) -> tuple[float, tuple]:
+    """The weight and the rows, caps and (no) y masks taken by decreasing
+    weight, rows first on a tie, while no extant gene is under two chosen
+    candidates, no extremity used twice and no more caps than telomeres."""
     table = model.table
-    weight = table.weight
+    room = min(map(len, table.telomeres))
     genes = [list(enumerate(col)) for col in zip(*table.candidates.ids)]
+    choices = [(-w, False, k, ((m1, e1), (m2, e2))) for k, (m1, e1, m2, e2, w) in
+               enumerate(zip(table.m1, table.e1, table.m2, table.e2, table.weight))]
+    choices += [(-table.cap(code)[1], True, code, (divmod(code, 3),))
+                for code in table.facing if room]
     owner: dict[tuple[int, int], int] = {}
     used_ext: set[tuple[int, int]] = set()
-    chosen: list[int] = []
-    for k in sorted(range(len(table)), key=lambda k: (-weight[k], k)):
-        m1, e1, m2, e2 = table.key(k)
-        if (m1, e1) in used_ext or (m2, e2) in used_ext or any(
-            owner.get(gene, m) != m for m in (m1, m2) for gene in genes[m]
+    rows, caps = [], []
+    for _, cap, key, ends in sorted(choices):
+        if used_ext.intersection(ends) or cap and len(caps) == room or any(
+            owner.get(gene, m) != m for m, _ in ends for gene in genes[m]
         ):
             continue
-        owner.update((gene, m) for m in (m1, m2) for gene in genes[m])
-        used_ext |= {(m1, e1), (m2, e2)}
-        chosen.append(k)
-    return math.fsum(weight[k] for k in chosen), tuple(sorted(chosen))
+        owner.update((gene, m) for m, _ in ends for gene in genes[m])
+        used_ext.update(ends)
+        (caps if cap else rows).append(key)
+    chosen = (tuple(sorted(rows)), tuple(sorted(caps)), ())
+    return solution_weight(table, *chosen), chosen
 
 
 def solve_branch_and_bound(
@@ -715,12 +670,12 @@ def solve_branch_and_bound(
     """
     started = time.monotonic()
     table = model.table
-    if model.n_a == 0:
+    if model.n_a == 0 and not min(map(len, table.telomeres)):  # nor a telomere triple
         return MedianSolution(STATUS_EMPTY, 0.0, 0.0, (), table)
-    if model.n_b == 0:
-        return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ())
-
     program = _Capped(table)
+    if len(program.cost) == program.split[0]:  # no row, cap or y to choose
+        return _finish(model, STATUS_OPTIMAL, 0.0, 0.0, ((), (), ()))
+
     if program.live:
         highs = _import_scipy()
         limit = None
@@ -745,30 +700,33 @@ def solve_branch_and_bound(
             "HiGHS: %s, LP integral %s, %d nodes, gap %s, dual bound %s",
             res.message, res.lp_integral, res.nodes, res.gap, dual_bound,
         )
-    rows = () if res.x is None else program.table_rows(res.x)
-    value = math.fsum(table.weight[k] for k in rows)
+    chosen = ((), (), ()) if res.x is None else program.solution(res.x)
+    value = solution_weight(table, *chosen)
     if status == STATUS_OPTIMAL:
-        solution = _finish(model, STATUS_OPTIMAL, value, value, rows, res)
+        solution = _finish(model, STATUS_OPTIMAL, value, value, chosen, res)
     elif status is None:
         raise SolverError(f"HiGHS failed: {res.message}")
     else:
-        greedy_value, greedy_rows = _greedy_incumbent(model)
+        greedy_value, greedy = _greedy_incumbent(model)
         if greedy_value > value:
-            value, rows = greedy_value, greedy_rows
+            value, chosen = greedy_value, greedy
         bound = dual_bound if math.isfinite(dual_bound) else -math.fsum(program.cost)
         # HiGHS's dual bound holds only up to its tolerances
-        solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), rows, res)
-    solution.caps = len(program.cost) - program.split[1]
+        solution = _finish(model, STATUS_FEASIBLE, value, max(bound, value), chosen, res)
+    solution.cap_columns = len(program.cost) - program.split[1]
     solution.highs_rows, solution.highs_columns = len(program.handed[4]), len(program.live)
     solution.fixed = program.fixed
     return solution
 
 
-def _finish(model, status, value, bound, rows, res=None) -> MedianSolution:
-    """The solution of `rows`, unverified, with the counters of the HiGHS run
-    `res` when there was one; a non-finite HiGHS bound or gap becomes None."""
+def _finish(model, status, value, bound, chosen, res=None) -> MedianSolution:
+    """The solution of `chosen`, its rows, caps and y masks, unverified,
+    with the counters of the HiGHS run `res` when there was one; a
+    non-finite HiGHS bound or gap becomes None."""
+    rows, caps, ys = chosen
     rows = tuple(sorted(int(k) for k in rows))
-    solution = MedianSolution(status, float(value), float(bound), rows, model.table)
+    solution = MedianSolution(status, float(value), float(bound), rows, model.table,
+                              tuple(caps), tuple(ys))
     if res is not None:
         solution.nodes_explored = res.nodes
         solution.simplex_iterations = res.iterations

@@ -10,13 +10,15 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ffmedian.candidates import (
+    ConservedAdjacencyTable,
     candidates_on_genes,
     enumerate_candidates,
     enumerate_conserved_adjacencies,
 )
 from ffmedian import segments, solver
 from ffmedian.genomes import SimilarityGraph, build_genome
-from ffmedian.objects import Gene, set_similarity
+from ffmedian.kernels import IntArray
+from ffmedian.objects import Gene, paper_table, set_similarity, telomere_triples
 from ffmedian.solver import verify_solution
 
 
@@ -171,15 +173,45 @@ def build_tables(genomes, sigma):
     return cands, table
 
 
+def real_index(paper) -> dict[int, int]:
+    """Per candidate of a paper's table that is no telomere triple, its
+    index in the table the paper's table was built from."""
+    real = [m for m, t in enumerate(telomere_triples(paper.candidates)) if not t]
+    return {m: j for j, m in enumerate(real)}
+
+
+def residual_table(table, result):
+    """The table that ICF-SEG, run on the paper's table of `table` with the
+    result `result`, leaves to the solve, as a solve reads a table: the
+    live rows between candidates, and a cap at each extremity whose rows to
+    telomere triples stay live.  ICF-SEG never masks a row between two
+    telomere triples, so the telomeres and emptied chromosomes stay."""
+    paper = result.table
+    index = real_index(paper)
+    rows, capped = [], set()
+    for k in result.live_rows:
+        m1, e1, m2, e2 = paper.key(k)
+        if m1 in index and m2 in index:
+            rows.append((index[m1], e1, index[m2], e2, paper.mask[k]))
+        elif m1 in index or m2 in index:
+            m, e = (m1, e1) if m1 in index else (m2, e2)
+            capped.add(3 * index[m] + e)
+    columns = [IntArray(column) for column in zip(*rows)] if rows else [IntArray()] * 5
+    facing = {code: faced for code, faced in table.facing.items() if code in capped}
+    return ConservedAdjacencyTable(table.candidates, *columns, table.telomeres, table.emptied,
+                                   facing)
+
+
 def icf_seg_then_solve(G, table):
-    """ICF-SEG on `table`, then the exact solve of the table it leaves: the
-    ICF-SEG result, the solution of the reduced table, and the rows of
-    `table` that the two choose, checked against their summed weight."""
-    result = segments.icf_seg(G, table)
-    solution = solver.solve_branch_and_bound(solver.build_ilp(result.reduced_table()))
-    rows = sorted(result.accepted_rows + [result.live_rows[k] for k in solution.row_indices])
-    solver.verify_solution(table, rows, result.accepted_weight + solution.objective)
-    return result, solution, rows
+    """ICF-SEG on the paper's table of `table`, then the exact solve of the
+    table it leaves (`residual_table`): the ICF-SEG result, the solution,
+    checked against the residual table, and the residual table."""
+    result = segments.icf_seg(G, paper_table(table))
+    residual = residual_table(table, result)
+    solution = solver.solve_branch_and_bound(solver.build_ilp(residual))
+    solver.verify_solution(residual, solution.row_indices, solution.objective,
+                           solution.caps, solution.ys)
+    return result, solution, residual
 
 
 def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I"),
@@ -245,10 +277,11 @@ def evolved_instance(seed, n, chromosomes, family_rate, labels=("G", "H", "I"),
 def milp_objective(table) -> float:
     """Optimum of the full 0-1 program by HiGHS's MILP solver.
 
-    The rows are those `export_lp` writes: one conflict row per extant gene,
-    one coupling row per adjacency, one saturation row per candidate
-    extremity.
+    The rows are those `export_lp` writes, on the paper's table of `table`:
+    one conflict row per extant gene, one coupling row per adjacency, one
+    saturation row per candidate extremity.
     """
+    table = paper_table(table)
     cands = table.candidates
     n_a, n_b = len(cands), len(table)
     rows, cols, vals, rhs = [], [], [], []

@@ -15,16 +15,12 @@ from ffmedian.candidates import (
 )
 from ffmedian import objects
 from ffmedian.genomes import ENDS, SimilarityGraph, build_genome
-from ffmedian.objects import Gene, set_similarity, similarity, splice_genes
+from ffmedian.objects import Gene, paper_table, set_similarity, similarity, splice_genes
 from ffmedian.kernels import IntArray
 from ffmedian.reference import Extremity, adjacencies, adjacency, indicator
 from ffmedian.segments import Incidence
 
 from conftest import build_tables, conflicts, diagonal_sigma, identical_genomes, linear
-
-
-def gene_triples(cands):
-    return [c for c in cands if not c.is_telomere_triple]
 
 
 def find(cands, g, h, i):
@@ -39,7 +35,7 @@ class TestEnumeration:
         genomes, sigma = four_candidate_instance
         cands = enumerate_candidates(*genomes, sigma)
         triples = {
-            (c.g.name, c.h.name, c.i.name) for c in gene_triples(cands)
+            (c.g.name, c.h.name, c.i.name) for c in cands
         }
         assert triples == {
             ("g1", "h1", "i2"),
@@ -47,16 +43,19 @@ class TestEnumeration:
             ("g3", "h3", "i2"),
             ("g4", "h3", "i3"),
         }
-        for c in gene_triples(cands):
+        for c in cands:
             assert c.triple_score == pytest.approx(0.125)
             assert abs(c.gene_score ** 3 - c.triple_score) <= 1e-12 * c.triple_score
 
     def test_empty_similarity_leaves_telomere_triples(self):
+        """Without similarities no candidate is left, and the paper's table
+        holds the telomere triples alone."""
         genomes, _ = identical_genomes()
         cands = enumerate_candidates(*genomes, SimilarityGraph())
-        assert gene_triples(cands) == []
-        assert len(cands) == 8  # 2 telomeres per genome, all combinations
-        assert all(c.triple_score == 1.0 for c in cands)
+        assert len(cands) == 0
+        paper = paper_table(enumerate_conserved_adjacencies(cands, *genomes))
+        assert len(paper.candidates) == 8  # 2 telomeres per genome, all combinations
+        assert all(c.is_telomere_triple and c.triple_score == 1.0 for c in paper.candidates)
 
     def test_complete_tripartite_cubed(self):
         names = [f"x{k}" for k in range(4)]
@@ -67,7 +66,7 @@ class TestEnumeration:
                 for y in names:
                     set_similarity(sigma, Gene(a, x), Gene(b, y), 0.5)
         cands = enumerate_candidates(*genomes, sigma)
-        assert len(gene_triples(cands)) == 4 ** 3
+        assert len(cands) == 4 ** 3
 
     def test_matches_bruteforce_triangle_scan(self):
         for seed in range(8):
@@ -84,7 +83,7 @@ class TestEnumeration:
                             v = round(rng.uniform(0.1, 1.0), 3)
                             set_similarity(sigma, Gene(a, x), Gene(b, y), v)
                             values[(a, x, b, y)] = v
-            cands = gene_triples(enumerate_candidates(*genomes, sigma))
+            cands = enumerate_candidates(*genomes, sigma)
             brute = set()
             for x, y, z in itertools.product(names, repeat=3):
                 p = (
@@ -202,12 +201,7 @@ class TestConservedAdjacencies:
         sigma = diagonal_sigma(["a", "b"])
         cands = enumerate_candidates(G, H, I, sigma)
         table = enumerate_conserved_adjacencies(cands, G, H, I)
-        gene_rows = [
-            k for k in range(len(table))
-            if not table.candidates[table.key(k)[0]].is_telomere_triple
-            and not table.candidates[table.key(k)[2]].is_telomere_triple
-        ]
-        assert gene_rows == []
+        assert len(table) == 0
 
     def test_weights_bounded(self):
         for seed in range(5):
@@ -245,6 +239,34 @@ class TestConservedAdjacencies:
                         conserved.add(genome.label)
                 assert total == pytest.approx(table.weight[k], rel=1e-9)
                 assert set(table.conserved_in[table.mask[k]]) == conserved
+
+
+class TestTelomereFacts:
+    def test_facing_telomeres_and_emptied_chromosomes(self):
+        """a+ b- on one linear chromosome, and a second chromosome of one
+        gene that preprocessing empties: a's tail faces ~c1.L and b's tail
+        ~c1.R in every genome, and ~c2.L and ~c2.R end an emptied one."""
+        genomes = [build_genome(label, [("c1", "linear", [("a", 1), ("b", -1)]),
+                                        ("c2", "linear", [(f"z{label}", 1)])])
+                   for label in "GHI"]
+        sigma = diagonal_sigma(["a", "b"])
+        *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+        cands, table = build_tables(genomes, sigma)
+        a, b = find(cands, "a", "a", "a"), find(cands, "b", "b", "b")
+        ids = [genome.id_of for genome in genomes]
+        assert table.facing == {3 * a: [i["~c1.L"] for i in ids],
+                                3 * b: [i["~c1.R"] for i in ids]}
+        assert table.telomeres == tuple(sorted(i[f"~{c}"] for c in ("c1.L", "c1.R", "c2.L", "c2.R"))
+                                        for i in ids)
+        assert table.emptied == tuple([(i["~c2.L"], i["~c2.R"])] for i in ids)
+        assert table.cap(3 * a) == (0b111, pytest.approx(3.0))
+
+    def test_a_genome_without_linear_chromosomes_has_no_telomere(self):
+        G = build_genome("G", [("c1", "circular", [("a", 1), ("b", 1)])])
+        H, I = (linear(label, [("a", 1), ("b", 1)]) for label in "HI")
+        cands, table = build_tables([G, H, I], diagonal_sigma(["a", "b"]))
+        assert len(cands) == 2 and table.telomeres[0] == [] and table.facing
+        assert paper_table(table) is table  # no telomere triple
 
 
 def _random_genome(rng, label, shapes):
@@ -335,7 +357,7 @@ class TestSplicedGenomes:
         similarity edges, so no candidate holds it."""
         genomes, sigma = identical_genomes(("a", "b", "c"))
         spliced = [splice_genes(genomes[0], {Gene("G", "b")}), *genomes[1:]]
-        names = {c.g.name for c in gene_triples(enumerate_candidates(*spliced, sigma))}
+        names = {c.g.name for c in enumerate_candidates(*spliced, sigma)}
         assert names == {"a", "c"}
         assert spliced[0].names == genomes[0].names
 
@@ -367,12 +389,7 @@ class TestPreprocess:
         table_after = enumerate_conserved_adjacencies(cands_after, g2, h2, i2)
 
         def all3_gene_rows(cands, table):
-            return [
-                k for k in range(len(table))
-                if int(table.mask[k]) == 0b111
-                and not cands[table.key(k)[0]].is_telomere_triple
-                and not cands[table.key(k)[2]].is_telomere_triple
-            ]
+            return [k for k in range(len(table)) if int(table.mask[k]) == 0b111]
 
         assert len(all3_gene_rows(cands_before, table_before)) == 0
         assert len(all3_gene_rows(cands_after, table_after)) == 1

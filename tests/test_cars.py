@@ -17,7 +17,7 @@ from conftest import (
 )
 
 
-def reference_cars(table, rows):
+def reference_cars(table, rows, caps=()):
     """CARs by their definition: follow the chosen links from a free end, or
     around a cycle, then take the least of every rotation and reversal."""
     candidates = table.candidates
@@ -27,34 +27,30 @@ def reference_cars(table, rows):
         link[(m1, e1)] = (m2, e2)
         link[(m2, e2)] = (m1, e1)
 
-    def telomere(m):
-        return candidates[m].is_telomere_triple
-
     def follow(m, out):
         """The members met from m, left through end `out`, and whether the
         walk came back to m."""
-        seq = [(m, 1 if telomere(m) or out == 1 else -1)]  # leaving by the head: forward
+        seq = [(m, 1 if out == 1 else -1)]  # leaving by the head: forward
         while (m, out) in link:
             m, entry = link[(m, out)]
             if m == seq[0][0]:
                 return seq, True
-            seq.append((m, 1 if telomere(m) or entry == 0 else -1))  # entering at the tail: forward
-            if telomere(m):
-                break
+            seq.append((m, 1 if entry == 0 else -1))  # entering at the tail: forward
             out = 1 - entry
         return seq, False
 
     def flip(seq):
-        return tuple((m, o if telomere(m) else -o) for m, o in reversed(seq))
+        return tuple((m, -o) for m, o in reversed(seq))
 
     cars, placed = [], set()
-    chosen = sorted({m for m, _ in link})  # the genes the rows join
+    # the genes the rows and caps join
+    chosen = sorted({m for m, _ in link} | {code // 3 for code in caps})
     for on_cycles in (False, True):  # every path end first
         for m in chosen:
             linked = [e for e in candidates[m].ends if (m, e) in link]
             if m in placed or (len(linked) == 2) != on_cycles:
                 continue
-            seq, closed = follow(m, linked[-1])
+            seq, closed = follow(m, linked[-1] if linked else 1)
             placed.update(x for x, _ in seq)
             if closed:
                 rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
@@ -67,7 +63,8 @@ def reference_cars(table, rows):
 
 def random_selection(rng, candidates, table):
     """A random set of rows that joins a conflict-free gene set and uses each
-    extremity at most once."""
+    extremity at most once, and caps at some extremities of those genes
+    that the rows leave free."""
     keep = rng.choice((0.7, 0.9, 1.0))
     used, genes = set(), []
     for m in rng.sample(range(len(candidates)), len(candidates)):
@@ -81,7 +78,9 @@ def random_selection(rng, candidates, table):
         if m1 in chosen and m2 in chosen and not ends & pair and rng.random() < keep:
             ends |= pair
             rows.append(k)
-    return rows
+    caps = [code for code in table.facing
+            if code // 3 in chosen and divmod(code, 3) not in ends and rng.random() < keep]
+    return rows, caps
 
 
 def circular_instance(seed):
@@ -118,26 +117,24 @@ def spliced_instance(seed):
     spliced_instance,
 ], ids=["linear", "circular", "spliced"])
 def test_cars_match_their_definition(make):
-    shapes, telomere_rows = set(), 0
+    shapes, emptied, alone = set(), 0, 0
     for seed in range(16):
         candidates, table = build_tables(*make(seed))
         rng = random.Random(seed)
         for _ in range(3):
-            rows = random_selection(rng, candidates, table)
-            cars = cars_from_rows(table, rows)
-            assert cars == reference_cars(table, rows)
-            assert all(len(car.members) > 1 for car in cars)
+            rows, caps = random_selection(rng, candidates, table)
+            cars = cars_from_rows(table, rows, caps)
+            assert cars == reference_cars(table, rows, caps)
+            alone += sum(len(car.members) == 1 for car in cars)
             shapes |= {car.shape for car in cars}
-            telomere_rows += sum(
-                candidates[table.key(k)[0]].is_telomere_triple
-                and candidates[table.key(k)[2]].is_telomere_triple
-                for k in rows
-            )
+        emptied += sum(map(len, table.emptied))
     assert "linear" in shapes
     if make is circular_instance:
         assert "circular" in shapes
+    else:
+        assert alone  # genes that only caps hold
     if make is spliced_instance:
-        assert telomere_rows
+        assert emptied
 
 
 def conserved_rows(table, genes):
@@ -159,12 +156,17 @@ def test_circular_car_with_a_reversed_gene():
 
 
 def test_linear_car_capped_by_telomere_triples():
+    """The caps that stand for the telomere triples at a CAR's ends add no
+    member: the CAR holds the genes alone."""
     genomes = [linear(label, [("a", 1), ("b", -1)]) for label in "GHI"]
     cands, table = build_tables(genomes, diagonal_sigma(["a", "b"]))
-    assert str(cands[2]) == "(~c1.L,~c1.L,~c1.L)"
-    assert str(cands[9]) == "(~c1.R,~c1.R,~c1.R)"
-    cars = cars_from_rows(table, conserved_rows(table, {0, 1, 2, 9}))
-    assert cars == [Car("linear", ((2, 1), (0, 1), (1, -1), (9, 1)))]
+    assert [str(c) for c in cands] == ["(a,a,a)", "(b,b,b)"]
+    caps = [0, 3]  # a's tail and b's tail face the telomeres
+    assert list(table.facing) == caps
+    cars = cars_from_rows(table, conserved_rows(table, {0, 1}), caps)
+    assert cars == [Car("linear", ((0, 1), (1, -1)))]
+    assert cars_from_rows(table, [], caps) == [Car("linear", ((0, -1),)),
+                                               Car("linear", ((1, -1),))]
 
 
 def test_cars_are_sorted_by_their_smallest_member():
@@ -173,7 +175,7 @@ def test_cars_are_sorted_by_their_smallest_member():
     names = ["a", "b", "c", "d", "e"]
     genomes = [linear(label, [(nm, 1) for nm in "cadbe"]) for label in "GHI"]
     cands, table = build_tables(genomes, diagonal_sigma(names))
-    assert [c.g.name for c in cands[:5]] == names
+    assert [c.g.name for c in cands] == names
     rows = [k for k in conserved_rows(table, {0, 1, 2, 3, 4})
             if {table.key(k)[0], table.key(k)[2]} != {1, 3}]  # cut d from b
     cars = cars_from_rows(table, rows)

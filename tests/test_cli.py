@@ -14,7 +14,7 @@ import pytest
 
 import ffmedian
 from ffmedian import cli, segments, solver
-from ffmedian.objects import Gene, write_genome_file, write_similarity_file
+from ffmedian.objects import Gene, paper_table, write_genome_file, write_similarity_file
 from ffmedian.reference import Extremity
 
 from conftest import evolved_instance, icf_seg_then_solve, identical_genomes
@@ -36,10 +36,13 @@ ICF_SEG_DIGESTS = [
 # numpy's: the same report once they are rounded to 12 significant digits.
 # It moved again when HiGHS came to get only the live columns: `stats.mip`
 # gained "columns" (323 of 439) and reads 236 simplex iterations, not 235,
-# as HiGHS's cost perturbation depends on the columns it gets; the genes,
-# adjacencies, CARs, objective and bound are unchanged, and so are the
-# schema-1 digests below, which drop `stats`
-PLAIN_SOLVE_DIGEST = "25ceb4cf68ddcbd04967bc5404ed42b1dc7bb9a2c71db5a653817687c48c4b95"
+# as HiGHS's cost perturbation depends on the columns it gets.  It moved
+# again with schema 3: the telomere triples left `genes`, `adjacencies` and
+# `cars` for the `telomeres` list, `stats.telomere_triples` became the
+# per-genome `stats.telomeres`, the four ICF-SEG fields were dropped and the
+# `verify` and `cars` stages added; HiGHS got the same program, and
+# `SOLVE_PARITY_DIGEST` below is unchanged
+PLAIN_SOLVE_DIGEST = "40489496e6463f9ad3103dcd8d5433fb1edb49149500a8c1eda792881d6d7d2d"
 
 # SHA-256 of the file each command writes on the same instance; the `solve`
 # entry pins `solve --canonical`
@@ -49,17 +52,13 @@ OUTPUT_DIGESTS = {
     "solve": PLAIN_SOLVE_DIGEST,
 }
 
-# SHA-256 of the schema-1 `solve --canonical` report on the same instance.
-# This and the digest below pinned the report of `solve --icf-seg` until
-# that flag was dropped; they now pin the default solve's.  The two reports
-# have the same genes, adjacencies, CARs, objective and bound: they differ
-# only in the ICF-SEG fields of `config` and `counts`, in `stats`, which
-# `v1_layout` drops, and in the icf-seg stage
-SOLVE_V1_DIGEST = "6d67a1214be7d67986410f9211fa4c83f32a6444bea40bb10427e43e2c1fafe5"
-
-# SHA-256 of `telomere_blind` of that report, which is blind to the tied
-# telomere triples it chose and to the objective's last digits
-SOLVE_V1_BLIND_DIGEST = "bb9169cfd88e1d592ef3f42b82b801c027ede051a79f5f920210f1cd4ae494de"
+# SHA-256 of `parity` of the schema-1 layout of the same report, taken from
+# the schema-2 report of the parent of schema 3 (whose bytes were
+# "25ceb4cf68dd..."), the report whose schema-1 bytes had the SHA-256
+# "6d67a1214be7...": the median's objective, bound, genes, adjacencies,
+# telomere adjacencies and CARs, each told apart from the tied telomere
+# triples that schema 2 chose
+SOLVE_PARITY_DIGEST = "f249f72fc4e4af980caa16b57141c64a918627da189ca72468abb0589ff36e31"
 
 
 def write_files(tmp_path, genomes, sigma):
@@ -123,20 +122,21 @@ def test_command_writes_recorded_bytes(tmp_path, command):
 
 
 def test_default_solve_writes_recorded_bytes(tmp_path):
-    """A solve runs no ICF-SEG: its report's ICF-SEG fields read false and 0."""
+    """A solve runs no ICF-SEG, and its report has no ICF-SEG field."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
     assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAIN_SOLVE_DIGEST
     report = json.loads(out.read_text())
-    assert report["config"]["use_icf_seg"] is False
-    assert report["counts"]["accepted_segments"] == report["counts"]["accepted_adjacencies"] == 0
-    assert report["stats"]["icf_seg"] == {"examined": 0, "accepted": 0, "skipped": 0}
+    assert "use_icf_seg" not in report["config"] and "icf_seg" not in report["stats"]
+    assert not {"accepted_segments", "accepted_adjacencies"} & set(report["counts"])
+    assert [stage["name"] for stage in report["stages"]] == [
+        "load", "preprocess", "enumerate", "solve", "verify", "cars"]
 
 
 def v1_layout(report: dict) -> dict:
-    """A schema-2 report in the schema-1 layout: every gene index replaced by
-    the gene's record, and no `stats`."""
+    """A report in the schema-1 layout: every gene index replaced by the
+    gene's record, and no `stats`."""
     genes = report["genes"]
     v1 = {key: value for key, value in report.items() if key != "stats"}
     v1["schema_version"] = 1
@@ -145,6 +145,9 @@ def v1_layout(report: dict) -> dict:
     v1["adjacencies"] = [
         {**adj, "m1": genes[adj["m1"]], "m2": genes[adj["m2"]]} for adj in report["adjacencies"]
     ]
+    if "telomeres" in report:
+        v1["telomeres"] = [{**entry, "m": genes[entry["m"]]} if "m" in entry else entry
+                           for entry in report["telomeres"]]
     v1["cars"] = [
         {"shape": car["shape"],
          "genes": [{**genes[j], "orientation": orient} for j, orient in car["genes"]]}
@@ -157,72 +160,92 @@ def v1_bytes(report: dict) -> bytes:
     return (json.dumps(v1_layout(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def telomere_blind(v1: dict) -> bytes:
-    """A schema-1 report blind to which of the tied telomere triples it
-    chose: their gene names masked, its genes, adjacencies and CARs sorted,
-    each linear CAR in the lesser of its two readings, and the objective
-    and bound rounded to 9 decimals."""
-    def blind(gene: dict) -> dict:
-        telomeric = gene["g"].partition(":")[2].startswith("~")
-        return {**gene, "g": "~", "h": "~", "i": "~"} if telomeric else gene
+def parity(v1: dict) -> bytes:
+    """What a report in the schema-1 layout holds of the median whatever
+    its schema: the status, objective and bound; the genes, adjacencies and
+    CARs without the telomere triples that reports before schema 3 list, a
+    linear CAR in the lesser of its two readings; each adjacency of a gene
+    to a telomere, by the gene and its end; and the weights of the
+    adjacencies between two telomere triples."""
+    def telomeric(gene: dict) -> bool:
+        return gene["g"].partition(":")[2].startswith("~")
 
-    def dumps(items) -> list[str]:
-        return sorted(json.dumps(item, sort_keys=True) for item in items)
-
+    adjacencies, caps, pairs = [], [], []
+    for adj in v1["adjacencies"]:
+        t1, t2 = telomeric(adj["m1"]), telomeric(adj["m2"])
+        if t1 and t2:
+            pairs.append([adj["conserved_in"], adj["weight"]])
+        elif t1 or t2:
+            gene, end = (adj["m2"], adj["end2"]) if t1 else (adj["m1"], adj["end1"])
+            caps.append([gene, end, adj["conserved_in"], adj["weight"]])
+        else:
+            adjacencies.append(adj)
+    for entry in v1.get("telomeres", []):
+        if "m" in entry:
+            caps.append([entry["m"], entry["end"], entry["conserved_in"], entry["weight"]])
+        else:
+            pairs.append([entry["conserved_in"], entry["weight"]])
     flip = {"+": "-", "-": "+"}
     cars = []
     for car in v1["cars"]:
-        genes = [blind(gene) for gene in car["genes"]]
+        genes = [gene for gene in car["genes"] if not telomeric(gene)]
         readings = [genes]
-        if car["shape"] == "linear":  # backwards, each real gene flips; a telomere triple reads +
-            readings.append([{**gene, "orientation": gene["orientation"] if gene["g"] == "~"
-                              else flip[gene["orientation"]]} for gene in genes[::-1]])
+        if car["shape"] == "linear":  # backwards, each gene flips
+            readings.append([{**gene, "orientation": flip[gene["orientation"]]}
+                             for gene in genes[::-1]])
         cars.append({"shape": car["shape"], "genes": min(readings, key=json.dumps)})
-    report = {
-        **v1,
-        "objective": round(v1["objective"], 9),
-        "bound": round(v1["bound"], 9),
-        "genes": dumps(blind(gene) for gene in v1["genes"]),
-        "adjacencies": dumps({**adj, "m1": blind(adj["m1"]), "m2": blind(adj["m2"])}
-                             for adj in v1["adjacencies"]),
-        "cars": dumps(cars),
+    median = {
+        "status": v1["status"], "objective": v1["objective"], "bound": v1["bound"],
+        "genes": [gene for gene in v1["genes"] if not telomeric(gene)],
+        "adjacencies": adjacencies,
+        "caps": sorted(caps, key=json.dumps),
+        "pairs": sorted(pairs, key=json.dumps),
+        "cars": sorted(cars, key=json.dumps),
     }
-    return json.dumps(report, sort_keys=True).encode("utf-8")
+    return json.dumps(median, sort_keys=True).encode("utf-8")
 
 
 def test_solve_report_expands_to_the_schema_1_bytes(tmp_path):
-    """Schema 2 drops no field of schema 1: expanded, its canonical report
-    gives the schema-1 bytes."""
+    """Schema 3 drops nothing that schema 1 said of the median: expanded
+    to the schema-1 layout, its canonical report tells the median of the
+    schema-2 report of its parent (`SOLVE_PARITY_DIGEST`)."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
     out = tmp_path / "median.json"
     assert cli.main(["solve", *instance, "--canonical", "-o", str(out)]) == cli.EXIT_OK
     payload = out.read_bytes()
     assert payload.count(b"\n") == 1 and payload.endswith(b"\n")
     report = json.loads(payload)
-    assert report["schema_version"] == cli.SCHEMA_VERSION == 2
-    assert hashlib.sha256(v1_bytes(report)).hexdigest() == SOLVE_V1_DIGEST
-    blind = telomere_blind(v1_layout(report))
-    assert hashlib.sha256(blind).hexdigest() == SOLVE_V1_BLIND_DIGEST
+    assert report["schema_version"] == cli.SCHEMA_VERSION == 3
+    v1 = json.loads(v1_bytes(report))
+    assert v1["schema_version"] == 1 and "stats" not in v1
+    assert hashlib.sha256(parity(v1)).hexdigest() == SOLVE_PARITY_DIGEST
+    assert report["telomeres"]
 
 
 def test_eval_reads_schema_1_and_2_alike(tmp_path, capsys):
+    """`eval` reads schemas 1 to 3 alike, skipping the telomere triples of
+    the earlier ones, and rejects a later schema."""
     instance = write_files(tmp_path, *evolved_instance(51, 120, 2, 0.1))
+    v3 = tmp_path / "v3.json"
+    assert cli.main(["solve", *instance, "--canonical", "-o", str(v3)]) == cli.EXIT_OK
+    report = json.loads(v3.read_text())
+    triple = {"g": "G:~c0.L", "h": "H:~c0.L", "i": "I:~c0.L", "triple_score": 1.0,
+              "gene_score": 1.0}
     v2 = tmp_path / "v2.json"
-    assert cli.main(["solve", *instance, "--canonical", "-o", str(v2)]) == cli.EXIT_OK
-    report = json.loads(v2.read_text())
+    v2.write_text(json.dumps({**report, "schema_version": 2, "genes": [*report["genes"], triple]}))
     v1 = tmp_path / "v1.json"
     v1.write_bytes(v1_bytes(report))
     truth = tmp_path / "truth.tsv"
     truth.write_text("".join(f"{gene['g']}\t{gene['h']}\n" for gene in report["genes"][::2]))
     outputs = []
-    for pred in (v1, v2):
+    for pred in (v1, v2, v3):
         capsys.readouterr()
         assert cli.main(["eval", "--pred", str(pred), "--truth", str(truth)]) == cli.EXIT_OK
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] and json.loads(outputs[0])["recall"] > 0
-    v3 = tmp_path / "v3.json"
-    v3.write_text(json.dumps({**report, "schema_version": 3}))
-    assert cli.main(["eval", "--pred", str(v3)]) == cli.EXIT_INPUT
+    assert outputs[0] == outputs[1] == outputs[2] and json.loads(outputs[0])["recall"] > 0
+    v4 = tmp_path / "v4.json"
+    v4.write_text(json.dumps({**report, "schema_version": 4}))
+    assert cli.main(["eval", "--pred", str(v4)]) == cli.EXIT_INPUT
     assert_one_error_line(capsys)
 
 
@@ -308,7 +331,8 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     report = json.loads(out.read_text())
     stats, counts, mip = report["stats"], report["counts"], report["stats"]["mip"]
     genomes, table, _ = cli._front_end(cli._read_files([instance[1]], instance[3]), True)
-    assert stats["telomere_triples"] == sum(c.is_telomere_triple for c in table.candidates) == 64
+    assert stats["telomeres"] == {"G": 4, "H": 4, "I": 4}
+    assert len(paper_table(table).candidates) - len(table.candidates) == 4 ** 3
     assert stats["solve_rows"] == counts["conserved_adjacencies"]
     assert mip["lp_integral"] is True and mip["nodes"] == 0
     assert mip["simplex_iterations"] > 0 and mip["gap"] == 0
@@ -320,13 +344,13 @@ def test_stats_count_the_runs_rows_and_highs_work(tmp_path, caplog, monkeypatch,
     if not icf_seg:
         assert not [r for r in caplog.records if r.getMessage().startswith("icf-seg:")]
         return
-    result, solution, _ = icf_seg_then_solve(genomes[0], table)
+    result, solution, residual = icf_seg_then_solve(genomes[0], table)
     summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icf-seg:")]
     assert result.skipped > 0 and summary == [
         f"icf-seg: {result.examined} runs examined, {len(result.accepted)} accepted, "
         f"{result.skipped} skipped at the conflict cap"
     ]
-    program = solver._Capped(result.reduced_table())
+    program = solver._Capped(residual)
     assert solution.highs_rows == len(program.handed[4]) < len(program.rhs)
     assert solution.highs_columns == len(program.live) < len(program.cost)
     assert solution.fixed == program.fixed > 0
@@ -899,7 +923,7 @@ LOGGING_MODULES = {"logging", "string", "traceback"}
     [
         (["solve", "--canonical"], set(), False, False),
         (["-v", "solve", "--canonical"], set(), True, False),
-        (["enumerate"], {"ffmedian.commands"}, None, False),
+        (["enumerate"], {"ffmedian.commands", "ffmedian.objects"}, None, False),
     ],
     ids=["solve", "verbose-solve", "enumerate"],
 )
@@ -910,7 +934,7 @@ def test_entry_point_imports_only_the_modules_it_runs(
     modules of the package: not `ffmedian.cli` a second time, nor
     `commands`, `reference` or the other subcommands' modules.  Another
     subcommand adds `commands`, which does not import `ffmedian.cli`
-    either.  None imports numpy.  A default solve imports no `logging`,
+    either, and `enumerate` `objects`, whose paper's table it writes.  None imports numpy.  A default solve imports no `logging`,
     nor the `string` and `traceback` modules it loads; `-v` imports it
     (None: not checked)."""
     instance = write_instance(tmp_path, ["a", "b", "c"])

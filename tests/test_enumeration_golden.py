@@ -1,7 +1,9 @@
 """Golden values for candidate and conserved-adjacency enumeration.
 
 Each case builds a seeded instance, enumerates its candidate genes and its
-conserved candidate adjacencies, and compares a SHA-256 digest of every
+conserved candidate adjacencies, rebuilds the paper's table of them, with
+its telomere triples (`objects.paper_table`), and compares a SHA-256 digest
+of every
 candidate (genes, exact `triple_score` and `gene_score`) and of the table
 arrays (`m1, e1, m2, e2, mask` and the exact `weight`) with a recorded
 value.  Any change to the enumeration order, to the candidate set or to a
@@ -24,6 +26,7 @@ from ffmedian.candidates import (
     preprocess_discard_nonclique,
 )
 from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
+from ffmedian.objects import paper_table
 
 from conftest import evolved_instance
 
@@ -49,8 +52,9 @@ def enumerate_case(genomes, sigma, preprocess):
         g, h, i, report = preprocess_discard_nonclique(*genomes, candidates)
         genomes = [g, h, i]
         removed = sum(len(v) for v in report.values())
-    candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes)
+    table = paper_table(enumerate_conserved_adjacencies(enumerate_candidates(*genomes, sigma),
+                                                        *genomes))
+    candidates = table.candidates
     telomeric = sum(c.is_telomere_triple for c in candidates)
     return (removed, len(candidates), telomeric, len(table), digest(candidates, table))
 

@@ -157,10 +157,14 @@ def test_id_front_end_equals_the_plain_python_reference(instance, preprocess):
 
     load = lambda: (parse_genomes(genome_text), SimilarityGraph.parse(sim_text))  # noqa: E731
     _, table, removed = cli._front_end(load, preprocess)
+    assert [(c.g, c.h, c.i, c.triple_score) for c in table.candidates] == [
+        c for c in triples if not c[0].is_telomere]
+    # the telomere triples and their rows, rebuilt from the table's facts
+    table = objects.paper_table(table)
     cands = table.candidates
     assert [(c.g, c.h, c.i, c.triple_score) for c in cands] == triples
     assert np.allclose(np.asarray(cands.score) ** 3, cands.triple)
-    assert cands.telomeric == [c[0].is_telomere for c in triples]
+    assert objects.telomere_triples(cands) == [c[0].is_telomere for c in triples]
     assert {table.key(k): int(table.mask[k]) for k in range(len(table))} == rows
     assert [table.key(k) for k in range(len(table))] == sorted(rows)
     if preprocess:

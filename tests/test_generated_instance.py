@@ -12,7 +12,7 @@ import pytest
 from ffmedian import cli
 from ffmedian.solver import GRID, build_ilp, solve_branch_and_bound
 
-from conftest import icf_seg_then_solve
+from conftest import icf_seg_then_solve, real_index
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GEN = runpy.run_path(str(PERFBENCH / "gen.py"), run_name="perfbench_gen")
@@ -64,19 +64,18 @@ SHAPES = {
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_plain_solve_and_icf_seg_reach_the_same_median(tmp_path, shape, seed):
-    """ICF-SEG then the solve gives the plain solve's optimum and genes, the
-    tied telomere triples aside."""
+    """ICF-SEG then the solve gives the plain solve's optimum and genes."""
     files = GEN["write_instance"](SHAPES[shape], seed, str(tmp_path))
     plain = json.loads(solve(files, tmp_path / "median.json", "--canonical"))
     genomes, table = front_end(files)
-    result, solution, rows = icf_seg_then_solve(genomes[0], table)
+    result, solution, residual = icf_seg_then_solve(genomes[0], table)
     assert plain["status"] == solution.status == "optimal"
     assert result.accepted
     assert abs(plain["objective"] - (result.accepted_weight + solution.objective)) <= 1e-9
-    telomeric = table.candidates.telomeric
-    chosen = [m for m in table.genes(rows) if not telomeric[m]]
-    genes = [gene for gene in plain["genes"] if not gene["g"].partition(":")[2].startswith("~")]
-    assert cli._genes_json(table.candidates, chosen) == genes and genes
+    index = real_index(result.table)
+    members = {index[m] for run in result.accepted for m in run.members}
+    chosen = sorted(members.union(residual.genes(solution.row_indices, solution.caps)))
+    assert cli._genes_json(table.candidates, chosen) == plain["genes"] != []
 
 
 def test_eval_scores_against_the_generated_truth(generated, tmp_path, capsys):

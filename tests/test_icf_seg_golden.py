@@ -35,7 +35,7 @@ from ffmedian.candidates import (
 from ffmedian.genomes import build_genome
 from ffmedian.mis_reduction import random_bounded_graph, reduce_mis
 from ffmedian import objects, segments
-from ffmedian.objects import Gene, set_similarity
+from ffmedian.objects import Gene, paper_table, set_similarity
 from ffmedian.segments import (
     Incidence,
     SegmentConflictCapError,
@@ -70,12 +70,13 @@ def digest(result) -> str:
 
 
 def tables(genomes, sigma, preprocess=True):
+    """The genomes and the paper's candidates and table, which ICF-SEG reads."""
     if preprocess:
         g, h, i, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
         genomes = [g, h, i]
-    candidates = enumerate_candidates(*genomes, sigma)
-    table = enumerate_conserved_adjacencies(candidates, *genomes)
-    return genomes, candidates, table
+    table = paper_table(enumerate_conserved_adjacencies(enumerate_candidates(*genomes, sigma),
+                                                        *genomes))
+    return genomes, table.candidates, table
 
 
 def permuted_order_case():
@@ -255,14 +256,12 @@ def reference_cases():
     yield "killed_member", *killed_member_case()
     for seed in range(12):
         genomes, sigma, candidates = random_blockish_instance(seed)
-        yield f"blockish{seed}", genomes, candidates, enumerate_conserved_adjacencies(
-            candidates, *genomes
-        )
+        table = paper_table(enumerate_conserved_adjacencies(candidates, *genomes))
+        yield f"blockish{seed}", genomes, table.candidates, table
     for seed in range(6):
         genomes, sigma, candidates = random_small_instance(seed)
-        yield f"small{seed}", genomes, candidates, enumerate_conserved_adjacencies(
-            candidates, *genomes
-        )
+        table = paper_table(enumerate_conserved_adjacencies(candidates, *genomes))
+        yield f"small{seed}", genomes, table.candidates, table
     for seed, n, chromosomes, rate in (
         (41, 60, 1, 0.0), (42, 80, 2, 0.0), (43, 60, 3, 0.1),
         (44, 80, 2, 0.2), (45, 100, 1, 0.1), (46, 120, 2, 0.05),

@@ -13,10 +13,16 @@ import networkx as nx
 import pytest
 
 from ffmedian import segments
-from ffmedian.segments import MatchGraph, _edge_key, icf_seg, matching_weight, mwm
+from ffmedian.segments import MatchGraph, _edge_key, icf_seg, mwm
 from ffmedian.solver import SolverError
 
 from test_icf_seg_golden import CASES
+
+
+def matching_weight(graph: MatchGraph, matching) -> float:
+    """The summed weight of a matching's edges, given as canonical keys."""
+    weights = graph.edge_weight()
+    return float(sum(weights[key] for key in matching))
 
 
 def blossom(graph: MatchGraph) -> frozenset:

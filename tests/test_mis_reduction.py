@@ -209,8 +209,8 @@ class TestBackmap:
             from ffmedian.solver import _greedy_incumbent, MedianSolution
 
             model = build_ilp(table)
-            value, rows = _greedy_incumbent(model)
-            feasible = MedianSolution("feasible", value, value, rows, table)
+            value, (rows, caps, ys) = _greedy_incumbent(model)
+            feasible = MedianSolution("feasible", value, value, rows, table, caps, ys)
             mapped = backmap_solution(feasible, instance)
             for u, v in itertools.combinations(sorted(mapped), 2):
                 assert (u, v) not in graph.edges

@@ -23,8 +23,8 @@ from ffmedian.candidates import (
 )
 from ffmedian.genomes import SimilarityGraph, build_genome
 from ffmedian.objects import Gene, set_similarity
+from ffmedian.objects import paper_table
 from ffmedian.reference import brute_force_median
-from ffmedian.segments import icf_seg
 from ffmedian.solver import (
     GRID,
     STATUS_OPTIMAL,
@@ -34,7 +34,7 @@ from ffmedian.solver import (
     solve_branch_and_bound,
 )
 
-from conftest import evolved_instance, milp_objective
+from conftest import evolved_instance, icf_seg_then_solve, milp_objective
 
 PAIRS = (("G", "H"), ("G", "I"), ("H", "I"))
 WEIGHTS = st.integers(200, 1000).map(lambda w: w / 1000)
@@ -101,7 +101,7 @@ def linear_instances(draw):
     *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     candidates = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(candidates, *genomes)
-    assume(len(table) <= 300)  # the MILP on the paper's rows slows down beyond
+    assume(len(paper_table(table)) <= 300)  # the MILP on the paper's rows slows down beyond
     return genomes, candidates, table
 
 
@@ -117,7 +117,7 @@ def family_instances(draw):
     )
     candidates = enumerate_candidates(*genomes, sigma)
     table = enumerate_conserved_adjacencies(candidates, *genomes)
-    assume(len(table) <= 300)
+    assume(len(paper_table(table)) <= 300)
     return genomes, candidates, table
 
 
@@ -128,10 +128,6 @@ def _car_links(candidates, car):
     for (m, o), (n, p) in steps:
         exit_end = 1 if o == 1 else 0  # forward leaves through the head
         entry_end = 0 if p == 1 else 1  # forward enters at the tail
-        if candidates[m].is_telomere_triple:  # a telomere triple has one end
-            exit_end = candidates[m].ends[0]
-        if candidates[n].is_telomere_triple:
-            entry_end = candidates[n].ends[0]
         yield frozenset({(m, exit_end), (n, entry_end)})
 
 
@@ -203,7 +199,7 @@ def test_linear_cars_hold_every_chosen_row_once(instance):
 def _check_cars(instance):
     genomes, candidates, table = instance
     solution = solve_branch_and_bound(build_ilp(table))
-    cars = cars_from_rows(table, solution.row_indices)
+    cars = cars_from_rows(table, solution.row_indices, solution.caps)
     links = Counter(link for car in cars for link in _car_links(candidates, car))
     rows = Counter()
     for k in solution.row_indices:
@@ -211,7 +207,7 @@ def _check_cars(instance):
         rows[frozenset({(m1, e1), (m2, e2)})] += 1
     assert links == rows
     placed = Counter(m for car in cars for m, _ in car.members)
-    assert placed == Counter(table.genes(solution.row_indices))
+    assert placed == Counter(table.genes(solution.row_indices, solution.caps))
 
 
 @SETTINGS
@@ -219,8 +215,7 @@ def _check_cars(instance):
 def test_icf_seg_then_solve_equals_a_plain_solve(instance):
     genomes, candidates, table = instance
     plain = solve_branch_and_bound(build_ilp(table))
-    segments = icf_seg(genomes[0], table)
-    reduced = solve_branch_and_bound(build_ilp(segments.reduced_table()))
+    segments, reduced, _ = icf_seg_then_solve(genomes[0], table)
     assert abs(segments.accepted_weight + reduced.objective - plain.objective) <= GRID
 
 
@@ -228,6 +223,5 @@ def test_icf_seg_then_solve_equals_a_plain_solve(instance):
 @given(linear_instances())
 def test_linear_icf_seg_then_solve_equals_milp(instance):
     genomes, candidates, table = instance
-    segments = icf_seg(genomes[0], table)
-    reduced = solve_branch_and_bound(build_ilp(segments.reduced_table()))
+    segments, reduced, _ = icf_seg_then_solve(genomes[0], table)
     assert abs(segments.accepted_weight + reduced.objective - milp_objective(table)) <= GRID

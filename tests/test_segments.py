@@ -5,19 +5,18 @@ import random
 
 import pytest
 
+import conftest
 from ffmedian import segments
 from ffmedian.genomes import SimilarityGraph, build_genome
-from ffmedian.objects import Gene, set_similarity
+from ffmedian.objects import Gene, paper_table, set_similarity
 from ffmedian.segments import (
     Flags,
     Incidence,
     MatchGraph,
     SegmentConflictCapError,
-    build_gamma,
     build_gamma_prime,
     detect_runs,
     icf_seg,
-    matching_weight,
     mwm,
     potential,
 )
@@ -25,13 +24,26 @@ from ffmedian.reference import brute_force_median
 from ffmedian.solver import build_ilp, solve_branch_and_bound
 
 from conftest import (
-    build_tables,
     diagonal_sigma,
     evolved_instance,
     identical_genomes,
     linear,
     random_blockish_instance,
+    residual_table,
 )
+from test_matching import matching_weight
+
+
+def build_tables(genomes, sigma):
+    """The paper's candidates and table, with its telomere triples, which
+    ICF-SEG reads."""
+    table = paper_table(conftest.build_tables(genomes, sigma)[1])
+    return table.candidates, table
+
+
+def row_weights(table, a, b):
+    """The weights of the rows between candidates a and b, sorted."""
+    return sorted(w for m1, m2, w in zip(table.m1, table.m2, table.weight) if {m1, m2} == {a, b})
 
 
 def gene_rows(cands, table):
@@ -44,23 +56,22 @@ def gene_rows(cands, table):
 
 
 class TestGamma:
+    """The rows, one edge each of the matching graph Γ over the candidate
+    extremities."""
+
     def test_fully_conserved_unit_cliques_weight_three(self):
         genomes, sigma = identical_genomes(("a", "b"), shape="circular")
         cands, table = build_tables(genomes, sigma)
-        gamma = build_gamma(table)
-        weights = sorted(w for _, _, w in gamma.edges)
-        assert weights == [3.0, 3.0]  # both adjacencies of the 2-cycle
+        assert sorted(table.weight) == [3.0, 3.0]  # both adjacencies of the 2-cycle
 
     def test_non_conserved_pairs_missing(self):
         G = linear("G", [("a", 1), ("z", 1), ("b", 1)])
         H = linear("H", [("a", 1), ("x", 1), ("b", 1)])
         I = linear("I", [("b", 1), ("y", 1), ("a", 1)])
         cands, table = build_tables([G, H, I], diagonal_sigma(["a", "b"]))
-        gamma = build_gamma(table)
-        keys = {frozenset((u // 3, v // 3)) for u, v, _ in gamma.edges}
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
-        assert frozenset((a, b)) not in keys
+        assert row_weights(table, a, b) == []
 
     def test_two_genome_conservation_weight(self):
         # triple scores 1 and 2^-6 with two conserving genomes -> 0.5 * 2
@@ -75,12 +86,8 @@ class TestGamma:
         a = next(i for i, c in enumerate(cands) if c.g.name == "a")
         b = next(i for i, c in enumerate(cands) if c.g.name == "b")
         assert cands[b].triple_score == pytest.approx(2.0 ** -6)
-        gamma = build_gamma(table)
-        weights = sorted(
-            round(w, 9) for u, v, w in gamma.edges if {u // 3, v // 3} == {a, b}
-        )
         # head-tail conserved in G and H (0.5 * 2), the wrap pair only in I
-        assert weights == [0.5, 1.0]
+        assert [round(w, 9) for w in row_weights(table, a, b)] == [0.5, 1.0]
 
 
 def brute_force_matching(graph: MatchGraph) -> float:
@@ -305,12 +312,12 @@ class TestGammaPrime:
 class TestIcfSeg:
     def test_identical_genomes_accept_gene_run(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
-        result = icf_seg(genomes[0], table)
+        _, table = conftest.build_tables(genomes, sigma)
+        result = icf_seg(genomes[0], paper_table(table))
         assert len(result.accepted) == 1
         assert result.accepted_weight == pytest.approx(6.0)
         full = solve_branch_and_bound(build_ilp(table))
-        reduced = solve_branch_and_bound(build_ilp(result.reduced_table()))
+        reduced = solve_branch_and_bound(build_ilp(residual_table(table, result)))
         assert result.accepted_weight + reduced.objective == pytest.approx(
             full.objective
         )
@@ -343,14 +350,14 @@ class TestIcfSeg:
             genomes, sigma, cands = random_blockish_instance(seed)
             from ffmedian.candidates import enumerate_conserved_adjacencies
 
-            table = enumerate_conserved_adjacencies(cands, *genomes)
+            table = paper_table(enumerate_conserved_adjacencies(cands, *genomes))
             result = icf_seg(genomes[0], table)
             oracle, optima = brute_force_median(table, collect_optima=True)
             reduced = brute_force_median(result.reduced_table())
             assert result.accepted_weight + reduced.objective == pytest.approx(
                 oracle.objective, rel=1e-6
             )
-            accepted = frozenset(result.accepted_rows)
+            accepted = frozenset(r for run in result.accepted for r in run.internal_rows)
             if accepted:
                 hits += 1
                 assert any(accepted <= set(opt) for opt in optima)

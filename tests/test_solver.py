@@ -17,8 +17,8 @@ from ffmedian.candidates import (
     enumerate_conserved_adjacencies,
     preprocess_discard_nonclique,
 )
-from ffmedian.genomes import SimilarityGraph
-from ffmedian.objects import Gene, set_similarity
+from ffmedian.genomes import SimilarityGraph, build_genome
+from ffmedian.objects import Gene, chromosomes, paper_table, set_similarity
 from ffmedian.reference import (
     OracleCapExceeded,
     _coeff,
@@ -27,7 +27,7 @@ from ffmedian.reference import (
     counted_variables,
     export_lp,
 )
-from ffmedian.segments import build_gamma, icf_seg, matching_weight
+from ffmedian.segments import MatchGraph
 from ffmedian.solver import (
     GRID,
     STATUS_EMPTY,
@@ -38,6 +38,7 @@ from ffmedian.solver import (
     SolverError,
     build_ilp,
     cars_from_rows,
+    solution_weight,
     solve_branch_and_bound,
     verify_solution,
 )
@@ -48,13 +49,14 @@ from conftest import (
     diagonal_sigma,
     disjoint_clique_instance,
     evolved_instance,
+    icf_seg_then_solve,
     identical_genomes,
     linear,
     milp_objective,
     random_blockish_instance,
     random_small_instance,
 )
-from test_matching import blossom
+from test_matching import blossom, matching_weight
 
 # optimum of evolved_instance(6, 400, 2, 0.6), proven by an untimed solve
 OPTIMUM_6_400_2 = 433.9741946474661
@@ -97,13 +99,17 @@ class TestBuildIlp:
         assert sorted(model.table.weight.tolist()) == [3.0, 3.0]
 
     def test_counts(self, four_candidate_instance):
+        """The paper's program, over its table with the telomere triples."""
         genomes, sigma = four_candidate_instance
-        cands, table = build_tables(genomes, sigma)
+        _, table = build_tables(genomes, sigma)
         model = build_ilp(table)
+        paper = paper_table(table)
+        cands = paper.candidates
         genes = {g for c in cands for g in c.genes}
         ext = sum(len(c.ends) for c in cands)
-        assert counted_variables(model) == len(cands) + len(table)
-        assert counted_constraints(model) == len(genes) + len(table) + ext
+        assert len(cands) == 4 + 8 and len(paper) > len(table)
+        assert counted_variables(model) == len(cands) + len(paper)
+        assert counted_constraints(model) == len(genes) + len(paper) + ext
 
 
 class TestExportLp:
@@ -167,7 +173,10 @@ class TestSolve:
         for seed in range(6):
             genomes, sigma = disjoint_clique_instance(seed, n=5 + seed % 3)
             cands, table = build_tables(genomes, sigma)
-            gamma = build_gamma(table)
+            # one vertex per candidate extremity, one edge per row
+            gamma = MatchGraph(tuple(range(3 * len(cands))), tuple(
+                (3 * m1 + e1, 3 * m2 + e2, w)
+                for m1, e1, m2, e2, w in zip(table.m1, table.e1, table.m2, table.e2, table.weight)))
             matched = matching_weight(gamma, blossom(gamma))
             solved = solve_branch_and_bound(build_ilp(table)).objective
             assert round(matched / GRID) == round(solved / GRID)
@@ -179,7 +188,7 @@ class TestSolve:
             bb = solve_branch_and_bound(build_ilp(table))
             oracle = brute_force_median(table)
             assert round(bb.objective / GRID) == round(oracle.objective / GRID)
-            verify_solution(table, bb.row_indices, bb.objective)
+            verify_solution(table, bb.row_indices, bb.objective, bb.caps, bb.ys)
 
     def test_time_limit_zero_returns_feasible_with_bound(self):
         cands, table = shared_gene_tables()
@@ -209,7 +218,8 @@ class TestSolve:
             assert (solution.highs_rows, solution.highs_columns, solution.nodes_explored,
                     solution.simplex_iterations, solution.gap) == (0, 0, 0, 0, 0.0)
             assert solution.lp_integral is True and solution.fixed == 3
-            verify_solution(table, solution.row_indices, solution.objective)
+            verify_solution(table, solution.row_indices, solution.objective, solution.caps,
+                            solution.ys)
 
     def test_scipy_import_counts_against_the_time_limit(self, monkeypatch):
         limits = []
@@ -297,9 +307,10 @@ class TestSolve:
 
 def _scipy_mip_rows(model):
     """Reference for `solver._Capped`: the capped program's entries, built
-    by plain loops over the table into a scipy.sparse CSR matrix and
-    converted to CSC, with its right-hand sides and costs."""
-    table = model.table
+    by plain loops over the paper's table, with its telomere triples, into a
+    scipy.sparse CSR matrix and converted to CSC, with its right-hand sides
+    and costs."""
+    table = paper_table(model.table)
     cands = table.candidates
     real = [m for m, c in enumerate(cands) if not c.is_telomere_triple]
     column = {m: j for j, m in enumerate(real)}
@@ -409,7 +420,7 @@ def _check_mip_rows(genomes, sigma):
     np.testing.assert_array_equal(program.rhs, rhs)
     np.testing.assert_allclose(program.cost, cost, rtol=1e-12)
     n_r = program.split[0]
-    n_genes = len({g for c in cands if not c.is_telomere_triple for g in c.genes})
+    n_genes = len({g for c in cands for g in c.genes})
     reduced, right, fixed, live, point, offset = _reduced_by_loops(matrix, rhs, cost, n_genes, n_r)
     for handed, expected in zip(program.handed, (cost[live], reduced.indptr, reduced.indices,
                                                   reduced.data, right)):
@@ -437,6 +448,34 @@ def test_mip_rows_with_emptied_chromosomes_equal_the_scipy_sparse_build(seed, n,
     assert len(_check_mip_rows(genomes, sigma).y_mask)
 
 
+def test_mip_rows_without_telomeres_in_one_genome_equal_the_scipy_sparse_build():
+    """G's chromosome circular: there is no telomere triple, so no cap and
+    no y, though telomeres face extremities in H and I and I has an emptied
+    chromosome."""
+    genomes, sigma = evolved_instance(34, 12, 1, 0.1, emptied=(0, 1, 2))
+    G = build_genome("G", [(chrom.name, "circular", [(g.name, o) for g, o in chrom.order
+                                                     if not g.is_telomere])
+                           for chrom in chromosomes(genomes[0])])
+    genomes = [G, *genomes[1:]]
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+    program = _check_mip_rows(genomes, sigma)
+    table = build_tables(genomes, sigma)[1]
+    assert table.facing and table.emptied[2] and table.telomeres[0] == []
+    assert program.cap_ext == program.y_mask == [] and paper_table(table) is table
+
+
+def test_mip_rows_when_each_genome_has_one_linear_chromosome_emptied():
+    """Each genome's two telomeres end its emptied chromosome, so a row
+    between two telomere triples is conserved in all three genomes, and
+    only y_GHI exists."""
+    genomes = [build_genome(label, [("c1", "circular", [("a", 1), ("b", 1), ("c", -1)]),
+                                    ("e1", "linear", [(f"z{label}", 1)])])
+               for label in "GHI"]
+    sigma = diagonal_sigma(["a", "b", "c"])
+    *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+    assert _check_mip_rows(genomes, sigma).y_mask == [0b111]
+
+
 def _check_optimum(genomes, sigma):
     g, h, i, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
     genomes = [g, h, i]
@@ -446,9 +485,9 @@ def _check_optimum(genomes, sigma):
     plain = solve_branch_and_bound(build_ilp(table))
     assert plain.status == STATUS_OPTIMAL
     assert abs(plain.objective - reference) <= GRID
+    verify_solution(table, plain.row_indices, plain.objective, plain.caps, plain.ys)
 
-    segs = icf_seg(genomes[0], table)
-    reduced = solve_branch_and_bound(build_ilp(segs.reduced_table()))
+    segs, reduced, _ = icf_seg_then_solve(genomes[0], table)
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
     return cands, table
@@ -473,8 +512,8 @@ def test_solve_logs_the_highs_run_to_a_configured_caller(caplog):
 def test_optimum_matches_milp(seed, n, family_rate):
     """Two linear chromosomes per genome give 64 telomere triples, beyond
     the oracle's cap, so the reference optimum comes from a MILP solver."""
-    cands, _ = _check_optimum(*evolved_instance(seed, n, 2, family_rate))
-    assert sum(c.is_telomere_triple for c in cands) == 64
+    cands, table = _check_optimum(*evolved_instance(seed, n, 2, family_rate))
+    assert len(paper_table(table).candidates) - len(cands) == 64
 
 
 @pytest.mark.parametrize(
@@ -486,9 +525,10 @@ def test_optimum_with_emptied_chromosomes_matches_milp(seed, n, family_rate, emp
     preprocessing, give rows between two telomere triples: with one in
     every genome, rows conserved in all three."""
     _, table = _check_optimum(*evolved_instance(seed, n, 1, family_rate, emptied=emptied))
-    masks = {int(table.mask[k]) for k in range(len(table))
-             if table.candidates[table.m1[k]].is_telomere_triple
-             and table.candidates[table.m2[k]].is_telomere_triple}
+    paper = paper_table(table)
+    masks = {int(paper.mask[k]) for k in range(len(paper))
+             if paper.candidates[paper.m1[k]].is_telomere_triple
+             and paper.candidates[paper.m2[k]].is_telomere_triple}
     assert masks == {s for s in range(1, 8) if all(emptied[x] for x in range(3) if s >> x & 1)}
 
 
@@ -553,7 +593,7 @@ def test_rule_a_fixes_the_candidates_that_alone_hold_their_genes():
     assert program.fixed == 3 and program.point[:3] == [1.0, 1.0, 1.0]
     assert not {0, 1, 2} & set(program.live)
     cands, table = shared_gene_tables()
-    assert sum(not c.is_telomere_triple for c in cands) == 3
+    assert len(cands) == 3
     assert solver._Capped(table).fixed == 0
     solution = solve_branch_and_bound(build_ilp(table))
     assert round(solution.objective / GRID) == round(brute_force_median(table).objective / GRID)
@@ -610,11 +650,11 @@ class TestBruteForce:
         set_similarity(sigma, Gene("G", "a"), Gene("I", "b"), 0.9)
         cands, table = build_tables([G, H, I], sigma)
         solution = brute_force_median(table)
-        verify_solution(table, solution.row_indices, solution.objective)
+        verify_solution(solution.table, solution.row_indices, solution.objective)
 
     def test_collect_optima_contains_best(self):
         genomes, sigma, cands = random_small_instance(9)
-        table = enumerate_conserved_adjacencies(cands, *genomes)
+        table = paper_table(enumerate_conserved_adjacencies(cands, *genomes))
         solution, optima = brute_force_median(table, collect_optima=True)
         assert tuple(sorted(solution.row_indices)) in [tuple(o) for o in optima]
         for rows in optima:
@@ -634,7 +674,8 @@ class TestBruteForce:
         instances += [random_small_instance(seed, rng_genes=(3, 5)) for seed in range(60)]
         checked = 0
         for genomes, _, cands in instances:
-            table = enumerate_conserved_adjacencies(cands, *genomes)
+            table = paper_table(enumerate_conserved_adjacencies(cands, *genomes))
+            cands = table.candidates
             if len(table) > 16:
                 continue
             ends = [((table.key(k)[0], table.key(k)[1]), (table.key(k)[2], table.key(k)[3]))
@@ -660,7 +701,8 @@ class TestBruteForce:
 class TestVerify:
     def test_conflict_detected(self):
         genomes, sigma = identical_genomes(("a", "b"))
-        cands, table = build_tables(genomes, sigma)
+        table = paper_table(build_tables(genomes, sigma)[1])
+        cands = table.candidates
         conflicting = conflicts(cands)
         # two rows on four distinct extremities whose candidates clash: two
         # telomere triples that share a telomere, say
@@ -677,7 +719,7 @@ class TestVerify:
 
     def test_extremity_reuse_detected(self):
         genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
+        table = paper_table(build_tables(genomes, sigma)[1])
         incident = {}
         for k in range(len(table)):
             m1, e1, m2, e2 = table.key(k)
@@ -697,12 +739,77 @@ class TestVerify:
             verify_solution(table, rows, sum(table.weight[k] for k in rows))
 
     def test_objective_mismatch_detected(self):
-        genomes, sigma = identical_genomes(("a", "b", "c"))
-        cands, table = build_tables(genomes, sigma)
+        """The weights of the rows, caps and y masks must sum to the
+        objective: a cap left out, or an objective off by one, fails."""
+        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
         solution = solve_branch_and_bound(build_ilp(table))
-        verify_solution(table, solution.row_indices, solution.objective)
+        rows, caps = solution.row_indices, solution.caps
+        assert caps == (0, 3 * 2 + 1)  # a's tail and c's head face the telomeres
+        verify_solution(table, rows, solution.objective, caps)
         with pytest.raises(SolverError, match="objective mismatch"):
-            verify_solution(table, solution.row_indices, solution.objective + 1.0)
+            verify_solution(table, rows, solution.objective + 1.0, caps)
+        with pytest.raises(SolverError, match="objective mismatch"):
+            verify_solution(table, rows, solution.objective, caps[:1])
+
+    def test_cap_at_a_used_extremity_detected(self):
+        """A cap at an extremity that a chosen row uses."""
+        cands, table = build_tables(*identical_genomes(("a", "b")))
+        solution = solve_branch_and_bound(build_ilp(table))
+        (row,) = solution.row_indices
+        used = 3 * table.m1[row] + table.e1[row]  # a's head, which b's tail meets
+        table.facing[used] = [table.telomeres[0][0], -1, -1]
+        caps = (*solution.caps, used)
+        with pytest.raises(SolverError, match="used twice"):
+            verify_solution(table, solution.row_indices,
+                            solution_weight(table, solution.row_indices, caps), caps)
+
+    def test_cap_of_a_conflicting_candidate_detected(self):
+        """A cap's candidate is chosen: one that shares a gene with a
+        candidate of the chosen rows conflicts."""
+        cands, table = shared_gene_tables()
+        conflicting = conflicts(cands)
+        solution = solve_branch_and_bound(build_ilp(table))
+        chosen = table.genes(solution.row_indices, solution.caps)
+        cap = next(code for code in table.facing
+                   if any(conflicting(code // 3, m) for m in chosen))
+        caps = (*solution.caps, cap)
+        value = solution_weight(table, solution.row_indices, caps)
+        with pytest.raises(SolverError, match="conflict on extant gene"):
+            verify_solution(table, solution.row_indices, value, caps)
+
+    def test_cap_that_no_telomere_faces_detected(self):
+        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+        solution = solve_branch_and_bound(build_ilp(table))
+        rows = [k for k in solution.row_indices if table.m1[k] != 0]  # b-c alone
+        b_tail = 3 * 1 + 0
+        assert b_tail not in table.facing
+        with pytest.raises(SolverError, match="no telomere faces"):
+            verify_solution(table, rows, solution.objective, (*solution.caps, b_tail))
+
+    def test_caps_and_y_beyond_the_telomeres_detected(self):
+        """Two caps and a y need four telomeres per genome; each genome has
+        two."""
+        cands, table = build_tables(*identical_genomes(("a", "b", "c")))
+        solution = solve_branch_and_bound(build_ilp(table))
+        rows, caps, ys = solution.row_indices, solution.caps, (0b111,)
+        with pytest.raises(SolverError, match="exceed the 2 telomeres of G"):
+            verify_solution(table, rows, solution_weight(table, rows, caps, ys), caps, ys)
+
+    def test_y_beyond_the_emptied_chromosomes_detected(self):
+        """Each genome has four telomeres and one emptied chromosome: one y
+        conserved in all three fits, two do not."""
+        genomes = [build_genome(label, [("c1", "linear", [("a", 1), ("b", 1)]),
+                                        ("c2", "linear", [(f"z{label}", 1)])])
+                   for label in "GHI"]
+        sigma = diagonal_sigma(["a", "b"])
+        *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+        cands, table = build_tables(genomes, sigma)
+        assert list(map(len, table.emptied)) == [1, 1, 1]
+        solution = solve_branch_and_bound(build_ilp(table))
+        assert solution.ys == (0b111,)
+        verify_solution(table, (), 3.0, (), (0b111,))
+        with pytest.raises(SolverError, match="exceed the 1 emptied chromosomes of G"):
+            verify_solution(table, (), 6.0, (), (0b111, 0b111))
 
 
 class TestCars:
@@ -713,8 +820,6 @@ class TestCars:
         rows = [
             k for k in range(len(table))
             if int(table.mask[k]) == 0b111
-            and not cands[table.key(k)[0]].is_telomere_triple
-            and not cands[table.key(k)[2]].is_telomere_triple
         ]
         cars = cars_from_rows(table, rows)
         assert len(cars) == 1
@@ -741,8 +846,6 @@ class TestCars:
         rows = [
             k for k in range(len(table))
             if int(table.mask[k]) == 0b111
-            and not cands[table.key(k)[0]].is_telomere_triple
-            and not cands[table.key(k)[2]].is_telomere_triple
         ]
         cars = cars_from_rows(table, rows)
         assert len(cars) == 1

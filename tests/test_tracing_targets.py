@@ -69,7 +69,8 @@ def test_traced_icf_seg_records_its_counters_and_spans(tmp_path):
     assert set(tracer.counters) == FRONT_END_COUNTERS | {
         "segments.accepted", "segments.rows_total", "segments.rows_fixed"}
     counters = tracer.counters
-    assert counters["segments.rows_total"] == counters["candidates.rows"]
+    # ICF-SEG reads the paper's table, which adds the rows to telomere triples
+    assert counters["segments.rows_total"] > counters["candidates.rows"]
     assert 0 < counters["segments.rows_fixed"] < counters["segments.rows_total"]
     assert counters["segments.accepted"] > 0
     # no solve; `icf_seg` scans through `_RunScanner`, not `detect_runs`
