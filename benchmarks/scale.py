@@ -6,23 +6,24 @@ Run from the root of a checkout.  Each case is one instance written by
 `perfbench/gen.py` (seed 5 unless SEEDS names another), with 60 to 20000
 genes per genome, 1 to 8 linear chromosomes and up to 20% gene families:
 the sizes and chromosome counts that the pool-sized benchmark in
-`perfbench/` does not reach, where the front end, the telomeres or the
-gene families set the cost of a solve.  The n=4000 family case runs at
-seeds 5 and 6, whose LP vertices are fractional, so that HiGHS's MIP runs.
-In the EMPTIED case, 30% gene loss leaves linear chromosomes whose genes
+`perfbench/` does not reach, where the front end, the telomeres or the gene
+families set the cost of a solve.  The n=4000 family case runs at seeds 5
+and 6, whose LP vertices are fractional, so that HiGHS's MIP runs.  In the
+EMPTIED case, 30% gene loss leaves linear chromosomes whose genes
 preprocessing discards; in the paper's table the rows between the telomere
 triples at their two ends outnumber all others, and a report of schema 3
-counts only the rows between candidates.  The CIRCULAR cases turn each genome's one
-chromosome circular, as in a bacterial genome, by rewriting the shape
-column of the generated genome file.  The MIS cases are the paper's
-hardness reduction, `reduce_mis(random_bounded_graph(n, 3/n, 1))` at n = 8
-and 12, written by this checkout's `src/`: tie-heavy models whose rows grow
-about as n^4 (n = 16 already takes 20 to 30 s a solve).  They are solved
-without preprocessing, as `verify-reduction` solves them, and each tree's
-`verify-reduction` verdict on the instance, one child per tree, is recorded
-next to the stage times.  Every case is solved REPEAT times per tree, by
-a fresh `ffmedian solve` child process per solve with a 120 s limit and
-no flag beyond the instance's, so that each tree runs its default path.
+counts only the rows between candidates.  The CIRCULAR cases turn each
+genome's one chromosome circular, as in a bacterial genome, by rewriting
+the shape column of the generated genome file.  The MIS cases are the
+paper's hardness reduction, `reduce_mis(random_bounded_graph(n, 3/n, 1))`
+at n = 8 and 12, written by this checkout's `src/`: tie-heavy models whose
+rows grow about as n^4 (n = 16 already takes 20 to 30 s a solve).  They are
+solved without preprocessing, as `verify-reduction` solves them, and each
+tree's `verify-reduction` verdict on the instance, one child per tree, is
+recorded next to the stage times.  Every case is solved REPEAT times per
+tree, by a fresh `ffmedian solve` child process per solve with a 120 s
+limit and no flag beyond the instance's, so that each tree runs its default
+path.
 
 Each `--src` names a source tree (a checkout's `src/`) under a label; the
 default is this checkout's `src/` as `this`.  The trees take turns solve by
@@ -30,15 +31,15 @@ solve, so that a drift in machine speed reaches all of them alike.
 
 For every case and tree, the output records the median seconds of each
 stage in the report's `stages`, their sum, the median wall seconds of the
-whole child, the median of the wall seconds outside the stages
-(`unstaged_s`: start-up, the report's assembly and write, and before
-schema 3 also verification and CAR assembly), the median CPU seconds of
-the child (user plus system, over all its threads: a helper thread that
-spins shows as CPU above wall), the median peak RSS of the child, and the
-status, objective, `counts` (candidates, conserved adjacency rows and the
-rest) and `stats` (telomeres, or before schema 3 telomere triples, rows
-handed to the solve, HiGHS nodes and iterations; null for a tree whose
-reports have none) of the report, which are the same in every repeat.  It also records the versions of Python, numpy, scipy and
+whole child (start-up and the report's assembly and write, and before
+schema 3 also verification and CAR assembly, lie outside the stages), the
+median CPU seconds of the child (user plus system, over all its threads: a
+helper thread that spins shows as CPU above wall), the median peak RSS of
+the child, and the status, objective, `counts` (candidates, conserved
+adjacency rows and the rest) and `stats` (telomeres, or before schema 3
+telomere triples, rows handed to the solve, HiGHS nodes and iterations;
+null for a tree whose reports have none) of the report, which are the same
+in every repeat.  It also records the versions of Python, numpy, scipy and
 the HiGHS bundled with scipy that the children run.
 
 Separately, so that the stage and wall numbers above stay as they are,
@@ -260,13 +261,11 @@ def summarize(reports: list[dict], samples: dict[str, list[float]]) -> dict:
     for report in reports:
         for stage in report["stages"]:
             stages.setdefault(stage["name"], []).append(stage["seconds"])
-    totals = [sum(s["seconds"] for s in report["stages"]) for report in reports]
     first = reports[0]
     return {
         "stages_s": {name: statistics.median(v) for name, v in stages.items()},
-        "total_s": statistics.median(totals),
-        "unstaged_s": statistics.median(
-            wall - total for wall, total in zip(samples["wall_s"], totals)),
+        "total_s": statistics.median(
+            sum(s["seconds"] for s in report["stages"]) for report in reports),
         **{name: statistics.median(values) for name, values in samples.items()},
         "status": first["status"],
         "objective": first["objective"],

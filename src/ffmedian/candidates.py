@@ -149,15 +149,17 @@ class ConservedAdjacencyTable:
     genomes in its mask.  A solution is a set of row indices, with caps and
     y masks (`solver`): its median genes are the candidates they join.
 
-    Per genome k, `telomeres[k]` lists its telomere ids and `emptied[k]`
-    the telomere pairs that end a chromosome left without genes; `facing`
-    maps the code 3 m + e of each extremity that a telomere faces, in order,
-    to the telomere facing it in each genome (-1: none).  The paper's table
-    (`objects.paper_table`) has none of these facts."""
+    The rows are scanned from the walks of `genomes`.  Per genome k,
+    `telomeres[k]` lists its telomere ids and `emptied[k]` the telomere
+    pairs that end a chromosome left without genes; `facing` maps the code
+    3 m + e of each extremity that a telomere faces, in order, to the
+    telomere facing it in each genome (-1: none).  The paper's table
+    (`objects.paper_table`) has none of them; its solve is the paper's."""
 
-    def __init__(self, candidates: Candidates, m1, e1, m2, e2, mask,
+    def __init__(self, candidates: Candidates, m1, e1, m2, e2, mask, genomes,
                  telomeres=((), (), ()), emptied=((), (), ()), facing=None):
         self.candidates = candidates
+        self.genomes = tuple(genomes)
         self.labels = tuple(genome.label for genome in candidates.genomes)
         self.conserved_in = [
             tuple(self.labels[x] for x in range(3) if bits >> x & 1) for bits in range(8)
@@ -229,7 +231,7 @@ def enumerate_conserved_adjacencies(
                 for m in on_gene[k]:
                     facing.setdefault(3 * m + e, [-1, -1, -1])[x] = t
     telomeres = tuple([k for k, t in enumerate(genome.telomeric) if t] for genome in genomes)
-    return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome),
+    return ConservedAdjacencyTable(candidates, *kernels.merge_genome_pairs(per_genome), genomes,
                                    telomeres, emptied, dict(sorted(facing.items())))
 
 

@@ -257,11 +257,8 @@ def run_pipeline(args) -> tuple[int, dict]:
     )
     candidates = table.candidates
     with _stage(stages, "solve"):
-        model = build_ilp(table)
-        remaining = None
-        if time_limit is not None:
-            remaining = time_limit - (time.monotonic() - started)
-        solution = solve_branch_and_bound(model, time_limit=remaining)
+        remaining = None if time_limit is None else time_limit - (time.monotonic() - started)
+        solution = solve_branch_and_bound(build_ilp(table), time_limit=remaining)
     rows, caps, ys = solution.row_indices, solution.caps, solution.ys
     with _stage(stages, "verify"):
         verify_solution(table, rows, solution.objective, caps, ys)

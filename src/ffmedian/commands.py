@@ -62,8 +62,13 @@ def _write_tsv(path, table, alive=None) -> None:
 
 
 def _instance(args):
-    """`cli._front_end` on the genome and similarity files of `args`."""
-    return cli._front_end(cli._read_files(args.genomes, args.similarity), args.preprocess)
+    """`cli._front_end` on the genome and similarity files of `args`: the
+    genomes and the paper's table (`objects.paper_table`)."""
+    from .objects import paper_table
+
+    genomes, table, _ = cli._front_end(cli._read_files(args.genomes, args.similarity),
+                                       args.preprocess)
+    return genomes, paper_table(table)
 
 
 def _cmd_build_graph(args) -> int:
@@ -85,10 +90,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .objects import paper_table
-
-    _, table, _ = _instance(args)
-    table = paper_table(table)
+    _, table = _instance(args)
     _write_tsv(args.output, table)
     log.info(
         "wrote %d candidates and %d conserved adjacencies",
@@ -98,10 +100,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_icf_seg(args) -> int:
-    from .objects import candidate_names, paper_table
+    from .objects import candidate_names
 
-    genomes, table, _ = _instance(args)
-    table = paper_table(table)
+    genomes, table = _instance(args)
     result = cli.icf_seg(genomes[0], table)
 
     def triple(m: int) -> str:
@@ -136,11 +137,10 @@ def _cmd_icf_seg(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    from .objects import paper_table
     from .reference import counted_constraints, counted_variables, write_lp
 
-    _, table, _ = _instance(args)
-    model = cli.build_ilp(paper_table(table))  # one paper's table for all three readers
+    _, table = _instance(args)
+    model = cli.build_ilp(table)
     with _output(args.output) as fh:
         write_lp(model, fh)
     log.info("wrote model with %d variables and %d constraints",

@@ -31,9 +31,9 @@ import itertools
 from array import array
 from typing import Iterable, NamedTuple
 
-from . import kernels
-from .candidates import Candidates, ConservedAdjacencyTable
+from .candidates import Candidates, ConservedAdjacencyTable, enumerate_conserved_adjacencies
 from .genomes import TELOMERE_PREFIX, Genome, GenomeError, SimilarityGraph
+from .kernels import IntArray
 
 
 class Gene(NamedTuple):
@@ -230,64 +230,21 @@ def telomere_triples(candidates) -> list[bool]:
 
 
 def paper_table(table: ConservedAdjacencyTable) -> ConservedAdjacencyTable:
-    """The paper's table of `table`, rebuilt from its telomere facts, with
-    the candidates and rows in the order that enumerating them gives.
-
-    Each combination of one telomere per genome is a telomere triple, a
-    candidate of triple score 1 with the single end `o`, sorted among the
-    others by its genes.  A triple's row to a candidate extremity is
-    conserved in the genomes whose telomere faces that extremity, and a row
-    between two triples that share no telomere in the genomes where their
-    telomeres end an emptied chromosome.  With a genome without telomeres
-    there is no triple, and the paper's table is `table`; the paper's table
-    has no telomere facts, so it is its own paper's table.
+    """The paper's table of `table`: each combination of one telomere per
+    genome joins the candidates as a telomere triple of triple score 1, and
+    the walks that `table` was scanned from are scanned again.  The
+    candidates sort by their genes and the rows by their keys, as
+    enumerating them gives.  The triples' telomeres are candidates now, so
+    the paper's table holds no telomere facts, and it is its own paper's
+    table; so is a table of a genome without telomeres.
     """
     triples = list(itertools.product(*table.telomeres))
     if not triples:
         return table
     cands = table.candidates
-    n = len(cands)
-    entries = [*zip(*cands.ids), *triples]
-    order = sorted(range(len(entries)), key=entries.__getitem__)
-    new = [0] * len(entries)
-    for k, j in enumerate(order):
-        new[j] = k
-    ids = [kernels.IntArray(entries[j][x] for j in order) for x in range(3)]
-    scores = array("d", [cands.triple[j] if j < n else 1.0 for j in order])
-    first, second = ([], [], []), ([], [], [])
-
-    def add(a: int, b: int, bits: int) -> None:
-        for x in range(3):
-            if bits >> x & 1:
-                first[x].append(a)
-                second[x].append(b)
-
-    for m1, e1, m2, e2, bits in zip(table.m1, table.e1, table.m2, table.e2, table.mask):
-        add(3 * new[m1] + e1, 3 * new[m2] + e2, bits)
-    # the triple of telomeres at positions k0, k1 and k2 of their genomes'
-    # lists is triple k0 * stride[0] + k1 * stride[1] + k2
-    at = [{t: k for k, t in enumerate(telomeres)} for telomeres in table.telomeres]
-    size = list(map(len, table.telomeres))
-    stride = (size[1] * size[2], size[2], 1)
-    end = [3 * new[n + j] + 2 for j in range(len(triples))]
-    others = ((1, 2), (0, 2), (0, 1))
-    for code, faced in table.facing.items():
-        bits: dict[int, int] = {}
-        for x, t in enumerate(faced):
-            if t >= 0:  # each triple that holds t
-                y, z = others[x]
-                for ky, kz in itertools.product(range(size[y]), range(size[z])):
-                    j = at[x][t] * stride[x] + ky * stride[y] + kz * stride[z]
-                    bits[j] = bits.get(j, 0) | 1 << x
-        ext = 3 * new[code // 3] + code % 3
-        for j, b in bits.items():
-            add(ext, end[j], b)
-    for x, pairs in enumerate(table.emptied):
-        y, z = others[x]
-        for a, b in pairs:
-            for u, v in itertools.product(itertools.permutations(range(size[y]), 2),
-                                          itertools.permutations(range(size[z]), 2)):
-                first[x].append(end[at[x][a] * stride[x] + u[0] * stride[y] + v[0] * stride[z]])
-                second[x].append(end[at[x][b] * stride[x] + u[1] * stride[y] + v[1] * stride[z]])
-    return ConservedAdjacencyTable(Candidates(cands.genomes, ids, scores),
-                                   *kernels.merge_genome_pairs(list(zip(first, second))))
+    entries = sorted([*zip(*cands.ids, cands.triple), *((*t, 1.0) for t in triples)])
+    paper = Candidates(cands.genomes, [IntArray(e[x] for e in entries) for x in range(3)],
+                       array("d", [e[3] for e in entries]))
+    rows = enumerate_conserved_adjacencies(paper, *table.genomes)
+    return ConservedAdjacencyTable(paper, rows.m1, rows.e1, rows.m2, rows.e2, rows.mask,
+                                   table.genomes)

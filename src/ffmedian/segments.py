@@ -284,8 +284,8 @@ class _RunScanner:
                 self.link[3 * m1 + e1] = (m2, k)
                 self.link[3 * m2 + e2] = (m1, k)
         self.by_g_gene: list[list[int]] = [[] for _ in G.names]
-        for m, (gene, telomeric) in enumerate(zip(self.ids[0], telomere_triples(table.candidates))):
-            if (cand_alive is None or cand_alive[m]) and m not in locked and not telomeric:
+        for m, gene in enumerate(self.ids[0]):
+            if (cand_alive is None or cand_alive[m]) and m not in locked and not self.telomeric[gene]:
                 self.by_g_gene[gene].append(m)
         self.where = {gene: (ci, pos) for ci, (_, ids, _) in enumerate(self.walks)
                       for pos, gene in enumerate(ids)}
@@ -541,11 +541,13 @@ class IcfSegResult:
 
 
 def subset(table: ConservedAdjacencyTable, keep) -> ConservedAdjacencyTable:
-    """New table restricted to the given row indices (candidate indexing kept)."""
+    """New table restricted to the given row indices (candidate indexing and
+    telomere facts kept)."""
     keep = [int(k) for k in keep]
     return ConservedAdjacencyTable(table.candidates, *(
         IntArray(map(column.__getitem__, keep))
-        for column in (table.m1, table.e1, table.m2, table.e2, table.mask)))
+        for column in (table.m1, table.e1, table.m2, table.e2, table.mask)),
+        table.genomes, table.telomeres, table.emptied, table.facing)
 
 
 def icf_seg(G: Genome, table: ConservedAdjacencyTable) -> IcfSegResult:

@@ -168,8 +168,9 @@ def verify_solution(
     """Independent check of a solution from the definitions, on the table's
     arrays and telomere facts: no extant gene under two of the candidates
     its rows and caps join, no extremity in two of its rows and caps, a
-    telomere facing each cap, in each genome caps + 2 y <= telomeres and
-    the y that hold it <= emptied chromosomes, and the weights summing to
+    telomere facing each cap, in each genome caps + 2 y <= telomeres, the y
+    that hold it <= emptied chromosomes and, if its telomeres end one
+    emptied chromosome, no y that leaves it out, and the weights summing to
     `objective`.  `cli.run_pipeline` runs it once per solve."""
     rows, caps, ys = list(row_indices), list(caps), list(ys)
     cands = table.candidates
@@ -192,6 +193,8 @@ def verify_solution(
             raise SolverError(f"caps and y masks exceed the {len(telomeres)} telomeres of {label}")
         if sum(bits >> x & 1 for bits in ys) > len(emptied):
             raise SolverError(f"y masks exceed the {len(emptied)} emptied chromosomes of {label}")
+        if emptied and len(telomeres) == 2 and any(not bits >> x & 1 for bits in ys):
+            raise SolverError(f"a y mask leaves out {label}, whose telomeres end one chromosome")
     total = solution_weight(table, rows, caps, ys)
     if abs(total - objective) > 1e-6 * max(1.0, abs(total)):
         raise SolverError(f"objective mismatch: {total} vs {objective}")
@@ -538,7 +541,7 @@ class _Capped:
         for m, genes in enumerate(cand_gene):
             index += sorted(genes)
             value += (1.0, 1.0, 1.0)
-            for r in (ext_row(3 * m), ext_row(3 * m + 1)):
+            for r in map(ext_row, range(3 * m, 3 * m + 3)):  # each end code of m
                 if r is not None:
                     index.append(r)
                     value.append(-1.0)

@@ -198,18 +198,37 @@ def residual_table(table, result):
             capped.add(3 * index[m] + e)
     columns = [IntArray(column) for column in zip(*rows)] if rows else [IntArray()] * 5
     facing = {code: faced for code, faced in table.facing.items() if code in capped}
-    return ConservedAdjacencyTable(table.candidates, *columns, table.telomeres, table.emptied,
-                                   facing)
+    return ConservedAdjacencyTable(table.candidates, *columns, table.genomes, table.telomeres,
+                                   table.emptied, facing)
+
+
+def combined_rows(table, result, residual, solution) -> list[int]:
+    """The rows of `table` that ICF-SEG's accepted runs (`result`, on the
+    paper's table of `table`) and the solution of `residual` choose, found
+    by key.  Runs hold no telomere triple, and the residual table indexes
+    the candidates as `table` does."""
+    row_of = {table.key(k): k for k in range(len(table))}
+    index = real_index(result.table)
+    rows = []
+    for run in result.accepted:
+        for r in run.internal_rows:
+            m1, e1, m2, e2 = result.table.key(r)
+            rows.append(row_of[(index[m1], e1, index[m2], e2)])
+    rows += [row_of[residual.key(k)] for k in solution.row_indices]
+    return sorted(rows)
 
 
 def icf_seg_then_solve(G, table):
     """ICF-SEG on the paper's table of `table`, then the exact solve of the
-    table it leaves (`residual_table`): the ICF-SEG result, the solution,
-    checked against the residual table, and the residual table."""
+    table it leaves (`residual_table`): the ICF-SEG result, the solution and
+    the residual table.  The accepted runs' rows with the solution's rows,
+    caps and y masks are checked together against `table`: no gene or
+    extremity used by both, and their weights summing to the two objectives."""
     result = segments.icf_seg(G, paper_table(table))
     residual = residual_table(table, result)
     solution = solver.solve_branch_and_bound(solver.build_ilp(residual))
-    solver.verify_solution(residual, solution.row_indices, solution.objective,
+    solver.verify_solution(table, combined_rows(table, result, residual, solution),
+                           result.accepted_weight + solution.objective,
                            solution.caps, solution.ys)
     return result, solution, residual
 

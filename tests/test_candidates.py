@@ -113,7 +113,7 @@ class TestScores:
         first = list(range(0, len(cands), 2))
         zeros = [0] * len(first)
         table = ConservedAdjacencyTable(cands, first, zeros, [m + 1 for m in first],
-                                        [1] * len(first), [0b111] * len(first))
+                                        [1] * len(first), [0b111] * len(first), genomes)
         return cands, table.factor
 
     def test_median_adjacency_weight_examples(self):
@@ -158,7 +158,7 @@ class TestConflicts:
                     zip(range(8), column), key=lambda pair: (pair[1], pair[0])
                 )
             conflicting = conflicts(cands)
-            incidence = Incidence(ConservedAdjacencyTable(cands, *[IntArray()] * 5))
+            incidence = Incidence(ConservedAdjacencyTable(cands, *[IntArray()] * 5, cands.genomes))
             for i in range(8):
                 assert not conflicting(i, i)
                 for j in range(8):

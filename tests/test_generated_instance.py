@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from ffmedian import cli
-from ffmedian.solver import GRID, build_ilp, solve_branch_and_bound
+from ffmedian.solver import GRID, SolverError, build_ilp, solve_branch_and_bound, verify_solution
 
-from conftest import icf_seg_then_solve, real_index
+from conftest import combined_rows, icf_seg_then_solve, real_index
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GEN = runpy.run_path(str(PERFBENCH / "gen.py"), run_name="perfbench_gen")
@@ -51,6 +51,33 @@ def test_icf_seg_keeps_the_objective(generated, tmp_path):
     assert result.accepted
     assert solution.status == without["status"] == "optimal"
     assert abs(result.accepted_weight + solution.objective - without["objective"]) <= GRID
+
+
+def test_the_combined_check_rejects_a_row_that_meets_an_accepted_run(generated):
+    """The check of `icf_seg_then_solve` reads the accepted runs and the
+    solve's choice together: it fails once it is also given a row of the
+    table at an extremity of an accepted run's row, or one that joins a
+    candidate that ICF-SEG removed for a conflict with a run."""
+    genomes, table = front_end(generated)
+    result, solution, residual = icf_seg_then_solve(genomes[0], table)
+    rows = combined_rows(table, result, residual, solution)
+    index = real_index(result.table)
+    codes = set()
+    for run in result.accepted:
+        for r in run.internal_rows:
+            m1, e1, m2, e2 = result.table.key(r)
+            codes |= {3 * index[m1] + e1, 3 * index[m2] + e2}
+    removed = {index[m] for m, alive in enumerate(result.cand_alive) if not alive}
+    at_run = next(k for k in range(len(table)) if k not in rows
+                  and {3 * table.m1[k] + table.e1[k], 3 * table.m2[k] + table.e2[k]} & codes)
+    at_removed = next(k for k in range(len(table)) if k not in rows
+                      and {table.m1[k], table.m2[k]} & removed)
+    objective = result.accepted_weight + solution.objective
+    verify_solution(table, rows, objective, solution.caps, solution.ys)
+    for extra, error in ((at_run, "used twice|conflict"), (at_removed, "conflict")):
+        with pytest.raises(SolverError, match=error):
+            verify_solution(table, sorted([*rows, extra]), objective + table.weight[extra],
+                            solution.caps, solution.ys)
 
 
 # the two benchmark workload shapes at a small size: no gene families

@@ -490,6 +490,11 @@ def _check_optimum(genomes, sigma):
     segs, reduced, _ = icf_seg_then_solve(genomes[0], table)
     assert reduced.status == STATUS_OPTIMAL
     assert abs(segs.accepted_weight + reduced.objective - reference) <= GRID
+
+    # the paper's table holds no telomere facts: its telomere triples are
+    # candidates, and its program is the paper's, with the same optimum
+    paper = solve_branch_and_bound(build_ilp(paper_table(table)))
+    assert paper.caps == paper.ys == () and abs(paper.objective - reference) <= GRID
     return cands, table
 
 
@@ -810,6 +815,20 @@ class TestVerify:
         verify_solution(table, (), 3.0, (), (0b111,))
         with pytest.raises(SolverError, match="exceed the 1 emptied chromosomes of G"):
             verify_solution(table, (), 6.0, (), (0b111, 0b111))
+
+    def test_y_that_leaves_out_a_genome_of_one_emptied_chromosome_detected(self):
+        """Each genome's two telomeres end its emptied chromosome, so a row
+        between two telomere triples is conserved in all three: a y whose
+        mask leaves out I cannot be realized."""
+        genomes = [build_genome(label, [("c1", "circular", [("a", 1), ("b", 1), ("c", -1)]),
+                                        ("e1", "linear", [(f"z{label}", 1)])])
+                   for label in "GHI"]
+        sigma = diagonal_sigma(["a", "b", "c"])
+        *genomes, _ = preprocess_discard_nonclique(*genomes, enumerate_candidates(*genomes, sigma))
+        cands, table = build_tables(genomes, sigma)
+        verify_solution(table, (), 3.0, (), (0b111,))
+        with pytest.raises(SolverError, match="leaves out I"):
+            verify_solution(table, (), 2.0, (), (0b011,))
 
 
 class TestCars:
